@@ -5,6 +5,7 @@ print.  Witnesses are synthesized once per session at the full 2^20
 horizon and reused across the certificate and evidence criteria.
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -236,3 +237,39 @@ def test_c9_cli_determinism(tmp_path, full2, phi_full2):
         for name in ("stream.txt", "certificate.json", "manifest.json"))
     same = same and (d / "curve_a.csv").read_bytes() == (d / "curve_b.csv").read_bytes()
     report("C9 determinism", same, "synthesize + spectrum byte-identical")
+
+
+#: sha256 of (stream.txt, certificate.json) for the default witnesses on the
+#: full 2-shift: horizon 2^20, the acceptance seed, range-1 indicator of 1
+WITNESS_DIGESTS = {
+    "W_NOT_QR": ("84219daab7c0a03a94cf8c6728be8d24be80217450438b4fb70bf20b80578cab",
+                 "e1a49b45cd2aa5cecf36c84a9af47acd0716b3cbfd87e223f5a0c6b25454ef4f"),
+    "V_NOT_W": ("35402fc142c6f5cdf10abba053e890c949ddaa5d6f3290a176a191c5da6937a3",
+                "b5f511b26012d48c8db112046424050d0d6a4efd509e8c9a27a3d2cc8fb5f91f"),
+    "QW_NOT_V": ("b97c5000ced580da3d968bd2da00e119b2ff017bfb324aa1c6938a94ed59b279",
+                 "0ce7532045a271067998dc3516bec6fc1bbac6cfe641a4c8a17e93a9fd162d49"),
+    "I_NOT_QW": ("13e97655dc92ab4608880c550c79d913843faa5a08dd75e87469acf598a7ee5a",
+                 "2092192bbc43579b254123a8758e1020a55fb193e22d6108fa5f74afc1ceb652"),
+    "QR_NOT_ERG_NOT_A": ("64479e36436adc138a3a04131a2e57f7171b91053dd1339a14c184ba4f8f2718",
+                         "d71e3b688635eb70943a67cafb4565b8c8427285da5d2da21366783400a07446"),
+    "R_FULL_SUPPORT": ("bf1e93d2bed4705ff8cf8dfccb573effa221825e06071e20443337ca7fdf03d4",
+                       "181e84205288d899b61c207f3f5040f09ba0cee9ebecb0c08ccb3faa2cf4a899"),
+    "ALMOST_PERIODIC_NOT_PER": ("9fa42011d7843b28a2ce44fe94c0b52e0550ae65d348973c2a644444ff514c10",
+                                "ae3da724d2b99467f3315a78b19af64bd28b91b4d1039706baa6a1c2cc288975"),
+    "PERIODIC": ("1f1bd8a395b409683bf7bccd3f8aeff7bfe1d24942109a59b18af2a1d22988b2",
+                 "0d923e2f4c566970baf01a275cf5332b8b3a6924d9b5dad8365fda2204160f7f"),
+}
+
+
+def test_witness_bytes_pinned(witnesses, tmp_path):
+    """Streams and certificates of the default witnesses stay byte-identical."""
+    orbits, _ = witnesses
+    changed = []
+    for gc, o in orbits.items():
+        io.write_orbit_dir(o, tmp_path / gc.value)
+        got = tuple(hashlib.sha256((tmp_path / gc.value / name).read_bytes()).hexdigest()
+                    for name in ("stream.txt", "certificate.json"))
+        if got != WITNESS_DIGESTS[gc.value]:
+            changed.append(gc.value)
+    report("witness digests", not changed and len(orbits) == len(WITNESS_DIGESTS),
+           f"changed: {changed}" if changed else f"{len(orbits)} classes byte-identical")
