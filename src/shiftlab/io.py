@@ -117,12 +117,20 @@ def measure_from_doc(doc: dict, s: ShiftSpace) -> InvariantMeasure:
 
 
 def stream_to_text(word) -> str:
-    symbols = [int(c) for c in word]
-    if any(c < 0 or c > 9 for c in symbols):
+    """One ASCII digit per symbol, STREAM_LINE_WIDTH digits per line, each
+    line ending in a newline; the empty stream is a single newline."""
+    symbols = np.asarray(word, dtype=np.int64)
+    n = symbols.size
+    if n and (symbols.min() < 0 or symbols.max() > 9):
         raise ValueError("stream format holds one ASCII digit per symbol (alphabet <= 10)")
-    chars = "".join(str(c) for c in symbols)
-    lines = [chars[i:i + STREAM_LINE_WIDTH] for i in range(0, len(chars), STREAM_LINE_WIDTH)]
-    return "\n".join(lines) + "\n"
+    width = STREAM_LINE_WIDTH
+    rows = max(1, -(-n // width))
+    grid = np.full((rows, width + 1), ord("\n"), dtype=np.uint8)
+    digits = np.zeros(rows * width, dtype=np.uint8)
+    digits[:n] = symbols + ord("0")
+    grid[:, :width] = digits.reshape(rows, width)
+    grid[-1, n - (rows - 1) * width] = ord("\n")
+    return grid.tobytes()[:n + rows].decode("ascii")
 
 
 def stream_from_text(text: str) -> np.ndarray:
@@ -197,6 +205,11 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
         ambient_entropy=float(cert_doc["ambient_entropy"]),
     )
     word = stream_from_text(stream_text)
+    limit = min(s.k, 10)
+    if word.size and (word.min() < 0 or word.max() >= limit):
+        bad = int(np.flatnonzero((word < 0) | (word >= limit))[0])
+        raise SchemaError(f"stream symbol {bad} is {chr(int(word[bad]) + ord('0'))!r}, "
+                          f"not a digit below {limit}")
     schedule = Schedule(horizon=cert.horizon,
                         segments=[_segment_from_doc(d) for d in cert_doc["schedule"]])
     return OrbitPrefix(word=word, schedule=schedule, certificate=cert,

@@ -331,21 +331,23 @@ def periodic_measures_in_cylinder(s: ShiftSpace, w: Sequence[int], bound: int) -
 
 
 def sample_typical_word(m: InvariantMeasure, n: int, seed: int,
-                        start: Optional[int] = None) -> Word:
-    """Deterministic n-word typical for the measure.
+                        start: Optional[int] = None) -> np.ndarray:
+    """Deterministic n-word typical for the measure, as an int64 array.
 
     Markov chains draw the start symbol from pi (unless fixed) and walk the
-    rows of P; periodic measures repeat their cycle.  All randomness comes
-    from the documented splitmix64 stream for `seed`.
+    rows of P: step t moves from state i to the first j with u_t < c_i[j],
+    where c_i is row i of P accumulated left to right (its last entry
+    raised to just above 1) and u_t is output t of the documented
+    splitmix64 stream for `seed`.  Periodic measures repeat their cycle.
+    The same (m, n, seed, start) always gives the same word, and a longer
+    draw extends a shorter one.
     """
-    if isinstance(m, PeriodicMeasure):
-        cyc = m.cycle
-        reps = cyc * (n // len(cyc) + 1)
-        return tuple(reps[:n])
-    if isinstance(m, Mixture):
-        raise ValueError("mixtures are realized by scheduling, not direct sampling")
     if n < 1:
         raise ValueError("n >= 1 required")
+    if isinstance(m, PeriodicMeasure):
+        return np.tile(np.array(m.cycle, dtype=np.int64), -(-n // len(m.cycle)))[:n]
+    if isinstance(m, Mixture):
+        raise ValueError("mixtures are realized by scheduling, not direct sampling")
     us = rng.uniform_stream(seed, n)
     k = m.shift.k
     cum_rows = []
@@ -368,13 +370,50 @@ def sample_typical_word(m: InvariantMeasure, n: int, seed: int,
                 break
     else:
         state = start
-    word = [state]
-    for t in range(1, n):
-        u = float(us[t])
-        row = cum_rows[state]
-        for j in range(k):
-            if u < row[j]:
-                state = j
-                break
-        word.append(state)
-    return tuple(word)
+    word = np.empty(n, dtype=np.int64)
+    word[0] = state
+    word[1:] = _walk(cum_rows, state, us[1:])
+    return word
+
+
+def _walk(cum_rows: list[list[float]], state: int, us: np.ndarray) -> np.ndarray:
+    """States after each step of the chain that moves from i to
+    searchsorted(cum_rows[i], u, side="right") on uniform u, from `state`.
+
+    Step t is a map f_t on the k states.  The steps are cut into blocks of
+    b ~ sqrt(len(us)) steps; b vectorised passes compose every block's maps
+    for all entry states at once (parallel prefix over function composition,
+    Hillis & Steele 1986, done blockwise), a loop over the blocks chains
+    their entry states, and one gather reads the walk off the prefixes.
+    """
+    k = len(cum_rows)
+    steps = len(us)
+    b = max(1, math.isqrt(steps))
+    blocks = -(-steps // b)
+    # Each row's searchsorted changes value only at the rows' own entries,
+    # so f_t depends only on bucket_t = #{edges <= u_t}: f_t = table[bucket_t].
+    # One bucket past the last real one is the identity map that pads the
+    # final block.
+    edges = np.unique(np.array(cum_rows))
+    table = np.empty((len(edges) + 2, k), dtype=np.min_scalar_type(k - 1))
+    table[0] = 0
+    for i, row in enumerate(cum_rows):
+        table[1:-1, i] = np.searchsorted(row, edges, side="right")
+    table[-1] = np.arange(k)
+    bucket = np.full(blocks * b, len(edges) + 1, dtype=np.min_scalar_type(len(edges) + 1))
+    bucket[:steps] = 0
+    for edge in edges:
+        bucket[:steps] += us >= edge
+    # prefix[s, j, i]: state after s + 1 steps of block j entered in state i
+    prefix = table.take(bucket.reshape(blocks, b).T, axis=0)
+    flat = (np.arange(blocks) * k)[:, None]
+    idx = np.empty((blocks, k), dtype=np.intp)
+    for s in range(1, b):
+        np.add(flat, prefix[s - 1], out=idx)
+        prefix[s] = prefix[s].take(idx)
+    block_map = prefix[-1].tolist()
+    entries = np.empty(blocks, dtype=np.intp)
+    for j in range(blocks):
+        entries[j] = state
+        state = block_map[j][state]
+    return prefix[:, np.arange(blocks), entries].T.reshape(-1)[:steps]

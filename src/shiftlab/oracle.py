@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
 import numpy as np
 
+from . import rng
 from .errors import BoundExceeded, Infeasible
-from .shifts import ShiftSpace
+from .measures import InvariantMeasure, Mixture, PeriodicMeasure
+from .shifts import ShiftSpace, Word
 
 MAX_WORD_LEN = 24
 MAX_CYCLE_LEN = 16
@@ -252,3 +255,53 @@ def brute_density(visits, n_max: int) -> tuple[float, float]:
     lo = n_max // 2
     ratios = counts[lo - 1:] / ns[lo - 1:]
     return float(ratios.min()), float(ratios.max())
+
+
+def scalar_typical_word(m: InvariantMeasure, n: int, seed: int,
+                        start: Optional[int] = None) -> Word:
+    """Symbol-by-symbol reference for measures.sample_typical_word.
+
+    Markov chains draw the start symbol from pi (unless fixed) and walk the
+    rows of P one uniform at a time; periodic measures repeat their cycle.
+    All randomness comes from the documented splitmix64 stream for `seed`.
+    """
+    if isinstance(m, PeriodicMeasure):
+        cyc = m.cycle
+        reps = cyc * (n // len(cyc) + 1)
+        return tuple(reps[:n])
+    if isinstance(m, Mixture):
+        raise ValueError("mixtures are realized by scheduling, not direct sampling")
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    us = rng.uniform_stream(seed, n)
+    k = m.shift.k
+    cum_rows = []
+    for i in range(k):
+        acc = 0.0
+        row = []
+        for j in range(k):
+            acc += m.P[i][j]
+            row.append(acc)
+        row[-1] = 1.0 + 1e-15
+        cum_rows.append(row)
+    if start is None:
+        acc = 0.0
+        u = float(us[0])
+        state = k - 1
+        for i in range(k):
+            acc += m.pi[i]
+            if u < acc:
+                state = i
+                break
+    else:
+        state = start
+    word = [state]
+    for t in range(1, n):
+        u = float(us[t])
+        row = cum_rows[state]
+        for j in range(k):
+            if u < row[j]:
+                state = j
+                break
+        word.append(state)
+    return tuple(word)

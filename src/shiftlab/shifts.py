@@ -61,9 +61,6 @@ class ShiftSpace:
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.k) for j in range(self.k) if self.matrix[i][j]]
 
-    def out_neighbors(self, i: int) -> list[int]:
-        return [j for j in range(self.k) if self.matrix[i][j]]
-
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n = len(a)
@@ -187,21 +184,6 @@ def full_shift(k: int) -> ShiftSpace:
 def golden_mean_shift() -> ShiftSpace:
     """Two symbols, word 11 forbidden."""
     return sft_from_matrix(2, [[1, 1], [1, 0]])
-
-
-@dataclass(frozen=True)
-class CylinderSet:
-    """Points whose first |word| symbols equal word.
-
-    Under the metric d(x,y) = 2^(-first disagreement), the ball of radius
-    2^(-l) around x IS the cylinder on x_0..x_l, so these are the open
-    neighborhoods every visit statistic refers to.
-    """
-
-    word: Word
-
-    def is_nonempty(self, s: ShiftSpace) -> bool:
-        return is_admissible(self.word, s)
 
 
 def check_symbols(w: Sequence[int], k: int) -> None:

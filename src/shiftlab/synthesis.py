@@ -91,9 +91,6 @@ class Schedule:
     horizon: int
     segments: list[Segment]
 
-    def total_length(self) -> int:
-        return sum(seg.length for seg in self.segments)
-
 
 @dataclass
 class Certificate:
@@ -121,7 +118,7 @@ class OrbitPrefix:
     shift: ShiftSpace
 
     def word_tuple(self) -> Word:
-        return tuple(int(c) for c in self.word)
+        return tuple(self.word.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,7 @@ def thue_morse_word(n: int) -> Word:
     """Fixed point of 0 -> 01, 1 -> 10, truncated to n symbols."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    return tuple((i.bit_count()) & 1 for i in range(n))
+    return tuple((np.bitwise_count(np.arange(n, dtype=np.uint64)) & 1).tolist())
 
 
 def sturmian_word(alpha, rho, n: int) -> Word:
@@ -187,15 +184,6 @@ def sturmian_word(alpha, rho, n: int) -> Word:
 # schedule rendering
 
 
-def _chunk_first_symbol(s: ShiftSpace, kind: str, payload, sub_seed: Optional[int]) -> int:
-    if kind == "literal":
-        return payload[0]
-    if kind == "periodic":
-        return payload.cycle[0]
-    w = sample_typical_word(payload, 1, sub_seed)
-    return w[0]
-
-
 def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[InvariantMeasure],
             seed: int, horizon: int) -> tuple[np.ndarray, Schedule]:
     """Realize chunk requests (kind, payload, length) into a stream of exactly
@@ -204,53 +192,51 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
     A short plan is topped up by repeating its final request; an overlong
     one is truncated at the horizon.
     """
-    out: list[int] = []
+    chunks: list[np.ndarray] = []
     segments: list[Segment] = []
+    pos = 0
     chunk_idx = 0
     queue = list(requests)
-    while len(out) < horizon:
+    while pos < horizon:
         if not queue:
             kind, payload, _ = requests[-1]
-            queue.append((kind, payload, horizon - len(out)))
+            queue.append((kind, payload, horizon - pos))
         kind, payload, length = queue.pop(0)
-        length = min(length, horizon - len(out))
+        length = min(length, horizon - pos)
         if length <= 0:
             continue
         sub_seed = rng.derive_subseed(seed, chunk_idx)
         chunk_idx += 1
         if kind == "literal":
-            word = tuple(payload)[:length]
+            word = np.array(tuple(payload)[:length], dtype=np.int64)
         elif kind == "periodic":
-            m = pool[payload]
-            reps = m.cycle * (length // len(m.cycle) + 1)
-            word = tuple(reps[:length])
+            cycle = np.array(pool[payload].cycle, dtype=np.int64)
+            word = np.tile(cycle, -(-length // len(cycle)))[:length]
         else:
-            m = pool[payload]
-            word = sample_typical_word(m, length, sub_seed)
-        if out:
-            cw = connecting_word(s, out[-1], word[0])
-            cw = cw[:max(0, horizon - len(out))]
+            word = sample_typical_word(pool[payload], length, sub_seed)
+        if pos:
+            cw = connecting_word(s, int(chunks[-1][-1]), int(word[0]))[:horizon - pos]
             if cw:
-                segments.append(Segment(kind="bridge", start=len(out), length=len(cw), word=cw))
-                out.extend(cw)
-            if len(out) >= horizon:
+                segments.append(Segment(kind="bridge", start=pos, length=len(cw), word=cw))
+                chunks.append(np.array(cw, dtype=np.int64))
+                pos += len(cw)
+            if pos >= horizon:
                 break
-            word = word[:horizon - len(out)]
-            if not word:
-                continue
+            word = word[:horizon - pos]
         src = payload if kind in ("markov", "periodic") else None
-        segments.append(Segment(kind=kind, start=len(out), length=len(word),
-                                source=src, word=word if kind != "markov" else None,
+        segments.append(Segment(kind=kind, start=pos, length=len(word), source=src,
+                                word=tuple(word.tolist()) if kind != "markov" else None,
                                 sub_seed=sub_seed if kind == "markov" else None))
-        out.extend(word)
-    arr = np.array(out[:horizon], dtype=np.int64)
+        chunks.append(word)
+        pos += len(word)
+    arr = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
     return arr, Schedule(horizon=horizon, segments=segments)
 
 
-def regenerate_segment(s: ShiftSpace, seg: Segment, pool: list[InvariantMeasure]) -> Word:
-    """Material a schedule segment promises at its window."""
+def regenerate_segment(s: ShiftSpace, seg: Segment, pool: list[InvariantMeasure]) -> np.ndarray:
+    """Material a schedule segment promises at its window, as an int64 array."""
     if seg.kind in ("literal", "bridge", "periodic"):
-        return tuple(seg.word)[:seg.length]
+        return np.array(seg.word[:seg.length], dtype=np.int64)
     m = pool[seg.source]
     return sample_typical_word(m, seg.length, seg.sub_seed)
 
@@ -805,8 +791,7 @@ def _check_word(o: OrbitPrefix, report: dict) -> None:
         if seg.start + seg.length > len(word):
             break
         expected = regenerate_segment(s, seg, cert.pool)
-        got = tuple(int(c) for c in word[seg.start:seg.start + seg.length])
-        if got != tuple(expected)[:len(got)]:
+        if not np.array_equal(word[seg.start:seg.start + seg.length], expected):
             raise CertificateMismatch("schedule_window",
                                       f"segment at {seg.start} does not match its source")
     report["checked"].append("word")

@@ -161,6 +161,20 @@ class TestPipeline:
         rc, _, _ = run_cli("verify", "--orbit", str(orbit))
         assert rc == 4
 
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    @pytest.mark.parametrize("bad", ["7", "x"])
+    def test_stream_symbol_outside_alphabet_exit2(self, files, tmp_path, command, bad):
+        orbit = tmp_path / "orbit"
+        run_cli("synthesize", "--shift", str(files / "full2.json"),
+                "--class", "PERIODIC", "--horizon", "4096", "--seed", "1",
+                "--out", str(orbit))
+        text = (orbit / "stream.txt").read_text()
+        (orbit / "stream.txt").write_text(bad + text[1:])
+        args = ["--out", str(tmp_path / "report.json")] if command == "classify" else []
+        rc, _, err = run_cli(command, "--orbit", str(orbit), *args)
+        assert rc == 2
+        assert "Traceback" not in err and "not a digit below 2" in err
+
     def test_not_primitive_exit3(self, tmp_path, files):
         io.write_json(tmp_path / "diag.json",
                       {"schema": "shiftlab/shift/1", "k": 2, "matrix": [[1, 0], [0, 1]]})

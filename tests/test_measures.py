@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.errors import NotAdmissible, NotPrimitive
+from shiftlab import rng
+from shiftlab.errors import EmptyShift, NotAdmissible, NotPrimitive
 from shiftlab.measures import (constant_potential, entropy, has_full_support,
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
                                parry_measure, periodic_measure,
                                periodic_measures_in_cylinder, sample_typical_word,
                                support, support_pieces, supports_disjoint)
-from shiftlab.shifts import is_admissible, sft_from_matrix, topological_entropy
+from shiftlab.oracle import scalar_typical_word
+from shiftlab.shifts import (is_admissible, primitive_cycles, sft_from_matrix,
+                             topological_entropy)
+
+from conftest import random_primitive_sft
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -153,7 +158,7 @@ class TestPeriodicInCylinder:
 class TestSampling:
     def test_periodic_deterministic(self, full2):
         w = sample_typical_word(periodic_measure(full2, (0, 1)), 5, 0)
-        assert w == (0, 1, 0, 1, 0)
+        assert tuple(w.tolist()) == (0, 1, 0, 1, 0)
 
     def test_full2_frequency(self, full2, phi_full2):
         w = sample_typical_word(parry_measure(full2), 1 << 16, seed=12345)
@@ -172,18 +177,71 @@ class TestSampling:
 
     def test_same_seed_same_word(self, golden):
         m = parry_measure(golden)
-        assert sample_typical_word(m, 512, 31337) == sample_typical_word(m, 512, 31337)
+        a, b = sample_typical_word(m, 512, 31337), sample_typical_word(m, 512, 31337)
+        assert tuple(a.tolist()) == tuple(b.tolist())
 
     def test_prefix_stability_under_longer_draw(self, golden):
         m = parry_measure(golden)
         short = sample_typical_word(m, 100, 5)
         long = sample_typical_word(m, 400, 5)
-        assert long[:100] == short
+        assert tuple(long[:100].tolist()) == tuple(short.tolist())
 
     def test_mixture_sampling_refused(self, full2):
         mix = mixture((0.5, 0.5), (parry_measure(full2), periodic_measure(full2, (0,))))
         with pytest.raises(ValueError):
             sample_typical_word(mix, 8, 0)
+
+
+def _thinned_chain(s, seed):
+    """Markov measure with random weights on s whose support drops allowed
+    edges while staying primitive, so some allowed transitions have P = 0."""
+    k = s.k
+    us = rng.uniform_stream(seed, 2 * k * k)
+    keep = [list(row) for row in s.matrix]
+    for t in np.argsort(us[:k * k]):
+        i, j = divmod(int(t), k)
+        if keep[i][j]:
+            keep[i][j] = 0
+            try:
+                thinned = sft_from_matrix(k, keep)
+            except EmptyShift:
+                thinned = None
+            if thinned is None or thinned.k != k or not thinned.is_primitive:
+                keep[i][j] = 1
+    p = np.array(keep, dtype=float) * (0.05 + us[k * k:].reshape(k, k))
+    return markov_measure(s, p / p.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def sampling_cases(draw):
+    k = draw(st.integers(2, 5))
+    s = random_primitive_sft(k, draw(st.integers(0, 1 << 16)))
+    kind = draw(st.sampled_from(["parry", "thinned", "periodic"]))
+    if kind == "parry":
+        m = parry_measure(s)
+    elif kind == "thinned":
+        m = _thinned_chain(s, draw(st.integers(0, 1 << 16)))
+    else:
+        m = periodic_measure(s, draw(st.sampled_from(primitive_cycles(s, 4))))
+    b = draw(st.integers(1, 40))
+    n = draw(st.sampled_from([1, 2, 3, b * b, b * b + 1, b * b + 2, 1 << 16])
+             | st.integers(1, 5000))
+    start = draw(st.none() | st.integers(0, k - 1))
+    return m, n, draw(st.integers(0, (1 << 64) - 1)), start
+
+
+class TestSamplerMatchesScalarWalk:
+    @given(sampling_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_symbol_for_symbol(self, case):
+        m, n, seed, start = case
+        w = sample_typical_word(m, n, seed, start=start)
+        assert w.dtype == np.int64
+        assert tuple(w.tolist()) == scalar_typical_word(m, n, seed, start=start)
+
+    def test_thinned_chain_has_zero_allowed_transitions(self, full3):
+        m = _thinned_chain(full3, 11)
+        assert any(m.P[i][j] == 0 for i in range(3) for j in range(3))
 
 
 class TestValidation:
