@@ -17,10 +17,10 @@ from shiftlab import io, oracle, rng
 from shiftlab.beta import beta_count_words, beta_entropy_estimate, quasi_greedy_normalize
 from shiftlab.classify import evaluate_certificate
 from shiftlab.measures import constant_potential, indicator_potential
-from shiftlab.shifts import (count_periodic, count_words, full_shift,
+from shiftlab.shifts import (count_periodic, count_words, format_word, full_shift,
                              is_admissible, iter_words,
                              largest_proper_scc_subgraph, primitive_cycles,
-                             topological_entropy)
+                             sft_from_matrix, topological_entropy)
 from shiftlab.spectrum import (check_concavity, has_irregular, spectrum_curve,
                                spectrum_point, sup_equals_htop)
 from shiftlab.synthesis import (GapClass, SynthesisConfig, certify,
@@ -273,3 +273,76 @@ def test_witness_bytes_pinned(witnesses, tmp_path):
             changed.append(gc.value)
     report("witness digests", not changed and len(orbits) == len(WITNESS_DIGESTS),
            f"changed: {changed}" if changed else f"{len(orbits)} classes byte-identical")
+
+
+#: sha256 of (stream.txt, certificate.json) for the classes built on a proper
+#: subshift, on two 3-symbol ambients: horizon 2^12, the acceptance seed,
+#: range-1 indicator of 0.  The full 3-shift has tied subgraph entropies.
+AMBIENT_WITNESS_DIGESTS = {
+    ("full3", "V_NOT_W"): ("9b26857518d01189c4dd42c09d3151ecf233a47ba80657d788d23df450aaed8e",
+                           "102a8e77a086ed47b57558f55285ec9b10bb91e6402d34b626b3d384ade25843"),
+    ("full3", "QW_NOT_V"): ("b28615713a9bcf7e068b203a46df1a4df2e6b47cfe1c64bc701919a82aba5ad4",
+                            "1e6a13758fa5d7f095a04102da35a2eedcd529d1251ef41c81e84f7d4fcf91df"),
+    ("full3", "I_NOT_QW"): ("e54a3d6c6dcc3fd09db0307744402b3531790d00e47797d1c53a2b5444e2a6dd",
+                            "e7eaf1ac32f089157894c46fb43d1f90b772852e5d8dfae2f05d28b1bbbeb06e"),
+    ("three_symbol", "V_NOT_W"): ("f4012b6d795a36a453fed6df87fdf302173aec41a38ebe55f759f4e4a5def938",
+                                  "1d0100393a48e1f6ef5c01026f71fb2ace5ba427165c405a2982af5c505055c4"),
+    ("three_symbol", "QW_NOT_V"): ("2f3e6e42860f593c9f26ac21222ed82040b817ee8768ce7c855afcbde574db43",
+                                   "29ee6ac9f33ad6d464367e134e574f63fbb199136d4e22d9187ca6e8d7c25310"),
+    ("three_symbol", "I_NOT_QW"): ("96e0cc13fbecf4989203018c73a7cd99872a20001c37fcba0973d367ca9b01e3",
+                                   "289b849eff46a4de72077097a01f56112525ffa31eb4c250d3cfcfbe7c512925"),
+}
+
+
+def test_ambient_witness_bytes_pinned(full3, tmp_path):
+    """Witnesses that build on the largest proper subshift stay byte-identical."""
+    ambients = {"full3": full3,
+                "three_symbol": sft_from_matrix(3, [[1, 1, 1], [1, 1, 0], [1, 0, 1]])}
+    changed = []
+    for (name, gc), digests in AMBIENT_WITNESS_DIGESTS.items():
+        s = ambients[name]
+        o = synthesize_witness(s, GapClass(gc), indicator_potential(s, (0,)), 1 << 12,
+                               seed=ACCEPTANCE_SEED)
+        out = tmp_path / name / gc
+        io.write_orbit_dir(o, out)
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("stream.txt", "certificate.json"))
+        if got != digests:
+            changed.append(f"{name}/{gc}")
+    report("ambient witness digests", not changed,
+           f"changed: {changed}" if changed else
+           f"{len(AMBIENT_WITNESS_DIGESTS)} witnesses byte-identical")
+
+
+#: sha256 of (curve CSV, manifest) written by `shiftlab spectrum --points 9`
+#: with relative paths; the manifest records the interval's extreme cycles
+SPECTRUM_DIGESTS = {
+    ("golden", (1,)): ("342ff114f4cf73a4a62177b5467f409d7b593ed2bf648c613cdadf57b9b3c7b1",
+                       "c1c3577bebc6de2a02960442b47006b9359b41522aa7d95284676c3346dd2548"),
+    ("full2", (1,)): ("14ffdc0cffcc2b030ac15829d4f5db648e141c4ae91c2c52fe0990652918aee3",
+                      "d40a6c972685cc22ce6942907684605c3c90b3e7461eea842735a10dd51ccf4d"),
+    ("full2", (1, 1, 1, 1, 1)): ("f3184ffb601cd6e328424ce17af1e31e44c0c44543386295d52c60277253383a",
+                                 "c8c7a364938b773c2d46cd6cb6666e5f429cd1c49b7903ee5f68e7db1ee64eec"),
+}
+
+
+def test_spectrum_bytes_pinned(golden, full2, tmp_path, monkeypatch):
+    """Spectrum CSVs and manifests stay byte-identical."""
+    from shiftlab.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    shifts = {"golden": golden, "full2": full2}
+    changed = []
+    for (name, target), digests in SPECTRUM_DIGESTS.items():
+        tag = name if len(target) == 1 else f"{name}_{format_word(target)}"
+        s = shifts[name]
+        io.write_json(f"{tag}.shift.json", io.shift_to_doc(s))
+        io.write_json(f"{tag}.phi.json", io.potential_to_doc(indicator_potential(s, target)))
+        rc = main(["spectrum", "--shift", f"{tag}.shift.json", "--potential", f"{tag}.phi.json",
+                   "--points", "9", "--out", f"{tag}.csv", "--manifest", f"{tag}.manifest.json"])
+        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in (f"{tag}.csv", f"{tag}.manifest.json"))
+        if rc != 0 or got != digests:
+            changed.append(tag)
+    report("spectrum digests", not changed,
+           f"changed: {changed}" if changed else f"{len(SPECTRUM_DIGESTS)} curves byte-identical")
