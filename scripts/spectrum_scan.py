@@ -13,21 +13,21 @@ import argparse
 import sys
 from pathlib import Path
 
-from shiftlab.measures import indicator_potential, integrate, parry_measure
+from shiftlab.measures import indicator_potential
 from shiftlab.shifts import format_word, full_shift, golden_mean_shift, sft_from_matrix
-from shiftlab.spectrum import check_concavity, lphi_interval, spectrum_curve, sup_equals_htop
+from shiftlab.spectrum import check_concavity, spectrum_curve, sup_equals_htop
 
 
 def scan(name, s, points, out_dir):
     phi = indicator_potential(s, (1,))
-    iv = lphi_interval(s, phi)
     curve = spectrum_curve(s, phi, points)
+    iv = curve.interval
     path = out_dir / f"{name}.csv"
     lines = ["a,psi,q_star"] + [f"{a:.12g},{p:.12g},{q:.12g}" for a, p, q in curve.points]
     path.write_text("\n".join(lines) + "\n")
     print(f"{name}: h_top={curve.h_top:.6f}  L_phi=[{iv.lo:.4f},{iv.hi:.4f}] "
           f"witnesses {format_word(iv.lo_cycle)}/{format_word(iv.hi_cycle)}  "
-          f"parry_avg={integrate(parry_measure(s), phi):.6f}  "
+          f"parry_avg={curve.parry_average:.6f}  "
           f"concave={check_concavity(curve)} sup_ok={sup_equals_htop(curve)}  -> {path}")
     return check_concavity(curve) and sup_equals_htop(curve)
 

@@ -88,10 +88,8 @@ def cmd_spectrum(args) -> int:
     s = io.shift_from_doc(io.read_json(args.shift))
     phi = io.potential_from_doc(io.read_json(args.potential))
     validate_potential(s, phi)
-    from .spectrum import lphi_interval
-
-    iv = lphi_interval(s, phi)
     curve = spectrum_curve(s, phi, args.points)
+    iv = curve.interval
     lines = ["a,psi,q_star"]
     for a, psi, q in curve.points:
         lines.append(f"{a:.12g},{psi:.12g},{q:.12g}")

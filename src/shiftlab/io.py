@@ -28,6 +28,7 @@ REPORT_SCHEMA = "shiftlab/report/1"
 MANIFEST_SCHEMA = "shiftlab/manifest/1"
 
 STREAM_LINE_WIDTH = 120
+SEGMENT_KINDS = ("markov", "periodic", "literal", "bridge")
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
@@ -148,10 +149,23 @@ def _segment_to_doc(seg: Segment) -> dict:
             "sub_seed": seg.sub_seed}
 
 
-def _segment_from_doc(doc: dict) -> Segment:
-    return Segment(kind=doc["kind"], start=int(doc["start"]), length=int(doc["length"]),
+def _segment_from_doc(doc: dict, pool_size: int) -> Segment:
+    """Markov segments regenerate from (source, sub_seed), the others replay word."""
+    kind = doc.get("kind")
+    if kind not in SEGMENT_KINDS:
+        raise SchemaError(f"segment kind {kind!r} is not one of {', '.join(SEGMENT_KINDS)}")
+    word = doc.get("word")
+    if kind == "markov":
+        for key in ("source", "sub_seed"):
+            if type(doc.get(key)) is not int:
+                raise SchemaError(f"markov segment {key} {doc.get(key)!r} is not an integer")
+        if not 0 <= doc["source"] < pool_size:
+            raise SchemaError(f"markov segment source {doc['source']} outside the pool")
+    elif word is None:
+        raise SchemaError(f"{kind} segment has no word")
+    return Segment(kind=kind, start=int(doc["start"]), length=int(doc["length"]),
                    source=doc.get("source"),
-                   word=tuple(doc["word"]) if doc.get("word") is not None else None,
+                   word=tuple(word) if word is not None else None,
                    sub_seed=doc.get("sub_seed"))
 
 
@@ -180,6 +194,15 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
 def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     if cert_doc.get("schema") != CERTIFICATE_SCHEMA:
         raise SchemaError(f"expected {CERTIFICATE_SCHEMA}, got {cert_doc.get('schema')}")
+    try:
+        return _orbit_from_docs(cert_doc, stream_text)
+    except KeyError as e:
+        raise SchemaError(f"certificate document has no {e} key")
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"bad certificate document: {e}")
+
+
+def _orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     s = shift_from_doc(cert_doc["shift"])
     pool = [measure_from_doc(d, s) for d in cert_doc["pool"]]
     phi = potential_from_doc(cert_doc["potential"]) if cert_doc.get("potential") else None
@@ -211,7 +234,7 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
         raise SchemaError(f"stream symbol {bad} is {chr(int(word[bad]) + ord('0'))!r}, "
                           f"not a digit below {limit}")
     schedule = Schedule(horizon=cert.horizon,
-                        segments=[_segment_from_doc(d) for d in cert_doc["schedule"]])
+                        segments=[_segment_from_doc(d, len(pool)) for d in cert_doc["schedule"]])
     return OrbitPrefix(word=word, schedule=schedule, certificate=cert,
                        seed=cert.seed, shift=s)
 

@@ -9,21 +9,24 @@ Hard size caps raise BoundExceeded instead of silently crawling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
 
 from . import rng
 from .errors import BoundExceeded, Infeasible
-from .measures import InvariantMeasure, Mixture, PeriodicMeasure
-from .shifts import ShiftSpace, Word
+from .measures import InvariantMeasure, Mixture, PeriodicMeasure, Potential
+from .shifts import ShiftSpace, Word, _perron_pair
 
 MAX_WORD_LEN = 24
 MAX_CYCLE_LEN = 16
 MAX_GRID_STEPS = 40
 MAX_FREE_PARAMS = 4
 MAX_DENSITY_N = 1 << 22
+MAX_SUBGRAPH_EDGES = 14
+MAX_CYCLE_WORDS = 1 << 18
 
 
 @dataclass
@@ -305,3 +308,84 @@ def scalar_typical_word(m: InvariantMeasure, n: int, seed: int,
                 break
         word.append(state)
     return tuple(word)
+
+
+def _mutually_reachable(nodes: list[int], edges: set[tuple[int, int]]) -> bool:
+    """Whether every node reaches, and is reached from, the first one."""
+    for fwd in (True, False):
+        seen = {nodes[0]}
+        frontier = [nodes[0]]
+        while frontier:
+            u = frontier.pop()
+            for a, b in edges:
+                src, dst = (a, b) if fwd else (b, a)
+                if src == u and dst not in seen:
+                    seen.add(dst)
+                    frontier.append(dst)
+        if len(seen) != len(nodes):
+            return False
+    return True
+
+
+def brute_largest_proper_subgraph(
+    s: ShiftSpace, require_positive_entropy: bool = True,
+) -> Optional[tuple[tuple[int, ...], frozenset[tuple[int, int]], float]]:
+    """Reference for shifts.largest_proper_scc_subgraph over every edge subset.
+
+    Each proper subset of A's edges whose endpoints are mutually reachable
+    is a candidate; None when no candidate qualifies.  Entropies come from
+    the same Perron routine and submatrix layout (nodes ascending) as the
+    kernel, so float ties break the same way: what this checks is the
+    candidate set, not the eigenvalue solver.
+    """
+    edges = s.edges()
+    if len(edges) > MAX_SUBGRAPH_EDGES:
+        raise BoundExceeded(f"{len(edges)} edges > {MAX_SUBGRAPH_EDGES}")
+    best = None
+    for r in range(1, len(edges)):
+        for subset in combinations(edges, r):
+            edge_set = set(subset)
+            nodes = sorted({i for e in subset for i in e})
+            if not _mutually_reachable(nodes, edge_set):
+                continue
+            sub = np.array([[1.0 if (i, j) in edge_set else 0.0 for j in nodes]
+                            for i in nodes])
+            lam, _ = _perron_pair(sub)
+            if lam <= 0:
+                continue
+            ent = float(np.log(lam))
+            if require_positive_entropy and ent <= 1e-12:
+                continue
+            key = (-ent, list(subset))
+            if best is None or key < best[0]:
+                best = (key, tuple(nodes), frozenset(subset), ent)
+    return None if best is None else best[1:]
+
+
+def brute_extreme_cycle(s: ShiftSpace, phi: Potential, maximize: bool) -> tuple[Fraction, Word]:
+    """Extreme Birkhoff average over periodic points, by listing every word.
+
+    Each cyclically admissible word w of length n <= N is the periodic point
+    w w w ..., with average (1/n) * sum of phi over its first n windows.
+    N is the number of nodes of the edge graph the kernel searches (k, or
+    the admissible (range-1)-words), which bounds its shortest extreme
+    cycle.  Ties break toward the shorter word, then the smaller one, so
+    the witness is a least rotation.  Float weights are read as rationals
+    with denominators up to 10^12, as the kernel reads them.
+    """
+    r = phi.range
+    nodes = s.k if r <= 2 else brute_count_words(s, r - 1)
+    if s.k ** nodes > MAX_CYCLE_WORDS:
+        raise BoundExceeded(f"{s.k}^{nodes} words > {MAX_CYCLE_WORDS}")
+    weight = {w: Fraction(v).limit_denominator(10**12) for w, v in phi.table.items()}
+    best = None
+    for n in range(1, nodes + 1):
+        for w in product(range(s.k), repeat=n):
+            if not all(s.matrix[w[i]][w[(i + 1) % n]] for i in range(n)):
+                continue
+            ext = w * r
+            avg = sum(weight[ext[i:i + r]] for i in range(n)) / n
+            key = (-avg if maximize else avg, n, w)
+            if best is None or key < best:
+                best = key
+    return (-best[0] if maximize else best[0]), best[2]

@@ -408,39 +408,6 @@ def cycle_word_for(s: ShiftSpace, w: Word) -> Word:
     return w + connecting_word(s, w[-1], w[0])
 
 
-def proper_strongly_connected_subgraphs(s: ShiftSpace) -> list[tuple[tuple[int, ...], frozenset[tuple[int, int]]]]:
-    """Proper edge-subgraphs of A that are strongly connected with >= 1 cycle.
-
-    Enumerates subsets of edges (the ambient graphs used here are small);
-    each result is (symbols, edges).  Subgraphs equal to the full edge set
-    are excluded.
-    """
-    edges = s.edges()
-    results = []
-    seen = set()
-    for r in range(1, len(edges)):
-        for subset in itertools.combinations(edges, r):
-            nodes = sorted({i for i, _ in subset} | {j for _, j in subset})
-            adj = {i: [j for (a, j) in subset if a == i] for i in nodes}
-            # every node needs in and out degree >= 1 within the subset
-            if any(not adj[i] for i in nodes):
-                continue
-            indeg = {j for (_, j) in subset}
-            if any(i not in indeg for i in nodes):
-                continue
-            mat = [[1 if (i, j) in set(subset) else 0 for j in range(s.k)] for i in range(s.k)]
-            comps = strongly_connected_components(mat)
-            comp = [c for c in comps if len(c) > 1 or mat[c[0]][c[0]]]
-            if len(comp) != 1 or sorted(set(i for e in subset for i in e)) != comp[0]:
-                continue
-            key = frozenset(subset)
-            if key in seen:
-                continue
-            seen.add(key)
-            results.append((tuple(nodes), key))
-    return results
-
-
 def largest_proper_scc_subgraph(
     s: ShiftSpace, require_positive_entropy: bool = True,
 ) -> tuple[tuple[int, ...], frozenset[tuple[int, int]], float]:
@@ -452,23 +419,23 @@ def largest_proper_scc_subgraph(
     does not qualify and NoProperSubshift is raised when nothing better
     exists; e.g. A = [[1,1],[1,0]] only has the 0-loop.
 
-    Exhaustive over edge subsets up to 20 edges; beyond that only
-    single-edge-deletion candidates are scanned.
+    Only the strongly connected components of A minus one edge are scanned,
+    which is exact: a proper strongly connected subgraph H misses some edge
+    e, so it lies inside one component C of A - e, and if H != C then
+    rho(H) < rho(C), because removing part of an irreducible graph strictly
+    lowers its spectral radius (Perron-Frobenius; Lind & Marcus 4.4).  Every
+    maximiser is therefore such a C, also when the best entropy is zero.
     """
     from .errors import NoProperSubshift
 
-    edges = s.edges()
-    if len(edges) <= 20:
-        candidates = proper_strongly_connected_subgraphs(s)
-    else:
-        candidates = []
-        for drop in edges:
-            mat = [[1 if (i, j) != drop and s.matrix[i][j] else 0 for j in range(s.k)]
-                   for i in range(s.k)]
-            for comp in strongly_connected_components(mat):
-                comp_edges = frozenset((i, j) for i in comp for j in comp if mat[i][j])
-                if comp_edges and comp_edges != frozenset(edges):
-                    candidates.append((tuple(comp), comp_edges))
+    candidates = []
+    for drop in s.edges():
+        mat = [[1 if (i, j) != drop and s.matrix[i][j] else 0 for j in range(s.k)]
+               for i in range(s.k)]
+        for comp in strongly_connected_components(mat):
+            comp_edges = frozenset((i, j) for i in comp for j in comp if mat[i][j])
+            if comp_edges:
+                candidates.append((tuple(comp), comp_edges))
     best = None
     for nodes, edge_set in candidates:
         sub = np.array([[1.0 if (i, j) in edge_set else 0.0 for j in nodes] for i in nodes])

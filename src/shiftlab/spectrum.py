@@ -160,8 +160,15 @@ class LphiInterval:
 def _karp_extreme_cycle(system: EdgeSystem, maximize: bool) -> tuple[Fraction, Word]:
     """Exact extreme mean cycle by Karp's recurrence over Fractions.
 
-    Ties in the optimum break toward the lexicographically smallest cycle
-    (decoded to ambient symbols, least rotation).
+    Ties in the optimum break toward the shortest cycle, then toward the
+    lexicographically smallest one (decoded to ambient symbols, least
+    rotation).  Exact potentials h make every edge's reduced weight
+    w - mu* + h[u] - h[v] nonnegative, so the optimal cycles are exactly the
+    cycles of the tight subgraph, where it is zero.  A closed walk of the
+    least length L there is a simple cycle, and every rotation of a cycle is
+    a closed walk, so the witness is the least decoded word over closed
+    walks of length L: it is read off greedily, one symbol at a time, from
+    boolean walk powers of the tight subgraph.
     """
     s = system.shift
     k = s.k
@@ -208,45 +215,29 @@ def _karp_extreme_cycle(system: EdgeSystem, maximize: bool) -> tuple[Fraction, W
                 changed = True
         if not changed:
             break
-    tight = [(u, v) for (u, v), wt in rw.items() if h[u] + wt == h[v]]
-    cycles = _simple_cycles(tight, k)
-    zero_cycles = []
-    for cyc in cycles:
-        total = sum(rw[(cyc[i], cyc[(i + 1) % len(cyc)])] for i in range(len(cyc)))
-        if total == 0:
-            zero_cycles.append(cyc)
-    if not zero_cycles:
-        raise NotStronglyConnected("no extreme cycle in tight subgraph")
-    decoded = []
-    for cyc in zero_cycles:
-        word = tuple(system.decode[v] for v in cyc)
-        rot = min(word[i:] + word[:i] for i in range(len(word)))
-        decoded.append((len(rot), rot, cyc))
-    decoded.sort(key=lambda t: (t[0], t[1]))
-    _, best_word, _ = decoded[0]
+    tight = np.zeros((k, k), dtype=bool)
+    for (u, v), wt in rw.items():
+        tight[u, v] = h[u] + wt == h[v]
+    # walks[m][u, v]: some walk of exactly m tight edges leads from u to v
+    walks = [np.eye(k, dtype=bool), tight]
+    while not walks[-1].diagonal().any():
+        if len(walks) > k:
+            raise NotStronglyConnected("no extreme cycle in tight subgraph")
+        walks.append(walks[-1] @ tight)
+    length = len(walks) - 1
+    # (start, node) pairs that spell the least prefix so far and can still
+    # close a walk of the least length back at their start
+    pairs = {(v, v) for v in range(k)}
+    best_word = []
+    for step in range(length):
+        back = walks[length - step]
+        pairs = {(a, v) for a, v in pairs if back[v, a]}
+        sym = min(system.decode[v] for _, v in pairs)
+        best_word.append(sym)
+        pairs = {(a, int(u)) for a, v in pairs if system.decode[v] == sym
+                 for u in np.flatnonzero(tight[v])}
     value = -mu_star if maximize else mu_star
-    return value, best_word
-
-
-def _simple_cycles(edges: list[tuple[int, int]], k: int) -> list[list[int]]:
-    """All simple cycles in a small digraph (DFS from each minimal root)."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-    for u in adj:
-        adj[u].sort()
-    cycles = []
-    nodes = sorted(adj)
-    for root in nodes:
-        stack = [(root, [root], {root})]
-        while stack:
-            node, path, onpath = stack.pop()
-            for nxt in adj.get(node, []):
-                if nxt == root:
-                    cycles.append(path[:])
-                elif nxt > root and nxt not in onpath:
-                    stack.append((nxt, path + [nxt], onpath | {nxt}))
-    return cycles
+    return value, tuple(best_word)
 
 
 def lphi_interval(s: ShiftSpace, phi: Potential) -> LphiInterval:
@@ -320,6 +311,7 @@ class SpectrumCurve:
     points: list[tuple[float, float, float]]
     h_top: float
     parry_average: float
+    interval: LphiInterval
 
 
 def spectrum_curve(s: ShiftSpace, phi: Potential, npoints: int) -> SpectrumCurve:
@@ -339,7 +331,7 @@ def spectrum_curve(s: ShiftSpace, phi: Potential, npoints: int) -> SpectrumCurve
     grid.sort()
     pf = PressureFunction(edge_system(s, phi))
     pts = [(a,) + spectrum_point(s, phi, a, pf=pf, interval=iv) for a in grid]
-    return SpectrumCurve(points=pts, h_top=h_top, parry_average=a_star)
+    return SpectrumCurve(points=pts, h_top=h_top, parry_average=a_star, interval=iv)
 
 
 def check_concavity(curve: SpectrumCurve, slack: float = 1e-9) -> bool:

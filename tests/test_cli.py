@@ -1,10 +1,12 @@
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from shiftlab import io
+from shiftlab.cli import main
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import full_shift, golden_mean_shift
 from shiftlab.synthesis import GapClass, synthesize_witness
@@ -24,6 +26,35 @@ def files(tmp_path_factory):
     phi = indicator_potential(full_shift(2), (1,))
     io.write_json(d / "phi.json", io.potential_to_doc(phi))
     return d
+
+
+@pytest.fixture(scope="module")
+def v_not_w_orbit(tmp_path_factory):
+    """A small orbit whose schedule has markov, periodic, literal and bridge segments."""
+    s = full_shift(2)
+    o = synthesize_witness(s, GapClass.V_NOT_W, indicator_potential(s, (1,)), 4096, seed=1)
+    out = tmp_path_factory.mktemp("cert") / "orbit"
+    io.write_orbit_dir(o, out)
+    return out
+
+
+def _first(doc: dict, kind: str) -> dict:
+    return next(seg for seg in doc["schedule"] if seg["kind"] == kind)
+
+
+MALFORMED_CERTIFICATES = {
+    "no_schedule": lambda d: d.pop("schedule"),
+    "no_pool": lambda d: d.pop("pool"),
+    "unknown_kind": lambda d: _first(d, "markov").update(kind="bogus"),
+    "markov_source_null": lambda d: _first(d, "markov").update(source=None),
+    "markov_source_text": lambda d: _first(d, "markov").update(source="0"),
+    "markov_source_outside_pool": lambda d: _first(d, "markov").update(source=99),
+    "markov_sub_seed_null": lambda d: _first(d, "markov").update(sub_seed=None),
+    "markov_sub_seed_float": lambda d: _first(d, "markov").update(sub_seed=2.5),
+    "literal_word_null": lambda d: _first(d, "literal").update(word=None),
+    "bridge_word_null": lambda d: _first(d, "bridge").update(word=None),
+    "periodic_word_null": lambda d: _first(d, "periodic").update(word=None),
+}
 
 
 class TestRoundTrips:
@@ -174,6 +205,16 @@ class TestPipeline:
         rc, _, err = run_cli(command, "--orbit", str(orbit), *args)
         assert rc == 2
         assert "Traceback" not in err and "not a digit below 2" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
+    def test_malformed_certificate_exit2(self, v_not_w_orbit, tmp_path, capsys, case):
+        orbit = tmp_path / "orbit"
+        shutil.copytree(v_not_w_orbit, orbit)
+        doc = json.loads((orbit / "certificate.json").read_text())
+        MALFORMED_CERTIFICATES[case](doc)
+        (orbit / "certificate.json").write_text(json.dumps(doc))
+        assert main(["verify", "--orbit", str(orbit)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_not_primitive_exit3(self, tmp_path, files):
         io.write_json(tmp_path / "diag.json",

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import oracle
+from shiftlab import oracle, rng
 from shiftlab.classify import windowed_density
-from shiftlab.errors import BoundExceeded, Infeasible
-from shiftlab.measures import indicator_potential
-from shiftlab.shifts import count_periodic, count_words, sft_from_matrix
+from shiftlab.errors import BoundExceeded, Infeasible, NoProperSubshift
+from shiftlab.measures import Potential, indicator_potential
+from shiftlab.shifts import (count_periodic, count_words, full_shift, iter_words,
+                             largest_proper_scc_subgraph, sft_from_matrix)
+from shiftlab.spectrum import lphi_interval
+
+from conftest import random_primitive_sft
 
 
 class TestBruteCounts:
@@ -115,3 +119,61 @@ class TestThreeSymbolAgreement:
             val = oracle.brute_constrained_entropy(s3, phi, a, 10)
             assert val <= psi + 1e-6
             assert abs(val - psi) <= 0.02
+
+
+def _quarter_potential(s, r: int, seed: int) -> Potential:
+    """Seeded weights in {-1, -3/4, ..., 1} on every admissible r-word."""
+    words = list(iter_words(s, r))
+    us = rng.uniform_stream(seed, len(words))
+    return Potential(range=r, table={w: float(int(u * 9)) / 4 - 1 for w, u in zip(words, us)})
+
+
+def _small_sfts(max_edges: int):
+    """Seeded random primitive SFTs with k = 2..4 and at most max_edges edges."""
+    out = []
+    for k in (2, 3, 4):
+        for seed in range(60):
+            s = random_primitive_sft(k, 1000 * k + seed)
+            if len(s.edges()) <= max_edges and s not in out:
+                out.append(s)
+            if sum(t.k == k for t in out) == 8:
+                break
+    return out
+
+
+class TestProperSubgraphSearch:
+    def test_matches_exhaustive_edge_subsets(self, golden, full2):
+        cases = [golden, full2, sft_from_matrix(3, [[1, 1, 1], [1, 1, 0], [1, 0, 1]])]
+        cases += _small_sfts(10)
+        assert len(cases) >= 20
+        for s in cases:
+            for positive in (True, False):
+                try:
+                    got = largest_proper_scc_subgraph(s, positive)
+                except NoProperSubshift:
+                    got = None
+                assert got == oracle.brute_largest_proper_subgraph(s, positive), s.matrix
+
+    def test_cap(self):
+        with pytest.raises(BoundExceeded):
+            oracle.brute_largest_proper_subgraph(full_shift(4))
+
+
+class TestExtremeCycle:
+    def test_interval_matches_periodic_points(self, golden, full2):
+        cases = 0
+        # k <= 3, so the range-3 block graphs have at most 9 nodes
+        for s in [golden, full2] + [t for t in _small_sfts(9) if t.k <= 3]:
+            for r in (1, 2, 3):
+                phi = _quarter_potential(s, r, cases)
+                iv = lphi_interval(s, phi)
+                lo, lo_cycle = oracle.brute_extreme_cycle(s, phi, maximize=False)
+                hi, hi_cycle = oracle.brute_extreme_cycle(s, phi, maximize=True)
+                assert (iv.lo_exact, iv.lo_cycle) == (lo, lo_cycle), (s.matrix, phi.table)
+                assert (iv.hi_exact, iv.hi_cycle) == (hi, hi_cycle), (s.matrix, phi.table)
+                cases += 1
+        assert cases >= 30
+
+    def test_cap(self, full3):
+        with pytest.raises(BoundExceeded):
+            oracle.brute_extreme_cycle(full3, indicator_potential(full3, (0, 1, 2, 0)), True)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from shiftlab import oracle
 from shiftlab.errors import EmptyShift, NotPrimitive, SymbolOutOfRange
 from shiftlab.shifts import (bridge, connecting_word, count_periodic, count_words,
-                             is_admissible, is_cyclically_admissible, iter_words,
-                             parse_word, perron_pair, primitive_cycles,
-                             sft_from_matrix, topological_entropy)
+                             full_shift, is_admissible, is_cyclically_admissible,
+                             iter_words, largest_proper_scc_subgraph, parse_word,
+                             perron_pair, primitive_cycles, sft_from_matrix,
+                             topological_entropy)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -175,6 +176,17 @@ def small_binary_matrices(draw):
     rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
                          min_size=k, max_size=k))
     return k, rows
+
+
+class TestProperSubgraph:
+    def test_full4_drops_last_loop(self):
+        # deleting any loop (i, i) leaves growth rate (3 + sqrt 21)/2, the
+        # best; the four ties are broken by float entropies, picking (3, 3)
+        s = full_shift(4)
+        nodes, edges, ent = largest_proper_scc_subgraph(s)
+        assert nodes == (0, 1, 2, 3)
+        assert set(s.edges()) - edges == {(3, 3)}
+        assert ent == 1.3327057628202617
 
 
 class TestProperties:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -83,6 +84,12 @@ class TestInterval:
         hi_avg = sum(1 for c in iv.hi_cycle if c == 1) / len(iv.hi_cycle)
         assert lo_avg == pytest.approx(iv.lo, abs=1e-12)
         assert hi_avg == pytest.approx(iv.hi, abs=1e-12)
+
+    def test_range5_block_graph_full3(self, full3):
+        # 81 block nodes: an enumeration of simple cycles does not finish here
+        iv = lphi_interval(full3, indicator_potential(full3, (0, 1, 2, 0, 1)))
+        assert (iv.lo_exact, iv.lo_cycle) == (0, (0,))
+        assert (iv.hi_exact, iv.hi_cycle) == (Fraction(1, 3), (0, 1, 2))
 
     def test_not_strongly_connected(self):
         s = sft_from_matrix(2, [[1, 0], [0, 1]])
