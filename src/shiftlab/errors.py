@@ -53,6 +53,10 @@ class EndpointSaturation(ShiftlabError):
     """Legendre bracketing hit the |q| cap before bracketing the target."""
 
 
+class NotConverged(ShiftlabError):
+    """An iterative solver ran out of iterations before meeting its tolerance."""
+
+
 class PressureOverflow(ShiftlabError):
     """|q| beyond the documented range for pressure evaluation."""
 

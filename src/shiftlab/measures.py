@@ -16,11 +16,10 @@ import numpy as np
 
 from . import rng
 from .errors import NotAdmissible, NotPrimitive, RangeMismatch
-from .shifts import (ShiftSpace, Word, is_admissible, is_cyclically_admissible,
-                     iter_words, perron_pair, primitive_cycles,
+from .shifts import (ShiftSpace, Word, _perron_pair, is_admissible,
+                     is_cyclically_admissible, iter_words, primitive_cycles,
                      strongly_connected_components)
 
-STATIONARY_TOL = 1e-13
 VALIDATION_TOL = 1e-12
 
 
@@ -120,22 +119,9 @@ class Mixture:
 InvariantMeasure = Union[MarkovMeasure, PeriodicMeasure, Mixture]
 
 
-def _stationary_by_power(p: np.ndarray) -> np.ndarray:
-    k = p.shape[0]
-    pt = p.T.copy()
-    v = np.full(k, 1.0 / k)
-    for _ in range(500000):
-        w = pt @ v
-        w /= w.sum()
-        if np.max(np.abs(w - v)) < STATIONARY_TOL:
-            return w
-        v = w
-    return v
-
-
 def markov_measure(s: ShiftSpace, p: Sequence[Sequence[float]],
                    pi: Optional[Sequence[float]] = None) -> MarkovMeasure:
-    """Validated Markov measure; pi solved by power iteration when omitted."""
+    """Validated Markov measure; pi is the Perron vector of P^T when omitted."""
     arr = np.array(p, dtype=float)
     if arr.shape != (s.k, s.k):
         raise ValueError(f"P must be {s.k}x{s.k}")
@@ -147,7 +133,9 @@ def markov_measure(s: ShiftSpace, p: Sequence[Sequence[float]],
                 raise ValueError(f"P[{i}][{j}] > 0 on a forbidden transition")
             if arr[i, j] < 0:
                 raise ValueError("negative transition probability")
-    stat = np.array(pi, dtype=float) if pi is not None else _stationary_by_power(arr)
+    # iterating on P + I, a slowly mixing chain's last step understates its
+    # error several-fold, so the stopping step for pi is taken finer
+    stat = np.array(pi, dtype=float) if pi is not None else _perron_pair(arr.T, tol=1e-14)[1]
     if abs(stat.sum() - 1.0) > VALIDATION_TOL:
         raise ValueError("pi must sum to 1")
     if np.max(np.abs(stat @ arr - stat)) > 1e-10:
@@ -174,21 +162,27 @@ def mixture(weights: Sequence[float], components: Sequence[InvariantMeasure]) ->
     return Mixture(weights=w, components=tuple(components))
 
 
+def equilibrium_measure(s: ShiftSpace, b: np.ndarray) -> MarkovMeasure:
+    """The Markov measure built from the Perron data of B >= 0 on A's edges.
+
+    With Perron root lambda and right/left Perron vectors v, u of an
+    irreducible B: P_ij = B_ij v_j / (lambda v_i) and pi_i ~ u_i v_i.  B = A
+    gives the Parry measure, B = A o exp(q phi) the equilibrium state of q phi
+    for a range-2 potential phi (Parry 1964; Walters, ch. 9).
+    """
+    lam, right = _perron_pair(b)
+    _, left = _perron_pair(b.T)
+    p = b * right / (lam * right[:, None])
+    p /= p.sum(axis=1, keepdims=True)  # scrub rounding so rows sum to 1 exactly
+    uv = left * right
+    return markov_measure(s, p, uv / uv.sum())
+
+
 def parry_measure(s: ShiftSpace) -> MarkovMeasure:
     """The maximal-entropy Markov measure: P_ij = A_ij v_j / (lambda v_i)."""
     if not s.is_primitive:
         raise NotPrimitive("maximal-entropy measure needs a primitive matrix")
-    lam, right, left = perron_pair(s)
-    a = s.matrix_array()
-    p = np.zeros((s.k, s.k))
-    for i in range(s.k):
-        for j in range(s.k):
-            if a[i, j]:
-                p[i, j] = right[j] / (lam * right[i])
-        p[i] /= p[i].sum()  # scrub rounding so rows sum to 1 exactly
-    uv = left * right
-    pi = uv / uv.sum()
-    return markov_measure(s, p, pi)
+    return equilibrium_measure(s, s.matrix_array())
 
 
 def entropy(m: InvariantMeasure) -> float:

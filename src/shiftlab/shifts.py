@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyShift, NotAdmissible, NotPrimitive, SymbolOutOfRange
+from .errors import EmptyShift, NotAdmissible, NotConverged, NotPrimitive, SymbolOutOfRange
 
 Word = tuple[int, ...]
 
@@ -38,16 +38,17 @@ class ShiftSpace:
 
     matrix is stored as a tuple of tuples of 0/1 ints (immutable, exact).
     primitive_gap is the least M with A^M entrywise positive, or None if the
-    matrix is not primitive.  bridge_table[(i, j, l)] is the lexicographically
-    smallest admissible path from i to j with exactly l edges (l-1 interior
-    symbols), for every l in [primitive_gap, 2*primitive_gap].
+    matrix is not primitive.  For a primitive matrix, bridge_table[(i, j)]
+    holds the M interior symbols of the lexicographically smallest
+    admissible path from i to j with exactly M + 1 edges (one exists because
+    A^(M+1) is positive too); it is empty otherwise.
     """
 
     k: int
     matrix: tuple[tuple[int, ...], ...]
     labels: Optional[tuple[str, ...]] = None
     primitive_gap: Optional[int] = None
-    bridge_table: dict[tuple[int, int, int], Word] = field(default_factory=dict, compare=False)
+    bridge_table: dict[tuple[int, int], Word] = field(default_factory=dict, compare=False)
 
     @property
     def is_primitive(self) -> bool:
@@ -122,21 +123,15 @@ def _reach_tables(matrix: tuple[tuple[int, ...], ...], max_len: int) -> list[lis
     return reach
 
 
-def _lex_path(matrix: tuple[tuple[int, ...], ...], reach, i: int, j: int, length: int) -> Optional[Word]:
-    """Lexicographically smallest path i -> j with exactly `length` edges."""
-    if not reach[length][i][j]:
-        return None
-    path = [i]
+def _lex_interior(matrix: tuple[tuple[int, ...], ...], reach, i: int, j: int, length: int) -> Word:
+    """Interior symbols of the lexicographically smallest path i -> j with
+    exactly `length` edges; reach must show that one exists."""
+    interior = []
     cur = i
-    for remaining in range(length, 0, -1):
-        for t in range(len(matrix)):
-            if matrix[cur][t] and reach[remaining - 1][t][j]:
-                path.append(t)
-                cur = t
-                break
-        else:
-            return None
-    return tuple(path)
+    for remaining in range(length - 1, 0, -1):
+        cur = next(t for t in range(len(matrix)) if matrix[cur][t] and reach[remaining][t][j])
+        interior.append(cur)
+    return tuple(interior)
 
 
 def sft_from_matrix(k: int, matrix: Sequence[Sequence[int]],
@@ -162,17 +157,12 @@ def sft_from_matrix(k: int, matrix: Sequence[Sequence[int]],
         new_labels = tuple(labels[i] for i in survivors)
     tup = tuple(tuple(row) for row in trimmed)
     gap = _positivity_gap(trimmed, new_k ** _PRIMITIVITY_CAP_EXP)
-    table: dict[tuple[int, int, int], Word] = {}
+    table: dict[tuple[int, int], Word] = {}
     if gap is not None:
-        reach = _reach_tables(tup, 2 * gap)
+        reach = _reach_tables(tup, gap)
         for i in range(new_k):
             for j in range(new_k):
-                for ell in range(gap, 2 * gap + 1):
-                    path = _lex_path(tup, reach, i, j, ell)
-                    if path is None:
-                        raise NotPrimitive(
-                            f"primitive gap {gap} found but no {ell}-edge path {i}->{j}")
-                    table[(i, j, ell)] = path
+                table[(i, j)] = _lex_interior(tup, reach, i, j, gap + 1)
     return ShiftSpace(k=new_k, matrix=tup, labels=new_labels,
                       primitive_gap=gap, bridge_table=table)
 
@@ -274,6 +264,7 @@ def _perron_pair(a: np.ndarray, tol: float = 1e-13, max_iter: int = 200000) -> t
     """Perron eigenvalue and right eigenvector of a nonnegative irreducible matrix.
 
     Iterates on A + I so periodic (imprimitive) matrices converge too.
+    Raises NotConverged when max_iter iterations do not meet the tolerance.
     """
     n = a.shape[0]
     if n == 1:
@@ -286,12 +277,10 @@ def _perron_pair(a: np.ndarray, tol: float = 1e-13, max_iter: int = 200000) -> t
         new_lam = float(np.max(w))
         w = w / new_lam
         if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)) and np.max(np.abs(w - v)) <= tol:
-            v = w
-            lam = new_lam
-            break
+            return new_lam - 1.0, w / w.sum()
         v = w
         lam = new_lam
-    return lam - 1.0, v / v.sum()
+    raise NotConverged(f"Perron power iteration did not converge in {max_iter} iterations")
 
 
 def spectral_radius(s: ShiftSpace) -> float:
@@ -320,42 +309,17 @@ def topological_entropy(s: ShiftSpace) -> float:
     return float(np.log(lam)) if lam > 0 else 0.0
 
 
-def perron_pair(s: ShiftSpace) -> tuple[float, np.ndarray, np.ndarray]:
-    """(lambda, right eigenvector, left eigenvector) of a primitive matrix."""
-    if not s.is_primitive:
-        raise NotPrimitive("Perron data requires a primitive matrix")
-    a = s.matrix_array()
-    lam, right = _perron_pair(a)
-    _, left = _perron_pair(a.T)
-    return lam, right, left
-
-
-def bridge(s: ShiftSpace, i: int, j: int, ell: int) -> Word:
-    """Connecting path with exactly ell edges, endpoints included.
-
-    Deterministic: the table stores the lexicographically smallest path.
-    """
-    if not s.is_primitive:
-        raise NotPrimitive("bridging requires a primitive shift")
-    check_symbols((i, j), s.k)
-    gap = s.primitive_gap
-    if not gap <= ell <= 2 * gap:
-        raise ValueError(f"bridge length {ell} outside [{gap}, {2 * gap}]")
-    return s.bridge_table[(i, j, ell)]
-
-
 def connecting_word(s: ShiftSpace, a: int, b: int) -> Word:
     """The M interior symbols gluing a segment ending in a to one starting with b.
 
     M = primitive_gap, so segment windows sit exactly M apart, matching the
-    uniform-gap gluing that mixing shifts support.  For M = 1 the (M+1)-edge
-    bridge is in the table; its interior has length M.
+    uniform-gap gluing that mixing shifts support.  Deterministic: the
+    interior of the lexicographically smallest (M+1)-edge path a -> b.
     """
     if not s.is_primitive:
         raise NotPrimitive("bridging requires a primitive shift")
-    gap = s.primitive_gap
-    path = bridge(s, a, b, gap + 1)
-    return path[1:-1]
+    check_symbols((a, b), s.k)
+    return s.bridge_table[(a, b)]
 
 
 def iter_words(s: ShiftSpace, n: int) -> Iterator[Word]:

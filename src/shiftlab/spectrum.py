@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (DegenerateInterval, EndpointSaturation, NotPrimitive,
                      NotStronglyConnected, OutsideInterior, PressureOverflow)
 from .measures import Potential
-from .shifts import (ShiftSpace, Word, iter_words, sft_from_matrix,
-                     strongly_connected_components, topological_entropy)
+from .shifts import (ShiftSpace, Word, iter_words, strongly_connected_components,
+                     topological_entropy)
 
 Q_CAP = 500.0
 SUBGRADIENT_H = 1e-5
@@ -33,13 +33,14 @@ IRREGULARITY_TOL = 1e-12
 
 @dataclass
 class EdgeSystem:
-    """Edge-weighted presentation: a shift (possibly block-recoded) + weights.
+    """Edge-weighted graph on nodes 0..k-1: the ambient symbols, or its
+    (r-1)-blocks for a range-r potential.  The edges are the keys of weights.
 
     decode maps each node of the working graph back to the original symbol
     it begins with, so cycle witnesses read off in ambient symbols.
     """
 
-    shift: ShiftSpace
+    k: int
     weights: dict[tuple[int, int], float]
     decode: tuple[int, ...]
 
@@ -59,27 +60,16 @@ def edge_system(s: ShiftSpace, phi: Potential) -> EdgeSystem:
                 if s.matrix[i][j]:
                     key = (i,) if phi.range == 1 else (i, j)
                     weights[(i, j)] = phi.table[key]
-        return EdgeSystem(shift=s, weights=weights, decode=tuple(range(s.k)))
+        return EdgeSystem(k=s.k, weights=weights, decode=tuple(range(s.k)))
     r = phi.range
     blocks = list(iter_words(s, r - 1))
     index = {w: i for i, w in enumerate(blocks)}
-    k = len(blocks)
-    matrix = [[0] * k for _ in range(k)]
     weights = {}
     for u in blocks:
         for c in range(s.k):
-            if not s.matrix[u[-1]][c]:
-                continue
-            v = u[1:] + (c,)
-            if v not in index:
-                continue
-            i, j = index[u], index[v]
-            matrix[i][j] = 1
-            weights[(i, j)] = phi.table[u + (c,)]
-    recoded = sft_from_matrix(k, matrix)
-    if recoded.k != k:
-        raise ValueError("block recoding trimmed states; ambient shift was not trim")
-    return EdgeSystem(shift=recoded, weights=weights, decode=tuple(w[0] for w in blocks))
+            if s.matrix[u[-1]][c]:
+                weights[(index[u], index[u[1:] + (c,)])] = phi.table[u + (c,)]
+    return EdgeSystem(k=len(blocks), weights=weights, decode=tuple(w[0] for w in blocks))
 
 
 @dataclass
@@ -109,8 +99,7 @@ def _pressure_value(system: EdgeSystem, q: float) -> float:
     min/max of (Bv)_i / v_i bracket the eigenvalue, so the stopping rule
     is rigorous and primitivity guarantees convergence).
     """
-    s = system.shift
-    k = s.k
+    k = system.k
     log_b = np.full((k, k), -np.inf)
     for (i, j), w in system.weights.items():
         log_b[i, j] = q * w
@@ -170,25 +159,24 @@ def _karp_extreme_cycle(system: EdgeSystem, maximize: bool) -> tuple[Fraction, W
     walks of length L: it is read off greedily, one symbol at a time, from
     boolean walk powers of the tight subgraph.
     """
-    s = system.shift
-    k = s.k
+    k = system.k
     sign = -1 if maximize else 1
     # Fraction(float) is exact; limit_denominator recovers simple rationals
     # (error <= 1e-12 for genuinely irrational weights) and keeps arithmetic small
     w = {e: sign * Fraction(v).limit_denominator(10**12)
          for e, v in system.weights.items()}
-    d: list[list[Optional[Fraction]]] = [[None] * k for _ in range(k + 1)]
-    for v in range(k):
-        d[0][v] = Fraction(0)
+    # scaled by their common denominator the weights are integers, and the
+    # recurrence and potentials below run in exact integer arithmetic
+    den = math.lcm(*(x.denominator for x in w.values()))
+    w = {e: int(x * den) for e, x in w.items()}
+    d: list[list[Optional[int]]] = [[0] * k] + [[None] * k for _ in range(k)]
     for m in range(1, k + 1):
-        for v in range(k):
-            best = None
-            for u in range(k):
-                if s.matrix[u][v] and d[m - 1][u] is not None:
-                    cand = d[m - 1][u] + w[(u, v)]
-                    if best is None or cand < best:
-                        best = cand
-            d[m][v] = best
+        prev, cur = d[m - 1], d[m]
+        for (u, v), wt in w.items():
+            if prev[u] is not None:
+                cand = prev[u] + wt
+                if cur[v] is None or cand < cur[v]:
+                    cur[v] = cand
     mu_star: Optional[Fraction] = None
     for v in range(k):
         if d[k][v] is None:
@@ -204,9 +192,10 @@ def _karp_extreme_cycle(system: EdgeSystem, maximize: bool) -> tuple[Fraction, W
             mu_star = worst
     if mu_star is None:
         raise NotStronglyConnected("no cycle found")
-    # witness: zero-mean cycle in the reweighted graph, via exact potentials
-    rw = {e: w[e] - mu_star for e in w}
-    h: list[Fraction] = [Fraction(0)] * k
+    # witness: zero-mean cycle in the reweighted graph, via exact potentials;
+    # reduced weights times mu_star's denominator are integers too
+    rw = {e: wt * mu_star.denominator - mu_star.numerator for e, wt in w.items()}
+    h = [0] * k
     for _ in range(k):
         changed = False
         for (u, v), wt in rw.items():
@@ -236,7 +225,7 @@ def _karp_extreme_cycle(system: EdgeSystem, maximize: bool) -> tuple[Fraction, W
         best_word.append(sym)
         pairs = {(a, int(u)) for a, v in pairs if system.decode[v] == sym
                  for u in np.flatnonzero(tight[v])}
-    value = -mu_star if maximize else mu_star
+    value = (-mu_star if maximize else mu_star) / den
     return value, tuple(best_word)
 
 

@@ -34,10 +34,10 @@ from . import rng
 from .errors import (CertificateMismatch, IrregularityUnavailable, NoProperSubshift,
                      NotAdmissible, NotPrimitive)
 from .measures import (InvariantMeasure, MarkovMeasure, Mixture, PeriodicMeasure,
-                       Potential, entropy, has_full_support, integrate, is_ergodic,
-                       markov_measure, markov_word_probability, mixture, parry_measure,
-                       periodic_measure, piece_is_single_orbit, sample_typical_word,
-                       support, support_pieces, supports_disjoint)
+                       Potential, entropy, equilibrium_measure, has_full_support,
+                       integrate, is_ergodic, markov_measure, markov_word_probability,
+                       mixture, parry_measure, periodic_measure, piece_is_single_orbit,
+                       sample_typical_word, support, support_pieces, supports_disjoint)
 from .shifts import (ShiftSpace, Word, connecting_word, cycle_word_for, is_admissible,
                      iter_words, largest_proper_scc_subgraph, primitive_cycles,
                      subshift_from_edges, topological_entropy)
@@ -248,25 +248,12 @@ def regenerate_segment(s: ShiftSpace, seg: Segment, pool: list[InvariantMeasure]
 def _tilted_measure(s: ShiftSpace, phi: Potential, q: float) -> MarkovMeasure:
     """Equilibrium Markov measure of the q-weighted matrix: full support,
     integral different from the maximal-entropy one whenever averages vary."""
-    system = edge_system(s, phi)
-    if system.shift.k != s.k:
+    if phi.range > 2:
         raise ValueError("tilted measure needs a range <= 2 potential")
-    k = s.k
-    b = np.zeros((k, k))
-    for (i, j), w in system.weights.items():
+    b = np.zeros((s.k, s.k))
+    for (i, j), w in edge_system(s, phi).weights.items():
         b[i, j] = math.exp(q * w)
-    from .shifts import _perron_pair
-
-    lam, right = _perron_pair(b)
-    _, left = _perron_pair(b.T)
-    p = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if b[i, j] > 0:
-                p[i, j] = b[i, j] * right[j] / (lam * right[i])
-        p[i] /= p[i].sum()
-    uv = left * right
-    return markov_measure(s, p, uv / uv.sum())
+    return equilibrium_measure(s, b)
 
 
 def _sub_parry(s: ShiftSpace) -> tuple[MarkovMeasure, frozenset]:

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from shiftlab import rng
@@ -5,6 +8,16 @@ from shiftlab.measures import indicator_potential
 from shiftlab.shifts import ShiftSpace, full_shift, golden_mean_shift, sft_from_matrix
 
 ACCEPTANCE_SEED = 20250809
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_on_subprocess_path():
+    """CLI tests start `python -m shiftlab.cli` subprocesses; they import the
+    package from this checkout, as the test process does."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"),
+                  prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from shiftlab import io
+from shiftlab import io, shifts
 from shiftlab.cli import main
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import full_shift, golden_mean_shift
@@ -130,6 +130,13 @@ class TestEntropyCommand:
     def test_invalid_input_exit2(self, tmp_path):
         rc, _, err = run_cli("entropy", "--shift", str(tmp_path / "missing.json"))
         assert rc == 2
+
+    def test_unconverged_perron_exit2(self, files, monkeypatch, capsys):
+        # golden's row sums differ, so its spectral entropy needs a Perron solve
+        monkeypatch.setattr(shifts._perron_pair, "__defaults__", (1e-13, 1))
+        rc = main(["entropy", "--shift", str(files / "golden.json"), "--method", "spectral"])
+        assert rc == 2
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestPipeline:

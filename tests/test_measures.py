@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import rng
+from shiftlab import oracle, rng
 from shiftlab.errors import EmptyShift, NotAdmissible, NotPrimitive
-from shiftlab.measures import (constant_potential, entropy, has_full_support,
+from shiftlab.measures import (Potential, constant_potential, entropy,
+                               equilibrium_measure, has_full_support,
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
                                parry_measure, periodic_measure,
                                periodic_measures_in_cylinder, sample_typical_word,
                                support, support_pieces, supports_disjoint)
 from shiftlab.oracle import scalar_typical_word
-from shiftlab.shifts import (is_admissible, primitive_cycles, sft_from_matrix,
+from shiftlab.shifts import (is_admissible, iter_words, primitive_cycles, sft_from_matrix,
                              topological_entropy)
+from shiftlab.spectrum import PressureFunction, edge_system
 
 from conftest import random_primitive_sft
 
@@ -47,6 +49,49 @@ class TestParry:
         s = sft_from_matrix(2, [[1, 0], [0, 1]])
         with pytest.raises(NotPrimitive):
             parry_measure(s)
+
+
+def _seeded_potential(s, r, seed):
+    """Range-r potential with seeded values in [-1, 1)."""
+    words = list(iter_words(s, r))
+    us = rng.uniform_stream(seed, len(words))
+    return Potential(range=r, table={w: 2.0 * float(u) - 1.0 for w, u in zip(words, us)})
+
+
+class TestEquilibrium:
+    """The Markov measure built from B = A o exp(q phi) is the equilibrium
+    state of q phi: checked against the pressure kernel, which solves P(q)
+    from dense eigenvalues and never builds a measure."""
+
+    def test_variational_identity_derivative_and_parry(self, golden, full2, random4):
+        s3 = sft_from_matrix(3, [[1, 1, 1], [1, 1, 0], [1, 0, 1]])
+        for n, s in enumerate((golden, full2, s3, random4)):
+            assert equilibrium_measure(s, s.matrix_array()) == parry_measure(s)
+            for r in (1, 2):
+                phi = _seeded_potential(s, r, 100 * n + r)
+                pf = PressureFunction(edge_system(s, phi))
+                for q in (-3.0, -0.5, 0.0, 1.0, 2.0):
+                    b = np.zeros((s.k, s.k))
+                    for i, j in s.edges():
+                        b[i, j] = math.exp(q * phi.table[(i, j)[:r]])
+                    m = equilibrium_measure(s, b)
+                    a = integrate(m, phi)
+                    assert abs(entropy(m) + q * a - pf(q)) <= 1e-11
+                    assert abs(a - pf.derivative(q)) <= 1e-9
+
+
+class TestStationary:
+    def test_periodic_chain(self):
+        # period-2 chain: the power iteration must not oscillate between classes
+        s = sft_from_matrix(3, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        m = markov_measure(s, [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]])
+        assert m.pi == pytest.approx((0.25, 0.5, 0.25), abs=1e-12)
+
+    def test_omitted_pi_matches_lu_oracle(self):
+        for seed in range(30):
+            s = random_primitive_sft(2 + seed % 4, seed)
+            m = _thinned_chain(s, seed)
+            assert np.max(np.abs(m.pi_array() - oracle._stationary(m.p_array()))) <= 1e-12
 
 
 class TestEntropyIntegral:

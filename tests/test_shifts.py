@@ -1,16 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import oracle
-from shiftlab.errors import EmptyShift, NotPrimitive, SymbolOutOfRange
-from shiftlab.shifts import (bridge, connecting_word, count_periodic, count_words,
+from shiftlab.errors import EmptyShift, NotConverged, NotPrimitive, SymbolOutOfRange
+from shiftlab.shifts import (_perron_pair, connecting_word, count_periodic, count_words,
                              full_shift, is_admissible, is_cyclically_admissible,
                              iter_words, largest_proper_scc_subgraph, parse_word,
-                             perron_pair, primitive_cycles, sft_from_matrix,
-                             topological_entropy)
+                             primitive_cycles, sft_from_matrix, topological_entropy)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -122,37 +122,43 @@ class TestEntropy:
         est = math.log(count_periodic(golden, 30)) / 30
         assert abs(est - math.log(PHI)) <= 0.02
 
-    def test_perron_pair_requires_primitive(self):
-        s = sft_from_matrix(2, [[1, 0], [0, 1]])
-        with pytest.raises(NotPrimitive):
-            perron_pair(s)
+
+class TestPerronPair:
+    def test_unconverged_iteration_raises(self):
+        # a 60-cycle with the chord 0 -> 2 mixes slowly: about 18k iterations
+        n = 60
+        a = np.zeros((n, n))
+        a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        a[0, 2] = 1.0
+        with pytest.raises(NotConverged):
+            _perron_pair(a, max_iter=1000)
+        lam, v = _perron_pair(a)
+        assert np.max(np.abs(a @ v - lam * v)) <= 1e-12
 
 
 class TestBridges:
     def test_golden_1_to_1(self, golden):
-        assert bridge(golden, 1, 1, 2) == (1, 0, 1)
+        assert connecting_word(golden, 1, 1) == (0, 0)
 
     def test_full2_short(self, full2):
-        assert bridge(full2, 0, 1, 1) == (0, 1)
+        assert connecting_word(full2, 0, 1) == (0,)
 
     def test_golden_lex_smallest(self, golden):
-        assert bridge(golden, 0, 0, 2) == (0, 0, 0)
+        # 3-edge paths 0 -> 0 are 0000, 0010 and 0100
+        assert connecting_word(golden, 0, 0) == (0, 0)
 
     def test_all_table_entries_admissible(self, golden, full2, random4):
         for s in (golden, full2, random4):
-            gap = s.primitive_gap
             for i in range(s.k):
                 for j in range(s.k):
-                    for ell in range(gap, 2 * gap + 1):
-                        path = bridge(s, i, j, ell)
-                        assert path[0] == i and path[-1] == j
-                        assert len(path) == ell + 1
-                        assert is_admissible(path, s)
+                    cw = connecting_word(s, i, j)
+                    assert len(cw) == s.primitive_gap
+                    assert is_admissible((i,) + cw + (j,), s)
 
     def test_not_primitive_refused(self):
         s = sft_from_matrix(2, [[1, 0], [0, 1]])
         with pytest.raises(NotPrimitive):
-            bridge(s, 0, 1, 1)
+            connecting_word(s, 0, 1)
 
     def test_connecting_word_length(self, golden):
         cw = connecting_word(golden, 0, 1)
