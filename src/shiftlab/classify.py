@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -66,15 +66,51 @@ def _as_array(x) -> np.ndarray:
     return np.array(x, dtype=np.int64)
 
 
+def _check_code_range(ell: int, k: int) -> None:
+    if k ** ell > 1 << 63:
+        raise ValueError(f"codes of {ell}-windows over {k} symbols do not fit in int64")
+
+
 def window_codes(x: np.ndarray, ell: int, k: int) -> np.ndarray:
-    """Integer code of every length-ell window, big-endian in the symbols."""
+    """Integer code of every length-ell window, big-endian in the symbols.
+
+    Raises ValueError when k**ell > 2**63, where the codes would wrap in int64.
+    """
+    _check_code_range(ell, k)
     n = len(x) - ell + 1
     if n <= 0:
         raise TooShort(f"stream of length {len(x)} has no {ell}-windows")
     codes = np.zeros(n, dtype=np.int64)
     for j in range(ell):
-        codes = codes * k + x[j:j + n]
+        codes *= k
+        codes += x[j:j + n]
     return codes
+
+
+def _window_code_sweep(x: np.ndarray, lengths: Iterable[int],
+                       k: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(ell, window codes) for each of `lengths` in ascending order, from one array.
+
+    The codes at ell extend those at ell - 1 in place as codes[:n-1] * k + x[ell-1:],
+    so the sweep costs max(lengths) passes over x.  Each yielded array is
+    overwritten by the next step.
+    """
+    wanted = sorted(set(lengths))
+    if not wanted:
+        return
+    _check_code_range(wanted[-1], k)
+    ell = wanted[0]
+    codes = window_codes(x, ell, k)
+    for target in wanted:
+        while ell < target:
+            ell += 1
+            n = len(x) - ell + 1
+            if n <= 0:
+                raise TooShort(f"stream of length {len(x)} has no {ell}-windows")
+            codes = codes[:n]
+            codes *= k
+            codes += x[ell - 1:]
+        yield ell, codes
 
 
 def word_code(w: Sequence[int], k: int) -> int:
@@ -126,13 +162,19 @@ def visit_statistics(x, ell: int, n_max: Optional[int] = None,
         n_max = len(arr) - ell
     if n_max > len(arr) - ell or n_max < 1:
         raise TooShort(f"need length >= {n_max + ell}, have {len(arr)}")
-    tgt = tuple(target) if target is not None else tuple(int(c) for c in arr[:ell])
+    prefix = tuple(int(c) for c in arr[:ell])
+    tgt = tuple(target) if target is not None else prefix
     visits = find_visits(arr, tgt, k, horizon=n_max)
+    return _statistics_from_visits(ell, tgt, visits, n_max, tgt == prefix)
+
+
+def _statistics_from_visits(ell: int, tgt: Word, visits: np.ndarray, n_max: int,
+                            self_target: bool) -> VisitStatistics:
     lower, upper = windowed_density(visits, n_max)
     if len(visits) >= 2:
         gaps = np.diff(visits)
         max_gap = int(gaps.max())
-        if tgt == tuple(int(c) for c in arr[:ell]):
+        if self_target:
             max_gap = max(max_gap, int(visits[0]))
     elif len(visits) == 1:
         max_gap = int(max(visits[0], n_max - visits[0]))
@@ -187,7 +229,11 @@ def empirical_measure(x, ell: int, n_max: Optional[int] = None,
     if n_max < 1 or n_max > len(arr) - ell + 1:
         raise TooShort(f"need length >= {n_max + ell - 1}, have {len(arr)}")
     codes = window_codes(arr[:n_max + ell - 1], ell, k)
-    counts = np.bincount(codes, minlength=k ** ell)
+    return _frequencies(np.bincount(codes, minlength=k ** ell), ell, k)
+
+
+def _frequencies(counts: np.ndarray, ell: int, k: int) -> dict[Word, float]:
+    """Word -> share of the windows, for the words whose code has a count."""
     total = counts.sum()
     out: dict[Word, float] = {}
     for code in np.nonzero(counts)[0]:
@@ -207,14 +253,19 @@ def coverage(x, s: ShiftSpace, ell: int, expected_freq: Optional[dict[Word, floa
     Positive means frequency >= 1/(4 * expected count) under the declared
     full-support measure when given, else >= min_raw_visits raw occurrences.
     """
-    arr = _as_array(x)
-    emp = empirical_measure(arr, ell, k=s.k)
-    n_windows = len(arr) - ell + 1
+    counts = np.bincount(window_codes(_as_array(x), ell, s.k), minlength=s.k ** ell)
+    return _coverage(counts, s, ell, expected_freq, min_raw_visits)
+
+
+def _coverage(counts: np.ndarray, s: ShiftSpace, ell: int,
+              expected_freq: Optional[dict[Word, float]] = None,
+              min_raw_visits: int = 8) -> tuple[float, dict[Word, int]]:
+    """coverage() from the window counts of every length-ell code."""
     admissible = list(iter_words(s, ell))
     hits = 0
     raw: dict[Word, int] = {}
     for w in admissible:
-        count = int(round(emp.get(w, 0.0) * n_windows))
+        count = int(counts[word_code(w, s.k)])
         raw[w] = count
         p_w = expected_freq.get(w, 0.0) if expected_freq else 0.0
         needed = math.ceil(1.0 / (4.0 * p_w)) if p_w > 0 else min_raw_visits
@@ -227,8 +278,100 @@ def coverage(x, s: ShiftSpace, ell: int, expected_freq: Optional[dict[Word, floa
 # verdict evaluation against certificate expected_statistics
 
 
+@dataclass
+class _WindowFacts:
+    """What one ascending window-code sweep of a stream yields, by length.
+
+    self_stats: visits of the self-cylinder x_0..x_{ell-1} up to the horizon;
+    counts: occurrences of each code among all windows of the stream;
+    lower: lower density estimate of each code up to the horizon.
+    """
+    self_stats: dict[int, VisitStatistics]
+    counts: dict[int, np.ndarray]
+    lower: dict[int, np.ndarray]
+
+
+def _window_needs(check: dict) -> set[tuple[str, int]]:
+    """(fact, length) pairs a check reads off the sweep; facts as in _WindowFacts."""
+    kind = check["check"]
+    if kind in ("self_lower_max", "self_upper_min"):
+        return {("self", int(check["length"]))}
+    if kind == "self_upper_decreasing":
+        return {("self", int(ell)) for ell in check["lengths"]}
+    if kind == "max_gap_bounded":
+        return {("self", int(ell)) for ell, _ in check["bounds"]}
+    if kind == "periodic_density_exact":
+        return {("self", ell) for ell in range(1, int(check["period"]) + 1)}
+    if kind in ("coverage_counts", "coverage_fraction_of_expected"):
+        return {("counts", int(check["length"]))}
+    if kind == "cylinder_lower_min":
+        return {("lower", int(ell)) for ell in check["lengths"]}
+    return set()
+
+
+def _sweep_windows(arr: np.ndarray, k: int, n_max: int,
+                   needs: set[tuple[str, int]]) -> _WindowFacts:
+    """Every needed fact from two ascending sweeps, one array of each live.
+
+    Counts and lower densities come off one window-code sweep.  Self-cylinder
+    visits need no codes, so no length limit: x_0..x_{ell-1} recurs at n when
+    x_0..x_{ell-2} does and x_{n+ell-1} == x_{ell-1}, one boolean pass per
+    length.  Visit facts at ell run up to min(n_max, len - ell): the
+    evaluation horizon, cut back for lengths past the ladder so their windows
+    stay in the stream.
+    """
+    def horizon(ell: int) -> int:
+        h = min(n_max, len(arr) - ell)
+        if h < 1:
+            raise TooShort(f"need length >= {ell + 1}, have {len(arr)}")
+        return h
+
+    facts = _WindowFacts({}, {}, {})
+    for ell, codes in _window_code_sweep(arr, {ell for fact, ell in needs if fact != "self"}, k):
+        if ("counts", ell) in needs:
+            facts.counts[ell] = np.bincount(codes, minlength=k ** ell)
+        if ("lower", ell) in needs:
+            facts.lower[ell] = _lower_densities(codes, k ** ell, horizon(ell))
+    self_lengths = {ell for fact, ell in needs if fact == "self"}
+    recurs = np.ones(n_max, dtype=bool)   # entry n-1 for time n
+    for ell in range(1, max(self_lengths, default=0) + 1):
+        h = horizon(ell)
+        recurs = recurs[:h]
+        recurs &= arr[ell:ell + h] == arr[ell - 1]
+        if ell in self_lengths:
+            facts.self_stats[ell] = _statistics_from_visits(
+                ell, tuple(int(c) for c in arr[:ell]), np.flatnonzero(recurs) + 1, h, True)
+    return facts
+
+
+def _lower_densities(codes: np.ndarray, size: int, n_max: int) -> np.ndarray:
+    """windowed_density's lower estimate for every code at once: visits are the
+    window starts 1..n_max, counted below each checkpoint by one bincount per
+    stretch between checkpoints."""
+    pts = density_checkpoints(n_max)
+    counts = np.bincount(codes[1:pts[0]], minlength=size)
+    lower = counts / pts[0]
+    for a, b in zip(pts, pts[1:]):
+        counts += np.bincount(codes[a:b], minlength=size)
+        np.minimum(lower, counts / b, out=lower)
+    return lower
+
+
+def _rotation_agreements(cycle: np.ndarray) -> list[int]:
+    """Entry ell-1: how many of the p rotations of the cycle agree with it on
+    their first ell symbols, for ell = 1..p."""
+    p = len(cycle)
+    doubled = np.concatenate([cycle, cycle])
+    rotations = np.arange(p)
+    out = []
+    for j in range(p):
+        rotations = rotations[doubled[rotations + j] == doubled[j]]
+        out.append(len(rotations))
+    return out
+
+
 def _eval_check(check: dict, x: np.ndarray, s: ShiftSpace, phi: Optional[Potential],
-                trace: list[tuple[int, float]], n_max: int) -> dict:
+                trace: list[tuple[int, float]], facts: _WindowFacts) -> dict:
     """One expected_statistics entry -> verdict record (pure data)."""
     kind = check["check"]
     out = {"check": kind, "params": {k: v for k, v in check.items() if k != "check"}}
@@ -259,52 +402,46 @@ def _eval_check(check: dict, x: np.ndarray, s: ShiftSpace, phi: Optional[Potenti
         out["passed"] = (hi - lo) >= check["min_gap"]
 
     elif kind == "cylinder_lower_min":
-        worst = None
-        for ell in check["lengths"]:
-            for w in iter_words(s, ell):
-                st = visit_statistics(x, ell, n_max=n_max, target=w, k=s.k)
-                if worst is None or st.lower_density_est < worst:
-                    worst = st.lower_density_est
+        worst = min(float(facts.lower[int(ell)][word_code(w, s.k)])
+                    for ell in check["lengths"] for w in iter_words(s, int(ell)))
         out["measured"] = worst
         out["passed"] = worst >= check["threshold"]
 
     elif kind == "self_lower_max":
-        st = visit_statistics(x, check["length"], n_max=n_max, k=s.k)
+        st = facts.self_stats[int(check["length"])]
         out["measured"] = st.lower_density_est
         out["passed"] = st.lower_density_est <= check["max"]
 
     elif kind == "self_upper_min":
-        st = visit_statistics(x, check["length"], n_max=n_max, k=s.k)
+        st = facts.self_stats[int(check["length"])]
         out["measured"] = st.upper_density_est
         out["passed"] = st.upper_density_est >= check["min"]
 
     elif kind == "self_upper_decreasing":
-        uppers = []
-        for ell in check["lengths"]:
-            st = visit_statistics(x, ell, n_max=n_max, k=s.k)
-            uppers.append(st.upper_density_est)
+        uppers = [facts.self_stats[int(ell)].upper_density_est for ell in check["lengths"]]
         strict = all(a > b for a, b in zip(uppers, uppers[1:]))
         out["measured"] = uppers
         out["passed"] = strict and uppers[-1] <= check["final_max"]
 
     elif kind == "coverage_counts":
-        _, raw = coverage(x, s, check["length"])
+        _, raw = _coverage(facts.counts[int(check["length"])], s, int(check["length"]))
         worst = min(raw.values())
         out["measured"] = worst
         out["passed"] = worst >= check["min_visits"]
 
     elif kind == "coverage_fraction_of_expected":
         expected = {tuple(w): f for w, f in check["expected"]}
-        emp = empirical_measure(x, check["length"], k=s.k)
+        ell = int(check["length"])
+        emp = _frequencies(facts.counts[ell], ell, s.k)
         ratios = [emp.get(w, 0.0) / f for w, f in expected.items() if f > 0]
         out["measured"] = min(ratios) if ratios else 0.0
-        out["passed"] = bool(ratios) and min(ratios) >= check["fraction"]
+        out["passed"] = bool(ratios) and bool(min(ratios) >= check["fraction"])
 
     elif kind == "max_gap_bounded":
         gaps = {}
         ok = True
         for ell, bound in check["bounds"]:
-            st = visit_statistics(x, int(ell), n_max=n_max, k=s.k)
+            st = facts.self_stats[int(ell)]
             gaps[int(ell)] = st.max_gap
             ok = ok and st.max_gap <= bound
         out["measured"] = gaps
@@ -315,17 +452,19 @@ def _eval_check(check: dict, x: np.ndarray, s: ShiftSpace, phi: Optional[Potenti
         out["measured"] = out["passed"]
 
     elif kind == "periodic_density_exact":
-        # visit times start at 1, so cumulative self-visit ratios run up to
-        # 1/n below the exact rational; allow that on top of the p/horizon grain
+        # the self-cylinder of length ell recurs at the rotations of the cycle
+        # x_0..x_{p-1} that agree with it on ell symbols.  Visit times start
+        # at 1, so cumulative self-visit ratios run up to 1/n below the exact
+        # rational; allow that on top of the p/horizon grain
         p = int(check["period"])
         ok = True
         measured = {}
-        for ell in range(1, p + 1):
-            st = visit_statistics(x, ell, n_max=n_max, k=s.k)
+        for ell, agreeing in enumerate(_rotation_agreements(x[:p]), start=1):
+            st = facts.self_stats[ell]
             measured[ell] = (st.lower_density_est, st.upper_density_est)
             tol = 3.0 * p / st.horizon
-            ok = ok and abs(st.lower_density_est - 1.0 / p) <= tol
-            ok = ok and abs(st.upper_density_est - 1.0 / p) <= tol
+            ok = ok and abs(st.lower_density_est - agreeing / p) <= tol
+            ok = ok and abs(st.upper_density_est - agreeing / p) <= tol
         out["measured"] = measured
         out["passed"] = ok
 
@@ -336,11 +475,24 @@ def _eval_check(check: dict, x: np.ndarray, s: ShiftSpace, phi: Optional[Potenti
     return out
 
 
+#: symbols of the second half compared for every period before any full compare
+PERIOD_PROBE = 256
+
+
 def _eventually_periodic(x: np.ndarray, max_period: int) -> bool:
-    """Is some period p <= max_period locked in over the second half?"""
+    """Is some period p <= max_period locked in over the second half?
+
+    A period must first hold on the probe block x[half:half+b], checked for
+    all periods at once; only the survivors get the full compare.
+    """
     n = len(x)
     half = n // 2
-    for p in range(1, min(max_period, half // 2) + 1):
+    top = min(max_period, half // 2)
+    if top < 1:
+        return False
+    b = min(PERIOD_PROBE, n - half - top)
+    shifted = np.lib.stride_tricks.sliding_window_view(x[half + 1:half + top + b], b)
+    for p in np.flatnonzero((shifted == x[half:half + b]).all(axis=1)) + 1:
         if np.array_equal(x[half:n - p], x[half + p:n]):
             return True
     return False
@@ -361,9 +513,12 @@ def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
     if n_max < 16:
         raise TooShort("stream too short for any evidence")
 
-    ladder_stats = {}
-    for ell in cfg.ladder:
-        ladder_stats[ell] = visit_statistics(arr, ell, n_max=n_max, k=s.k)
+    needs = {("self", ell) for ell in cfg.ladder}
+    needs |= {("counts", ell) for ell in cfg.ladder if ell <= 4}
+    for chk in expected_statistics:
+        needs |= _window_needs(chk)
+    facts = _sweep_windows(arr, s.k, n_max, needs)
+    ladder_stats = {ell: facts.self_stats[ell] for ell in cfg.ladder}
 
     if phi is not None:
         cps = default_trace_checkpoints(min(len(arr) - phi.range, n_max + max_ell))
@@ -373,11 +528,7 @@ def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
         trace = []
         osc = (0.0, 0.0)
 
-    cov = {}
-    for ell in (ell for ell in cfg.ladder if ell <= 4):
-        frac, _ = coverage(arr, s, ell)
-        cov[ell] = frac
-
-    verdicts = [_eval_check(chk, arr, s, phi, trace, n_max) for chk in expected_statistics]
+    cov = {ell: _coverage(facts.counts[ell], s, ell)[0] for ell in cfg.ladder if ell <= 4}
+    verdicts = [_eval_check(chk, arr, s, phi, trace, facts) for chk in expected_statistics]
     return RecurrenceReport(horizon=n_max, ladder_stats=ladder_stats, trace=trace,
                             oscillation=osc, cylinder_coverage=cov, verdicts=verdicts)

@@ -45,7 +45,39 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
 
 
 def write_json(path: Union[str, Path], doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write_text(path, _json_text(doc) + "\n")
+
+
+_CONTAINERS = (list, tuple, dict)
+_KEY_TYPES = (str, int, float, bool, type(None))
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """Exactly `json.dumps(obj, indent=2)`, with every list of scalars
+    encoded by the C encoder (indent makes json.dumps encode in Python)."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if not any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+            return "[\n" + inner + body + "\n" + pad + "]"
+        items = (_json_text(v, inner) for v in obj)
+    else:
+        return json.dumps(obj)
+    opener, closer = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return opener + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closer
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: non-string keys become their JSON text."""
+    if not isinstance(key, _KEY_TYPES):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
 
 
 def read_json(path: Union[str, Path]) -> dict:

@@ -389,3 +389,14 @@ def brute_extreme_cycle(s: ShiftSpace, phi: Potential, maximize: bool) -> tuple[
             if best is None or key < best:
                 best = key
     return (-best[0] if maximize else best[0]), best[2]
+
+
+def full_compare_eventually_periodic(x: np.ndarray, max_period: int) -> bool:
+    """Is some period p <= max_period locked in over the second half?  One
+    whole-half compare per period."""
+    n = len(x)
+    half = n // 2
+    for p in range(1, min(max_period, half // 2) + 1):
+        if np.array_equal(x[half:n - p], x[half + p:n]):
+            return True
+    return False

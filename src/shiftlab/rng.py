@@ -25,20 +25,28 @@ def _mix(z: int) -> int:
 
 
 def splitmix64_stream(seed: int, n: int) -> np.ndarray:
-    """First n outputs of splitmix64 as uint64, vectorized."""
+    """First n outputs of splitmix64 as uint64, vectorized in place (one
+    scratch array for the shifts)."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        state = (np.uint64(seed & _MASK) +
-                 (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)))
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(seed & _MASK)
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
+        z *= np.uint64(_MIX2)
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:
     """n floats in [0, 1) from the top 53 bits of each output."""
-    return (splitmix64_stream(seed, n) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    bits = splitmix64_stream(seed, n)
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u /= float(1 << 53)
+    return u
 
 
 def derive_subseed(seed: int, index: int) -> int:

@@ -275,6 +275,35 @@ def test_witness_bytes_pinned(witnesses, tmp_path):
            f"changed: {changed}" if changed else f"{len(orbits)} classes byte-identical")
 
 
+#: sha256 of the classify report JSON of each default witness (as above),
+#: scored against its own certificate with the indicator of 1
+REPORT_DIGESTS = {
+    "W_NOT_QR": "f91a8718df6ddde87236699c9b75b9266f051f4f58c1bc335481fdf9d1cd4946",
+    "V_NOT_W": "2d22dda10551743b311335d14248871fbe443e58abf47af822d3a048529fd9eb",
+    "QW_NOT_V": "8c4e0fbe674e354f4af7e6c1c149330a06884d697c646e3b8ce41899e7f54e59",
+    "I_NOT_QW": "ed3e5417054adcbb9167011ed1386532800c2bc7da6291f55cea1866d78cee32",
+    "QR_NOT_ERG_NOT_A": "697627248fdec262431aa9a5eb7e8cd2dfb699a33146877b46ecff11645e550d",
+    "R_FULL_SUPPORT": "efb28903c82a6e377c282976136e77c74e2ba6274cb491062ad502bfe2b8c016",
+    "ALMOST_PERIODIC_NOT_PER": "4db3b60639148764ec0610bd3a9e9028bbb100695e20b1e168995a07806b772d",
+    "PERIODIC": "cf972883ec5dace4cc29fa5029e0d2adfe1b1c9b9ea3d3ac3e69323f50d87295",
+}
+
+
+def test_report_bytes_pinned(witnesses, full2, phi_full2, tmp_path):
+    """Classify reports of the default witnesses stay byte-identical."""
+    orbits, _ = witnesses
+    changed = []
+    for gc, o in orbits.items():
+        rep = evaluate_certificate(o.word, full2, o.certificate.expected_statistics,
+                                   phi=phi_full2)
+        io.write_json(tmp_path / f"{gc.value}.json", io.report_to_doc(rep))
+        got = hashlib.sha256((tmp_path / f"{gc.value}.json").read_bytes()).hexdigest()
+        if got != REPORT_DIGESTS[gc.value]:
+            changed.append(gc.value)
+    report("report digests", not changed and len(orbits) == len(REPORT_DIGESTS),
+           f"changed: {changed}" if changed else f"{len(orbits)} reports byte-identical")
+
+
 #: sha256 of (stream.txt, certificate.json) for the classes built on a proper
 #: subshift, on two 3-symbol ambients: horizon 2^12, the acceptance seed,
 #: range-1 indicator of 0.  The full 3-shift has tied subgraph entropies.

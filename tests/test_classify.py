@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.classify import (birkhoff_trace, coverage, default_trace_checkpoints,
+from shiftlab.classify import (_coverage, _eventually_periodic, _frequencies,
+                               _rotation_agreements, _sweep_windows, _window_code_sweep,
+                               birkhoff_trace, coverage, default_trace_checkpoints,
                                empirical_measure, evaluate_certificate,
-                               trace_oscillation, visit_statistics, windowed_density)
+                               trace_oscillation, visit_statistics, window_codes,
+                               windowed_density, word_code)
 from shiftlab.errors import TooShort
 from shiftlab.measures import (integrate, markov_word_probability, parry_measure,
                                sample_typical_word, Potential)
-from shiftlab.shifts import iter_words
+from shiftlab.oracle import full_compare_eventually_periodic
+from shiftlab.shifts import full_shift, iter_words
+from shiftlab.synthesis import thue_morse_word
 
 
 def alternating(n):
@@ -193,3 +198,127 @@ class TestHierarchyConsistency:
         g16 = visit_statistics(tm16, 4, k=2).max_gap
         g18 = visit_statistics(tm18, 4, k=2).max_gap
         assert g16 == g18 == 8
+
+
+def _stream(k, n, seed):
+    return np.random.default_rng(seed).integers(0, k, n).astype(np.int64)
+
+
+class TestWindowCodes:
+    def test_codes_that_fill_int64(self):
+        x = _stream(2, 200, 5)
+        codes = window_codes(x, 63, 2)
+        assert codes.min() >= 0
+        assert [int(c) for c in codes] == [word_code(x[i:i + 63].tolist(), 2)
+                                           for i in range(len(codes))]
+
+    def test_codes_that_would_wrap_raise(self):
+        x = np.ones(200, dtype=np.int64)
+        with pytest.raises(ValueError, match="int64"):
+            window_codes(x, 64, 2)
+        with pytest.raises(ValueError, match="int64"):
+            window_codes(x, 70, 2)
+        with pytest.raises(ValueError, match="int64"):
+            list(_window_code_sweep(x, [1, 64], 2))
+
+    @given(k=st.integers(2, 4), n=st.integers(30, 400), seed=st.integers(0, 2 ** 32),
+           lengths=st.sets(st.integers(1, 12), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_fresh_codes(self, k, n, seed, lengths):
+        x = _stream(k, n, seed)
+        swept = [(ell, codes.copy()) for ell, codes in _window_code_sweep(x, lengths, k)]
+        assert [ell for ell, _ in swept] == sorted(lengths)
+        for ell, codes in swept:
+            assert np.array_equal(codes, window_codes(x, ell, k))
+
+
+class TestSweepFacts:
+    """Facts from the one sweep equal the per-target functions exactly."""
+
+    @given(k=st.integers(2, 3), seed=st.integers(0, 2 ** 32), n=st.integers(200, 3000),
+           period=st.sampled_from([None, 1, 2, 3, 5]))
+    @settings(max_examples=40, deadline=None)
+    def test_facts_equal_per_target_scans(self, k, seed, n, period):
+        x = _stream(k, n, seed)
+        if period is not None:
+            x = np.tile(x[:period], n // period + 1)[:n]
+        s = full_shift(k)
+        n_max = n - 8
+        needs = {(fact, ell) for fact in ("self", "counts", "lower") for ell in (1, 2, 3)}
+        needs |= {("self", 8), ("self", 10)}
+        facts = _sweep_windows(x, k, n_max, needs)
+        for ell in (1, 2, 3, 8, 10):
+            got = facts.self_stats[ell]
+            want = visit_statistics(x, ell, n_max=min(n_max, n - ell), k=k)
+            assert got.target == want.target
+            assert np.array_equal(got.visit_times, want.visit_times)
+            assert (got.lower_density_est, got.upper_density_est, got.max_gap, got.horizon) == \
+                (want.lower_density_est, want.upper_density_est, want.max_gap, want.horizon)
+        for ell in (1, 2, 3):
+            assert coverage(x, s, ell) == _coverage(facts.counts[ell], s, ell)
+            assert empirical_measure(x, ell, k=k) == _frequencies(facts.counts[ell], ell, k)
+            for w in iter_words(s, ell):
+                want = visit_statistics(x, ell, n_max=n_max, target=w, k=k)
+                assert facts.lower[ell][word_code(w, k)] == want.lower_density_est
+
+
+class TestPeriodicDensity:
+    @pytest.mark.parametrize("cycle", ["1", "01", "001", "0101", "0110", "0" * 12 + "1",
+                                       "0" * 16 + "1", "0" * 69 + "1"])
+    def test_tiled_cycle_passes(self, full2, cycle):
+        """Periods past the ladder, and past the 63 symbols whose window codes
+        fit in int64."""
+        c = np.array([int(ch) for ch in cycle], dtype=np.int64)
+        x = np.tile(c, (1 << 14) // len(c) + 1)[:1 << 14]
+        stats = [{"check": "periodic_density_exact", "period": len(c)}]
+        assert evaluate_certificate(x, full2, stats).all_pass
+
+    @pytest.mark.parametrize("cycle,period", [("001", 2), ("01", 3), ("0011", 3)])
+    def test_wrong_period_fails(self, full2, cycle, period):
+        c = np.array([int(ch) for ch in cycle], dtype=np.int64)
+        x = np.tile(c, (1 << 14) // len(c) + 1)[:1 << 14]
+        stats = [{"check": "periodic_density_exact", "period": period}]
+        assert not evaluate_certificate(x, full2, stats).all_pass
+
+    def test_aperiodic_stream_fails(self, full2):
+        x = _stream(2, 1 << 14, 8)
+        stats = [{"check": "periodic_density_exact", "period": 3}]
+        assert not evaluate_certificate(x, full2, stats).all_pass
+
+    def test_rotation_agreements(self):
+        assert _rotation_agreements(np.array([0, 0, 1])) == [2, 1, 1]
+        assert _rotation_agreements(np.array([0, 1, 0, 1])) == [2, 2, 2, 2]
+        assert _rotation_agreements(np.array([1])) == [1]
+
+
+def test_coverage_fraction_verdict_is_a_python_bool(full2):
+    stats = [{"check": "coverage_fraction_of_expected", "length": 2, "fraction": 0.5,
+              "expected": [[list(w), 0.25] for w in iter_words(full2, 2)]}]
+    r = evaluate_certificate(_stream(2, 1 << 12, 3), full2, stats)
+    assert type(r.verdicts[0]["passed"]) is bool and r.all_pass
+
+
+def _eventually_periodic_arrays():
+    periodic = st.builds(lambda c, n: np.tile(np.array(c, dtype=np.int64), n // len(c) + 1)[:n],
+                         st.lists(st.integers(0, 2), min_size=1, max_size=40),
+                         st.integers(1, 5000))
+    prefixed = st.builds(lambda pre, tail: np.concatenate([np.array(pre, dtype=np.int64), tail]),
+                         st.lists(st.integers(0, 2), max_size=3000), periodic)
+    noise = st.builds(_stream, st.integers(2, 3), st.integers(1, 5000), st.integers(0, 2 ** 32))
+    return st.one_of(periodic, prefixed, noise)
+
+
+class TestEventuallyPeriodic:
+    @given(x=_eventually_periodic_arrays(), max_period=st.sampled_from([1, 3, 40, 1024]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_verdict_as_full_compare(self, x, max_period):
+        assert _eventually_periodic(x, max_period) == \
+            full_compare_eventually_periodic(x, max_period)
+
+    def test_thue_morse_and_its_periodic_tail(self):
+        tm = np.array(thue_morse_word(1 << 16), dtype=np.int64)
+        assert not _eventually_periodic(tm, 1024)
+        tail = np.tile(tm[:300], 200)
+        x = np.concatenate([tm, tail])
+        assert _eventually_periodic(x, 1024) == full_compare_eventually_periodic(x, 1024)
+        assert _eventually_periodic(tail, 300) and not _eventually_periodic(tail, 299)

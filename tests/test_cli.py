@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import io, shifts
 from shiftlab.cli import main
@@ -177,6 +179,28 @@ class TestPipeline:
         assert doc["schema"] == "shiftlab/report/1"
         assert doc["all_pass"] is True
 
+    @pytest.mark.parametrize("cycle", ["001", "0000000000001"])
+    def test_periodic_cycle_verifies(self, files, tmp_path, capsys, cycle):
+        """A symbol that recurs within the cycle, and a period above the
+        longest ladder length (12)."""
+        orbit = tmp_path / "orbit"
+        assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", "PERIODIC",
+                     "--cycle", cycle, "--horizon", "4096", "--seed", "1",
+                     "--out", str(orbit)]) == 0
+        assert main(["verify", "--orbit", str(orbit)]) == 0
+        assert capsys.readouterr().out.endswith("verified\n")
+
+    def test_classify_full_support_report(self, files, tmp_path):
+        """coverage_fraction_of_expected verdicts are JSON booleans."""
+        orbit, report = tmp_path / "orbit", tmp_path / "report.json"
+        assert main(["synthesize", "--shift", str(files / "full2.json"),
+                     "--class", "R_FULL_SUPPORT", "--potential", str(files / "phi.json"),
+                     "--horizon", str(1 << 14), "--seed", "4", "--out", str(orbit)]) == 0
+        assert main(["classify", "--orbit", str(orbit), "--out", str(report)]) == 0
+        verdicts = json.loads(report.read_text())["verdicts"]
+        assert [v["passed"] for v in verdicts if v["check"] ==
+                "coverage_fraction_of_expected"] == [True]
+
     def test_truncated_stream_exit5(self, files, tmp_path):
         orbit = tmp_path / "orbit"
         run_cli("synthesize", "--shift", str(files / "full2.json"),
@@ -262,3 +286,31 @@ class TestScripts:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert (tmp_path / "s" / "golden_mean.csv").read_text().startswith("a,psi,q_star")
+
+
+_json_scalars = (st.none() | st.booleans() | st.text(max_size=8)
+                 | st.integers(-(10 ** 30), 10 ** 30) | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 2 ** 64, "é☃\U0001f600"]))
+_json_keys = (st.text(max_size=6) | st.integers(-(10 ** 20), 10 ** 20) | st.floats()
+              | st.booleans() | st.none())
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
+                   | st.dictionaries(_json_keys, inner, max_size=6)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    @given(doc=_json_docs)
+    @settings(max_examples=300, deadline=None)
+    def test_same_text_as_indented_dumps(self, doc):
+        assert io._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_write_json_file(self, tmp_path):
+        doc = {"a": [1, 2.5, None], 3: {"b": ()}, None: [[], {}], "c": [{"d": [True]}]}
+        io.write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+    def test_unsupported_key_raises_like_dumps(self):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            io._json_text({(1, 2): 0})

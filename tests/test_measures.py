@@ -341,3 +341,12 @@ class TestSamplingStart:
         m = parry_measure(golden)
         w = sample_typical_word(m, 64, seed=9, start=1)
         assert w[0] == 1 and is_admissible(w, golden)
+
+
+class TestSplitmix:
+    @pytest.mark.parametrize("seed", [0, 1, 20250809, (1 << 64) - 1, -7, (1 << 70) + 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 33, 1000])
+    def test_stream_is_the_scalar_mix(self, seed, n):
+        want = [rng._mix(seed + (i + 1) * rng._GAMMA) for i in range(n)]
+        assert rng.splitmix64_stream(seed, n).tolist() == want
+        assert rng.uniform_stream(seed, n).tolist() == [(z >> 11) / (1 << 53) for z in want]
