@@ -291,6 +291,18 @@ class _WindowFacts:
     lower: dict[int, np.ndarray]
 
 
+#: the parameters each check kind reads; io rejects an entry that lacks one
+CHECK_PARAMS: dict[str, tuple[str, ...]] = {
+    "full_horizon_present": ("horizon",), "trace_attains": ("targets", "tol"),
+    "trace_converges": ("target", "tol", "osc_tol"), "trace_oscillation": ("min_gap",),
+    "cylinder_lower_min": ("lengths", "threshold"), "self_lower_max": ("length", "max"),
+    "self_upper_min": ("length", "min"), "self_upper_decreasing": ("lengths", "final_max"),
+    "coverage_counts": ("length", "min_visits"), "max_gap_bounded": ("bounds",),
+    "coverage_fraction_of_expected": ("length", "expected", "fraction"),
+    "not_eventually_periodic": (), "periodic_density_exact": ("period",),
+}
+
+
 def _window_needs(check: dict) -> set[tuple[str, int]]:
     """(fact, length) pairs a check reads off the sweep; facts as in _WindowFacts."""
     kind = check["check"]
@@ -438,14 +450,9 @@ def _eval_check(check: dict, x: np.ndarray, s: ShiftSpace, phi: Optional[Potenti
         out["passed"] = bool(ratios) and bool(min(ratios) >= check["fraction"])
 
     elif kind == "max_gap_bounded":
-        gaps = {}
-        ok = True
-        for ell, bound in check["bounds"]:
-            st = facts.self_stats[int(ell)]
-            gaps[int(ell)] = st.max_gap
-            ok = ok and st.max_gap <= bound
+        gaps = {int(ell): facts.self_stats[int(ell)].max_gap for ell, _ in check["bounds"]}
         out["measured"] = gaps
-        out["passed"] = ok
+        out["passed"] = all(gaps[int(ell)] <= bound for ell, bound in check["bounds"])
 
     elif kind == "not_eventually_periodic":
         out["passed"] = not _eventually_periodic(x, check.get("max_period", 1024))

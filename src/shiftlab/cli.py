@@ -131,15 +131,13 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def _run_report(orbit_dir: str):
-    o = io.read_orbit_dir(orbit_dir)
-    report = evaluate_certificate(o.word, o.shift, o.certificate.expected_statistics,
-                                  phi=o.certificate.phi)
-    return o, report
+def _report(o):
+    return evaluate_certificate(o.word, o.shift, o.certificate.expected_statistics,
+                                phi=o.certificate.phi)
 
 
 def cmd_classify(args) -> int:
-    o, report = _run_report(args.orbit)
+    report = _report(io.read_orbit_dir(args.orbit))
     io.write_json(args.out, io.report_to_doc(report))
     _print_verdicts(report)
     _maybe_manifest(args, "classify", {"orbit": args.orbit}, [args.out])
@@ -160,8 +158,7 @@ def cmd_verify(args) -> int:
     except CertificateMismatch as e:
         print(f"certificate mismatch: {e}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    report = evaluate_certificate(o.word, o.shift, o.certificate.expected_statistics,
-                                  phi=o.certificate.phi)
+    report = _report(o)
     _print_verdicts(report)
     if not report.all_pass:
         return EXIT_VERDICT

@@ -50,7 +50,7 @@ class DegenerateInterval(ShiftlabError):
 
 
 class EndpointSaturation(ShiftlabError):
-    """Legendre bracketing hit the |q| cap before bracketing the target."""
+    """The root of P'(q) = a lies beyond the |q| cap."""
 
 
 class NotConverged(ShiftlabError):

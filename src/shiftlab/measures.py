@@ -41,9 +41,6 @@ class Potential:
         except KeyError:
             raise RangeMismatch(f"word {key} missing from potential table")
 
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.table.values())
-
 
 def validate_potential(s: ShiftSpace, phi: Potential) -> None:
     """Check the table covers exactly the admissible range-words of s."""

@@ -4,7 +4,10 @@ The constrained-entropy curve  psi(a) = sup{ h_m : integral of phi d m = a }
 is computed as the concave conjugate  psi(a) = inf_q [P(q) - q a]  of the
 pressure  P(q) = log spectral radius of B(q), B(q)_ij = A_ij exp(q phi(i,j)).
 The attainable-average interval comes from exact min/max mean-cycle search
-(Karp's recurrence in Fraction arithmetic), with witnessing cycles.
+(Karp's recurrence in Fraction arithmetic), with witnessing cycles.  The
+infimum sits where P'(q) = a: P' is the integral of phi against the
+equilibrium state of q phi and P'' its asymptotic variance (Walters, ch. 9;
+Ruelle), both read off the Perron solve that gives P, and Newton finds q.
 
 Potentials of range r > 2 are recoded onto the (r-1)-block graph so a single
 edge-weighted kernel serves every range.
@@ -21,13 +24,12 @@ import numpy as np
 
 from .errors import (DegenerateInterval, EndpointSaturation, NotPrimitive,
                      NotStronglyConnected, OutsideInterior, PressureOverflow)
-from .measures import Potential
+from .measures import Potential, integrate, parry_measure
 from .shifts import (ShiftSpace, Word, iter_words, strongly_connected_components,
                      topological_entropy)
 
 Q_CAP = 500.0
-SUBGRADIENT_H = 1e-5
-GOLDEN_SECTION_TOL = 1e-10
+NEWTON_TOL = 1e-12
 IRREGULARITY_TOL = 1e-12
 
 
@@ -54,12 +56,7 @@ def edge_system(s: ShiftSpace, phi: Potential) -> EdgeSystem:
     weight phi(u . v[-1]).
     """
     if phi.range <= 2:
-        weights = {}
-        for i in range(s.k):
-            for j in range(s.k):
-                if s.matrix[i][j]:
-                    key = (i,) if phi.range == 1 else (i, j)
-                    weights[(i, j)] = phi.table[key]
+        weights = {(i, j): phi.table[(i, j)[:phi.range]] for i, j in s.edges()}
         return EdgeSystem(k=s.k, weights=weights, decode=tuple(range(s.k)))
     r = phi.range
     blocks = list(iter_words(s, r - 1))
@@ -72,71 +69,11 @@ def edge_system(s: ShiftSpace, phi: Potential) -> EdgeSystem:
     return EdgeSystem(k=len(blocks), weights=weights, decode=tuple(w[0] for w in blocks))
 
 
-@dataclass
-class PressureFunction:
-    """Evaluation cache for q -> P(q) on one edge system."""
-
-    system: EdgeSystem
-    cache: dict[float, float] = field(default_factory=dict)
-
-    def __call__(self, q: float) -> float:
-        if abs(q) > Q_CAP:
-            raise PressureOverflow(f"|q| = {abs(q)} beyond documented cap {Q_CAP}")
-        if q not in self.cache:
-            self.cache[q] = _pressure_value(self.system, q)
-        return self.cache[q]
-
-    def derivative(self, q: float) -> float:
-        h = SUBGRADIENT_H
-        return (self(q + h) - self(q - h)) / (2 * h)
-
-
-def _pressure_value(system: EdgeSystem, q: float) -> float:
-    """log of the Perron eigenvalue of A_ij exp(q w_ij).
-
-    Rescaled dense eigenvalues when the weighted entries fit in doubles;
-    log-domain power iteration otherwise (the Collatz-Wielandt bounds
-    min/max of (Bv)_i / v_i bracket the eigenvalue, so the stopping rule
-    is rigorous and primitivity guarantees convergence).
-    """
-    k = system.k
-    log_b = np.full((k, k), -np.inf)
-    for (i, j), w in system.weights.items():
-        log_b[i, j] = q * w
-    finite = log_b[np.isfinite(log_b)]
-    shift = float(np.max(finite))
-    if shift - float(np.min(finite)) < 600.0:
-        b = np.exp(np.where(np.isfinite(log_b), log_b - shift, -np.inf))
-        lam = float(np.max(np.abs(np.linalg.eigvals(b))))
-        return shift + math.log(lam)
-    mask = np.isfinite(log_b)
-    v = np.zeros(k)
-    lam_hi = lam_lo = 0.0
-    for _ in range(500000):
-        terms = log_b + v[None, :]
-        row_max = np.max(terms, axis=1)
-        with np.errstate(invalid="ignore"):
-            safe = np.where(mask, np.exp(terms - row_max[:, None]), 0.0)
-        w = row_max + np.log(safe.sum(axis=1))
-        diff = w - v
-        lam_hi = float(np.max(diff))
-        lam_lo = float(np.min(diff))
-        v = w - np.max(w)
-        if lam_hi - lam_lo <= 1e-14 * max(1.0, abs(lam_hi)):
-            break
-    return (lam_hi + lam_lo) / 2.0
-
-
-def pressure(s: ShiftSpace, phi: Potential, q: float) -> float:
-    """log Perron eigenvalue of the q-weighted transition matrix."""
-    if not s.is_primitive:
-        raise NotPrimitive("pressure needs a primitive shift")
-    return PressureFunction(edge_system(s, phi))(q)
-
-
 @dataclass(frozen=True)
 class LphiInterval:
-    """Attainable averages [lo, hi] with extreme cycles as witnesses."""
+    """Attainable averages [lo, hi] with extreme cycles as witnesses, and
+    each edge's reduced weight w - mean + p[u] - p[v] under Karp's exact
+    potentials p: >= 0 at lo, <= 0 at hi, 0 on the extreme cycles."""
 
     lo: float
     hi: float
@@ -144,10 +81,14 @@ class LphiInterval:
     hi_cycle: Word
     lo_exact: Fraction
     hi_exact: Fraction
+    lo_reduced: dict[tuple[int, int], float] = field(compare=False, repr=False)
+    hi_reduced: dict[tuple[int, int], float] = field(compare=False, repr=False)
 
 
-def _karp_extreme_cycle(system: EdgeSystem, maximize: bool) -> tuple[Fraction, Word]:
-    """Exact extreme mean cycle by Karp's recurrence over Fractions.
+def _karp_extreme_cycle(system: EdgeSystem,
+                        maximize: bool) -> tuple[Fraction, Word, dict[tuple[int, int], float]]:
+    """Exact extreme mean cycle by Karp's recurrence over Fractions, and the
+    reduced weights of its potentials (see LphiInterval).
 
     Ties in the optimum break toward the shortest cycle, then toward the
     lexicographically smallest one (decoded to ambient symbols, least
@@ -177,33 +118,18 @@ def _karp_extreme_cycle(system: EdgeSystem, maximize: bool) -> tuple[Fraction, W
                 cand = prev[u] + wt
                 if cur[v] is None or cand < cur[v]:
                     cur[v] = cand
-    mu_star: Optional[Fraction] = None
-    for v in range(k):
-        if d[k][v] is None:
-            continue
-        worst = None
-        for m in range(k):
-            if d[m][v] is None:
-                continue
-            val = Fraction(d[k][v] - d[m][v], k - m)
-            if worst is None or val > worst:
-                worst = val
-        if worst is not None and (mu_star is None or worst < mu_star):
-            mu_star = worst
-    if mu_star is None:
+    ends = [v for v in range(k) if d[k][v] is not None]
+    if not ends:
         raise NotStronglyConnected("no cycle found")
+    mu_star = min(max(Fraction(d[k][v] - d[m][v], k - m) for m in range(k) if d[m][v] is not None)
+                  for v in ends)
     # witness: zero-mean cycle in the reweighted graph, via exact potentials;
     # reduced weights times mu_star's denominator are integers too
     rw = {e: wt * mu_star.denominator - mu_star.numerator for e, wt in w.items()}
     h = [0] * k
     for _ in range(k):
-        changed = False
         for (u, v), wt in rw.items():
-            if h[u] + wt < h[v]:
-                h[v] = h[u] + wt
-                changed = True
-        if not changed:
-            break
+            h[v] = min(h[v], h[u] + wt)
     tight = np.zeros((k, k), dtype=bool)
     for (u, v), wt in rw.items():
         tight[u, v] = h[u] + wt == h[v]
@@ -226,7 +152,20 @@ def _karp_extreme_cycle(system: EdgeSystem, maximize: bool) -> tuple[Fraction, W
         pairs = {(a, int(u)) for a, v in pairs if system.decode[v] == sym
                  for u in np.flatnonzero(tight[v])}
     value = (-mu_star if maximize else mu_star) / den
-    return value, tuple(best_word)
+    # rw + h[u] - h[v] = sign * (w - value + p[u] - p[v]) * scale; the reduced
+    # weights take the float weights themselves, exact up to the last rounding
+    scale = den * mu_star.denominator
+    p = [Fraction(sign * x, scale) for x in h]
+    reduced = {(u, v): float(Fraction(x) - value + p[u] - p[v])
+               for (u, v), x in system.weights.items()}
+    return value, tuple(best_word), reduced
+
+
+def _extreme_cycles(system: EdgeSystem) -> LphiInterval:
+    lo, lo_cyc, lo_red = _karp_extreme_cycle(system, maximize=False)
+    hi, hi_cyc, hi_red = _karp_extreme_cycle(system, maximize=True)
+    return LphiInterval(lo=float(lo), hi=float(hi), lo_cycle=lo_cyc, hi_cycle=hi_cyc,
+                        lo_exact=lo, hi_exact=hi, lo_reduced=lo_red, hi_reduced=hi_red)
 
 
 def lphi_interval(s: ShiftSpace, phi: Potential) -> LphiInterval:
@@ -235,11 +174,77 @@ def lphi_interval(s: ShiftSpace, phi: Potential) -> LphiInterval:
     real = [c for c in comps if len(c) > 1 or s.matrix[c[0]][c[0]]]
     if len(real) != 1 or len(real[0]) != s.k:
         raise NotStronglyConnected("interval search needs a strongly connected graph")
-    system = edge_system(s, phi)
-    lo, lo_cyc = _karp_extreme_cycle(system, maximize=False)
-    hi, hi_cyc = _karp_extreme_cycle(system, maximize=True)
-    return LphiInterval(lo=float(lo), hi=float(hi), lo_cycle=lo_cyc, hi_cycle=hi_cyc,
-                        lo_exact=lo, hi_exact=hi)
+    return _extreme_cycles(edge_system(s, phi))
+
+
+@dataclass
+class PressureFunction:
+    """q -> P(q) on one edge system; cache maps q to (P(q), P'(q), P''(q)).
+
+    With m = hi for q >= 0 (lo for q < 0) and that extreme's reduced
+    weights R, B(q) = exp(q m) D exp(q R) D^-1 for a diagonal D; exp(q R)
+    has entries <= 1, equal to 1 on the extreme cycle, so its Perron root
+    rho lies in [1, k] and P = q m + log rho never overflows.  Its Perron
+    data give the equilibrium state of q phi: P' = m + the integral of R
+    (= the integral of phi; the coboundary integrates to 0), and P'' = the
+    asymptotic variance of R.  The interval defaults to a fresh Karp pass.
+    """
+
+    system: EdgeSystem
+    interval: Optional[LphiInterval] = None
+    cache: dict[float, tuple[float, float, float]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        iv = self.interval = self.interval or _extreme_cycles(self.system)
+        edges = list(self.system.weights)
+        self._edges = tuple(np.array(edges, dtype=np.intp).T)
+        self._sides = ((iv.lo, np.array([iv.lo_reduced[e] for e in edges])),
+                       (iv.hi, np.array([iv.hi_reduced[e] for e in edges])))
+
+    def __call__(self, q: float) -> float:
+        if abs(q) > Q_CAP:
+            raise PressureOverflow(f"|q| = {abs(q)} beyond documented cap {Q_CAP}")
+        if q not in self.cache:
+            self.cache[q] = self._solve(q)
+        return self.cache[q][0]
+
+    def _solve(self, q: float) -> tuple[float, float, float]:
+        mean, reduced = self._sides[q >= 0]
+        k = self.system.k
+        rows, cols = self._edges
+        b = np.zeros((k, k))
+        b[rows, cols] = np.exp(q * reduced)
+        rho = float(np.max(np.linalg.eigvals(b).real))
+        pressure = q * mean + math.log(rho)
+        # M = [[b - rho I, 1], [1^T, 0]]: M^-1 holds the right Perron vector r
+        # (last column), the left one l (last row) and a generalized inverse G
+        # of b - rho I; x = -G (b r (R - P')) is r times the Poisson solution
+        # of the chain b_uv r_v / (rho r_u), so nothing divides by a tiny r_u
+        border = np.block([[b - rho * np.eye(k), np.ones((k, 1))],
+                           [np.ones((1, k)), np.zeros((1, 1))]])
+        with np.errstate(all="ignore"):
+            try:
+                inv = np.linalg.inv(border)
+            except np.linalg.LinAlgError:
+                return pressure, mean, 0.0
+            right, left, green = inv[:k, k], inv[k, :k], inv[:k, :k]
+            flow = left[rows] * b[rows, cols] / (rho * float(left @ right))
+            drift = float(flow @ (right[cols] * reduced))
+            centred = reduced - drift
+            x = -green @ np.bincount(rows, b[rows, cols] * right[cols] * centred, minlength=k)
+            variance = float(flow @ (centred * (right[cols] * centred + 2.0 * x[cols])))
+        if not (reduced.min() <= drift <= reduced.max() and 0.0 <= variance < math.inf):
+            # the equilibrium state sits on extreme cycles (tied ones that no
+            # representable entry couples leave M singular): P' = mean to rounding
+            return pressure, mean, 0.0
+        return pressure, mean + drift, variance
+
+
+def pressure(s: ShiftSpace, phi: Potential, q: float) -> float:
+    """log Perron eigenvalue of the q-weighted transition matrix."""
+    if not s.is_primitive:
+        raise NotPrimitive("pressure needs a primitive shift")
+    return PressureFunction(edge_system(s, phi))(q)
 
 
 def has_irregular(s: ShiftSpace, phi: Potential) -> bool:
@@ -251,10 +256,13 @@ def has_irregular(s: ShiftSpace, phi: Potential) -> bool:
 def spectrum_point(s: ShiftSpace, phi: Potential, a: float,
                    pf: Optional[PressureFunction] = None,
                    interval: Optional[LphiInterval] = None) -> tuple[float, float]:
-    """(psi, q_star) at an interior average a, by convex minimization in q.
+    """(psi, q_star) at an interior average a, where P'(q_star) = a.
 
-    Doubles a bracket from [-1, 1] until the pressure subgradient straddles
-    a, then golden-section minimizes P(q) - q a to width 1e-10.
+    Newton's method from q = 0 on the exact P' and P''.  P' increases, so
+    each evaluation narrows a bracket around the root; a step that leaves
+    the bracket (or that P'' <= 0 leaves undefined) bisects it instead, and
+    a step past the cap stops at the cap.  EndpointSaturation when P' at
+    the cap still falls short of a.  psi = P(q_star) - q_star a.
     """
     iv = interval if interval is not None else lphi_interval(s, phi)
     if not iv.lo < a < iv.hi:
@@ -262,35 +270,22 @@ def spectrum_point(s: ShiftSpace, phi: Potential, a: float,
             raise OutsideInterior(f"interval degenerate at {iv.lo}")
         raise OutsideInterior(f"a={a} not inside ({iv.lo}, {iv.hi})")
     if pf is None:
-        pf = PressureFunction(edge_system(s, phi))
+        pf = PressureFunction(edge_system(s, phi), iv)
 
-    lo_q, hi_q = -1.0, 1.0
-    while pf.derivative(lo_q) > a:
-        lo_q *= 2
-        if lo_q < -Q_CAP:
-            raise EndpointSaturation(f"bracketing hit -{Q_CAP}")
-    while pf.derivative(hi_q) < a:
-        hi_q *= 2
-        if hi_q > Q_CAP:
-            raise EndpointSaturation(f"bracketing hit {Q_CAP}")
-
-    g = lambda q: pf(q) - q * a
-    invphi = (math.sqrt(5) - 1) / 2
-    x1 = hi_q - invphi * (hi_q - lo_q)
-    x2 = lo_q + invphi * (hi_q - lo_q)
-    f1, f2 = g(x1), g(x2)
-    while hi_q - lo_q > GOLDEN_SECTION_TOL:
-        if f1 <= f2:
-            hi_q, x2, f2 = x2, x1, f1
-            x1 = hi_q - invphi * (hi_q - lo_q)
-            f1 = g(x1)
-        else:
-            lo_q, x1, f1 = x1, x2, f2
-            x2 = lo_q + invphi * (hi_q - lo_q)
-            f2 = g(x2)
-    q_star = (lo_q + hi_q) / 2
-    psi = g(q_star)
-    return float(psi), float(q_star)
+    q, lo_q, hi_q = 0.0, -math.inf, math.inf
+    while True:
+        pf(q)
+        value, slope, curvature = pf.cache[q]
+        gap = a - slope
+        if abs(q) == Q_CAP and gap * q > 0:
+            raise EndpointSaturation(f"P'({q}) = {slope} does not reach a = {a}")
+        lo_q, hi_q = (q, hi_q) if gap > 0 else (lo_q, q)
+        step = gap / curvature if curvature > 0 else math.copysign(math.inf, gap)
+        tol = NEWTON_TOL * (1.0 + abs(q))
+        if gap == 0 or abs(step) <= tol or hi_q - lo_q <= tol:
+            return value - q * a, q
+        q_next = min(max(q + step, -Q_CAP), Q_CAP)
+        q = q_next if lo_q < q_next < hi_q else (lo_q + hi_q) / 2
 
 
 @dataclass
@@ -310,15 +305,13 @@ def spectrum_curve(s: ShiftSpace, phi: Potential, npoints: int) -> SpectrumCurve
     iv = lphi_interval(s, phi)
     if iv.hi - iv.lo <= IRREGULARITY_TOL:
         raise DegenerateInterval("constant cycle averages; no spectrum to plot")
-    from .measures import integrate, parry_measure
-
     h_top = topological_entropy(s)
     a_star = integrate(parry_measure(s), phi)
     grid = [iv.lo + (iv.hi - iv.lo) * (i + 1) / (npoints + 1) for i in range(npoints)]
     if min(abs(a - a_star) for a in grid) > 1e-3:
         grid.append(a_star)
     grid.sort()
-    pf = PressureFunction(edge_system(s, phi))
+    pf = PressureFunction(edge_system(s, phi), iv)
     pts = [(a,) + spectrum_point(s, phi, a, pf=pf, interval=iv) for a in grid]
     return SpectrumCurve(points=pts, h_top=h_top, parry_average=a_star, interval=iv)
 

@@ -344,13 +344,15 @@ def test_ambient_witness_bytes_pinned(full3, tmp_path):
 
 
 #: sha256 of (curve CSV, manifest) written by `shiftlab spectrum --points 9`
-#: with relative paths; the manifest records the interval's extreme cycles
+#: with relative paths; the manifest records the interval's extreme cycles.
+#: The CSVs carry the q_star of the Newton solver (PINNED_POINTS holds the
+#: golden-section values they replaced; a and psi are byte-identical)
 SPECTRUM_DIGESTS = {
-    ("golden", (1,)): ("342ff114f4cf73a4a62177b5467f409d7b593ed2bf648c613cdadf57b9b3c7b1",
+    ("golden", (1,)): ("424d93c24ca83e0e4c8833271431dd3f08eb673b39a6296a8bf128dd15ea458e",
                        "c1c3577bebc6de2a02960442b47006b9359b41522aa7d95284676c3346dd2548"),
-    ("full2", (1,)): ("14ffdc0cffcc2b030ac15829d4f5db648e141c4ae91c2c52fe0990652918aee3",
+    ("full2", (1,)): ("f2c0b02cdad6d4fc069a71691f8bd5c65c05f6d0fc1cce5a7a89549ebcc29dc4",
                       "d40a6c972685cc22ce6942907684605c3c90b3e7461eea842735a10dd51ccf4d"),
-    ("full2", (1, 1, 1, 1, 1)): ("f3184ffb601cd6e328424ce17af1e31e44c0c44543386295d52c60277253383a",
+    ("full2", (1, 1, 1, 1, 1)): ("09f915109c7bc4cf00c32b3ec93f4e3a919b2e033aa67ecddd3f5c201012b4be",
                                  "c8c7a364938b773c2d46cd6cb6666e5f429cd1c49b7903ee5f68e7db1ee64eec"),
 }
 
@@ -375,3 +377,60 @@ def test_spectrum_bytes_pinned(golden, full2, tmp_path, monkeypatch):
             changed.append(tag)
     report("spectrum digests", not changed,
            f"changed: {changed}" if changed else f"{len(SPECTRUM_DIGESTS)} curves byte-identical")
+
+
+#: (a, psi, q_star) of the SPECTRUM_DIGESTS curves as the golden-section
+#: solver computed them before the Newton solver replaced it
+PINNED_POINTS = {
+    ("golden", (1,)): [
+        (0.05, 0.1958824481015703, -2.836304574836209),
+        (0.1, 0.3139488862587288, -1.9616585238856152),
+        (0.15, 0.39609936841688637, -1.3462889605139252),
+        (0.2, 0.4498681156950467, -0.8109302331309862),
+        (0.25, 0.4773856262211095, -0.2876820655670851),
+        (0.2763932022500224, 0.4812118250596034, 1.3756372308875706e-08),
+        (0.3, 0.4780356732903301, 0.2719336940047284),
+        (0.35, 0.44862068941222255, 0.9273405624581639),
+        (0.4, 0.38190850097688755, 1.7917594661534189),
+        (0.45, 0.26077662218181064, 3.208825438487462),
+    ],
+    ("full2", (1,)): [
+        (0.1, 0.32508297339144826, -2.1972245349419572),
+        (0.2, 0.5004024235381878, -1.3862943603407762),
+        (0.3, 0.6108643020548936, -0.8472978856747418),
+        (0.4, 0.6730116670092565, -0.4054651270340889),
+        (0.5, 0.6931471805599453, -9.957955693120812e-09),
+        (0.6, 0.6730116670092564, 0.40546512270467444),
+        (0.7, 0.6108643020548935, 0.8472978835675262),
+        (0.8, 0.5004024235381879, 1.386294343774939),
+        (0.9, 0.32508297339144865, 2.1972246273930036),
+    ],
+    ("full2", (1, 1, 1, 1, 1)): [
+        (0.03125, 0.6931471805599443, 6.876584305432209e-09),
+        (0.1, 0.6774794188534192, 0.3616718594102837),
+        (0.2, 0.6323388951488542, 0.5184990204916287),
+        (0.3, 0.5760435986160118, 0.6014939865786595),
+        (0.4, 0.5127785639996789, 0.6615331192635157),
+        (0.5, 0.4440269724539472, 0.7126796610677759),
+        (0.6, 0.37030917594229773, 0.7617989114591008),
+        (0.7, 0.2915446074578272, 0.8146821847306076),
+        (0.8, 0.2069603207810392, 0.880337186888265),
+        (0.9, 0.11425804855926647, 0.9851400538368962),
+    ],
+}
+
+
+def test_spectrum_points_match_golden_section(golden, full2):
+    """Newton on the exact P' lands on the points the old golden-section
+    search found: psi within 1e-12, q_star within its old 1e-6 error."""
+    shifts = {"golden": golden, "full2": full2}
+    worst_psi = worst_q = 0.0
+    for (name, target), pinned in PINNED_POINTS.items():
+        s = shifts[name]
+        curve = spectrum_curve(s, indicator_potential(s, target), 9)
+        assert [a for a, _, _ in curve.points] == [a for a, _, _ in pinned]
+        for (_, psi, q), (_, old_psi, old_q) in zip(curve.points, pinned):
+            worst_psi = max(worst_psi, abs(psi - old_psi))
+            worst_q = max(worst_q, abs(q - old_q))
+    report("spectrum points", worst_psi <= 1e-12 and worst_q <= 1e-6,
+           f"max|dpsi|={worst_psi:.2e} max|dq*|={worst_q:.2e}")

@@ -44,6 +44,10 @@ def _first(doc: dict, kind: str) -> dict:
     return next(seg for seg in doc["schedule"] if seg["kind"] == kind)
 
 
+def _check(doc: dict, kind: str) -> dict:
+    return next(chk for chk in doc["expected_statistics"] if chk["check"] == kind)
+
+
 MALFORMED_CERTIFICATES = {
     "no_schedule": lambda d: d.pop("schedule"),
     "no_pool": lambda d: d.pop("pool"),
@@ -56,6 +60,7 @@ MALFORMED_CERTIFICATES = {
     "literal_word_null": lambda d: _first(d, "literal").update(word=None),
     "bridge_word_null": lambda d: _first(d, "bridge").update(word=None),
     "periodic_word_null": lambda d: _first(d, "periodic").update(word=None),
+    "self_lower_max_no_length": lambda d: _check(d, "self_lower_max").pop("length"),
 }
 
 

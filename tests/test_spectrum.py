@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from shiftlab.errors import (DegenerateInterval, NotStronglyConnected, OutsideInterior,
@@ -190,3 +191,64 @@ class TestNearEndpoints:
             psi, q = spectrum_point(golden, phi_golden, a)
             assert 0.0 < psi <= h + 1e-9
             assert abs(q) <= 500.0
+
+
+def _mp_pressure(c: float):
+    """P(q) of c * 1_[1] on the golden shift: log((1 + sqrt(1 + 4 e^{cq})) / 2)."""
+    return lambda q: mpmath.log((1 + mpmath.sqrt(1 + 4 * mpmath.exp(c * q))) / 2)
+
+
+class TestDerivatives:
+    def test_slope_and_curvature_closed_form(self, golden, phi_golden):
+        pf = PressureFunction(edge_system(golden, phi_golden))
+        exact = _mp_pressure(1.0)
+        for q in (-20.0, -5.0, -1.0, 0.0, 0.5, 3.0, 25.0):
+            pf(q)
+            _, slope, curvature = pf.cache[q]
+            assert abs(slope - float(mpmath.diff(exact, q))) <= 1e-12
+            assert abs(curvature - float(mpmath.diff(exact, q, 2))) <= 1e-12
+
+    def test_slope_monotone_on_tied_extreme_cycles(self):
+        # the minimum mean 3 sits on the loops at 1 and 2, joined by the tight
+        # edge 1 -> 2: the Perron root is nearly double for q << 0, where the
+        # Perron data lose their digits; P' must still rise within [lo, hi]
+        s = sft_from_matrix(3, [[1, 1, 1], [0, 1, 1], [1, 0, 1]])
+        pf = PressureFunction(edge_system(s, Potential(range=1, table={
+            (0,): 9.0, (1,): 3.0, (2,): 3.0})))
+        slopes = []
+        for q in [-60.0 + 0.25 * i for i in range(241)]:
+            pf(q)
+            slopes.append(pf.cache[q][1])
+        assert all(3.0 <= x <= 9.0 for x in slopes)
+        assert all(x <= y + 1e-9 for x, y in zip(slopes, slopes[1:]))
+
+    def test_no_second_karp_pass(self, golden, phi_golden):
+        iv = lphi_interval(golden, phi_golden)
+        assert PressureFunction(edge_system(golden, phi_golden), iv).interval is iv
+
+
+class TestOverflowRegime:
+    """|q| near the cap, where q phi spans hundreds of nats: the balanced
+    kernel against closed forms."""
+
+    def test_coboundary_is_entropy(self, golden):
+        # phi(01) = 2, phi(10) = -2 is a coboundary: P(q) = log of the golden ratio
+        phi = Potential(range=2, table={(0, 0): 0.0, (0, 1): 2.0, (1, 0): -2.0})
+        for q in (-500.0, -300.0, 300.0, 500.0):
+            assert abs(pressure(golden, phi, q) - math.log(PHI)) <= 1e-12
+
+    def test_scaled_indicator_closed_form(self, golden):
+        phi = Potential(range=1, table={(0,): 0.0, (1,): 5.0})
+        exact = _mp_pressure(5.0)
+        for q in (-500.0, -300.0, 300.0, 500.0):
+            assert abs(pressure(golden, phi, q) - float(exact(q))) <= 1e-12
+
+    def test_spectrum_point_near_endpoints(self, golden):
+        # L_phi = [0, 5/2]; the exact root of P'(q) = a and psi = P(q) - q a
+        phi = Potential(range=1, table={(0,): 0.0, (1,): 5.0})
+        exact = _mp_pressure(5.0)
+        for a in (1e-9, 2.5 - 1e-9):
+            psi, q = spectrum_point(golden, phi, a)
+            q_exact = mpmath.findroot(lambda t: mpmath.diff(exact, t) - a, q)
+            assert abs(q - float(q_exact)) <= 1e-6
+            assert abs(psi - float(exact(q_exact) - q_exact * a)) <= 1e-12
