@@ -29,13 +29,6 @@ DEFAULT_TRACE_CHECKPOINTS = 128
 
 
 @dataclass
-class ClassifyConfig:
-    ladder: tuple[int, ...] = DEFAULT_LADDER
-    horizon: Optional[int] = None
-    trace_checkpoints: int = DEFAULT_TRACE_CHECKPOINTS
-
-
-@dataclass
 class VisitStatistics:
     cylinder_len: int
     target: Word
@@ -506,26 +499,23 @@ def _eventually_periodic(x: np.ndarray, max_period: int) -> bool:
 
 
 def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
-                         phi: Optional[Potential] = None,
-                         config: Optional[ClassifyConfig] = None) -> RecurrenceReport:
+                         phi: Optional[Potential] = None) -> RecurrenceReport:
     """Score a stream against its certificate's expected statistics.
 
     Failures are verdicts, never exceptions: the report is pure data.
     """
-    cfg = config or ClassifyConfig()
     arr = _as_array(x)
-    max_ell = max(cfg.ladder)
-    n_max = cfg.horizon if cfg.horizon is not None else len(arr) - max_ell
-    n_max = min(n_max, len(arr) - max_ell)
+    max_ell = max(DEFAULT_LADDER)
+    n_max = len(arr) - max_ell
     if n_max < 16:
         raise TooShort("stream too short for any evidence")
 
-    needs = {("self", ell) for ell in cfg.ladder}
-    needs |= {("counts", ell) for ell in cfg.ladder if ell <= 4}
+    needs = {("self", ell) for ell in DEFAULT_LADDER}
+    needs |= {("counts", ell) for ell in DEFAULT_LADDER if ell <= 4}
     for chk in expected_statistics:
         needs |= _window_needs(chk)
     facts = _sweep_windows(arr, s.k, n_max, needs)
-    ladder_stats = {ell: facts.self_stats[ell] for ell in cfg.ladder}
+    ladder_stats = {ell: facts.self_stats[ell] for ell in DEFAULT_LADDER}
 
     if phi is not None:
         cps = default_trace_checkpoints(min(len(arr) - phi.range, n_max + max_ell))
@@ -535,7 +525,7 @@ def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
         trace = []
         osc = (0.0, 0.0)
 
-    cov = {ell: _coverage(facts.counts[ell], s, ell)[0] for ell in cfg.ladder if ell <= 4}
+    cov = {ell: _coverage(facts.counts[ell], s, ell)[0] for ell in DEFAULT_LADDER if ell <= 4}
     verdicts = [_eval_check(chk, arr, s, phi, trace, facts) for chk in expected_statistics]
     return RecurrenceReport(horizon=n_max, ladder_stats=ladder_stats, trace=trace,
                             oscillation=osc, cylinder_coverage=cov, verdicts=verdicts)

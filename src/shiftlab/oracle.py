@@ -66,6 +66,33 @@ def brute_count_cycles(s: ShiftSpace, n: int) -> int:
     return sum(extend(c, c, n - 1) for c in range(s.k))
 
 
+def brute_primitive_gap(s: ShiftSpace) -> int:
+    """Least M >= 1 with an M-edge path between every ordered pair of symbols.
+
+    Grows the (first, last) pairs of the admissible words one symbol at a
+    time.  Raises BoundExceeded past MAX_WORD_LEN edges, which is how a
+    shift that is not primitive shows here.
+    """
+    every_pair = {(i, j) for i in range(s.k) for j in range(s.k)}
+    ends = {(i, i) for i in range(s.k)}
+    for m in range(1, MAX_WORD_LEN + 1):
+        ends = {(i, t) for i, c in ends for t in range(s.k) if s.matrix[c][t]}
+        if ends == every_pair:
+            return m
+    raise BoundExceeded(f"no positive power up to {MAX_WORD_LEN}")
+
+
+def brute_connecting_word(s: ShiftSpace, a: int, b: int, length: int) -> Word:
+    """First w in itertools.product order with a.w.b admissible, |w| = length."""
+    if s.k ** length > MAX_CYCLE_WORDS:
+        raise BoundExceeded(f"{s.k}^{length} words > {MAX_CYCLE_WORDS}")
+    for w in product(range(s.k), repeat=length):
+        path = (a,) + w + (b,)
+        if all(s.matrix[path[i]][path[i + 1]] for i in range(length + 1)):
+            return w
+    raise Infeasible(f"no {length}-symbol word joins {a} to {b}")
+
+
 def _stationary(p: np.ndarray) -> np.ndarray:
     """Stationary row vector via the linear system pi(P - I) = 0, sum(pi) = 1.
 

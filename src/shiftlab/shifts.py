@@ -9,7 +9,6 @@ are natural.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -18,9 +17,6 @@ import numpy as np
 from .errors import EmptyShift, NotAdmissible, NotConverged, NotPrimitive, SymbolOutOfRange
 
 Word = tuple[int, ...]
-
-#: Wielandt bound would be k^2 - 2k + 2; k^2 is the documented search cap.
-_PRIMITIVITY_CAP_EXP = 2
 
 
 def parse_word(text: str) -> Word:
@@ -63,24 +59,6 @@ class ShiftSpace:
         return [(i, j) for i in range(self.k) for j in range(self.k) if self.matrix[i][j]]
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def _int_matpow(a: list[list[int]], n: int) -> list[list[int]]:
-    size = len(a)
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    base = [row[:] for row in a]
-    while n:
-        if n & 1:
-            result = _int_matmul(result, base)
-        base = _int_matmul(base, base)
-        n >>= 1
-    return result
-
-
 def _trim(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Iteratively delete symbols with a zero row or zero column.
 
@@ -98,40 +76,47 @@ def _trim(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return [], []
 
 
-def _positivity_gap(matrix: list[list[int]], cap: int) -> Optional[int]:
-    """Least M <= cap with matrix^M entrywise positive (boolean arithmetic)."""
-    k = len(matrix)
-    boolean = [[1 if matrix[i][j] else 0 for j in range(k)] for i in range(k)]
-    power = boolean
-    for m in range(1, cap + 1):
-        if all(all(row) for row in power):
-            return m
-        power = [[1 if any(x and y for x, y in zip(row, col)) else 0
-                  for col in zip(*boolean)] for row in power]
-    return None
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product through float BLAS (exact: entries count <= k paths)."""
+    return np.matmul(a, b, dtype=np.float64) > 0
 
 
-def _reach_tables(matrix: tuple[tuple[int, ...], ...], max_len: int) -> list[list[list[bool]]]:
-    """reach[r][i][j]: is there a path of exactly r edges from i to j."""
-    k = len(matrix)
-    reach = [[[i == j for j in range(k)] for i in range(k)]]
-    for _ in range(max_len):
-        prev = reach[-1]
-        nxt = [[any(matrix[i][t] and prev[t][j] for t in range(k)) for j in range(k)]
-               for i in range(k)]
-        reach.append(nxt)
-    return reach
+def _mixing_powers(a: np.ndarray) -> Optional[list[np.ndarray]]:
+    """Boolean powers A^0..A^M of a trimmed A, M >= 1 the least with A^M > 0;
+    None when A is not primitive.
+
+    Wielandt's bound decides first: a primitive k x k matrix has
+    A^((k-1)^2+1) > 0 (Lind & Marcus 4.5), and as A has no zero row a
+    positive power stays positive, so squaring past that exponent suffices.
+    """
+    k = a.shape[0]
+    power, exp = a, 1
+    while exp < (k - 1) ** 2 + 1:
+        power, exp = _bool_product(power, power), 2 * exp
+    if not power.all():
+        return None
+    powers = [np.eye(k, dtype=bool), a]
+    while not powers[-1].all():
+        powers.append(_bool_product(a, powers[-1]))
+    return powers
 
 
-def _lex_interior(matrix: tuple[tuple[int, ...], ...], reach, i: int, j: int, length: int) -> Word:
-    """Interior symbols of the lexicographically smallest path i -> j with
-    exactly `length` edges; reach must show that one exists."""
-    interior = []
-    cur = i
-    for remaining in range(length - 1, 0, -1):
-        cur = next(t for t in range(len(matrix)) if matrix[cur][t] and reach[remaining][t][j])
-        interior.append(cur)
-    return tuple(interior)
+def _connectors(a: np.ndarray, powers: list[np.ndarray]) -> dict[tuple[int, int], Word]:
+    """Interior of the lexicographically least (M+1)-edge path i -> j, for all i, j.
+
+    One backward pass moves all k^2 walks at once: with r edges left after
+    the next one, each walk steps to its least successor t with A^r[t, j].
+    """
+    k = a.shape[0]
+    cols = np.arange(k)
+    cur = np.repeat(cols[:, None], k, axis=1)
+    steps = []
+    for reach in reversed(powers[1:]):
+        least = (a[:, None, :] & np.ascontiguousarray(reach.T)[None, :, :]).argmax(axis=2)
+        cur = least[cur, cols]
+        steps.append(cur)
+    words = np.stack(steps, axis=-1).tolist()
+    return {(i, j): tuple(words[i][j]) for i in range(k) for j in range(k)}
 
 
 def sft_from_matrix(k: int, matrix: Sequence[Sequence[int]],
@@ -148,6 +133,8 @@ def sft_from_matrix(k: int, matrix: Sequence[Sequence[int]],
         raise ValueError(f"matrix must be {k}x{k}")
     if any(x not in (0, 1) for row in rows for x in row):
         raise ValueError("matrix entries must be 0 or 1")
+    if labels is not None and len(labels) != k:
+        raise ValueError(f"{len(labels)} labels for {k} symbols")
     trimmed, survivors = _trim(rows)
     if not survivors:
         raise EmptyShift("no symbol has both an outgoing and incoming transition")
@@ -155,16 +142,13 @@ def sft_from_matrix(k: int, matrix: Sequence[Sequence[int]],
     new_labels = None
     if labels is not None:
         new_labels = tuple(labels[i] for i in survivors)
-    tup = tuple(tuple(row) for row in trimmed)
-    gap = _positivity_gap(trimmed, new_k ** _PRIMITIVITY_CAP_EXP)
-    table: dict[tuple[int, int], Word] = {}
-    if gap is not None:
-        reach = _reach_tables(tup, gap)
-        for i in range(new_k):
-            for j in range(new_k):
-                table[(i, j)] = _lex_interior(tup, reach, i, j, gap + 1)
-    return ShiftSpace(k=new_k, matrix=tup, labels=new_labels,
-                      primitive_gap=gap, bridge_table=table)
+    a = np.array(trimmed, dtype=bool)
+    powers = _mixing_powers(a)
+    gap, table = None, {}
+    if powers is not None:
+        gap, table = len(powers) - 1, _connectors(a, powers)
+    return ShiftSpace(k=new_k, matrix=tuple(tuple(row) for row in trimmed),
+                      labels=new_labels, primitive_gap=gap, bridge_table=table)
 
 
 def full_shift(k: int) -> ShiftSpace:
@@ -199,65 +183,29 @@ def count_words(s: ShiftSpace, n: int) -> int:
     """Exact number of admissible n-words: the total of A^(n-1)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    rows = [list(row) for row in s.matrix]
-    power = _int_matpow(rows, n - 1)
-    return sum(sum(row) for row in power)
+    return int(np.linalg.matrix_power(np.array(s.matrix, dtype=object), n - 1).sum())
 
 
 def count_periodic(s: ShiftSpace, n: int) -> int:
     """Exact number of points with period dividing n: trace of A^n."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    rows = [list(row) for row in s.matrix]
-    power = _int_matpow(rows, n)
-    return sum(power[i][i] for i in range(s.k))
+    return int(np.linalg.matrix_power(np.array(s.matrix, dtype=object), n).trace())
 
 
 def strongly_connected_components(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    k = len(matrix)
-    index = [-1] * k
-    low = [0] * k
-    on_stack = [False] * k
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = itertools.count()
+    """Classes of mutual reachability, each ascending, ordered by least member.
 
-    for root in range(k):
-        if index[root] != -1:
-            continue
-        work = [(root, iter([j for j in range(k) if matrix[root][j]]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter([j for j in range(k) if matrix[w][j]])))
-                    advanced = True
-                    break
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-    return components
+    Reachability is the closure (I + A)^(2^t) with 2^t >= k, by t squarings.
+    """
+    k = len(matrix)
+    reach = np.eye(k, dtype=bool) | np.array(matrix, dtype=bool)
+    for _ in range((k - 1).bit_length()):
+        reach = _bool_product(reach, reach)
+    classes: dict[int, list[int]] = {}
+    for i, least in enumerate((reach & reach.T).argmax(axis=1).tolist()):
+        classes.setdefault(least, []).append(i)
+    return list(classes.values())
 
 
 def _perron_pair(a: np.ndarray, tol: float = 1e-13, max_iter: int = 200000) -> tuple[float, np.ndarray]:

@@ -138,6 +138,13 @@ class TestEntropyCommand:
         rc, _, err = run_cli("entropy", "--shift", str(tmp_path / "missing.json"))
         assert rc == 2
 
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]], ids=["short", "long"])
+    def test_label_count_mismatch_exit2(self, tmp_path, capsys, labels):
+        io.write_json(tmp_path / "shift.json", {"schema": "shiftlab/shift/1", "k": 2,
+                                                "matrix": [[1, 1], [1, 0]], "labels": labels})
+        assert main(["entropy", "--shift", str(tmp_path / "shift.json")]) == 2
+        assert "labels for 2 symbols" in capsys.readouterr().err
+
     def test_unconverged_perron_exit2(self, files, monkeypatch, capsys):
         # golden's row sums differ, so its spectral entropy needs a Perron solve
         monkeypatch.setattr(shifts._perron_pair, "__defaults__", (1e-13, 1))

@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,9 +12,21 @@ from shiftlab.errors import EmptyShift, NotConverged, NotPrimitive, SymbolOutOfR
 from shiftlab.shifts import (_perron_pair, connecting_word, count_periodic, count_words,
                              full_shift, is_admissible, is_cyclically_admissible,
                              iter_words, largest_proper_scc_subgraph, parse_word,
-                             primitive_cycles, sft_from_matrix, topological_entropy)
+                             primitive_cycles, sft_from_matrix,
+                             strongly_connected_components, topological_entropy)
+
+from conftest import random_primitive_sft
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def cycle_matrix(k: int, chord: bool) -> list[list[int]]:
+    """The k-cycle i -> i+1 mod k, with the chord 0 -> 2 if asked: with it,
+    the Wielandt matrix, whose gap (k-1)^2 + 1 is the largest possible."""
+    m = [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+    if chord:
+        m[0][2] = 1
+    return m
 
 
 class TestConstruction:
@@ -45,6 +59,72 @@ class TestConstruction:
     def test_bad_entries_rejected(self):
         with pytest.raises(ValueError):
             sft_from_matrix(2, [[1, 2], [1, 0]])
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+    def test_label_count_must_match(self, labels):
+        with pytest.raises(ValueError):
+            sft_from_matrix(2, [[1, 1], [1, 0]], labels)
+
+
+class TestMixing:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_gap_and_connectors_match_brute_force(self, k):
+        for seed in range(12):
+            s = random_primitive_sft(k, 7000 * k + seed)
+            assert s.primitive_gap == oracle.brute_primitive_gap(s)
+            for i in range(k):
+                for j in range(k):
+                    assert connecting_word(s, i, j) == oracle.brute_connecting_word(
+                        s, i, j, s.primitive_gap)
+
+    @pytest.mark.parametrize("k", [5, 10, 20, 30])
+    def test_wielandt_matrix_has_largest_gap(self, k):
+        s = sft_from_matrix(k, cycle_matrix(k, chord=True))
+        assert s.primitive_gap == (k - 1) ** 2 + 1
+        for i in range(k):
+            for j in range(k):
+                cw = connecting_word(s, i, j)
+                assert len(cw) == s.primitive_gap
+                assert is_admissible((i,) + cw + (j,), s)
+
+    @pytest.mark.parametrize("matrix", [
+        cycle_matrix(200, chord=False),
+        [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 1, 0, 0]],
+    ], ids=["200-cycle", "disjoint-loops"])
+    def test_not_primitive(self, matrix):
+        s = sft_from_matrix(len(matrix), matrix)
+        assert s.primitive_gap is None
+        assert s.bridge_table == {}
+        with pytest.raises(oracle.BoundExceeded):
+            oracle.brute_primitive_gap(s)
+
+
+def components_by_subsets(k: int, edges: set[tuple[int, int]]) -> list[list[int]]:
+    """Each symbol's largest strongly connected induced subgraph: its component."""
+    best = {i: [i] for i in range(k)}
+    for r in range(2, k + 1):
+        for nodes in combinations(range(k), r):
+            inner = {(a, b) for a, b in edges if a in nodes and b in nodes}
+            if oracle._mutually_reachable(list(nodes), inner):
+                for i in nodes:
+                    best[i] = list(nodes)
+    return sorted({tuple(c) for c in best.values()})
+
+
+class TestComponents:
+    def test_partition_matches_mutual_reachability(self):
+        gen = random.Random(20261018)
+        for _ in range(300):
+            k = gen.randint(1, 6)
+            density = gen.choice([0.15, 0.3, 0.5])
+            m = [[int(gen.random() < density) for _ in range(k)] for _ in range(k)]
+            edges = {(i, j) for i in range(k) for j in range(k) if m[i][j]}
+            comps = strongly_connected_components(m)
+            assert [tuple(c) for c in comps] == components_by_subsets(k, edges)
+
+    def test_loopless_singletons(self):
+        # 0 -> 1 -> 2 with a loop only at 1: three classes, ordered by least member
+        assert strongly_connected_components([[0, 1, 0], [0, 1, 1], [0, 0, 0]]) == [[0], [1], [2]]
 
 
 class TestAdmissibility:
@@ -94,6 +174,13 @@ class TestCounting:
         s = sft_from_matrix(2, [[1, 0], [0, 1]])
         assert count_words(s, 3) == 2
         assert count_periodic(s, 3) == 2
+
+    def test_counts_are_python_ints(self, golden, full3, random4):
+        for s in (golden, full3, random4):
+            assert count_words(s, 1) == s.k
+            for n in (1, 2, 40):
+                assert type(count_words(s, n)) is int
+                assert type(count_periodic(s, n)) is int
 
 
 class TestEntropy:
