@@ -284,16 +284,36 @@ class _WindowFacts:
     lower: dict[int, np.ndarray]
 
 
-#: the parameters each check kind reads; io rejects an entry that lacks one
-CHECK_PARAMS: dict[str, tuple[str, ...]] = {
-    "full_horizon_present": ("horizon",), "trace_attains": ("targets", "tol"),
-    "trace_converges": ("target", "tol", "osc_tol"), "trace_oscillation": ("min_gap",),
-    "cylinder_lower_min": ("lengths", "threshold"), "self_lower_max": ("length", "max"),
-    "self_upper_min": ("length", "min"), "self_upper_decreasing": ("lengths", "final_max"),
-    "coverage_counts": ("length", "min_visits"), "max_gap_bounded": ("bounds",),
-    "coverage_fraction_of_expected": ("length", "expected", "fraction"),
-    "not_eventually_periodic": (), "periodic_density_exact": ("period",),
+#: the parameters each check kind reads and their JSON types: int, float
+#: (any number), [t] (a list of t) or [t, u] (a pair); io rejects an entry
+#: that lacks one or holds a value of another type
+CHECK_PARAMS: dict[str, dict] = {
+    "full_horizon_present": {"horizon": int}, "trace_attains": {"targets": [float], "tol": float},
+    "trace_converges": {"target": float, "tol": float, "osc_tol": float},
+    "trace_oscillation": {"min_gap": float},
+    "cylinder_lower_min": {"lengths": [int], "threshold": float},
+    "self_lower_max": {"length": int, "max": float},
+    "self_upper_min": {"length": int, "min": float},
+    "self_upper_decreasing": {"lengths": [int], "final_max": float},
+    "coverage_counts": {"length": int, "min_visits": float},
+    "max_gap_bounded": {"bounds": [[int, float]]},
+    "coverage_fraction_of_expected": {"length": int, "expected": [[[int], float]],
+                                      "fraction": float},
+    "not_eventually_periodic": {}, "periodic_density_exact": {"period": int},
 }
+#: parameters with a default, typed when present
+OPTIONAL_PARAMS = {"window": float, "max_period": int}
+
+
+def has_param_type(value, spec) -> bool:
+    """Whether a JSON value has a CHECK_PARAMS type (bools are not numbers)."""
+    if spec in (int, float):
+        return type(value) is int or type(value) is spec
+    if type(value) is not list:
+        return False
+    if len(spec) == 1:
+        return all(has_param_type(x, spec[0]) for x in value)
+    return len(value) == len(spec) and all(map(has_param_type, value, spec))
 
 
 def _window_needs(check: dict) -> set[tuple[str, int]]:

@@ -53,10 +53,6 @@ class EndpointSaturation(ShiftlabError):
     """The root of P'(q) = a lies beyond the |q| cap."""
 
 
-class NotConverged(ShiftlabError):
-    """An iterative solver ran out of iterations before meeting its tolerance."""
-
-
 class PressureOverflow(ShiftlabError):
     """|q| beyond the documented range for pressure evaluation."""
 

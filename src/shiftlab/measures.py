@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import rng
 from .errors import NotAdmissible, NotPrimitive, RangeMismatch
-from .shifts import (ShiftSpace, Word, _perron_pair, is_admissible,
-                     is_cyclically_admissible, iter_words, primitive_cycles,
-                     strongly_connected_components)
+from .shifts import (ShiftSpace, Word, is_admissible, is_cyclically_admissible, iter_words,
+                     perron, primitive_cycles, strongly_connected_components)
 
 VALIDATION_TOL = 1e-12
 
@@ -118,7 +118,8 @@ InvariantMeasure = Union[MarkovMeasure, PeriodicMeasure, Mixture]
 
 def markov_measure(s: ShiftSpace, p: Sequence[Sequence[float]],
                    pi: Optional[Sequence[float]] = None) -> MarkovMeasure:
-    """Validated Markov measure; pi is the Perron vector of P^T when omitted."""
+    """Validated Markov measure; pi is the left Perron vector of P when
+    omitted, and ValueError when P has no unique stationary vector."""
     arr = np.array(p, dtype=float)
     if arr.shape != (s.k, s.k):
         raise ValueError(f"P must be {s.k}x{s.k}")
@@ -130,9 +131,12 @@ def markov_measure(s: ShiftSpace, p: Sequence[Sequence[float]],
                 raise ValueError(f"P[{i}][{j}] > 0 on a forbidden transition")
             if arr[i, j] < 0:
                 raise ValueError("negative transition probability")
-    # iterating on P + I, a slowly mixing chain's last step understates its
-    # error several-fold, so the stopping step for pi is taken finer
-    stat = np.array(pi, dtype=float) if pi is not None else _perron_pair(arr.T, tol=1e-14)[1]
+    if pi is None:
+        inv = perron(arr)[1]
+        if inv is None:
+            raise ValueError("P has more than one stationary vector")
+        pi = inv[-1, :-1]
+    stat = np.array(pi, dtype=float)
     if abs(stat.sum() - 1.0) > VALIDATION_TOL:
         raise ValueError("pi must sum to 1")
     if np.max(np.abs(stat @ arr - stat)) > 1e-10:
@@ -163,12 +167,13 @@ def equilibrium_measure(s: ShiftSpace, b: np.ndarray) -> MarkovMeasure:
     """The Markov measure built from the Perron data of B >= 0 on A's edges.
 
     With Perron root lambda and right/left Perron vectors v, u of an
-    irreducible B: P_ij = B_ij v_j / (lambda v_i) and pi_i ~ u_i v_i.  B = A
-    gives the Parry measure, B = A o exp(q phi) the equilibrium state of q phi
-    for a range-2 potential phi (Parry 1964; Walters, ch. 9).
+    irreducible B, from one shifts.perron solve: P_ij = B_ij v_j / (lambda v_i)
+    and pi_i ~ u_i v_i.  B = A gives the Parry measure, B = A o exp(q phi) the
+    equilibrium state of q phi for a range-2 potential phi (Parry 1964;
+    Walters, ch. 9).
     """
-    lam, right = _perron_pair(b)
-    _, left = _perron_pair(b.T)
+    lam, inv = perron(b)
+    right, left = inv[:-1, -1], inv[-1, :-1]
     p = b * right / (lam * right[:, None])
     p /= p.sum(axis=1, keepdims=True)  # scrub rounding so rows sum to 1 exactly
     uv = left * right
@@ -341,15 +346,7 @@ def sample_typical_word(m: InvariantMeasure, n: int, seed: int,
         raise ValueError("mixtures are realized by scheduling, not direct sampling")
     us = rng.uniform_stream(seed, n)
     k = m.shift.k
-    cum_rows = []
-    for i in range(k):
-        acc = 0.0
-        row = []
-        for j in range(k):
-            acc += m.P[i][j]
-            row.append(acc)
-        row[-1] = 1.0 + 1e-15
-        cum_rows.append(row)
+    cum_rows = [list(accumulate(row))[:-1] + [1.0 + 1e-15] for row in m.P]
     if start is None:
         acc = 0.0
         u = float(us[0])

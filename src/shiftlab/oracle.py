@@ -18,7 +18,7 @@ import numpy as np
 from . import rng
 from .errors import BoundExceeded, Infeasible
 from .measures import InvariantMeasure, Mixture, PeriodicMeasure, Potential
-from .shifts import ShiftSpace, Word, _perron_pair
+from .shifts import SUBGRAPH_TIE_TOL, ShiftSpace, Word
 
 MAX_WORD_LEN = 24
 MAX_CYCLE_LEN = 16
@@ -96,8 +96,9 @@ def brute_connecting_word(s: ShiftSpace, a: int, b: int, length: int) -> Word:
 def _stationary(p: np.ndarray) -> np.ndarray:
     """Stationary row vector via the linear system pi(P - I) = 0, sum(pi) = 1.
 
-    Direct LU solve; independent of the power-iteration path the measure
-    kernels use.  Falls back to a Cesaro average if the system is singular.
+    Direct LU solve of this square system, not the bordered Perron solve
+    the measure kernels use.  Falls back to a Cesaro average if the system
+    is singular.
     """
     k = p.shape[0]
     m = (p.T - np.eye(k)).copy()
@@ -361,14 +362,16 @@ def brute_largest_proper_subgraph(
 
     Each proper subset of A's edges whose endpoints are mutually reachable
     is a candidate; None when no candidate qualifies.  Entropies come from
-    the same Perron routine and submatrix layout (nodes ascending) as the
-    kernel, so float ties break the same way: what this checks is the
-    candidate set, not the eigenvalue solver.
+    a LAPACK eigvals call on the same submatrix layout (nodes ascending) as
+    the kernel's, so the returned float matches: what this checks is the
+    candidate set, not the eigenvalue solver.  Entropies within
+    SUBGRAPH_TIE_TOL of the best are tied, and the least sorted edge set
+    among them wins, as in the kernel.
     """
     edges = s.edges()
     if len(edges) > MAX_SUBGRAPH_EDGES:
         raise BoundExceeded(f"{len(edges)} edges > {MAX_SUBGRAPH_EDGES}")
-    best = None
+    scored = []
     for r in range(1, len(edges)):
         for subset in combinations(edges, r):
             edge_set = set(subset)
@@ -377,16 +380,16 @@ def brute_largest_proper_subgraph(
                 continue
             sub = np.array([[1.0 if (i, j) in edge_set else 0.0 for j in nodes]
                             for i in nodes])
-            lam, _ = _perron_pair(sub)
-            if lam <= 0:
-                continue
-            ent = float(np.log(lam))
+            ent = float(np.log(np.max(np.linalg.eigvals(sub).real)))
             if require_positive_entropy and ent <= 1e-12:
                 continue
-            key = (-ent, list(subset))
-            if best is None or key < best[0]:
-                best = (key, tuple(nodes), frozenset(subset), ent)
-    return None if best is None else best[1:]
+            scored.append((list(subset), ent, tuple(nodes), frozenset(subset)))
+    if not scored:
+        return None
+    top = max(c[1] for c in scored)
+    _, ent, nodes, edge_set = min((c for c in scored if c[1] >= top - SUBGRAPH_TIE_TOL),
+                                  key=lambda c: c[0])
+    return nodes, edge_set, ent
 
 
 def brute_extreme_cycle(s: ShiftSpace, phi: Potential, maximize: bool) -> tuple[Fraction, Word]:

@@ -14,9 +14,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyShift, NotAdmissible, NotConverged, NotPrimitive, SymbolOutOfRange
+from .errors import EmptyShift, NoProperSubshift, NotAdmissible, NotPrimitive, SymbolOutOfRange
 
 Word = tuple[int, ...]
+
+#: proper-subgraph entropies this close to the best one count as tied
+SUBGRAPH_TIE_TOL = 1e-12
 
 
 def parse_word(text: str) -> Word:
@@ -34,10 +37,10 @@ class ShiftSpace:
 
     matrix is stored as a tuple of tuples of 0/1 ints (immutable, exact).
     primitive_gap is the least M with A^M entrywise positive, or None if the
-    matrix is not primitive.  For a primitive matrix, bridge_table[(i, j)]
-    holds the M interior symbols of the lexicographically smallest
+    matrix is not primitive.  bridge_table caches connecting_word: entry
+    (i, j) holds the M interior symbols of the lexicographically smallest
     admissible path from i to j with exactly M + 1 edges (one exists because
-    A^(M+1) is positive too); it is empty otherwise.
+    A^(M+1) is positive too).
     """
 
     k: int
@@ -81,42 +84,45 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, dtype=np.float64) > 0
 
 
-def _mixing_powers(a: np.ndarray) -> Optional[list[np.ndarray]]:
-    """Boolean powers A^0..A^M of a trimmed A, M >= 1 the least with A^M > 0;
-    None when A is not primitive.
+def _primitive_gap(a: np.ndarray) -> Optional[int]:
+    """The least M >= 1 with A^M > 0 for a trimmed A; None when A is not primitive.
 
     Wielandt's bound decides first: a primitive k x k matrix has
     A^((k-1)^2+1) > 0 (Lind & Marcus 4.5), and as A has no zero row a
     positive power stays positive, so squaring past that exponent suffices.
+    The same monotonicity lets a binary descent over the kept squarings
+    A^(2^t) find the last exponent m with A^m not positive; M = m + 1.
     """
     k = a.shape[0]
-    power, exp = a, 1
-    while exp < (k - 1) ** 2 + 1:
-        power, exp = _bool_product(power, power), 2 * exp
-    if not power.all():
+    squares = [a]
+    while 2 ** (len(squares) - 1) < (k - 1) ** 2 + 1:
+        squares.append(_bool_product(squares[-1], squares[-1]))
+    if not squares[-1].all():
         return None
-    powers = [np.eye(k, dtype=bool), a]
-    while not powers[-1].all():
-        powers.append(_bool_product(a, powers[-1]))
-    return powers
+    power, m = np.eye(k, dtype=bool), 0
+    for t in range(len(squares) - 1, -1, -1):
+        step = _bool_product(power, squares[t])
+        if not step.all():
+            power, m = step, m + 2 ** t
+    return m + 1
 
 
-def _connectors(a: np.ndarray, powers: list[np.ndarray]) -> dict[tuple[int, int], Word]:
-    """Interior of the lexicographically least (M+1)-edge path i -> j, for all i, j.
+def _connector(a: np.ndarray, gap: int, i: int, j: int) -> Word:
+    """Interior of the lexicographically least (gap+1)-edge path i -> j.
 
-    One backward pass moves all k^2 walks at once: with r edges left after
-    the next one, each walk steps to its least successor t with A^r[t, j].
+    The reach columns A^r[:, j] for r = 0..gap come backward, one k-vector
+    step each; then the walk from i takes, with r edges left after the next
+    one, its least successor t with A^r[t, j].
     """
-    k = a.shape[0]
-    cols = np.arange(k)
-    cur = np.repeat(cols[:, None], k, axis=1)
-    steps = []
-    for reach in reversed(powers[1:]):
-        least = (a[:, None, :] & np.ascontiguousarray(reach.T)[None, :, :]).argmax(axis=2)
-        cur = least[cur, cols]
-        steps.append(cur)
-    words = np.stack(steps, axis=-1).tolist()
-    return {(i, j): tuple(words[i][j]) for i in range(k) for j in range(k)}
+    reach = np.zeros((gap + 1, len(a)), dtype=bool)
+    reach[0, j] = True
+    for r in range(1, gap + 1):
+        reach[r] = a @ reach[r - 1]
+    word = []
+    for r in range(gap, 0, -1):
+        i = int((a[i] & reach[r]).argmax())
+        word.append(i)
+    return tuple(word)
 
 
 def sft_from_matrix(k: int, matrix: Sequence[Sequence[int]],
@@ -138,17 +144,9 @@ def sft_from_matrix(k: int, matrix: Sequence[Sequence[int]],
     trimmed, survivors = _trim(rows)
     if not survivors:
         raise EmptyShift("no symbol has both an outgoing and incoming transition")
-    new_k = len(survivors)
-    new_labels = None
-    if labels is not None:
-        new_labels = tuple(labels[i] for i in survivors)
-    a = np.array(trimmed, dtype=bool)
-    powers = _mixing_powers(a)
-    gap, table = None, {}
-    if powers is not None:
-        gap, table = len(powers) - 1, _connectors(a, powers)
-    return ShiftSpace(k=new_k, matrix=tuple(tuple(row) for row in trimmed),
-                      labels=new_labels, primitive_gap=gap, bridge_table=table)
+    return ShiftSpace(k=len(survivors), matrix=tuple(tuple(row) for row in trimmed),
+                      labels=tuple(labels[i] for i in survivors) if labels is not None else None,
+                      primitive_gap=_primitive_gap(np.array(trimmed, dtype=bool)))
 
 
 def full_shift(k: int) -> ShiftSpace:
@@ -208,52 +206,40 @@ def strongly_connected_components(matrix: Sequence[Sequence[int]]) -> list[list[
     return list(classes.values())
 
 
-def _perron_pair(a: np.ndarray, tol: float = 1e-13, max_iter: int = 200000) -> tuple[float, np.ndarray]:
-    """Perron eigenvalue and right eigenvector of a nonnegative irreducible matrix.
+def perron(b: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+    """Perron root rho of a square B >= 0 and the inverse of the bordered
+    matrix M = [[B - rho I, 1], [1^T, 0]].
 
-    Iterates on A + I so periodic (imprimitive) matrices converge too.
-    Raises NotConverged when max_iter iterations do not meet the tolerance.
+    rho(B) is an eigenvalue of B (Perron-Frobenius) and no eigenvalue has a
+    larger real part, so rho is the largest real part of one dense eigvals
+    call.  When rho is a simple root (B irreducible, for one) M^-1 holds the
+    right Perron vector r (last column) and the left one l (last row), both
+    summing to 1, and in its leading k x k block a generalized inverse G of
+    B - rho I.  In place of M^-1 comes None when M is singular, which
+    happens exactly when rho is not a simple root.
     """
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0]), np.ones(1)
-    shifted = a + np.eye(n)
-    v = np.ones(n) / n
-    lam = 0.0
-    for _ in range(max_iter):
-        w = shifted @ v
-        new_lam = float(np.max(w))
-        w = w / new_lam
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)) and np.max(np.abs(w - v)) <= tol:
-            return new_lam - 1.0, w / w.sum()
-        v = w
-        lam = new_lam
-    raise NotConverged(f"Perron power iteration did not converge in {max_iter} iterations")
+    k = b.shape[0]
+    rho = float(np.max(np.linalg.eigvals(b).real))
+    border = np.block([[b - rho * np.eye(k), np.ones((k, 1))],
+                       [np.ones((1, k)), np.zeros((1, 1))]])
+    try:
+        return rho, np.linalg.inv(border)
+    except np.linalg.LinAlgError:
+        return rho, None
 
 
 def spectral_radius(s: ShiftSpace) -> float:
-    """Largest Perron eigenvalue over strongly connected components."""
-    comps = strongly_connected_components(s.matrix)
-    best = 0.0
-    for comp in comps:
-        sub = np.array([[s.matrix[i][j] for j in comp] for i in comp], dtype=np.float64)
-        if len(comp) == 1 and sub[0, 0] == 0:
-            continue
-        lam, _ = _perron_pair(sub)
-        best = max(best, lam)
-    return best
+    """Perron root of A, also when A is reducible."""
+    return perron(s.matrix_array())[0]
 
 
 def topological_entropy(s: ShiftSpace) -> float:
-    """log of the spectral radius of A; max over components if reducible.
+    """log of the spectral radius of A, the largest over its components.
 
     Constant row sums give the spectral radius exactly (covers full shifts).
     """
     row_sums = {sum(row) for row in s.matrix}
-    if len(row_sums) == 1:
-        c = row_sums.pop()
-        return float(np.log(c)) if c > 0 else 0.0
-    lam = spectral_radius(s)
+    lam = row_sums.pop() if len(row_sums) == 1 else spectral_radius(s)
     return float(np.log(lam)) if lam > 0 else 0.0
 
 
@@ -267,6 +253,8 @@ def connecting_word(s: ShiftSpace, a: int, b: int) -> Word:
     if not s.is_primitive:
         raise NotPrimitive("bridging requires a primitive shift")
     check_symbols((a, b), s.k)
+    if (a, b) not in s.bridge_table:
+        s.bridge_table[(a, b)] = _connector(np.array(s.matrix, dtype=bool), s.primitive_gap, a, b)
     return s.bridge_table[(a, b)]
 
 
@@ -325,11 +313,13 @@ def largest_proper_scc_subgraph(
 ) -> tuple[tuple[int, ...], frozenset[tuple[int, int]], float]:
     """The proper strongly connected subgraph with the largest growth rate.
 
-    Ties break toward the lexicographically smallest edge set.  Returns
-    (symbols, edges, log growth).  With require_positive_entropy (the
-    default, for measure-building roles) a subgraph that is a bare cycle
-    does not qualify and NoProperSubshift is raised when nothing better
-    exists; e.g. A = [[1,1],[1,0]] only has the 0-loop.
+    Entropies within SUBGRAPH_TIE_TOL of the best count as tied, and the
+    tie breaks toward the lexicographically smallest sorted edge set, so
+    rounding in the eigenvalues never picks among exactly tied subgraphs.
+    Returns (symbols, edges, log growth).  With require_positive_entropy
+    (the default, for measure-building roles) a subgraph that is a bare
+    cycle does not qualify and NoProperSubshift is raised when nothing
+    better exists; e.g. A = [[1,1],[1,0]] only has the 0-loop.
 
     Only the strongly connected components of A minus one edge are scanned,
     which is exact: a proper strongly connected subgraph H misses some edge
@@ -338,33 +328,25 @@ def largest_proper_scc_subgraph(
     lowers its spectral radius (Perron-Frobenius; Lind & Marcus 4.4).  Every
     maximiser is therefore such a C, also when the best entropy is zero.
     """
-    from .errors import NoProperSubshift
-
-    candidates = []
+    scored = []
     for drop in s.edges():
         mat = [[1 if (i, j) != drop and s.matrix[i][j] else 0 for j in range(s.k)]
                for i in range(s.k)]
         for comp in strongly_connected_components(mat):
-            comp_edges = frozenset((i, j) for i in comp for j in comp if mat[i][j])
-            if comp_edges:
-                candidates.append((tuple(comp), comp_edges))
-    best = None
-    for nodes, edge_set in candidates:
-        sub = np.array([[1.0 if (i, j) in edge_set else 0.0 for j in nodes] for i in nodes])
-        lam, _ = _perron_pair(sub)
-        if lam <= 0:
-            continue
-        ent = float(np.log(lam))
-        if require_positive_entropy and ent <= 1e-12:
-            continue
-        key = (-ent, sorted(edge_set))
-        if best is None or key < best[0]:
-            best = (key, nodes, edge_set, ent)
-    if best is None:
+            edge_set = frozenset((i, j) for i in comp for j in comp if mat[i][j])
+            if not edge_set:
+                continue
+            sub = np.array([[1.0 if (i, j) in edge_set else 0.0 for j in comp] for i in comp])
+            ent = float(np.log(perron(sub)[0]))
+            if not (require_positive_entropy and ent <= 1e-12):
+                scored.append((sorted(edge_set), ent, tuple(comp), edge_set))
+    if not scored:
         raise NoProperSubshift(
             "no proper strongly connected subgraph"
             + (" with positive entropy" if require_positive_entropy else ""))
-    _, nodes, edge_set, ent = best
+    top = max(ent for _, ent, _, _ in scored)
+    _, ent, nodes, edge_set = min((c for c in scored if c[1] >= top - SUBGRAPH_TIE_TOL),
+                                  key=lambda c: c[0])
     return nodes, edge_set, ent
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DegenerateInterval, EndpointSaturation, NotPrimitive,
                      NotStronglyConnected, OutsideInterior, PressureOverflow)
 from .measures import Potential, integrate, parry_measure
-from .shifts import (ShiftSpace, Word, iter_words, strongly_connected_components,
+from .shifts import (ShiftSpace, Word, iter_words, perron, strongly_connected_components,
                      topological_entropy)
 
 Q_CAP = 500.0
@@ -214,25 +214,20 @@ class PressureFunction:
         rows, cols = self._edges
         b = np.zeros((k, k))
         b[rows, cols] = np.exp(q * reduced)
-        rho = float(np.max(np.linalg.eigvals(b).real))
+        rho, inv = perron(b)
         pressure = q * mean + math.log(rho)
-        # M = [[b - rho I, 1], [1^T, 0]]: M^-1 holds the right Perron vector r
-        # (last column), the left one l (last row) and a generalized inverse G
-        # of b - rho I; x = -G (b r (R - P')) is r times the Poisson solution
-        # of the chain b_uv r_v / (rho r_u), so nothing divides by a tiny r_u
-        border = np.block([[b - rho * np.eye(k), np.ones((k, 1))],
-                           [np.ones((1, k)), np.zeros((1, 1))]])
-        with np.errstate(all="ignore"):
-            try:
-                inv = np.linalg.inv(border)
-            except np.linalg.LinAlgError:
-                return pressure, mean, 0.0
-            right, left, green = inv[:k, k], inv[k, :k], inv[:k, :k]
-            flow = left[rows] * b[rows, cols] / (rho * float(left @ right))
-            drift = float(flow @ (right[cols] * reduced))
-            centred = reduced - drift
-            x = -green @ np.bincount(rows, b[rows, cols] * right[cols] * centred, minlength=k)
-            variance = float(flow @ (centred * (right[cols] * centred + 2.0 * x[cols])))
+        # x = -G (b r (R - P')), with G, r and l from perron, is r times the
+        # Poisson solution of the chain b_uv r_v / (rho r_u), so nothing
+        # divides by a tiny r_u
+        drift = variance = math.nan
+        if inv is not None:
+            with np.errstate(all="ignore"):
+                right, left, green = inv[:k, k], inv[k, :k], inv[:k, :k]
+                flow = left[rows] * b[rows, cols] / (rho * float(left @ right))
+                drift = float(flow @ (right[cols] * reduced))
+                centred = reduced - drift
+                x = -green @ np.bincount(rows, b[rows, cols] * right[cols] * centred, minlength=k)
+                variance = float(flow @ (centred * (right[cols] * centred + 2.0 * x[cols])))
         if not (reduced.min() <= drift <= reduced.max() and 0.0 <= variance < math.inf):
             # the equilibrium state sits on extreme cycles (tied ones that no
             # representable entry couples leave M singular): P' = mean to rounding

@@ -264,10 +264,8 @@ def _sub_parry(s: ShiftSpace) -> tuple[MarkovMeasure, frozenset]:
     sub_m = parry_measure(sub)
     p = np.zeros((s.k, s.k))
     pi = np.zeros(s.k)
-    for a_local, a_global in enumerate(symbol_map):
-        pi[a_global] = sub_m.pi[a_local]
-        for b_local, b_global in enumerate(symbol_map):
-            p[a_global, b_global] = sub_m.P[a_local][b_local]
+    p[np.ix_(symbol_map, symbol_map)] = sub_m.P
+    pi[symbol_map] = sub_m.pi
     for i in range(s.k):
         if p[i].sum() == 0:
             p[i, next(j for j in range(s.k) if s.matrix[i][j])] = 1.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import io, shifts
+from shiftlab import io
 from shiftlab.cli import main
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import full_shift, golden_mean_shift
@@ -61,6 +61,14 @@ MALFORMED_CERTIFICATES = {
     "bridge_word_null": lambda d: _first(d, "bridge").update(word=None),
     "periodic_word_null": lambda d: _first(d, "periodic").update(word=None),
     "self_lower_max_no_length": lambda d: _check(d, "self_lower_max").pop("length"),
+    "self_lower_max_length_null": lambda d: _check(d, "self_lower_max").update(length=None),
+    "self_lower_max_max_text": lambda d: _check(d, "self_lower_max").update(max="x"),
+    "self_lower_max_max_null": lambda d: _check(d, "self_lower_max").update(max=None),
+    "full_horizon_present_horizon_null":
+        lambda d: _check(d, "full_horizon_present").update(horizon=None),
+    "cylinder_lower_min_lengths_int": lambda d: d["expected_statistics"].append(
+        {"check": "cylinder_lower_min", "lengths": 3, "threshold": 0.01}),
+    "markov_pi_not_unique": lambda d: d["pool"][2].update(P=[[1.0, 0.0], [0.0, 1.0]], pi=None),
 }
 
 
@@ -144,13 +152,6 @@ class TestEntropyCommand:
                                                 "matrix": [[1, 1], [1, 0]], "labels": labels})
         assert main(["entropy", "--shift", str(tmp_path / "shift.json")]) == 2
         assert "labels for 2 symbols" in capsys.readouterr().err
-
-    def test_unconverged_perron_exit2(self, files, monkeypatch, capsys):
-        # golden's row sums differ, so its spectral entropy needs a Perron solve
-        monkeypatch.setattr(shifts._perron_pair, "__defaults__", (1e-13, 1))
-        rc = main(["entropy", "--shift", str(files / "golden.json"), "--method", "spectral"])
-        assert rc == 2
-        assert "did not converge" in capsys.readouterr().err
 
 
 class TestPipeline:

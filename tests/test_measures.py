@@ -61,8 +61,8 @@ def _seeded_potential(s, r, seed):
 class TestEquilibrium:
     """The Markov measure built from B = A o exp(q phi) is the equilibrium
     state of q phi: checked against the pressure kernel's P(q) and its exact
-    P'(q), which the kernel integrates against its own Perron data of the
-    balanced matrix, not against this power-iteration measure."""
+    P'(q), which the pressure kernel integrates against the Perron data of
+    the balanced matrix, not of B itself."""
 
     def test_variational_identity_derivative_and_parry(self, golden, full2, random4):
         s3 = sft_from_matrix(3, [[1, 1, 1], [1, 1, 0], [1, 0, 1]])
@@ -83,7 +83,7 @@ class TestEquilibrium:
 
 class TestStationary:
     def test_periodic_chain(self):
-        # period-2 chain: the power iteration must not oscillate between classes
+        # period-2 chain: eigenvalues 1, -1 and 0, so rho is the largest real part
         s = sft_from_matrix(3, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         m = markov_measure(s, [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]])
         assert m.pi == pytest.approx((0.25, 0.5, 0.25), abs=1e-12)

@@ -1,21 +1,25 @@
+import functools
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import oracle
-from shiftlab.errors import EmptyShift, NotConverged, NotPrimitive, SymbolOutOfRange
-from shiftlab.shifts import (_perron_pair, connecting_word, count_periodic, count_words,
-                             full_shift, is_admissible, is_cyclically_admissible,
-                             iter_words, largest_proper_scc_subgraph, parse_word,
+from shiftlab.errors import EmptyShift, NotPrimitive, SymbolOutOfRange
+from shiftlab.measures import parry_measure
+from shiftlab.shifts import (connecting_word, count_periodic, count_words, full_shift,
+                             is_admissible, is_cyclically_admissible, iter_words,
+                             largest_proper_scc_subgraph, parse_word, perron,
                              primitive_cycles, sft_from_matrix,
                              strongly_connected_components, topological_entropy)
 
-from conftest import random_primitive_sft
+from conftest import ACCEPTANCE_SEED, random_primitive_sft
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -86,6 +90,20 @@ class TestMixing:
                 cw = connecting_word(s, i, j)
                 assert len(cw) == s.primitive_gap
                 assert is_admissible((i,) + cw + (j,), s)
+
+    def test_slow_mixing_graph_keeps_only_squarings(self):
+        # a 100-cycle with a chord has gap 9,802: only the log2 squarings
+        # are kept, and a connector is built when it is read
+        tracemalloc.start()
+        try:
+            s = sft_from_matrix(100, cycle_matrix(100, chord=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.primitive_gap == 99 ** 2 + 1
+        assert peak <= 32 << 20
+        cw = connecting_word(s, 5, 1)
+        assert len(cw) == s.primitive_gap and is_admissible((5,) + cw + (1,), s)
 
     @pytest.mark.parametrize("matrix", [
         cycle_matrix(200, chord=False),
@@ -210,17 +228,89 @@ class TestEntropy:
         assert abs(est - math.log(PHI)) <= 0.02
 
 
-class TestPerronPair:
-    def test_unconverged_iteration_raises(self):
-        # a 60-cycle with the chord 0 -> 2 mixes slowly: about 18k iterations
-        n = 60
-        a = np.zeros((n, n))
-        a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
-        a[0, 2] = 1.0
-        with pytest.raises(NotConverged):
-            _perron_pair(a, max_iter=1000)
-        lam, v = _perron_pair(a)
-        assert np.max(np.abs(a @ v - lam * v)) <= 1e-12
+def mp_perron_vector(b: np.ndarray, dps: int = 30) -> tuple[mpmath.mpf, list[mpmath.mpf]]:
+    """(rho, r) with B r = rho r and sum r = 1, to dps digits: two Newton
+    steps on [(B - rho I) r, sum r - 1] = 0 in mpmath from numpy's eig.
+    The solution is checked to be an eigenpair with r > 0, which by
+    Perron-Frobenius makes it the Perron pair of an irreducible B."""
+    k = len(b)
+    w, v = np.linalg.eig(b)
+    top = int(np.argmax(w.real))
+    start = list(v[:, top].real / v[:, top].real.sum()) + [w[top].real]
+    with mpmath.workdps(dps):
+        bm = mpmath.matrix(b.tolist())
+        x = mpmath.matrix([mpmath.mpf(float(c)) for c in start])
+
+        def residual(x):
+            r = x[:k]
+            return mpmath.matrix([*(bm * r - x[k] * r), sum(r) - 1])
+
+        for _ in range(2):
+            jac = mpmath.matrix(k + 1, k + 1)
+            for i in range(k):
+                for j in range(k):
+                    jac[i, j] = bm[i, j] - (x[k] if i == j else 0)
+                jac[i, k] = -x[i]
+                jac[k, i] = 1
+            x -= mpmath.lu_solve(jac, residual(x))
+        assert mpmath.norm(residual(x)) < mpmath.mpf(10) ** (5 - dps)
+        assert all(x[i] > 0 for i in range(k))
+        return x[k], [x[i] for i in range(k)]
+
+
+#: irreducible matrices for the kernel check: primitive ambients, a slowly
+#: mixing 60-cycle with a chord, and a period-2 chain (eigenvalues 1, -1, 0)
+PERRON_CASES = {
+    "golden": np.array([[1.0, 1.0], [1.0, 0.0]]),
+    "full3": np.ones((3, 3)),
+    "three_symbol": np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+    "random4": random_primitive_sft(4, ACCEPTANCE_SEED).matrix_array(),
+    "chord60": np.array(cycle_matrix(60, chord=True), dtype=float),
+    "period2": np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def mp_perron_case(name: str) -> tuple[mpmath.mpf, list[mpmath.mpf], list[mpmath.mpf]]:
+    """(rho, r, l) of PERRON_CASES[name] from mp_perron_vector."""
+    b = PERRON_CASES[name]
+    rho, right = mp_perron_vector(b)
+    return rho, right, mp_perron_vector(b.T)[1]
+
+
+class TestPerron:
+    @pytest.mark.parametrize("name", PERRON_CASES)
+    def test_root_and_vectors_match_mpmath(self, name):
+        b = PERRON_CASES[name]
+        k = len(b)
+        rho, inv = perron(b)
+        mp_rho, mp_right, mp_left = mp_perron_case(name)
+        assert abs(rho - mp_rho) <= 1e-14
+        assert max(abs(inv[i, k] - mp_right[i]) for i in range(k)) <= 1e-14
+        assert max(abs(inv[k, i] - mp_left[i]) for i in range(k)) <= 1e-14
+
+    def test_golden_entropy_is_log_phi(self, golden):
+        with mpmath.workdps(30):
+            assert abs(topological_entropy(golden) - mpmath.log(mpmath.phi)) <= 4e-16
+
+    def test_slow_mixing_parry_measure(self):
+        # the 60-cycle with a chord mixes slowly (gap 3,482); its Parry
+        # measure has pi_i = l_i r_i / sum l r, from the one dense solve
+        s = sft_from_matrix(60, cycle_matrix(60, chord=True))
+        _, right, left = mp_perron_case("chord60")
+        uv = [a * b for a, b in zip(left, right)]
+        pi = parry_measure(s).pi
+        assert max(abs(p - x / sum(uv)) for p, x in zip(pi, uv)) <= 1e-14
+
+    def test_tied_classes_have_no_inverse(self):
+        # two disjoint loops: rho = 1 twice, so the bordered matrix is singular
+        rho, inv = perron(np.eye(2))
+        assert rho == 1.0 and inv is None
+
+    def test_reducible_spectral_radius(self):
+        # the loop on 0 feeds the golden block {1, 2}: rho is the larger class root
+        s = sft_from_matrix(3, [[1, 1, 0], [0, 1, 1], [0, 1, 0]])
+        assert topological_entropy(s) == pytest.approx(math.log(PHI), abs=1e-15)
 
 
 class TestBridges:
@@ -274,12 +364,12 @@ def small_binary_matrices(draw):
 class TestProperSubgraph:
     def test_full4_drops_last_loop(self):
         # deleting any loop (i, i) leaves growth rate (3 + sqrt 21)/2, the
-        # best; the four ties are broken by float entropies, picking (3, 3)
+        # best; of the four tied edge sets, the one without (3, 3) is least
         s = full_shift(4)
         nodes, edges, ent = largest_proper_scc_subgraph(s)
         assert nodes == (0, 1, 2, 3)
         assert set(s.edges()) - edges == {(3, 3)}
-        assert ent == 1.3327057628202617
+        assert ent == pytest.approx(math.log((3 + math.sqrt(21)) / 2), abs=1e-15)
 
 
 class TestProperties:

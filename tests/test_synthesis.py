@@ -7,7 +7,9 @@ from shiftlab.classify import evaluate_certificate
 from shiftlab.errors import (CertificateMismatch, IrregularityUnavailable,
                              NoProperSubshift, NotAdmissible, NotPrimitive)
 from shiftlab.measures import constant_potential, indicator_potential
-from shiftlab.shifts import golden_mean_shift, is_admissible, iter_words, sft_from_matrix
+from shiftlab.shifts import (golden_mean_shift, is_admissible, iter_words,
+                             largest_proper_scc_subgraph, sft_from_matrix,
+                             strongly_connected_components)
 from shiftlab.synthesis import (GapClass, certify, glue, regenerate_segment,
                                 sturmian_word, synthesize_witness, thue_morse_word)
 
@@ -221,12 +223,45 @@ class TestOtherAmbients:
                                      o.certificate.expected_statistics, phi=phi)
             assert r.all_pass, (gap_class, [v for v in r.verdicts if not v["passed"]])
 
-    def test_missing_ingredients_reported(self, random4):
-        # this seeded graph has no cycle edge-disjoint from its densest
-        # proper subgraph and no full 2-shift block
-        phi = indicator_potential(random4, (1,))
+    def test_missing_ingredients_reported(self):
+        # the densest proper subgraph, the golden block on {0, 2}, beats
+        # every other candidate by far, and every cycle through 1 also uses
+        # its edge (0, 2), so no cycle is edge-disjoint from it
+        s = sft_from_matrix(3, [[0, 0, 1], [1, 0, 0], [1, 1, 1]])
+        ents = sorted(_candidate_entropies(s).values(), reverse=True)
+        assert ents[0] - ents[1] > 0.05
+        _, edges, _ = largest_proper_scc_subgraph(s)
+        assert edges == {(0, 2), (2, 0), (2, 2)}
         with pytest.raises(NoProperSubshift):
-            synthesize_witness(random4, GapClass.I_NOT_QW, phi, 1 << 12, seed=5)
+            synthesize_witness(s, GapClass.I_NOT_QW, indicator_potential(s, (1,)), 1 << 12,
+                               seed=5)
+
+    def test_random4_i_not_qw_certifies(self, random4):
+        # random4's densest proper subgraph is tied to 30 digits between
+        # dropping (1, 3) and dropping (2, 2); the tie rule drops (2, 2),
+        # whose loop is then a cycle edge-disjoint from the subgraph
+        ents = sorted(_candidate_entropies(random4).values(), reverse=True)
+        assert ents[0] - ents[1] < 1e-12
+        _, edges, _ = largest_proper_scc_subgraph(random4)
+        assert set(random4.edges()) - edges == {(2, 2)}
+        o = synthesize_witness(random4, GapClass.I_NOT_QW, indicator_potential(random4, (1,)),
+                               1 << 12, seed=5)
+        certify(o)
+
+
+def _candidate_entropies(s) -> dict:
+    """Entropy of each strongly connected component of A minus one edge,
+    keyed by its edge set: the candidates of largest_proper_scc_subgraph."""
+    out = {}
+    for drop in s.edges():
+        kept = [e for e in s.edges() if e != drop]
+        mat = [[int((i, j) in kept) for j in range(s.k)] for i in range(s.k)]
+        for comp in strongly_connected_components(mat):
+            edges = frozenset((i, j) for i, j in kept if i in comp and j in comp)
+            if edges:
+                sub = np.array([[float((i, j) in edges) for j in comp] for i in comp])
+                out[edges] = float(np.log(np.max(np.linalg.eigvals(sub).real)))
+    return out
 
 
 class TestTinyHorizons:
