@@ -14,12 +14,13 @@ liminf/limsup visit frequencies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import TooShort
+from .errors import SchemaError, TooShort
 from .measures import Potential
 from .shifts import ShiftSpace, Word, iter_words
 
@@ -30,7 +31,6 @@ DEFAULT_TRACE_CHECKPOINTS = 128
 
 @dataclass
 class VisitStatistics:
-    cylinder_len: int
     target: Word
     visit_times: np.ndarray
     lower_density_est: float
@@ -113,30 +113,15 @@ def word_code(w: Sequence[int], k: int) -> int:
     return c
 
 
-def find_visits(x: np.ndarray, target: Sequence[int], k: int,
-                horizon: Optional[int] = None) -> np.ndarray:
-    """Times n >= 1 with x_n..x_{n+|target|-1} == target, up to the horizon."""
-    ell = len(target)
-    n_max = (horizon if horizon is not None else len(x) - ell)
-    if n_max > len(x) - ell:
-        raise TooShort(f"horizon {n_max} needs stream length >= {n_max + ell}")
-    codes = window_codes(x[:n_max + ell], ell, k)
-    hits = np.nonzero(codes == word_code(target, k))[0]
-    return hits[hits >= 1]
-
-
 def density_checkpoints(n_max: int, count: int = DENSITY_CHECKPOINTS) -> np.ndarray:
     """Geometric grid of `count` checkpoints spanning [n_max/2, n_max]."""
-    lo = max(1, n_max // 2)
-    pts = np.unique(np.round(np.geomspace(lo, n_max, count)).astype(np.int64))
-    return pts
+    return np.unique(np.round(np.geomspace(max(1, n_max // 2), n_max, count)).astype(np.int64))
 
 
 def windowed_density(visits: np.ndarray, n_max: int) -> tuple[float, float]:
     """(lower, upper) cumulative-ratio estimates over the checkpoint grid."""
     pts = density_checkpoints(n_max)
-    counts = np.searchsorted(visits, pts, side="left")
-    ratios = counts / pts
+    ratios = np.searchsorted(visits, pts, side="left") / pts
     return float(ratios.min()), float(ratios.max())
 
 
@@ -157,11 +142,11 @@ def visit_statistics(x, ell: int, n_max: Optional[int] = None,
         raise TooShort(f"need length >= {n_max + ell}, have {len(arr)}")
     prefix = tuple(int(c) for c in arr[:ell])
     tgt = tuple(target) if target is not None else prefix
-    visits = find_visits(arr, tgt, k, horizon=n_max)
-    return _statistics_from_visits(ell, tgt, visits, n_max, tgt == prefix)
+    hits = np.flatnonzero(window_codes(arr[:n_max + ell], ell, k) == word_code(tgt, k))
+    return _statistics_from_visits(tgt, hits[hits >= 1], n_max, tgt == prefix)
 
 
-def _statistics_from_visits(ell: int, tgt: Word, visits: np.ndarray, n_max: int,
+def _statistics_from_visits(tgt: Word, visits: np.ndarray, n_max: int,
                             self_target: bool) -> VisitStatistics:
     lower, upper = windowed_density(visits, n_max)
     if len(visits) >= 2:
@@ -173,9 +158,8 @@ def _statistics_from_visits(ell: int, tgt: Word, visits: np.ndarray, n_max: int,
         max_gap = int(max(visits[0], n_max - visits[0]))
     else:
         max_gap = n_max
-    return VisitStatistics(cylinder_len=ell, target=tgt, visit_times=visits,
-                           lower_density_est=lower, upper_density_est=upper,
-                           max_gap=max_gap, horizon=n_max)
+    return VisitStatistics(target=tgt, visit_times=visits, lower_density_est=lower,
+                           upper_density_est=upper, max_gap=max_gap, horizon=n_max)
 
 
 def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
@@ -189,13 +173,10 @@ def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
     need = max(checkpoints) + phi.range
     if len(arr) < need:
         raise TooShort(f"need length >= {need}, have {len(arr)}")
-    r = phi.range
-    codes = window_codes(arr, r, k)
-    table = np.zeros(k ** r)
+    table = np.zeros(k ** phi.range)
     for w, v in phi.table.items():
         table[word_code(w, k)] = v
-    values = table[codes]
-    sums = np.cumsum(values)
+    sums = np.cumsum(table[window_codes(arr, phi.range, k)])
     return [(int(n), float(sums[n - 1] / n)) for n in checkpoints]
 
 
@@ -204,10 +185,15 @@ def default_trace_checkpoints(n_max: int, count: int = DEFAULT_TRACE_CHECKPOINTS
     return [int(p) for p in pts if p >= 1]
 
 
+def _tail(trace: list[tuple[int, float]], share: float) -> list[float]:
+    """Running averages at the checkpoints n >= share * N."""
+    lo_n = share * trace[-1][0]
+    return [v for n, v in trace if n >= lo_n]
+
+
 def trace_oscillation(trace: list[tuple[int, float]], window: float = 0.5) -> tuple[float, float]:
     """(min, max) of the running average over checkpoints n >= window * N."""
-    n_max = trace[-1][0]
-    tail = [v for n, v in trace if n >= window * n_max]
+    tail = _tail(trace, window)
     return (min(tail), max(tail))
 
 
@@ -227,32 +213,25 @@ def empirical_measure(x, ell: int, n_max: Optional[int] = None,
 
 def _frequencies(counts: np.ndarray, ell: int, k: int) -> dict[Word, float]:
     """Word -> share of the windows, for the words whose code has a count."""
+    codes = np.flatnonzero(counts)
+    words = np.transpose(np.unravel_index(codes, (k,) * ell)).tolist()
     total = counts.sum()
-    out: dict[Word, float] = {}
-    for code in np.nonzero(counts)[0]:
-        w = []
-        c = int(code)
-        for _ in range(ell):
-            w.append(c % k)
-            c //= k
-        out[tuple(reversed(w))] = counts[code] / total
-    return out
+    return {tuple(w): counts[code] / total for w, code in zip(words, codes)}
 
 
-def coverage(x, s: ShiftSpace, ell: int, expected_freq: Optional[dict[Word, float]] = None,
-             min_raw_visits: int = 8) -> tuple[float, dict[Word, int]]:
+def coverage(x, s: ShiftSpace, ell: int,
+             expected_freq: Optional[dict[Word, float]] = None) -> tuple[float, dict[Word, int]]:
     """Fraction of admissible ell-words visited 'positively', plus raw counts.
 
     Positive means frequency >= 1/(4 * expected count) under the declared
-    full-support measure when given, else >= min_raw_visits raw occurrences.
+    full-support measure when given, else >= 8 raw occurrences.
     """
     counts = np.bincount(window_codes(_as_array(x), ell, s.k), minlength=s.k ** ell)
-    return _coverage(counts, s, ell, expected_freq, min_raw_visits)
+    return _coverage(counts, s, ell, expected_freq)
 
 
 def _coverage(counts: np.ndarray, s: ShiftSpace, ell: int,
-              expected_freq: Optional[dict[Word, float]] = None,
-              min_raw_visits: int = 8) -> tuple[float, dict[Word, int]]:
+              expected_freq: Optional[dict[Word, float]] = None) -> tuple[float, dict[Word, int]]:
     """coverage() from the window counts of every length-ell code."""
     admissible = list(iter_words(s, ell))
     hits = 0
@@ -261,7 +240,7 @@ def _coverage(counts: np.ndarray, s: ShiftSpace, ell: int,
         count = int(counts[word_code(w, s.k)])
         raw[w] = count
         p_w = expected_freq.get(w, 0.0) if expected_freq else 0.0
-        needed = math.ceil(1.0 / (4.0 * p_w)) if p_w > 0 else min_raw_visits
+        needed = math.ceil(1.0 / (4.0 * p_w)) if p_w > 0 else 8
         if count >= needed:
             hits += 1
     return hits / len(admissible), raw
@@ -282,56 +261,6 @@ class _WindowFacts:
     self_stats: dict[int, VisitStatistics]
     counts: dict[int, np.ndarray]
     lower: dict[int, np.ndarray]
-
-
-#: the parameters each check kind reads and their JSON types: int, float
-#: (any number), [t] (a list of t) or [t, u] (a pair); io rejects an entry
-#: that lacks one or holds a value of another type
-CHECK_PARAMS: dict[str, dict] = {
-    "full_horizon_present": {"horizon": int}, "trace_attains": {"targets": [float], "tol": float},
-    "trace_converges": {"target": float, "tol": float, "osc_tol": float},
-    "trace_oscillation": {"min_gap": float},
-    "cylinder_lower_min": {"lengths": [int], "threshold": float},
-    "self_lower_max": {"length": int, "max": float},
-    "self_upper_min": {"length": int, "min": float},
-    "self_upper_decreasing": {"lengths": [int], "final_max": float},
-    "coverage_counts": {"length": int, "min_visits": float},
-    "max_gap_bounded": {"bounds": [[int, float]]},
-    "coverage_fraction_of_expected": {"length": int, "expected": [[[int], float]],
-                                      "fraction": float},
-    "not_eventually_periodic": {}, "periodic_density_exact": {"period": int},
-}
-#: parameters with a default, typed when present
-OPTIONAL_PARAMS = {"window": float, "max_period": int}
-
-
-def has_param_type(value, spec) -> bool:
-    """Whether a JSON value has a CHECK_PARAMS type (bools are not numbers)."""
-    if spec in (int, float):
-        return type(value) is int or type(value) is spec
-    if type(value) is not list:
-        return False
-    if len(spec) == 1:
-        return all(has_param_type(x, spec[0]) for x in value)
-    return len(value) == len(spec) and all(map(has_param_type, value, spec))
-
-
-def _window_needs(check: dict) -> set[tuple[str, int]]:
-    """(fact, length) pairs a check reads off the sweep; facts as in _WindowFacts."""
-    kind = check["check"]
-    if kind in ("self_lower_max", "self_upper_min"):
-        return {("self", int(check["length"]))}
-    if kind == "self_upper_decreasing":
-        return {("self", int(ell)) for ell in check["lengths"]}
-    if kind == "max_gap_bounded":
-        return {("self", int(ell)) for ell, _ in check["bounds"]}
-    if kind == "periodic_density_exact":
-        return {("self", ell) for ell in range(1, int(check["period"]) + 1)}
-    if kind in ("coverage_counts", "coverage_fraction_of_expected"):
-        return {("counts", int(check["length"]))}
-    if kind == "cylinder_lower_min":
-        return {("lower", int(ell)) for ell in check["lengths"]}
-    return set()
 
 
 def _sweep_windows(arr: np.ndarray, k: int, n_max: int,
@@ -365,7 +294,7 @@ def _sweep_windows(arr: np.ndarray, k: int, n_max: int,
         recurs &= arr[ell:ell + h] == arr[ell - 1]
         if ell in self_lengths:
             facts.self_stats[ell] = _statistics_from_visits(
-                ell, tuple(int(c) for c in arr[:ell]), np.flatnonzero(recurs) + 1, h, True)
+                tuple(int(c) for c in arr[:ell]), np.flatnonzero(recurs) + 1, h, True)
     return facts
 
 
@@ -395,106 +324,6 @@ def _rotation_agreements(cycle: np.ndarray) -> list[int]:
     return out
 
 
-def _eval_check(check: dict, x: np.ndarray, s: ShiftSpace, phi: Optional[Potential],
-                trace: list[tuple[int, float]], facts: _WindowFacts) -> dict:
-    """One expected_statistics entry -> verdict record (pure data)."""
-    kind = check["check"]
-    out = {"check": kind, "params": {k: v for k, v in check.items() if k != "check"}}
-
-    if kind == "full_horizon_present":
-        need = int(check["horizon"])
-        out["measured"] = len(x)
-        out["passed"] = len(x) >= need
-
-    elif kind == "trace_attains":
-        lo_n = check.get("window", 0.5) * trace[-1][0]
-        tail = [v for n, v in trace if n >= lo_n]
-        tol = check["tol"]
-        out["measured"] = [min(abs(v - t) for v in tail) for t in check["targets"]]
-        out["passed"] = all(m <= tol for m in out["measured"])
-
-    elif kind == "trace_converges":
-        lo_n = (1.0 - check.get("window", 0.25)) * trace[-1][0]
-        tail = [v for n, v in trace if n >= lo_n]
-        osc = max(tail) - min(tail)
-        err = abs(tail[-1] - check["target"])
-        out["measured"] = {"oscillation": osc, "final_error": err}
-        out["passed"] = osc <= check["osc_tol"] and err <= check["tol"]
-
-    elif kind == "trace_oscillation":
-        lo, hi = trace_oscillation(trace, window=check.get("window", 0.5))
-        out["measured"] = hi - lo
-        out["passed"] = (hi - lo) >= check["min_gap"]
-
-    elif kind == "cylinder_lower_min":
-        worst = min(float(facts.lower[int(ell)][word_code(w, s.k)])
-                    for ell in check["lengths"] for w in iter_words(s, int(ell)))
-        out["measured"] = worst
-        out["passed"] = worst >= check["threshold"]
-
-    elif kind == "self_lower_max":
-        st = facts.self_stats[int(check["length"])]
-        out["measured"] = st.lower_density_est
-        out["passed"] = st.lower_density_est <= check["max"]
-
-    elif kind == "self_upper_min":
-        st = facts.self_stats[int(check["length"])]
-        out["measured"] = st.upper_density_est
-        out["passed"] = st.upper_density_est >= check["min"]
-
-    elif kind == "self_upper_decreasing":
-        uppers = [facts.self_stats[int(ell)].upper_density_est for ell in check["lengths"]]
-        strict = all(a > b for a, b in zip(uppers, uppers[1:]))
-        out["measured"] = uppers
-        out["passed"] = strict and uppers[-1] <= check["final_max"]
-
-    elif kind == "coverage_counts":
-        _, raw = _coverage(facts.counts[int(check["length"])], s, int(check["length"]))
-        worst = min(raw.values())
-        out["measured"] = worst
-        out["passed"] = worst >= check["min_visits"]
-
-    elif kind == "coverage_fraction_of_expected":
-        expected = {tuple(w): f for w, f in check["expected"]}
-        ell = int(check["length"])
-        emp = _frequencies(facts.counts[ell], ell, s.k)
-        ratios = [emp.get(w, 0.0) / f for w, f in expected.items() if f > 0]
-        out["measured"] = min(ratios) if ratios else 0.0
-        out["passed"] = bool(ratios) and bool(min(ratios) >= check["fraction"])
-
-    elif kind == "max_gap_bounded":
-        gaps = {int(ell): facts.self_stats[int(ell)].max_gap for ell, _ in check["bounds"]}
-        out["measured"] = gaps
-        out["passed"] = all(gaps[int(ell)] <= bound for ell, bound in check["bounds"])
-
-    elif kind == "not_eventually_periodic":
-        out["passed"] = not _eventually_periodic(x, check.get("max_period", 1024))
-        out["measured"] = out["passed"]
-
-    elif kind == "periodic_density_exact":
-        # the self-cylinder of length ell recurs at the rotations of the cycle
-        # x_0..x_{p-1} that agree with it on ell symbols.  Visit times start
-        # at 1, so cumulative self-visit ratios run up to 1/n below the exact
-        # rational; allow that on top of the p/horizon grain
-        p = int(check["period"])
-        ok = True
-        measured = {}
-        for ell, agreeing in enumerate(_rotation_agreements(x[:p]), start=1):
-            st = facts.self_stats[ell]
-            measured[ell] = (st.lower_density_est, st.upper_density_est)
-            tol = 3.0 * p / st.horizon
-            ok = ok and abs(st.lower_density_est - agreeing / p) <= tol
-            ok = ok and abs(st.upper_density_est - agreeing / p) <= tol
-        out["measured"] = measured
-        out["passed"] = ok
-
-    else:
-        out["measured"] = None
-        out["passed"] = False
-        out["error"] = f"unknown check kind {kind}"
-    return out
-
-
 #: symbols of the second half compared for every period before any full compare
 PERIOD_PROBE = 256
 
@@ -518,34 +347,221 @@ def _eventually_periodic(x: np.ndarray, max_period: int) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# the check table: every kind of expected_statistics entry, declared once
+
+
+#: what a verdict reads; the trace is empty without a potential
+_Evidence = NamedTuple("_Evidence", [("x", np.ndarray), ("s", ShiftSpace),
+                                     ("trace", list), ("facts", _WindowFacts)])
+#: a parameter type: test(value, n, k) decides it for a stream of n symbols
+#: over k, and `what` states it in errors
+Param = NamedTuple("Param", [("what", str), ("test", Callable[[object, int, int], bool])])
+
+
+def _is_number(v) -> bool:
+    """Bools are not numbers, and an integer must convert to a float."""
+    return isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+NUMBER = Param("a number", lambda v, n, k: _is_number(v))
+INTEGER = Param("an integer", lambda v, n, k: type(v) is int)
+COUNT = Param("an integer >= 1", lambda v, n, k: type(v) is int and v >= 1)
+#: a self-cylinder length or period: some visit time must follow it in the stream
+LENGTH = Param("an integer ell with 1 <= ell < n", lambda v, n, k: type(v) is int and 1 <= v < n)
+#: a length whose k**ell word codes get counted: no more codes than symbols
+CODE_LENGTH = Param("an integer ell with 1 <= ell < n and k**ell <= n",
+                    lambda v, n, k: LENGTH.test(v, n, k) and k ** min(v, n.bit_length()) <= n)
+SHARE = Param("a number in (0, 1]", lambda v, n, k: _is_number(v) and 0 < v <= 1)
+
+
+def _list_of(item: Param) -> Param:
+    return Param(f"a non-empty list, each item {item.what}", lambda v, n, k: type(v) is list
+                 and len(v) > 0 and all(item.test(x, n, k) for x in v))
+
+
+def _pair(a: Param, b: Param) -> Param:
+    return Param(f"a pair [{a.what}, {b.what}]", lambda v, n, k: type(v) is list
+                 and len(v) == 2 and a.test(v[0], n, k) and b.test(v[1], n, k))
+
+
+class CheckKind(NamedTuple):
+    """One kind of expected_statistics entry.  params: its parameters and their
+    types; those in `defaults` may be left out.  verdict(p, ev): the verdict
+    fields "measured" and "passed", in report order.  needs(p): the (fact,
+    length) pairs it reads off the sweep, facts as in _WindowFacts.  trace:
+    whether it reads the Birkhoff trace, so needs a potential.  p is the
+    entry with its defaults filled in."""
+    params: dict[str, Param]
+    verdict: Callable[[dict, _Evidence], dict]
+    needs: Callable[[dict], set[tuple[str, int]]] = lambda p: set()
+    defaults: dict = {}
+    trace: bool = False
+
+
+def _at_least(measured, bound) -> dict:
+    return {"measured": measured, "passed": measured >= bound}
+
+
+def _at_most(measured, bound) -> dict:
+    return {"measured": measured, "passed": measured <= bound}
+
+
+def _spread(values: list[float]) -> float:
+    return max(values) - min(values)
+
+
+def _trace_distances(p: dict, ev: _Evidence) -> dict:
+    tail = _tail(ev.trace, p["window"])
+    measured = [min(abs(v - t) for v in tail) for t in p["targets"]]
+    return {"measured": measured, "passed": all(m <= p["tol"] for m in measured)}
+
+
+def _trace_settles(p: dict, ev: _Evidence) -> dict:
+    tail = _tail(ev.trace, 1.0 - p["window"])
+    osc, err = _spread(tail), abs(tail[-1] - p["target"])
+    return {"measured": {"oscillation": osc, "final_error": err},
+            "passed": osc <= p["osc_tol"] and err <= p["tol"]}
+
+
+def _uppers_decrease(p: dict, ev: _Evidence) -> dict:
+    uppers = [ev.facts.self_stats[ell].upper_density_est for ell in p["lengths"]]
+    strict = all(a > b for a, b in zip(uppers, uppers[1:]))
+    return {"measured": uppers, "passed": strict and uppers[-1] <= p["final_max"]}
+
+
+def _expected_share(p: dict, ev: _Evidence) -> dict:
+    expected = {tuple(w): f for w, f in p["expected"]}
+    emp = _frequencies(ev.facts.counts[p["length"]], p["length"], ev.s.k)
+    ratios = [emp.get(w, 0.0) / f for w, f in expected.items() if f > 0]
+    return {"measured": min(ratios) if ratios else 0.0,
+            "passed": bool(ratios) and bool(min(ratios) >= p["fraction"])}
+
+
+def _gaps_within(p: dict, ev: _Evidence) -> dict:
+    gaps = {ell: ev.facts.self_stats[ell].max_gap for ell, _ in p["bounds"]}
+    return {"measured": gaps, "passed": all(gaps[ell] <= bound for ell, bound in p["bounds"])}
+
+
+def _cycle_densities(p: dict, ev: _Evidence) -> dict:
+    """The self-cylinder of length ell recurs at the rotations of the cycle
+    x_0..x_{p-1} that agree with it on ell symbols.  Visit times start at 1,
+    so cumulative self-visit ratios run up to 1/n below the exact rational;
+    allow that on top of the p/horizon grain."""
+    period, ok, measured = p["period"], True, {}
+    for ell, agreeing in enumerate(_rotation_agreements(ev.x[:period]), start=1):
+        st = ev.facts.self_stats[ell]
+        measured[ell] = (st.lower_density_est, st.upper_density_est)
+        tol = 3.0 * period / st.horizon
+        ok = ok and all(abs(d - agreeing / period) <= tol for d in measured[ell])
+    return {"measured": measured, "passed": ok}
+
+
+CHECKS: dict[str, CheckKind] = {
+    "full_horizon_present": CheckKind(
+        {"horizon": COUNT}, lambda p, ev: _at_least(len(ev.x), p["horizon"])),
+    "trace_attains": CheckKind(
+        {"targets": _list_of(NUMBER), "tol": NUMBER, "window": SHARE}, _trace_distances,
+        defaults={"window": 0.5}, trace=True),
+    "trace_converges": CheckKind(
+        {"target": NUMBER, "tol": NUMBER, "osc_tol": NUMBER, "window": SHARE}, _trace_settles,
+        defaults={"window": 0.25}, trace=True),
+    "trace_oscillation": CheckKind(
+        {"min_gap": NUMBER, "window": SHARE},
+        lambda p, ev: _at_least(_spread(_tail(ev.trace, p["window"])), p["min_gap"]),
+        defaults={"window": 0.5}, trace=True),
+    "cylinder_lower_min": CheckKind(
+        {"lengths": _list_of(CODE_LENGTH), "threshold": NUMBER},
+        lambda p, ev: _at_least(min(float(ev.facts.lower[ell][word_code(w, ev.s.k)])
+                                    for ell in p["lengths"] for w in iter_words(ev.s, ell)),
+                                p["threshold"]),
+        lambda p: {("lower", ell) for ell in p["lengths"]}),
+    "self_lower_max": CheckKind(
+        {"length": LENGTH, "max": NUMBER},
+        lambda p, ev: _at_most(ev.facts.self_stats[p["length"]].lower_density_est, p["max"]),
+        lambda p: {("self", p["length"])}),
+    "self_upper_min": CheckKind(
+        {"length": LENGTH, "min": NUMBER},
+        lambda p, ev: _at_least(ev.facts.self_stats[p["length"]].upper_density_est, p["min"]),
+        lambda p: {("self", p["length"])}),
+    "self_upper_decreasing": CheckKind(
+        {"lengths": _list_of(LENGTH), "final_max": NUMBER}, _uppers_decrease,
+        lambda p: {("self", ell) for ell in p["lengths"]}),
+    "coverage_counts": CheckKind(
+        {"length": CODE_LENGTH, "min_visits": NUMBER},
+        lambda p, ev: _at_least(min(_coverage(ev.facts.counts[p["length"]], ev.s,
+                                              p["length"])[1].values()), p["min_visits"]),
+        lambda p: {("counts", p["length"])}),
+    "max_gap_bounded": CheckKind(
+        {"bounds": _list_of(_pair(LENGTH, NUMBER))}, _gaps_within,
+        lambda p: {("self", ell) for ell, _ in p["bounds"]}),
+    "coverage_fraction_of_expected": CheckKind(
+        {"length": CODE_LENGTH, "expected": _list_of(_pair(_list_of(INTEGER), NUMBER)),
+         "fraction": NUMBER}, _expected_share, lambda p: {("counts", p["length"])}),
+    "not_eventually_periodic": CheckKind(   # its reports list passed first
+        {"max_period": COUNT}, lambda p, ev: dict.fromkeys(
+            ("passed", "measured"), not _eventually_periodic(ev.x, p["max_period"])),
+        defaults={"max_period": 1024}),
+    "periodic_density_exact": CheckKind(
+        {"period": LENGTH}, _cycle_densities,
+        lambda p: {("self", ell) for ell in range(1, p["period"] + 1)}),
+}
+
+
+def _checked(chk, n: int, k: int, has_phi: bool) -> tuple[CheckKind, dict]:
+    """The table entry of an expected_statistics entry and the entry with its
+    defaults filled in, for a stream of n symbols over k; SchemaError if malformed."""
+    name = chk.get("check") if type(chk) is dict else None
+    kind = CHECKS.get(name) if type(name) is str else None
+    if kind is None:
+        raise SchemaError(f"unknown check kind {name!r}")
+    for param, spec in kind.params.items():
+        if param not in chk:
+            if param not in kind.defaults:
+                raise SchemaError(f"{name} check has no {param!r} parameter")
+        elif not spec.test(chk[param], n, k):
+            raise SchemaError(f"{name} check parameter {param!r} is {chk[param]!r}, not "
+                              f"{spec.what} (n = {n} stream symbols, k = {k})")
+    for param in chk:
+        if param != "check" and param not in kind.params:
+            raise SchemaError(f"{name} check takes no {param!r} parameter")
+    if kind.trace and not has_phi:
+        raise SchemaError(f"{name} check reads a Birkhoff trace, but there is no potential")
+    return kind, {**kind.defaults, **chk}
+
+
 def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
                          phi: Optional[Potential] = None) -> RecurrenceReport:
     """Score a stream against its certificate's expected statistics.
 
-    Failures are verdicts, never exceptions: the report is pure data.
+    Failures are verdicts, never exceptions: the report is pure data.  A
+    malformed check is refused with SchemaError before any sweep: an unknown
+    kind, a missing, unknown or mistyped parameter, a value outside the range
+    CHECKS declares for it, or a trace check without a potential.
     """
     arr = _as_array(x)
     max_ell = max(DEFAULT_LADDER)
     n_max = len(arr) - max_ell
     if n_max < 16:
         raise TooShort("stream too short for any evidence")
+    if type(expected_statistics) is not list:
+        raise SchemaError("expected_statistics is not a list")
+    checks = [_checked(chk, len(arr), s.k, phi is not None) for chk in expected_statistics]
 
     needs = {("self", ell) for ell in DEFAULT_LADDER}
     needs |= {("counts", ell) for ell in DEFAULT_LADDER if ell <= 4}
-    for chk in expected_statistics:
-        needs |= _window_needs(chk)
+    for kind, p in checks:
+        needs |= kind.needs(p)
     facts = _sweep_windows(arr, s.k, n_max, needs)
     ladder_stats = {ell: facts.self_stats[ell] for ell in DEFAULT_LADDER}
 
-    if phi is not None:
-        cps = default_trace_checkpoints(min(len(arr) - phi.range, n_max + max_ell))
-        trace = birkhoff_trace(arr, phi, cps, k=s.k)
-        osc = trace_oscillation(trace)
-    else:
-        trace = []
-        osc = (0.0, 0.0)
+    trace = [] if phi is None else birkhoff_trace(
+        arr, phi, default_trace_checkpoints(min(len(arr) - phi.range, n_max + max_ell)), k=s.k)
+    osc = trace_oscillation(trace) if trace else (0.0, 0.0)
 
     cov = {ell: _coverage(facts.counts[ell], s, ell)[0] for ell in DEFAULT_LADDER if ell <= 4}
-    verdicts = [_eval_check(chk, arr, s, phi, trace, facts) for chk in expected_statistics]
+    ev = _Evidence(arr, s, trace, facts)
+    verdicts = [{"check": chk["check"], "params": {k: v for k, v in chk.items() if k != "check"},
+                 **kind.verdict(p, ev)} for chk, (kind, p) in zip(expected_statistics, checks)]
     return RecurrenceReport(horizon=n_max, ladder_stats=ladder_stats, trace=trace,
                             oscillation=osc, cylinder_coverage=cov, verdicts=verdicts)

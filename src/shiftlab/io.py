@@ -15,7 +15,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .classify import CHECK_PARAMS, OPTIONAL_PARAMS, has_param_type
 from .errors import SchemaError
 from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
                        markov_measure, mixture, periodic_measure)
@@ -239,15 +238,6 @@ def _orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     s = shift_from_doc(cert_doc["shift"])
     pool = [measure_from_doc(d, s) for d in cert_doc["pool"]]
     phi = potential_from_doc(cert_doc["potential"]) if cert_doc.get("potential") else None
-    for chk in cert_doc["expected_statistics"]:
-        params = CHECK_PARAMS.get(chk["check"], {})
-        for name, spec in {**OPTIONAL_PARAMS, **params}.items():
-            if name not in chk:
-                if name in params:
-                    raise SchemaError(f"{chk['check']} check has no {name!r} parameter")
-            elif not has_param_type(chk[name], spec):
-                raise SchemaError(f"{chk['check']} check parameter {name!r} has the wrong "
-                                  f"type: {json.dumps(chk[name])}")
     facts = []
     for f in cert_doc["exact_facts"]:
         fixed = dict(f)

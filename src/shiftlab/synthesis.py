@@ -57,23 +57,18 @@ class GapClass(str, Enum):
     PERIODIC = "PERIODIC"
 
 
-@dataclass
-class SynthesisConfig:
-    """Frozen class parameters; thresholds were pinned from pilot runs."""
-
-    horizon: int = 1 << 20
-    block_unit: int = 64
-    # mixture weight toward the max-entropy component, per class
-    theta_w_not_qr: tuple[float, float] = (0.95, 0.90)
-    theta_v_not_w: float = 0.25
-    weight_v_full: float = 0.10      # full-support Markov share inside the V endpoint
-    theta_i_not_qw: float = 0.30
-    theta_qr_mix: float = 0.95
-    sweep_rounds: int = 28
-    sweep_growth: float = 1.3
-    dwell_rounds: int = 8
-    excursion_fraction: float = 0.06
-    pin_length: int = 6
+#: the class recipes' fixed values, pinned from pilot runs
+BLOCK_UNIT = 64                 # round-layout length unit
+THETA_W_NOT_QR = (0.95, 0.90)   # max-entropy weight of the two W_NOT_QR endpoints
+THETA_V_NOT_W = 0.25            # subgraph-measure weight of the V_NOT_W endpoint
+WEIGHT_V_FULL = 0.10            # full-support Markov share inside the V endpoint
+THETA_I_NOT_QW = 0.30           # subgraph-measure weight of the I_NOT_QW endpoint
+THETA_QR_MIX = 0.95             # max-entropy weight of the QR_NOT_ERG_NOT_A mixture
+SWEEP_ROUNDS = 28               # geometric rounds of the W_NOT_QR sweep
+SWEEP_GROWTH = 1.3
+DWELL_ROUNDS = 8                # rounds of the dwell on the high-mix endpoint
+EXCURSION_FRACTION = 0.06       # share of the horizon in the V_NOT_W excursion
+PIN_LENGTH = 6                  # length of the default pinned prefix
 
 
 @dataclass
@@ -257,11 +252,12 @@ def _tilted_measure(s: ShiftSpace, phi: Potential, q: float) -> MarkovMeasure:
 
 
 def _sub_parry(s: ShiftSpace) -> tuple[MarkovMeasure, frozenset]:
-    """Parry measure of the largest proper strongly connected subgraph,
-    embedded as an ambient-alphabet Markov measure."""
+    """Maximal-entropy measure of the largest proper strongly connected
+    subgraph, embedded as an ambient-alphabet Markov measure.  The subgraph
+    is irreducible but may be periodic, which parry_measure would refuse."""
     nodes, edges, _ = largest_proper_scc_subgraph(s)
     sub, symbol_map = subshift_from_edges(s, edges)
-    sub_m = parry_measure(sub)
+    sub_m = equilibrium_measure(sub, sub.matrix_array())
     p = np.zeros((s.k, s.k))
     pi = np.zeros(s.k)
     p[np.ix_(symbol_map, symbol_map)] = sub_m.P
@@ -349,16 +345,12 @@ def _mix_chunks(length: int, parts: list[tuple[str, object, float]]) -> list[tup
 
 def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potential],
                        n: int, seed: int, pinned_prefix: Optional[Sequence[int]] = None,
-                       cycle: Optional[Sequence[int]] = None,
-                       config: Optional[SynthesisConfig] = None) -> OrbitPrefix:
+                       cycle: Optional[Sequence[int]] = None) -> OrbitPrefix:
     """Build the witness stream and certificate for one gap class.
 
     All randomness flows from `seed` through the documented generator, so
     identical inputs reproduce identical streams byte for byte.
     """
-    import dataclasses
-
-    cfg = dataclasses.replace(config, horizon=n) if config else SynthesisConfig(horizon=n)
     gap_class = GapClass(gap_class)
     if pinned_prefix is not None:
         pinned_prefix = tuple(int(c) for c in pinned_prefix)
@@ -366,9 +358,9 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
             raise NotAdmissible("pinned prefix must be admissible")
 
     if gap_class is GapClass.PERIODIC:
-        return _build_periodic(s, n, seed, pinned_prefix, cycle, cfg)
+        return _build_periodic(s, n, seed, pinned_prefix, cycle)
     if gap_class is GapClass.ALMOST_PERIODIC_NOT_PER:
-        return _build_almost_periodic(s, n, seed, pinned_prefix, cfg)
+        return _build_almost_periodic(s, n, seed, pinned_prefix)
 
     if not s.is_primitive:
         raise NotPrimitive(f"{gap_class.value} synthesis requires a primitive shift")
@@ -386,7 +378,7 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
         GapClass.QR_NOT_ERG_NOT_A: _build_qr_not_erg,
         GapClass.R_FULL_SUPPORT: _build_r_full_support,
     }[gap_class]
-    return builder(s, phi, n, seed, pinned_prefix, cfg)
+    return builder(s, phi, n, seed, pinned_prefix)
 
 
 def _with_prefix(pinned_prefix, requests):
@@ -412,7 +404,7 @@ def _inf_over_k(structure: str, facts: list[dict], extremes: list[int],
 
 
 def _finish(s: ShiftSpace, gap_class: GapClass, requests, pool, extremes, chain_links,
-            structure, phi, n, seed, pinned_prefix, stats, cfg) -> OrbitPrefix:
+            structure, phi, n, seed, pinned_prefix, stats) -> OrbitPrefix:
     word, schedule = _render(s, requests, pool, seed, n)
     facts = [_measure_facts(m, s, phi) for m in pool]
     inf_h = _inf_over_k(structure, facts, extremes, chain_links)
@@ -425,16 +417,16 @@ def _finish(s: ShiftSpace, gap_class: GapClass, requests, pool, extremes, chain_
     return OrbitPrefix(word=word, schedule=schedule, certificate=cert, seed=seed, shift=s)
 
 
-def _build_w_not_qr(s, phi, n, seed, pinned_prefix, cfg):
+def _build_w_not_qr(s, phi, n, seed, pinned_prefix):
     mu = parry_measure(s)
     nu = _tilted_measure(s, phi, 1.0)
     if abs(integrate(nu, phi) - integrate(mu, phi)) < 1e-9:
         nu = _tilted_measure(s, phi, 2.0)
-    th1, th2 = cfg.theta_w_not_qr
+    th1, th2 = THETA_W_NOT_QR
     omega1 = mixture((th1, 1 - th1), (mu, nu))
     omega2 = mixture((th2, 1 - th2), (mu, nu))
     pool = [omega1, omega2, mu, nu]
-    lengths = _geometric_lengths(n, cfg.sweep_rounds, cfg.sweep_growth)
+    lengths = _geometric_lengths(n, SWEEP_ROUNDS, SWEEP_GROWTH)
     requests = []
     for i, length in enumerate(lengths):
         tau = _triangle(i, 8)
@@ -448,16 +440,16 @@ def _build_w_not_qr(s, phi, n, seed, pinned_prefix, cfg):
     ]
     requests = _with_prefix(pinned_prefix, requests)
     return _finish(s, GapClass.W_NOT_QR, requests, pool, [0, 1], [], "segment",
-                   phi, n, seed, pinned_prefix, stats, cfg)
+                   phi, n, seed, pinned_prefix, stats)
 
 
-def _build_v_not_w(s, phi, n, seed, pinned_prefix, cfg):
+def _build_v_not_w(s, phi, n, seed, pinned_prefix):
     mu, sub_edges = _sub_parry(s)
     full = parry_measure(s)
-    pin = _default_pin(s, sub_edges, cfg.pin_length)
+    pin = _default_pin(s, sub_edges, PIN_LENGTH)
     rho = periodic_measure(s, cycle_word_for(s, pin))
-    theta = cfg.theta_v_not_w
-    w_full = cfg.weight_v_full
+    theta = THETA_V_NOT_W
+    w_full = WEIGHT_V_FULL
     w_rho = 1.0 - theta - w_full
     omega = mixture((theta, w_full, w_rho), (mu, full, rho))
     pool = [omega, mu, full, rho]
@@ -466,7 +458,7 @@ def _build_v_not_w(s, phi, n, seed, pinned_prefix, cfg):
 
     omega_parts = [("markov", 1, theta), ("markov", 2, w_full), ("periodic", 3, w_rho)]
     requests: list = [("literal", prefix, len(prefix))]
-    exc_total = int(cfg.excursion_fraction * n)
+    exc_total = int(EXCURSION_FRACTION * n)
     exc_lengths = _geometric_lengths(exc_total, 6, 1.0)
     for i, length in enumerate(exc_lengths):
         tau = _triangle(i + 1, 12)  # rises toward 1 then back: interior traversal
@@ -478,8 +470,8 @@ def _build_v_not_w(s, phi, n, seed, pinned_prefix, cfg):
             requests.extend(_mix_chunks(length, parts))
     mu_dwell = n // 2 - exc_total - len(prefix)
     requests.append(("markov", 1, mu_dwell))
-    round_len = (n - n // 2) // cfg.dwell_rounds + 1
-    for _ in range(cfg.dwell_rounds):
+    round_len = (n - n // 2) // DWELL_ROUNDS + 1
+    for _ in range(DWELL_ROUNDS):
         requests.extend(_mix_chunks(round_len, omega_parts))
 
     stats = [{"check": "full_horizon_present", "horizon": n}]
@@ -489,12 +481,12 @@ def _build_v_not_w(s, phi, n, seed, pinned_prefix, cfg):
             {"check": "self_upper_min", "length": len(pin), "min": 0.05},
         ]
     return _finish(s, GapClass.V_NOT_W, requests, pool, [0, 1], [], "segment",
-                   phi, n, seed, prefix, stats, cfg)
+                   phi, n, seed, prefix, stats)
 
 
-def _build_qw_not_v(s, phi, n, seed, pinned_prefix, cfg):
+def _build_qw_not_v(s, phi, n, seed, pinned_prefix):
     mu, sub_edges = _sub_parry(s)
-    lengths = _linear_round_lengths(n, cfg.block_unit)
+    lengths = _linear_round_lengths(n, BLOCK_UNIT)
     cycles = primitive_cycles(s, 8)
     pool: list[InvariantMeasure] = [mu]
     cycle_ids = {}
@@ -515,16 +507,16 @@ def _build_qw_not_v(s, phi, n, seed, pinned_prefix, cfg):
     ]
     requests = _with_prefix(pinned_prefix, requests)
     return _finish(s, GapClass.QW_NOT_V, requests, pool, list(range(len(pool))),
-                   chain_links, "chain", phi, n, seed, pinned_prefix, stats, cfg)
+                   chain_links, "chain", phi, n, seed, pinned_prefix, stats)
 
 
-def _build_i_not_qw(s, phi, n, seed, pinned_prefix, cfg):
+def _build_i_not_qw(s, phi, n, seed, pinned_prefix):
     mu, sub_edges = _sub_parry(s)
     kappa = periodic_measure(s, _disjoint_cycle(s, sub_edges))
-    theta = cfg.theta_i_not_qw
+    theta = THETA_I_NOT_QW
     omega = mixture((theta, 1 - theta), (mu, kappa))
     pool = [mu, omega, kappa]
-    pin = _default_pin(s, sub_edges, cfg.pin_length)
+    pin = _default_pin(s, sub_edges, PIN_LENGTH)
     prefix = tuple(pinned_prefix) if pinned_prefix else pin
     default_stats = pinned_prefix is None or tuple(pinned_prefix) == pin
 
@@ -554,8 +546,8 @@ def _build_i_not_qw(s, phi, n, seed, pinned_prefix, cfg):
     switch = int(0.55 * n)
     mu_dwell = switch - len(prefix) - len(echo) - 2 * gap
     requests.append(("markov", 0, mu_dwell))
-    round_len = (n - switch) // cfg.dwell_rounds + 1
-    for _ in range(cfg.dwell_rounds):
+    round_len = (n - switch) // DWELL_ROUNDS + 1
+    for _ in range(DWELL_ROUNDS):
         requests.extend(_mix_chunks(round_len, [("markov", 0, theta), ("periodic", 2, 1 - theta)]))
 
     stats = [{"check": "full_horizon_present", "horizon": n},
@@ -563,17 +555,17 @@ def _build_i_not_qw(s, phi, n, seed, pinned_prefix, cfg):
     if default_stats:
         stats.append({"check": "self_upper_decreasing", "lengths": [4, 8, 12], "final_max": 0.02})
     return _finish(s, GapClass.I_NOT_QW, requests, pool, [0, 1], [], "segment",
-                   phi, n, seed, prefix, stats, cfg)
+                   phi, n, seed, prefix, stats)
 
 
-def _build_qr_not_erg(s, phi, n, seed, pinned_prefix, cfg):
+def _build_qr_not_erg(s, phi, n, seed, pinned_prefix):
     full = parry_measure(s)
     cyc = primitive_cycles(s, 4)[0]
     kappa = periodic_measure(s, cyc)
-    theta = cfg.theta_qr_mix
+    theta = THETA_QR_MIX
     m = mixture((theta, 1 - theta), (full, kappa))
     pool = [m, full, kappa]
-    lengths = _linear_round_lengths(n, cfg.block_unit)
+    lengths = _linear_round_lengths(n, BLOCK_UNIT)
     requests = []
     for length in lengths:
         requests.extend(_mix_chunks(length, [("markov", 1, theta), ("periodic", 2, 1 - theta)]))
@@ -585,13 +577,13 @@ def _build_qr_not_erg(s, phi, n, seed, pinned_prefix, cfg):
     ]
     requests = _with_prefix(pinned_prefix, requests)
     return _finish(s, GapClass.QR_NOT_ERG_NOT_A, requests, pool, [0], [], "singleton",
-                   phi, n, seed, pinned_prefix, stats, cfg)
+                   phi, n, seed, pinned_prefix, stats)
 
 
-def _build_r_full_support(s, phi, n, seed, pinned_prefix, cfg):
+def _build_r_full_support(s, phi, n, seed, pinned_prefix):
     full = parry_measure(s)
     pool = [full]
-    lengths = _linear_round_lengths(n, cfg.block_unit)
+    lengths = _linear_round_lengths(n, BLOCK_UNIT)
     requests = [("markov", 0, length) for length in lengths]
     target = integrate(full, phi)
     expected = [[list(w), markov_word_probability(full, w)] for w in iter_words(s, 3)]
@@ -604,14 +596,14 @@ def _build_r_full_support(s, phi, n, seed, pinned_prefix, cfg):
     ]
     requests = _with_prefix(pinned_prefix, requests)
     return _finish(s, GapClass.R_FULL_SUPPORT, requests, pool, [0], [], "singleton",
-                   phi, n, seed, pinned_prefix, stats, cfg)
+                   phi, n, seed, pinned_prefix, stats)
 
 
 #: Thue-Morse repetition gaps per factor length, measured once at horizon 2^20
 TM_GAP_BOUNDS = {1: 3, 2: 4, 3: 8, 4: 8, 5: 16, 6: 16, 7: 16, 8: 16}
 
 
-def _build_almost_periodic(s, n, seed, pinned_prefix, cfg):
+def _build_almost_periodic(s, n, seed, pinned_prefix):
     for w in ((0, 0), (0, 1), (1, 0), (1, 1)):
         if not is_admissible(w, s):
             raise NotAdmissible("aperiodic minimal witness needs the full 2-shift inside the ambient")
@@ -624,10 +616,10 @@ def _build_almost_periodic(s, n, seed, pinned_prefix, cfg):
                       "bounds": [[ell, TM_GAP_BOUNDS[ell]] for ell in range(1, 9)]})
     requests = _with_prefix(pinned_prefix, requests)
     return _finish(s, GapClass.ALMOST_PERIODIC_NOT_PER, requests, [], [], [], "none",
-                   None, n, seed, pinned_prefix, stats, cfg)
+                   None, n, seed, pinned_prefix, stats)
 
 
-def _build_periodic(s, n, seed, pinned_prefix, cycle, cfg):
+def _build_periodic(s, n, seed, pinned_prefix, cycle):
     if cycle is None:
         cycle = primitive_cycles(s, 4)[0]
     m = periodic_measure(s, tuple(cycle))
@@ -638,7 +630,7 @@ def _build_periodic(s, n, seed, pinned_prefix, cycle, cfg):
         stats.append({"check": "periodic_density_exact", "period": len(m.cycle)})
     requests = _with_prefix(pinned_prefix, requests)
     return _finish(s, GapClass.PERIODIC, requests, pool, [0], [], "singleton",
-                   None, n, seed, pinned_prefix, stats, cfg)
+                   None, n, seed, pinned_prefix, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from shiftlab.shifts import (count_periodic, count_words, format_word, full_shif
                              sft_from_matrix, topological_entropy)
 from shiftlab.spectrum import (check_concavity, has_irregular, spectrum_curve,
                                spectrum_point, sup_equals_htop)
-from shiftlab.synthesis import (GapClass, SynthesisConfig, certify,
+from shiftlab.synthesis import (THETA_I_NOT_QW, THETA_V_NOT_W, GapClass, certify,
                                 synthesize_witness)
 
 from conftest import ACCEPTANCE_SEED
@@ -142,14 +142,13 @@ def test_c6_certificate_entropy_bounds(witnesses, full2):
     orbits, _ = witnesses
     h_top = topological_entropy(full2)
     _, _, h_sub = largest_proper_scc_subgraph(full2)
-    cfg = SynthesisConfig()
     floors = {
         GapClass.W_NOT_QR: 0.9 * h_top,
         GapClass.QR_NOT_ERG_NOT_A: 0.9 * h_top,
         GapClass.R_FULL_SUPPORT: 0.9 * h_top,
-        GapClass.V_NOT_W: 0.9 * cfg.theta_v_not_w * h_sub,
+        GapClass.V_NOT_W: 0.9 * THETA_V_NOT_W * h_sub,
         GapClass.QW_NOT_V: 0.9 * 0.5 * h_sub,
-        GapClass.I_NOT_QW: 0.9 * cfg.theta_i_not_qw * h_sub,
+        GapClass.I_NOT_QW: 0.9 * THETA_I_NOT_QW * h_sub,
     }
     ok = True
     details = []

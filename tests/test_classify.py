@@ -9,7 +9,7 @@ from shiftlab.classify import (_coverage, _eventually_periodic, _frequencies,
                                empirical_measure, evaluate_certificate,
                                trace_oscillation, visit_statistics, window_codes,
                                windowed_density, word_code)
-from shiftlab.errors import TooShort
+from shiftlab.errors import SchemaError, TooShort
 from shiftlab.measures import (integrate, markov_word_probability, parry_measure,
                                sample_typical_word, Potential)
 from shiftlab.oracle import full_compare_eventually_periodic
@@ -145,8 +145,8 @@ class TestEvaluate:
 
     def test_unknown_check_fails_closed(self, full2):
         x = alternating(1 << 14)
-        r = evaluate_certificate(x, full2, [{"check": "definitely_not_a_check"}])
-        assert not r.all_pass
+        with pytest.raises(SchemaError, match="unknown check kind 'definitely_not_a_check'"):
+            evaluate_certificate(x, full2, [{"check": "definitely_not_a_check"}])
 
     def test_report_is_pure_data(self, full2, phi_full2):
         x = alternating(1 << 14)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import io
+from shiftlab.classify import CHECKS
 from shiftlab.cli import main
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import full_shift, golden_mean_shift
@@ -48,6 +49,20 @@ def _check(doc: dict, kind: str) -> dict:
     return next(chk for chk in doc["expected_statistics"] if chk["check"] == kind)
 
 
+def _add(doc: dict, **check) -> None:
+    doc["expected_statistics"].append(check)
+
+
+def _mutated_copy(orbit, tmp_path, mutate):
+    """A copy of the orbit directory whose certificate document went through mutate."""
+    out = tmp_path / "orbit"
+    shutil.copytree(orbit, out)
+    doc = json.loads((out / "certificate.json").read_text())
+    mutate(doc)
+    (out / "certificate.json").write_text(json.dumps(doc))
+    return out
+
+
 MALFORMED_CERTIFICATES = {
     "no_schedule": lambda d: d.pop("schedule"),
     "no_pool": lambda d: d.pop("pool"),
@@ -69,6 +84,31 @@ MALFORMED_CERTIFICATES = {
     "cylinder_lower_min_lengths_int": lambda d: d["expected_statistics"].append(
         {"check": "cylinder_lower_min", "lengths": 3, "threshold": 0.01}),
     "markov_pi_not_unique": lambda d: d["pool"][2].update(P=[[1.0, 0.0], [0.0, 1.0]], pi=None),
+    "self_lower_max_length_0": lambda d: _check(d, "self_lower_max").update(length=0),
+    "self_lower_max_length_negative": lambda d: _check(d, "self_lower_max").update(length=-1),
+    "max_gap_bounded_length_0": lambda d: _add(d, check="max_gap_bounded", bounds=[[0, 5]]),
+    "coverage_counts_length_negative":
+        lambda d: _add(d, check="coverage_counts", length=-2, min_visits=8),
+    "self_upper_decreasing_no_lengths":
+        lambda d: _add(d, check="self_upper_decreasing", lengths=[], final_max=0.02),
+    "trace_check_without_potential": lambda d: (
+        d.update(potential=None), [f.update(integral=None) for f in d["exact_facts"]],
+        _add(d, check="trace_oscillation", min_gap=0.2)),
+    "coverage_counts_length_0": lambda d: _add(d, check="coverage_counts", length=0, min_visits=8),
+    "cylinder_lower_min_length_0":
+        lambda d: _add(d, check="cylinder_lower_min", lengths=[0], threshold=0.01),
+    "periodic_density_exact_period_0": lambda d: _add(d, check="periodic_density_exact", period=0),
+    "not_eventually_periodic_max_period_negative":
+        lambda d: _add(d, check="not_eventually_periodic", max_period=-5),
+    "check_kind_unknown": lambda d: _check(d, "self_lower_max").update(check="bogus_check"),
+    "cylinder_lower_min_no_lengths":
+        lambda d: _add(d, check="cylinder_lower_min", lengths=[], threshold=0.01),
+    "trace_oscillation_window_2": lambda d: _add(d, check="trace_oscillation", min_gap=0.2,
+                                                 window=2.0),
+    "cylinder_lower_min_2_to_the_40_codes":
+        lambda d: _add(d, check="cylinder_lower_min", lengths=[40], threshold=0.01),
+    "coverage_counts_2_to_the_40_codes":
+        lambda d: _add(d, check="coverage_counts", length=40, min_visits=8),
 }
 
 
@@ -252,13 +292,16 @@ class TestPipeline:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate_exit2(self, v_not_w_orbit, tmp_path, capsys, case):
-        orbit = tmp_path / "orbit"
-        shutil.copytree(v_not_w_orbit, orbit)
-        doc = json.loads((orbit / "certificate.json").read_text())
-        MALFORMED_CERTIFICATES[case](doc)
-        (orbit / "certificate.json").write_text(json.dumps(doc))
+        orbit = _mutated_copy(v_not_w_orbit, tmp_path, MALFORMED_CERTIFICATES[case])
         assert main(["verify", "--orbit", str(orbit)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
+    def test_malformed_certificate_classify_exit2(self, v_not_w_orbit, tmp_path, capsys, case):
+        orbit = _mutated_copy(v_not_w_orbit, tmp_path, MALFORMED_CERTIFICATES[case])
+        assert main(["classify", "--orbit", str(orbit), "--out", str(tmp_path / "r.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_not_primitive_exit3(self, tmp_path, files):
         io.write_json(tmp_path / "diag.json",
@@ -327,3 +370,108 @@ class TestJsonWriter:
     def test_unsupported_key_raises_like_dumps(self):
         with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
             io._json_text({(1, 2): 0})
+
+
+#: one valid entry of every check kind, for the 4096-symbol V_NOT_W orbit
+EVERY_CHECK = [
+    {"check": "full_horizon_present", "horizon": 4096},
+    {"check": "trace_attains", "targets": [0.3, 0.5], "tol": 0.05, "window": 0.5},
+    {"check": "trace_converges", "target": 0.5, "tol": 0.01, "osc_tol": 0.01, "window": 0.25},
+    {"check": "trace_oscillation", "min_gap": 0.2, "window": 0.5},
+    {"check": "cylinder_lower_min", "lengths": [1, 2], "threshold": 0.01},
+    {"check": "self_lower_max", "length": 6, "max": 0.01},
+    {"check": "self_upper_min", "length": 6, "min": 0.05},
+    {"check": "self_upper_decreasing", "lengths": [4, 8, 12], "final_max": 0.02},
+    {"check": "coverage_counts", "length": 3, "min_visits": 8},
+    {"check": "max_gap_bounded", "bounds": [[1, 3], [2, 4.5]]},
+    {"check": "coverage_fraction_of_expected", "length": 2, "fraction": 0.2,
+     "expected": [[[0, 0], 0.25], [[0, 1], 0.25], [[1, 0], 0.25], [[1, 1], 0.25]]},
+    {"check": "not_eventually_periodic", "max_period": 1024},
+    {"check": "periodic_density_exact", "period": 3},
+]
+
+
+def _paths(value, path=()):
+    """Every path into a check entry, through its lists too."""
+    if path:
+        yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def check_edits(draw):
+    """(entry index, edit, path, new value): one edit to an EVERY_CHECK entry."""
+    i = draw(st.integers(0, len(EVERY_CHECK) - 1))
+    entry = EVERY_CHECK[i]
+    paths = list(_paths(entry))
+    edit = draw(st.sampled_from(["drop", "retype", "integer", "empty", "rename", "no_potential"]))
+    ints = [p for p in paths if type(_at(entry, p)) is int]
+    lists = [p for p in paths if type(_at(entry, p)) is list]
+    if edit == "drop":
+        return i, edit, (draw(st.sampled_from(sorted(entry))),), None
+    if edit == "rename":
+        return i, edit, ("check",), draw(st.sampled_from(sorted(CHECKS)) | st.text(max_size=8))
+    if edit == "no_potential":
+        return i, edit, (), None
+    if edit == "integer" and ints:
+        return i, edit, draw(st.sampled_from(ints)), draw(st.sampled_from(
+            [0, -1, -(2 ** 70), 2 ** 31, 2 ** 63, 10 ** 400]))
+    if edit == "empty" and lists:
+        return i, edit, draw(st.sampled_from(lists)), []
+    return i, "retype", draw(st.sampled_from(paths)), draw(st.sampled_from(
+        [None, "x", "", 2.5, 0.0, -1.0, float("nan"), float("inf"), [], [1], [[0, 1]]]))
+
+
+def _apply_edit(doc: dict, edit) -> None:
+    i, kind, path, value = edit
+    if kind == "no_potential":
+        doc["potential"] = None
+        return
+    parent = _at(doc["expected_statistics"][i], path[:-1])
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+class TestMutatedChecks:
+    """Any edit to a certificate's checks ends in a documented exit code."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def every_check_orbit(v_not_w_orbit, tmp_path_factory):
+        return _mutated_copy(v_not_w_orbit, tmp_path_factory.mktemp("checks"),
+                             lambda d: d.update(expected_statistics=EVERY_CHECK))
+
+    def test_every_kind_scores(self, every_check_orbit, tmp_path):
+        assert {chk["check"] for chk in EVERY_CHECK} == set(CHECKS)
+        report = tmp_path / "report.json"
+        assert main(["classify", "--orbit", str(every_check_orbit), "--out", str(report)]) == 0
+        verdicts = json.loads(report.read_text())["verdicts"]
+        assert [v["check"] for v in verdicts] == [chk["check"] for chk in EVERY_CHECK]
+
+    @given(edits=st.lists(check_edits(), min_size=1, max_size=3, unique_by=lambda e: e[0]))
+    @settings(max_examples=60, deadline=None)
+    def test_edited_checks_exit_documented_code(self, every_check_orbit, edits):
+        doc = json.loads((every_check_orbit / "certificate.json").read_text())
+        for edit in edits:
+            _apply_edit(doc, edit)
+        orbit = every_check_orbit.parent / "edited"
+        orbit.mkdir(exist_ok=True)
+        shutil.copy(every_check_orbit / "stream.txt", orbit / "stream.txt")
+        (orbit / "certificate.json").write_text(json.dumps(doc))
+        assert main(["verify", "--orbit", str(orbit)]) in (0, 2, 4, 5)
+        assert main(["classify", "--orbit", str(orbit), "--out", str(orbit / "r.json")]) in (0, 2)

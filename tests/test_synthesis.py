@@ -248,6 +248,23 @@ class TestOtherAmbients:
                                1 << 12, seed=5)
         certify(o)
 
+    def test_periodic_subgraph_builds(self):
+        # a primitive ambient whose densest proper subgraph 0 <-> 2 <-> 1 has
+        # period 2: its maximal-entropy measure still exists and is unique
+        s = sft_from_matrix(3, [[0, 0, 1], [1, 0, 1], [1, 1, 0]])
+        _, edges, _ = largest_proper_scc_subgraph(s)
+        assert edges == {(0, 2), (2, 0), (1, 2), (2, 1)}
+        phi = indicator_potential(s, (0,))
+        for gap_class in (GapClass.V_NOT_W, GapClass.QW_NOT_V):
+            o = synthesize_witness(s, gap_class, phi, 1 << 16, seed=5)
+            certify(o)
+            r = evaluate_certificate(o.word, s, o.certificate.expected_statistics, phi=phi)
+            assert r.all_pass, (gap_class, r.verdicts)
+        # the one edge outside the subgraph, 1 -> 0, is no cycle by itself, so
+        # no cycle avoids the subgraph's edges
+        with pytest.raises(NoProperSubshift):
+            synthesize_witness(s, GapClass.I_NOT_QW, phi, 1 << 16, seed=5)
+
 
 def _candidate_entropies(s) -> dict:
     """Entropy of each strongly connected component of A minus one edge,
