@@ -23,12 +23,16 @@ from .synthesis import Certificate, GapClass, OrbitPrefix, Schedule, Segment
 
 SHIFT_SCHEMA = "shiftlab/shift/1"
 POTENTIAL_SCHEMA = "shiftlab/potential/1"
-CERTIFICATE_SCHEMA = "shiftlab/certificate/1"
+CERTIFICATE_SCHEMA = "shiftlab/certificate/2"
+#: certificate schemas read; /1 also stored each periodic segment's symbols
+CERTIFICATE_SCHEMAS = ("shiftlab/certificate/1", CERTIFICATE_SCHEMA)
 REPORT_SCHEMA = "shiftlab/report/1"
 MANIFEST_SCHEMA = "shiftlab/manifest/1"
 
 STREAM_LINE_WIDTH = 120
-SEGMENT_KINDS = ("markov", "periodic", "literal", "bridge")
+SEGMENT_KINDS = ("markov", "periodic", "thue_morse", "literal", "bridge")
+#: the pool measure type each by-reference segment kind regenerates from
+SEGMENT_SOURCES = {"markov": MarkovMeasure, "periodic": PeriodicMeasure}
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
@@ -136,6 +140,8 @@ def measure_to_doc(m: InvariantMeasure) -> dict:
 
 
 def measure_from_doc(doc: dict, s: ShiftSpace) -> InvariantMeasure:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"measure {doc!r} is not an object")
     kind = doc.get("type")
     if kind == "markov":
         return markov_measure(s, doc["P"], doc["pi"])
@@ -181,24 +187,56 @@ def _segment_to_doc(seg: Segment) -> dict:
             "sub_seed": seg.sub_seed}
 
 
-def _segment_from_doc(doc: dict, pool_size: int) -> Segment:
-    """Markov segments regenerate from (source, sub_seed), the others replay word."""
+def _pool_index(value, pool: list, what: str) -> int:
+    if type(value) is not int or not 0 <= value < len(pool):
+        raise SchemaError(f"{what} {value!r} is not an index into the pool of {len(pool)} measures")
+    return value
+
+
+def _segment_from_doc(doc: dict, pool: list[InvariantMeasure], k: int) -> Segment:
+    """Markov segments name (source, sub_seed), periodic ones a source,
+    thue_morse ones only their length; literal and bridge segments carry
+    their word.  A periodic word (schema /1 stored its source's tile) is ignored."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"schedule entry {doc!r} is not an object")
     kind = doc.get("kind")
     if kind not in SEGMENT_KINDS:
         raise SchemaError(f"segment kind {kind!r} is not one of {', '.join(SEGMENT_KINDS)}")
-    word = doc.get("word")
+    start, length = doc.get("start"), doc.get("length")
+    if type(start) is not int or type(length) is not int or length < 1:
+        raise SchemaError(f"{kind} segment start {start!r} and length {length!r} "
+                          "are not an integer and a positive integer")
+    source = word = sub_seed = None
+    if kind in SEGMENT_SOURCES:
+        source = _pool_index(doc.get("source"), pool, f"{kind} segment source")
+        if not isinstance(pool[source], SEGMENT_SOURCES[kind]):
+            raise SchemaError(f"{kind} segment source {source} is not a {kind} measure")
     if kind == "markov":
-        for key in ("source", "sub_seed"):
-            if type(doc.get(key)) is not int:
-                raise SchemaError(f"markov segment {key} {doc.get(key)!r} is not an integer")
-        if not 0 <= doc["source"] < pool_size:
-            raise SchemaError(f"markov segment source {doc['source']} outside the pool")
-    elif word is None:
-        raise SchemaError(f"{kind} segment has no word")
-    return Segment(kind=kind, start=int(doc["start"]), length=int(doc["length"]),
-                   source=doc.get("source"),
-                   word=tuple(word) if word is not None else None,
-                   sub_seed=doc.get("sub_seed"))
+        sub_seed = doc.get("sub_seed")
+        if type(sub_seed) is not int:
+            raise SchemaError(f"markov segment sub_seed {sub_seed!r} is not an integer")
+    if kind in ("literal", "bridge"):
+        word = doc.get("word")
+        if (not isinstance(word, list) or len(word) != length
+                or not all(type(c) is int and 0 <= c < k for c in word)):
+            raise SchemaError(f"{kind} segment word is not a list of {length} symbols below {k}")
+        word = tuple(word)
+    return Segment(kind=kind, start=start, length=length, source=source, word=word,
+                   sub_seed=sub_seed)
+
+
+def _schedule_from_doc(docs: list, pool: list[InvariantMeasure], k: int,
+                       horizon: int) -> Schedule:
+    """The segments, which must tile [0, horizon) in order."""
+    segments = [_segment_from_doc(d, pool, k) for d in docs]
+    end = 0
+    for seg in segments:
+        if seg.start != end:
+            raise SchemaError(f"segment at {seg.start} does not start where the last ends, {end}")
+        end += seg.length
+    if end != horizon:
+        raise SchemaError(f"schedule ends at {end}, not at the horizon {horizon}")
+    return Schedule(horizon=horizon, segments=segments)
 
 
 def certificate_to_doc(o: OrbitPrefix) -> dict:
@@ -224,13 +262,15 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
 
 
 def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
-    if cert_doc.get("schema") != CERTIFICATE_SCHEMA:
+    if not isinstance(cert_doc, dict):
+        raise SchemaError("certificate document is not a JSON object")
+    if cert_doc.get("schema") not in CERTIFICATE_SCHEMAS:
         raise SchemaError(f"expected {CERTIFICATE_SCHEMA}, got {cert_doc.get('schema')}")
     try:
         return _orbit_from_docs(cert_doc, stream_text)
     except KeyError as e:
         raise SchemaError(f"certificate document has no {e} key")
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"bad certificate document: {e}")
 
 
@@ -244,12 +284,15 @@ def _orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
         fixed["support_symbols"] = [int(x) for x in f["support_symbols"]]
         fixed["support_edges"] = [tuple(e) for e in f["support_edges"]]
         facts.append(fixed)
+    if len(facts) != len(pool):
+        raise SchemaError(f"{len(facts)} exact facts for a pool of {len(pool)} measures")
     cert = Certificate(
         gap_class=GapClass(cert_doc["gap_class"]),
         structure=cert_doc["structure"],
         pool=pool,
-        extremes=[int(i) for i in cert_doc["extremes"]],
-        chain_links=[(float(th), int(a), int(b)) for th, a, b in cert_doc["chain_links"]],
+        extremes=[_pool_index(i, pool, "extreme") for i in cert_doc["extremes"]],
+        chain_links=[(float(th), _pool_index(a, pool, "link"), _pool_index(b, pool, "link"))
+                     for th, a, b in cert_doc["chain_links"]],
         exact_facts=facts,
         inf_entropy_over_K=float(cert_doc["inf_entropy_over_K"]),
         expected_statistics=cert_doc["expected_statistics"],
@@ -265,8 +308,7 @@ def _orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
         bad = int(np.flatnonzero((word < 0) | (word >= limit))[0])
         raise SchemaError(f"stream symbol {bad} is {chr(int(word[bad]) + ord('0'))!r}, "
                           f"not a digit below {limit}")
-    schedule = Schedule(horizon=cert.horizon,
-                        segments=[_segment_from_doc(d, len(pool)) for d in cert_doc["schedule"]])
+    schedule = _schedule_from_doc(cert_doc["schedule"], pool, s.k, cert.horizon)
     return OrbitPrefix(word=word, schedule=schedule, certificate=cert,
                        seed=cert.seed, shift=s)
 

@@ -123,6 +123,8 @@ def markov_measure(s: ShiftSpace, p: Sequence[Sequence[float]],
     arr = np.array(p, dtype=float)
     if arr.shape != (s.k, s.k):
         raise ValueError(f"P must be {s.k}x{s.k}")
+    if not np.isfinite(arr).all():
+        raise ValueError("P has a non-finite entry")
     for i in range(s.k):
         if abs(arr[i].sum() - 1.0) > VALIDATION_TOL:
             raise ValueError(f"row {i} of P sums to {arr[i].sum()}, not 1")
@@ -137,8 +139,9 @@ def markov_measure(s: ShiftSpace, p: Sequence[Sequence[float]],
             raise ValueError("P has more than one stationary vector")
         pi = inv[-1, :-1]
     stat = np.array(pi, dtype=float)
-    if abs(stat.sum() - 1.0) > VALIDATION_TOL:
-        raise ValueError("pi must sum to 1")
+    if (stat.shape != (s.k,) or not np.isfinite(stat).all()
+            or abs(stat.sum() - 1.0) > VALIDATION_TOL):
+        raise ValueError(f"pi must be {s.k} finite numbers summing to 1")
     if np.max(np.abs(stat @ arr - stat)) > 1e-10:
         raise ValueError("pi is not stationary for P")
     return MarkovMeasure(shift=s, P=tuple(tuple(float(x) for x in row) for row in arr),

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from . import rng
@@ -73,11 +72,11 @@ PIN_LENGTH = 6                  # length of the default pinned prefix
 
 @dataclass
 class Segment:
-    kind: str                     # "markov" | "periodic" | "literal" | "bridge"
+    kind: str                     # "markov" | "periodic" | "thue_morse" | "literal" | "bridge"
     start: int
     length: int
     source: Optional[int] = None  # index into the certificate's measure pool
-    word: Optional[Word] = None   # literal/bridge content; periodic cycle cache
+    word: Optional[Word] = None   # literal/bridge content
     sub_seed: Optional[int] = None
 
 
@@ -117,62 +116,14 @@ class OrbitPrefix:
 
 
 # ---------------------------------------------------------------------------
-# gluing
+# minimal-subshift generator
 
 
-def glue(s: ShiftSpace, segments: Sequence[Sequence[int]]) -> Word:
-    """Concatenate admissible segments with M interior symbols between each.
-
-    The inserted connector is the lexicographically smallest admissible
-    word of length M joining the neighboring endpoint symbols, so the
-    output restricted to each segment window equals that segment exactly.
-    """
-    if not s.is_primitive:
-        raise NotPrimitive("gluing requires a primitive shift")
-    if not segments:
-        return ()
-    out: list[int] = []
-    for idx, seg in enumerate(segments):
-        w = tuple(seg)
-        if len(w) == 0:
-            raise NotAdmissible("empty segment")
-        if not is_admissible(w, s):
-            raise NotAdmissible(f"segment {idx} is not admissible")
-        if out:
-            out.extend(connecting_word(s, out[-1], w[0]))
-        out.extend(w)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# minimal-subshift generators
-
-
-def thue_morse_word(n: int) -> Word:
-    """Fixed point of 0 -> 01, 1 -> 10, truncated to n symbols."""
+def thue_morse_word(n: int) -> np.ndarray:
+    """Fixed point of 0 -> 01, 1 -> 10, truncated to n symbols, as an int64 array."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    return tuple((np.bitwise_count(np.arange(n, dtype=np.uint64)) & 1).tolist())
-
-
-def sturmian_word(alpha, rho, n: int) -> Word:
-    """Rotation coding x_i = floor((i+1)a + r) - floor(ia + r), i = 1..n.
-
-    alpha should carry >= 30 decimal digits; floors are evaluated at high
-    precision so no boundary is misread within the horizon.
-    """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    with mp.workprec(200):
-        a = mp.mpf(alpha if not isinstance(alpha, float) else repr(alpha))
-        r = mp.mpf(rho if not isinstance(rho, float) else repr(rho))
-        out = []
-        prev = mp.floor(a + r)
-        for i in range(1, n + 1):
-            cur = mp.floor((i + 1) * a + r)
-            out.append(int(cur - prev))
-            prev = cur
-    return tuple(out)
+    return (np.bitwise_count(np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +153,11 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
             continue
         sub_seed = rng.derive_subseed(seed, chunk_idx)
         chunk_idx += 1
-        if kind == "literal":
-            word = np.array(tuple(payload)[:length], dtype=np.int64)
-        elif kind == "periodic":
-            cycle = np.array(pool[payload].cycle, dtype=np.int64)
-            word = np.tile(cycle, -(-length // len(cycle)))[:length]
-        else:
-            word = sample_typical_word(pool[payload], length, sub_seed)
+        seg = Segment(kind=kind, start=pos, length=length,
+                      source=payload if kind in ("markov", "periodic") else None,
+                      word=tuple(map(int, payload)) if kind == "literal" else None,
+                      sub_seed=sub_seed if kind == "markov" else None)
+        word = regenerate_segment(seg, pool)
         if pos:
             cw = connecting_word(s, int(chunks[-1][-1]), int(word[0]))[:horizon - pos]
             if cw:
@@ -217,23 +166,25 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
                 pos += len(cw)
             if pos >= horizon:
                 break
-            word = word[:horizon - pos]
-        src = payload if kind in ("markov", "periodic") else None
-        segments.append(Segment(kind=kind, start=pos, length=len(word), source=src,
-                                word=tuple(word.tolist()) if kind != "markov" else None,
-                                sub_seed=sub_seed if kind == "markov" else None))
-        chunks.append(word)
-        pos += len(word)
+        seg.start, seg.length = pos, min(length, horizon - pos)
+        if seg.word is not None:
+            seg.word = seg.word[:seg.length]
+        segments.append(seg)
+        chunks.append(word[:seg.length])
+        pos += seg.length
     arr = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
     return arr, Schedule(horizon=horizon, segments=segments)
 
 
-def regenerate_segment(s: ShiftSpace, seg: Segment, pool: list[InvariantMeasure]) -> np.ndarray:
-    """Material a schedule segment promises at its window, as an int64 array."""
-    if seg.kind in ("literal", "bridge", "periodic"):
-        return np.array(seg.word[:seg.length], dtype=np.int64)
-    m = pool[seg.source]
-    return sample_typical_word(m, seg.length, seg.sub_seed)
+def regenerate_segment(seg: Segment, pool: list[InvariantMeasure]) -> np.ndarray:
+    """The symbols a schedule segment stands for, as an int64 array: its own
+    word (literal, bridge), the Thue-Morse prefix of its length, or a word
+    typical for the pool measure it names (markov, periodic)."""
+    if seg.kind == "thue_morse":
+        return thue_morse_word(seg.length)
+    if seg.kind in ("literal", "bridge"):
+        return np.array(seg.word, dtype=np.int64)
+    return sample_typical_word(pool[seg.source], seg.length, seg.sub_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +558,7 @@ def _build_almost_periodic(s, n, seed, pinned_prefix):
     for w in ((0, 0), (0, 1), (1, 0), (1, 1)):
         if not is_admissible(w, s):
             raise NotAdmissible("aperiodic minimal witness needs the full 2-shift inside the ambient")
-    tm = thue_morse_word(n)
-    requests: list = [("literal", tm, n)]
+    requests: list = [("thue_morse", None, n)]
     stats = [{"check": "full_horizon_present", "horizon": n},
              {"check": "not_eventually_periodic", "max_period": 1024}]
     if pinned_prefix is None:
@@ -767,7 +717,7 @@ def _check_word(o: OrbitPrefix, report: dict) -> None:
     for seg in o.schedule.segments:
         if seg.start + seg.length > len(word):
             break
-        expected = regenerate_segment(s, seg, cert.pool)
+        expected = regenerate_segment(seg, cert.pool)
         if not np.array_equal(word[seg.start:seg.start + seg.length], expected):
             raise CertificateMismatch("schedule_window",
                                       f"segment at {seg.start} does not match its source")

@@ -242,21 +242,21 @@ def test_c9_cli_determinism(tmp_path, full2, phi_full2):
 #: full 2-shift: horizon 2^20, the acceptance seed, range-1 indicator of 1
 WITNESS_DIGESTS = {
     "W_NOT_QR": ("84219daab7c0a03a94cf8c6728be8d24be80217450438b4fb70bf20b80578cab",
-                 "52fb0b5e1f562e5132d7a3458f429eb28f0b534528ea422917566bf352a3eda2"),
+                 "4883aff0cee008878a437415df3da10d4f10c1edd860ad10cf03ec55cd96de2b"),
     "V_NOT_W": ("35402fc142c6f5cdf10abba053e890c949ddaa5d6f3290a176a191c5da6937a3",
-                "f124735ec3b795dd84d8e61fe3b4d426391b43159a821df6e4d56efe7dfc1610"),
+                "a42c5bc2d9e2608d460032546b6f475d7357bbf03867b5e1d6f9581d4de75e12"),
     "QW_NOT_V": ("b97c5000ced580da3d968bd2da00e119b2ff017bfb324aa1c6938a94ed59b279",
-                 "66603448fb7e2ce3bccd66b79d61ad2b58deb94edc0cc5fb0fd764b708f7e5ea"),
+                 "de66995544b75be1ad5019aa0716fb8ef98ac2a1079a4e854d61b4d5fa4c7db8"),
     "I_NOT_QW": ("13e97655dc92ab4608880c550c79d913843faa5a08dd75e87469acf598a7ee5a",
-                 "87396bdf1a129fcc6449aede9cf8be4295d3daad3e9ad49e3d2a13e3be3b80ea"),
+                 "9215224f9a988b7ac3d1012e808c271906afb3205871dd7d43ea91cc87a04948"),
     "QR_NOT_ERG_NOT_A": ("64479e36436adc138a3a04131a2e57f7171b91053dd1339a14c184ba4f8f2718",
-                         "d71e3b688635eb70943a67cafb4565b8c8427285da5d2da21366783400a07446"),
+                         "18bbc3c5f3579ec7b8d7d8748f80066fa2b84ceb4f627505ad76d4d9cf95b9bb"),
     "R_FULL_SUPPORT": ("bf1e93d2bed4705ff8cf8dfccb573effa221825e06071e20443337ca7fdf03d4",
-                       "181e84205288d899b61c207f3f5040f09ba0cee9ebecb0c08ccb3faa2cf4a899"),
+                       "a66469c4fbbd04fe53d98fff40f98dce18d5380d3295000ff4c64e3e362a3469"),
     "ALMOST_PERIODIC_NOT_PER": ("9fa42011d7843b28a2ce44fe94c0b52e0550ae65d348973c2a644444ff514c10",
-                                "ae3da724d2b99467f3315a78b19af64bd28b91b4d1039706baa6a1c2cc288975"),
+                                "5b917b63ea9a98dcda37ebf5aa21005b2abb84039e522313c96b4cd33d53a68c"),
     "PERIODIC": ("1f1bd8a395b409683bf7bccd3f8aeff7bfe1d24942109a59b18af2a1d22988b2",
-                 "0d923e2f4c566970baf01a275cf5332b8b3a6924d9b5dad8365fda2204160f7f"),
+                 "1738f58c5db2a751509781770cf06898e3fb6429e3499025f4069a1052ba806d"),
 }
 
 
@@ -308,17 +308,17 @@ def test_report_bytes_pinned(witnesses, full2, phi_full2, tmp_path):
 #: range-1 indicator of 0.  The full 3-shift has tied subgraph entropies.
 AMBIENT_WITNESS_DIGESTS = {
     ("full3", "V_NOT_W"): ("9b26857518d01189c4dd42c09d3151ecf233a47ba80657d788d23df450aaed8e",
-                           "8a1adb7020fb0950ef5d77487d94b63fb9c6ddce81d30fa61498c3c8cba856c0"),
+                           "3f82bf834c4da450c53b088915b77bcf96fa5d63749f7e7b1e6ebc1b923d4e8b"),
     ("full3", "QW_NOT_V"): ("b28615713a9bcf7e068b203a46df1a4df2e6b47cfe1c64bc701919a82aba5ad4",
-                            "cdb5e5769ff806809ea30c1834bfa2e25ba971d51cbf40d742febbc42a276b1c"),
+                            "cd4519aa4710abb9803d70a6940e89dda109a8b8877a6807efd5822300650542"),
     ("full3", "I_NOT_QW"): ("e54a3d6c6dcc3fd09db0307744402b3531790d00e47797d1c53a2b5444e2a6dd",
-                            "3708913bdebea719b81b4199a747a970fe4c08e81f2afcaccdacf489b1871525"),
+                            "8d6cd6cd458717e580823e19bd1f9a747d92a0c8fcbc7447c28f2d568b19fa3d"),
     ("three_symbol", "V_NOT_W"): ("f4012b6d795a36a453fed6df87fdf302173aec41a38ebe55f759f4e4a5def938",
-                                  "525f55469f4fc19ec248f6cacc064cc926ea0c56ca9d29779025e30dfcea99e3"),
+                                  "3027973744c80c5e696369b6cb09c90c335b29b0a5d96d0da5aa6a526fecab0f"),
     ("three_symbol", "QW_NOT_V"): ("2f3e6e42860f593c9f26ac21222ed82040b817ee8768ce7c855afcbde574db43",
-                                   "6724e2d4a10641b56d58db62ddc30592d9bdd170733c83eb14a6e43fb1eaf216"),
+                                   "dc916d625a18ad57f8d0eb12b26721c1db3bd6f81d37fe0f22c3cbc114740b0d"),
     ("three_symbol", "I_NOT_QW"): ("96e0cc13fbecf4989203018c73a7cd99872a20001c37fcba0973d367ca9b01e3",
-                                   "1a087b5c6a77b1132cbf1f5d8c222f4ead90245293680c5b7999c977493c1145"),
+                                   "790dd6b319e95bd398c00a71bf782e8b895d7b7aa1005dbd9c0ea9ba1cb0783c"),
 }
 
 

@@ -192,11 +192,8 @@ class TestHierarchyConsistency:
             assert st_.lower_density_est <= st_.upper_density_est
 
     def test_thue_morse_gap_is_horizon_free(self):
-        from shiftlab.synthesis import thue_morse_word
-        tm16 = np.array(thue_morse_word(1 << 16), dtype=np.int64)
-        tm18 = np.array(thue_morse_word(1 << 18), dtype=np.int64)
-        g16 = visit_statistics(tm16, 4, k=2).max_gap
-        g18 = visit_statistics(tm18, 4, k=2).max_gap
+        g16 = visit_statistics(thue_morse_word(1 << 16), 4, k=2).max_gap
+        g18 = visit_statistics(thue_morse_word(1 << 18), 4, k=2).max_gap
         assert g16 == g18 == 8
 
 
@@ -316,7 +313,7 @@ class TestEventuallyPeriodic:
             full_compare_eventually_periodic(x, max_period)
 
     def test_thue_morse_and_its_periodic_tail(self):
-        tm = np.array(thue_morse_word(1 << 16), dtype=np.int64)
+        tm = thue_morse_word(1 << 16)
         assert not _eventually_periodic(tm, 1024)
         tail = np.tile(tm[:300], 200)
         x = np.concatenate([tm, tail])

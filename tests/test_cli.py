@@ -2,6 +2,9 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,15 @@ def v_not_w_orbit(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def thue_morse_orbit(tmp_path_factory):
+    """A small orbit of one thue_morse segment."""
+    o = synthesize_witness(full_shift(2), GapClass.ALMOST_PERIODIC_NOT_PER, None, 4096, seed=1)
+    out = tmp_path_factory.mktemp("tm") / "orbit"
+    io.write_orbit_dir(o, out)
+    return out
+
+
 def _first(doc: dict, kind: str) -> dict:
     return next(seg for seg in doc["schedule"] if seg["kind"] == kind)
 
@@ -53,13 +65,34 @@ def _add(doc: dict, **check) -> None:
     doc["expected_statistics"].append(check)
 
 
+@dataclass
+class _Files:
+    """What a mutation writes instead of the edited document: another JSON
+    value, and the stream symbol it flips, if any."""
+    doc: object
+    flip: Optional[int] = None
+
+
+def _flip(orbit, i: int) -> None:
+    """Flip binary stream symbol i (the stream wraps at 120 symbols a line)."""
+    text = (orbit / "stream.txt").read_text()
+    at = i + i // 120
+    (orbit / "stream.txt").write_text(text[:at] + "10"[int(text[at])] + text[at + 1:])
+
+
 def _mutated_copy(orbit, tmp_path, mutate):
-    """A copy of the orbit directory whose certificate document went through mutate."""
+    """A copy of the orbit directory whose certificate document went through
+    mutate; a mutation that returns _Files replaces the document and may
+    flip a stream symbol."""
     out = tmp_path / "orbit"
     shutil.copytree(orbit, out)
     doc = json.loads((out / "certificate.json").read_text())
-    mutate(doc)
-    (out / "certificate.json").write_text(json.dumps(doc))
+    files = mutate(doc)
+    if not isinstance(files, _Files):
+        files = _Files(doc)
+    (out / "certificate.json").write_text(json.dumps(files.doc))
+    if files.flip is not None:
+        _flip(out, files.flip)
     return out
 
 
@@ -74,7 +107,27 @@ MALFORMED_CERTIFICATES = {
     "markov_sub_seed_float": lambda d: _first(d, "markov").update(sub_seed=2.5),
     "literal_word_null": lambda d: _first(d, "literal").update(word=None),
     "bridge_word_null": lambda d: _first(d, "bridge").update(word=None),
-    "periodic_word_null": lambda d: _first(d, "periodic").update(word=None),
+    "periodic_source_null": lambda d: _first(d, "periodic").update(source=None),
+    "periodic_source_outside_pool": lambda d: _first(d, "periodic").update(source=4),
+    "periodic_source_markov": lambda d: _first(d, "periodic").update(source=1),
+    "markov_source_periodic": lambda d: _first(d, "markov").update(source=3),
+    "literal_word_short": lambda d: _first(d, "literal").update(word=[0]),
+    "bridge_word_symbol_outside_alphabet": lambda d: _first(d, "bridge").update(word=[2]),
+    "markov_length_10_to_12_past_flipped_symbol": lambda d: _Files(
+        (_first(d, "markov").update(length=10 ** 12), d)[1], flip=3000),
+    "segment_length_0": lambda d: _first(d, "markov").update(length=0),
+    "segment_start_text": lambda d: _first(d, "periodic").update(start="0"),
+    "segment_overlaps_previous": lambda d: _first(d, "periodic").update(
+        start=_first(d, "periodic")["start"] - 1),
+    "schedule_short_of_horizon": lambda d: d["schedule"].pop(),
+    "schedule_entry_not_object": lambda d: d["schedule"].__setitem__(1, 5),
+    "certificate_not_object": lambda d: _Files([d]),
+    "exact_facts_short": lambda d: d["exact_facts"].pop(),
+    "extremes_outside_pool": lambda d: d.update(extremes=[0, 99]),
+    "chain_link_outside_pool": lambda d: d.update(chain_links=[[0.5, 1, 99]]),
+    "pool_entry_not_object": lambda d: d["pool"].__setitem__(3, "periodic"),
+    "markov_P_nan": lambda d: d["pool"][2]["P"][0].__setitem__(0, float("nan")),
+    "mixture_weight_10_to_400": lambda d: d["pool"][0]["weights"].__setitem__(0, 10 ** 400),
     "self_lower_max_no_length": lambda d: _check(d, "self_lower_max").pop("length"),
     "self_lower_max_length_null": lambda d: _check(d, "self_lower_max").update(length=None),
     "self_lower_max_max_text": lambda d: _check(d, "self_lower_max").update(max="x"),
@@ -303,6 +356,12 @@ class TestPipeline:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_flipped_symbol_exit4(self, v_not_w_orbit, tmp_path, capsys):
+        """The stream edit of markov_length_10_to_12_past_flipped_symbol, alone."""
+        orbit = _mutated_copy(v_not_w_orbit, tmp_path, lambda d: _Files(d, flip=3000))
+        assert main(["verify", "--orbit", str(orbit)]) == 4
+        assert "schedule_window" in capsys.readouterr().err
+
     def test_not_primitive_exit3(self, tmp_path, files):
         io.write_json(tmp_path / "diag.json",
                       {"schema": "shiftlab/shift/1", "k": 2, "matrix": [[1, 0], [0, 1]]})
@@ -311,6 +370,27 @@ class TestPipeline:
                            "--horizon", "4096", "--seed", "1",
                            "--out", str(tmp_path / "x"))
         assert rc == 3
+
+
+V1_ORBITS = Path(__file__).parent / "data" / "v1"
+
+
+class TestSchemaV1:
+    """Orbit directories written with shiftlab/certificate/1 still verify."""
+
+    @pytest.mark.parametrize("name", ["v_not_w", "almost_periodic_not_per"])
+    def test_v1_orbit_verifies(self, capsys, name):
+        assert main(["verify", "--orbit", str(V1_ORBITS / name)]) == 0
+        assert capsys.readouterr().out.endswith("verified\n")
+
+    def test_v1_reads_as_the_v2_orbit(self, full2):
+        """The v1 periodic words are dropped on reading; what is left is the
+        orbit the same inputs give now."""
+        again = io.read_orbit_dir(V1_ORBITS / "v_not_w")
+        o = synthesize_witness(full2, GapClass.V_NOT_W, indicator_potential(full2, (1,)), 4096,
+                               seed=1)
+        assert (again.word == o.word).all()
+        assert io.certificate_to_doc(again) == io.certificate_to_doc(o)
 
 
 class TestRawDigitsFlag:
@@ -472,6 +552,50 @@ class TestMutatedChecks:
         orbit = every_check_orbit.parent / "edited"
         orbit.mkdir(exist_ok=True)
         shutil.copy(every_check_orbit / "stream.txt", orbit / "stream.txt")
+        (orbit / "certificate.json").write_text(json.dumps(doc))
+        assert main(["verify", "--orbit", str(orbit)]) in (0, 2, 4, 5)
+        assert main(["classify", "--orbit", str(orbit), "--out", str(orbit / "r.json")]) in (0, 2)
+
+
+@st.composite
+def orbit_edits(draw, doc: dict):
+    """(list, index, edit, path, new value): one edit to a schedule segment
+    or pool entry of the certificate document."""
+    name, i = draw(st.sampled_from([(name, i) for name in ("schedule", "pool")
+                                    for i, entry in enumerate(doc[name]) if entry]))
+    entry = doc[name][i]
+    paths = list(_paths(entry))
+    edit = draw(st.sampled_from(["drop", "retype", "integer"]))
+    keys = [p for p in paths if isinstance(_at(entry, p[:-1]), dict)]
+    ints = [p for p in paths if type(_at(entry, p)) is int]
+    if edit == "drop" and keys:
+        return name, i, edit, draw(st.sampled_from(keys)), None
+    if edit == "integer" and ints:
+        return name, i, edit, draw(st.sampled_from(ints)), draw(st.sampled_from(
+            [0, -1, 2 ** 63, 10 ** 400]))
+    return name, i, "retype", draw(st.sampled_from(paths)), draw(st.sampled_from(
+        [None, "x", "", 2.5, -1.0, float("nan"), [], [1], [[0, 1]]]))
+
+
+class TestMutatedOrbits:
+    """Any edit to a certificate's schedule or pool ends in a documented exit code."""
+
+    @pytest.mark.parametrize("base", ["v_not_w_orbit", "thue_morse_orbit"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_edited_orbit_exits_documented_code(self, request, tmp_path_factory, base, data):
+        base_orbit = request.getfixturevalue(base)
+        doc = json.loads((base_orbit / "certificate.json").read_text())
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            name, i, edit, path, value = data.draw(orbit_edits(doc))
+            parent = _at(doc[name][i], path[:-1])
+            if edit == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        orbit = tmp_path_factory.getbasetemp() / "edited_orbit"
+        orbit.mkdir(exist_ok=True)
+        shutil.copy(base_orbit / "stream.txt", orbit / "stream.txt")
         (orbit / "certificate.json").write_text(json.dumps(doc))
         assert main(["verify", "--orbit", str(orbit)]) in (0, 2, 4, 5)
         assert main(["classify", "--orbit", str(orbit), "--out", str(orbit / "r.json")]) in (0, 2)
