@@ -11,17 +11,23 @@ stream would accept words the entropy count rules out — e.g. for the golden
 ratio it would admit 11 — so the terminating stream is replaced by the
 quasi-greedy periodic stream (a_1..a_{m-1}(a_m - 1)) repeated.  A raw mode
 keeps the literal stream for side-by-side comparison.
+
+Word counts walk the standard beta-shift graph of the stream, one state per
+matched digit, in exact integers; the cost does not depend on the alphabet,
+so integer beta of any size counts beta^n directly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import mpmath as mp
 
-from .errors import IntegerBeta, PeriodNotDetected, SymbolOutOfRange, ValidityExceeded
+from .errors import PeriodNotDetected, SymbolOutOfRange, ValidityExceeded
 
 #: working precision (bits) for the remainder recurrence
 DIGIT_PRECISION_BITS = 256
@@ -84,27 +90,6 @@ def _near_integer(b: mp.mpf) -> Optional[int]:
     return None
 
 
-def beta_expansion_of_one(beta: BetaLike, n: int) -> tuple[int, ...]:
-    """First n greedy digits of the expansion of 1 in powers of 1/beta."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    with mp.workprec(DIGIT_PRECISION_BITS):
-        b = _to_mpf(beta)
-        if b <= 1:
-            raise ValueError("beta > 1 required")
-        if _near_integer(b) is not None:
-            raise IntegerBeta(f"beta = {b} is an integer; use the full-shift path")
-        digits = []
-        r = b
-        for _ in range(n):
-            a = int(mp.floor(r + DIGIT_SNAP_EPS))
-            digits.append(a)
-            r = b * (r - a)
-            if r < 0:
-                r = mp.mpf(0)
-    return tuple(digits)
-
-
 def _expand_with_status(b: mp.mpf, horizon: int) -> tuple[list[int], str, int]:
     """Greedy digits until termination, exact remainder repetition, or horizon.
 
@@ -139,8 +124,8 @@ def quasi_greedy_normalize(beta: BetaLike, horizon: int = DEFAULT_HORIZON,
     """
     with mp.workprec(DIGIT_PRECISION_BITS):
         b = _to_mpf(beta)
-        if b <= 1:
-            raise ValueError("beta > 1 required")
+        if not 1 < b <= sys.float_info.max:
+            raise ValueError(f"beta = {beta} is not a number above 1 that fits a float")
         snapped = _near_integer(b)
         if snapped is not None:
             if snapped < 2:
@@ -155,10 +140,9 @@ def quasi_greedy_normalize(beta: BetaLike, horizon: int = DEFAULT_HORIZON,
     if status == "terminated":
         body = digits[:aux]
         if raw:
-            spec = BetaShiftSpec(beta=beta_f, alphabet=alphabet,
+            return BetaShiftSpec(beta=beta_f, alphabet=alphabet,
                                  preperiod=tuple(body), period=(0,),
                                  is_integer=False, validity_length=1 << 62, raw=True)
-            return spec
         if len(body) == 1:
             # 1 = a_1/beta with a_1 = beta would make beta an integer
             raise PeriodNotDetected("terminating expansion of length 1")
@@ -167,10 +151,8 @@ def quasi_greedy_normalize(beta: BetaLike, horizon: int = DEFAULT_HORIZON,
                              preperiod=(), period=quasi,
                              is_integer=False, validity_length=1 << 62)
     elif status == "periodic":
-        pre = tuple(digits[:aux])
-        per = tuple(digits[aux:])
         spec = BetaShiftSpec(beta=beta_f, alphabet=alphabet,
-                             preperiod=pre, period=per,
+                             preperiod=tuple(digits[:aux]), period=tuple(digits[aux:]),
                              is_integer=False, validity_length=1 << 62, raw=raw)
     else:
         # representation error of beta grows by a factor beta per step, so
@@ -190,9 +172,7 @@ def _check_self_maximal(spec: BetaShiftSpec) -> None:
     span = len(spec.preperiod) + max(len(spec.period), 1)
     limit = min(2 * span, spec.validity_length)
     ref = spec.digits_prefix(limit)
-    for shift in range(1, span):
-        if shift + 1 > limit:
-            break
+    for shift in range(1, min(span, limit)):
         tail = ref[shift:]
         head = ref[:len(tail)]
         if tail > head:
@@ -218,81 +198,36 @@ def beta_admissible(w: Sequence[int], spec: BetaShiftSpec) -> bool:
     return True
 
 
-def _prefix_function(ref: Sequence[int]) -> list[int]:
-    """KMP prefix function of ref (1-indexed semantics, pi[0] unused)."""
-    n = len(ref)
-    pi = [0] * (n + 1)
-    k = 0
-    for i in range(2, n + 1):
-        while k > 0 and ref[i - 1] != ref[k]:
-            k = pi[k]
-        if ref[i - 1] == ref[k]:
-            k += 1
-        pi[i] = k
-    return pi
-
-
 def beta_count_words(spec: BetaShiftSpec, n: int) -> int:
-    """Exact number of admissible n-words, by match-length automaton DP.
+    """Exact number of admissible n-words: the paths of length n from state 0
+    of the standard beta-shift graph (Parry 1960; Blanchard 1989).
 
-    State = length of the longest suffix of the word read so far that equals
-    a prefix of the digit stream.  Self-domination of the stream makes the
-    longest match the binding constraint, so transitions are: symbol equal
-    to the next digit extends the match, a smaller symbol falls back through
-    the KMP prefix chain, a larger symbol is inadmissible.
+    State i means the word ends in the stream's first i digits t_1..t_i,
+    read since its last reset.  Digit t_{i+1} leads to state i+1 and each
+    smaller digit to state 0, so one step is v'[0] = sum_i v_i t_{i+1},
+    v'[i+1] = v_i.  A periodic stream folds the state after preperiod +
+    period back to the preperiod.  A truncated stream needs states 0..n.
+    Each step costs one pass over the states, whatever the alphabet size.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     if n > spec.validity_length:
         raise ValidityExceeded(f"n={n} > validity {spec.validity_length}")
-    ref = spec.digits_prefix(n)
-    pi = _prefix_function(ref)
-
-    def fallback(state: int, c: int) -> Optional[int]:
-        k = state
-        while k > 0 and ref[k] != c:
-            k = pi[k]
-        if ref[k] == c:
-            return k + 1
-        return None if c > ref[0] else 0
-
-    counts = {0: 1}
+    if spec.period:
+        fold = len(spec.preperiod)
+        digits = spec.digits_prefix(fold + len(spec.period))
+    else:
+        # an n-word reaches state n only with its last digit, so the digit
+        # and the successor given to that state are never used
+        fold = n
+        digits = spec.digits_prefix(n) + (0,)
+    counts = [1] + [0] * (len(digits) - 1)
     for _ in range(n):
-        nxt: dict[int, int] = {}
-        for state, mult in counts.items():
-            d = ref[state]
-            for c in range(spec.alphabet):
-                if c > d:
-                    break
-                if c == d:
-                    t = state + 1
-                else:
-                    t = fallback(state, c)
-                    if t is None:
-                        continue
-                if t is not None:
-                    nxt[t] = nxt.get(t, 0) + mult
-        counts = nxt
-    return sum(counts.values())
-
-
-def brute_beta_count_words(spec: BetaShiftSpec, n: int) -> int:
-    """Direct enumeration with suffix comparisons; cross-check for small n."""
-    if n > 14:
-        from .errors import BoundExceeded
-        raise BoundExceeded("direct beta enumeration capped at n = 14")
-    total = 0
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        w = stack.pop()
-        if len(w) == n:
-            total += 1
-            continue
-        for c in range(spec.alphabet):
-            cand = w + (c,)
-            if beta_admissible(cand, spec):
-                stack.append(cand)
-    return total
+        reset = sum(map(operator.mul, counts, digits))
+        folded = counts.pop()
+        counts.insert(0, reset)
+        counts[fold] += folded
+    return sum(counts)
 
 
 def beta_entropy_estimate(spec: BetaShiftSpec, n: int) -> float:

@@ -47,6 +47,8 @@ def _maybe_manifest(args, command: str, inputs: dict, outputs: list[str]) -> Non
 
 
 def cmd_entropy(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n {args.n} is not a positive word length")
     print(LOG_BASE_NOTE)
     outputs: list[str] = []
     if args.beta is not None:

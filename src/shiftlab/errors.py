@@ -25,10 +25,6 @@ class NotStronglyConnected(ShiftlabError):
     """Operation requires a strongly connected transition graph."""
 
 
-class IntegerBeta(ShiftlabError):
-    """beta is an integer; use the full-shift path."""
-
-
 class PeriodNotDetected(ShiftlabError):
     """No period or termination found within the expansion horizon."""
 

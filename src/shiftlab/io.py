@@ -8,6 +8,7 @@ emitted in construction order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -19,7 +20,8 @@ from .errors import SchemaError
 from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
                        markov_measure, mixture, periodic_measure)
 from .shifts import ShiftSpace, sft_from_matrix
-from .synthesis import Certificate, GapClass, OrbitPrefix, Schedule, Segment
+from .synthesis import (CLASS_STRUCTURE, STRUCTURE_EXTREMES, Certificate, GapClass, OrbitPrefix,
+                        Schedule, Segment)
 
 SHIFT_SCHEMA = "shiftlab/shift/1"
 POTENTIAL_SCHEMA = "shiftlab/potential/1"
@@ -28,6 +30,11 @@ CERTIFICATE_SCHEMA = "shiftlab/certificate/2"
 CERTIFICATE_SCHEMAS = ("shiftlab/certificate/1", CERTIFICATE_SCHEMA)
 REPORT_SCHEMA = "shiftlab/report/1"
 MANIFEST_SCHEMA = "shiftlab/manifest/1"
+
+#: largest |value| a potential document may give.  psi is a difference of
+#: terms of size q*phi: on a 3-symbol shift psi of c*phi is off by 2e-13 at
+#: c = 1e6, 4e-7 at 1e9 and 0.3 at 1e12; near 1e308 the arithmetic overflows.
+POTENTIAL_BOUND = 1e6
 
 STREAM_LINE_WIDTH = 120
 SEGMENT_KINDS = ("markov", "periodic", "thue_morse", "literal", "bridge")
@@ -89,6 +96,12 @@ def read_json(path: Union[str, Path]) -> dict:
         return json.load(fh)
 
 
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} document is not a JSON object")
+    return doc
+
+
 # --- shift spaces ----------------------------------------------------------
 
 
@@ -100,10 +113,13 @@ def shift_to_doc(s: ShiftSpace) -> dict:
 
 
 def shift_from_doc(doc: dict) -> ShiftSpace:
-    if doc.get("schema", SHIFT_SCHEMA) != SHIFT_SCHEMA:
+    if _object(doc, "shift").get("schema", SHIFT_SCHEMA) != SHIFT_SCHEMA:
         raise SchemaError(f"expected {SHIFT_SCHEMA}, got {doc.get('schema')}")
+    k = doc.get("k")
+    if type(k) is not int:
+        raise SchemaError(f"shift k {k!r} is not an integer")
     try:
-        return sft_from_matrix(int(doc["k"]), doc["matrix"], doc.get("labels"))
+        return sft_from_matrix(k, doc["matrix"], doc.get("labels"))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad shift document: {e}")
 
@@ -118,13 +134,21 @@ def potential_to_doc(phi: Potential) -> dict:
 
 
 def potential_from_doc(doc: dict) -> Potential:
-    if doc.get("schema", POTENTIAL_SCHEMA) != POTENTIAL_SCHEMA:
+    if _object(doc, "potential").get("schema", POTENTIAL_SCHEMA) != POTENTIAL_SCHEMA:
         raise SchemaError(f"expected {POTENTIAL_SCHEMA}, got {doc.get('schema')}")
+    r = doc.get("range")
+    if type(r) is not int:
+        raise SchemaError(f"potential range {r!r} is not an integer")
     try:
         table = {tuple(int(c) for c in w): float(v) for w, v in doc["entries"]}
-        return Potential(range=int(doc["range"]), table=table)
+        phi = Potential(range=r, table=table)
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad potential document: {e}")
+    for w, v in table.items():
+        if not abs(v) <= POTENTIAL_BOUND:
+            raise SchemaError(f"potential entries value {v!r} at {list(w)} is not a number "
+                              f"within ±{POTENTIAL_BOUND:g}")
+    return phi
 
 
 # --- measures --------------------------------------------------------------
@@ -244,7 +268,7 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
     return {
         "schema": CERTIFICATE_SCHEMA,
         "gap_class": cert.gap_class.value,
-        "structure": cert.structure,
+        "structure": CLASS_STRUCTURE[cert.gap_class],
         "shift": shift_to_doc(o.shift),
         "pool": [measure_to_doc(m) for m in cert.pool],
         "extremes": list(cert.extremes),
@@ -262,9 +286,7 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
 
 
 def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
-    if not isinstance(cert_doc, dict):
-        raise SchemaError("certificate document is not a JSON object")
-    if cert_doc.get("schema") not in CERTIFICATE_SCHEMAS:
+    if _object(cert_doc, "certificate").get("schema") not in CERTIFICATE_SCHEMAS:
         raise SchemaError(f"expected {CERTIFICATE_SCHEMA}, got {cert_doc.get('schema')}")
     try:
         return _orbit_from_docs(cert_doc, stream_text)
@@ -274,31 +296,62 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
         raise SchemaError(f"bad certificate document: {e}")
 
 
+def _is_real(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _fact_from_doc(doc, i: int) -> dict:
+    """A pool measure's exact facts; the integral is null without a potential."""
+    doc = _object(doc, f"exact_facts[{i}]")
+    for key, valid in (("entropy", _is_real), ("integral", lambda x: x is None or _is_real(x)),
+                       ("full_support", lambda x: type(x) is bool),
+                       ("ergodic", lambda x: type(x) is bool)):
+        if not valid(doc.get(key)):
+            raise SchemaError(f"exact_facts[{i}] {key} {doc.get(key)!r} is not valid")
+    fact = dict(doc)
+    fact["support_symbols"] = [int(x) for x in doc["support_symbols"]]
+    fact["support_edges"] = [tuple(e) for e in doc["support_edges"]]
+    return fact
+
+
 def _orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     s = shift_from_doc(cert_doc["shift"])
     pool = [measure_from_doc(d, s) for d in cert_doc["pool"]]
     phi = potential_from_doc(cert_doc["potential"]) if cert_doc.get("potential") else None
-    facts = []
-    for f in cert_doc["exact_facts"]:
-        fixed = dict(f)
-        fixed["support_symbols"] = [int(x) for x in f["support_symbols"]]
-        fixed["support_edges"] = [tuple(e) for e in f["support_edges"]]
-        facts.append(fixed)
+    facts = [_fact_from_doc(f, i) for i, f in enumerate(cert_doc["exact_facts"])]
     if len(facts) != len(pool):
         raise SchemaError(f"{len(facts)} exact facts for a pool of {len(pool)} measures")
+    gap_class = GapClass(cert_doc["gap_class"])
+    if phi is None and gap_class not in (GapClass.PERIODIC, GapClass.ALMOST_PERIODIC_NOT_PER):
+        raise SchemaError(f"a {gap_class.value} certificate has no potential")
+    structure = cert_doc["structure"]
+    if structure != CLASS_STRUCTURE[gap_class]:
+        raise SchemaError(f"structure {structure!r} is not {CLASS_STRUCTURE[gap_class]!r}, "
+                          f"the structure of {gap_class.value}")
+    extremes = [_pool_index(i, pool, "extreme") for i in cert_doc["extremes"]]
+    chain_links = [(float(th), _pool_index(a, pool, "link"), _pool_index(b, pool, "link"))
+                   for th, a, b in cert_doc["chain_links"]]
+    if (len(extremes) != STRUCTURE_EXTREMES.get(structure, len(extremes))
+            or (structure == "chain") != bool(chain_links)):
+        raise SchemaError(f"{len(extremes)} extremes and {len(chain_links)} chain_links "
+                          f"do not fit a {structure} certificate")
+    horizon, seed = cert_doc["horizon"], cert_doc["seed"]
+    if type(horizon) is not int or horizon < 0 or type(seed) is not int:
+        raise SchemaError(f"certificate horizon {horizon!r} and seed {seed!r} are not "
+                          "a nonnegative integer and an integer")
+    if not (_is_real(cert_doc["inf_entropy_over_K"]) and _is_real(cert_doc["ambient_entropy"])):
+        raise SchemaError("certificate inf_entropy_over_K and ambient_entropy are not both numbers")
     cert = Certificate(
-        gap_class=GapClass(cert_doc["gap_class"]),
-        structure=cert_doc["structure"],
+        gap_class=gap_class,
         pool=pool,
-        extremes=[_pool_index(i, pool, "extreme") for i in cert_doc["extremes"]],
-        chain_links=[(float(th), _pool_index(a, pool, "link"), _pool_index(b, pool, "link"))
-                     for th, a, b in cert_doc["chain_links"]],
+        extremes=extremes,
+        chain_links=chain_links,
         exact_facts=facts,
         inf_entropy_over_K=float(cert_doc["inf_entropy_over_K"]),
         expected_statistics=cert_doc["expected_statistics"],
         pinned_prefix=tuple(cert_doc["pinned_prefix"]) if cert_doc.get("pinned_prefix") else None,
-        horizon=int(cert_doc["horizon"]),
-        seed=int(cert_doc["seed"]),
+        horizon=horizon,
+        seed=seed,
         phi=phi,
         ambient_entropy=float(cert_doc["ambient_entropy"]),
     )

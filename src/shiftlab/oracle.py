@@ -11,16 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng
+from .beta import BetaShiftSpec, beta_admissible
 from .errors import BoundExceeded, Infeasible
 from .measures import InvariantMeasure, Mixture, PeriodicMeasure, Potential
 from .shifts import SUBGRAPH_TIE_TOL, ShiftSpace, Word
 
 MAX_WORD_LEN = 24
+MAX_BETA_WORD_LEN = 14
 MAX_CYCLE_LEN = 16
 MAX_GRID_STEPS = 40
 MAX_FREE_PARAMS = 4
@@ -49,6 +51,77 @@ def brute_count_words(s: ShiftSpace, n: int) -> int:
         return sum(extend(j, remaining - 1) for j in range(s.k) if s.matrix[last][j])
 
     return sum(extend(c, n - 1) for c in range(s.k))
+
+
+def brute_beta_count_words(spec: BetaShiftSpec, n: int) -> int:
+    """Count admissible beta-shift n-words by depth-first extension, each
+    candidate checked suffix by suffix against the digit stream."""
+    if n > MAX_BETA_WORD_LEN:
+        raise BoundExceeded(f"n={n} > {MAX_BETA_WORD_LEN}")
+    total = 0
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        w = stack.pop()
+        if len(w) == n:
+            total += 1
+            continue
+        for c in range(spec.alphabet):
+            cand = w + (c,)
+            if beta_admissible(cand, spec):
+                stack.append(cand)
+    return total
+
+
+def _prefix_function(ref: Sequence[int]) -> list[int]:
+    """KMP prefix function of ref (1-indexed semantics, pi[0] unused)."""
+    n = len(ref)
+    pi = [0] * (n + 1)
+    k = 0
+    for i in range(2, n + 1):
+        while k > 0 and ref[i - 1] != ref[k]:
+            k = pi[k]
+        if ref[i - 1] == ref[k]:
+            k += 1
+        pi[i] = k
+    return pi
+
+
+def match_length_beta_count_words(spec: BetaShiftSpec, n: int) -> int:
+    """Count admissible beta-shift n-words by a match-length automaton DP.
+
+    State = length of the longest suffix of the word read so far that equals
+    a prefix of the digit stream.  Self-domination of the stream makes the
+    longest match the binding constraint, so transitions are: symbol equal
+    to the next digit extends the match, a smaller symbol falls back through
+    the KMP prefix chain, a larger symbol is inadmissible.  Every state
+    tries every symbol of the alphabet.
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    ref = spec.digits_prefix(n)
+    pi = _prefix_function(ref)
+
+    def fallback(state: int, c: int) -> Optional[int]:
+        k = state
+        while k > 0 and ref[k] != c:
+            k = pi[k]
+        if ref[k] == c:
+            return k + 1
+        return None if c > ref[0] else 0
+
+    counts = {0: 1}
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        for state, mult in counts.items():
+            d = ref[state]
+            for c in range(spec.alphabet):
+                if c > d:
+                    break
+                t = state + 1 if c == d else fallback(state, c)
+                if t is not None:
+                    nxt[t] = nxt.get(t, 0) + mult
+        counts = nxt
+    return sum(counts.values())
 
 
 def brute_count_cycles(s: ShiftSpace, n: int) -> int:

@@ -134,11 +134,11 @@ def sft_from_matrix(k: int, matrix: Sequence[Sequence[int]],
     EmptyShift if nothing survives.  A missing primitive_gap is a flag, not
     an error: non-mixing shifts still support counting and entropy.
     """
-    rows = [list(map(int, row)) for row in matrix]
-    if len(rows) != k or any(len(r) != k for r in rows):
+    if len(matrix) != k or any(len(r) != k for r in matrix):
         raise ValueError(f"matrix must be {k}x{k}")
-    if any(x not in (0, 1) for row in rows for x in row):
+    if any(x not in (0, 1) for row in matrix for x in row):
         raise ValueError("matrix entries must be 0 or 1")
+    rows = [list(map(int, row)) for row in matrix]
     if labels is not None and len(labels) != k:
         raise ValueError(f"{len(labels)} labels for {k} symbols")
     trimmed, survivors = _trim(rows)

@@ -56,6 +56,17 @@ class GapClass(str, Enum):
     PERIODIC = "PERIODIC"
 
 
+#: the shape of the measure set K each class certifies
+CLASS_STRUCTURE = {
+    GapClass.W_NOT_QR: "segment", GapClass.V_NOT_W: "segment", GapClass.I_NOT_QW: "segment",
+    GapClass.QW_NOT_V: "chain", GapClass.ALMOST_PERIODIC_NOT_PER: "none",
+    GapClass.QR_NOT_ERG_NOT_A: "singleton", GapClass.R_FULL_SUPPORT: "singleton",
+    GapClass.PERIODIC: "singleton",
+}
+#: extreme elements each structure names; a chain names its links instead
+STRUCTURE_EXTREMES = {"segment": 2, "singleton": 1, "none": 0}
+
+
 #: the class recipes' fixed values, pinned from pilot runs
 BLOCK_UNIT = 64                 # round-layout length unit
 THETA_W_NOT_QR = (0.95, 0.90)   # max-entropy weight of the two W_NOT_QR endpoints
@@ -88,8 +99,7 @@ class Schedule:
 
 @dataclass
 class Certificate:
-    gap_class: GapClass
-    structure: str                     # "segment" | "chain" | "singleton" | "none"
+    gap_class: GapClass                # K's structure is CLASS_STRUCTURE[gap_class]
     pool: list[InvariantMeasure]
     extremes: list[int]                # pool indices of K's extreme elements
     chain_links: list[tuple[float, int, int]]  # (theta, idx_main, idx_attached) per chain link
@@ -355,11 +365,11 @@ def _inf_over_k(structure: str, facts: list[dict], extremes: list[int],
 
 
 def _finish(s: ShiftSpace, gap_class: GapClass, requests, pool, extremes, chain_links,
-            structure, phi, n, seed, pinned_prefix, stats) -> OrbitPrefix:
+            phi, n, seed, pinned_prefix, stats) -> OrbitPrefix:
     word, schedule = _render(s, requests, pool, seed, n)
     facts = [_measure_facts(m, s, phi) for m in pool]
-    inf_h = _inf_over_k(structure, facts, extremes, chain_links)
-    cert = Certificate(gap_class=gap_class, structure=structure, pool=pool,
+    inf_h = _inf_over_k(CLASS_STRUCTURE[gap_class], facts, extremes, chain_links)
+    cert = Certificate(gap_class=gap_class, pool=pool,
                        extremes=extremes, chain_links=chain_links, exact_facts=facts,
                        inf_entropy_over_K=inf_h, expected_statistics=stats,
                        pinned_prefix=tuple(pinned_prefix) if pinned_prefix else None,
@@ -390,7 +400,7 @@ def _build_w_not_qr(s, phi, n, seed, pinned_prefix):
         {"check": "cylinder_lower_min", "lengths": [1, 2], "threshold": 0.01},
     ]
     requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.W_NOT_QR, requests, pool, [0, 1], [], "segment",
+    return _finish(s, GapClass.W_NOT_QR, requests, pool, [0, 1], [],
                    phi, n, seed, pinned_prefix, stats)
 
 
@@ -431,7 +441,7 @@ def _build_v_not_w(s, phi, n, seed, pinned_prefix):
             {"check": "self_lower_max", "length": len(pin), "max": 0.01},
             {"check": "self_upper_min", "length": len(pin), "min": 0.05},
         ]
-    return _finish(s, GapClass.V_NOT_W, requests, pool, [0, 1], [], "segment",
+    return _finish(s, GapClass.V_NOT_W, requests, pool, [0, 1], [],
                    phi, n, seed, prefix, stats)
 
 
@@ -458,7 +468,7 @@ def _build_qw_not_v(s, phi, n, seed, pinned_prefix):
     ]
     requests = _with_prefix(pinned_prefix, requests)
     return _finish(s, GapClass.QW_NOT_V, requests, pool, list(range(len(pool))),
-                   chain_links, "chain", phi, n, seed, pinned_prefix, stats)
+                   chain_links, phi, n, seed, pinned_prefix, stats)
 
 
 def _build_i_not_qw(s, phi, n, seed, pinned_prefix):
@@ -505,7 +515,7 @@ def _build_i_not_qw(s, phi, n, seed, pinned_prefix):
              {"check": "trace_oscillation", "min_gap": 0.2, "window": 0.5}]
     if default_stats:
         stats.append({"check": "self_upper_decreasing", "lengths": [4, 8, 12], "final_max": 0.02})
-    return _finish(s, GapClass.I_NOT_QW, requests, pool, [0, 1], [], "segment",
+    return _finish(s, GapClass.I_NOT_QW, requests, pool, [0, 1], [],
                    phi, n, seed, prefix, stats)
 
 
@@ -527,7 +537,7 @@ def _build_qr_not_erg(s, phi, n, seed, pinned_prefix):
          "window": 0.25},
     ]
     requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.QR_NOT_ERG_NOT_A, requests, pool, [0], [], "singleton",
+    return _finish(s, GapClass.QR_NOT_ERG_NOT_A, requests, pool, [0], [],
                    phi, n, seed, pinned_prefix, stats)
 
 
@@ -546,7 +556,7 @@ def _build_r_full_support(s, phi, n, seed, pinned_prefix):
          "expected": expected},
     ]
     requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.R_FULL_SUPPORT, requests, pool, [0], [], "singleton",
+    return _finish(s, GapClass.R_FULL_SUPPORT, requests, pool, [0], [],
                    phi, n, seed, pinned_prefix, stats)
 
 
@@ -565,7 +575,7 @@ def _build_almost_periodic(s, n, seed, pinned_prefix):
         stats.append({"check": "max_gap_bounded",
                       "bounds": [[ell, TM_GAP_BOUNDS[ell]] for ell in range(1, 9)]})
     requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.ALMOST_PERIODIC_NOT_PER, requests, [], [], [], "none",
+    return _finish(s, GapClass.ALMOST_PERIODIC_NOT_PER, requests, [], [], [],
                    None, n, seed, pinned_prefix, stats)
 
 
@@ -579,7 +589,7 @@ def _build_periodic(s, n, seed, pinned_prefix, cycle):
     if pinned_prefix is None:
         stats.append({"check": "periodic_density_exact", "period": len(m.cycle)})
     requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.PERIODIC, requests, pool, [0], [], "singleton",
+    return _finish(s, GapClass.PERIODIC, requests, pool, [0], [],
                    None, n, seed, pinned_prefix, stats)
 
 
@@ -614,7 +624,8 @@ def certify(o: OrbitPrefix, phi: Optional[Potential] = None) -> dict:
                 raise CertificateMismatch(f"pool[{idx}].{key}", f"{fresh[key]} vs {fact[key]}")
         report["checked"].append(f"pool[{idx}]")
 
-    fresh_inf = _inf_over_k(cert.structure, fresh_facts, cert.extremes, cert.chain_links)
+    fresh_inf = _inf_over_k(CLASS_STRUCTURE[cert.gap_class], fresh_facts, cert.extremes,
+                            cert.chain_links)
     if abs(fresh_inf - cert.inf_entropy_over_K) > 1e-10:
         raise CertificateMismatch("inf_entropy_over_K",
                                   f"{fresh_inf} vs {cert.inf_entropy_over_K}")

@@ -4,32 +4,58 @@ import mpmath as mp
 import pytest
 
 from shiftlab.beta import (beta_admissible, beta_count_words, beta_entropy_estimate,
-                           beta_expansion_of_one, brute_beta_count_words,
                            quasi_greedy_normalize)
-from shiftlab.errors import IntegerBeta, SymbolOutOfRange, ValidityExceeded
+from shiftlab.errors import SymbolOutOfRange, ValidityExceeded
+from shiftlab.oracle import brute_beta_count_words, match_length_beta_count_words
 from shiftlab.shifts import count_words, golden_mean_shift
 
 GOLDEN = "1.61803398874989484820458683436563811772"
-TEST_BETAS = ["1.8", GOLDEN, "2.5", mp.nstr(mp.e, 40)]
+TRIBONACCI = "1.8392867552141611325518525646532866004242"
+PENTANACCI = "1.9659482366454853371899373759344013961513"
+TEST_BETAS = ["1.8", GOLDEN, "2.5", mp.nstr(mp.e, 40), TRIBONACCI, PENTANACCI]
+#: the oracle DP is compared up to this word length (or the validity length)
+DP_MAX_N = 60
+#: brute enumeration runs to n = 12, or to the last n with beta^n below this
+#: many words (beta = 3.9 would list 12 million 12-words)
+BRUTE_WORDS = 60_000
+
+
+def greedy_digits(beta, n: int) -> tuple[int, ...]:
+    """First n digits of the greedy (raw) expansion of 1."""
+    return quasi_greedy_normalize(beta, raw=True).digits_prefix(n)
+
+
+def distinct_streams(betas):
+    """The quasi-greedy and the raw spec of each beta, one per distinct digit
+    stream: a non-terminating expansion gives both modes the same stream."""
+    specs = {}
+    for beta in betas:
+        for raw in (False, True):
+            spec = quasi_greedy_normalize(beta, raw=raw)
+            specs.setdefault((spec.preperiod, spec.period), spec)
+    return list(specs.values())
+
+
+def assert_counts_match_oracles(spec, brute_max_n: int) -> None:
+    for n in range(1, min(DP_MAX_N, spec.validity_length) + 1):
+        assert beta_count_words(spec, n) == match_length_beta_count_words(spec, n), n
+    for n in range(1, brute_max_n + 1):
+        assert beta_count_words(spec, n) == brute_beta_count_words(spec, n), n
 
 
 class TestExpansion:
     def test_golden_digits(self):
-        assert beta_expansion_of_one(GOLDEN, 4) == (1, 1, 0, 0)
+        assert greedy_digits(GOLDEN, 4) == (1, 1, 0, 0)
 
     def test_digits_18(self):
-        assert beta_expansion_of_one("1.8", 4) == (1, 1, 0, 1)
+        assert greedy_digits("1.8", 4) == (1, 1, 0, 1)
 
     def test_first_digit_is_floor(self):
-        assert beta_expansion_of_one("2.5", 1) == (2,)
-
-    def test_integer_rejected(self):
-        with pytest.raises(IntegerBeta):
-            beta_expansion_of_one("2", 4)
+        assert greedy_digits("2.5", 1) == (2,)
 
     def test_digits_in_range(self):
         for beta in TEST_BETAS:
-            digits = beta_expansion_of_one(beta, 30)
+            digits = greedy_digits(beta, 30)
             floor = int(mp.floor(mp.mpf(beta)))
             assert all(0 <= d <= floor for d in digits)
 
@@ -99,10 +125,19 @@ class TestCounting:
             assert beta_count_words(spec, n) == count_words(g, n)
 
     def test_automaton_matches_enumeration(self):
-        for beta in TEST_BETAS:
-            spec = quasi_greedy_normalize(beta)
-            for n in range(1, 13):
-                assert beta_count_words(spec, n) == brute_beta_count_words(spec, n)
+        """Both digit modes, against the match-length DP and brute enumeration."""
+        for spec in distinct_streams(TEST_BETAS):
+            assert_counts_match_oracles(spec, brute_max_n=12)
+
+    @pytest.mark.parametrize("beta", [2, 3, 10, 10 ** 20])
+    def test_integer_beta_counts_powers(self, beta):
+        spec = quasi_greedy_normalize(str(beta))
+        for n in (1, 2, 7, 22):
+            assert beta_count_words(spec, n) == beta ** n
+
+    def test_golden_long_words_equal_sft(self):
+        spec = quasi_greedy_normalize(GOLDEN)
+        assert beta_count_words(spec, 20_000) == count_words(golden_mean_shift(), 20_000)
 
     def test_estimates_monotone_and_above(self):
         for beta in TEST_BETAS:
@@ -121,16 +156,18 @@ class TestCounting:
                     assert counts[n + m] <= counts[n] * counts[m]
 
 
+FUZZED_BETAS = ["1.05", "1.2599210498948731647672106072782", "1.5",
+                "2.7182818284590452353602874713527", "3.3027756377319946465596106337352", "3.9"]
+
+
 class TestFuzzedBetas:
-    @pytest.mark.parametrize("beta", [
-        "1.05", "1.2599210498948731647672106072782", "1.5", "2.7182818284590452353602874713527",
-        "3.3027756377319946465596106337352", "3.9",
-    ])
-    def test_normalization_and_counting_consistent(self, beta):
-        spec = quasi_greedy_normalize(beta)
+    @pytest.mark.parametrize("beta,raw", [pytest.param(b, False, id=b) for b in FUZZED_BETAS]
+                             + [pytest.param(b, True, id=f"{b}-raw") for b in FUZZED_BETAS])
+    def test_normalization_and_counting_consistent(self, beta, raw):
+        spec = quasi_greedy_normalize(beta, raw=raw)
         logb = math.log(spec.beta)
-        for n in range(2, 9):
-            assert beta_count_words(spec, n) == brute_beta_count_words(spec, n)
+        assert_counts_match_oracles(
+            spec, brute_max_n=max(n for n in range(1, 13) if spec.beta ** n <= BRUTE_WORDS))
         assert beta_entropy_estimate(spec, 12) >= logb - 1e-12
 
     def test_near_integer_snaps(self):

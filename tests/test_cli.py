@@ -4,7 +4,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +53,32 @@ def thue_morse_orbit(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def periodic_orbit(tmp_path_factory):
+    o = synthesize_witness(full_shift(2), GapClass.PERIODIC, None, 4096, seed=1)
+    out = tmp_path_factory.mktemp("per") / "orbit"
+    io.write_orbit_dir(o, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def qw_not_v_orbit(tmp_path_factory):
+    s = full_shift(2)
+    o = synthesize_witness(s, GapClass.QW_NOT_V, indicator_potential(s, (1,)), 4096, seed=1)
+    out = tmp_path_factory.mktemp("qw") / "orbit"
+    io.write_orbit_dir(o, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def w_not_qr_orbit(tmp_path_factory):
+    s = full_shift(2)
+    o = synthesize_witness(s, GapClass.W_NOT_QR, indicator_potential(s, (1,)), 4096, seed=1)
+    out = tmp_path_factory.mktemp("wq") / "orbit"
+    io.write_orbit_dir(o, out)
+    return out
+
+
 def _first(doc: dict, kind: str) -> dict:
     return next(seg for seg in doc["schedule"] if seg["kind"] == kind)
 
@@ -71,6 +97,19 @@ class _Files:
     value, and the stream symbol it flips, if any."""
     doc: object
     flip: Optional[int] = None
+
+
+@dataclass
+class _On:
+    """A mutation of the named orbit fixture instead of the V_NOT_W one."""
+    orbit: str
+    mutate: Callable
+
+
+def _without_potential(doc: dict) -> None:
+    doc["potential"] = None
+    for fact in doc["exact_facts"]:
+        fact["integral"] = None
 
 
 def _flip(orbit, i: int) -> None:
@@ -158,10 +197,42 @@ MALFORMED_CERTIFICATES = {
         lambda d: _add(d, check="cylinder_lower_min", lengths=[], threshold=0.01),
     "trace_oscillation_window_2": lambda d: _add(d, check="trace_oscillation", min_gap=0.2,
                                                  window=2.0),
+    "periodic_extremes_empty": _On("periodic_orbit", lambda d: d.update(extremes=[])),
+    "periodic_structure_chain": _On("periodic_orbit", lambda d: d.update(structure="chain")),
+    "qw_not_v_chain_links_empty": _On("qw_not_v_orbit", lambda d: d.update(chain_links=[])),
+    "w_not_qr_potential_null": _On("w_not_qr_orbit", _without_potential),
+    "potential_null": _without_potential,
+    "exact_facts_no_entropy": lambda d: d["exact_facts"][0].pop("entropy"),
+    "exact_facts_entropy_text": lambda d: d["exact_facts"][0].update(entropy="x"),
+    "exact_facts_no_ergodic": lambda d: d["exact_facts"][0].pop("ergodic"),
+    "horizon_4096_5": lambda d: d.update(horizon=4096.5),
+    "seed_float": lambda d: d.update(seed=1.5),
+    "inf_entropy_over_K_nan": lambda d: d.update(inf_entropy_over_K=float("nan")),
+    "ambient_entropy_nan": lambda d: d.update(ambient_entropy=float("nan")),
     "cylinder_lower_min_2_to_the_40_codes":
         lambda d: _add(d, check="cylinder_lower_min", lengths=[40], threshold=0.01),
     "coverage_counts_2_to_the_40_codes":
         lambda d: _add(d, check="coverage_counts", length=40, min_visits=8),
+}
+
+
+GOOD_SHIFT = {"schema": "shiftlab/shift/1", "k": 2, "matrix": [[1, 1], [1, 1]]}
+GOOD_POTENTIAL = {"schema": "shiftlab/potential/1", "range": 1,
+                  "entries": [[[0], 0.0], [[1], 1.0]]}
+
+#: documents that replace the valid shift or potential of a spectrum run,
+#: and the field the error message names
+MALFORMED_DOCUMENTS = {
+    "shift_array": ({"shift": [GOOD_SHIFT]}, "shift document"),
+    "shift_k_text": ({"shift": {**GOOD_SHIFT, "k": "2"}}, "shift k"),
+    "shift_matrix_text_and_fraction": ({"shift": {**GOOD_SHIFT, "matrix": [[1, "1"], [0.5, 1]]}},
+                                       "matrix entries"),
+    "potential_array": ({"potential": [GOOD_POTENTIAL]}, "potential document"),
+    "potential_range_text": ({"potential": {**GOOD_POTENTIAL, "range": "1"}}, "potential range"),
+    "potential_entry_infinity": ({"potential": {**GOOD_POTENTIAL, "entries": [
+        [[0], 0.0], [[1], float("inf")]]}}, "potential entries"),
+    "potential_entries_1e308": ({"potential": {**GOOD_POTENTIAL, "entries": [
+        [[0], -1e308], [[1], 1e308]]}}, "potential entries"),
 }
 
 
@@ -238,6 +309,25 @@ class TestEntropyCommand:
     def test_invalid_input_exit2(self, tmp_path):
         rc, _, err = run_cli("entropy", "--shift", str(tmp_path / "missing.json"))
         assert rc == 2
+
+    @pytest.mark.parametrize("args,field", [
+        (["--beta", "1e400"], "beta = 1e400"),
+        (["--beta", "2", "--n", "0"], "--n"),
+        (["--shift", "golden.json", "--n", "0"], "--n"),
+    ], ids=["beta_1e400", "beta_n_0", "shift_n_0"])
+    def test_bad_argument_exit2(self, files, args, field):
+        rc, _, err = run_cli("entropy", *[str(files / a) if a.endswith(".json") else a
+                                          for a in args])
+        assert rc == 2
+        assert "Traceback" not in err and field in err
+
+    def test_integer_beta_1e20(self):
+        """An alphabet of 10^20 symbols counts as fast as two."""
+        proc = subprocess.run([sys.executable, "-m", "shiftlab.cli", "entropy", "--beta", "1e20"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "log beta:                    46.051701859881" in proc.stdout
+        assert "word-count estimate (n=22): 46.051701859881" in proc.stdout
 
     @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]], ids=["short", "long"])
     def test_label_count_mismatch_exit2(self, tmp_path, capsys, labels):
@@ -343,15 +433,33 @@ class TestPipeline:
         assert rc == 2
         assert "Traceback" not in err and "not a digit below 2" in err
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+    def test_malformed_document_exit2(self, tmp_path, capsys, case):
+        replaced, field = MALFORMED_DOCUMENTS[case]
+        for name, doc in {"shift": GOOD_SHIFT, "potential": GOOD_POTENTIAL, **replaced}.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert main(["spectrum", "--shift", str(tmp_path / "shift.json"),
+                     "--potential", str(tmp_path / "potential.json"), "--points", "5",
+                     "--out", str(tmp_path / "curve.csv")]) == 2
+        assert field in capsys.readouterr().err
+
+    @staticmethod
+    def _malformed_orbit(request, tmp_path, case):
+        mutate = MALFORMED_CERTIFICATES[case]
+        base = "v_not_w_orbit"
+        if isinstance(mutate, _On):
+            base, mutate = mutate.orbit, mutate.mutate
+        return _mutated_copy(request.getfixturevalue(base), tmp_path, mutate)
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
-    def test_malformed_certificate_exit2(self, v_not_w_orbit, tmp_path, capsys, case):
-        orbit = _mutated_copy(v_not_w_orbit, tmp_path, MALFORMED_CERTIFICATES[case])
+    def test_malformed_certificate_exit2(self, request, tmp_path, capsys, case):
+        orbit = self._malformed_orbit(request, tmp_path, case)
         assert main(["verify", "--orbit", str(orbit)]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
-    def test_malformed_certificate_classify_exit2(self, v_not_w_orbit, tmp_path, capsys, case):
-        orbit = _mutated_copy(v_not_w_orbit, tmp_path, MALFORMED_CERTIFICATES[case])
+    def test_malformed_certificate_classify_exit2(self, request, tmp_path, capsys, case):
+        orbit = self._malformed_orbit(request, tmp_path, case)
         assert main(["classify", "--orbit", str(orbit), "--out", str(tmp_path / "r.json")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
