@@ -1,8 +1,8 @@
 """Finite-prefix recurrence and regularity evidence.
 
-Everything here measures a single symbol stream: visit times to cylinders,
+Everything here measures a single symbol stream: self-cylinder visits,
 windowed lower/upper density estimates, running Birkhoff averages, sliding
-empirical word frequencies.  None of it claims asymptotic class membership;
+window counts.  None of it claims asymptotic class membership;
 it scores the stream against thresholds a witness certificate declares.
 
 Density estimators are cumulative ratios |visits ∩ [0,n)| / n scanned over
@@ -13,7 +13,7 @@ liminf/limsup visit frequencies.
 
 from __future__ import annotations
 
-import math
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -31,8 +31,8 @@ DEFAULT_TRACE_CHECKPOINTS = 128
 
 @dataclass
 class VisitStatistics:
-    target: Word
-    visit_times: np.ndarray
+    """Visits of a self-cylinder x_0..x_{ell-1} at times 1..horizon."""
+    visits: int
     lower_density_est: float
     upper_density_est: float
     max_gap: int
@@ -42,6 +42,8 @@ class VisitStatistics:
 @dataclass
 class RecurrenceReport:
     horizon: int
+    #: the stream's first max(DEFAULT_LADDER) symbols: each ladder target is a prefix
+    prefix: list[int]
     ladder_stats: dict[int, VisitStatistics]
     trace: list[tuple[int, float]]
     oscillation: tuple[float, float]
@@ -113,9 +115,14 @@ def word_code(w: Sequence[int], k: int) -> int:
     return c
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def density_checkpoints(n_max: int, count: int = DENSITY_CHECKPOINTS) -> np.ndarray:
-    """Geometric grid of `count` checkpoints spanning [n_max/2, n_max]."""
-    return np.unique(np.round(np.geomspace(max(1, n_max // 2), n_max, count)).astype(np.int64))
+    """Geometric grid of `count` checkpoints spanning [n_max/2, n_max], read-only.
+    Cached: a periodic_density_exact check reads the grid of each self-visit
+    horizon again after the sweep."""
+    pts = np.unique(np.round(np.geomspace(max(1, n_max // 2), n_max, count)).astype(np.int64))
+    pts.flags.writeable = False
+    return pts
 
 
 def windowed_density(visits: np.ndarray, n_max: int) -> tuple[float, float]:
@@ -125,51 +132,26 @@ def windowed_density(visits: np.ndarray, n_max: int) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
-def visit_statistics(x, ell: int, n_max: Optional[int] = None,
-                     target: Optional[Sequence[int]] = None,
-                     k: Optional[int] = None) -> VisitStatistics:
-    """Visit set of the length-ell self-cylinder (or a given target word).
-
-    max_gap is the largest difference of consecutive visit times, with the
-    horizon standing in when fewer than two visits exist.
-    """
-    arr = _as_array(x)
-    if k is None:
-        k = int(arr.max()) + 1 if len(arr) else 1
-    if n_max is None:
-        n_max = len(arr) - ell
-    if n_max > len(arr) - ell or n_max < 1:
-        raise TooShort(f"need length >= {n_max + ell}, have {len(arr)}")
-    prefix = tuple(int(c) for c in arr[:ell])
-    tgt = tuple(target) if target is not None else prefix
-    hits = np.flatnonzero(window_codes(arr[:n_max + ell], ell, k) == word_code(tgt, k))
-    return _statistics_from_visits(tgt, hits[hits >= 1], n_max, tgt == prefix)
-
-
-def _statistics_from_visits(tgt: Word, visits: np.ndarray, n_max: int,
-                            self_target: bool) -> VisitStatistics:
+def _statistics_from_visits(visits: np.ndarray, n_max: int) -> VisitStatistics:
+    """Facts of a self-cylinder from its visit times in 1..n_max.  max_gap is
+    the largest gap between consecutive visits, time 0 included; a single
+    visit counts its gap to the horizon too, and none gives the horizon."""
     lower, upper = windowed_density(visits, n_max)
     if len(visits) >= 2:
-        gaps = np.diff(visits)
-        max_gap = int(gaps.max())
-        if self_target:
-            max_gap = max(max_gap, int(visits[0]))
+        max_gap = max(int(np.diff(visits).max()), int(visits[0]))
     elif len(visits) == 1:
         max_gap = int(max(visits[0], n_max - visits[0]))
     else:
         max_gap = n_max
-    return VisitStatistics(target=tgt, visit_times=visits, lower_density_est=lower,
+    return VisitStatistics(visits=len(visits), lower_density_est=lower,
                            upper_density_est=upper, max_gap=max_gap, horizon=n_max)
 
 
 def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
-                   k: Optional[int] = None) -> list[tuple[int, float]]:
-    """Exact running averages (1/n) sum phi(window_i) at each checkpoint."""
+                   k: int) -> list[tuple[int, float]]:
+    """Exact running averages (1/n) sum phi(window_i) at each checkpoint, for
+    a stream and a potential over k symbols."""
     arr = _as_array(x)
-    if k is None:
-        k_data = int(arr.max()) + 1 if len(arr) else 1
-        k_phi = 1 + max((max(w) for w in phi.table if w), default=0)
-        k = max(k_data, k_phi)
     need = max(checkpoints) + phi.range
     if len(arr) < need:
         raise TooShort(f"need length >= {need}, have {len(arr)}")
@@ -197,20 +179,6 @@ def trace_oscillation(trace: list[tuple[int, float]], window: float = 0.5) -> tu
     return (min(tail), max(tail))
 
 
-def empirical_measure(x, ell: int, n_max: Optional[int] = None,
-                      k: Optional[int] = None) -> dict[Word, float]:
-    """Sliding-window frequency of every length-ell word in x_0..x_{n_max+ell-1}."""
-    arr = _as_array(x)
-    if k is None:
-        k = int(arr.max()) + 1 if len(arr) else 1
-    if n_max is None:
-        n_max = len(arr) - ell + 1
-    if n_max < 1 or n_max > len(arr) - ell + 1:
-        raise TooShort(f"need length >= {n_max + ell - 1}, have {len(arr)}")
-    codes = window_codes(arr[:n_max + ell - 1], ell, k)
-    return _frequencies(np.bincount(codes, minlength=k ** ell), ell, k)
-
-
 def _frequencies(counts: np.ndarray, ell: int, k: int) -> dict[Word, float]:
     """Word -> share of the windows, for the words whose code has a count."""
     codes = np.flatnonzero(counts)
@@ -219,31 +187,11 @@ def _frequencies(counts: np.ndarray, ell: int, k: int) -> dict[Word, float]:
     return {tuple(w): counts[code] / total for w, code in zip(words, codes)}
 
 
-def coverage(x, s: ShiftSpace, ell: int,
-             expected_freq: Optional[dict[Word, float]] = None) -> tuple[float, dict[Word, int]]:
-    """Fraction of admissible ell-words visited 'positively', plus raw counts.
-
-    Positive means frequency >= 1/(4 * expected count) under the declared
-    full-support measure when given, else >= 8 raw occurrences.
-    """
-    counts = np.bincount(window_codes(_as_array(x), ell, s.k), minlength=s.k ** ell)
-    return _coverage(counts, s, ell, expected_freq)
-
-
-def _coverage(counts: np.ndarray, s: ShiftSpace, ell: int,
-              expected_freq: Optional[dict[Word, float]] = None) -> tuple[float, dict[Word, int]]:
-    """coverage() from the window counts of every length-ell code."""
-    admissible = list(iter_words(s, ell))
-    hits = 0
-    raw: dict[Word, int] = {}
-    for w in admissible:
-        count = int(counts[word_code(w, s.k)])
-        raw[w] = count
-        p_w = expected_freq.get(w, 0.0) if expected_freq else 0.0
-        needed = math.ceil(1.0 / (4.0 * p_w)) if p_w > 0 else 8
-        if count >= needed:
-            hits += 1
-    return hits / len(admissible), raw
+def _coverage(counts: np.ndarray, s: ShiftSpace, ell: int) -> tuple[float, dict[Word, int]]:
+    """Share of the admissible ell-words with at least 8 windows, and the
+    window count of each, from the window counts of every length-ell code."""
+    raw = {w: int(counts[word_code(w, s.k)]) for w in iter_words(s, ell)}
+    return sum(c >= 8 for c in raw.values()) / len(raw), raw
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +218,9 @@ def _sweep_windows(arr: np.ndarray, k: int, n_max: int,
     Counts and lower densities come off one window-code sweep.  Self-cylinder
     visits need no codes, so no length limit: x_0..x_{ell-1} recurs at n when
     x_0..x_{ell-2} does and x_{n+ell-1} == x_{ell-1}, one boolean pass per
-    length.  Visit facts at ell run up to min(n_max, len - ell): the
-    evaluation horizon, cut back for lengths past the ladder so their windows
-    stay in the stream.
+    length, with no Python work that grows with ell.  Visit facts at ell run
+    up to min(n_max, len - ell): the evaluation horizon, cut back for lengths
+    past the ladder so their windows stay in the stream.
     """
     def horizon(ell: int) -> int:
         h = min(n_max, len(arr) - ell)
@@ -293,8 +241,7 @@ def _sweep_windows(arr: np.ndarray, k: int, n_max: int,
         recurs = recurs[:h]
         recurs &= arr[ell:ell + h] == arr[ell - 1]
         if ell in self_lengths:
-            facts.self_stats[ell] = _statistics_from_visits(
-                tuple(int(c) for c in arr[:ell]), np.flatnonzero(recurs) + 1, h, True)
+            facts.self_stats[ell] = _statistics_from_visits(np.flatnonzero(recurs) + 1, h)
     return facts
 
 
@@ -311,17 +258,14 @@ def _lower_densities(codes: np.ndarray, size: int, n_max: int) -> np.ndarray:
     return lower
 
 
-def _rotation_agreements(cycle: np.ndarray) -> list[int]:
-    """Entry ell-1: how many of the p rotations of the cycle agree with it on
-    their first ell symbols, for ell = 1..p."""
-    p = len(cycle)
+def _agreeing_rotations(cycle: np.ndarray) -> Iterator[np.ndarray]:
+    """For ell = 1..p, the rotations of the cycle that agree with it on their
+    first ell symbols, ascending."""
     doubled = np.concatenate([cycle, cycle])
-    rotations = np.arange(p)
-    out = []
-    for j in range(p):
+    rotations = np.arange(len(cycle))
+    for j in range(len(cycle)):
         rotations = rotations[doubled[rotations + j] == doubled[j]]
-        out.append(len(rotations))
-    return out
+        yield rotations
 
 
 #: symbols of the second half compared for every period before any full compare
@@ -444,16 +388,20 @@ def _gaps_within(p: dict, ev: _Evidence) -> dict:
 
 
 def _cycle_densities(p: dict, ev: _Evidence) -> dict:
-    """The self-cylinder of length ell recurs at the rotations of the cycle
-    x_0..x_{p-1} that agree with it on ell symbols.  Visit times start at 1,
-    so cumulative self-visit ratios run up to 1/n below the exact rational;
-    allow that on top of the p/horizon grain."""
+    """A stream tiling the cycle x_0..x_{p-1} revisits its self-cylinder of
+    length ell at exactly the times t >= 1 whose residue mod p is a rotation
+    agreeing with the cycle on ell symbols.  That fixes the visit count below
+    every density checkpoint, so the measured lower and upper estimates must
+    equal the predicted ones exactly."""
     period, ok, measured = p["period"], True, {}
-    for ell, agreeing in enumerate(_rotation_agreements(ev.x[:period]), start=1):
+    for ell, rotations in enumerate(_agreeing_rotations(ev.x[:period]), start=1):
         st = ev.facts.self_stats[ell]
         measured[ell] = (st.lower_density_est, st.upper_density_est)
-        tol = 3.0 * period / st.horizon
-        ok = ok and all(abs(d - agreeing / period) <= tol for d in measured[ell])
+        if ok:
+            pts = density_checkpoints(st.horizon)
+            laps, rest = np.divmod(pts, period)
+            ratios = (laps * len(rotations) + np.searchsorted(rotations, rest) - 1) / pts
+            ok = measured[ell] == (float(ratios.min()), float(ratios.max()))
     return {"measured": measured, "passed": ok}
 
 
@@ -563,5 +511,6 @@ def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
     ev = _Evidence(arr, s, trace, facts)
     verdicts = [{"check": chk["check"], "params": {k: v for k, v in chk.items() if k != "check"},
                  **kind.verdict(p, ev)} for chk, (kind, p) in zip(expected_statistics, checks)]
-    return RecurrenceReport(horizon=n_max, ladder_stats=ladder_stats, trace=trace,
+    return RecurrenceReport(horizon=n_max, prefix=arr[:max_ell].tolist(),
+                            ladder_stats=ladder_stats, trace=trace,
                             oscillation=osc, cylinder_coverage=cov, verdicts=verdicts)

@@ -19,7 +19,6 @@ from . import io
 from .beta import beta_entropy_estimate, quasi_greedy_normalize
 from .classify import evaluate_certificate
 from .errors import (CertificateMismatch, NotPrimitive, SchemaError, ShiftlabError)
-from .measures import validate_potential
 from .shifts import count_periodic, count_words, parse_word, topological_entropy
 from .spectrum import check_concavity, spectrum_curve, sup_equals_htop
 from .synthesis import GapClass, certify, synthesize_witness
@@ -88,8 +87,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_spectrum(args) -> int:
     s = io.shift_from_doc(io.read_json(args.shift))
-    phi = io.potential_from_doc(io.read_json(args.potential))
-    validate_potential(s, phi)
+    phi = io.potential_from_doc(io.read_json(args.potential), s)
     curve = spectrum_curve(s, phi, args.points)
     iv = curve.interval
     lines = ["a,psi,q_star"]
@@ -113,8 +111,7 @@ def cmd_synthesize(args) -> int:
     s = io.shift_from_doc(io.read_json(args.shift))
     phi = None
     if args.potential:
-        phi = io.potential_from_doc(io.read_json(args.potential))
-        validate_potential(s, phi)
+        phi = io.potential_from_doc(io.read_json(args.potential), s)
     prefix = parse_word(args.prefix) if args.prefix else None
     cycle = parse_word(args.cycle) if args.cycle else None
     o = synthesize_witness(s, GapClass(args.gap_class), phi, args.horizon, args.seed,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
-                       markov_measure, mixture, periodic_measure)
+                       markov_measure, mixture, periodic_measure, validate_potential)
 from .shifts import ShiftSpace, sft_from_matrix
 from .synthesis import (CLASS_STRUCTURE, STRUCTURE_EXTREMES, Certificate, GapClass, OrbitPrefix,
                         Schedule, Segment)
@@ -133,21 +133,29 @@ def potential_to_doc(phi: Potential) -> dict:
             "entries": [[w, v] for w, v in entries]}
 
 
-def potential_from_doc(doc: dict) -> Potential:
+def potential_from_doc(doc: dict, s: ShiftSpace) -> Potential:
+    """The potential of a document, which must list each admissible
+    range-word of s once, as a list of integers, with its value."""
     if _object(doc, "potential").get("schema", POTENTIAL_SCHEMA) != POTENTIAL_SCHEMA:
         raise SchemaError(f"expected {POTENTIAL_SCHEMA}, got {doc.get('schema')}")
-    r = doc.get("range")
-    if type(r) is not int:
-        raise SchemaError(f"potential range {r!r} is not an integer")
-    try:
-        table = {tuple(int(c) for c in w): float(v) for w, v in doc["entries"]}
-        phi = Potential(range=r, table=table)
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"bad potential document: {e}")
-    for w, v in table.items():
-        if not abs(v) <= POTENTIAL_BOUND:
-            raise SchemaError(f"potential entries value {v!r} at {list(w)} is not a number "
+    r, entries = doc.get("range"), doc.get("entries")
+    if type(r) is not int or r < 1:
+        raise SchemaError(f"potential range {r!r} is not an integer >= 1")
+    if type(entries) is not list:
+        raise SchemaError("potential entries are not a list")
+    for entry in entries:
+        w, v = entry if type(entry) is list and len(entry) == 2 else (None, None)
+        if type(w) is not list or not all(type(c) is int for c in w):
+            raise SchemaError(f"potential entries item {entry!r} is not a [word, value] pair "
+                              "with the word a list of integers")
+        if type(v) not in (int, float) or not abs(v) <= POTENTIAL_BOUND:
+            raise SchemaError(f"potential entries value {v!r} at {w} is not a number "
                               f"within ±{POTENTIAL_BOUND:g}")
+    table = {tuple(w): float(v) for w, v in entries}
+    if len(table) != len(entries):
+        raise SchemaError("potential entries list a word twice")
+    phi = Potential(range=r, table=table)
+    validate_potential(s, phi)
     return phi
 
 
@@ -317,7 +325,7 @@ def _fact_from_doc(doc, i: int) -> dict:
 def _orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     s = shift_from_doc(cert_doc["shift"])
     pool = [measure_from_doc(d, s) for d in cert_doc["pool"]]
-    phi = potential_from_doc(cert_doc["potential"]) if cert_doc.get("potential") else None
+    phi = potential_from_doc(cert_doc["potential"], s) if cert_doc.get("potential") else None
     facts = [_fact_from_doc(f, i) for i, f in enumerate(cert_doc["exact_facts"])]
     if len(facts) != len(pool):
         raise SchemaError(f"{len(facts)} exact facts for a pool of {len(pool)} measures")
@@ -391,8 +399,8 @@ def report_to_doc(report) -> dict:
         "horizon": report.horizon,
         "ladder": {
             str(ell): {
-                "target": list(st.target),
-                "visits": int(len(st.visit_times)),
+                "target": report.prefix[:ell],
+                "visits": st.visits,
                 "lower_density_est": st.lower_density_est,
                 "upper_density_est": st.upper_density_est,
                 "max_gap": st.max_gap,

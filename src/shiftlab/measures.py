@@ -17,8 +17,8 @@ import numpy as np
 
 from . import rng
 from .errors import NotAdmissible, NotPrimitive, RangeMismatch
-from .shifts import (ShiftSpace, Word, is_admissible, is_cyclically_admissible, iter_words,
-                     perron, primitive_cycles, strongly_connected_components)
+from .shifts import (ShiftSpace, Word, count_words, is_admissible, is_cyclically_admissible,
+                     iter_words, perron, strongly_connected_components)
 
 VALIDATION_TOL = 1e-12
 
@@ -43,15 +43,21 @@ class Potential:
 
 
 def validate_potential(s: ShiftSpace, phi: Potential) -> None:
-    """Check the table covers exactly the admissible range-words of s."""
-    expected = set(iter_words(s, phi.range))
-    got = set(phi.table)
-    if got != expected:
-        missing = sorted(expected - got)[:3]
-        extra = sorted(got - expected)[:3]
-        raise RangeMismatch(
-            f"potential table mismatch for range {phi.range}: "
-            f"missing {missing}, extraneous {extra}")
+    """Check the table covers exactly the admissible range-words of s.
+
+    Every key must be an admissible range-word; keys are distinct, so then
+    the table has them all exactly when it has count_words(s, range) keys.
+    The keys are checked first, and an empty table is refused uncounted,
+    so no count runs for a range the table does not back.
+    """
+    r = phi.range
+    for w in phi.table:
+        if len(w) != r or not all(0 <= c < s.k for c in w) or not is_admissible(w, s):
+            raise RangeMismatch(f"potential word {list(w)} is not an admissible {r}-word "
+                                f"of the shift")
+    if not phi.table or len(phi.table) != count_words(s, r):
+        raise RangeMismatch(f"potential table lists {len(phi.table)} words, not every "
+                            f"admissible {r}-word of the shift")
 
 
 def indicator_potential(s: ShiftSpace, word: Sequence[int]) -> Potential:
@@ -89,12 +95,6 @@ class MarkovMeasure:
     shift: ShiftSpace
     P: tuple[tuple[float, ...], ...]
     pi: tuple[float, ...]
-
-    def p_array(self) -> np.ndarray:
-        return np.array(self.P)
-
-    def pi_array(self) -> np.ndarray:
-        return np.array(self.pi)
 
 
 @dataclass(frozen=True)
@@ -311,22 +311,6 @@ def is_ergodic(m: InvariantMeasure) -> bool:
     if len(m.components) == 1:
         return is_ergodic(m.components[0])
     return False
-
-
-def periodic_measures_in_cylinder(s: ShiftSpace, w: Sequence[int], bound: int) -> list[PeriodicMeasure]:
-    """Every periodic orbit of period <= bound whose orbit meets [w]."""
-    word = tuple(w)
-    if not is_admissible(word, s):
-        raise NotAdmissible(f"cylinder word {word} is not admissible")
-    if bound < len(word):
-        raise ValueError("bound must be >= len(w)")
-    out = []
-    for cyc in primitive_cycles(s, bound):
-        p = len(cyc)
-        reps = cyc * (len(word) // p + 2)
-        if any(reps[off:off + len(word)] == word for off in range(p)):
-            out.append(PeriodicMeasure(shift=s, cycle=cyc))
-    return out
 
 
 def sample_typical_word(m: InvariantMeasure, n: int, seed: int,

@@ -361,6 +361,18 @@ def brute_density(visits, n_max: int) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
+def brute_self_visits(x, word: Sequence[int], n_max: int) -> list[int]:
+    """Every time t in 1..n_max at which `word` starts in x, by comparing
+    tuples.  Reference for the self-cylinder sweep of the classifier."""
+    w = tuple(int(c) for c in word)
+    xs = [int(c) for c in x]
+    if n_max + len(w) > len(xs):
+        raise ValueError(f"need length >= {n_max + len(w)}, have {len(xs)}")
+    if n_max > MAX_DENSITY_N:
+        raise BoundExceeded(f"N={n_max} > {MAX_DENSITY_N}")
+    return [t for t in range(1, n_max + 1) if tuple(xs[t:t + len(w)]) == w]
+
+
 def scalar_typical_word(m: InvariantMeasure, n: int, seed: int,
                         start: Optional[int] = None) -> Word:
     """Symbol-by-symbol reference for measures.sample_typical_word.

@@ -121,9 +121,6 @@ class OrbitPrefix:
     seed: int
     shift: ShiftSpace
 
-    def word_tuple(self) -> Word:
-        return tuple(self.word.tolist())
-
 
 # ---------------------------------------------------------------------------
 # minimal-subshift generator

@@ -205,7 +205,7 @@ def test_c8_prefix_pinning(full2, phi_full2):
         gc = list(GapClass)[idx % len(GapClass)]
         o = synthesize_witness(full2, gc, phi_full2, 1 << 14,
                                seed=ACCEPTANCE_SEED + idx, pinned_prefix=prefix)
-        ok = ok and o.word_tuple()[:len(prefix)] == prefix
+        ok = ok and tuple(o.word.tolist())[:len(prefix)] == prefix
         certify(o)
         per_class[gc] += 1
     # every class must appear and at least 50 prefixes must have been pinned

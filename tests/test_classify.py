@@ -1,18 +1,18 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.classify import (_coverage, _eventually_periodic, _frequencies,
-                               _rotation_agreements, _sweep_windows, _window_code_sweep,
-                               birkhoff_trace, coverage, default_trace_checkpoints,
-                               empirical_measure, evaluate_certificate,
-                               trace_oscillation, visit_statistics, window_codes,
+                               _agreeing_rotations, _sweep_windows, _window_code_sweep,
+                               birkhoff_trace, default_trace_checkpoints, density_checkpoints,
+                               evaluate_certificate, trace_oscillation, window_codes,
                                windowed_density, word_code)
 from shiftlab.errors import SchemaError, TooShort
-from shiftlab.measures import (integrate, markov_word_probability, parry_measure,
-                               sample_typical_word, Potential)
-from shiftlab.oracle import full_compare_eventually_periodic
+from shiftlab.measures import integrate, parry_measure, sample_typical_word, Potential
+from shiftlab.oracle import brute_self_visits, full_compare_eventually_periodic
 from shiftlab.shifts import full_shift, iter_words
 from shiftlab.synthesis import thue_morse_word
 
@@ -21,48 +21,60 @@ def alternating(n):
     return np.tile(np.array([0, 1], dtype=np.int64), n // 2 + 1)[:n]
 
 
+def _self_stats(x, ell, n_max, k=2):
+    """The sweep's visit facts of the length-ell self-cylinder."""
+    return _sweep_windows(x, k, n_max, {("self", ell)}).self_stats[ell]
+
+
+def _empirical(x, ell, k=2):
+    """Word -> share of the length-ell windows of x, off the sweep's counts."""
+    return _frequencies(_sweep_windows(x, k, len(x) - ell, {("counts", ell)}).counts[ell], ell, k)
+
+
 class TestVisitStatistics:
     def test_alternating_period2(self, full2):
         x = alternating(8192)
-        st_ = visit_statistics(x, 2, n_max=4096, k=2)
-        assert list(st_.visit_times[:3]) == [2, 4, 6]
+        st_ = _self_stats(x, 2, 4096)
+        assert brute_self_visits(x, x[:2], 4096)[:3] == [2, 4, 6]
+        assert st_.visits == 2048
         assert st_.lower_density_est == pytest.approx(0.5, abs=2e-3)
         assert st_.upper_density_est == pytest.approx(0.5, abs=2e-3)
         assert st_.max_gap == 2
 
     def test_all_zeros(self):
         x = np.zeros(4096, dtype=np.int64)
-        st_ = visit_statistics(x, 4, n_max=2048, k=2)
+        st_ = _self_stats(x, 4, 2048)
         assert st_.lower_density_est == pytest.approx(1.0, abs=1e-2)
 
     def test_no_revisit(self):
         x = np.zeros(4096, dtype=np.int64)
         x[0] = 1
-        st_ = visit_statistics(x, 2, n_max=2048, k=2)  # prefix 10 never recurs
-        assert len(st_.visit_times) == 0
+        st_ = _self_stats(x, 2, 2048)  # prefix 10 never recurs
+        assert st_.visits == 0
         assert st_.upper_density_est == 0.0
         assert st_.max_gap == st_.horizon
 
     def test_too_short(self):
+        """No visit time fits when the self-cylinder is the whole stream."""
         with pytest.raises(TooShort):
-            visit_statistics(np.zeros(8, dtype=np.int64), 4, n_max=100, k=2)
+            _self_stats(np.zeros(8, dtype=np.int64), 8, 100)
 
     def test_bounds_always_ordered(self, full2):
         x = np.array(sample_typical_word(parry_measure(full2), 4096, seed=3), dtype=np.int64)
         for ell in (1, 2, 4, 8):
-            st_ = visit_statistics(x, ell, k=2)
+            st_ = _self_stats(x, ell, len(x) - ell)
             assert 0.0 <= st_.lower_density_est <= st_.upper_density_est <= 1.0
 
 
 class TestBirkhoffTrace:
     def test_alternating_half(self, full2, phi_full2):
         x = alternating(4096)
-        ((n, avg),) = birkhoff_trace(x, phi_full2, [1000])
+        ((n, avg),) = birkhoff_trace(x, phi_full2, [1000], k=2)
         assert n == 1000 and abs(avg - 0.5) <= 1 / 1000
 
     def test_zeros(self, phi_full2):
         x = np.zeros(4096, dtype=np.int64)
-        assert birkhoff_trace(x, phi_full2, [100, 1000]) == [(100, 0.0), (1000, 0.0)]
+        assert birkhoff_trace(x, phi_full2, [100, 1000], k=2) == [(100, 0.0), (1000, 0.0)]
 
     def test_matches_empirical_integral(self, full2):
         # running average at n equals the phi-mass of the n-window empirical measure
@@ -70,38 +82,38 @@ class TestBirkhoffTrace:
         x = np.array(sample_typical_word(parry_measure(full2), 2100, seed=8), dtype=np.int64)
         n = 2000
         ((_, avg),) = birkhoff_trace(x, phi, [n], k=2)
-        emp = empirical_measure(x, 2, n_max=n, k=2)
+        emp = _empirical(x[:n + 1], 2)
         integral = sum(phi.table[w] * f for w, f in emp.items())
         assert abs(avg - integral) <= 2 * 2 * 2.0 / n
 
     def test_too_short(self, phi_full2):
         with pytest.raises(TooShort):
-            birkhoff_trace(np.zeros(10, dtype=np.int64), phi_full2, [100])
+            birkhoff_trace(np.zeros(10, dtype=np.int64), phi_full2, [100], k=2)
 
 
 class TestEmpiricalMeasure:
     def test_point_mass(self):
         x = np.zeros(512, dtype=np.int64)
-        em = empirical_measure(x, 3, k=2)
+        em = _empirical(x, 3)
         assert em == {(0, 0, 0): 1.0}
 
     def test_sums_to_one(self, full2):
         x = np.array(sample_typical_word(parry_measure(full2), 4096, seed=10), dtype=np.int64)
         for ell in (1, 2, 3):
-            assert sum(empirical_measure(x, ell, k=2).values()) == pytest.approx(1.0, abs=1e-12)
+            assert sum(_empirical(x, ell).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_lln_against_integrate(self, golden, phi_golden):
         m = parry_measure(golden)
         x = np.array(sample_typical_word(m, 1 << 16, seed=2024), dtype=np.int64)
-        em = empirical_measure(x, 1, k=2)
+        em = _empirical(x, 1)
         assert em.get((1,), 0.0) == pytest.approx(integrate(m, phi_golden), abs=0.01)
 
     def test_marginal_consistency(self, full2):
         x = np.array(sample_typical_word(parry_measure(full2), 1 << 14, seed=5), dtype=np.int64)
         n = len(x)
         for ell in (2, 3):
-            em_l = empirical_measure(x, ell, k=2)
-            em_s = empirical_measure(x, ell - 1, k=2)
+            em_l = _empirical(x, ell)
+            em_s = _empirical(x, ell - 1)
             for w, f in em_s.items():
                 total = sum(em_l.get(w + (c,), 0.0) for c in (0, 1))
                 assert abs(total - f) <= 2.0 / n
@@ -109,17 +121,16 @@ class TestEmpiricalMeasure:
 
 class TestCoverage:
     def test_full_support_sample(self, full2):
-        m = parry_measure(full2)
-        x = np.array(sample_typical_word(m, 1 << 14, seed=6), dtype=np.int64)
-        frac, raw = coverage(x, full2, 3)
-        assert frac == 1.0
-        expected = {w: markov_word_probability(m, w) for w in iter_words(full2, 3)}
-        frac2, _ = coverage(x, full2, 3, expected_freq=expected)
-        assert frac2 == 1.0
+        x = np.array(sample_typical_word(parry_measure(full2), 1 << 14, seed=6), dtype=np.int64)
+        r = evaluate_certificate(x, full2, [{"check": "coverage_counts", "length": 3,
+                                             "min_visits": 8}])
+        assert r.cylinder_coverage == {1: 1.0, 2: 1.0, 4: 1.0}
+        assert r.all_pass and r.verdicts[0]["measured"] >= 8
 
     def test_starved_word(self, full2):
         x = np.zeros(4096, dtype=np.int64)
-        frac, raw = coverage(x, full2, 2)
+        counts = _sweep_windows(x, 2, 4000, {("counts", 2)}).counts[2]
+        frac, raw = _coverage(counts, full2, 2)
         assert raw[(0, 0)] > 0 and raw[(1, 1)] == 0
         assert frac == 0.25
 
@@ -185,15 +196,15 @@ class TestHierarchyConsistency:
         # density: the estimators satisfy lower <= upper pointwise
         from shiftlab.synthesis import GapClass, synthesize_witness
         o = synthesize_witness(full2, GapClass.W_NOT_QR, phi_full2, 1 << 15, seed=12)
-        for ell in (1, 2, 4, 8):
-            st_ = visit_statistics(o.word, ell, k=2)
+        r = evaluate_certificate(o.word, full2, [])
+        for st_ in r.ladder_stats.values():
             if st_.lower_density_est > 0:
                 assert st_.upper_density_est > 0
             assert st_.lower_density_est <= st_.upper_density_est
 
     def test_thue_morse_gap_is_horizon_free(self):
-        g16 = visit_statistics(thue_morse_word(1 << 16), 4, k=2).max_gap
-        g18 = visit_statistics(thue_morse_word(1 << 18), 4, k=2).max_gap
+        g16, g18 = (evaluate_certificate(thue_morse_word(n), full_shift(2), []).ladder_stats[4]
+                    .max_gap for n in (1 << 16, 1 << 18))
         assert g16 == g18 == 8
 
 
@@ -229,8 +240,21 @@ class TestWindowCodes:
             assert np.array_equal(codes, window_codes(x, ell, k))
 
 
+def _brute_facts(x, word, h):
+    """(visits, lower, upper, max_gap) of `word` at times 1..h from the tuple
+    scan: densities at the checkpoints, and the gaps as the sweep documents
+    them for a self-cylinder."""
+    visits = brute_self_visits(x, word, h)
+    ratios = [sum(1 for t in visits if t < pt) / pt for pt in density_checkpoints(h).tolist()]
+    if len(visits) >= 2:
+        gap = max(b - a for a, b in zip([0] + visits, visits))
+    else:
+        gap = max(visits[0], h - visits[0]) if visits else h
+    return len(visits), min(ratios), max(ratios), gap
+
+
 class TestSweepFacts:
-    """Facts from the one sweep equal the per-target functions exactly."""
+    """Facts from the one sweep equal a brute tuple scan exactly."""
 
     @given(k=st.integers(2, 3), seed=st.integers(0, 2 ** 32), n=st.integers(200, 3000),
            period=st.sampled_from([None, 1, 2, 3, 5]))
@@ -246,17 +270,15 @@ class TestSweepFacts:
         facts = _sweep_windows(x, k, n_max, needs)
         for ell in (1, 2, 3, 8, 10):
             got = facts.self_stats[ell]
-            want = visit_statistics(x, ell, n_max=min(n_max, n - ell), k=k)
-            assert got.target == want.target
-            assert np.array_equal(got.visit_times, want.visit_times)
-            assert (got.lower_density_est, got.upper_density_est, got.max_gap, got.horizon) == \
-                (want.lower_density_est, want.upper_density_est, want.max_gap, want.horizon)
+            h = min(n_max, n - ell)
+            assert (got.visits, got.lower_density_est, got.upper_density_est, got.max_gap,
+                    got.horizon) == (*_brute_facts(x, x[:ell], h), h)
         for ell in (1, 2, 3):
-            assert coverage(x, s, ell) == _coverage(facts.counts[ell], s, ell)
-            assert empirical_measure(x, ell, k=k) == _frequencies(facts.counts[ell], ell, k)
             for w in iter_words(s, ell):
-                want = visit_statistics(x, ell, n_max=n_max, target=w, k=k)
-                assert facts.lower[ell][word_code(w, k)] == want.lower_density_est
+                visits, lower, _, _ = _brute_facts(x, w, n_max)
+                assert facts.lower[ell][word_code(w, k)] == lower
+                assert facts.counts[ell][word_code(w, k)] == \
+                    len(brute_self_visits(x, w, n - ell)) + (tuple(x[:ell].tolist()) == w)
 
 
 class TestPeriodicDensity:
@@ -283,9 +305,24 @@ class TestPeriodicDensity:
         assert not evaluate_certificate(x, full2, stats).all_pass
 
     def test_rotation_agreements(self):
-        assert _rotation_agreements(np.array([0, 0, 1])) == [2, 1, 1]
-        assert _rotation_agreements(np.array([0, 1, 0, 1])) == [2, 2, 2, 2]
-        assert _rotation_agreements(np.array([1])) == [1]
+        def agreeing(cycle):
+            return [r.tolist() for r in _agreeing_rotations(np.array(cycle))]
+        assert agreeing([0, 0, 1]) == [[0, 1], [0], [0]]
+        assert agreeing([0, 1, 0, 1]) == [[0, 2]] * 4
+        assert agreeing([1]) == [[0]]
+
+    def test_long_period(self, full2):
+        """A 16,000-symbol random cycle at 2^16: one boolean pass and no Python
+        work per length that grows with it.  A period next to the true one fails:
+        its predicted visit counts are off at some checkpoint."""
+        c = _stream(2, 16000, 16000)
+        x = np.tile(c, (1 << 16) // len(c) + 1)[:1 << 16]
+        start = time.perf_counter()
+        assert evaluate_certificate(x, full2, [{"check": "periodic_density_exact",
+                                                "period": 16000}]).all_pass
+        assert time.perf_counter() - start < 5.0
+        stats = [{"check": "periodic_density_exact", "period": 15999}]
+        assert not evaluate_certificate(x, full2, stats).all_pass
 
 
 def test_coverage_fraction_verdict_is_a_python_bool(full2):

@@ -209,6 +209,14 @@ MALFORMED_CERTIFICATES = {
     "seed_float": lambda d: d.update(seed=1.5),
     "inf_entropy_over_K_nan": lambda d: d.update(inf_entropy_over_K=float("nan")),
     "ambient_entropy_nan": lambda d: d.update(ambient_entropy=float("nan")),
+    "potential_word_5": _On("w_not_qr_orbit", lambda d: d["potential"]["entries"].__setitem__(
+        0, [[5], 0.0])),
+    "potential_range_40": _On("w_not_qr_orbit", lambda d: d["potential"].update(range=40)),
+    "potential_word_dropped": _On("w_not_qr_orbit", lambda d: d["potential"]["entries"].pop()),
+    "potential_word_000_in_range_1": _On("w_not_qr_orbit", lambda d: d["potential"]["entries"]
+                                         .append([[0, 0, 0], 0.0])),
+    "potential_range_2_with_range_1_words":
+        _On("w_not_qr_orbit", lambda d: d["potential"].update(range=2)),
     "cylinder_lower_min_2_to_the_40_codes":
         lambda d: _add(d, check="cylinder_lower_min", lengths=[40], threshold=0.01),
     "coverage_counts_2_to_the_40_codes":
@@ -233,6 +241,19 @@ MALFORMED_DOCUMENTS = {
         [[0], 0.0], [[1], float("inf")]]}}, "potential entries"),
     "potential_entries_1e308": ({"potential": {**GOOD_POTENTIAL, "entries": [
         [[0], -1e308], [[1], 1e308]]}}, "potential entries"),
+    **{f"potential_word_{name}": ({"potential": {**GOOD_POTENTIAL, "entries": [
+        [[symbol], 0.0], [[1], 1.0]]}}, "potential entries")
+       for name, symbol in (("text", "0"), ("fraction", 0.7), ("true", True))},
+    "potential_value_text": ({"potential": {**GOOD_POTENTIAL, "entries": [
+        [[0], "0.5"], [[1], 1.0]]}}, "potential entries"),
+    "potential_word_twice": ({"potential": {**GOOD_POTENTIAL, "entries": [
+        [[0], 0.0], [[1], 1.0], [[1], 2.0]]}}, "potential entries"),
+    "potential_empty_range_10_to_9": ({"potential": {**GOOD_POTENTIAL, "range": 10 ** 9,
+                                                     "entries": []}}, "potential table"),
+    "potential_word_forbidden": ({"shift": {**GOOD_SHIFT, "matrix": [[1, 1], [1, 0]]},
+                                  "potential": {**GOOD_POTENTIAL, "range": 2, "entries": [
+                                      [[0, 0], 0.0], [[0, 1], 0.0], [[1, 0], 0.0],
+                                      [[1, 1], 1.0]]}}, "potential word"),
 }
 
 
@@ -244,7 +265,7 @@ class TestRoundTrips:
 
     def test_potential_json(self, files, full2):
         doc = io.read_json(files / "phi.json")
-        phi = io.potential_from_doc(doc)
+        phi = io.potential_from_doc(doc, full2)
         assert io.potential_to_doc(phi) == doc
 
     def test_labels_roundtrip(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,8 +12,7 @@ from shiftlab.measures import (Potential, constant_potential, entropy,
                                equilibrium_measure, has_full_support,
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
-                               parry_measure, periodic_measure,
-                               periodic_measures_in_cylinder, sample_typical_word,
+                               parry_measure, periodic_measure, sample_typical_word,
                                support, support_pieces, supports_disjoint)
 from shiftlab.oracle import scalar_typical_word
 from shiftlab.shifts import (is_admissible, iter_words, primitive_cycles, sft_from_matrix,
@@ -27,7 +27,7 @@ PHI = (1 + math.sqrt(5)) / 2
 class TestParry:
     def test_golden_closed_form(self, golden):
         m = parry_measure(golden)
-        p = m.p_array()
+        p = np.array(m.P)
         assert p[0, 0] == pytest.approx(1 / PHI, abs=1e-9)
         assert p[0, 1] == pytest.approx(1 / PHI ** 2, abs=1e-9)
         assert p[1, 0] == pytest.approx(1.0, abs=1e-12)
@@ -37,7 +37,7 @@ class TestParry:
     def test_full_shifts_uniform(self, full2, full3):
         for s, k in ((full2, 2), (full3, 3)):
             m = parry_measure(s)
-            assert np.allclose(m.p_array(), 1.0 / k)
+            assert np.allclose(np.array(m.P), 1.0 / k)
             assert entropy(m) == pytest.approx(math.log(k), abs=1e-12)
 
     def test_entropy_matches_topological(self, golden, random4):
@@ -92,7 +92,7 @@ class TestStationary:
         for seed in range(30):
             s = random_primitive_sft(2 + seed % 4, seed)
             m = _thinned_chain(s, seed)
-            assert np.max(np.abs(m.pi_array() - oracle._stationary(m.p_array()))) <= 1e-12
+            assert np.max(np.abs(np.array(m.pi) - oracle._stationary(np.array(m.P)))) <= 1e-12
 
 
 class TestEntropyIntegral:
@@ -177,28 +177,6 @@ class TestErgodicity:
     def test_mixture_not_ergodic(self, full2):
         mix = mixture((0.5, 0.5), (parry_measure(full2), periodic_measure(full2, (0,))))
         assert not is_ergodic(mix)
-
-
-class TestPeriodicInCylinder:
-    def test_golden_zero_cylinder(self, golden):
-        ms = periodic_measures_in_cylinder(golden, (0,), 3)
-        assert [m.cycle for m in ms] == [(0,), (0, 1), (0, 0, 1)]
-
-    def test_count_grows_with_bound(self, golden):
-        counts = [len(periodic_measures_in_cylinder(golden, (0,), b)) for b in range(1, 7)]
-        assert counts == sorted(counts) and counts[-1] > counts[0]
-
-    def test_full2_one_cylinder(self, full2):
-        ms = periodic_measures_in_cylinder(full2, (1,), 1)
-        assert [m.cycle for m in ms] == [(1,)]
-
-    def test_forbidden_cylinder(self, golden):
-        with pytest.raises(NotAdmissible):
-            periodic_measures_in_cylinder(golden, (1, 1), 3)
-
-    def test_word_longer_than_cycle(self, full2):
-        ms = periodic_measures_in_cylinder(full2, (0, 0), 2)
-        assert (0,) in [m.cycle for m in ms]
 
 
 class TestSampling:
@@ -328,6 +306,44 @@ class TestPotentialValidation:
         from shiftlab.measures import Potential, validate_potential
         with pytest.raises(RangeMismatch):
             validate_potential(golden, Potential(range=1, table={(0,): 1.0}))
+
+    @pytest.mark.parametrize("table", [
+        {(0,): 0.0, (1,): 1.0, (2,): 0.0},                 # symbol outside the alphabet
+        {(0, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0},           # 11 is forbidden, 10 missing
+        {(0,): 0.0, (1, 0): 1.0},                           # a word of the wrong length
+        {(0,): 0.0},                                        # a word missing
+    ])
+    def test_other_tables_rejected(self, golden, table):
+        from shiftlab.errors import RangeMismatch
+        from shiftlab.measures import validate_potential
+        with pytest.raises(RangeMismatch):
+            validate_potential(golden, Potential(range=len(next(iter(table))), table=table))
+
+    def test_empty_table_refused_before_counting(self, full2):
+        from shiftlab.errors import RangeMismatch
+        from shiftlab.measures import validate_potential
+        with pytest.raises(RangeMismatch, match="lists 0 words"):
+            validate_potential(full2, Potential(range=10 ** 9, table={}))
+
+    @given(seed=st.integers(0, 300), r=st.integers(1, 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_accepts_exactly_the_admissible_words(self, seed, r, data):
+        """The key check and the count accept a table exactly when its words
+        are the set of admissible r-words."""
+        from shiftlab.errors import RangeMismatch
+        from shiftlab.measures import validate_potential
+        s = random_primitive_sft(2 + seed % 3, seed)
+        admissible = set(iter_words(s, r))
+        every = list(itertools.product(range(s.k), repeat=r))
+        keys = data.draw(st.one_of(st.just(admissible), st.sets(st.sampled_from(every)),
+                                   st.builds(lambda w: admissible - {w}, st.sampled_from(every)),
+                                   st.builds(lambda w: admissible | {w}, st.sampled_from(every))))
+        phi = Potential(range=r, table=dict.fromkeys(keys, 0.0))
+        if keys == admissible:
+            validate_potential(s, phi)
+        else:
+            with pytest.raises(RangeMismatch):
+                validate_potential(s, phi)
 
     def test_alien_alphabet_rejected_on_integrate(self, golden):
         from shiftlab.errors import RangeMismatch

@@ -104,7 +104,7 @@ class TestWitnesses:
 
     def test_periodic_witness(self, full2):
         o = synthesize_witness(full2, GapClass.PERIODIC, None, 10, seed=0, cycle=(0, 1))
-        assert o.word_tuple() == (0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
+        assert tuple(o.word.tolist()) == (0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
         assert o.certificate.inf_entropy_over_K == 0.0
 
     def test_golden_ambient_raises_for_proper_support_classes(self, golden, phi_golden):
@@ -131,7 +131,7 @@ class TestWitnesses:
         for gap_class in GapClass:
             o = synthesize_witness(full2, gap_class, phi_full2, N_SMALL, seed=11,
                                    pinned_prefix=(0, 1, 1))
-            assert o.word_tuple()[:3] == (0, 1, 1)
+            assert tuple(o.word.tolist())[:3] == (0, 1, 1)
             certify(o)
 
     def test_inadmissible_prefix_rejected(self, golden, phi_golden):
