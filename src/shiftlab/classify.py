@@ -14,13 +14,13 @@ liminf/limsup visit frequencies.
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import SchemaError, TooShort
+from .io import COUNT, INTEGER, NUMBER, Context, Param, list_of, tuple_of, validate
 from .measures import Potential
 from .shifts import ShiftSpace, Word, iter_words
 
@@ -150,15 +150,25 @@ def _statistics_from_visits(visits: np.ndarray, n_max: int) -> VisitStatistics:
 def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
                    k: int) -> list[tuple[int, float]]:
     """Exact running averages (1/n) sum phi(window_i) at each checkpoint, for
-    a stream and a potential over k symbols."""
+    a stream and a potential over k symbols; a window whose word the table
+    lacks adds 0.  Values are read from a table of all k**range codes while
+    that is no longer than the windows; past that, from the table's own
+    sorted word codes, so memory follows the stream and the table."""
     arr = _as_array(x)
     need = max(checkpoints) + phi.range
     if len(arr) < need:
         raise TooShort(f"need length >= {need}, have {len(arr)}")
-    table = np.zeros(k ** phi.range)
-    for w, v in phi.table.items():
-        table[word_code(w, k)] = v
-    sums = np.cumsum(table[window_codes(arr, phi.range, k)])
+    codes = np.fromiter((word_code(w, k) for w in phi.table), np.int64, len(phi.table))
+    values = np.fromiter(phi.table.values(), float, len(phi.table))
+    if k ** phi.range <= len(arr) - phi.range + 1:   # a gather beats a binary search per window
+        table = np.zeros(k ** phi.range)
+        table[codes] = values
+        sums = np.cumsum(table[window_codes(arr, phi.range, k)])
+    else:
+        windows = window_codes(arr, phi.range, k)
+        order = np.argsort(codes)
+        at = order[np.minimum(np.searchsorted(codes, windows, sorter=order), len(codes) - 1)]
+        sums = np.cumsum(np.where(codes[at] == windows, values[at], 0.0))
     return [(int(n), float(sums[n - 1] / n)) for n in checkpoints]
 
 
@@ -298,35 +308,13 @@ def _eventually_periodic(x: np.ndarray, max_period: int) -> bool:
 #: what a verdict reads; the trace is empty without a potential
 _Evidence = NamedTuple("_Evidence", [("x", np.ndarray), ("s", ShiftSpace),
                                      ("trace", list), ("facts", _WindowFacts)])
-#: a parameter type: test(value, n, k) decides it for a stream of n symbols
-#: over k, and `what` states it in errors
-Param = NamedTuple("Param", [("what", str), ("test", Callable[[object, int, int], bool])])
-
-
-def _is_number(v) -> bool:
-    """Bools are not numbers, and an integer must convert to a float."""
-    return isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
-
-
-NUMBER = Param("a number", lambda v, n, k: _is_number(v))
-INTEGER = Param("an integer", lambda v, n, k: type(v) is int)
-COUNT = Param("an integer >= 1", lambda v, n, k: type(v) is int and v >= 1)
+# check parameter types beyond io's, for a stream of n symbols over k
 #: a self-cylinder length or period: some visit time must follow it in the stream
-LENGTH = Param("an integer ell with 1 <= ell < n", lambda v, n, k: type(v) is int and 1 <= v < n)
+LENGTH = Param("an integer ell with 1 <= ell < n", lambda v, c: type(v) is int and 1 <= v < c.n)
 #: a length whose k**ell word codes get counted: no more codes than symbols
 CODE_LENGTH = Param("an integer ell with 1 <= ell < n and k**ell <= n",
-                    lambda v, n, k: LENGTH.test(v, n, k) and k ** min(v, n.bit_length()) <= n)
-SHARE = Param("a number in (0, 1]", lambda v, n, k: _is_number(v) and 0 < v <= 1)
-
-
-def _list_of(item: Param) -> Param:
-    return Param(f"a non-empty list, each item {item.what}", lambda v, n, k: type(v) is list
-                 and len(v) > 0 and all(item.test(x, n, k) for x in v))
-
-
-def _pair(a: Param, b: Param) -> Param:
-    return Param(f"a pair [{a.what}, {b.what}]", lambda v, n, k: type(v) is list
-                 and len(v) == 2 and a.test(v[0], n, k) and b.test(v[1], n, k))
+                    lambda v, c: LENGTH.test(v, c) and c.k ** min(v, c.n.bit_length()) <= c.n)
+SHARE = Param("a number in (0, 1]", lambda v, c: NUMBER.test(v, c) and 0 < v <= 1)
 
 
 class CheckKind(NamedTuple):
@@ -409,7 +397,7 @@ CHECKS: dict[str, CheckKind] = {
     "full_horizon_present": CheckKind(
         {"horizon": COUNT}, lambda p, ev: _at_least(len(ev.x), p["horizon"])),
     "trace_attains": CheckKind(
-        {"targets": _list_of(NUMBER), "tol": NUMBER, "window": SHARE}, _trace_distances,
+        {"targets": list_of(NUMBER), "tol": NUMBER, "window": SHARE}, _trace_distances,
         defaults={"window": 0.5}, trace=True),
     "trace_converges": CheckKind(
         {"target": NUMBER, "tol": NUMBER, "osc_tol": NUMBER, "window": SHARE}, _trace_settles,
@@ -419,7 +407,7 @@ CHECKS: dict[str, CheckKind] = {
         lambda p, ev: _at_least(_spread(_tail(ev.trace, p["window"])), p["min_gap"]),
         defaults={"window": 0.5}, trace=True),
     "cylinder_lower_min": CheckKind(
-        {"lengths": _list_of(CODE_LENGTH), "threshold": NUMBER},
+        {"lengths": list_of(CODE_LENGTH), "threshold": NUMBER},
         lambda p, ev: _at_least(min(float(ev.facts.lower[ell][word_code(w, ev.s.k)])
                                     for ell in p["lengths"] for w in iter_words(ev.s, ell)),
                                 p["threshold"]),
@@ -433,7 +421,7 @@ CHECKS: dict[str, CheckKind] = {
         lambda p, ev: _at_least(ev.facts.self_stats[p["length"]].upper_density_est, p["min"]),
         lambda p: {("self", p["length"])}),
     "self_upper_decreasing": CheckKind(
-        {"lengths": _list_of(LENGTH), "final_max": NUMBER}, _uppers_decrease,
+        {"lengths": list_of(LENGTH), "final_max": NUMBER}, _uppers_decrease,
         lambda p: {("self", ell) for ell in p["lengths"]}),
     "coverage_counts": CheckKind(
         {"length": CODE_LENGTH, "min_visits": NUMBER},
@@ -441,10 +429,10 @@ CHECKS: dict[str, CheckKind] = {
                                               p["length"])[1].values()), p["min_visits"]),
         lambda p: {("counts", p["length"])}),
     "max_gap_bounded": CheckKind(
-        {"bounds": _list_of(_pair(LENGTH, NUMBER))}, _gaps_within,
+        {"bounds": list_of(tuple_of(LENGTH, NUMBER))}, _gaps_within,
         lambda p: {("self", ell) for ell, _ in p["bounds"]}),
     "coverage_fraction_of_expected": CheckKind(
-        {"length": CODE_LENGTH, "expected": _list_of(_pair(_list_of(INTEGER), NUMBER)),
+        {"length": CODE_LENGTH, "expected": list_of(tuple_of(list_of(INTEGER), NUMBER)),
          "fraction": NUMBER}, _expected_share, lambda p: {("counts", p["length"])}),
     "not_eventually_periodic": CheckKind(   # its reports list passed first
         {"max_period": COUNT}, lambda p, ev: dict.fromkeys(
@@ -463,13 +451,7 @@ def _checked(chk, n: int, k: int, has_phi: bool) -> tuple[CheckKind, dict]:
     kind = CHECKS.get(name) if type(name) is str else None
     if kind is None:
         raise SchemaError(f"unknown check kind {name!r}")
-    for param, spec in kind.params.items():
-        if param not in chk:
-            if param not in kind.defaults:
-                raise SchemaError(f"{name} check has no {param!r} parameter")
-        elif not spec.test(chk[param], n, k):
-            raise SchemaError(f"{name} check parameter {param!r} is {chk[param]!r}, not "
-                              f"{spec.what} (n = {n} stream symbols, k = {k})")
+    validate(chk, kind.params, f"{name} check", Context(n=n, k=k), optional=kind.defaults)
     for param in chk:
         if param != "check" and param not in kind.params:
             raise SchemaError(f"{name} check takes no {param!r} parameter")
@@ -492,8 +474,6 @@ def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
     n_max = len(arr) - max_ell
     if n_max < 16:
         raise TooShort("stream too short for any evidence")
-    if type(expected_statistics) is not list:
-        raise SchemaError("expected_statistics is not a list")
     checks = [_checked(chk, len(arr), s.k, phi is not None) for chk in expected_statistics]
 
     needs = {("self", ell) for ell in DEFAULT_LADDER}

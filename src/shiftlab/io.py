@@ -10,9 +10,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
+import sys
 import tempfile
+from collections import namedtuple
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,8 +23,7 @@ from .errors import SchemaError
 from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
                        markov_measure, mixture, periodic_measure, validate_potential)
 from .shifts import ShiftSpace, sft_from_matrix
-from .synthesis import (CLASS_STRUCTURE, STRUCTURE_EXTREMES, Certificate, GapClass, OrbitPrefix,
-                        Schedule, Segment)
+from .synthesis import CLASS_SHAPE, Certificate, GapClass, OrbitPrefix, Schedule, Segment
 
 SHIFT_SCHEMA = "shiftlab/shift/1"
 POTENTIAL_SCHEMA = "shiftlab/potential/1"
@@ -37,9 +39,6 @@ MANIFEST_SCHEMA = "shiftlab/manifest/1"
 POTENTIAL_BOUND = 1e6
 
 STREAM_LINE_WIDTH = 120
-SEGMENT_KINDS = ("markov", "periodic", "thue_morse", "literal", "bridge")
-#: the pool measure type each by-reference segment kind regenerates from
-SEGMENT_SOURCES = {"markov": MarkovMeasure, "periodic": PeriodicMeasure}
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
@@ -96,10 +95,125 @@ def read_json(path: Union[str, Path]) -> dict:
         return json.load(fh)
 
 
-def _object(doc, what: str) -> dict:
-    if not isinstance(doc, dict):
+# --- typed fields ------------------------------------------------------------
+# Each document is read through its table of typed, ranged fields (the *_FIELDS
+# below; classify.CHECKS types check parameters alike) by one validator loop.
+
+#: what a field's test reads besides the value: a check's stream of n symbols
+#: over k, or a certificate's alphabet k and measure pool
+Context = namedtuple("Context", ["n", "k", "pool"], defaults=(0, 0, ()))
+#: a field type: test(value, context) decides it, and `what` states it in errors
+Param = NamedTuple("Param", [("what", str), ("test", Callable[[object, Context], bool])])
+
+
+#: bools are not numbers, and an integer must convert to a float
+NUMBER = Param("a number", lambda v, c: isinstance(v, float)
+               or (type(v) is int and abs(v) <= sys.float_info.max))
+REAL = Param("a finite number", lambda v, c: NUMBER.test(v, c) and math.isfinite(v))
+INTEGER = Param("an integer", lambda v, c: type(v) is int)
+COUNT = Param("an integer >= 1", lambda v, c: type(v) is int and v >= 1)
+BOOL = Param("true or false", lambda v, c: type(v) is bool)
+TEXT = Param("a string", lambda v, c: type(v) is str)
+LIST = Param("a list", lambda v, c: type(v) is list)
+OBJECT = Param("an object", lambda v, c: type(v) is dict)
+SYMBOL = Param("a symbol (an integer below k)", lambda v, c: type(v) is int and 0 <= v < c.k)
+
+
+def one_of(*values: str) -> Param:
+    return Param(f"one of {', '.join(values)}", lambda v, c: type(v) is str and v in values)
+
+
+def nullable(item: Param) -> Param:
+    return Param(f"null or {item.what}", lambda v, c: v is None or item.test(v, c))
+
+
+def list_of(item: Param, empty: bool = False) -> Param:
+    return Param(f"a {'' if empty else 'non-empty '}list, each item {item.what}",
+                 lambda v, c: type(v) is list and (empty or len(v) > 0)
+                 and all(item.test(x, c) for x in v))
+
+
+def tuple_of(*items: Param) -> Param:
+    return Param(f"a list [{', '.join(p.what for p in items)}]", lambda v, c: type(v) is list
+                 and len(v) == len(items) and all(p.test(x, c) for p, x in zip(items, v)))
+
+
+def square(entry: Param) -> Param:
+    return Param(f"a square list of rows of matrix entries, each {entry.what}",
+                 lambda v, c: type(v) is list and all(type(row) is list and len(row) == len(v)
+                                                      and all(entry.test(x, c) for x in row)
+                                                      for row in v))
+
+
+def pool_index(measure: str = "measure", of: type = object) -> Param:
+    return Param(f"the index of a {measure} in the pool", lambda v, c: type(v) is int
+                 and 0 <= v < len(c.pool) and isinstance(c.pool[v], of))
+
+
+def validate(doc, fields: dict[str, Param], what: str, context: Context = Context(),
+             optional: Sequence[str] = ()) -> dict:
+    """The document, once each field passes its type, in table order.  A field
+    in `optional` may be left out; keys the table does not name are ignored.
+    SchemaError names the first field that fails."""
+    if type(doc) is not dict:
         raise SchemaError(f"{what} document is not a JSON object")
+    for field, spec in fields.items():
+        if field not in doc:
+            if field not in optional:
+                raise SchemaError(f"{what} has no {field!r} field")
+        elif not spec.test(doc[field], context):
+            raise SchemaError(f"{what} {field} is {reprlib.repr(doc[field])}, not {spec.what}")
     return doc
+
+
+SHIFT_FIELDS = {
+    "schema": one_of(SHIFT_SCHEMA), "k": COUNT, "labels": nullable(list_of(TEXT)),
+    "matrix": square(Param("0 or 1", lambda v, c: type(v) is int and 0 <= v <= 1)),
+}
+POTENTIAL_FIELDS = {
+    "schema": one_of(POTENTIAL_SCHEMA), "range": COUNT,
+    "entries": list_of(tuple_of(list_of(SYMBOL), Param(
+        f"a number within ±{POTENTIAL_BOUND:g}",
+        lambda v, c: NUMBER.test(v, c) and abs(v) <= POTENTIAL_BOUND)), empty=True),
+}
+MEASURE_FIELDS = {
+    "markov": {"P": square(REAL), "pi": nullable(list_of(REAL))},
+    "periodic": {"cycle": list_of(SYMBOL)},
+    "mixture": {"weights": list_of(REAL), "components": list_of(OBJECT)},
+}
+MEASURE_TYPE = {"type": one_of(*MEASURE_FIELDS)}
+#: a pool measure's exact facts; the integral is null without a potential
+FACT_FIELDS = {
+    "entropy": REAL, "integral": nullable(REAL), "support_symbols": list_of(SYMBOL),
+    "support_edges": list_of(tuple_of(SYMBOL, SYMBOL)), "full_support": BOOL, "ergodic": BOOL,
+}
+_SPAN = {"start": INTEGER, "length": COUNT}
+#: the fields of each segment kind: markov segments name (source, sub_seed),
+#: periodic ones a source, thue_morse ones only their span; literal and bridge
+#: segments carry their word.  A periodic word (schema /1 stored its source's
+#: tile there) is not read.
+SEGMENT_FIELDS = {
+    "markov": {**_SPAN, "source": pool_index("Markov measure", MarkovMeasure),
+               "sub_seed": INTEGER},
+    "periodic": {**_SPAN, "source": pool_index("periodic measure", PeriodicMeasure)},
+    "thue_morse": _SPAN,
+    "literal": {**_SPAN, "word": list_of(SYMBOL)},
+    "bridge": {**_SPAN, "word": list_of(SYMBOL)},
+}
+SEGMENT_KIND = {"kind": one_of(*SEGMENT_FIELDS)}
+#: the certificate's top level; its shift, potential, pool measures, exact
+#: facts and schedule entries have their own tables
+CERTIFICATE_FIELDS = {
+    "schema": one_of(*CERTIFICATE_SCHEMAS),
+    "gap_class": one_of(*(gc.value for gc in GapClass)),
+    "structure": one_of(*dict.fromkeys(shape.structure for shape in CLASS_SHAPE.values())),
+    "pool": LIST, "exact_facts": LIST, "expected_statistics": LIST, "schedule": LIST,
+    "extremes": list_of(pool_index(), empty=True),
+    "chain_links": list_of(tuple_of(REAL, pool_index(), pool_index()), empty=True),
+    "inf_entropy_over_K": REAL, "ambient_entropy": REAL,
+    "pinned_prefix": nullable(list_of(SYMBOL)), "potential": nullable(OBJECT), "seed": INTEGER,
+    "horizon": Param("an integer >= 0", lambda v, c: type(v) is int and v >= 0),
+}
 
 
 # --- shift spaces ----------------------------------------------------------
@@ -113,15 +227,8 @@ def shift_to_doc(s: ShiftSpace) -> dict:
 
 
 def shift_from_doc(doc: dict) -> ShiftSpace:
-    if _object(doc, "shift").get("schema", SHIFT_SCHEMA) != SHIFT_SCHEMA:
-        raise SchemaError(f"expected {SHIFT_SCHEMA}, got {doc.get('schema')}")
-    k = doc.get("k")
-    if type(k) is not int:
-        raise SchemaError(f"shift k {k!r} is not an integer")
-    try:
-        return sft_from_matrix(k, doc["matrix"], doc.get("labels"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"bad shift document: {e}")
+    validate(doc, SHIFT_FIELDS, "shift", optional=("schema", "labels"))
+    return sft_from_matrix(doc["k"], doc["matrix"], doc.get("labels"))
 
 
 # --- potentials ------------------------------------------------------------
@@ -135,26 +242,12 @@ def potential_to_doc(phi: Potential) -> dict:
 
 def potential_from_doc(doc: dict, s: ShiftSpace) -> Potential:
     """The potential of a document, which must list each admissible
-    range-word of s once, as a list of integers, with its value."""
-    if _object(doc, "potential").get("schema", POTENTIAL_SCHEMA) != POTENTIAL_SCHEMA:
-        raise SchemaError(f"expected {POTENTIAL_SCHEMA}, got {doc.get('schema')}")
-    r, entries = doc.get("range"), doc.get("entries")
-    if type(r) is not int or r < 1:
-        raise SchemaError(f"potential range {r!r} is not an integer >= 1")
-    if type(entries) is not list:
-        raise SchemaError("potential entries are not a list")
-    for entry in entries:
-        w, v = entry if type(entry) is list and len(entry) == 2 else (None, None)
-        if type(w) is not list or not all(type(c) is int for c in w):
-            raise SchemaError(f"potential entries item {entry!r} is not a [word, value] pair "
-                              "with the word a list of integers")
-        if type(v) not in (int, float) or not abs(v) <= POTENTIAL_BOUND:
-            raise SchemaError(f"potential entries value {v!r} at {w} is not a number "
-                              f"within ±{POTENTIAL_BOUND:g}")
-    table = {tuple(w): float(v) for w, v in entries}
-    if len(table) != len(entries):
+    range-word of s once with its value."""
+    validate(doc, POTENTIAL_FIELDS, "potential", Context(k=s.k), optional=("schema",))
+    table = {tuple(w): float(v) for w, v in doc["entries"]}
+    if len(table) != len(doc["entries"]):
         raise SchemaError("potential entries list a word twice")
-    phi = Potential(range=r, table=table)
+    phi = Potential(range=doc["range"], table=table)
     validate_potential(s, phi)
     return phi
 
@@ -172,16 +265,13 @@ def measure_to_doc(m: InvariantMeasure) -> dict:
 
 
 def measure_from_doc(doc: dict, s: ShiftSpace) -> InvariantMeasure:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"measure {doc!r} is not an object")
-    kind = doc.get("type")
+    kind = validate(doc, MEASURE_TYPE, "measure")["type"]
+    validate(doc, MEASURE_FIELDS[kind], f"{kind} measure", Context(k=s.k))
     if kind == "markov":
         return markov_measure(s, doc["P"], doc["pi"])
     if kind == "periodic":
         return periodic_measure(s, doc["cycle"])
-    if kind == "mixture":
-        return mixture(doc["weights"], [measure_from_doc(c, s) for c in doc["components"]])
-    raise SchemaError(f"unknown measure type {kind!r}")
+    return mixture(doc["weights"], [measure_from_doc(c, s) for c in doc["components"]])
 
 
 # --- symbol streams --------------------------------------------------------
@@ -219,56 +309,15 @@ def _segment_to_doc(seg: Segment) -> dict:
             "sub_seed": seg.sub_seed}
 
 
-def _pool_index(value, pool: list, what: str) -> int:
-    if type(value) is not int or not 0 <= value < len(pool):
-        raise SchemaError(f"{what} {value!r} is not an index into the pool of {len(pool)} measures")
-    return value
-
-
-def _segment_from_doc(doc: dict, pool: list[InvariantMeasure], k: int) -> Segment:
-    """Markov segments name (source, sub_seed), periodic ones a source,
-    thue_morse ones only their length; literal and bridge segments carry
-    their word.  A periodic word (schema /1 stored its source's tile) is ignored."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"schedule entry {doc!r} is not an object")
-    kind = doc.get("kind")
-    if kind not in SEGMENT_KINDS:
-        raise SchemaError(f"segment kind {kind!r} is not one of {', '.join(SEGMENT_KINDS)}")
-    start, length = doc.get("start"), doc.get("length")
-    if type(start) is not int or type(length) is not int or length < 1:
-        raise SchemaError(f"{kind} segment start {start!r} and length {length!r} "
-                          "are not an integer and a positive integer")
-    source = word = sub_seed = None
-    if kind in SEGMENT_SOURCES:
-        source = _pool_index(doc.get("source"), pool, f"{kind} segment source")
-        if not isinstance(pool[source], SEGMENT_SOURCES[kind]):
-            raise SchemaError(f"{kind} segment source {source} is not a {kind} measure")
-    if kind == "markov":
-        sub_seed = doc.get("sub_seed")
-        if type(sub_seed) is not int:
-            raise SchemaError(f"markov segment sub_seed {sub_seed!r} is not an integer")
-    if kind in ("literal", "bridge"):
-        word = doc.get("word")
-        if (not isinstance(word, list) or len(word) != length
-                or not all(type(c) is int and 0 <= c < k for c in word)):
-            raise SchemaError(f"{kind} segment word is not a list of {length} symbols below {k}")
-        word = tuple(word)
-    return Segment(kind=kind, start=start, length=length, source=source, word=word,
-                   sub_seed=sub_seed)
-
-
-def _schedule_from_doc(docs: list, pool: list[InvariantMeasure], k: int,
-                       horizon: int) -> Schedule:
-    """The segments, which must tile [0, horizon) in order."""
-    segments = [_segment_from_doc(d, pool, k) for d in docs]
-    end = 0
-    for seg in segments:
-        if seg.start != end:
-            raise SchemaError(f"segment at {seg.start} does not start where the last ends, {end}")
-        end += seg.length
-    if end != horizon:
-        raise SchemaError(f"schedule ends at {end}, not at the horizon {horizon}")
-    return Schedule(horizon=horizon, segments=segments)
+def _segment_from_doc(doc: dict, context: Context) -> Segment:
+    kind = validate(doc, SEGMENT_KIND, "schedule entry")["kind"]
+    validate(doc, SEGMENT_FIELDS[kind], f"{kind} segment", context)
+    seg = Segment(kind=kind, **{field: doc[field] for field in SEGMENT_FIELDS[kind]})
+    if seg.word is not None:
+        if len(seg.word) != seg.length:
+            raise SchemaError(f"{kind} segment word has {len(seg.word)} symbols, not {seg.length}")
+        seg.word = tuple(seg.word)
+    return seg
 
 
 def certificate_to_doc(o: OrbitPrefix) -> dict:
@@ -276,7 +325,7 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
     return {
         "schema": CERTIFICATE_SCHEMA,
         "gap_class": cert.gap_class.value,
-        "structure": CLASS_STRUCTURE[cert.gap_class],
+        "structure": CLASS_SHAPE[cert.gap_class].structure,
         "shift": shift_to_doc(o.shift),
         "pool": [measure_to_doc(m) for m in cert.pool],
         "extremes": list(cert.extremes),
@@ -294,84 +343,53 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
 
 
 def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
-    if _object(cert_doc, "certificate").get("schema") not in CERTIFICATE_SCHEMAS:
-        raise SchemaError(f"expected {CERTIFICATE_SCHEMA}, got {cert_doc.get('schema')}")
-    try:
-        return _orbit_from_docs(cert_doc, stream_text)
-    except KeyError as e:
-        raise SchemaError(f"certificate document has no {e} key")
-    except (TypeError, ValueError, OverflowError) as e:
-        raise SchemaError(f"bad certificate document: {e}")
-
-
-def _is_real(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
-
-
-def _fact_from_doc(doc, i: int) -> dict:
-    """A pool measure's exact facts; the integral is null without a potential."""
-    doc = _object(doc, f"exact_facts[{i}]")
-    for key, valid in (("entropy", _is_real), ("integral", lambda x: x is None or _is_real(x)),
-                       ("full_support", lambda x: type(x) is bool),
-                       ("ergodic", lambda x: type(x) is bool)):
-        if not valid(doc.get(key)):
-            raise SchemaError(f"exact_facts[{i}] {key} {doc.get(key)!r} is not valid")
-    fact = dict(doc)
-    fact["support_symbols"] = [int(x) for x in doc["support_symbols"]]
-    fact["support_edges"] = [tuple(e) for e in doc["support_edges"]]
-    return fact
-
-
-def _orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
-    s = shift_from_doc(cert_doc["shift"])
+    """The orbit of a certificate document and its stream.  Beyond each
+    field's type: exact_facts has one entry per pool measure, the structure,
+    extremes, chain_links and potential fit the gap class's CLASS_SHAPE, the
+    stream holds digits below k, and the schedule tiles [0, horizon)."""
+    validate(cert_doc, {"schema": CERTIFICATE_FIELDS["schema"]}, "certificate")
+    s = shift_from_doc(cert_doc.get("shift"))   # its alphabet types the other fields' symbols
+    validate(cert_doc, CERTIFICATE_FIELDS, "certificate",
+             Context(k=s.k, pool=cert_doc.get("pool")), optional=("pinned_prefix", "potential"))
     pool = [measure_from_doc(d, s) for d in cert_doc["pool"]]
-    phi = potential_from_doc(cert_doc["potential"], s) if cert_doc.get("potential") else None
-    facts = [_fact_from_doc(f, i) for i, f in enumerate(cert_doc["exact_facts"])]
+    phi = (potential_from_doc(cert_doc["potential"], s)
+           if cert_doc.get("potential") is not None else None)
+    facts = [validate(f, FACT_FIELDS, f"exact_facts[{i}]", Context(k=s.k))
+             for i, f in enumerate(cert_doc["exact_facts"])]
     if len(facts) != len(pool):
         raise SchemaError(f"{len(facts)} exact facts for a pool of {len(pool)} measures")
     gap_class = GapClass(cert_doc["gap_class"])
-    if phi is None and gap_class not in (GapClass.PERIODIC, GapClass.ALMOST_PERIODIC_NOT_PER):
-        raise SchemaError(f"a {gap_class.value} certificate has no potential")
-    structure = cert_doc["structure"]
-    if structure != CLASS_STRUCTURE[gap_class]:
-        raise SchemaError(f"structure {structure!r} is not {CLASS_STRUCTURE[gap_class]!r}, "
-                          f"the structure of {gap_class.value}")
-    extremes = [_pool_index(i, pool, "extreme") for i in cert_doc["extremes"]]
-    chain_links = [(float(th), _pool_index(a, pool, "link"), _pool_index(b, pool, "link"))
-                   for th, a, b in cert_doc["chain_links"]]
-    if (len(extremes) != STRUCTURE_EXTREMES.get(structure, len(extremes))
-            or (structure == "chain") != bool(chain_links)):
-        raise SchemaError(f"{len(extremes)} extremes and {len(chain_links)} chain_links "
-                          f"do not fit a {structure} certificate")
-    horizon, seed = cert_doc["horizon"], cert_doc["seed"]
-    if type(horizon) is not int or horizon < 0 or type(seed) is not int:
-        raise SchemaError(f"certificate horizon {horizon!r} and seed {seed!r} are not "
-                          "a nonnegative integer and an integer")
-    if not (_is_real(cert_doc["inf_entropy_over_K"]) and _is_real(cert_doc["ambient_entropy"])):
-        raise SchemaError("certificate inf_entropy_over_K and ambient_entropy are not both numbers")
+    shape = CLASS_SHAPE[gap_class]
+    extremes, links = cert_doc["extremes"], cert_doc["chain_links"]
+    if ((cert_doc["structure"], None if links else len(extremes)) != shape[:2]
+            or (phi is None and shape.potential)):
+        raise SchemaError(f"a {gap_class.value} certificate has the {shape}; this one has "
+                          f"structure {cert_doc['structure']!r}, {len(extremes)} extremes, "
+                          f"{len(links)} chain_links and {'a' if phi else 'no'} potential")
     cert = Certificate(
-        gap_class=gap_class,
-        pool=pool,
-        extremes=extremes,
-        chain_links=chain_links,
-        exact_facts=facts,
+        gap_class=gap_class, pool=pool, extremes=extremes,
+        chain_links=[(float(th), a, b) for th, a, b in links],
+        exact_facts=[{**f, "support_edges": [tuple(e) for e in f["support_edges"]]} for f in facts],
         inf_entropy_over_K=float(cert_doc["inf_entropy_over_K"]),
         expected_statistics=cert_doc["expected_statistics"],
         pinned_prefix=tuple(cert_doc["pinned_prefix"]) if cert_doc.get("pinned_prefix") else None,
-        horizon=horizon,
-        seed=seed,
-        phi=phi,
-        ambient_entropy=float(cert_doc["ambient_entropy"]),
-    )
+        horizon=cert_doc["horizon"], seed=cert_doc["seed"], phi=phi,
+        ambient_entropy=float(cert_doc["ambient_entropy"]))
     word = stream_from_text(stream_text)
-    limit = min(s.k, 10)
-    if word.size and (word.min() < 0 or word.max() >= limit):
-        bad = int(np.flatnonzero((word < 0) | (word >= limit))[0])
-        raise SchemaError(f"stream symbol {bad} is {chr(int(word[bad]) + ord('0'))!r}, "
-                          f"not a digit below {limit}")
-    schedule = _schedule_from_doc(cert_doc["schedule"], pool, s.k, cert.horizon)
-    return OrbitPrefix(word=word, schedule=schedule, certificate=cert,
-                       seed=cert.seed, shift=s)
+    bad = np.flatnonzero(word.view(np.uint64) >= min(s.k, 10))   # as uint64, c < 0 is huge
+    if bad.size:
+        raise SchemaError(f"stream symbol {bad[0]} is {chr(int(word[bad[0]]) + ord('0'))!r}, "
+                          f"not a digit below {min(s.k, 10)}")
+    segments = [_segment_from_doc(d, Context(k=s.k, pool=pool)) for d in cert_doc["schedule"]]
+    end = 0
+    for seg in segments:
+        if seg.start != end:
+            raise SchemaError(f"segment at {seg.start} does not start where the last ends, {end}")
+        end += seg.length
+    if end != cert.horizon:
+        raise SchemaError(f"schedule ends at {end}, not at the horizon {cert.horizon}")
+    return OrbitPrefix(word=word, schedule=Schedule(horizon=cert.horizon, segments=segments),
+                       certificate=cert, seed=cert.seed, shift=s)
 
 
 def write_orbit_dir(o: OrbitPrefix, out_dir: Union[str, Path]) -> list[str]:
@@ -383,11 +401,8 @@ def write_orbit_dir(o: OrbitPrefix, out_dir: Union[str, Path]) -> list[str]:
 
 
 def read_orbit_dir(orbit_dir: Union[str, Path]) -> OrbitPrefix:
-    orbit = Path(orbit_dir)
-    cert_doc = read_json(orbit / "certificate.json")
-    with open(orbit / "stream.txt") as fh:
-        stream_text = fh.read()
-    return orbit_from_docs(cert_doc, stream_text)
+    path = Path(orbit_dir)
+    return orbit_from_docs(read_json(path / "certificate.json"), (path / "stream.txt").read_text())
 
 
 # --- reports and manifests --------------------------------------------------

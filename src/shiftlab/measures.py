@@ -121,18 +121,10 @@ def markov_measure(s: ShiftSpace, p: Sequence[Sequence[float]],
     """Validated Markov measure; pi is the left Perron vector of P when
     omitted, and ValueError when P has no unique stationary vector."""
     arr = np.array(p, dtype=float)
-    if arr.shape != (s.k, s.k):
-        raise ValueError(f"P must be {s.k}x{s.k}")
-    if not np.isfinite(arr).all():
-        raise ValueError("P has a non-finite entry")
-    for i in range(s.k):
-        if abs(arr[i].sum() - 1.0) > VALIDATION_TOL:
-            raise ValueError(f"row {i} of P sums to {arr[i].sum()}, not 1")
-        for j in range(s.k):
-            if arr[i, j] > 0 and not s.matrix[i][j]:
-                raise ValueError(f"P[{i}][{j}] > 0 on a forbidden transition")
-            if arr[i, j] < 0:
-                raise ValueError("negative transition probability")
+    if (arr.shape != (s.k, s.k) or not np.isfinite(arr).all() or (arr < 0).any()
+            or (arr[s.matrix_array() == 0] > 0).any()
+            or np.abs(arr.sum(axis=1) - 1.0).max() > VALIDATION_TOL):
+        raise ValueError(f"P is not a {s.k}x{s.k} stochastic matrix on the shift's transitions")
     if pi is None:
         inv = perron(arr)[1]
         if inv is None:

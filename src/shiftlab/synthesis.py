@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,15 +56,20 @@ class GapClass(str, Enum):
     PERIODIC = "PERIODIC"
 
 
-#: the shape of the measure set K each class certifies
-CLASS_STRUCTURE = {
-    GapClass.W_NOT_QR: "segment", GapClass.V_NOT_W: "segment", GapClass.I_NOT_QW: "segment",
-    GapClass.QW_NOT_V: "chain", GapClass.ALMOST_PERIODIC_NOT_PER: "none",
-    GapClass.QR_NOT_ERG_NOT_A: "singleton", GapClass.R_FULL_SUPPORT: "singleton",
-    GapClass.PERIODIC: "singleton",
+#: the measure set K a class certifies: its structure, how many extreme
+#: elements it names (None for a chain, which names its links instead), and
+#: whether synthesis needs a potential
+Shape = NamedTuple("Shape", [("structure", str), ("extremes", Optional[int]), ("potential", bool)])
+CLASS_SHAPE = {
+    GapClass.W_NOT_QR: Shape("segment", 2, True),
+    GapClass.V_NOT_W: Shape("segment", 2, True),
+    GapClass.QW_NOT_V: Shape("chain", None, True),
+    GapClass.I_NOT_QW: Shape("segment", 2, True),
+    GapClass.QR_NOT_ERG_NOT_A: Shape("singleton", 1, True),
+    GapClass.R_FULL_SUPPORT: Shape("singleton", 1, True),
+    GapClass.ALMOST_PERIODIC_NOT_PER: Shape("none", 0, False),
+    GapClass.PERIODIC: Shape("singleton", 1, False),
 }
-#: extreme elements each structure names; a chain names its links instead
-STRUCTURE_EXTREMES = {"segment": 2, "singleton": 1, "none": 0}
 
 
 #: the class recipes' fixed values, pinned from pilot runs
@@ -99,7 +104,7 @@ class Schedule:
 
 @dataclass
 class Certificate:
-    gap_class: GapClass                # K's structure is CLASS_STRUCTURE[gap_class]
+    gap_class: GapClass                # K's shape is CLASS_SHAPE[gap_class]
     pool: list[InvariantMeasure]
     extremes: list[int]                # pool indices of K's extreme elements
     chain_links: list[tuple[float, int, int]]  # (theta, idx_main, idx_attached) per chain link
@@ -315,19 +320,17 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
         if not is_admissible(pinned_prefix, s):
             raise NotAdmissible("pinned prefix must be admissible")
 
-    if gap_class is GapClass.PERIODIC:
-        return _build_periodic(s, n, seed, pinned_prefix, cycle)
-    if gap_class is GapClass.ALMOST_PERIODIC_NOT_PER:
-        return _build_almost_periodic(s, n, seed, pinned_prefix)
-
-    if not s.is_primitive:
-        raise NotPrimitive(f"{gap_class.value} synthesis requires a primitive shift")
-    if phi is None:
-        raise ValueError(f"{gap_class.value} requires a potential")
-    if gap_class in (GapClass.W_NOT_QR, GapClass.V_NOT_W, GapClass.I_NOT_QW):
-        if not has_irregular(s, phi):
+    if CLASS_SHAPE[gap_class].potential:   # the classes built on a primitive ambient
+        if not s.is_primitive:
+            raise NotPrimitive(f"{gap_class.value} synthesis requires a primitive shift")
+        if phi is None:
+            raise ValueError(f"{gap_class.value} requires a potential")
+        if (gap_class in (GapClass.W_NOT_QR, GapClass.V_NOT_W, GapClass.I_NOT_QW)
+                and not has_irregular(s, phi)):
             raise IrregularityUnavailable("potential has constant cycle averages")
 
+    if gap_class is GapClass.PERIODIC:
+        return _build_periodic(s, n, seed, pinned_prefix, cycle)
     builder = {
         GapClass.W_NOT_QR: _build_w_not_qr,
         GapClass.V_NOT_W: _build_v_not_w,
@@ -335,6 +338,7 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
         GapClass.I_NOT_QW: _build_i_not_qw,
         GapClass.QR_NOT_ERG_NOT_A: _build_qr_not_erg,
         GapClass.R_FULL_SUPPORT: _build_r_full_support,
+        GapClass.ALMOST_PERIODIC_NOT_PER: _build_almost_periodic,
     }[gap_class]
     return builder(s, phi, n, seed, pinned_prefix)
 
@@ -346,26 +350,24 @@ def _with_prefix(pinned_prefix, requests):
     return requests
 
 
-def _inf_over_k(structure: str, facts: list[dict], extremes: list[int],
+def _inf_over_k(facts: list[dict], extremes: list[int],
                 chain_links: list[tuple[float, int, int]]) -> float:
     """Entropy infimum over K.  Affinity puts it at the extreme elements:
-    segment/singleton endpoints directly; for chains, at the chain's
-    mixtures theta*h_main + (1-theta)*h_attached and the limit measure."""
-    if structure == "chain":
+    segment/singleton endpoints directly; for a chain, the only structure with
+    links, at its mixtures theta*h_main + (1-theta)*h_attached and the limit."""
+    if chain_links:
         vals = [th * facts[a]["entropy"] + (1 - th) * facts[b]["entropy"]
                 for th, a, b in chain_links]
         vals.append(facts[chain_links[0][1]]["entropy"])
         return min(vals)
-    if not facts or not extremes:
-        return 0.0
-    return min(facts[i]["entropy"] for i in extremes)
+    return min((facts[i]["entropy"] for i in extremes), default=0.0)
 
 
 def _finish(s: ShiftSpace, gap_class: GapClass, requests, pool, extremes, chain_links,
             phi, n, seed, pinned_prefix, stats) -> OrbitPrefix:
     word, schedule = _render(s, requests, pool, seed, n)
     facts = [_measure_facts(m, s, phi) for m in pool]
-    inf_h = _inf_over_k(CLASS_STRUCTURE[gap_class], facts, extremes, chain_links)
+    inf_h = _inf_over_k(facts, extremes, chain_links)
     cert = Certificate(gap_class=gap_class, pool=pool,
                        extremes=extremes, chain_links=chain_links, exact_facts=facts,
                        inf_entropy_over_K=inf_h, expected_statistics=stats,
@@ -561,7 +563,7 @@ def _build_r_full_support(s, phi, n, seed, pinned_prefix):
 TM_GAP_BOUNDS = {1: 3, 2: 4, 3: 8, 4: 8, 5: 16, 6: 16, 7: 16, 8: 16}
 
 
-def _build_almost_periodic(s, n, seed, pinned_prefix):
+def _build_almost_periodic(s, phi, n, seed, pinned_prefix):
     for w in ((0, 0), (0, 1), (1, 0), (1, 1)):
         if not is_admissible(w, s):
             raise NotAdmissible("aperiodic minimal witness needs the full 2-shift inside the ambient")
@@ -621,8 +623,7 @@ def certify(o: OrbitPrefix, phi: Optional[Potential] = None) -> dict:
                 raise CertificateMismatch(f"pool[{idx}].{key}", f"{fresh[key]} vs {fact[key]}")
         report["checked"].append(f"pool[{idx}]")
 
-    fresh_inf = _inf_over_k(CLASS_STRUCTURE[cert.gap_class], fresh_facts, cert.extremes,
-                            cert.chain_links)
+    fresh_inf = _inf_over_k(fresh_facts, cert.extremes, cert.chain_links)
     if abs(fresh_inf - cert.inf_entropy_over_K) > 1e-10:
         raise CertificateMismatch("inf_entropy_over_K",
                                   f"{fresh_inf} vs {cert.inf_entropy_over_K}")
@@ -642,10 +643,6 @@ def _check_class_structure(o: OrbitPrefix, report: dict) -> None:
         m1, m2 = (pool[i] for i in cert.extremes)
         if not (has_full_support(m1, s) and has_full_support(m2, s)):
             raise CertificateMismatch("W_NOT_QR.supports", "both endpoints must have full support")
-        i1 = cert.exact_facts[cert.extremes[0]]["integral"]
-        i2 = cert.exact_facts[cert.extremes[1]]["integral"]
-        if abs(i1 - i2) < 1e-9:
-            raise CertificateMismatch("W_NOT_QR.integrals", "endpoint integrals must differ")
 
     elif gc is GapClass.V_NOT_W:
         omega, mu = (pool[i] for i in cert.extremes)
@@ -671,10 +668,6 @@ def _check_class_structure(o: OrbitPrefix, report: dict) -> None:
         attached = omega.components[-1]
         if not supports_disjoint(mu, attached):
             raise CertificateMismatch("I_NOT_QW.disjoint", "attached orbit must avoid mu's edges")
-        i1 = cert.exact_facts[cert.extremes[0]]["integral"]
-        i2 = cert.exact_facts[cert.extremes[1]]["integral"]
-        if abs(i1 - i2) < 1e-9:
-            raise CertificateMismatch("I_NOT_QW.integrals", "extreme integrals must differ")
 
     elif gc is GapClass.QR_NOT_ERG_NOT_A:
         m = pool[cert.extremes[0]]
@@ -701,6 +694,10 @@ def _check_class_structure(o: OrbitPrefix, report: dict) -> None:
         if cert.inf_entropy_over_K != 0.0:
             raise CertificateMismatch("PERIODIC.entropy", "periodic entropy must be 0")
 
+    if gc in (GapClass.W_NOT_QR, GapClass.I_NOT_QW):
+        i1, i2 = (cert.exact_facts[i]["integral"] for i in cert.extremes)
+        if abs(i1 - i2) < 1e-9:
+            raise CertificateMismatch(f"{gc.value}.integrals", "extreme integrals must differ")
     report["checked"].append("class_structure")
 
 

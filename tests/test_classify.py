@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from shiftlab.classify import (_coverage, _eventually_periodic, _frequencies,
                                evaluate_certificate, trace_oscillation, window_codes,
                                windowed_density, word_code)
 from shiftlab.errors import SchemaError, TooShort
-from shiftlab.measures import integrate, parry_measure, sample_typical_word, Potential
+from shiftlab.measures import (integrate, indicator_potential, parry_measure,
+                               sample_typical_word, Potential)
 from shiftlab.oracle import brute_self_visits, full_compare_eventually_periodic
 from shiftlab.shifts import full_shift, iter_words
 from shiftlab.synthesis import thue_morse_word
@@ -89,6 +91,37 @@ class TestBirkhoffTrace:
     def test_too_short(self, phi_full2):
         with pytest.raises(TooShort):
             birkhoff_trace(np.zeros(10, dtype=np.int64), phi_full2, [100], k=2)
+
+    @pytest.mark.parametrize("length", [12, 40])
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_window_outside_table_adds_zero(self, golden, r, length):
+        """On an inadmissible stream the windows of forbidden words add 0,
+        whether the trace reads a table of all 2**r codes (at most as many
+        as the windows) or searches the potential's own codes (r = 4 with
+        12 symbols)."""
+        phi = Potential(range=r, table={w: float(i + 1) for i, w in enumerate(iter_words(golden, r))})
+        x = np.random.default_rng(r * length).integers(0, 2, length)
+        x[3:5] = 1
+        checkpoints = list(range(1, length - r + 1))
+        windows = [phi.table.get(tuple(x[i:i + r].tolist()), 0.0) for i in range(length - r)]
+        assert birkhoff_trace(x, phi, checkpoints, k=2) == [
+            (n, sum(windows[:n]) / n) for n in checkpoints]
+
+    def test_memory_follows_the_table(self, golden):
+        """A range-22 potential on the golden-mean shift lists its 46,368
+        admissible words; a dense table of all 2^22 codes would take 32 MiB."""
+        phi = indicator_potential(golden, (0,) * 22)
+        x = np.zeros(1200, dtype=np.int64)
+        x[::25] = 1
+        tracemalloc.start()
+        try:
+            trace = birkhoff_trace(x, phi, [1000, 1150], k=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        zero_runs = np.convolve(x, np.ones(22, dtype=np.int64), "valid") == 0
+        assert trace == [(n, float(zero_runs[:n].sum() / n)) for n in (1000, 1150)]
 
 
 class TestEmpiricalMeasure:

@@ -15,7 +15,7 @@ from shiftlab.classify import CHECKS
 from shiftlab.cli import main
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import full_shift, golden_mean_shift
-from shiftlab.synthesis import GapClass, synthesize_witness
+from shiftlab.synthesis import CLASS_SHAPE, GapClass, synthesize_witness
 
 
 def run_cli(*args):
@@ -221,6 +221,27 @@ MALFORMED_CERTIFICATES = {
         lambda d: _add(d, check="cylinder_lower_min", lengths=[40], threshold=0.01),
     "coverage_counts_2_to_the_40_codes":
         lambda d: _add(d, check="coverage_counts", length=40, min_visits=8),
+    "pinned_prefix_text": lambda d: d.update(pinned_prefix="".join(map(str, d["pinned_prefix"]))),
+    "pinned_prefix_fraction": lambda d: d["pinned_prefix"].__setitem__(0, 0.4),
+    "pinned_prefix_booleans": lambda d: d.update(pinned_prefix=list(map(bool, d["pinned_prefix"]))),
+    "pinned_prefix_symbol_7": lambda d: d.update(pinned_prefix=[7]),
+    "exact_facts_support_symbols_text": lambda d: d["exact_facts"][0].update(
+        support_symbols=list(map(str, d["exact_facts"][0]["support_symbols"]))),
+    "exact_facts_support_edges_text": lambda d: d["exact_facts"][0].update(
+        support_edges=[f"{a}{b}" for a, b in d["exact_facts"][0]["support_edges"]]),
+    "mixture_weight_text": lambda d: d["pool"][0]["weights"].__setitem__(
+        0, str(d["pool"][0]["weights"][0])),
+    "periodic_cycle_booleans":
+        lambda d: d["pool"][3].update(cycle=list(map(bool, d["pool"][3]["cycle"]))),
+    "markov_P_booleans": lambda d: d["pool"][2].update(P=[[True, False], [False, True]]),
+    "shift_labels_text": lambda d: d["shift"].update(labels="ab"),
+    "shift_labels_integers": lambda d: d["shift"].update(labels=[1, 2]),
+    "shift_matrix_booleans":
+        lambda d: d["shift"].update(matrix=[list(map(bool, row)) for row in d["shift"]["matrix"]]),
+    "chain_link_theta_text": _On("qw_not_v_orbit", lambda d: d["chain_links"][0].__setitem__(
+        0, str(d["chain_links"][0][0]))),
+    "chain_link_theta_nan": _On("qw_not_v_orbit", lambda d: d["chain_links"][0].__setitem__(
+        0, float("nan"))),
 }
 
 
@@ -250,6 +271,9 @@ MALFORMED_DOCUMENTS = {
         [[0], 0.0], [[1], 1.0], [[1], 2.0]]}}, "potential entries"),
     "potential_empty_range_10_to_9": ({"potential": {**GOOD_POTENTIAL, "range": 10 ** 9,
                                                      "entries": []}}, "potential table"),
+    "shift_labels_text": ({"shift": {**GOOD_SHIFT, "labels": "ab"}}, "shift labels"),
+    "shift_matrix_booleans": ({"shift": {**GOOD_SHIFT, "matrix": [[True, True], [True, True]]}},
+                              "matrix entries"),
     "potential_word_forbidden": ({"shift": {**GOOD_SHIFT, "matrix": [[1, 1], [1, 0]]},
                                   "potential": {**GOOD_POTENTIAL, "range": 2, "entries": [
                                       [[0, 0], 0.0], [[0, 1], 0.0], [[1, 0], 0.0],
@@ -282,8 +306,12 @@ class TestRoundTrips:
         again = io.measure_from_doc(doc, full2)
         assert io.measure_to_doc(again) == doc
 
-    def test_orbit_roundtrip(self, tmp_path, full2, phi_full2):
-        o = synthesize_witness(full2, GapClass.V_NOT_W, phi_full2, 1 << 12, seed=5)
+    @pytest.mark.parametrize("gap_class", [gc.value for gc in GapClass])
+    def test_orbit_roundtrip(self, tmp_path, full2, phi_full2, gap_class):
+        """Every document the writers produce passes its table and reads back
+        to the same certificate document."""
+        phi = phi_full2 if CLASS_SHAPE[GapClass(gap_class)].potential else None
+        o = synthesize_witness(full2, GapClass(gap_class), phi, 1 << 12, seed=5)
         io.write_orbit_dir(o, tmp_path / "orbit")
         again = io.read_orbit_dir(tmp_path / "orbit")
         assert (again.word == o.word).all()
@@ -686,45 +714,91 @@ class TestMutatedChecks:
         assert main(["classify", "--orbit", str(orbit), "--out", str(orbit / "r.json")]) in (0, 2)
 
 
+#: certificate fields whose entries get edits of their own
+_ENTRIES = ("schedule", "pool", "exact_facts", "chain_links")
+
+
 @st.composite
 def orbit_edits(draw, doc: dict):
-    """(list, index, edit, path, new value): one edit to a schedule segment
-    or pool entry of the certificate document."""
-    name, i = draw(st.sampled_from([(name, i) for name in ("schedule", "pool")
-                                    for i, entry in enumerate(doc[name]) if entry]))
-    entry = doc[name][i]
-    paths = list(_paths(entry))
+    """(edit, path, new value): one edit to a certificate document, at a
+    top-level field or inside it: its shift, its potential, or one entry of
+    its schedule, pool, exact_facts or chain_links."""
+    name = draw(st.sampled_from(sorted(doc)))
+    root = (name,)
+    if name in _ENTRIES and type(doc[name]) is list and doc[name] and draw(st.booleans()):
+        root += (draw(st.integers(0, len(doc[name]) - 1)),)
+    paths = [root] + [root + p for p in _paths(_at(doc, root))]
     edit = draw(st.sampled_from(["drop", "retype", "integer"]))
-    keys = [p for p in paths if isinstance(_at(entry, p[:-1]), dict)]
-    ints = [p for p in paths if type(_at(entry, p)) is int]
+    keys = [p for p in paths if isinstance(_at(doc, p[:-1]), dict)]
+    ints = [p for p in paths if type(_at(doc, p)) is int]
     if edit == "drop" and keys:
-        return name, i, edit, draw(st.sampled_from(keys)), None
+        return edit, draw(st.sampled_from(keys)), None
     if edit == "integer" and ints:
-        return name, i, edit, draw(st.sampled_from(ints)), draw(st.sampled_from(
+        return edit, draw(st.sampled_from(ints)), draw(st.sampled_from(
             [0, -1, 2 ** 63, 10 ** 400]))
-    return name, i, "retype", draw(st.sampled_from(paths)), draw(st.sampled_from(
-        [None, "x", "", 2.5, -1.0, float("nan"), [], [1], [[0, 1]]]))
+    return "retype", draw(st.sampled_from(paths)), draw(st.sampled_from(
+        [None, True, "x", "", "0", 2.5, -1.0, float("nan"), [], [1], [[0, 1]], {}]))
+
+
+def _edited_orbit(tmp_path_factory, doc: dict, stream: str):
+    """One orbit directory, rewritten for each example."""
+    orbit = tmp_path_factory.getbasetemp() / "edited_orbit"
+    orbit.mkdir(exist_ok=True)
+    (orbit / "stream.txt").write_text(stream)
+    (orbit / "certificate.json").write_text(json.dumps(doc))
+    return orbit
+
+
+def _exits_documented_code(orbit) -> None:
+    assert main(["verify", "--orbit", str(orbit)]) in (0, 2, 4, 5)
+    assert main(["classify", "--orbit", str(orbit), "--out", str(orbit / "r.json")]) in (0, 2)
 
 
 class TestMutatedOrbits:
-    """Any edit to a certificate's schedule or pool ends in a documented exit code."""
+    """Any edit to a certificate document ends in a documented exit code."""
 
-    @pytest.mark.parametrize("base", ["v_not_w_orbit", "thue_morse_orbit"])
+    @pytest.mark.parametrize("base", ["v_not_w_orbit", "thue_morse_orbit", "qw_not_v_orbit"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_edited_orbit_exits_documented_code(self, request, tmp_path_factory, base, data):
         base_orbit = request.getfixturevalue(base)
         doc = json.loads((base_orbit / "certificate.json").read_text())
         for _ in range(data.draw(st.integers(1, 3), label="edits")):
-            name, i, edit, path, value = data.draw(orbit_edits(doc))
-            parent = _at(doc[name][i], path[:-1])
+            edit, path, value = data.draw(orbit_edits(doc))
+            parent = _at(doc, path[:-1])
             if edit == "drop":
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = value
-        orbit = tmp_path_factory.getbasetemp() / "edited_orbit"
-        orbit.mkdir(exist_ok=True)
-        shutil.copy(base_orbit / "stream.txt", orbit / "stream.txt")
-        (orbit / "certificate.json").write_text(json.dumps(doc))
-        assert main(["verify", "--orbit", str(orbit)]) in (0, 2, 4, 5)
-        assert main(["classify", "--orbit", str(orbit), "--out", str(orbit / "r.json")]) in (0, 2)
+        _exits_documented_code(_edited_orbit(tmp_path_factory, doc,
+                                             (base_orbit / "stream.txt").read_text()))
+
+
+@st.composite
+def stream_edits(draw, text: str) -> str:
+    """The stream text truncated at a drawn point, with a row dropped, or with
+    one character overwritten by a non-digit or a digit >= k (k = 2)."""
+    edit = draw(st.sampled_from(["truncate", "drop_row", "symbol"]))
+    if edit == "truncate" or not text:
+        return text[:draw(st.integers(0, len(text)))]
+    rows = text.splitlines(keepends=True)
+    if edit == "drop_row":
+        i = draw(st.integers(0, len(rows) - 1))
+        return "".join(rows[:i] + rows[i + 1:])
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + draw(st.sampled_from(list("29x-/:a.") + ["é", "\x00"])) + text[i + 1:]
+
+
+class TestMutatedStreams:
+    """Any edit to the stream text ends in a documented exit code."""
+
+    @pytest.mark.parametrize("base", ["v_not_w_orbit", "thue_morse_orbit"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_edited_stream_exits_documented_code(self, request, tmp_path_factory, base, data):
+        base_orbit = request.getfixturevalue(base)
+        stream = (base_orbit / "stream.txt").read_text()
+        for _ in range(data.draw(st.integers(1, 2), label="edits")):
+            stream = data.draw(stream_edits(stream))
+        doc = json.loads((base_orbit / "certificate.json").read_text())
+        _exits_documented_code(_edited_orbit(tmp_path_factory, doc, stream))
