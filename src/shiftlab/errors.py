@@ -84,3 +84,7 @@ class Infeasible(ShiftlabError):
 
 class SchemaError(ShiftlabError):
     """A JSON document does not match the expected schema."""
+
+
+class UnreadableInput(ShiftlabError):
+    """An input file cannot be read: missing, a directory, or not permitted."""

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, UnreadableInput
 from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
                        markov_measure, mixture, periodic_measure, validate_potential)
 from .shifts import ShiftSpace, sft_from_matrix
@@ -90,9 +90,17 @@ def _json_key(key) -> str:
     return json.dumps(key if isinstance(key, str) else json.dumps(key))
 
 
+def _read_text(path: Union[str, Path]) -> str:
+    """The text of an input file; an OSError reading it is UnreadableInput."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise UnreadableInput(f"cannot read {path}: {e.strerror or e}") from e
+
+
 def read_json(path: Union[str, Path]) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return json.loads(_read_text(path))
 
 
 # --- typed fields ------------------------------------------------------------
@@ -402,7 +410,7 @@ def write_orbit_dir(o: OrbitPrefix, out_dir: Union[str, Path]) -> list[str]:
 
 def read_orbit_dir(orbit_dir: Union[str, Path]) -> OrbitPrefix:
     path = Path(orbit_dir)
-    return orbit_from_docs(read_json(path / "certificate.json"), (path / "stream.txt").read_text())
+    return orbit_from_docs(read_json(path / "certificate.json"), _read_text(path / "stream.txt"))
 
 
 # --- reports and manifests --------------------------------------------------

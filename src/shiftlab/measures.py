@@ -4,6 +4,11 @@ Three measure kinds cover everything the witness constructions need:
 memory-1 Markov measures (including the maximal-entropy one), periodic-orbit
 measures, and finite convex mixtures.  Entropy is affine over mixtures and
 integrals are linear, so every derived fact is closed-form.
+
+Typical words of a Markov measure come from one walk kernel: all segments
+of one measure are sampled together (sample_typical_words), and each
+segment's symbols are exactly those of sampling it alone
+(sample_typical_word), whatever else is sampled with it.
 """
 
 from __future__ import annotations
@@ -315,7 +320,8 @@ def sample_typical_word(m: InvariantMeasure, n: int, seed: int,
     raised to just above 1) and u_t is output t of the documented
     splitmix64 stream for `seed`.  Periodic measures repeat their cycle.
     The same (m, n, seed, start) always gives the same word, and a longer
-    draw extends a shorter one.
+    draw extends a shorter one.  A Markov word is sample_typical_words
+    with one segment.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -323,64 +329,120 @@ def sample_typical_word(m: InvariantMeasure, n: int, seed: int,
         return np.tile(np.array(m.cycle, dtype=np.int64), -(-n // len(m.cycle)))[:n]
     if isinstance(m, Mixture):
         raise ValueError("mixtures are realized by scheduling, not direct sampling")
-    us = rng.uniform_stream(seed, n)
-    k = m.shift.k
-    cum_rows = [list(accumulate(row))[:-1] + [1.0 + 1e-15] for row in m.P]
-    if start is None:
-        acc = 0.0
-        u = float(us[0])
-        state = k - 1
-        for i in range(k):
-            acc += m.pi[i]
-            if u < acc:
-                state = i
-                break
-    else:
-        state = start
-    word = np.empty(n, dtype=np.int64)
-    word[0] = state
-    word[1:] = _walk(cum_rows, state, us[1:])
-    return word
+    return sample_typical_words(m, [n], [seed], start)
 
 
-def _walk(cum_rows: list[list[float]], state: int, us: np.ndarray) -> np.ndarray:
-    """States after each step of the chain that moves from i to
-    searchsorted(cum_rows[i], u, side="right") on uniform u, from `state`.
+#: steps of the walk generated and scanned per pass of sample_typical_words
+SAMPLE_CHUNK = 1 << 17
+#: maps composed per block at each level of the walk's prefix scan
+SCAN_RADIX = 32
 
-    Step t is a map f_t on the k states.  The steps are cut into blocks of
-    b ~ sqrt(len(us)) steps; b vectorised passes compose every block's maps
-    for all entry states at once (parallel prefix over function composition,
-    Hillis & Steele 1986, done blockwise), a loop over the blocks chains
-    their entry states, and one gather reads the walk off the prefixes.
+
+def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequence[int],
+                         start: Optional[int] = None) -> np.ndarray:
+    """The words sample_typical_word(m, lengths[i], seeds[i], start) for
+    every i, concatenated into one int64 array.
+
+    All segments of the measure are walked together, SAMPLE_CHUNK steps at
+    a time.  Step t of a segment is a map f_t on the k states, and a
+    segment's first step is the constant map to its start symbol, so a
+    chunk is one composition f_t o ... o f_0, read off by one prefix scan
+    (_scan).  Each segment's symbols are exactly those of sampling it
+    alone, so a certificate stays recomputable segment by segment.
+
+    With bits the raw splitmix64 output and u = (bits >> 11) / 2^53 its
+    uniform, u >= c exactly when bits >= ceil(c 2^53) 2^11; so each step's
+    map is picked by integer comparisons on the raw outputs.
     """
-    k = len(cum_rows)
-    steps = len(us)
-    b = max(1, math.isqrt(steps))
-    blocks = -(-steps // b)
-    # Each row's searchsorted changes value only at the rows' own entries,
-    # so f_t depends only on bucket_t = #{edges <= u_t}: f_t = table[bucket_t].
-    # One bucket past the last real one is the identity map that pads the
-    # final block.
-    edges = np.unique(np.array(cum_rows))
-    table = np.empty((len(edges) + 2, k), dtype=np.min_scalar_type(k - 1))
+    n_seg = len(lengths)
+    lens = np.array(lengths, dtype=np.int64)
+    if n_seg != len(seeds) or (lens < 1).any():
+        raise ValueError("one seed and a length >= 1 per segment required")
+    k = m.shift.k
+    if start is not None and not 0 <= start < k:
+        raise ValueError(f"start symbol {start} outside the alphabet")
+    edges, table = _step_maps(m.P)
+    pi_edges = _thresholds(m.pi)
+    offsets = np.zeros(n_seg + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    seed_arr = np.array([int(x) % (1 << 64) for x in seeds], dtype=np.uint64)
+    out = np.empty(int(offsets[-1]), dtype=np.int64)
+    for a in range(0, len(out), SAMPLE_CHUNK):
+        b = min(a + SAMPLE_CHUNK, len(out))
+        first = int(np.searchsorted(offsets, a, side="right")) - 1
+        last = int(np.searchsorted(offsets, b, side="left"))
+        starts = offsets[first:last]   # of the segments with steps in [a, b)
+        here = np.diff(np.clip(offsets[first:last + 1], a, b))
+        bits = rng.splitmix64_runs(seed_arr[first:last], np.maximum(a - starts, 0) + 1, here)
+        # map of each step: the number of thresholds its output reaches
+        g = np.zeros(b - a, dtype=np.min_scalar_type(len(table) - 1))
+        for edge in edges:
+            g += bits >= edge
+        heads = starts[starts >= a] - a
+        symbol = start if start is not None else np.searchsorted(pi_edges, bits[heads],
+                                                                 side="right")
+        g[heads] = len(edges) + 1 + symbol
+        out[a:b] = _scan(table, g, int(out[a - 1]) if a else 0)
+    return out
+
+
+def _thresholds(probs) -> np.ndarray:
+    """Sorted uint64 thresholds of a probability vector: with c the running
+    maximum of its partial sums, left to right and the last one dropped,
+    the T_j = ceil(c_j 2^53) 2^11 below 2^64.  The number of T_j <= bits is
+    the first j with u < c_j, or len(probs) - 1 when there is none.
+    """
+    c = np.maximum.accumulate(np.array(list(accumulate(probs))[:-1]))
+    c = np.ceil(c * float(1 << 53)).clip(0.0)  # exact: scaling by a power of 2
+    return c[c < float(1 << 53)].astype(np.uint64) << np.uint64(11)
+
+
+def _step_maps(p) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct thresholds of all rows of P, and the table of
+    step maps: row b <= #thresholds is the map of a step whose output
+    reaches b of them, and row #thresholds + 1 + c the constant map to c."""
+    k = len(p)
+    rows = [_thresholds(row) for row in p]
+    edges = np.unique(np.concatenate(rows))
+    table = np.empty((len(edges) + 1 + k, k), dtype=np.min_scalar_type(k - 1))
     table[0] = 0
-    for i, row in enumerate(cum_rows):
-        table[1:-1, i] = np.searchsorted(row, edges, side="right")
-    table[-1] = np.arange(k)
-    bucket = np.full(blocks * b, len(edges) + 1, dtype=np.min_scalar_type(len(edges) + 1))
-    bucket[:steps] = 0
-    for edge in edges:
-        bucket[:steps] += us >= edge
-    # prefix[s, j, i]: state after s + 1 steps of block j entered in state i
-    prefix = table.take(bucket.reshape(blocks, b).T, axis=0)
-    flat = (np.arange(blocks) * k)[:, None]
+    for i, row in enumerate(rows):
+        table[1:len(edges) + 1, i] = np.searchsorted(row, edges, side="right")
+    table[len(edges) + 1:] = np.arange(k)[:, None]
+    return edges, table
+
+
+def _scan(table: np.ndarray, g: np.ndarray, entry: int) -> np.ndarray:
+    """The states of a walk entered in `entry` whose step t maps state i to
+    table[g[t], i]: a radix-R blocked prefix scan over function composition
+    (Hillis & Steele 1986; Blelloch 1990), R = SCAN_RADIX.
+
+    R - 1 vectorised passes compose the maps of every block of R steps for
+    all entry states at once; the blocks' entry states come from the same
+    scan over the block maps, and one gather reads the walk off.  That is
+    about R log_R(len(g)) passes; a walk of at most R^2 steps, where the
+    passes would cost more, is stepped in Python.
+    """
+    n = len(g)
+    if n <= SCAN_RADIX ** 2:
+        maps = table.tolist()
+        walk = []
+        for i in g.tolist():
+            entry = maps[i][entry]
+            walk.append(entry)
+        return np.array(walk, dtype=table.dtype)
+    k = table.shape[1]
+    blocks = -(-n // SCAN_RADIX)
+    padded = np.zeros(blocks * SCAN_RADIX, dtype=g.dtype)  # padding steps are never read
+    padded[:n] = g
+    # prefix[r, j, i]: state after r + 1 steps of block j entered in state i
+    prefix = table.take(padded.reshape(blocks, SCAN_RADIX).T, axis=0)
+    flat = np.repeat(np.arange(0, blocks * k, k), k).reshape(blocks, k)
     idx = np.empty((blocks, k), dtype=np.intp)
-    for s in range(1, b):
-        np.add(flat, prefix[s - 1], out=idx)
-        prefix[s] = prefix[s].take(idx)
-    block_map = prefix[-1].tolist()
+    for r in range(1, SCAN_RADIX):
+        np.add(flat, prefix[r - 1], out=idx)
+        prefix[r] = prefix[r].take(idx)
     entries = np.empty(blocks, dtype=np.intp)
-    for j in range(blocks):
-        entries[j] = state
-        state = block_map[j][state]
-    return prefix[:, np.arange(blocks), entries].T.reshape(-1)[:steps]
+    entries[0] = entry
+    entries[1:] = _scan(prefix[-1], np.arange(blocks - 1), entry)
+    return prefix[:, np.arange(blocks), entries].T.reshape(-1)[:n]

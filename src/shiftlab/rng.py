@@ -4,7 +4,9 @@ The generator is splitmix64: state advances by a fixed odd constant
 (GAMMA) and each output is a finalizer mix of the state.  It is tiny,
 portable and fully specified here, so identical (seed, n) always yield
 identical streams on every platform.  Sub-seeds for parallel segments
-are derived by mixing (seed, index) through the same finalizer.
+are derived by mixing (seed, index) through the same finalizer, and
+splitmix64_runs draws the outputs of many segments' streams in one
+vectorized pass, each run exactly the stream of its own seed.
 """
 
 from __future__ import annotations
@@ -25,13 +27,27 @@ def _mix(z: int) -> int:
 
 
 def splitmix64_stream(seed: int, n: int) -> np.ndarray:
-    """First n outputs of splitmix64 as uint64, vectorized in place (one
-    scratch array for the shifts)."""
-    z = np.arange(1, n + 1, dtype=np.uint64)
-    tmp = np.empty_like(z)
+    """First n outputs of splitmix64 as uint64."""
+    return splitmix64_runs(np.array([seed & _MASK], dtype=np.uint64), [1], [n])
+
+
+def splitmix64_runs(seeds: np.ndarray, firsts, counts) -> np.ndarray:
+    """Outputs firsts[i] .. firsts[i] + counts[i] - 1 (counted from 1) of
+    the stream seeded by seeds[i] (uint64), for every i, concatenated.
+
+    Output t of the stream seeded by s is mix(s + t GAMMA), which is output
+    p + 1 of the stream seeded by s + (t - p - 1) GAMMA; so the runs share
+    one counter, vectorized in place (one scratch array for the shifts).
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
     with np.errstate(over="ignore"):
+        shift = np.asarray(firsts, dtype=np.int64) - (ends - counts) - 1
+        base = seeds + shift.astype(np.uint64) * np.uint64(_GAMMA)
+        z = np.arange(1, int(counts.sum()) + 1, dtype=np.uint64)
+        tmp = np.empty_like(z)
         z *= np.uint64(_GAMMA)
-        z += np.uint64(seed & _MASK)
+        z += np.repeat(base, counts)
         z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= np.uint64(_MIX1)
         z ^= np.right_shift(z, np.uint64(27), out=tmp)

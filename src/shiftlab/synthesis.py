@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -36,7 +37,8 @@ from .measures import (InvariantMeasure, MarkovMeasure, Mixture, PeriodicMeasure
                        Potential, entropy, equilibrium_measure, has_full_support,
                        integrate, is_ergodic, markov_measure, markov_word_probability,
                        mixture, parry_measure, periodic_measure, piece_is_single_orbit,
-                       sample_typical_word, support, support_pieces, supports_disjoint)
+                       sample_typical_word, sample_typical_words, support, support_pieces,
+                       supports_disjoint)
 from .shifts import (ShiftSpace, Word, connecting_word, cycle_word_for, is_admissible,
                      iter_words, largest_proper_scc_subgraph, primitive_cycles,
                      subshift_from_edges, topological_entropy)
@@ -148,12 +150,14 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
     `horizon` symbols, inserting bridges between consecutive chunks.
 
     A short plan is topped up by repeating its final request; an overlong
-    one is truncated at the horizon.
+    one is truncated at the horizon.  A bridge has the M = primitive_gap
+    symbols of connecting_word, so the segments are laid out before any
+    symbol is drawn.  Then each pool source's Markov segments are sampled in
+    one call (_regenerate), and each bridge joins the symbols either side;
+    a request cut off by a final bridge still draws that bridge's right end.
     """
-    chunks: list[np.ndarray] = []
-    segments: list[Segment] = []
-    pos = 0
-    chunk_idx = 0
+    layout: list[Segment] = []
+    pos = drawn = 0
     queue = list(requests)
     while pos < horizon:
         if not queue:
@@ -163,29 +167,31 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
         length = min(length, horizon - pos)
         if length <= 0:
             continue
-        sub_seed = rng.derive_subseed(seed, chunk_idx)
-        chunk_idx += 1
         seg = Segment(kind=kind, start=pos, length=length,
                       source=payload if kind in ("markov", "periodic") else None,
                       word=tuple(map(int, payload)) if kind == "literal" else None,
-                      sub_seed=sub_seed if kind == "markov" else None)
-        word = regenerate_segment(seg, pool)
+                      sub_seed=rng.derive_subseed(seed, drawn) if kind == "markov" else None)
+        drawn += 1
         if pos:
-            cw = connecting_word(s, int(chunks[-1][-1]), int(word[0]))[:horizon - pos]
-            if cw:
-                segments.append(Segment(kind="bridge", start=pos, length=len(cw), word=cw))
-                chunks.append(np.array(cw, dtype=np.int64))
-                pos += len(cw)
-            if pos >= horizon:
-                break
-        seg.start, seg.length = pos, min(length, horizon - pos)
+            # a shift without a gap gets an empty bridge, which connecting_word refuses
+            cut = min(s.primitive_gap or 0, horizon - pos)
+            layout.append(Segment(kind="bridge", start=pos, length=cut, word=()))
+            pos += cut
+        # a request the final bridge cuts off keeps the one symbol that bridge
+        # ends in; it is drawn but left out of the schedule
+        seg.start, seg.length = pos, max(1, min(length, horizon - pos))
         if seg.word is not None:
             seg.word = seg.word[:seg.length]
-        segments.append(seg)
-        chunks.append(word[:seg.length])
+        layout.append(seg)
         pos += seg.length
-    arr = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    return arr, Schedule(horizon=horizon, segments=segments)
+    schedule = layout if pos == horizon else layout[:-1]
+    words = _regenerate(layout, pool)
+    for i, seg in enumerate(layout):
+        if seg.kind == "bridge":
+            seg.word = connecting_word(s, int(words[i - 1][-1]), int(words[i + 1][0]))[:seg.length]
+            words[i] = np.array(seg.word, dtype=np.int64)
+    arr = np.concatenate(words[:len(schedule)]) if schedule else np.zeros(0, dtype=np.int64)
+    return arr, Schedule(horizon=horizon, segments=schedule)
 
 
 def regenerate_segment(seg: Segment, pool: list[InvariantMeasure]) -> np.ndarray:
@@ -197,6 +203,24 @@ def regenerate_segment(seg: Segment, pool: list[InvariantMeasure]) -> np.ndarray
     if seg.kind in ("literal", "bridge"):
         return np.array(seg.word, dtype=np.int64)
     return sample_typical_word(pool[seg.source], seg.length, seg.sub_seed)
+
+
+def _regenerate(segments: list[Segment], pool: list[InvariantMeasure]) -> list[np.ndarray]:
+    """regenerate_segment of every segment, with all Markov segments of one
+    pool source sampled together by one sample_typical_words call."""
+    words: list = [None] * len(segments)
+    by_source: dict[int, list[int]] = {}
+    for i, seg in enumerate(segments):
+        if seg.kind == "markov":
+            by_source.setdefault(seg.source, []).append(i)
+        else:
+            words[i] = regenerate_segment(seg, pool)
+    for source, idx in by_source.items():
+        lengths = [segments[i].length for i in idx]
+        drawn = sample_typical_words(pool[source], lengths, [segments[i].sub_seed for i in idx])
+        for i, word in zip(idx, np.split(drawn, np.cumsum(lengths)[:-1])):
+            words[i] = word
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -711,18 +735,15 @@ def _check_word(o: OrbitPrefix, report: dict) -> None:
     cert = o.certificate
     s = o.shift
     word = o.word
-    pairs_ok = np.all(np.array([[s.matrix[i][j] for j in range(s.k)] for i in range(s.k)])
-                      [word[:-1], word[1:]] == 1)
-    if not pairs_ok:
+    if not (s.matrix_array() == 1).reshape(-1).take(word[:-1] * s.k + word[1:]).all():
         raise CertificateMismatch("admissibility", "stream violates the transition matrix")
     if cert.pinned_prefix is not None and len(word) >= len(cert.pinned_prefix):
         pin = np.array(cert.pinned_prefix, dtype=np.int64)
         if not np.array_equal(word[:len(pin)], pin):
             raise CertificateMismatch("pinned_prefix", "stream does not start with the pin")
-    for seg in o.schedule.segments:
-        if seg.start + seg.length > len(word):
-            break
-        expected = regenerate_segment(seg, cert.pool)
+    present = list(takewhile(lambda seg: seg.start + seg.length <= len(word),
+                             o.schedule.segments))
+    for seg, expected in zip(present, _regenerate(present, cert.pool)):
         if not np.array_equal(word[seg.start:seg.start + seg.length], expected):
             raise CertificateMismatch("schedule_window",
                                       f"segment at {seg.start} does not match its source")

@@ -519,6 +519,58 @@ class TestPipeline:
         assert main(["verify", "--orbit", str(orbit)]) == 4
         assert "schedule_window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    @pytest.mark.parametrize("layout", ["orbit_is_a_file", "certificate_is_a_directory",
+                                        "stream_is_a_directory"])
+    def test_unreadable_input_exit2(self, v_not_w_orbit, tmp_path, capsys, command, layout):
+        orbit = tmp_path / "orbit"
+        if layout == "orbit_is_a_file":
+            orbit.write_text("not an orbit directory\n")
+        else:
+            shutil.copytree(v_not_w_orbit, orbit)
+            name = "certificate.json" if layout == "certificate_is_a_directory" else "stream.txt"
+            (orbit / name).unlink()
+            (orbit / name).mkdir()
+        args = ["--out", str(tmp_path / "r.json")] if command == "classify" else []
+        assert main([command, "--orbit", str(orbit), *args]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_first_mismatch_reported(self, v_not_w_orbit, tmp_path, capsys):
+        """Two corrupted Markov segments of one source: verify names the earlier."""
+        orbit = tmp_path / "orbit"
+        shutil.copytree(v_not_w_orbit, orbit)
+        doc = json.loads((orbit / "certificate.json").read_text())
+        source = _first(doc, "markov")["source"]
+        same = [seg for seg in doc["schedule"]
+                if seg["kind"] == "markov" and seg["source"] == source]
+        earlier, later = same[1], same[-1]
+        for seg in (later, earlier):
+            _flip(orbit, seg["start"] + seg["length"] // 2)
+        assert main(["verify", "--orbit", str(orbit)]) == 4
+        err = capsys.readouterr().err
+        assert f"segment at {earlier['start']} does not match" in err
+        assert f"segment at {later['start']}" not in err
+
+    def test_truncated_stream_checks_whole_segments(self, v_not_w_orbit, tmp_path, capsys):
+        """A stream cut inside a Markov segment is checked on the segments it
+        holds whole: a flip in the cut segment is not a mismatch, one in an
+        earlier segment is."""
+        orbit = tmp_path / "orbit"
+        shutil.copytree(v_not_w_orbit, orbit)
+        doc = json.loads((orbit / "certificate.json").read_text())
+        cut_seg = max((seg for seg in doc["schedule"] if seg["kind"] == "markov"),
+                      key=lambda seg: seg["length"])
+        cut = cut_seg["start"] + cut_seg["length"] // 2
+        _flip(orbit, cut - 1)
+        chars = "".join((orbit / "stream.txt").read_text().split())[:cut]
+        (orbit / "stream.txt").write_text(
+            "\n".join(chars[i:i + 120] for i in range(0, len(chars), 120)) + "\n")
+        assert main(["verify", "--orbit", str(orbit)]) == 5
+        earlier = _first(doc, "markov")
+        _flip(orbit, earlier["start"])
+        assert main(["verify", "--orbit", str(orbit)]) == 4
+        assert f"segment at {earlier['start']} does not match" in capsys.readouterr().err
+
     def test_not_primitive_exit3(self, tmp_path, files):
         io.write_json(tmp_path / "diag.json",
                       {"schema": "shiftlab/shift/1", "k": 2, "matrix": [[1, 0], [0, 1]]})

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from shiftlab import oracle, rng
 from shiftlab.errors import EmptyShift, NotAdmissible, NotPrimitive
-from shiftlab.measures import (Potential, constant_potential, entropy,
+from shiftlab.measures import (SAMPLE_CHUNK, Potential, constant_potential, entropy,
                                equilibrium_measure, has_full_support,
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
                                parry_measure, periodic_measure, sample_typical_word,
-                               support, support_pieces, supports_disjoint)
+                               sample_typical_words, support, support_pieces,
+                               supports_disjoint)
 from shiftlab.oracle import scalar_typical_word
-from shiftlab.shifts import (is_admissible, iter_words, primitive_cycles, sft_from_matrix,
-                             topological_entropy)
+from shiftlab.shifts import (full_shift, is_admissible, iter_words, primitive_cycles,
+                             sft_from_matrix, topological_entropy)
 from shiftlab.spectrum import PressureFunction, edge_system
+from shiftlab.synthesis import _sub_parry
 
 from conftest import random_primitive_sft
 
@@ -254,6 +256,28 @@ def sampling_cases(draw):
     return m, n, draw(st.integers(0, (1 << 64) - 1)), start
 
 
+@st.composite
+def batch_cases(draw):
+    """A Markov measure (Parry, a thinned chain, or a sub-Parry measure whose
+    rows off the subgraph force one transition) and lists of lengths, some
+    at and around the walk's chunk size, and seeds over the 64-bit range."""
+    k = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["parry", "thinned", "sub_parry"]))
+    if kind == "parry":
+        m = parry_measure(random_primitive_sft(k, draw(st.integers(0, 1 << 16))))
+    elif kind == "thinned":
+        m = _thinned_chain(random_primitive_sft(k, draw(st.integers(0, 1 << 16))),
+                           draw(st.integers(0, 1 << 16)))
+    else:
+        m = _sub_parry(full_shift(k))[0]
+    chunk = SAMPLE_CHUNK
+    lengths = draw(st.lists(st.sampled_from([1, 2, chunk - 1, chunk, chunk + 1])
+                            | st.integers(1, 3000), min_size=1, max_size=4))
+    seeds = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=len(lengths),
+                          max_size=len(lengths)))
+    return m, lengths, seeds, draw(st.none() | st.integers(0, k - 1))
+
+
 class TestSamplerMatchesScalarWalk:
     @given(sampling_cases())
     @settings(max_examples=80, deadline=None)
@@ -262,6 +286,30 @@ class TestSamplerMatchesScalarWalk:
         w = sample_typical_word(m, n, seed, start=start)
         assert w.dtype == np.int64
         assert tuple(w.tolist()) == scalar_typical_word(m, n, seed, start=start)
+
+    @given(batch_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_batch_is_the_concatenated_words(self, case):
+        m, lengths, seeds, start = case
+        w = sample_typical_words(m, lengths, seeds, start)
+        assert w.dtype == np.int64
+        assert tuple(w.tolist()) == sum((scalar_typical_word(m, n, seed, start=start)
+                                         for n, seed in zip(lengths, seeds)), ())
+
+    def test_batch_on_the_full_10_shift(self):
+        """k = 10, with segments ending just before, at and just after chunk
+        boundaries, and the extreme seeds."""
+        m = parry_measure(full_shift(10))
+        chunk = SAMPLE_CHUNK
+        lengths = [1, 2, chunk - 1, chunk, chunk + 1, 5000]
+        seeds = [0, (1 << 64) - 1, 1 << 63, 20250809, 1, (1 << 64) - 2]
+        w = sample_typical_words(m, lengths, seeds)
+        assert tuple(w.tolist()) == sum((scalar_typical_word(m, n, seed)
+                                         for n, seed in zip(lengths, seeds)), ())
+
+    def test_batch_refuses_empty_segments(self, full2):
+        with pytest.raises(ValueError):
+            sample_typical_words(parry_measure(full2), [4, 0], [1, 2])
 
     def test_thinned_chain_has_zero_allowed_transitions(self, full3):
         m = _thinned_chain(full3, 11)
