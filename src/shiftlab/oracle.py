@@ -139,6 +139,21 @@ def brute_count_cycles(s: ShiftSpace, n: int) -> int:
     return sum(extend(c, c, n - 1) for c in range(s.k))
 
 
+def brute_primitive_cycles(s: ShiftSpace, max_period: int) -> list[Word]:
+    """Each cyclically admissible word of length <= max_period that is
+    smaller than all its proper rotations (so aperiodic and a least
+    rotation), listed in (period, word) order by trying every word."""
+    if s.k ** max_period > MAX_CYCLE_WORDS:
+        raise BoundExceeded(f"{s.k}^{max_period} words > {MAX_CYCLE_WORDS}")
+    out = []
+    for p in range(1, max_period + 1):
+        for w in product(range(s.k), repeat=p):
+            if (all(s.matrix[w[i]][w[(i + 1) % p]] for i in range(p))
+                    and all(w < w[i:] + w[:i] for i in range(1, p))):
+                out.append(w)
+    return out
+
+
 def brute_primitive_gap(s: ShiftSpace) -> int:
     """Least M >= 1 with an M-edge path between every ordered pair of symbols.
 

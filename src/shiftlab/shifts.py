@@ -1,4 +1,4 @@
-"""Shift spaces of finite type: admissibility, counting, entropy, bridges.
+"""Shift spaces of finite type: admissibility, counting, entropy, bridges, cycles.
 
 A shift space is a finite alphabet {0..k-1} with a 0/1 transition matrix A;
 the points are one-sided sequences whose consecutive pairs are allowed by A.
@@ -275,28 +275,41 @@ def iter_words(s: ShiftSpace, n: int) -> Iterator[Word]:
                 stack.append(w + (c,))
 
 
-def primitive_cycles(s: ShiftSpace, max_period: int) -> list[Word]:
-    """All cyclically admissible aperiodic necklaces with period <= max_period.
+def primitive_cycles(s: ShiftSpace, max_period: int) -> Iterator[Word]:
+    """All cyclically admissible aperiodic necklaces with period <= max_period,
+    each as its least rotation (a Lyndon word), lazily in (period, word) order.
 
-    Each orbit is reported once, as its lexicographically least rotation;
-    results sorted by (period, word).
+    Per period, a depth-first search over admissible prenecklaces
+    (Fredricksen-Kessler-Maiorana): w with longest Lyndon prefix of length q
+    extends by c >= w[-q], keeping q when c == w[-q], else becoming Lyndon.
     """
-    seen: set[Word] = set()
-    out: list[Word] = []
     for p in range(1, max_period + 1):
-        for w in iter_words(s, p):
-            if not s.matrix[w[-1]][w[0]]:
+        stack = [((c,), 1) for c in range(s.k - 1, -1, -1)]
+        while stack:
+            w, q = stack.pop()
+            if len(w) == p:
+                if q == p and s.matrix[w[-1]][w[0]]:
+                    yield w
                 continue
-            rotations = [w[i:] + w[:i] for i in range(p)]
-            canon = min(rotations)
-            if canon != w or canon in seen:
-                continue
-            # aperiodic check: no proper rotation equals the word itself
-            if any(rot == w for rot in rotations[1:]):
-                continue
-            seen.add(canon)
-            out.append(canon)
-    return out
+            for c in range(s.k - 1, w[-q] - 1, -1):
+                if s.matrix[w[-1]][c]:
+                    stack.append((w + (c,), q if c == w[-q] else len(w) + 1))
+
+
+def least_cycle(adjacency: Sequence[Sequence[int]]) -> Optional[Word]:
+    """The least node sequence among the graph's shortest cycles, or None.
+
+    The shortest length L is the first power of A with a nonzero diagonal; a
+    closed L-edge walk is a simple cycle, so from the least diagonal node a
+    the cycle is a, then the interior of the least L-edge path a -> a.
+    """
+    a = power = np.array(adjacency, dtype=bool)
+    for length in range(1, len(a) + 1):
+        if power.diagonal().any():
+            start = int(power.diagonal().argmax())
+            return (start,) + _connector(a, length - 1, start, start)
+        power = _bool_product(power, a)
+    return None
 
 
 def cycle_word_for(s: ShiftSpace, w: Word) -> Word:

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (DegenerateInterval, EndpointSaturation, NotPrimitive,
                      NotStronglyConnected, OutsideInterior, PressureOverflow)
 from .measures import Potential, integrate, parry_measure
-from .shifts import (ShiftSpace, Word, iter_words, perron, strongly_connected_components,
-                     topological_entropy)
+from .shifts import (ShiftSpace, Word, iter_words, least_cycle, perron,
+                     strongly_connected_components, topological_entropy)
 
 Q_CAP = 500.0
 NEWTON_TOL = 1e-12
@@ -94,11 +94,10 @@ def _karp_extreme_cycle(system: EdgeSystem,
     lexicographically smallest one (decoded to ambient symbols, least
     rotation).  Exact potentials h make every edge's reduced weight
     w - mu* + h[u] - h[v] nonnegative, so the optimal cycles are exactly the
-    cycles of the tight subgraph, where it is zero.  A closed walk of the
-    least length L there is a simple cycle, and every rotation of a cycle is
-    a closed walk, so the witness is the least decoded word over closed
-    walks of length L: it is read off greedily, one symbol at a time, from
-    boolean walk powers of the tight subgraph.
+    cycles of the tight subgraph, where it is zero.  The witness decodes
+    its least shortest cycle (shifts.least_cycle): block nodes are numbered
+    in lexicographic order and a cycle's blocks are fixed by its symbols,
+    so node order and decoded order agree.
     """
     k = system.k
     sign = -1 if maximize else 1
@@ -133,24 +132,9 @@ def _karp_extreme_cycle(system: EdgeSystem,
     tight = np.zeros((k, k), dtype=bool)
     for (u, v), wt in rw.items():
         tight[u, v] = h[u] + wt == h[v]
-    # walks[m][u, v]: some walk of exactly m tight edges leads from u to v
-    walks = [np.eye(k, dtype=bool), tight]
-    while not walks[-1].diagonal().any():
-        if len(walks) > k:
-            raise NotStronglyConnected("no extreme cycle in tight subgraph")
-        walks.append(walks[-1] @ tight)
-    length = len(walks) - 1
-    # (start, node) pairs that spell the least prefix so far and can still
-    # close a walk of the least length back at their start
-    pairs = {(v, v) for v in range(k)}
-    best_word = []
-    for step in range(length):
-        back = walks[length - step]
-        pairs = {(a, v) for a, v in pairs if back[v, a]}
-        sym = min(system.decode[v] for _, v in pairs)
-        best_word.append(sym)
-        pairs = {(a, int(u)) for a, v in pairs if system.decode[v] == sym
-                 for u in np.flatnonzero(tight[v])}
+    cycle = least_cycle(tight)
+    if cycle is None:
+        raise NotStronglyConnected("no extreme cycle in tight subgraph")
     value = (-mu_star if maximize else mu_star) / den
     # rw + h[u] - h[v] = sign * (w - value + p[u] - p[v]) * scale; the reduced
     # weights take the float weights themselves, exact up to the last rounding
@@ -158,7 +142,7 @@ def _karp_extreme_cycle(system: EdgeSystem,
     p = [Fraction(sign * x, scale) for x in h]
     reduced = {(u, v): float(Fraction(x) - value + p[u] - p[v])
                for (u, v), x in system.weights.items()}
-    return value, tuple(best_word), reduced
+    return value, tuple(system.decode[v] for v in cycle), reduced
 
 
 def _extreme_cycles(system: EdgeSystem) -> LphiInterval:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import takewhile
+from itertools import islice, takewhile
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -40,8 +40,8 @@ from .measures import (InvariantMeasure, MarkovMeasure, Mixture, PeriodicMeasure
                        sample_typical_word, sample_typical_words, support, support_pieces,
                        supports_disjoint)
 from .shifts import (ShiftSpace, Word, connecting_word, cycle_word_for, is_admissible,
-                     iter_words, largest_proper_scc_subgraph, primitive_cycles,
-                     subshift_from_edges, topological_entropy)
+                     iter_words, largest_proper_scc_subgraph, least_cycle,
+                     primitive_cycles, subshift_from_edges, topological_entropy)
 from .spectrum import edge_system, has_irregular
 
 
@@ -264,13 +264,13 @@ def _default_pin(s: ShiftSpace, sub_edges: frozenset, length: int) -> Word:
     raise NoProperSubshift(f"every {length}-word stays inside the subgraph")
 
 
-def _disjoint_cycle(s: ShiftSpace, sub_edges: frozenset, max_period: int = 6) -> Word:
-    """Lexicographically first cycle edge-disjoint from the subgraph."""
-    for cyc in primitive_cycles(s, max_period):
-        edges = {(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
-        if not (edges & sub_edges):
-            return cyc
-    raise NoProperSubshift("no cycle disjoint from the subgraph")
+def _disjoint_cycle(s: ShiftSpace, sub_edges: frozenset) -> Word:
+    """Least shortest cycle that shares no edge with the subgraph."""
+    cyc = least_cycle([[s.matrix[i][j] and (i, j) not in sub_edges for j in range(s.k)]
+                       for i in range(s.k)])
+    if cyc is None:
+        raise NoProperSubshift("no cycle disjoint from the subgraph")
+    return cyc
 
 
 def _measure_facts(m: InvariantMeasure, s: ShiftSpace, phi: Optional[Potential]) -> dict:
@@ -471,7 +471,7 @@ def _build_v_not_w(s, phi, n, seed, pinned_prefix):
 def _build_qw_not_v(s, phi, n, seed, pinned_prefix):
     mu, sub_edges = _sub_parry(s)
     lengths = _linear_round_lengths(n, BLOCK_UNIT)
-    cycles = primitive_cycles(s, 8)
+    cycles = list(islice(primitive_cycles(s, 8), len(lengths)))
     pool: list[InvariantMeasure] = [mu]
     cycle_ids = {}
     chain_links = []
@@ -544,7 +544,7 @@ def _build_i_not_qw(s, phi, n, seed, pinned_prefix):
 
 def _build_qr_not_erg(s, phi, n, seed, pinned_prefix):
     full = parry_measure(s)
-    cyc = primitive_cycles(s, 4)[0]
+    cyc = least_cycle(s.matrix)
     kappa = periodic_measure(s, cyc)
     theta = THETA_QR_MIX
     m = mixture((theta, 1 - theta), (full, kappa))
@@ -604,7 +604,7 @@ def _build_almost_periodic(s, phi, n, seed, pinned_prefix):
 
 def _build_periodic(s, n, seed, pinned_prefix, cycle):
     if cycle is None:
-        cycle = primitive_cycles(s, 4)[0]
+        cycle = least_cycle(s.matrix)
     m = periodic_measure(s, tuple(cycle))
     pool = [m]
     requests = [("periodic", 0, n)]

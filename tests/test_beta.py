@@ -1,13 +1,14 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from shiftlab.beta import (beta_admissible, beta_count_words, beta_entropy_estimate,
                            quasi_greedy_normalize)
 from shiftlab.errors import SymbolOutOfRange, ValidityExceeded
 from shiftlab.oracle import brute_beta_count_words, match_length_beta_count_words
-from shiftlab.shifts import count_words, golden_mean_shift
+from shiftlab.shifts import count_words, golden_mean_shift, perron
 
 GOLDEN = "1.61803398874989484820458683436563811772"
 TRIBONACCI = "1.8392867552141611325518525646532866004242"
@@ -146,6 +147,19 @@ class TestCounting:
             ests = [beta_entropy_estimate(spec, n) for n in range(4, 17)]
             assert all(b <= a + 1e-12 for a, b in zip(ests, ests[1:]))
             assert all(e >= logb - 1e-12 for e in ests)
+
+    @pytest.mark.parametrize("beta", [GOLDEN, TRIBONACCI, PENTANACCI, "3"])
+    def test_standard_graph_perron_root_is_beta(self, beta):
+        """The standard beta-shift graph of a periodic stream: state i has one
+        edge to state i+1 (the fold after the last digit) and t_{i+1} edges
+        to state 0.  Its Perron root is beta, a third route to log beta."""
+        spec = quasi_greedy_normalize(beta)
+        digits = spec.digits_prefix(len(spec.preperiod) + len(spec.period))
+        graph = np.zeros((len(digits), len(digits)))
+        for i, t in enumerate(digits):
+            graph[i, 0] += t
+            graph[i, i + 1 if i + 1 < len(digits) else len(spec.preperiod)] += 1
+        assert abs(math.log(perron(graph)[0]) - math.log(spec.beta)) <= 1e-12
 
     def test_submultiplicative(self):
         for beta in TEST_BETAS:

@@ -14,7 +14,7 @@ from shiftlab import io
 from shiftlab.classify import CHECKS
 from shiftlab.cli import main
 from shiftlab.measures import indicator_potential
-from shiftlab.shifts import full_shift, golden_mean_shift
+from shiftlab.shifts import full_shift, golden_mean_shift, sft_from_matrix
 from shiftlab.synthesis import CLASS_SHAPE, GapClass, synthesize_witness
 
 
@@ -434,6 +434,20 @@ class TestPipeline:
                      "--out", str(orbit)]) == 0
         assert main(["verify", "--orbit", str(orbit)]) == 0
         assert capsys.readouterr().out.endswith("verified\n")
+
+    @pytest.mark.parametrize("gap_class", ["PERIODIC", "QR_NOT_ERG_NOT_A"])
+    def test_shortest_cycle_of_period_5_builds(self, tmp_path, gap_class):
+        """A primitive shift whose cycles are the 5-cycle 0..4 and the 6-cycle
+        through 5: both classes glue in its least cycle, (0, 1, 2, 3, 4)."""
+        s = sft_from_matrix(6, [[int(j == i + 1) for j in range(6)] for i in range(4)]
+                            + [[1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0]])
+        io.write_json(tmp_path / "shift.json", io.shift_to_doc(s))
+        io.write_json(tmp_path / "phi.json", io.potential_to_doc(indicator_potential(s, (0,))))
+        orbit = tmp_path / "orbit"
+        assert main(["synthesize", "--shift", str(tmp_path / "shift.json"), "--class", gap_class,
+                     "--potential", str(tmp_path / "phi.json"), "--horizon", "4096",
+                     "--seed", "1", "--out", str(orbit)]) == 0
+        assert main(["verify", "--orbit", str(orbit)]) == 0
 
     def test_classify_full_support_report(self, files, tmp_path):
         """coverage_fraction_of_expected verdicts are JSON booleans."""

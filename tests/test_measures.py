@@ -248,7 +248,7 @@ def sampling_cases(draw):
     elif kind == "thinned":
         m = _thinned_chain(s, draw(st.integers(0, 1 << 16)))
     else:
-        m = periodic_measure(s, draw(st.sampled_from(primitive_cycles(s, 4))))
+        m = periodic_measure(s, draw(st.sampled_from(list(primitive_cycles(s, 4)))))
     b = draw(st.integers(1, 40))
     n = draw(st.sampled_from([1, 2, 3, b * b, b * b + 1, b * b + 2, 1 << 16])
              | st.integers(1, 5000))

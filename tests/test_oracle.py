@@ -10,8 +10,10 @@ from shiftlab.classify import windowed_density
 from shiftlab.errors import BoundExceeded, Infeasible, NoProperSubshift
 from shiftlab.measures import Potential, indicator_potential
 from shiftlab.shifts import (count_periodic, count_words, full_shift, iter_words,
-                             largest_proper_scc_subgraph, sft_from_matrix)
+                             largest_proper_scc_subgraph, least_cycle, primitive_cycles,
+                             sft_from_matrix)
 from shiftlab.spectrum import lphi_interval
+from shiftlab.synthesis import _disjoint_cycle
 
 from conftest import random_primitive_sft
 
@@ -177,3 +179,51 @@ class TestExtremeCycle:
     def test_cap(self, full3):
         with pytest.raises(BoundExceeded):
             oracle.brute_extreme_cycle(full3, indicator_potential(full3, (0, 1, 2, 0)), True)
+
+
+def _shares_no_edge(cycle, edges) -> bool:
+    return not any((a, b) in edges for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+class TestPrimitiveCycles:
+    """The lazy Lyndon-word generator and the least-cycle search against the
+    listing of every word up to period 6."""
+
+    def test_generator_matches_enumeration(self, golden, full2, full3, random4):
+        cases = [golden, full2, full3, random4, full_shift(4)] + _small_sfts(16)
+        assert len(cases) >= 20
+        for s in cases:
+            for p in range(1, 7):
+                assert list(primitive_cycles(s, p)) == oracle.brute_primitive_cycles(s, p), s.matrix
+
+    def test_least_cycle_is_first(self, golden, full2, full3, random4):
+        for s in [golden, full2, full3, random4] + _small_sfts(16):
+            assert least_cycle(s.matrix) == oracle.brute_primitive_cycles(s, 6)[0], s.matrix
+
+    def test_disjoint_cycle_is_first_edge_disjoint(self, golden, full2, full3, random4):
+        """A shortest cycle has at most k <= 4 nodes, so period 6 lists
+        every candidate the search could return."""
+        checked = 0
+        for s in [golden, full2, full3, random4] + _small_sfts(16):
+            subgraphs = []
+            for positive in (True, False):
+                try:
+                    subgraphs.append(largest_proper_scc_subgraph(s, positive)[1])
+                except NoProperSubshift:
+                    pass
+            us = rng.uniform_stream(len(s.edges()), len(s.edges()))
+            subgraphs.append(frozenset(e for e, u in zip(s.edges(), us) if u < 0.5))
+            for edges in subgraphs:
+                want = next((c for c in oracle.brute_primitive_cycles(s, 6)
+                             if _shares_no_edge(c, edges)), None)
+                try:
+                    got = _disjoint_cycle(s, edges)
+                except NoProperSubshift:
+                    got = None
+                assert got == want, (s.matrix, sorted(edges))
+                checked += got is not None
+        assert checked >= 30
+
+    def test_cap(self):
+        with pytest.raises(BoundExceeded):
+            oracle.brute_primitive_cycles(full_shift(4), 10)

@@ -1,8 +1,9 @@
 import functools
 import math
 import random
+import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import mpmath
 import numpy as np
@@ -15,8 +16,8 @@ from shiftlab.errors import EmptyShift, NotPrimitive, SymbolOutOfRange
 from shiftlab.measures import parry_measure
 from shiftlab.shifts import (connecting_word, count_periodic, count_words, full_shift,
                              is_admissible, is_cyclically_admissible, iter_words,
-                             largest_proper_scc_subgraph, parse_word, perron,
-                             primitive_cycles, sft_from_matrix,
+                             largest_proper_scc_subgraph, least_cycle, parse_word,
+                             perron, primitive_cycles, sft_from_matrix,
                              strongly_connected_components, topological_entropy)
 
 from conftest import ACCEPTANCE_SEED, random_primitive_sft
@@ -345,7 +346,20 @@ class TestBridges:
 
 class TestCycles:
     def test_golden_cycles(self, golden):
-        assert primitive_cycles(golden, 3) == [(0,), (0, 1), (0, 0, 1)]
+        assert list(primitive_cycles(golden, 3)) == [(0,), (0, 1), (0, 0, 1)]
+
+    def test_first_cycles_come_lazily(self):
+        # the 8 fixed points, 28 orbits of period 2 and 9 of period 3; listing
+        # every 8-word first would take 8^8 steps
+        start = time.perf_counter()
+        first = list(islice(primitive_cycles(full_shift(8), 8), 45))
+        assert time.perf_counter() - start < 1.0
+        assert first[-1] == (0, 1, 2) and [len(c) for c in first].count(3) == 9
+
+    def test_least_cycle(self, golden):
+        assert least_cycle(golden.matrix) == (0,)
+        assert least_cycle(cycle_matrix(5, chord=True)) == (0, 2, 3, 4)
+        assert least_cycle([[0, 1], [0, 0]]) is None
 
     def test_cyclic_admissibility(self, golden):
         assert is_cyclically_admissible((0, 1), golden)
