@@ -1,4 +1,4 @@
-"""Beta-shifts: digit expansion of 1, lexicographic admissibility, counting.
+"""Beta-shifts: digit expansion of 1, normalization, counting.
 
 For non-integer beta > 1 the expansion of 1 is computed greedily with the
 remainder recurrence r_1 = beta, a_m = floor(r_m), r_{m+1} = beta*(r_m - a_m),
@@ -23,11 +23,11 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import mpmath as mp
 
-from .errors import PeriodNotDetected, SymbolOutOfRange, ValidityExceeded
+from .errors import PeriodNotDetected, ValidityExceeded
 
 #: working precision (bits) for the remainder recurrence
 DIGIT_PRECISION_BITS = 256
@@ -178,24 +178,6 @@ def _check_self_maximal(spec: BetaShiftSpec) -> None:
         if tail > head:
             raise PeriodNotDetected(
                 f"stream is not self-dominating at shift {shift}; not a valid presentation")
-
-
-def beta_admissible(w: Sequence[int], spec: BetaShiftSpec) -> bool:
-    """True iff every suffix of w is lexicographically <= the digit stream."""
-    for c in w:
-        if not 0 <= c < spec.alphabet:
-            raise SymbolOutOfRange(f"symbol {c} outside alphabet of size {spec.alphabet}")
-    n = len(w)
-    if n > spec.validity_length:
-        raise ValidityExceeded(f"word length {n} > validity {spec.validity_length}")
-    if n == 0:
-        return True
-    ref = spec.digits_prefix(n)
-    for start in range(n):
-        suffix = w[start:]
-        if tuple(suffix) > ref[:n - start]:
-            return False
-    return True
 
 
 def beta_count_words(spec: BetaShiftSpec, n: int) -> int:

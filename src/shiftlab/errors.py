@@ -74,14 +74,6 @@ class TooShort(ShiftlabError):
     """Orbit prefix is too short for the requested statistic."""
 
 
-class BoundExceeded(ShiftlabError):
-    """Brute-force instance exceeds the documented size cap."""
-
-
-class Infeasible(ShiftlabError):
-    """No grid point satisfies the constraint."""
-
-
 class SchemaError(ShiftlabError):
     """A JSON document does not match the expected schema."""
 

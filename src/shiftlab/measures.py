@@ -74,10 +74,6 @@ def indicator_potential(s: ShiftSpace, word: Sequence[int]) -> Potential:
     return Potential(range=len(w), table=table)
 
 
-def constant_potential(s: ShiftSpace, c: float, r: int = 1) -> Potential:
-    return Potential(range=r, table={u: float(c) for u in iter_words(s, r)})
-
-
 @dataclass(frozen=True)
 class SupportGraph:
     """Symbols and edges carrying positive probability."""

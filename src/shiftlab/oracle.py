@@ -1,8 +1,9 @@
 """Brute-force references on tiny instances.
 
 Everything here is deliberately naive: depth-first enumeration, dense grid
-search, full scans.  These are the ground truth the fast kernels are tested
-against, so they must stay independent of the matrix/eigenvalue code paths.
+search, full scans, big-int matrix powers.  These are the ground truth the
+fast kernels are tested against, so they must stay independent of the
+matrix/eigenvalue code paths.
 Hard size caps raise BoundExceeded instead of silently crawling.
 """
 
@@ -16,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .beta import BetaShiftSpec, beta_admissible
-from .errors import BoundExceeded, Infeasible
+from .beta import BetaShiftSpec
+from .errors import ShiftlabError, SymbolOutOfRange, ValidityExceeded
 from .measures import InvariantMeasure, Mixture, PeriodicMeasure, Potential
 from .shifts import SUBGRAPH_TIE_TOL, ShiftSpace, Word
 
@@ -29,6 +30,14 @@ MAX_FREE_PARAMS = 4
 MAX_DENSITY_N = 1 << 22
 MAX_SUBGRAPH_EDGES = 14
 MAX_CYCLE_WORDS = 1 << 18
+
+
+class BoundExceeded(ShiftlabError):
+    """Brute-force instance exceeds the documented size cap."""
+
+
+class Infeasible(ShiftlabError):
+    """No grid point satisfies the constraint."""
 
 
 @dataclass
@@ -51,6 +60,49 @@ def brute_count_words(s: ShiftSpace, n: int) -> int:
         return sum(extend(j, remaining - 1) for j in range(s.k) if s.matrix[last][j])
 
     return sum(extend(c, n - 1) for c in range(s.k))
+
+
+def matrix_power_count_words(s: ShiftSpace, n: int) -> int:
+    """Number of admissible n-words as the total of A^(n-1), an object-dtype
+    (big-int) matrix power."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    return int(np.linalg.matrix_power(np.array(s.matrix, dtype=object), n - 1).sum())
+
+
+def matrix_power_count_periodic(s: ShiftSpace, n: int) -> int:
+    """Number of points with period dividing n as the trace of A^n, an
+    object-dtype (big-int) matrix power."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    return int(np.linalg.matrix_power(np.array(s.matrix, dtype=object), n).trace())
+
+
+def uniform_stream(seed: int, n: int) -> np.ndarray:
+    """n floats in [0, 1) from the top 53 bits of each splitmix64 output."""
+    bits = rng.splitmix64_stream(seed, n)
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u /= float(1 << 53)
+    return u
+
+
+def beta_admissible(w: Sequence[int], spec: BetaShiftSpec) -> bool:
+    """True iff every suffix of w is lexicographically <= the digit stream."""
+    for c in w:
+        if not 0 <= c < spec.alphabet:
+            raise SymbolOutOfRange(f"symbol {c} outside alphabet of size {spec.alphabet}")
+    n = len(w)
+    if n > spec.validity_length:
+        raise ValidityExceeded(f"word length {n} > validity {spec.validity_length}")
+    if n == 0:
+        return True
+    ref = spec.digits_prefix(n)
+    for start in range(n):
+        suffix = w[start:]
+        if tuple(suffix) > ref[:n - start]:
+            return False
+    return True
 
 
 def brute_beta_count_words(spec: BetaShiftSpec, n: int) -> int:
@@ -404,7 +456,7 @@ def scalar_typical_word(m: InvariantMeasure, n: int, seed: int,
         raise ValueError("mixtures are realized by scheduling, not direct sampling")
     if n < 1:
         raise ValueError("n >= 1 required")
-    us = rng.uniform_stream(seed, n)
+    us = uniform_stream(seed, n)
     k = m.shift.k
     cum_rows = []
     for i in range(k):

@@ -56,15 +56,6 @@ def splitmix64_runs(seeds: np.ndarray, firsts, counts) -> np.ndarray:
     return z
 
 
-def uniform_stream(seed: int, n: int) -> np.ndarray:
-    """n floats in [0, 1) from the top 53 bits of each output."""
-    bits = splitmix64_stream(seed, n)
-    bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
-    u /= float(1 << 53)
-    return u
-
-
 def derive_subseed(seed: int, index: int) -> int:
     """Deterministic sub-seed for segment `index` of a run seeded by `seed`."""
     return _mix((seed & _MASK) + (index + 1) * _GAMMA)

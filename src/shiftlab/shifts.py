@@ -10,6 +10,8 @@ are natural.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -60,6 +62,25 @@ class ShiftSpace:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.k) for j in range(self.k) if self.matrix[i][j]]
+
+    @cached_property
+    def count_recurrence(self) -> tuple[list[int], list[int], list[int]]:
+        """(chi, words, traces), made on the first count and kept: the
+        coefficients c_0..c_k of chi_A, and 1^T A^i 1 and tr A^i for i < k,
+        the seeds of both exact counts.
+
+        The traces follow from chi_A by Newton's identities,
+        tr A^i = -(i c_(k-i) + sum_(j<i) c_(k-j) tr A^(i-j)).
+        """
+        chi = characteristic_polynomial(self.matrix)
+        k = self.k
+        words, traces, v = [], [k], [1] * k
+        for _ in range(k):
+            words.append(sum(v))
+            v = [sum(map(mul, row, v)) for row in self.matrix]
+        for i in range(1, k):
+            traces.append(-(i * chi[k - i] + sum(chi[k - j] * traces[i - j] for j in range(1, i))))
+        return chi, words, traces
 
 
 def _trim(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -177,18 +198,72 @@ def is_cyclically_admissible(w: Sequence[int], s: ShiftSpace) -> bool:
     return is_admissible(w, s) and bool(s.matrix[w[-1]][w[0]])
 
 
+def characteristic_polynomial(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """Integer coefficients c_0, ..., c_k = 1 of chi_A(x) = det(xI - A).
+
+    Faddeev-LeVerrier: with M_1 = I, c_(k-j) = -tr(A M_j) / j and
+    M_(j+1) = A M_j + c_(k-j) I.  Each division is exact, as c_(k-j) is an
+    integer for an integer A.
+    """
+    k = len(matrix)
+    chi = [0] * k + [1]
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for j in range(1, k + 1):
+        cols = list(zip(*m))
+        am = [[sum(map(mul, row, col)) for col in cols] for row in matrix]
+        chi[k - j] = -sum(am[i][i] for i in range(k)) // j
+        m = [[x + chi[k - j] * (i == c) for c, x in enumerate(row)] for i, row in enumerate(am)]
+    return chi
+
+
+def _power_mod(chi: list[int], m: int) -> list[int]:
+    """Coefficients r_0..r_(k-1) of x^m mod chi, for a monic chi of degree k.
+
+    Left-to-right square-and-multiply (Fiduccia 1985).  A squaring takes the
+    products of nonzero coefficient pairs once each, and a multiplication by
+    x is a shift; reducing the result takes only multiples of chi's small
+    coefficients, one row per degree above k - 1.
+    """
+    k = len(chi) - 1
+    low = [(i, c) for i, c in enumerate(chi[:k]) if c]
+    r = [1] + [0] * (k - 1)
+    for bit in bin(m)[2:]:
+        nz = [(i, u) for i, u in enumerate(r) if u]
+        r = [0] * (2 * k - 1)
+        for a, (i, u) in enumerate(nz):
+            r[2 * i] += u * u
+            u2 = u << 1
+            for j, v in nz[a + 1:]:
+                r[i + j] += u2 * v
+        if bit == "1":
+            r.insert(0, 0)
+        for d in range(len(r) - 1, k - 1, -1):
+            top = r.pop()
+            if top:
+                for i, c in low:
+                    r[d - k + i] -= top * c
+    return r
+
+
 def count_words(s: ShiftSpace, n: int) -> int:
-    """Exact number of admissible n-words: the total of A^(n-1)."""
+    """Exact number of admissible n-words, 1^T A^(n-1) 1.
+
+    By Cayley-Hamilton A^m = sum_i r_i A^i with x^m mod chi_A = sum_i r_i x^i,
+    so the count is the same combination of 1^T A^i 1 for i < k.
+    """
     if n < 1:
         raise ValueError("n >= 1 required")
-    return int(np.linalg.matrix_power(np.array(s.matrix, dtype=object), n - 1).sum())
+    chi, words, _ = s.count_recurrence
+    return sum(r * w for r, w in zip(_power_mod(chi, n - 1), words))
 
 
 def count_periodic(s: ShiftSpace, n: int) -> int:
-    """Exact number of points with period dividing n: trace of A^n."""
+    """Exact number of points with period dividing n, tr A^n: as count_words,
+    the combination of tr A^i for i < k given by x^n mod chi_A."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    return int(np.linalg.matrix_power(np.array(s.matrix, dtype=object), n).trace())
+    chi, _, traces = s.count_recurrence
+    return sum(r * t for r, t in zip(_power_mod(chi, n), traces))
 
 
 def strongly_connected_components(matrix: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -2,10 +2,11 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from shiftlab import rng
-from shiftlab.measures import indicator_potential
-from shiftlab.shifts import ShiftSpace, full_shift, golden_mean_shift, sft_from_matrix
+from shiftlab import oracle, rng
+from shiftlab.measures import Potential, indicator_potential
+from shiftlab.shifts import ShiftSpace, full_shift, golden_mean_shift, iter_words, sft_from_matrix
 
 ACCEPTANCE_SEED = 20250809
 
@@ -39,7 +40,7 @@ def random_primitive_sft(k: int, seed: int) -> ShiftSpace:
     """Seeded random 0/1 matrix, redrawn until primitive with all k symbols."""
     attempt = 0
     while True:
-        us = rng.uniform_stream(rng.derive_subseed(seed, attempt), k * k)
+        us = oracle.uniform_stream(rng.derive_subseed(seed, attempt), k * k)
         mat = (us.reshape(k, k) < 0.6).astype(int).tolist()
         attempt += 1
         try:
@@ -48,6 +49,18 @@ def random_primitive_sft(k: int, seed: int) -> ShiftSpace:
             continue
         if s.k == k and s.is_primitive:
             return s
+
+
+def constant_potential(s: ShiftSpace, c: float, r: int = 1) -> Potential:
+    return Potential(range=r, table={u: float(c) for u in iter_words(s, r)})
+
+
+@st.composite
+def small_binary_matrices(draw):
+    k = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    return k, rows
 
 
 @pytest.fixture(scope="session")

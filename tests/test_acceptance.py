@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from shiftlab import io, oracle, rng
+from shiftlab import io, oracle
 from shiftlab.beta import beta_count_words, beta_entropy_estimate, quasi_greedy_normalize
 from shiftlab.classify import evaluate_certificate
-from shiftlab.measures import constant_potential, indicator_potential
+from shiftlab.measures import indicator_potential
 from shiftlab.shifts import (count_periodic, count_words, format_word, full_shift,
                              is_admissible, iter_words,
                              largest_proper_scc_subgraph, primitive_cycles,
@@ -26,7 +26,7 @@ from shiftlab.spectrum import (check_concavity, has_irregular, spectrum_curve,
 from shiftlab.synthesis import (THETA_I_NOT_QW, THETA_V_NOT_W, GapClass, certify,
                                 synthesize_witness)
 
-from conftest import ACCEPTANCE_SEED
+from conftest import ACCEPTANCE_SEED, constant_potential
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN_BETA = "1.61803398874989484820458683436563811772"
@@ -83,12 +83,11 @@ def test_c3_beta_entropy(golden):
     ok = all(e <= 0.02 for e in errs.values())
 
     g_spec = quasi_greedy_normalize(GOLDEN_BETA)
-    from shiftlab.beta import beta_admissible
     lang_ok = True
     for n in range(1, 11):
         lang_ok = lang_ok and beta_count_words(g_spec, n) == count_words(golden, n)
         for w in iter_words(full_shift(2), n):
-            lang_ok = lang_ok and beta_admissible(w, g_spec) == is_admissible(w, golden)
+            lang_ok = lang_ok and oracle.beta_admissible(w, g_spec) == is_admissible(w, golden)
     elapsed = time.time() - t0
     ok = ok and lang_ok and elapsed < 10.0
     report("C3 beta-shift entropy", ok,
@@ -191,7 +190,7 @@ def test_c7_witness_evidence_suite(witnesses, full2, phi_full2):
 
 def test_c8_prefix_pinning(full2, phi_full2):
     words_by_len = {L: list(iter_words(full2, L)) for L in range(1, 9)}
-    us = rng.uniform_stream(ACCEPTANCE_SEED, 200)
+    us = oracle.uniform_stream(ACCEPTANCE_SEED, 200)
     prefixes = []
     i = 0
     while len(prefixes) < 50:

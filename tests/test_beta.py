@@ -4,10 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from shiftlab.beta import (beta_admissible, beta_count_words, beta_entropy_estimate,
-                           quasi_greedy_normalize)
+from shiftlab.beta import beta_count_words, beta_entropy_estimate, quasi_greedy_normalize
 from shiftlab.errors import SymbolOutOfRange, ValidityExceeded
-from shiftlab.oracle import brute_beta_count_words, match_length_beta_count_words
+from shiftlab.oracle import (beta_admissible, brute_beta_count_words,
+                             match_length_beta_count_words)
 from shiftlab.shifts import count_words, golden_mean_shift, perron
 
 GOLDEN = "1.61803398874989484820458683436563811772"

@@ -339,6 +339,13 @@ class TestEntropyCommand:
         assert rc == 0
         assert "0.481211825" in out
 
+    def test_periodic_without_points_is_minus_infinity(self, tmp_path):
+        io.write_json(tmp_path / "swap.json", io.shift_to_doc(sft_from_matrix(2, [[0, 1], [1, 0]])))
+        rc, out, _ = run_cli("entropy", "--shift", str(tmp_path / "swap.json"),
+                             "--method", "periodic", "--n", "3")
+        assert rc == 0
+        assert out.strip().splitlines()[-1] == "periodic (n=3): -inf"
+
     def test_golden_words_close_to_spectral(self, files):
         rc, out, _ = run_cli("entropy", "--shift", str(files / "golden.json"),
                              "--method", "words", "--n", "24")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from shiftlab import oracle, rng
 from shiftlab.errors import EmptyShift, NotAdmissible, NotPrimitive
-from shiftlab.measures import (SAMPLE_CHUNK, Potential, constant_potential, entropy,
+from shiftlab.measures import (SAMPLE_CHUNK, Potential, entropy,
                                equilibrium_measure, has_full_support,
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
@@ -21,7 +21,7 @@ from shiftlab.shifts import (full_shift, is_admissible, iter_words, primitive_cy
 from shiftlab.spectrum import PressureFunction, edge_system
 from shiftlab.synthesis import _sub_parry
 
-from conftest import random_primitive_sft
+from conftest import constant_potential, random_primitive_sft
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -56,7 +56,7 @@ class TestParry:
 def _seeded_potential(s, r, seed):
     """Range-r potential with seeded values in [-1, 1)."""
     words = list(iter_words(s, r))
-    us = rng.uniform_stream(seed, len(words))
+    us = oracle.uniform_stream(seed, len(words))
     return Potential(range=r, table={w: 2.0 * float(u) - 1.0 for w, u in zip(words, us)})
 
 
@@ -222,7 +222,7 @@ def _thinned_chain(s, seed):
     """Markov measure with random weights on s whose support drops allowed
     edges while staying primitive, so some allowed transitions have P = 0."""
     k = s.k
-    us = rng.uniform_stream(seed, 2 * k * k)
+    us = oracle.uniform_stream(seed, 2 * k * k)
     keep = [list(row) for row in s.matrix]
     for t in np.argsort(us[:k * k]):
         i, j = divmod(int(t), k)
@@ -414,4 +414,4 @@ class TestSplitmix:
     def test_stream_is_the_scalar_mix(self, seed, n):
         want = [rng._mix(seed + (i + 1) * rng._GAMMA) for i in range(n)]
         assert rng.splitmix64_stream(seed, n).tolist() == want
-        assert rng.uniform_stream(seed, n).tolist() == [(z >> 11) / (1 << 53) for z in want]
+        assert oracle.uniform_stream(seed, n).tolist() == [(z >> 11) / (1 << 53) for z in want]

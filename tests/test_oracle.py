@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import oracle, rng
+from shiftlab import oracle
 from shiftlab.classify import windowed_density
-from shiftlab.errors import BoundExceeded, Infeasible, NoProperSubshift
+from shiftlab.errors import EmptyShift, NoProperSubshift
 from shiftlab.measures import Potential, indicator_potential
+from shiftlab.oracle import BoundExceeded, Infeasible
 from shiftlab.shifts import (count_periodic, count_words, full_shift, iter_words,
                              largest_proper_scc_subgraph, least_cycle, primitive_cycles,
                              sft_from_matrix)
 from shiftlab.spectrum import lphi_interval
 from shiftlab.synthesis import _disjoint_cycle
 
-from conftest import random_primitive_sft
+from conftest import random_primitive_sft, small_binary_matrices
 
 
 class TestBruteCounts:
@@ -43,6 +44,38 @@ class TestBruteCounts:
             oracle.brute_count_words(golden, 25)
         with pytest.raises(BoundExceeded):
             oracle.brute_count_cycles(golden, 17)
+
+
+class TestRecurrenceCounts:
+    """The x^n mod chi_A counts against the big-int matrix powers."""
+
+    def test_matches_matrix_powers(self, golden, full2, full3, random4):
+        cases = [golden, full2, full3, full_shift(4), random4,
+                 sft_from_matrix(2, [[1, 0], [0, 1]]), sft_from_matrix(2, [[0, 1], [1, 0]]),
+                 sft_from_matrix(1, [[1]])]
+        for s in cases:
+            for n in list(range(1, 41)) + [1_000, 20_000]:
+                assert count_words(s, n) == oracle.matrix_power_count_words(s, n), (s.matrix, n)
+                assert count_periodic(s, n) == oracle.matrix_power_count_periodic(s, n), (s.matrix, n)
+
+    @given(small_binary_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_matrix_powers_on_small_matrices(self, km):
+        k, rows = km
+        try:
+            s = sft_from_matrix(k, rows)
+        except EmptyShift:
+            return
+        for n in (1, 2, 3, 5, 17, 64, 1_000):
+            assert count_words(s, n) == oracle.matrix_power_count_words(s, n)
+            assert count_periodic(s, n) == oracle.matrix_power_count_periodic(s, n)
+
+    def test_nonpositive_n_rejected(self, golden):
+        for fn in (count_words, count_periodic, oracle.matrix_power_count_words,
+                   oracle.matrix_power_count_periodic):
+            for n in (0, -1):
+                with pytest.raises(ValueError):
+                    fn(golden, n)
 
 
 class TestConstrainedEntropy:
@@ -126,7 +159,7 @@ class TestThreeSymbolAgreement:
 def _quarter_potential(s, r: int, seed: int) -> Potential:
     """Seeded weights in {-1, -3/4, ..., 1} on every admissible r-word."""
     words = list(iter_words(s, r))
-    us = rng.uniform_stream(seed, len(words))
+    us = oracle.uniform_stream(seed, len(words))
     return Potential(range=r, table={w: float(int(u * 9)) / 4 - 1 for w, u in zip(words, us)})
 
 
@@ -211,7 +244,7 @@ class TestPrimitiveCycles:
                     subgraphs.append(largest_proper_scc_subgraph(s, positive)[1])
                 except NoProperSubshift:
                     pass
-            us = rng.uniform_stream(len(s.edges()), len(s.edges()))
+            us = oracle.uniform_stream(len(s.edges()), len(s.edges()))
             subgraphs.append(frozenset(e for e, u in zip(s.edges(), us) if u < 0.5))
             for edges in subgraphs:
                 want = next((c for c in oracle.brute_primitive_cycles(s, 6)

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from shiftlab import oracle
 from shiftlab.errors import EmptyShift, NotPrimitive, SymbolOutOfRange
 from shiftlab.measures import parry_measure
-from shiftlab.shifts import (connecting_word, count_periodic, count_words, full_shift,
-                             is_admissible, is_cyclically_admissible, iter_words,
+from shiftlab.shifts import (characteristic_polynomial, connecting_word, count_periodic,
+                             count_words, full_shift, is_admissible,
+                             is_cyclically_admissible, iter_words,
                              largest_proper_scc_subgraph, least_cycle, parse_word,
                              perron, primitive_cycles, sft_from_matrix,
                              strongly_connected_components, topological_entropy)
 
-from conftest import ACCEPTANCE_SEED, random_primitive_sft
+from conftest import ACCEPTANCE_SEED, random_primitive_sft, small_binary_matrices
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -202,6 +203,30 @@ class TestCounting:
                 assert type(count_periodic(s, n)) is int
 
 
+class TestCharacteristicPolynomial:
+    """chi_A, which every exact count reduces x^n by, on seeded 0/1 matrices."""
+
+    def test_integer_monic_and_cayley_hamilton(self):
+        rnd = random.Random(ACCEPTANCE_SEED)
+        for _ in range(300):
+            k = rnd.randint(1, 6)
+            a = [[int(rnd.random() < 0.5) for _ in range(k)] for _ in range(k)]
+            chi = characteristic_polynomial(a)
+            assert len(chi) == k + 1 and chi[k] == 1
+            assert all(type(c) is int for c in chi)
+            assert chi[k - 1] == -sum(a[i][i] for i in range(k))
+            total, power = np.zeros((k, k), dtype=object), np.eye(k, dtype=int).astype(object)
+            for c in chi:
+                total = total + c * power
+                power = power.dot(np.array(a, dtype=object))
+            assert not total.any(), a
+            # np.poly takes the eigenvalues in floats; at k <= 6 its
+            # coefficients lie within 1e-6 of the integers, so they round exactly
+            floats = np.poly(np.array(a, dtype=float))[::-1]
+            assert np.abs(floats - chi).max() < 1e-6, a
+            assert np.round(floats).astype(int).tolist() == chi, a
+
+
 class TestEntropy:
     def test_full2(self, full2):
         assert topological_entropy(full2) == pytest.approx(math.log(2), abs=1e-12)
@@ -365,14 +390,6 @@ class TestCycles:
         assert is_cyclically_admissible((0, 1), golden)
         assert not is_cyclically_admissible((1, 1), golden)
         assert not is_cyclically_admissible((), golden)
-
-
-@st.composite
-def small_binary_matrices(draw):
-    k = draw(st.integers(2, 4))
-    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
-                         min_size=k, max_size=k))
-    return k, rows
 
 
 class TestProperSubgraph:

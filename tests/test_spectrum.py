@@ -6,12 +6,14 @@ import pytest
 
 from shiftlab.errors import (DegenerateInterval, NotStronglyConnected, OutsideInterior,
                              PressureOverflow)
-from shiftlab.measures import (constant_potential, entropy, indicator_potential,
-                               integrate, markov_measure, parry_measure, Potential)
+from shiftlab.measures import (entropy, indicator_potential, integrate, markov_measure,
+                               parry_measure, Potential)
 from shiftlab.shifts import iter_words, sft_from_matrix, topological_entropy
 from shiftlab.spectrum import (PressureFunction, check_concavity, edge_system,
                                has_irregular, lphi_interval, pressure, spectrum_curve,
                                spectrum_point, sup_equals_htop)
+
+from conftest import constant_potential
 
 PHI = (1 + math.sqrt(5)) / 2
 

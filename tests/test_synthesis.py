@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from shiftlab.classify import evaluate_certificate
 from shiftlab.errors import (CertificateMismatch, IrregularityUnavailable,
                              NoProperSubshift, NotAdmissible, NotPrimitive)
-from shiftlab.measures import constant_potential, indicator_potential
+from shiftlab.measures import indicator_potential
 from shiftlab.shifts import (golden_mean_shift, is_admissible, iter_words,
                              largest_proper_scc_subgraph, sft_from_matrix,
                              strongly_connected_components)
 from shiftlab.synthesis import (GapClass, _render, certify, regenerate_segment,
                                 synthesize_witness, thue_morse_word)
+
+from conftest import constant_potential
 
 N_SMALL = 1 << 14
 SEED = 20250809
