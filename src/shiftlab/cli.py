@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=1 << 20)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--prefix", help="pinned prefix as a digit string")
-    p.add_argument("--cycle", help="cycle digits (PERIODIC class)")
+    p.add_argument("--cycle", help="cycle digits (PERIODIC class only)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--timestamps", action="store_true")
     p.set_defaults(func=cmd_synthesize)

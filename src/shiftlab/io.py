@@ -23,7 +23,7 @@ from .errors import SchemaError, UnreadableInput
 from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
                        markov_measure, mixture, periodic_measure, validate_potential)
 from .shifts import ShiftSpace, sft_from_matrix
-from .synthesis import CLASS_SHAPE, Certificate, GapClass, OrbitPrefix, Schedule, Segment
+from .synthesis import CLASSES, Certificate, GapClass, OrbitPrefix, Schedule, Segment
 
 SHIFT_SCHEMA = "shiftlab/shift/1"
 POTENTIAL_SCHEMA = "shiftlab/potential/1"
@@ -214,7 +214,7 @@ SEGMENT_KIND = {"kind": one_of(*SEGMENT_FIELDS)}
 CERTIFICATE_FIELDS = {
     "schema": one_of(*CERTIFICATE_SCHEMAS),
     "gap_class": one_of(*(gc.value for gc in GapClass)),
-    "structure": one_of(*dict.fromkeys(shape.structure for shape in CLASS_SHAPE.values())),
+    "structure": one_of(*dict.fromkeys(kind.structure for kind in CLASSES.values())),
     "pool": LIST, "exact_facts": LIST, "expected_statistics": LIST, "schedule": LIST,
     "extremes": list_of(pool_index(), empty=True),
     "chain_links": list_of(tuple_of(REAL, pool_index(), pool_index()), empty=True),
@@ -333,7 +333,7 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
     return {
         "schema": CERTIFICATE_SCHEMA,
         "gap_class": cert.gap_class.value,
-        "structure": CLASS_SHAPE[cert.gap_class].structure,
+        "structure": CLASSES[cert.gap_class].structure,
         "shift": shift_to_doc(o.shift),
         "pool": [measure_to_doc(m) for m in cert.pool],
         "extremes": list(cert.extremes),
@@ -353,7 +353,7 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
 def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     """The orbit of a certificate document and its stream.  Beyond each
     field's type: exact_facts has one entry per pool measure, the structure,
-    extremes, chain_links and potential fit the gap class's CLASS_SHAPE, the
+    extremes, chain_links and potential fit the gap class's CLASSES entry, the
     stream holds digits below k, and the schedule tiles [0, horizon)."""
     validate(cert_doc, {"schema": CERTIFICATE_FIELDS["schema"]}, "certificate")
     s = shift_from_doc(cert_doc.get("shift"))   # its alphabet types the other fields' symbols
@@ -367,11 +367,12 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     if len(facts) != len(pool):
         raise SchemaError(f"{len(facts)} exact facts for a pool of {len(pool)} measures")
     gap_class = GapClass(cert_doc["gap_class"])
-    shape = CLASS_SHAPE[gap_class]
+    kind = CLASSES[gap_class]
     extremes, links = cert_doc["extremes"], cert_doc["chain_links"]
-    if ((cert_doc["structure"], None if links else len(extremes)) != shape[:2]
-            or (phi is None and shape.potential)):
-        raise SchemaError(f"a {gap_class.value} certificate has the {shape}; this one has "
+    if ((cert_doc["structure"], None if links else len(extremes)) != kind[:2]
+            or (phi is None and kind.potential)):
+        raise SchemaError(f"a {gap_class.value} certificate has structure {kind.structure!r}, "
+                          f"extremes {kind.extremes} and potential {kind.potential}; this one has "
                           f"structure {cert_doc['structure']!r}, {len(extremes)} extremes, "
                           f"{len(links)} chain_links and {'a' if phi else 'no'} potential")
     cert = Certificate(

@@ -276,13 +276,6 @@ def has_full_support(m: InvariantMeasure, s: ShiftSpace) -> bool:
     return any(has_full_support(c, s) for c in m.components)
 
 
-def supports_disjoint(m1: InvariantMeasure, m2: InvariantMeasure) -> bool:
-    """Edge-disjointness of supports; implies the subshifts share no point."""
-    e1 = support(m1).edges
-    e2 = support(m2).edges
-    return not (e1 & e2)
-
-
 def piece_is_single_orbit(p: SupportGraph) -> bool:
     """True when the piece is one cycle, i.e. a minimal finite subshift."""
     outdeg: dict[int, int] = {}

@@ -508,15 +508,14 @@ def _mutually_reachable(nodes: list[int], edges: set[tuple[int, int]]) -> bool:
 
 
 def brute_largest_proper_subgraph(
-    s: ShiftSpace, require_positive_entropy: bool = True,
-) -> Optional[tuple[tuple[int, ...], frozenset[tuple[int, int]], float]]:
+    s: ShiftSpace) -> Optional[tuple[tuple[int, ...], frozenset[tuple[int, int]], float]]:
     """Reference for shifts.largest_proper_scc_subgraph over every edge subset.
 
-    Each proper subset of A's edges whose endpoints are mutually reachable
-    is a candidate; None when no candidate qualifies.  Entropies come from
-    a LAPACK eigvals call on the same submatrix layout (nodes ascending) as
-    the kernel's, so the returned float matches: what this checks is the
-    candidate set, not the eigenvalue solver.  Entropies within
+    Each proper subset of A's edges of positive entropy whose endpoints are
+    mutually reachable is a candidate; None when there is none.  Entropies
+    come from a LAPACK eigvals call on the same submatrix layout (nodes
+    ascending) as the kernel's, so the returned float matches: what this
+    checks is the candidate set, not the eigenvalue solver.  Entropies within
     SUBGRAPH_TIE_TOL of the best are tied, and the least sorted edge set
     among them wins, as in the kernel.
     """
@@ -533,7 +532,7 @@ def brute_largest_proper_subgraph(
             sub = np.array([[1.0 if (i, j) in edge_set else 0.0 for j in nodes]
                             for i in nodes])
             ent = float(np.log(np.max(np.linalg.eigvals(sub).real)))
-            if require_positive_entropy and ent <= 1e-12:
+            if ent <= 1e-12:
                 continue
             scored.append((list(subset), ent, tuple(nodes), frozenset(subset)))
     if not scored:

@@ -397,24 +397,23 @@ def cycle_word_for(s: ShiftSpace, w: Word) -> Word:
 
 
 def largest_proper_scc_subgraph(
-    s: ShiftSpace, require_positive_entropy: bool = True,
-) -> tuple[tuple[int, ...], frozenset[tuple[int, int]], float]:
-    """The proper strongly connected subgraph with the largest growth rate.
+    s: ShiftSpace) -> tuple[tuple[int, ...], frozenset[tuple[int, int]], float]:
+    """The proper strongly connected subgraph of positive entropy with the
+    largest growth rate.
 
     Entropies within SUBGRAPH_TIE_TOL of the best count as tied, and the
     tie breaks toward the lexicographically smallest sorted edge set, so
     rounding in the eigenvalues never picks among exactly tied subgraphs.
-    Returns (symbols, edges, log growth).  With require_positive_entropy
-    (the default, for measure-building roles) a subgraph that is a bare
-    cycle does not qualify and NoProperSubshift is raised when nothing
-    better exists; e.g. A = [[1,1],[1,0]] only has the 0-loop.
+    Returns (symbols, edges, log growth).  A subgraph that is a bare cycle
+    does not qualify, and NoProperSubshift is raised when nothing better
+    exists; e.g. A = [[1,1],[1,0]] only has the 0-loop.
 
     Only the strongly connected components of A minus one edge are scanned,
     which is exact: a proper strongly connected subgraph H misses some edge
     e, so it lies inside one component C of A - e, and if H != C then
     rho(H) < rho(C), because removing part of an irreducible graph strictly
     lowers its spectral radius (Perron-Frobenius; Lind & Marcus 4.4).  Every
-    maximiser is therefore such a C, also when the best entropy is zero.
+    maximiser is therefore such a C.
     """
     scored = []
     for drop in s.edges():
@@ -426,12 +425,10 @@ def largest_proper_scc_subgraph(
                 continue
             sub = np.array([[1.0 if (i, j) in edge_set else 0.0 for j in comp] for i in comp])
             ent = float(np.log(perron(sub)[0]))
-            if not (require_positive_entropy and ent <= 1e-12):
+            if ent > 1e-12:
                 scored.append((sorted(edge_set), ent, tuple(comp), edge_set))
     if not scored:
-        raise NoProperSubshift(
-            "no proper strongly connected subgraph"
-            + (" with positive entropy" if require_positive_entropy else ""))
+        raise NoProperSubshift("no proper strongly connected subgraph with positive entropy")
     top = max(ent for _, ent, _, _ in scored)
     _, ent, nodes, edge_set = min((c for c in scored if c[1] >= top - SUBGRAPH_TIE_TOL),
                                   key=lambda c: c[0])

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, takewhile
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .measures import (InvariantMeasure, MarkovMeasure, Mixture, PeriodicMeasure
                        Potential, entropy, equilibrium_measure, has_full_support,
                        integrate, is_ergodic, markov_measure, markov_word_probability,
                        mixture, parry_measure, periodic_measure, piece_is_single_orbit,
-                       sample_typical_word, sample_typical_words, support, support_pieces,
-                       supports_disjoint)
+                       sample_typical_word, sample_typical_words, support, support_pieces)
 from .shifts import (ShiftSpace, Word, connecting_word, cycle_word_for, is_admissible,
                      iter_words, largest_proper_scc_subgraph, least_cycle,
                      primitive_cycles, subshift_from_edges, topological_entropy)
@@ -56,22 +55,6 @@ class GapClass(str, Enum):
     R_FULL_SUPPORT = "R_FULL_SUPPORT"               # generic + dense orbit for max-entropy measure
     ALMOST_PERIODIC_NOT_PER = "ALMOST_PERIODIC_NOT_PER"  # minimal but aperiodic
     PERIODIC = "PERIODIC"
-
-
-#: the measure set K a class certifies: its structure, how many extreme
-#: elements it names (None for a chain, which names its links instead), and
-#: whether synthesis needs a potential
-Shape = NamedTuple("Shape", [("structure", str), ("extremes", Optional[int]), ("potential", bool)])
-CLASS_SHAPE = {
-    GapClass.W_NOT_QR: Shape("segment", 2, True),
-    GapClass.V_NOT_W: Shape("segment", 2, True),
-    GapClass.QW_NOT_V: Shape("chain", None, True),
-    GapClass.I_NOT_QW: Shape("segment", 2, True),
-    GapClass.QR_NOT_ERG_NOT_A: Shape("singleton", 1, True),
-    GapClass.R_FULL_SUPPORT: Shape("singleton", 1, True),
-    GapClass.ALMOST_PERIODIC_NOT_PER: Shape("none", 0, False),
-    GapClass.PERIODIC: Shape("singleton", 1, False),
-}
 
 
 #: the class recipes' fixed values, pinned from pilot runs
@@ -106,7 +89,7 @@ class Schedule:
 
 @dataclass
 class Certificate:
-    gap_class: GapClass                # K's shape is CLASS_SHAPE[gap_class]
+    gap_class: GapClass                # K's shape: CLASSES[gap_class]
     pool: list[InvariantMeasure]
     extremes: list[int]                # pool indices of K's extreme elements
     chain_links: list[tuple[float, int, int]]  # (theta, idx_main, idx_attached) per chain link
@@ -255,13 +238,17 @@ def _sub_parry(s: ShiftSpace) -> tuple[MarkovMeasure, frozenset]:
     return markov_measure(s, p, pi), edges
 
 
-def _default_pin(s: ShiftSpace, sub_edges: frozenset, length: int) -> Word:
-    """Lexicographically smallest admissible word of the given length that
-    leaves the subgraph language (exists since the subgraph is proper)."""
-    for w in iter_words(s, length):
-        if any((a, b) not in sub_edges for a, b in zip(w, w[1:])):
-            return w
-    raise NoProperSubshift(f"every {length}-word stays inside the subgraph")
+def _pin(s: ShiftSpace, sub_edges: frozenset,
+         pinned_prefix: Optional[Word]) -> tuple[Word, Word, bool]:
+    """The default pin, the lexicographically smallest admissible
+    PIN_LENGTH-word that leaves the subgraph language (one exists since the
+    subgraph is proper); the prefix the stream starts with, the pinned one
+    or else the default pin; and whether the default pin's statistics apply."""
+    pin = next((w for w in iter_words(s, PIN_LENGTH)
+                if any((a, b) not in sub_edges for a, b in zip(w, w[1:]))), None)
+    if pin is None:
+        raise NoProperSubshift(f"every {PIN_LENGTH}-word stays inside the subgraph")
+    return pin, pinned_prefix or pin, pinned_prefix is None or pinned_prefix == pin
 
 
 def _disjoint_cycle(s: ShiftSpace, sub_edges: frozenset) -> Word:
@@ -330,6 +317,14 @@ def _mix_chunks(length: int, parts: list[tuple[str, object, float]]) -> list[tup
     return out
 
 
+def _dwell(low: int, low_length: int, switch: int, n: int, parts) -> list[tuple[str, object, int]]:
+    """The dwell layout's tail: a Markov block of the low-mix source `low`,
+    then DWELL_ROUNDS equal rounds in the high-mix parts' proportions from
+    the switch to the horizon."""
+    return [("markov", low, low_length)] + _mix_chunks((n - switch) // DWELL_ROUNDS + 1,
+                                                       parts) * DWELL_ROUNDS
+
+
 def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potential],
                        n: int, seed: int, pinned_prefix: Optional[Sequence[int]] = None,
                        cycle: Optional[Sequence[int]] = None) -> OrbitPrefix:
@@ -339,39 +334,34 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
     identical inputs reproduce identical streams byte for byte.
     """
     gap_class = GapClass(gap_class)
+    kind = CLASSES[gap_class]
     if pinned_prefix is not None:
         pinned_prefix = tuple(int(c) for c in pinned_prefix)
         if not is_admissible(pinned_prefix, s):
             raise NotAdmissible("pinned prefix must be admissible")
+    if cycle is not None and gap_class is not GapClass.PERIODIC:
+        raise ValueError(f"a cycle is read only by PERIODIC synthesis, not by {gap_class.value}")
 
-    if CLASS_SHAPE[gap_class].potential:   # the classes built on a primitive ambient
+    if kind.potential:   # the classes built on a primitive ambient
         if not s.is_primitive:
             raise NotPrimitive(f"{gap_class.value} synthesis requires a primitive shift")
         if phi is None:
             raise ValueError(f"{gap_class.value} requires a potential")
-        if (gap_class in (GapClass.W_NOT_QR, GapClass.V_NOT_W, GapClass.I_NOT_QW)
-                and not has_irregular(s, phi)):
+        if kind.irregular and not has_irregular(s, phi):
             raise IrregularityUnavailable("potential has constant cycle averages")
-
-    if gap_class is GapClass.PERIODIC:
-        return _build_periodic(s, n, seed, pinned_prefix, cycle)
-    builder = {
-        GapClass.W_NOT_QR: _build_w_not_qr,
-        GapClass.V_NOT_W: _build_v_not_w,
-        GapClass.QW_NOT_V: _build_qw_not_v,
-        GapClass.I_NOT_QW: _build_i_not_qw,
-        GapClass.QR_NOT_ERG_NOT_A: _build_qr_not_erg,
-        GapClass.R_FULL_SUPPORT: _build_r_full_support,
-        GapClass.ALMOST_PERIODIC_NOT_PER: _build_almost_periodic,
-    }[gap_class]
-    return builder(s, phi, n, seed, pinned_prefix)
-
-
-def _with_prefix(pinned_prefix, requests):
-    """Prepend a user-pinned prefix as the schedule's first literal segment."""
-    if pinned_prefix:
-        return [("literal", tuple(pinned_prefix), len(pinned_prefix))] + requests
-    return requests
+    phi = phi if kind.potential else None
+    requests, pool, extremes, chain_links, stats, prefix = kind.build(
+        s, phi, n, pinned_prefix, *([] if cycle is None else [cycle]))
+    if prefix:
+        requests = [("literal", prefix, len(prefix))] + requests
+    word, schedule = _render(s, requests, pool, seed, n)
+    facts = [_measure_facts(m, s, phi) for m in pool]
+    cert = Certificate(gap_class=gap_class, pool=pool, extremes=extremes, chain_links=chain_links,
+                       exact_facts=facts, expected_statistics=stats,
+                       inf_entropy_over_K=_inf_over_k(facts, extremes, chain_links),
+                       pinned_prefix=prefix or None, horizon=n, seed=seed, phi=phi,
+                       ambient_entropy=topological_entropy(s))
+    return OrbitPrefix(word=word, schedule=schedule, certificate=cert, seed=seed, shift=s)
 
 
 def _inf_over_k(facts: list[dict], extremes: list[int],
@@ -387,21 +377,7 @@ def _inf_over_k(facts: list[dict], extremes: list[int],
     return min((facts[i]["entropy"] for i in extremes), default=0.0)
 
 
-def _finish(s: ShiftSpace, gap_class: GapClass, requests, pool, extremes, chain_links,
-            phi, n, seed, pinned_prefix, stats) -> OrbitPrefix:
-    word, schedule = _render(s, requests, pool, seed, n)
-    facts = [_measure_facts(m, s, phi) for m in pool]
-    inf_h = _inf_over_k(facts, extremes, chain_links)
-    cert = Certificate(gap_class=gap_class, pool=pool,
-                       extremes=extremes, chain_links=chain_links, exact_facts=facts,
-                       inf_entropy_over_K=inf_h, expected_statistics=stats,
-                       pinned_prefix=tuple(pinned_prefix) if pinned_prefix else None,
-                       horizon=n, seed=seed, phi=phi,
-                       ambient_entropy=topological_entropy(s))
-    return OrbitPrefix(word=word, schedule=schedule, certificate=cert, seed=seed, shift=s)
-
-
-def _build_w_not_qr(s, phi, n, seed, pinned_prefix):
+def _build_w_not_qr(s, phi, n, pinned_prefix):
     mu = parry_measure(s)
     nu = _tilted_measure(s, phi, 1.0)
     if abs(integrate(nu, phi) - integrate(mu, phi)) < 1e-9:
@@ -422,26 +398,21 @@ def _build_w_not_qr(s, phi, n, seed, pinned_prefix):
         {"check": "trace_attains", "targets": [a1, a2], "tol": 0.05, "window": 0.5},
         {"check": "cylinder_lower_min", "lengths": [1, 2], "threshold": 0.01},
     ]
-    requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.W_NOT_QR, requests, pool, [0, 1], [],
-                   phi, n, seed, pinned_prefix, stats)
+    return requests, pool, [0, 1], [], stats, pinned_prefix
 
 
-def _build_v_not_w(s, phi, n, seed, pinned_prefix):
+def _build_v_not_w(s, phi, n, pinned_prefix):
     mu, sub_edges = _sub_parry(s)
     full = parry_measure(s)
-    pin = _default_pin(s, sub_edges, PIN_LENGTH)
+    pin, prefix, default_stats = _pin(s, sub_edges, pinned_prefix)
     rho = periodic_measure(s, cycle_word_for(s, pin))
     theta = THETA_V_NOT_W
     w_full = WEIGHT_V_FULL
     w_rho = 1.0 - theta - w_full
     omega = mixture((theta, w_full, w_rho), (mu, full, rho))
     pool = [omega, mu, full, rho]
-    prefix = tuple(pinned_prefix) if pinned_prefix else pin
-    default_stats = pinned_prefix is None or tuple(pinned_prefix) == pin
 
-    omega_parts = [("markov", 1, theta), ("markov", 2, w_full), ("periodic", 3, w_rho)]
-    requests: list = [("literal", prefix, len(prefix))]
+    requests: list = []
     exc_total = int(EXCURSION_FRACTION * n)
     exc_lengths = _geometric_lengths(exc_total, 6, 1.0)
     for i, length in enumerate(exc_lengths):
@@ -452,11 +423,8 @@ def _build_v_not_w(s, phi, n, seed, pinned_prefix):
             parts = [("markov", 1, 1 - tau * (1 - theta)),
                      ("markov", 2, tau * w_full), ("periodic", 3, tau * w_rho)]
             requests.extend(_mix_chunks(length, parts))
-    mu_dwell = n // 2 - exc_total - len(prefix)
-    requests.append(("markov", 1, mu_dwell))
-    round_len = (n - n // 2) // DWELL_ROUNDS + 1
-    for _ in range(DWELL_ROUNDS):
-        requests.extend(_mix_chunks(round_len, omega_parts))
+    requests += _dwell(1, n // 2 - exc_total - len(prefix), n // 2, n,
+                       [("markov", 1, theta), ("markov", 2, w_full), ("periodic", 3, w_rho)])
 
     stats = [{"check": "full_horizon_present", "horizon": n}]
     if default_stats:
@@ -464,11 +432,10 @@ def _build_v_not_w(s, phi, n, seed, pinned_prefix):
             {"check": "self_lower_max", "length": len(pin), "max": 0.01},
             {"check": "self_upper_min", "length": len(pin), "min": 0.05},
         ]
-    return _finish(s, GapClass.V_NOT_W, requests, pool, [0, 1], [],
-                   phi, n, seed, prefix, stats)
+    return requests, pool, [0, 1], [], stats, prefix
 
 
-def _build_qw_not_v(s, phi, n, seed, pinned_prefix):
+def _build_qw_not_v(s, phi, n, pinned_prefix):
     mu, sub_edges = _sub_parry(s)
     lengths = _linear_round_lengths(n, BLOCK_UNIT)
     cycles = list(islice(primitive_cycles(s, 8), len(lengths)))
@@ -489,22 +456,17 @@ def _build_qw_not_v(s, phi, n, seed, pinned_prefix):
         {"check": "full_horizon_present", "horizon": n},
         {"check": "coverage_counts", "length": 3, "min_visits": 8},
     ]
-    requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.QW_NOT_V, requests, pool, list(range(len(pool))),
-                   chain_links, phi, n, seed, pinned_prefix, stats)
+    return requests, pool, list(range(len(pool))), chain_links, stats, pinned_prefix
 
 
-def _build_i_not_qw(s, phi, n, seed, pinned_prefix):
+def _build_i_not_qw(s, phi, n, pinned_prefix):
     mu, sub_edges = _sub_parry(s)
     kappa = periodic_measure(s, _disjoint_cycle(s, sub_edges))
     theta = THETA_I_NOT_QW
     omega = mixture((theta, 1 - theta), (mu, kappa))
     pool = [mu, omega, kappa]
-    pin = _default_pin(s, sub_edges, PIN_LENGTH)
-    prefix = tuple(pinned_prefix) if pinned_prefix else pin
-    default_stats = pinned_prefix is None or tuple(pinned_prefix) == pin
+    _, prefix, default_stats = _pin(s, sub_edges, pinned_prefix)
 
-    gap = s.primitive_gap
     cw = connecting_word(s, prefix[-1], prefix[0])
     echo = (prefix + cw + prefix)[:8]
     # The echo restates x_0..x_7 at position |prefix| + M, giving the
@@ -524,25 +486,21 @@ def _build_i_not_qw(s, phi, n, seed, pinned_prefix):
         breaker.append(choices[0])
         last = choices[0]
     echo = echo + tuple(breaker)
-    requests: list = [("literal", prefix, len(prefix)), ("literal", echo, len(echo))]
     # dwell switch sits past n/2 so the tail window's first checkpoints still
     # read the low phase; the cumulative trace then climbs through the dwell
     switch = int(0.55 * n)
-    mu_dwell = switch - len(prefix) - len(echo) - 2 * gap
-    requests.append(("markov", 0, mu_dwell))
-    round_len = (n - switch) // DWELL_ROUNDS + 1
-    for _ in range(DWELL_ROUNDS):
-        requests.extend(_mix_chunks(round_len, [("markov", 0, theta), ("periodic", 2, 1 - theta)]))
+    requests = [("literal", echo, len(echo))] + _dwell(
+        0, switch - len(prefix) - len(echo) - 2 * s.primitive_gap, switch, n,
+        [("markov", 0, theta), ("periodic", 2, 1 - theta)])
 
     stats = [{"check": "full_horizon_present", "horizon": n},
              {"check": "trace_oscillation", "min_gap": 0.2, "window": 0.5}]
     if default_stats:
         stats.append({"check": "self_upper_decreasing", "lengths": [4, 8, 12], "final_max": 0.02})
-    return _finish(s, GapClass.I_NOT_QW, requests, pool, [0, 1], [],
-                   phi, n, seed, prefix, stats)
+    return requests, pool, [0, 1], [], stats, prefix
 
 
-def _build_qr_not_erg(s, phi, n, seed, pinned_prefix):
+def _build_qr_not_erg(s, phi, n, pinned_prefix):
     full = parry_measure(s)
     cyc = least_cycle(s.matrix)
     kappa = periodic_measure(s, cyc)
@@ -559,12 +517,10 @@ def _build_qr_not_erg(s, phi, n, seed, pinned_prefix):
         {"check": "trace_converges", "target": target, "tol": 0.01, "osc_tol": 0.01,
          "window": 0.25},
     ]
-    requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.QR_NOT_ERG_NOT_A, requests, pool, [0], [],
-                   phi, n, seed, pinned_prefix, stats)
+    return requests, pool, [0], [], stats, pinned_prefix
 
 
-def _build_r_full_support(s, phi, n, seed, pinned_prefix):
+def _build_r_full_support(s, phi, n, pinned_prefix):
     full = parry_measure(s)
     pool = [full]
     lengths = _linear_round_lengths(n, BLOCK_UNIT)
@@ -578,16 +534,14 @@ def _build_r_full_support(s, phi, n, seed, pinned_prefix):
         {"check": "coverage_fraction_of_expected", "length": 3, "fraction": 0.2,
          "expected": expected},
     ]
-    requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.R_FULL_SUPPORT, requests, pool, [0], [],
-                   phi, n, seed, pinned_prefix, stats)
+    return requests, pool, [0], [], stats, pinned_prefix
 
 
 #: Thue-Morse repetition gaps per factor length, measured once at horizon 2^20
 TM_GAP_BOUNDS = {1: 3, 2: 4, 3: 8, 4: 8, 5: 16, 6: 16, 7: 16, 8: 16}
 
 
-def _build_almost_periodic(s, phi, n, seed, pinned_prefix):
+def _build_almost_periodic(s, phi, n, pinned_prefix):
     for w in ((0, 0), (0, 1), (1, 0), (1, 1)):
         if not is_admissible(w, s):
             raise NotAdmissible("aperiodic minimal witness needs the full 2-shift inside the ambient")
@@ -597,12 +551,10 @@ def _build_almost_periodic(s, phi, n, seed, pinned_prefix):
     if pinned_prefix is None:
         stats.append({"check": "max_gap_bounded",
                       "bounds": [[ell, TM_GAP_BOUNDS[ell]] for ell in range(1, 9)]})
-    requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.ALMOST_PERIODIC_NOT_PER, requests, [], [], [],
-                   None, n, seed, pinned_prefix, stats)
+    return requests, [], [], [], stats, pinned_prefix
 
 
-def _build_periodic(s, n, seed, pinned_prefix, cycle):
+def _build_periodic(s, phi, n, pinned_prefix, cycle=None):
     if cycle is None:
         cycle = least_cycle(s.matrix)
     m = periodic_measure(s, tuple(cycle))
@@ -611,9 +563,83 @@ def _build_periodic(s, n, seed, pinned_prefix, cycle):
     stats = [{"check": "full_horizon_present", "horizon": n}]
     if pinned_prefix is None:
         stats.append({"check": "periodic_density_exact", "period": len(m.cycle)})
-    requests = _with_prefix(pinned_prefix, requests)
-    return _finish(s, GapClass.PERIODIC, requests, pool, [0], [],
-                   None, n, seed, pinned_prefix, stats)
+    return requests, pool, [0], [], stats, pinned_prefix
+
+
+# ---------------------------------------------------------------------------
+# the gap-class table
+
+
+class ClassKind(NamedTuple):
+    """One gap class.  structure and extremes: the shape of the measure set K
+    it certifies (extremes is None for a chain, which names its links
+    instead); potential: whether synthesis needs a potential, and irregular:
+    one whose cycle averages vary.  build(s, phi, n, pinned_prefix): its
+    recipe (requests, pool, extremes, chain_links, stats, prefix), which
+    synthesize_witness renders after the prefix; PERIODIC's also takes a
+    cycle.  rules: its structure rules (fact, detail, holds(cert, facts)),
+    which certify checks in order on the facts it has recomputed."""
+    structure: str
+    extremes: Optional[int]
+    potential: bool
+    irregular: bool
+    build: Callable[..., tuple]
+    rules: tuple[tuple[str, str, Callable[[Certificate, list[dict]], bool]], ...]
+
+
+def _extreme(cert: Certificate, facts: list[dict], i: int) -> dict:
+    return facts[cert.extremes[i]]
+
+
+def _non_minimal(m: InvariantMeasure) -> bool:
+    """Whether m's support holds more than one minimal set."""
+    pieces = support_pieces(m)
+    return len(pieces) > 1 or not all(map(piece_is_single_orbit, pieces))
+
+
+_INTEGRALS_DIFFER = ("integrals", "extreme integrals must differ", lambda c, f: abs(
+    _extreme(c, f, 0)["integral"] - _extreme(c, f, 1)["integral"]) >= 1e-9)
+
+CLASSES: dict[GapClass, ClassKind] = {
+    GapClass.W_NOT_QR: ClassKind("segment", 2, True, True, _build_w_not_qr, (
+        ("supports", "both endpoints must have full support",
+         lambda c, f: all(f[i]["full_support"] for i in c.extremes)),
+        _INTEGRALS_DIFFER)),
+    GapClass.V_NOT_W: ClassKind("segment", 2, True, True, _build_v_not_w, (
+        ("omega_support", "omega must have full support",
+         lambda c, f: _extreme(c, f, 0)["full_support"]),
+        ("mu_support", "mu support must be proper",
+         lambda c, f: not _extreme(c, f, 1)["full_support"]),
+        ("mu_entropy", "mu must carry entropy",
+         lambda c, f: _extreme(c, f, 1)["entropy"] > 1e-12))),
+    GapClass.QW_NOT_V: ClassKind("chain", None, True, False, _build_qw_not_v, (
+        ("supports", "no pool measure may have full support",
+         lambda c, f: not any(x["full_support"] for x in f)),
+        ("theta", "every chain link's theta must lie in (0, 1)",
+         lambda c, f: all(0 < th < 1 for th, _, _ in c.chain_links)))),
+    GapClass.I_NOT_QW: ClassKind("segment", 2, True, True, _build_i_not_qw, (
+        ("omega", "omega must be a mixture",
+         lambda c, f: isinstance(c.pool[c.extremes[1]], Mixture)),
+        ("disjoint", "attached orbit must avoid mu's edges",
+         lambda c, f: support(c.pool[c.extremes[1]].components[-1]).edges.isdisjoint(
+             _extreme(c, f, 0)["support_edges"])),
+        _INTEGRALS_DIFFER)),
+    GapClass.QR_NOT_ERG_NOT_A: ClassKind("singleton", 1, True, False, _build_qr_not_erg, (
+        ("ergodic", "measure must be non-ergodic", lambda c, f: not _extreme(c, f, 0)["ergodic"]),
+        ("minimal", "support must be non-minimal",
+         lambda c, f: _non_minimal(c.pool[c.extremes[0]])))),
+    GapClass.R_FULL_SUPPORT: ClassKind("singleton", 1, True, False, _build_r_full_support, (
+        ("measure", "need ergodic full support",
+         lambda c, f: _extreme(c, f, 0)["ergodic"] and _extreme(c, f, 0)["full_support"]),
+        # certify has checked ambient_entropy against the recomputed value
+        ("entropy", "must be maximal entropy",
+         lambda c, f: abs(_extreme(c, f, 0)["entropy"] - c.ambient_entropy) <= 1e-9))),
+    GapClass.ALMOST_PERIODIC_NOT_PER: ClassKind("none", 0, False, False, _build_almost_periodic, (
+        ("pool", "no measure pool expected", lambda c, f: not c.pool),)),
+    GapClass.PERIODIC: ClassKind("singleton", 1, False, False, _build_periodic, (
+        ("measure", "singleton periodic measure expected",
+         lambda c, f: isinstance(c.pool[c.extremes[0]], PeriodicMeasure)),)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -651,78 +677,16 @@ def certify(o: OrbitPrefix, phi: Optional[Potential] = None) -> dict:
     if abs(fresh_inf - cert.inf_entropy_over_K) > 1e-10:
         raise CertificateMismatch("inf_entropy_over_K",
                                   f"{fresh_inf} vs {cert.inf_entropy_over_K}")
+    h_top = topological_entropy(s)
+    if abs(h_top - cert.ambient_entropy) > 1e-10:
+        raise CertificateMismatch("ambient_entropy", f"{h_top} vs {cert.ambient_entropy}")
 
-    _check_class_structure(o, report)
+    for fact, detail, holds in CLASSES[cert.gap_class].rules:
+        if not holds(cert, fresh_facts):
+            raise CertificateMismatch(f"{cert.gap_class.value}.{fact}", detail)
+    report["checked"].append("class_structure")
     _check_word(o, report)
     return report
-
-
-def _check_class_structure(o: OrbitPrefix, report: dict) -> None:
-    cert = o.certificate
-    s = o.shift
-    gc = cert.gap_class
-    pool = cert.pool
-
-    if gc is GapClass.W_NOT_QR:
-        m1, m2 = (pool[i] for i in cert.extremes)
-        if not (has_full_support(m1, s) and has_full_support(m2, s)):
-            raise CertificateMismatch("W_NOT_QR.supports", "both endpoints must have full support")
-
-    elif gc is GapClass.V_NOT_W:
-        omega, mu = (pool[i] for i in cert.extremes)
-        if not has_full_support(omega, s):
-            raise CertificateMismatch("V_NOT_W.omega_support", "omega must have full support")
-        if has_full_support(mu, s):
-            raise CertificateMismatch("V_NOT_W.mu_support", "mu support must be proper")
-        if entropy(mu) <= 1e-12:
-            raise CertificateMismatch("V_NOT_W.mu_entropy", "mu must carry entropy")
-
-    elif gc is GapClass.QW_NOT_V:
-        for i, m in enumerate(pool):
-            if has_full_support(m, s):
-                raise CertificateMismatch("QW_NOT_V.supports", f"pool[{i}] has full support")
-        for theta, a, b in cert.chain_links:
-            if not 0 < theta < 1:
-                raise CertificateMismatch("QW_NOT_V.theta", str(theta))
-
-    elif gc is GapClass.I_NOT_QW:
-        mu, omega = (pool[i] for i in cert.extremes)
-        if not isinstance(omega, Mixture):
-            raise CertificateMismatch("I_NOT_QW.omega", "omega must be a mixture")
-        attached = omega.components[-1]
-        if not supports_disjoint(mu, attached):
-            raise CertificateMismatch("I_NOT_QW.disjoint", "attached orbit must avoid mu's edges")
-
-    elif gc is GapClass.QR_NOT_ERG_NOT_A:
-        m = pool[cert.extremes[0]]
-        if is_ergodic(m):
-            raise CertificateMismatch("QR_NOT_ERG_NOT_A.ergodic", "measure must be non-ergodic")
-        pieces = support_pieces(m)
-        if all(piece_is_single_orbit(p) for p in pieces) and len(pieces) < 2:
-            raise CertificateMismatch("QR_NOT_ERG_NOT_A.minimal", "support must be non-minimal")
-
-    elif gc is GapClass.R_FULL_SUPPORT:
-        m = pool[cert.extremes[0]]
-        if not (is_ergodic(m) and has_full_support(m, s)):
-            raise CertificateMismatch("R_FULL_SUPPORT.measure", "need ergodic full support")
-        if abs(entropy(m) - cert.ambient_entropy) > 1e-9:
-            raise CertificateMismatch("R_FULL_SUPPORT.entropy", "must be maximal entropy")
-
-    elif gc is GapClass.ALMOST_PERIODIC_NOT_PER:
-        if cert.pool or cert.inf_entropy_over_K != 0.0:
-            raise CertificateMismatch("ALMOST_PERIODIC_NOT_PER.pool", "no measure pool expected")
-
-    elif gc is GapClass.PERIODIC:
-        if not isinstance(pool[cert.extremes[0]], PeriodicMeasure):
-            raise CertificateMismatch("PERIODIC.measure", "singleton periodic measure expected")
-        if cert.inf_entropy_over_K != 0.0:
-            raise CertificateMismatch("PERIODIC.entropy", "periodic entropy must be 0")
-
-    if gc in (GapClass.W_NOT_QR, GapClass.I_NOT_QW):
-        i1, i2 = (cert.exact_facts[i]["integral"] for i in cert.extremes)
-        if abs(i1 - i2) < 1e-9:
-            raise CertificateMismatch(f"{gc.value}.integrals", "extreme integrals must differ")
-    report["checked"].append("class_structure")
 
 
 def _check_word(o: OrbitPrefix, report: dict) -> None:

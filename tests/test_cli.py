@@ -15,7 +15,7 @@ from shiftlab.classify import CHECKS
 from shiftlab.cli import main
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import full_shift, golden_mean_shift, sft_from_matrix
-from shiftlab.synthesis import CLASS_SHAPE, GapClass, synthesize_witness
+from shiftlab.synthesis import CLASSES, GapClass, synthesize_witness
 
 
 def run_cli(*args):
@@ -310,7 +310,7 @@ class TestRoundTrips:
     def test_orbit_roundtrip(self, tmp_path, full2, phi_full2, gap_class):
         """Every document the writers produce passes its table and reads back
         to the same certificate document."""
-        phi = phi_full2 if CLASS_SHAPE[GapClass(gap_class)].potential else None
+        phi = phi_full2 if CLASSES[GapClass(gap_class)].potential else None
         o = synthesize_witness(full2, GapClass(gap_class), phi, 1 << 12, seed=5)
         io.write_orbit_dir(o, tmp_path / "orbit")
         again = io.read_orbit_dir(tmp_path / "orbit")
@@ -600,6 +600,20 @@ class TestPipeline:
                            "--horizon", "4096", "--seed", "1",
                            "--out", str(tmp_path / "x"))
         assert rc == 3
+
+    def test_edited_ambient_entropy_exit4(self, w_not_qr_orbit, tmp_path, capsys):
+        orbit = _mutated_copy(w_not_qr_orbit, tmp_path, lambda d: d.update(ambient_entropy=5.0))
+        assert main(["verify", "--orbit", str(orbit)]) == 4
+        assert "certificate fact failed: ambient_entropy" in capsys.readouterr().err
+
+    def test_cycle_outside_periodic_exit2(self, files, tmp_path, capsys):
+        """Only PERIODIC reads --cycle; another class refuses it rather than
+        record an input it dropped."""
+        assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", "W_NOT_QR",
+                     "--potential", str(files / "phi.json"), "--cycle", "0111",
+                     "--horizon", "4096", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+        assert "only by PERIODIC" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 V1_ORBITS = Path(__file__).parent / "data" / "v1"

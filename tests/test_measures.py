@@ -13,8 +13,7 @@ from shiftlab.measures import (SAMPLE_CHUNK, Potential, entropy,
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
                                parry_measure, periodic_measure, sample_typical_word,
-                               sample_typical_words, support, support_pieces,
-                               supports_disjoint)
+                               sample_typical_words, support, support_pieces)
 from shiftlab.oracle import scalar_typical_word
 from shiftlab.shifts import (full_shift, is_admissible, iter_words, primitive_cycles,
                              sft_from_matrix, topological_entropy)
@@ -163,9 +162,11 @@ class TestSupport:
         assert not has_full_support(m, full2)
 
     def test_disjointness(self, full2):
-        golden_sub = markov_measure(full2, [[0.5, 0.5], [1.0, 0.0]])
-        assert supports_disjoint(golden_sub, periodic_measure(full2, (1,)))
-        assert not supports_disjoint(golden_sub, periodic_measure(full2, (0,)))
+        """Edge-disjoint supports share no point; the I_NOT_QW structure rule
+        asks it of mu and omega's attached orbit."""
+        edges = support(markov_measure(full2, [[0.5, 0.5], [1.0, 0.0]])).edges
+        assert edges.isdisjoint(support(periodic_measure(full2, (1,))).edges)
+        assert not edges.isdisjoint(support(periodic_measure(full2, (0,))).edges)
 
     def test_pieces_stay_separate(self, full2):
         mix = mixture((0.5, 0.5), (parry_measure(full2), periodic_measure(full2, (1,))))

@@ -182,12 +182,11 @@ class TestProperSubgraphSearch:
         cases += _small_sfts(10)
         assert len(cases) >= 20
         for s in cases:
-            for positive in (True, False):
-                try:
-                    got = largest_proper_scc_subgraph(s, positive)
-                except NoProperSubshift:
-                    got = None
-                assert got == oracle.brute_largest_proper_subgraph(s, positive), s.matrix
+            try:
+                got = largest_proper_scc_subgraph(s)
+            except NoProperSubshift:
+                got = None
+            assert got == oracle.brute_largest_proper_subgraph(s), s.matrix
 
     def test_cap(self):
         with pytest.raises(BoundExceeded):
@@ -239,13 +238,13 @@ class TestPrimitiveCycles:
         checked = 0
         for s in [golden, full2, full3, random4] + _small_sfts(16):
             subgraphs = []
-            for positive in (True, False):
-                try:
-                    subgraphs.append(largest_proper_scc_subgraph(s, positive)[1])
-                except NoProperSubshift:
-                    pass
-            us = oracle.uniform_stream(len(s.edges()), len(s.edges()))
-            subgraphs.append(frozenset(e for e, u in zip(s.edges(), us) if u < 0.5))
+            try:
+                subgraphs.append(largest_proper_scc_subgraph(s)[1])
+            except NoProperSubshift:
+                pass
+            for seed in (len(s.edges()), 1000 + len(s.edges())):
+                us = oracle.uniform_stream(seed, len(s.edges()))
+                subgraphs.append(frozenset(e for e, u in zip(s.edges(), us) if u < 0.5))
             for edges in subgraphs:
                 want = next((c for c in oracle.brute_primitive_cycles(s, 6)
                              if _shares_no_edge(c, edges)), None)

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from shiftlab.classify import evaluate_certificate
 from shiftlab.errors import (CertificateMismatch, IrregularityUnavailable,
                              NoProperSubshift, NotAdmissible, NotPrimitive)
-from shiftlab.measures import indicator_potential
+from shiftlab.measures import (indicator_potential, markov_measure, mixture, parry_measure,
+                               periodic_measure)
 from shiftlab.shifts import (golden_mean_shift, is_admissible, iter_words,
                              largest_proper_scc_subgraph, sft_from_matrix,
                              strongly_connected_components)
-from shiftlab.synthesis import (GapClass, _render, certify, regenerate_segment,
-                                synthesize_witness, thue_morse_word)
+from shiftlab.synthesis import (CLASSES, GapClass, _inf_over_k, _measure_facts, _render,
+                                certify, regenerate_segment, synthesize_witness,
+                                thue_morse_word)
 
 from conftest import constant_potential
 
@@ -109,6 +111,11 @@ class TestWitnesses:
         assert tuple(o.word.tolist()) == (0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
         assert o.certificate.inf_entropy_over_K == 0.0
 
+    def test_cycle_refused_outside_periodic(self, full2, phi_full2):
+        with pytest.raises(ValueError, match="only by PERIODIC"):
+            synthesize_witness(full2, GapClass.W_NOT_QR, phi_full2, 64, seed=0,
+                               cycle=(0, 1, 1, 1))
+
     def test_golden_ambient_raises_for_proper_support_classes(self, golden, phi_golden):
         with pytest.raises(NoProperSubshift):
             synthesize_witness(golden, GapClass.V_NOT_W, phi_golden, N_SMALL, seed=1)
@@ -142,7 +149,81 @@ class TestWitnesses:
                                seed=1, pinned_prefix=(1, 1))
 
 
+def _put(i, measure):
+    """A forgery that puts measure(shift, pool) at pool index i."""
+    def forge(cert, s):
+        cert.pool[i] = measure(s, cert.pool)
+    return forge
+
+
+def _constant_phi(cert, s):
+    cert.phi = constant_potential(s, 0.5)
+
+
+def _theta_one(cert, s):
+    cert.chain_links[0] = (1.0,) + cert.chain_links[0][1:]
+
+
+def _periodic_01(s, pool):
+    return periodic_measure(s, (0, 1))
+
+
+def _parry(s, pool):
+    return parry_measure(s)
+
+
+#: per structure rule CLASS.fact, a forgery of a full 2-shift certificate of
+#: that class that breaks the rule and, on the recomputed facts, no earlier one
+STRUCTURE_FORGERIES = {
+    "W_NOT_QR.supports": _put(0, _periodic_01),
+    "W_NOT_QR.integrals": _put(1, lambda s, pool: pool[0]),
+    "V_NOT_W.omega_support": _put(0, _periodic_01),
+    "V_NOT_W.mu_support": _put(1, _parry),
+    "V_NOT_W.mu_entropy": _put(1, _periodic_01),
+    "QW_NOT_V.supports": _put(0, _parry),
+    "QW_NOT_V.theta": _theta_one,
+    "I_NOT_QW.omega": _put(1, _parry),
+    "I_NOT_QW.disjoint": _put(1, lambda s, pool: mixture((0.3, 0.7),
+                                                         (pool[0], _periodic_01(s, pool)))),
+    "I_NOT_QW.integrals": _constant_phi,
+    "QR_NOT_ERG_NOT_A.ergodic": _put(0, _parry),
+    # two rotations of one cycle: a non-ergodic mixture on a single orbit
+    "QR_NOT_ERG_NOT_A.minimal": _put(0, lambda s, pool: mixture(
+        (0.5, 0.5), (periodic_measure(s, (0, 1)), periodic_measure(s, (1, 0))))),
+    "R_FULL_SUPPORT.measure": _put(0, _periodic_01),
+    "R_FULL_SUPPORT.entropy": _put(0, lambda s, pool: markov_measure(s, [[0.9, 0.1],
+                                                                         [0.5, 0.5]])),
+    "ALMOST_PERIODIC_NOT_PER.pool": lambda cert, s: cert.pool.append(parry_measure(s)),
+    "PERIODIC.measure": _put(0, _parry),
+}
+
+
 class TestCertify:
+    def test_every_structure_rule_has_a_forgery(self):
+        assert set(STRUCTURE_FORGERIES) == {f"{gc.value}.{fact}" for gc, kind in CLASSES.items()
+                                            for fact, _, _ in kind.rules}
+
+    @pytest.mark.parametrize("rule", sorted(STRUCTURE_FORGERIES))
+    def test_structure_rule_detected(self, full2, phi_full2, rule):
+        """The forged pool's exact_facts and inf_entropy_over_K are
+        recomputed, so only the class's structure rule can refuse it."""
+        o = synthesize_witness(full2, GapClass(rule.split(".")[0]), phi_full2, N_SMALL, seed=21)
+        cert = o.certificate
+        STRUCTURE_FORGERIES[rule](cert, full2)
+        cert.exact_facts = [_measure_facts(m, full2, cert.phi) for m in cert.pool]
+        cert.inf_entropy_over_K = _inf_over_k(cert.exact_facts, cert.extremes, cert.chain_links)
+        with pytest.raises(CertificateMismatch) as exc:
+            certify(o)
+        assert exc.value.fact == rule
+
+    @pytest.mark.parametrize("gap_class", list(GapClass))
+    def test_tampered_ambient_entropy_detected(self, full2, phi_full2, gap_class):
+        o = synthesize_witness(full2, gap_class, phi_full2, N_SMALL, seed=21)
+        o.certificate.ambient_entropy = 5.0
+        with pytest.raises(CertificateMismatch) as exc:
+            certify(o)
+        assert exc.value.fact == "ambient_entropy"
+
     def test_tampered_entropy_detected(self, full2, phi_full2):
         o = synthesize_witness(full2, GapClass.W_NOT_QR, phi_full2, N_SMALL, seed=21)
         o.certificate.exact_facts[0]["entropy"] += 1e-6
@@ -154,20 +235,6 @@ class TestCertify:
         o.certificate.inf_entropy_over_K += 1e-6
         with pytest.raises(CertificateMismatch):
             certify(o)
-
-    def test_full_support_mu_violates_v_not_w(self, full2, phi_full2):
-        o = synthesize_witness(full2, GapClass.V_NOT_W, phi_full2, N_SMALL, seed=21)
-        # swap the proper-support endpoint for the maximal measure
-        from shiftlab.measures import parry_measure
-        from shiftlab.synthesis import _measure_facts
-        o.certificate.pool[1] = parry_measure(full2)
-        o.certificate.exact_facts[1] = _measure_facts(
-            o.certificate.pool[1], full2, phi_full2)
-        o.certificate.inf_entropy_over_K = min(
-            o.certificate.exact_facts[i]["entropy"] for i in o.certificate.extremes)
-        with pytest.raises(CertificateMismatch) as exc:
-            certify(o)
-        assert "mu_support" in str(exc.value)
 
     def test_word_tamper_detected(self, full2, phi_full2):
         o = synthesize_witness(full2, GapClass.R_FULL_SUPPORT, phi_full2, N_SMALL, seed=21)
