@@ -9,6 +9,7 @@ are natural.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
@@ -281,7 +282,7 @@ def strongly_connected_components(matrix: Sequence[Sequence[int]]) -> list[list[
     return list(classes.values())
 
 
-def perron(b: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+def perron(b: np.ndarray) -> tuple[float | np.ndarray, Optional[np.ndarray]]:
     """Perron root rho of a square B >= 0 and the inverse of the bordered
     matrix M = [[B - rho I, 1], [1^T, 0]].
 
@@ -292,15 +293,28 @@ def perron(b: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
     summing to 1, and in its leading k x k block a generalized inverse G of
     B - rho I.  In place of M^-1 comes None when M is singular, which
     happens exactly when rho is not a simple root.
+
+    A stack B of shape (n, k, k) gives the n roots as an array and the n
+    inverses in one (n, k+1, k+1) array, each from the same LAPACK calls a
+    single B makes; a singular member's inverse is all NaN.
     """
-    k = b.shape[0]
-    rho = float(np.max(np.linalg.eigvals(b).real))
-    border = np.block([[b - rho * np.eye(k), np.ones((k, 1))],
-                       [np.ones((1, k)), np.zeros((1, 1))]])
+    stack = b if b.ndim == 3 else b[None]
+    k = stack.shape[-1]
+    rho = np.linalg.eigvals(stack).real.max(axis=-1)
+    border = np.zeros((len(stack), k + 1, k + 1))
+    border[:, :k, :k] = stack - rho[:, None, None] * np.eye(k)
+    border[:, :k, k] = border[:, k, :k] = 1.0
     try:
-        return rho, np.linalg.inv(border)
+        inv = np.linalg.inv(border)
     except np.linalg.LinAlgError:
-        return rho, None
+        if b.ndim == 2:
+            return float(rho[0]), None
+        # one singular member fails the whole batch: invert one at a time
+        inv = np.full(border.shape, np.nan)
+        for i, m in enumerate(border):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(m)
+    return (float(rho[0]), inv[0]) if b.ndim == 2 else (rho, inv)
 
 
 def spectral_radius(s: ShiftSpace) -> float:

@@ -8,6 +8,9 @@ The attainable-average interval comes from exact min/max mean-cycle search
 infimum sits where P'(q) = a: P' is the integral of phi against the
 equilibrium state of q phi and P'' its asymptotic variance (Walters, ch. 9;
 Ruelle), both read off the Perron solve that gives P, and Newton finds q.
+The Newton iterations of all points of a curve run in lockstep: each round
+solves the new q's of every running point in one stacked Perron solve,
+whose results are bit-identical to solving each q alone.
 
 Potentials of range r > 2 are recoded onto the (r-1)-block graph so a single
 edge-weighted kernel serves every range.
@@ -16,9 +19,10 @@ edge-weighted kernel serves every range.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,6 +33,9 @@ from .shifts import (ShiftSpace, Word, iter_words, least_cycle, perron,
                      strongly_connected_components, topological_entropy)
 
 Q_CAP = 500.0
+#: matrix entries per stacked Perron solve: keeps each (n, k, k) array of a
+#: solve near 2 MB, however many q's a large block graph takes at once
+STACK_ENTRIES = 1 << 18
 NEWTON_TOL = 1e-12
 IRREGULARITY_TOL = 1e-12
 
@@ -172,6 +179,9 @@ class PressureFunction:
     data give the equilibrium state of q phi: P' = m + the integral of R
     (= the integral of phi; the coboundary integrates to 0), and P'' = the
     asymptotic variance of R.  The interval defaults to a fresh Karp pass.
+
+    Called on a sequence of q's, it solves the uncached ones in one stacked
+    Perron solve; each q's triple is bit-identical to solving it alone.
     """
 
     system: EdgeSystem
@@ -182,41 +192,64 @@ class PressureFunction:
         iv = self.interval = self.interval or _extreme_cycles(self.system)
         edges = list(self.system.weights)
         self._edges = tuple(np.array(edges, dtype=np.intp).T)
-        self._sides = ((iv.lo, np.array([iv.lo_reduced[e] for e in edges])),
-                       (iv.hi, np.array([iv.hi_reduced[e] for e in edges])))
+        # row 0: the q < 0 side (lo), row 1: the q >= 0 side (hi)
+        self._means = np.array([iv.lo, iv.hi])
+        self._reduced = np.array([[iv.lo_reduced[e] for e in edges],
+                                  [iv.hi_reduced[e] for e in edges]])
 
-    def __call__(self, q: float) -> float:
-        if abs(q) > Q_CAP:
-            raise PressureOverflow(f"|q| = {abs(q)} beyond documented cap {Q_CAP}")
-        if q not in self.cache:
-            self.cache[q] = self._solve(q)
-        return self.cache[q][0]
+    def __call__(self, q: Union[float, Sequence[float]]) -> Union[float, list[float]]:
+        """P(q), or the list of P over a sequence of q's."""
+        single = not isinstance(q, Sequence)
+        qs = [q] if single else list(q)
+        for x in qs:
+            if abs(x) > Q_CAP:
+                raise PressureOverflow(f"|q| = {abs(x)} beyond documented cap {Q_CAP}")
+        new = [x for x in dict.fromkeys(qs) if x not in self.cache]
+        size = max(1, STACK_ENTRIES // self.system.k ** 2)
+        for i in range(0, len(new), size):
+            chunk = new[i:i + size]
+            self.cache.update(zip(chunk, self._solve(np.array(chunk, dtype=float))))
+        values = [self.cache[x][0] for x in qs]
+        return values[0] if single else values
 
-    def _solve(self, q: float) -> tuple[float, float, float]:
-        mean, reduced = self._sides[q >= 0]
-        k = self.system.k
+    def _solve(self, qs: np.ndarray) -> list[tuple[float, float, float]]:
+        side = (qs >= 0).astype(np.intp)
+        mean, reduced = self._means[side], self._reduced[side]
+        n, k = len(qs), self.system.k
         rows, cols = self._edges
-        b = np.zeros((k, k))
-        b[rows, cols] = np.exp(q * reduced)
+        weight = np.exp(qs[:, None] * reduced)
+        b = np.zeros((n, k, k))
+        b[:, rows, cols] = weight
         rho, inv = perron(b)
-        pressure = q * mean + math.log(rho)
+        # math.log per root: numpy's vector log may differ in the last bit
+        pressure = qs * mean + np.array([math.log(x) for x in rho.tolist()])
         # x = -G (b r (R - P')), with G, r and l from perron, is r times the
         # Poisson solution of the chain b_uv r_v / (rho r_u), so nothing
-        # divides by a tiny r_u
-        drift = variance = math.nan
-        if inv is not None:
-            with np.errstate(all="ignore"):
-                right, left, green = inv[:k, k], inv[k, :k], inv[:k, :k]
-                flow = left[rows] * b[rows, cols] / (rho * float(left @ right))
-                drift = float(flow @ (right[cols] * reduced))
-                centred = reduced - drift
-                x = -green @ np.bincount(rows, b[rows, cols] * right[cols] * centred, minlength=k)
-                variance = float(flow @ (centred * (right[cols] * centred + 2.0 * x[cols])))
-        if not (reduced.min() <= drift <= reduced.max() and 0.0 <= variance < math.inf):
-            # the equilibrium state sits on extreme cycles (tied ones that no
-            # representable entry couples leave M singular): P' = mean to rounding
-            return pressure, mean, 0.0
-        return pressure, mean + drift, variance
+        # divides by a tiny r_u.  The products are stacked matmuls on the
+        # operand layouts of a single solve, which keeps results bit-identical
+        with np.errstate(all="ignore"):
+            right, left, green = inv[:, :k, k], inv[:, k, :k], inv[:, :k, :k]
+            flow = left[:, rows] * weight / (rho * _dots(left, right))[:, None]
+            drift = _dots(flow, right[:, cols] * reduced)
+            centred = reduced - drift[:, None]
+            load = np.bincount((rows + k * np.arange(n)[:, None]).ravel(),
+                               (weight * right[:, cols] * centred).ravel(),
+                               minlength=n * k).reshape(n, k)
+            x = np.matmul(-green, load[:, :, None])[:, :, 0]
+            variance = _dots(flow, centred * (right[:, cols] * centred + 2.0 * x[:, cols]))
+        # the equilibrium state sits on extreme cycles where the Perron data
+        # fail (tied ones that no representable entry couples leave M
+        # singular, and inv NaN): P' = mean to rounding
+        ok = ((reduced.min(axis=1) <= drift) & (drift <= reduced.max(axis=1))
+              & (0.0 <= variance) & (variance < math.inf))
+        return list(zip(pressure.tolist(), np.where(ok, mean + drift, mean).tolist(),
+                        np.where(ok, variance, 0.0).tolist()))
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, m) stacks: one BLAS dot per row, on
+    the row strides the operands have, as a 1-D u[i] @ v[i] would be."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def pressure(s: ShiftSpace, phi: Potential, q: float) -> float:
@@ -232,39 +265,67 @@ def has_irregular(s: ShiftSpace, phi: Potential) -> bool:
     return iv.hi - iv.lo > IRREGULARITY_TOL
 
 
-def spectrum_point(s: ShiftSpace, phi: Potential, a: float,
-                   pf: Optional[PressureFunction] = None,
-                   interval: Optional[LphiInterval] = None) -> tuple[float, float]:
-    """(psi, q_star) at an interior average a, where P'(q_star) = a.
+def _check_interior(iv: LphiInterval, a: float) -> None:
+    if not iv.lo < a < iv.hi:
+        if iv.hi - iv.lo <= IRREGULARITY_TOL:
+            raise OutsideInterior(f"interval degenerate at {iv.lo}")
+        raise OutsideInterior(f"a={a} not inside ({iv.lo}, {iv.hi})")
+
+
+def _newton(pf: PressureFunction, grid: Sequence[float]) -> list[tuple[float, float]]:
+    """(psi, q_star) at each interior average of grid, where P'(q_star) = a.
 
     Newton's method from q = 0 on the exact P' and P''.  P' increases, so
     each evaluation narrows a bracket around the root; a step that leaves
     the bracket (or that P'' <= 0 leaves undefined) bisects it instead, and
     a step past the cap stops at the cap.  EndpointSaturation when P' at
     the cap still falls short of a.  psi = P(q_star) - q_star a.
+
+    The points iterate in lockstep: each round solves the next q of every
+    running point in one pf call.  A point's iterates do not depend on the
+    others, so each result, and the set of q's solved, is the one a
+    separate solve of that point gives; the saturation raised is that of
+    the first saturating point in grid order.
     """
+    state = [(0.0, -math.inf, math.inf)] * len(grid)   # (q, lo_q, hi_q) per point
+    out: list[tuple[float, float]] = [(math.nan, math.nan)] * len(grid)
+    running, saturated = list(range(len(grid))), None
+    while running:
+        pf([state[i][0] for i in running])
+        still = []
+        for i in running:
+            a, (q, lo_q, hi_q) = grid[i], state[i]
+            value, slope, curvature = pf.cache[q]
+            gap = a - slope
+            if abs(q) == Q_CAP and gap * q > 0:
+                # later points cannot raise first: drop them
+                saturated = EndpointSaturation(f"P'({q}) = {slope} does not reach a = {a}")
+                break
+            lo_q, hi_q = (q, hi_q) if gap > 0 else (lo_q, q)
+            step = gap / curvature if curvature > 0 else math.copysign(math.inf, gap)
+            tol = NEWTON_TOL * (1.0 + abs(q))
+            if gap == 0 or abs(step) <= tol or hi_q - lo_q <= tol:
+                out[i] = (value - q * a, q)
+                continue
+            q_next = min(max(q + step, -Q_CAP), Q_CAP)
+            state[i] = (q_next if lo_q < q_next < hi_q else (lo_q + hi_q) / 2, lo_q, hi_q)
+            still.append(i)
+        running = still
+    if saturated is not None:
+        raise saturated
+    return out
+
+
+def spectrum_point(s: ShiftSpace, phi: Potential, a: float,
+                   pf: Optional[PressureFunction] = None,
+                   interval: Optional[LphiInterval] = None) -> tuple[float, float]:
+    """(psi, q_star) at an interior average a, where P'(q_star) = a, by the
+    Newton iteration of spectrum_curve run on the one point a."""
     iv = interval if interval is not None else lphi_interval(s, phi)
-    if not iv.lo < a < iv.hi:
-        if iv.hi - iv.lo <= IRREGULARITY_TOL:
-            raise OutsideInterior(f"interval degenerate at {iv.lo}")
-        raise OutsideInterior(f"a={a} not inside ({iv.lo}, {iv.hi})")
+    _check_interior(iv, a)
     if pf is None:
         pf = PressureFunction(edge_system(s, phi), iv)
-
-    q, lo_q, hi_q = 0.0, -math.inf, math.inf
-    while True:
-        pf(q)
-        value, slope, curvature = pf.cache[q]
-        gap = a - slope
-        if abs(q) == Q_CAP and gap * q > 0:
-            raise EndpointSaturation(f"P'({q}) = {slope} does not reach a = {a}")
-        lo_q, hi_q = (q, hi_q) if gap > 0 else (lo_q, q)
-        step = gap / curvature if curvature > 0 else math.copysign(math.inf, gap)
-        tol = NEWTON_TOL * (1.0 + abs(q))
-        if gap == 0 or abs(step) <= tol or hi_q - lo_q <= tol:
-            return value - q * a, q
-        q_next = min(max(q + step, -Q_CAP), Q_CAP)
-        q = q_next if lo_q < q_next < hi_q else (lo_q + hi_q) / 2
+    return _newton(pf, [a])[0]
 
 
 @dataclass
@@ -290,8 +351,10 @@ def spectrum_curve(s: ShiftSpace, phi: Potential, npoints: int) -> SpectrumCurve
     if min(abs(a - a_star) for a in grid) > 1e-3:
         grid.append(a_star)
     grid.sort()
+    for a in grid:
+        _check_interior(iv, a)
     pf = PressureFunction(edge_system(s, phi), iv)
-    pts = [(a,) + spectrum_point(s, phi, a, pf=pf, interval=iv) for a in grid]
+    pts = [(a,) + point for a, point in zip(grid, _newton(pf, grid))]
     return SpectrumCurve(points=pts, h_top=h_top, parry_average=a_star, interval=iv)
 
 

@@ -646,7 +646,7 @@ CLASSES: dict[GapClass, ClassKind] = {
 # certification
 
 
-def certify(o: OrbitPrefix, phi: Optional[Potential] = None) -> dict:
+def certify(o: OrbitPrefix) -> dict:
     """Recompute every certificate fact and validate the class structure.
 
     Raises CertificateMismatch at the first failing fact; returns a report
@@ -656,11 +656,9 @@ def certify(o: OrbitPrefix, phi: Optional[Potential] = None) -> dict:
     s = o.shift
     report = {"gap_class": cert.gap_class.value, "checked": []}
 
-    if phi is None:
-        phi = cert.phi
     fresh_facts = []
     for idx, (m, fact) in enumerate(zip(cert.pool, cert.exact_facts)):
-        fresh = _measure_facts(m, s, phi)
+        fresh = _measure_facts(m, s, cert.phi)
         fresh_facts.append(fresh)
         for key in ("entropy", "integral"):
             a, b = fresh[key], fact[key]

@@ -10,6 +10,13 @@ from shiftlab.shifts import ShiftSpace, full_shift, golden_mean_shift, iter_word
 
 ACCEPTANCE_SEED = 20250809
 
+#: a range-2 potential with quarter values on the full 3-shift: a k = 3
+#: Perron solve and dots over its 9 edges
+FULL3_QUARTERS = Potential(range=2, table={
+    (0, 0): 0.25, (0, 1): -0.5, (0, 2): 1.0,
+    (1, 0): 0.75, (1, 1): 0.0, (1, 2): -0.25,
+    (2, 0): 0.5, (2, 1): 1.25, (2, 2): -0.75})
+
 
 @pytest.fixture(scope="session", autouse=True)
 def checkout_on_subprocess_path():

@@ -26,7 +26,7 @@ from shiftlab.spectrum import (check_concavity, has_irregular, spectrum_curve,
 from shiftlab.synthesis import (THETA_I_NOT_QW, THETA_V_NOT_W, GapClass, certify,
                                 synthesize_witness)
 
-from conftest import ACCEPTANCE_SEED, constant_potential
+from conftest import ACCEPTANCE_SEED, FULL3_QUARTERS, constant_potential
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN_BETA = "1.61803398874989484820458683436563811772"
@@ -352,21 +352,30 @@ SPECTRUM_DIGESTS = {
                       "d40a6c972685cc22ce6942907684605c3c90b3e7461eea842735a10dd51ccf4d"),
     ("full2", (1, 1, 1, 1, 1)): ("09f915109c7bc4cf00c32b3ec93f4e3a919b2e033aa67ecddd3f5c201012b4be",
                                  "c8c7a364938b773c2d46cd6cb6666e5f429cd1c49b7903ee5f68e7db1ee64eec"),
+    ("full3", "quarters"): ("eac4b25ba4c8471cd6eb1818d92cc6813127b3d93deb45a6db6e6b7bef6dd84d",
+                            "91a17f7eac26030643c352e491f915404e24f2121ceb9e246c9275690a0f6830"),
 }
 
+#: named non-indicator potentials of SPECTRUM_DIGESTS
+SPECTRUM_POTENTIALS = {"quarters": FULL3_QUARTERS}
 
-def test_spectrum_bytes_pinned(golden, full2, tmp_path, monkeypatch):
+
+def test_spectrum_bytes_pinned(golden, full2, full3, tmp_path, monkeypatch):
     """Spectrum CSVs and manifests stay byte-identical."""
     from shiftlab.cli import main
 
     monkeypatch.chdir(tmp_path)
-    shifts = {"golden": golden, "full2": full2}
+    shifts = {"golden": golden, "full2": full2, "full3": full3}
     changed = []
     for (name, target), digests in SPECTRUM_DIGESTS.items():
-        tag = name if len(target) == 1 else f"{name}_{format_word(target)}"
         s = shifts[name]
+        if isinstance(target, str):
+            tag, phi = f"{name}_{target}", SPECTRUM_POTENTIALS[target]
+        else:
+            tag = name if len(target) == 1 else f"{name}_{format_word(target)}"
+            phi = indicator_potential(s, target)
         io.write_json(f"{tag}.shift.json", io.shift_to_doc(s))
-        io.write_json(f"{tag}.phi.json", io.potential_to_doc(indicator_potential(s, target)))
+        io.write_json(f"{tag}.phi.json", io.potential_to_doc(phi))
         rc = main(["spectrum", "--shift", f"{tag}.shift.json", "--potential", f"{tag}.phi.json",
                    "--points", "9", "--out", f"{tag}.csv", "--manifest", f"{tag}.manifest.json"])
         got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()

@@ -333,6 +333,14 @@ class TestPerron:
         rho, inv = perron(np.eye(2))
         assert rho == 1.0 and inv is None
 
+    def test_stack_flags_only_the_singular_member(self):
+        ones = np.ones((2, 2))
+        rho, inv = perron(np.stack([np.eye(2), ones, 2.0 * ones]))
+        assert rho[0] == 1.0 and np.isnan(inv[0]).all()
+        for i, b in ((1, ones), (2, 2.0 * ones)):
+            lone_rho, lone_inv = perron(b)
+            assert rho[i] == lone_rho and (inv[i] == lone_inv).all()
+
     def test_reducible_spectral_radius(self):
         # the loop on 0 feeds the golden block {1, 2}: rho is the larger class root
         s = sft_from_matrix(3, [[1, 1, 0], [0, 1, 1], [0, 1, 0]])

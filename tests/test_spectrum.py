@@ -1,19 +1,22 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from shiftlab.errors import (DegenerateInterval, NotStronglyConnected, OutsideInterior,
-                             PressureOverflow)
+from shiftlab import spectrum
+from shiftlab.errors import (DegenerateInterval, EndpointSaturation, NotStronglyConnected,
+                             OutsideInterior, PressureOverflow)
 from shiftlab.measures import (entropy, indicator_potential, integrate, markov_measure,
                                parry_measure, Potential)
-from shiftlab.shifts import iter_words, sft_from_matrix, topological_entropy
+from shiftlab.shifts import iter_words, perron, sft_from_matrix, topological_entropy
 from shiftlab.spectrum import (PressureFunction, check_concavity, edge_system,
                                has_irregular, lphi_interval, pressure, spectrum_curve,
                                spectrum_point, sup_equals_htop)
 
-from conftest import constant_potential
+from conftest import FULL3_QUARTERS, constant_potential
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -254,3 +257,108 @@ class TestOverflowRegime:
             q_exact = mpmath.findroot(lambda t: mpmath.diff(exact, t) - a, q)
             assert abs(q - float(q_exact)) <= 1e-6
             assert abs(psi - float(exact(q_exact) - q_exact * a)) <= 1e-12
+
+
+def lone_solve(pf: PressureFunction, q: float) -> tuple[float, float, float]:
+    """pf's (P, P', P'') at q from one k x k Perron solve and 1-D numpy
+    dots: the one-matrix formulation the stacked solve reproduces bit for bit."""
+    iv, k = pf.interval, pf.system.k
+    edges = list(pf.system.weights)
+    rows, cols = np.array(edges).T
+    mean, side = (iv.hi, iv.hi_reduced) if q >= 0 else (iv.lo, iv.lo_reduced)
+    reduced = np.array([side[e] for e in edges])
+    b = np.zeros((k, k))
+    b[rows, cols] = np.exp(q * reduced)
+    rho, inv = perron(b)
+    drift = variance = math.nan
+    if inv is not None:
+        with np.errstate(all="ignore"):
+            right, left, green = inv[:k, k], inv[k, :k], inv[:k, :k]
+            flow = left[rows] * b[rows, cols] / (rho * float(left @ right))
+            drift = float(flow @ (right[cols] * reduced))
+            centred = reduced - drift
+            x = -green @ np.bincount(rows, b[rows, cols] * right[cols] * centred, minlength=k)
+            variance = float(flow @ (centred * (right[cols] * centred + 2.0 * x[cols])))
+    if not (reduced.min() <= drift <= reduced.max() and 0.0 <= variance < math.inf):
+        return q * mean + math.log(rho), mean, 0.0
+    return q * mean + math.log(rho), mean + drift, variance
+
+
+class TestLockstep:
+    """A curve's points run Newton in lockstep, each round one stacked Perron
+    solve; every result must be the one a lone solve gives, bit for bit."""
+
+    #: pressure evaluations of a 33-point curve, counted when the points
+    #: ran one after another on a shared PressureFunction
+    CURVE_EVALS = {"golden": 149, "full2_11111": 282, "full3_quarters": 151}
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_stacked_solve_equals_lone_solves(self, golden, full3, random4, r):
+        rng = random.Random(r)
+        qs = [i / 4 for i in range(-240, 241)] + [rng.uniform(-60.0, 60.0) for _ in range(40)]
+        for s in (golden, full3, random4):
+            phi = Potential(range=r, table={w: rng.randint(-8, 8) / 4 for w in iter_words(s, r)})
+            together = PressureFunction(edge_system(s, phi))
+            values = together(qs)
+            alone = PressureFunction(together.system, together.interval)
+            for q in qs:
+                alone(q)
+            assert together.cache == alone.cache == {q: lone_solve(alone, q) for q in qs}
+            assert values == [alone.cache[q][0] for q in qs]
+
+    def test_large_stacks_split(self, full3, monkeypatch):
+        # 27 entries make three 3 x 3 matrices a stack: 10 q's take four solves
+        qs = [i - 4.5 for i in range(10)]
+        one = PressureFunction(edge_system(full3, FULL3_QUARTERS))
+        one(qs)
+        monkeypatch.setattr(spectrum, "STACK_ENTRIES", 27)
+        split = PressureFunction(one.system, one.interval)
+        sizes, solve = [], split._solve
+        split._solve = lambda stack: sizes.append(len(stack)) or solve(stack)
+        assert split(qs) == one(qs) and split.cache == one.cache
+        assert sizes == [3, 3, 3, 1]
+
+    def test_curve_points_are_lone_points(self, golden, phi_golden, full2, full3):
+        cases = ((golden, phi_golden), (full3, FULL3_QUARTERS),
+                 (full2, indicator_potential(full2, (1, 1, 1))))
+        for s, phi in cases:
+            curve = spectrum_curve(s, phi, 33)
+            assert curve.points == [(a,) + spectrum_point(s, phi, a) for a, _, _ in curve.points]
+
+    def test_curve_evaluation_count(self, golden, phi_golden, full2, full3, monkeypatch):
+        made = []
+
+        class Recording(PressureFunction):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+
+        monkeypatch.setattr(spectrum, "PressureFunction", Recording)
+        cases = {"golden": (golden, phi_golden),
+                 "full2_11111": (full2, indicator_potential(full2, (1, 1, 1, 1, 1))),
+                 "full3_quarters": (full3, FULL3_QUARTERS)}
+        counts = {}
+        for name, (s, phi) in cases.items():
+            made.clear()
+            spectrum_curve(s, phi, 33)
+            counts[name] = len(made[0].cache)
+        assert counts == self.CURVE_EVALS
+
+    def test_saturation_of_first_point_in_grid_order(self, golden):
+        # L_phi = [-0.0025, 0]: q phi stays within 2.5 nats of 0 up to the
+        # cap, so P'(+-500) stops short of the outer grid points.  The lowest
+        # point saturates at q = -500 on its third evaluation, the highest at
+        # q = 500 on its second; the curve raises the lowest's, as a
+        # point-by-point loop does
+        phi = Potential(range=1, table={(0,): 0.0, (1,): -0.005})
+        iv = lphi_interval(golden, phi)
+        raised = []
+        for i in range(9):
+            try:
+                spectrum_point(golden, phi, iv.lo + (iv.hi - iv.lo) * (i + 1) / 10, interval=iv)
+            except EndpointSaturation as err:
+                raised.append(str(err))
+        assert len(raised) == 2
+        with pytest.raises(EndpointSaturation) as err:
+            spectrum_curve(golden, phi, 9)
+        assert str(err.value) == raised[0]
