@@ -305,7 +305,7 @@ def _eventually_periodic(x: np.ndarray, max_period: int) -> bool:
 # the check table: every kind of expected_statistics entry, declared once
 
 
-#: what a verdict reads; the trace is empty without a potential
+#: what a verdict reads; the trace is empty unless a check or the report reads it
 _Evidence = NamedTuple("_Evidence", [("x", np.ndarray), ("s", ShiftSpace),
                                      ("trace", list), ("facts", _WindowFacts)])
 # check parameter types beyond io's, for a stream of n symbols over k
@@ -460,9 +460,45 @@ def _checked(chk, n: int, k: int, has_phi: bool) -> tuple[CheckKind, dict]:
     return kind, {**kind.defaults, **chk}
 
 
+def _score(arr: np.ndarray, s: ShiftSpace, expected_statistics: list[dict],
+           phi: Optional[Potential], needs: set[tuple[str, int]],
+           with_trace: bool) -> tuple[_Evidence, list[dict]]:
+    """The verdicts of a certificate's checks on a stream, and the evidence
+    they were read from: one sweep for the facts the checks declare and
+    `needs`, and the Birkhoff trace when a check reads it or `with_trace` asks.
+
+    A stream too short for any evidence raises TooShort, and a malformed
+    check SchemaError, both before any sweep.
+    """
+    n_max = len(arr) - max(DEFAULT_LADDER)
+    if n_max < 16:
+        raise TooShort("stream too short for any evidence")
+    checks = [_checked(chk, len(arr), s.k, phi is not None) for chk in expected_statistics]
+    for kind, p in checks:
+        needs = needs | kind.needs(p)
+    facts = _sweep_windows(arr, s.k, n_max, needs)
+    if with_trace or any(kind.trace for kind, _ in checks):
+        trace = birkhoff_trace(arr, phi, default_trace_checkpoints(len(arr) - phi.range), k=s.k)
+    else:
+        trace = []
+    ev = _Evidence(arr, s, trace, facts)
+    return ev, [{"check": chk["check"], "params": {k: v for k, v in chk.items() if k != "check"},
+                 **kind.verdict(p, ev)} for chk, (kind, p) in zip(expected_statistics, checks)]
+
+
+def evaluate_checks(x, s: ShiftSpace, expected_statistics: list[dict],
+                    phi: Optional[Potential] = None) -> list[dict]:
+    """The verdicts of evaluate_certificate's report, from only the facts the
+    checks read: what each kind's `needs` declares, and the trace only when
+    a check reads it.  Refuses what evaluate_certificate refuses."""
+    return _score(_as_array(x), s, expected_statistics, phi, set(), False)[1]
+
+
 def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
                          phi: Optional[Potential] = None) -> RecurrenceReport:
-    """Score a stream against its certificate's expected statistics.
+    """Score a stream against its certificate's expected statistics, with the
+    full report: the ladder's self-cylinder facts, the coverage of lengths
+    1, 2 and 4, and the trace of the potential when there is one.
 
     Failures are verdicts, never exceptions: the report is pure data.  A
     malformed check is refused with SchemaError before any sweep: an unknown
@@ -470,27 +506,14 @@ def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
     CHECKS declares for it, or a trace check without a potential.
     """
     arr = _as_array(x)
+    coverage_lengths = [ell for ell in DEFAULT_LADDER if ell <= 4]
+    needs = {("self", ell) for ell in DEFAULT_LADDER} | {("counts", ell) for ell in coverage_lengths}
+    ev, verdicts = _score(arr, s, expected_statistics, phi, needs, phi is not None)
     max_ell = max(DEFAULT_LADDER)
-    n_max = len(arr) - max_ell
-    if n_max < 16:
-        raise TooShort("stream too short for any evidence")
-    checks = [_checked(chk, len(arr), s.k, phi is not None) for chk in expected_statistics]
-
-    needs = {("self", ell) for ell in DEFAULT_LADDER}
-    needs |= {("counts", ell) for ell in DEFAULT_LADDER if ell <= 4}
-    for kind, p in checks:
-        needs |= kind.needs(p)
-    facts = _sweep_windows(arr, s.k, n_max, needs)
-    ladder_stats = {ell: facts.self_stats[ell] for ell in DEFAULT_LADDER}
-
-    trace = [] if phi is None else birkhoff_trace(
-        arr, phi, default_trace_checkpoints(min(len(arr) - phi.range, n_max + max_ell)), k=s.k)
-    osc = trace_oscillation(trace) if trace else (0.0, 0.0)
-
-    cov = {ell: _coverage(facts.counts[ell], s, ell)[0] for ell in DEFAULT_LADDER if ell <= 4}
-    ev = _Evidence(arr, s, trace, facts)
-    verdicts = [{"check": chk["check"], "params": {k: v for k, v in chk.items() if k != "check"},
-                 **kind.verdict(p, ev)} for chk, (kind, p) in zip(expected_statistics, checks)]
-    return RecurrenceReport(horizon=n_max, prefix=arr[:max_ell].tolist(),
-                            ladder_stats=ladder_stats, trace=trace,
-                            oscillation=osc, cylinder_coverage=cov, verdicts=verdicts)
+    return RecurrenceReport(
+        horizon=len(arr) - max_ell, prefix=arr[:max_ell].tolist(),
+        ladder_stats={ell: ev.facts.self_stats[ell] for ell in DEFAULT_LADDER}, trace=ev.trace,
+        oscillation=trace_oscillation(ev.trace) if ev.trace else (0.0, 0.0),
+        cylinder_coverage={ell: _coverage(ev.facts.counts[ell], s, ell)[0]
+                           for ell in coverage_lengths},
+        verdicts=verdicts)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import io
 from .beta import beta_entropy_estimate, quasi_greedy_normalize
-from .classify import evaluate_certificate
+from .classify import evaluate_certificate, evaluate_checks
 from .errors import (CertificateMismatch, NotPrimitive, SchemaError, ShiftlabError)
 from .shifts import count_periodic, count_words, parse_word, topological_entropy
 from .spectrum import check_concavity, spectrum_curve, sup_equals_htop
@@ -130,23 +130,20 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def _report(o):
-    return evaluate_certificate(o.word, o.shift, o.certificate.expected_statistics,
-                                phi=o.certificate.phi)
-
-
 def cmd_classify(args) -> int:
-    report = _report(io.read_orbit_dir(args.orbit))
+    o = io.read_orbit_dir(args.orbit)
+    report = evaluate_certificate(o.word, o.shift, o.certificate.expected_statistics,
+                                  phi=o.certificate.phi)
     io.write_json(args.out, io.report_to_doc(report))
-    _print_verdicts(report)
+    _print_verdicts(report.verdicts)
     _maybe_manifest(args, "classify", {"orbit": args.orbit}, [args.out])
     return EXIT_OK
 
 
-def _print_verdicts(report) -> None:
-    width = max((len(v["check"]) for v in report.verdicts), default=10)
+def _print_verdicts(verdicts: list[dict]) -> None:
+    width = max((len(v["check"]) for v in verdicts), default=10)
     print(f"{'verdict':<{width}}  result")
-    for v in report.verdicts:
+    for v in verdicts:
         print(f"{v['check']:<{width}}  {'pass' if v['passed'] else 'FAIL'}")
 
 
@@ -157,9 +154,10 @@ def cmd_verify(args) -> int:
     except CertificateMismatch as e:
         print(f"certificate mismatch: {e}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    report = _report(o)
-    _print_verdicts(report)
-    if not report.all_pass:
+    verdicts = evaluate_checks(o.word, o.shift, o.certificate.expected_statistics,
+                               phi=o.certificate.phi)
+    _print_verdicts(verdicts)
+    if not all(v["passed"] for v in verdicts):
         return EXIT_VERDICT
     print("verified")
     return EXIT_OK

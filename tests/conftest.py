@@ -1,4 +1,5 @@
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 from shiftlab import oracle, rng
 from shiftlab.measures import Potential, indicator_potential
 from shiftlab.shifts import ShiftSpace, full_shift, golden_mean_shift, iter_words, sft_from_matrix
+from shiftlab.synthesis import GapClass, synthesize_witness
 
 ACCEPTANCE_SEED = 20250809
+#: horizon of the default witnesses
+HORIZON = 1 << 20
 
 #: a range-2 potential with quarter values on the full 3-shift: a k = 3
 #: Perron solve and dots over its 9 edges
@@ -83,3 +87,35 @@ def phi_golden(golden):
 @pytest.fixture(scope="session")
 def phi_full2(full2):
     return indicator_potential(full2, (1,))
+
+
+@pytest.fixture(scope="session")
+def witnesses(full2, phi_full2):
+    """The default witnesses: every gap class on the full 2-shift with the
+    indicator of 1, at HORIZON and the acceptance seed; and the seconds
+    their synthesis took."""
+    out = {}
+    t0 = time.time()
+    for gc in GapClass:
+        o = synthesize_witness(full2, gc, phi_full2, HORIZON, seed=ACCEPTANCE_SEED)
+        out[gc] = o
+    return out, time.time() - t0
+
+
+#: one valid entry of every check kind, for a stream of 4096 symbols over 2
+EVERY_CHECK = [
+    {"check": "full_horizon_present", "horizon": 4096},
+    {"check": "trace_attains", "targets": [0.3, 0.5], "tol": 0.05, "window": 0.5},
+    {"check": "trace_converges", "target": 0.5, "tol": 0.01, "osc_tol": 0.01, "window": 0.25},
+    {"check": "trace_oscillation", "min_gap": 0.2, "window": 0.5},
+    {"check": "cylinder_lower_min", "lengths": [1, 2], "threshold": 0.01},
+    {"check": "self_lower_max", "length": 6, "max": 0.01},
+    {"check": "self_upper_min", "length": 6, "min": 0.05},
+    {"check": "self_upper_decreasing", "lengths": [4, 8, 12], "final_max": 0.02},
+    {"check": "coverage_counts", "length": 3, "min_visits": 8},
+    {"check": "max_gap_bounded", "bounds": [[1, 3], [2, 4.5]]},
+    {"check": "coverage_fraction_of_expected", "length": 2, "fraction": 0.2,
+     "expected": [[[0, 0], 0.25], [[0, 1], 0.25], [[1, 0], 0.25], [[1, 1], 0.25]]},
+    {"check": "not_eventually_periodic", "max_period": 1024},
+    {"check": "periodic_density_exact", "period": 3},
+]

@@ -11,8 +11,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from shiftlab import io, oracle
 from shiftlab.beta import beta_count_words, beta_entropy_estimate, quasi_greedy_normalize
 from shiftlab.classify import evaluate_certificate
@@ -30,23 +28,12 @@ from conftest import ACCEPTANCE_SEED, FULL3_QUARTERS, constant_potential
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN_BETA = "1.61803398874989484820458683436563811772"
-HORIZON = 1 << 20
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
     line = f"[{criterion}] {'PASS' if passed else 'FAIL'}" + (f"  {detail}" if detail else "")
     print(line)
     assert passed, line
-
-
-@pytest.fixture(scope="session")
-def witnesses(full2, phi_full2):
-    out = {}
-    t0 = time.time()
-    for gc in GapClass:
-        o = synthesize_witness(full2, gc, phi_full2, HORIZON, seed=ACCEPTANCE_SEED)
-        out[gc] = o
-    return out, time.time() - t0
 
 
 def test_c1_entropy_triple_agreement(golden):

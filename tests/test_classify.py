@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.classify import (_coverage, _eventually_periodic, _frequencies,
-                               _agreeing_rotations, _sweep_windows, _window_code_sweep,
-                               birkhoff_trace, default_trace_checkpoints, density_checkpoints,
-                               evaluate_certificate, trace_oscillation, window_codes,
-                               windowed_density, word_code)
+from shiftlab import classify
+from shiftlab.classify import (CHECKS, DEFAULT_LADDER, _checked, _coverage, _Evidence,
+                               _eventually_periodic, _frequencies, _agreeing_rotations,
+                               _sweep_windows, _window_code_sweep, birkhoff_trace,
+                               default_trace_checkpoints, density_checkpoints,
+                               evaluate_certificate, evaluate_checks, trace_oscillation,
+                               window_codes, windowed_density, word_code)
 from shiftlab.errors import SchemaError, TooShort
 from shiftlab.measures import (integrate, indicator_potential, parry_measure,
                                sample_typical_word, Potential)
 from shiftlab.oracle import brute_self_visits, full_compare_eventually_periodic
-from shiftlab.shifts import full_shift, iter_words
-from shiftlab.synthesis import thue_morse_word
+from shiftlab.shifts import full_shift, iter_words, sft_from_matrix
+from shiftlab.synthesis import GapClass, synthesize_witness, thue_morse_word
+
+from conftest import ACCEPTANCE_SEED, EVERY_CHECK
 
 
 def alternating(n):
@@ -189,8 +193,9 @@ class TestEvaluate:
 
     def test_unknown_check_fails_closed(self, full2):
         x = alternating(1 << 14)
-        with pytest.raises(SchemaError, match="unknown check kind 'definitely_not_a_check'"):
-            evaluate_certificate(x, full2, [{"check": "definitely_not_a_check"}])
+        for evaluate in (evaluate_certificate, evaluate_checks):
+            with pytest.raises(SchemaError, match="unknown check kind 'definitely_not_a_check'"):
+                evaluate(x, full2, [{"check": "definitely_not_a_check"}])
 
     def test_report_is_pure_data(self, full2, phi_full2):
         x = alternating(1 << 14)
@@ -198,6 +203,89 @@ class TestEvaluate:
         r = evaluate_certificate(x, full2, stats, phi=phi_full2)
         assert not r.all_pass  # alternation converges; no exception raised
         assert r.oscillation[0] <= r.oscillation[1]
+
+
+def _same(a, b) -> bool:
+    """Equal, with the same Python types all through."""
+    return a == b and repr(a) == repr(b)
+
+
+class TestVerifyVerdicts:
+    """evaluate_checks, verify's verdict pass, computes only the facts the
+    checks declare, and its verdicts are the classify report's."""
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_verdict_reads_only_declared_facts(self, full2, phi_full2, name):
+        """Scored from the facts its needs declare alone, and a trace only if
+        it declares one, each kind gives the full report's verdict; a fact
+        read but not declared raises KeyError, an undeclared trace IndexError."""
+        chk = next(c for c in EVERY_CHECK if c["check"] == name)
+        x = np.array(sample_typical_word(parry_measure(full2), 4096, seed=19), dtype=np.int64)
+        kind, p = _checked(chk, len(x), 2, True)
+        facts = _sweep_windows(x, 2, len(x) - max(DEFAULT_LADDER), kind.needs(p))
+        trace = birkhoff_trace(x, phi_full2, default_trace_checkpoints(len(x) - phi_full2.range),
+                               k=2) if kind.trace else []
+        declared = kind.verdict(p, _Evidence(x, full2, trace, facts))
+        (full,) = evaluate_certificate(x, full2, [chk], phi=phi_full2).verdicts
+        assert {k: v for k, v in full.items() if k not in ("check", "params")} == declared
+
+    def test_default_witnesses(self, witnesses, full2, phi_full2):
+        """Every default witness, and the two cross-scored pairs, whose
+        verdicts include failures."""
+        orbits, _ = witnesses
+        a, b = orbits[GapClass.R_FULL_SUPPORT], orbits[GapClass.I_NOT_QW]
+        cases = [(o.word, o.certificate.expected_statistics) for o in orbits.values()]
+        cases += [(a.word, b.certificate.expected_statistics),
+                  (b.word, a.certificate.expected_statistics)]
+        passes = []
+        for word, checks in cases:
+            verdicts = evaluate_checks(word, full2, checks, phi=phi_full2)
+            assert _same(verdicts, evaluate_certificate(word, full2, checks,
+                                                        phi=phi_full2).verdicts)
+            passes.append(all(v["passed"] for v in verdicts))
+        assert passes == [True] * len(orbits) + [False, False]
+
+    def test_three_symbol_witnesses(self, full3):
+        """The classes that pass on the full 3-shift and a 3-symbol shift."""
+        for s in (full3, sft_from_matrix(3, [[1, 1, 1], [1, 1, 0], [1, 0, 1]])):
+            phi = indicator_potential(s, (0,))
+            for gc in GapClass:
+                if gc is GapClass.I_NOT_QW:
+                    continue
+                o = synthesize_witness(s, gc, phi, 1 << 14, seed=ACCEPTANCE_SEED)
+                checks = o.certificate.expected_statistics
+                report = evaluate_certificate(o.word, s, checks, phi=phi)
+                assert report.all_pass, (gc, report.verdicts)
+                assert _same(evaluate_checks(o.word, s, checks, phi=phi), report.verdicts)
+
+    def test_only_read_facts_computed(self, witnesses, full2, phi_full2, monkeypatch):
+        """Classes whose checks read no window codes and no trace compute
+        neither; the report computes both for each."""
+        calls = {"birkhoff_trace": 0, "window_codes": 0}
+
+        def counted(name):
+            fn = getattr(classify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(classify, name, counted(name))
+        orbits, _ = witnesses
+        expected = {GapClass.V_NOT_W: 0, GapClass.PERIODIC: 0,
+                    GapClass.ALMOST_PERIODIC_NOT_PER: 0, GapClass.QR_NOT_ERG_NOT_A: 1}
+        for gc, traces in expected.items():
+            o = orbits[gc]
+            for name in calls:
+                calls[name] = 0
+            evaluate_checks(o.word, full2, o.certificate.expected_statistics, phi=phi_full2)
+            assert calls["birkhoff_trace"] == traces, gc
+            if not traces:
+                assert calls["window_codes"] == 0, gc
+            evaluate_certificate(o.word, full2, o.certificate.expected_statistics, phi=phi_full2)
+            assert calls["birkhoff_trace"] == traces + 1 and calls["window_codes"] > 0, gc
 
 
 @st.composite

@@ -17,6 +17,8 @@ from shiftlab.measures import indicator_potential
 from shiftlab.shifts import full_shift, golden_mean_shift, sft_from_matrix
 from shiftlab.synthesis import CLASSES, GapClass, synthesize_witness
 
+from conftest import EVERY_CHECK
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "shiftlab.cli", *args],
@@ -615,6 +617,19 @@ class TestPipeline:
         assert "only by PERIODIC" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_too_short_orbit_exit2(self, files, tmp_path):
+        """A stream with fewer than 16 evidence times past the longest ladder
+        length is refused by both scoring commands, before any sweep."""
+        orbit = tmp_path / "orbit"
+        rc, _, _ = run_cli("synthesize", "--shift", str(files / "full2.json"),
+                           "--class", "W_NOT_QR", "--potential", str(files / "phi.json"),
+                           "--horizon", "20", "--seed", "1", "--out", str(orbit))
+        assert rc == 0
+        for args in (["verify"], ["classify", "--out", str(tmp_path / "report.json")]):
+            rc, _, err = run_cli(*args, "--orbit", str(orbit))
+            assert rc == 2
+            assert "Traceback" not in err and "too short" in err
+
 
 V1_ORBITS = Path(__file__).parent / "data" / "v1"
 
@@ -694,25 +709,6 @@ class TestJsonWriter:
     def test_unsupported_key_raises_like_dumps(self):
         with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
             io._json_text({(1, 2): 0})
-
-
-#: one valid entry of every check kind, for the 4096-symbol V_NOT_W orbit
-EVERY_CHECK = [
-    {"check": "full_horizon_present", "horizon": 4096},
-    {"check": "trace_attains", "targets": [0.3, 0.5], "tol": 0.05, "window": 0.5},
-    {"check": "trace_converges", "target": 0.5, "tol": 0.01, "osc_tol": 0.01, "window": 0.25},
-    {"check": "trace_oscillation", "min_gap": 0.2, "window": 0.5},
-    {"check": "cylinder_lower_min", "lengths": [1, 2], "threshold": 0.01},
-    {"check": "self_lower_max", "length": 6, "max": 0.01},
-    {"check": "self_upper_min", "length": 6, "min": 0.05},
-    {"check": "self_upper_decreasing", "lengths": [4, 8, 12], "final_max": 0.02},
-    {"check": "coverage_counts", "length": 3, "min_visits": 8},
-    {"check": "max_gap_bounded", "bounds": [[1, 3], [2, 4.5]]},
-    {"check": "coverage_fraction_of_expected", "length": 2, "fraction": 0.2,
-     "expected": [[[0, 0], 0.25], [[0, 1], 0.25], [[1, 0], 0.25], [[1, 1], 0.25]]},
-    {"check": "not_eventually_periodic", "max_period": 1024},
-    {"check": "periodic_density_exact", "period": 3},
-]
 
 
 def _paths(value, path=()):
