@@ -55,12 +55,6 @@ class RecurrenceReport:
         return all(v["passed"] for v in self.verdicts)
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, np.ndarray):
-        return x.astype(np.int64, copy=False)
-    return np.array(x, dtype=np.int64)
-
-
 def _check_code_range(ell: int, k: int) -> None:
     if k ** ell > 1 << 63:
         raise ValueError(f"codes of {ell}-windows over {k} symbols do not fit in int64")
@@ -154,7 +148,7 @@ def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
     lacks adds 0.  Values are read from a table of all k**range codes while
     that is no longer than the windows; past that, from the table's own
     sorted word codes, so memory follows the stream and the table."""
-    arr = _as_array(x)
+    arr = np.asarray(x)
     need = max(checkpoints) + phi.range
     if len(arr) < need:
         raise TooShort(f"need length >= {need}, have {len(arr)}")
@@ -491,7 +485,7 @@ def evaluate_checks(x, s: ShiftSpace, expected_statistics: list[dict],
     """The verdicts of evaluate_certificate's report, from only the facts the
     checks read: what each kind's `needs` declares, and the trace only when
     a check reads it.  Refuses what evaluate_certificate refuses."""
-    return _score(_as_array(x), s, expected_statistics, phi, set(), False)[1]
+    return _score(np.asarray(x), s, expected_statistics, phi, set(), False)[1]
 
 
 def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
@@ -505,7 +499,7 @@ def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
     kind, a missing, unknown or mistyped parameter, a value outside the range
     CHECKS declares for it, or a trace check without a potential.
     """
-    arr = _as_array(x)
+    arr = np.asarray(x)
     coverage_lengths = [ell for ell in DEFAULT_LADDER if ell <= 4]
     needs = {("self", ell) for ell in DEFAULT_LADDER} | {("counts", ell) for ell in coverage_lengths}
     ev, verdicts = _score(arr, s, expected_statistics, phi, needs, phi is not None)

@@ -7,6 +7,7 @@ emitted in construction order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -15,14 +16,14 @@ import sys
 import tempfile
 from collections import namedtuple
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from .errors import SchemaError, UnreadableInput
 from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
                        markov_measure, mixture, periodic_measure, validate_potential)
-from .shifts import ShiftSpace, sft_from_matrix
+from .shifts import SYMBOL_DTYPE, ShiftSpace, sft_from_matrix
 from .synthesis import CLASSES, Certificate, GapClass, OrbitPrefix, Schedule, Segment
 
 SHIFT_SCHEMA = "shiftlab/shift/1"
@@ -41,12 +42,15 @@ POTENTIAL_BOUND = 1e6
 STREAM_LINE_WIDTH = 120
 
 
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: Union[str, Path]) -> Iterator[TextIO]:
+    """A text file that replaces `path` when the block ends, and is
+    removed, leaving `path` as it was, when the block raises."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,40 +58,17 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
         raise
 
 
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def write_json(path: Union[str, Path], doc: dict) -> None:
-    atomic_write_text(path, _json_text(doc) + "\n")
-
-
-_CONTAINERS = (list, tuple, dict)
-_KEY_TYPES = (str, int, float, bool, type(None))
-
-
-def _json_text(obj, pad: str = "") -> str:
-    """Exactly `json.dumps(obj, indent=2)`, with every list of scalars
-    encoded by the C encoder (indent makes json.dumps encode in Python)."""
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if not any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
-            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
-            return "[\n" + inner + body + "\n" + pad + "]"
-        items = (_json_text(v, inner) for v in obj)
-    else:
-        return json.dumps(obj)
-    opener, closer = ("{", "}") if isinstance(obj, dict) else ("[", "]")
-    return opener + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closer
-
-
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: non-string keys become their JSON text."""
-    if not isinstance(key, _KEY_TYPES):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+    """The text of json.dumps(doc, indent=2) and a newline, written as it
+    is encoded, so no copy of the whole text is held."""
+    with _atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _read_text(path: Union[str, Path]) -> str:
@@ -288,7 +269,7 @@ def measure_from_doc(doc: dict, s: ShiftSpace) -> InvariantMeasure:
 def stream_to_text(word) -> str:
     """One ASCII digit per symbol, STREAM_LINE_WIDTH digits per line, each
     line ending in a newline; the empty stream is a single newline."""
-    symbols = np.asarray(word, dtype=np.int64)
+    symbols = np.asarray(word)
     n = symbols.size
     if n and (symbols.min() < 0 or symbols.max() > 9):
         raise ValueError("stream format holds one ASCII digit per symbol (alphabet <= 10)")
@@ -296,15 +277,23 @@ def stream_to_text(word) -> str:
     rows = max(1, -(-n // width))
     grid = np.full((rows, width + 1), ord("\n"), dtype=np.uint8)
     digits = np.zeros(rows * width, dtype=np.uint8)
-    digits[:n] = symbols + ord("0")
+    np.add(symbols, ord("0"), out=digits[:n], casting="unsafe")
     grid[:, :width] = digits.reshape(rows, width)
     grid[-1, n - (rows - 1) * width] = ord("\n")
     return grid.tobytes()[:n + rows].decode("ascii")
 
 
 def stream_from_text(text: str) -> np.ndarray:
-    chars = "".join(text.split())
-    return np.frombuffer(chars.encode(), dtype=np.uint8).astype(np.int64) - ord("0")
+    """The symbols of a stream's text as a SYMBOL_DTYPE array: each character
+    less '0' in one byte, so one that is not a digit reads as a symbol >= 10,
+    and ASCII whitespace (space, \\t, \\n, \\r, \\v, \\f) dropped.  A non-ASCII
+    character is a SchemaError."""
+    try:
+        raw = text.encode("ascii").translate(None, b" \t\n\r\v\f")
+    except UnicodeEncodeError as e:
+        raise SchemaError(f"stream character {e.start} is {text[e.start]!r}, "
+                          f"not an ASCII digit or whitespace") from None
+    return (np.frombuffer(raw, dtype=np.uint8) - ord("0")).astype(SYMBOL_DTYPE, copy=False)
 
 
 # --- certificates and orbit directories ------------------------------------
@@ -385,10 +374,10 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
         horizon=cert_doc["horizon"], seed=cert_doc["seed"], phi=phi,
         ambient_entropy=float(cert_doc["ambient_entropy"]))
     word = stream_from_text(stream_text)
-    bad = np.flatnonzero(word.view(np.uint64) >= min(s.k, 10))   # as uint64, c < 0 is huge
+    bad = np.flatnonzero(word >= min(s.k, 10))   # a character below '0' wraps past 10
     if bad.size:
-        raise SchemaError(f"stream symbol {bad[0]} is {chr(int(word[bad[0]]) + ord('0'))!r}, "
-                          f"not a digit below {min(s.k, 10)}")
+        char = chr((int(word[bad[0]]) + ord("0")) % 256)
+        raise SchemaError(f"stream symbol {bad[0]} is {char!r}, not a digit below {min(s.k, 10)}")
     segments = [_segment_from_doc(d, Context(k=s.k, pool=pool)) for d in cert_doc["schedule"]]
     end = 0
     for seg in segments:

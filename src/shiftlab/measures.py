@@ -22,8 +22,8 @@ import numpy as np
 
 from . import rng
 from .errors import NotAdmissible, NotPrimitive, RangeMismatch
-from .shifts import (ShiftSpace, Word, count_words, is_admissible, is_cyclically_admissible,
-                     iter_words, perron, strongly_connected_components)
+from .shifts import (SYMBOL_DTYPE, ShiftSpace, Word, count_words, is_admissible,
+                     is_cyclically_admissible, iter_words, perron, strongly_connected_components)
 
 VALIDATION_TOL = 1e-12
 
@@ -301,7 +301,7 @@ def is_ergodic(m: InvariantMeasure) -> bool:
 
 def sample_typical_word(m: InvariantMeasure, n: int, seed: int,
                         start: Optional[int] = None) -> np.ndarray:
-    """Deterministic n-word typical for the measure, as an int64 array.
+    """Deterministic n-word typical for the measure, as a SYMBOL_DTYPE array.
 
     Markov chains draw the start symbol from pi (unless fixed) and walk the
     rows of P: step t moves from state i to the first j with u_t < c_i[j],
@@ -315,7 +315,7 @@ def sample_typical_word(m: InvariantMeasure, n: int, seed: int,
     if n < 1:
         raise ValueError("n >= 1 required")
     if isinstance(m, PeriodicMeasure):
-        return np.tile(np.array(m.cycle, dtype=np.int64), -(-n // len(m.cycle)))[:n]
+        return np.tile(np.array(m.cycle, dtype=SYMBOL_DTYPE), -(-n // len(m.cycle)))[:n]
     if isinstance(m, Mixture):
         raise ValueError("mixtures are realized by scheduling, not direct sampling")
     return sample_typical_words(m, [n], [seed], start)
@@ -330,7 +330,7 @@ SCAN_RADIX = 32
 def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequence[int],
                          start: Optional[int] = None) -> np.ndarray:
     """The words sample_typical_word(m, lengths[i], seeds[i], start) for
-    every i, concatenated into one int64 array.
+    every i, concatenated into one SYMBOL_DTYPE array.
 
     All segments of the measure are walked together, SAMPLE_CHUNK steps at
     a time.  Step t of a segment is a map f_t on the k states, and a
@@ -350,12 +350,14 @@ def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequen
     k = m.shift.k
     if start is not None and not 0 <= start < k:
         raise ValueError(f"start symbol {start} outside the alphabet")
+    if k > np.iinfo(SYMBOL_DTYPE).max + 1:
+        raise ValueError(f"{k} symbols do not fit in {np.dtype(SYMBOL_DTYPE)}")
     edges, table = _step_maps(m.P)
     pi_edges = _thresholds(m.pi)
     offsets = np.zeros(n_seg + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
     seed_arr = np.array([int(x) % (1 << 64) for x in seeds], dtype=np.uint64)
-    out = np.empty(int(offsets[-1]), dtype=np.int64)
+    out = np.empty(int(offsets[-1]), dtype=SYMBOL_DTYPE)
     for a in range(0, len(out), SAMPLE_CHUNK):
         b = min(a + SAMPLE_CHUNK, len(out))
         first = int(np.searchsorted(offsets, a, side="right")) - 1
@@ -393,7 +395,7 @@ def _step_maps(p) -> tuple[np.ndarray, np.ndarray]:
     k = len(p)
     rows = [_thresholds(row) for row in p]
     edges = np.unique(np.concatenate(rows))
-    table = np.empty((len(edges) + 1 + k, k), dtype=np.min_scalar_type(k - 1))
+    table = np.empty((len(edges) + 1 + k, k), dtype=SYMBOL_DTYPE)
     table[0] = 0
     for i, row in enumerate(rows):
         table[1:len(edges) + 1, i] = np.searchsorted(row, edges, side="right")

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import EmptyShift, NoProperSubshift, NotAdmissible, NotPrimitive, SymbolOutOfRange
 
 Word = tuple[int, ...]
+#: the dtype of every symbol stream: one byte per symbol, alphabets up to 256
+SYMBOL_DTYPE = np.uint8
 
 #: proper-subgraph entropies this close to the best one count as tied
 SUBGRAPH_TIE_TOL = 1e-12

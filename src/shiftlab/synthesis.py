@@ -23,6 +23,7 @@ leave them free).  Two layouts are used:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, takewhile
@@ -38,8 +39,8 @@ from .measures import (InvariantMeasure, MarkovMeasure, Mixture, PeriodicMeasure
                        integrate, is_ergodic, markov_measure, markov_word_probability,
                        mixture, parry_measure, periodic_measure, piece_is_single_orbit,
                        sample_typical_word, sample_typical_words, support, support_pieces)
-from .shifts import (ShiftSpace, Word, connecting_word, cycle_word_for, is_admissible,
-                     iter_words, largest_proper_scc_subgraph, least_cycle,
+from .shifts import (SYMBOL_DTYPE, ShiftSpace, Word, connecting_word, cycle_word_for,
+                     is_admissible, iter_words, largest_proper_scc_subgraph, least_cycle,
                      primitive_cycles, subshift_from_edges, topological_entropy)
 from .spectrum import edge_system, has_irregular
 
@@ -117,10 +118,15 @@ class OrbitPrefix:
 
 
 def thue_morse_word(n: int) -> np.ndarray:
-    """Fixed point of 0 -> 01, 1 -> 10, truncated to n symbols, as an int64 array."""
+    """Fixed point of 0 -> 01, 1 -> 10, truncated to n symbols, as a
+    SYMBOL_DTYPE array: symbol i is the parity of i's binary digits, so
+    symbol 256h + l is symbol h xor symbol l."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    return (np.bitwise_count(np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
+    low = np.bitwise_count(np.arange(256, dtype=SYMBOL_DTYPE)) & 1
+    if n <= 256:
+        return low[:n]
+    return (thue_morse_word(-(-n // 256))[:, None] ^ low).reshape(-1)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +178,19 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
     for i, seg in enumerate(layout):
         if seg.kind == "bridge":
             seg.word = connecting_word(s, int(words[i - 1][-1]), int(words[i + 1][0]))[:seg.length]
-            words[i] = np.array(seg.word, dtype=np.int64)
-    arr = np.concatenate(words[:len(schedule)]) if schedule else np.zeros(0, dtype=np.int64)
+            words[i] = np.array(seg.word, dtype=SYMBOL_DTYPE)
+    arr = np.concatenate(words[:len(schedule)]) if schedule else np.zeros(0, SYMBOL_DTYPE)
     return arr, Schedule(horizon=horizon, segments=schedule)
 
 
 def regenerate_segment(seg: Segment, pool: list[InvariantMeasure]) -> np.ndarray:
-    """The symbols a schedule segment stands for, as an int64 array: its own
+    """The symbols a schedule segment stands for, as a SYMBOL_DTYPE array: its own
     word (literal, bridge), the Thue-Morse prefix of its length, or a word
     typical for the pool measure it names (markov, periodic)."""
     if seg.kind == "thue_morse":
         return thue_morse_word(seg.length)
     if seg.kind in ("literal", "bridge"):
-        return np.array(seg.word, dtype=np.int64)
+        return np.array(seg.word, dtype=SYMBOL_DTYPE)
     return sample_typical_word(pool[seg.source], seg.length, seg.sub_seed)
 
 
@@ -697,16 +703,20 @@ def _check_word(o: OrbitPrefix, report: dict) -> None:
     cert = o.certificate
     s = o.shift
     word = o.word
-    if not (s.matrix_array() == 1).reshape(-1).take(word[:-1] * s.k + word[1:]).all():
+    allowed = (s.matrix_array() == 1).reshape(-1)
+    pairs = word.astype(np.min_scalar_type(s.k * s.k - 1), copy=False)   # codes a k + b fit
+    if not allowed.all() and not allowed[pairs[:-1] * s.k + pairs[1:]].all():
         raise CertificateMismatch("admissibility", "stream violates the transition matrix")
     if cert.pinned_prefix is not None and len(word) >= len(cert.pinned_prefix):
-        pin = np.array(cert.pinned_prefix, dtype=np.int64)
-        if not np.array_equal(word[:len(pin)], pin):
+        if not np.array_equal(word[:len(cert.pinned_prefix)], cert.pinned_prefix):
             raise CertificateMismatch("pinned_prefix", "stream does not start with the pin")
+    # the schedule tiles the stream from 0, so its present segments regenerate word[:end]
     present = list(takewhile(lambda seg: seg.start + seg.length <= len(word),
                              o.schedule.segments))
-    for seg, expected in zip(present, _regenerate(present, cert.pool)):
-        if not np.array_equal(word[seg.start:seg.start + seg.length], expected):
-            raise CertificateMismatch("schedule_window",
-                                      f"segment at {seg.start} does not match its source")
+    expected = np.concatenate(_regenerate(present, cert.pool) or [word[:0]])
+    if not np.array_equal(word[:len(expected)], expected):
+        first = np.flatnonzero(word[:len(expected)] != expected)[0]
+        seg = present[bisect_right([seg.start for seg in present], first) - 1]
+        raise CertificateMismatch("schedule_window",
+                                  f"segment at {seg.start} does not match its source")
     report["checked"].append("word")

@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 
@@ -14,10 +15,11 @@ from shiftlab.classify import (CHECKS, DEFAULT_LADDER, _checked, _coverage, _Evi
                                evaluate_certificate, evaluate_checks, trace_oscillation,
                                window_codes, windowed_density, word_code)
 from shiftlab.errors import SchemaError, TooShort
+from shiftlab.io import report_to_doc
 from shiftlab.measures import (integrate, indicator_potential, parry_measure,
                                sample_typical_word, Potential)
 from shiftlab.oracle import brute_self_visits, full_compare_eventually_periodic
-from shiftlab.shifts import full_shift, iter_words, sft_from_matrix
+from shiftlab.shifts import SYMBOL_DTYPE, full_shift, iter_words, sft_from_matrix
 from shiftlab.synthesis import GapClass, synthesize_witness, thue_morse_word
 
 from conftest import ACCEPTANCE_SEED, EVERY_CHECK
@@ -244,6 +246,16 @@ class TestVerifyVerdicts:
                                                         phi=phi_full2).verdicts)
             passes.append(all(v["passed"] for v in verdicts))
         assert passes == [True] * len(orbits) + [False, False]
+
+    def test_symbol_dtype_leaves_report_bytes(self, witnesses, full2, phi_full2):
+        """A default witness's report is the same from its one-byte symbols
+        and from an int64 copy."""
+        for o in witnesses[0].values():
+            assert o.word.dtype == SYMBOL_DTYPE
+            docs = [json.dumps(report_to_doc(evaluate_certificate(
+                word, full2, o.certificate.expected_statistics, phi=phi_full2)), indent=2)
+                for word in (o.word, o.word.astype(np.int64))]
+            assert docs[0] == docs[1]
 
     def test_three_symbol_witnesses(self, full3):
         """The classes that pass on the full 3-shift and a 3-symbol shift."""

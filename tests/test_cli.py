@@ -698,17 +698,20 @@ _json_docs = st.recursive(
 class TestJsonWriter:
     @given(doc=_json_docs)
     @settings(max_examples=300, deadline=None)
-    def test_same_text_as_indented_dumps(self, doc):
-        assert io._json_text(doc) == json.dumps(doc, indent=2)
+    def test_same_text_as_indented_dumps(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "hypothesis_doc.json"
+        io.write_json(path, doc)
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("ascii")
 
     def test_write_json_file(self, tmp_path):
         doc = {"a": [1, 2.5, None], 3: {"b": ()}, None: [[], {}], "c": [{"d": [True]}]}
         io.write_json(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
 
-    def test_unsupported_key_raises_like_dumps(self):
+    def test_unsupported_key_raises_like_dumps(self, tmp_path):
         with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
-            io._json_text({(1, 2): 0})
+            io.write_json(tmp_path / "doc.json", {(1, 2): 0})
+        assert not list(tmp_path.iterdir())
 
 
 def _paths(value, path=()):
@@ -885,3 +888,26 @@ class TestMutatedStreams:
             stream = data.draw(stream_edits(stream))
         doc = json.loads((base_orbit / "certificate.json").read_text())
         _exits_documented_code(_edited_orbit(tmp_path_factory, doc, stream))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data[:5] + "\u00a0".encode() + data[7:], "is '\\xa0', not an ASCII digit"),
+        (lambda data: data[:5] + b"/" + data[6:], "is '/', not a digit below 2"),
+        (lambda data: data[:5] + b"\xff" + data[6:], "error:"),
+    ], ids=["no_break_space_for_two_digits", "slash", "byte_ff"])
+    def test_stream_character_not_a_digit_exit2(self, periodic_orbit, tmp_path, capsys,
+                                                edit, message):
+        """Only ASCII whitespace is skipped: U+00A0 is refused, not read as
+        a gap; '/' wraps to 255 in one byte and is still named as '/'."""
+        orbit = tmp_path / "orbit"
+        shutil.copytree(periodic_orbit, orbit)
+        (orbit / "stream.txt").write_bytes(edit((orbit / "stream.txt").read_bytes()))
+        assert main(["verify", "--orbit", str(orbit)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_crlf_and_tabs_read(self, periodic_orbit, tmp_path):
+        orbit = tmp_path / "orbit"
+        shutil.copytree(periodic_orbit, orbit)
+        data = (orbit / "stream.txt").read_bytes()
+        (orbit / "stream.txt").write_bytes(b"\t" + data.replace(b"\n", b"\r\n\t"))
+        assert main(["verify", "--orbit", str(orbit)]) == 0
+        assert io.stream_from_text("0\t1\r\n1 \x0b0\x0c\r").tolist() == [0, 1, 1, 0]

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from shiftlab import oracle, rng
 from shiftlab.errors import EmptyShift, NotAdmissible, NotPrimitive
-from shiftlab.measures import (SAMPLE_CHUNK, Potential, entropy,
+from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, Potential, entropy,
                                equilibrium_measure, has_full_support,
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
                                parry_measure, periodic_measure, sample_typical_word,
                                sample_typical_words, support, support_pieces)
 from shiftlab.oracle import scalar_typical_word
-from shiftlab.shifts import (full_shift, is_admissible, iter_words, primitive_cycles,
-                             sft_from_matrix, topological_entropy)
+from shiftlab.shifts import (SYMBOL_DTYPE, ShiftSpace, full_shift, is_admissible, iter_words,
+                             primitive_cycles, sft_from_matrix, topological_entropy)
 from shiftlab.spectrum import PressureFunction, edge_system
 from shiftlab.synthesis import _sub_parry
 
@@ -189,13 +189,20 @@ class TestSampling:
 
     def test_full2_frequency(self, full2, phi_full2):
         w = sample_typical_word(parry_measure(full2), 1 << 16, seed=12345)
-        assert abs(sum(w) / len(w) - 0.5) < 0.01
+        assert abs(w.mean() - 0.5) < 0.01
 
     def test_golden_frequency(self, golden, phi_golden):
         m = parry_measure(golden)
         w = sample_typical_word(m, 1 << 16, seed=999)
         target = integrate(m, phi_golden)
-        assert abs(sum(w) / len(w) - target) < 0.01
+        assert abs(w.mean() - target) < 0.01
+
+    def test_alphabet_beyond_one_byte_refused(self):
+        """257 symbols would wrap in one-byte symbols, so the sampler refuses them."""
+        uniform = (1 / 257,) * 257
+        m = MarkovMeasure(ShiftSpace(257, ((1,) * 257,) * 257), (uniform,) * 257, uniform)
+        with pytest.raises(ValueError, match="257 symbols do not fit in uint8"):
+            sample_typical_word(m, 4, seed=1)
 
     def test_always_admissible(self, golden, random4):
         for s in (golden, random4):
@@ -285,7 +292,7 @@ class TestSamplerMatchesScalarWalk:
     def test_symbol_for_symbol(self, case):
         m, n, seed, start = case
         w = sample_typical_word(m, n, seed, start=start)
-        assert w.dtype == np.int64
+        assert w.dtype == SYMBOL_DTYPE
         assert tuple(w.tolist()) == scalar_typical_word(m, n, seed, start=start)
 
     @given(batch_cases())
@@ -293,7 +300,7 @@ class TestSamplerMatchesScalarWalk:
     def test_batch_is_the_concatenated_words(self, case):
         m, lengths, seeds, start = case
         w = sample_typical_words(m, lengths, seeds, start)
-        assert w.dtype == np.int64
+        assert w.dtype == SYMBOL_DTYPE
         assert tuple(w.tolist()) == sum((scalar_typical_word(m, n, seed, start=start)
                                          for n, seed in zip(lengths, seeds)), ())
 

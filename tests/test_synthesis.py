@@ -242,6 +242,31 @@ class TestCertify:
         with pytest.raises(CertificateMismatch):
             certify(o)
 
+    @pytest.mark.parametrize("last", [False, True])
+    def test_word_tamper_names_its_segment(self, full2, phi_full2, last):
+        """The mismatch names the segment holding the first differing symbol,
+        whether that symbol opens or closes it."""
+        o = synthesize_witness(full2, GapClass.R_FULL_SUPPORT, phi_full2, N_SMALL, seed=21)
+        seg = o.schedule.segments[len(o.schedule.segments) // 2]
+        at = seg.start + (seg.length - 1 if last else 0)
+        o.word[at] = 1 - o.word[at]
+        with pytest.raises(CertificateMismatch, match=f"segment at {seg.start} does") as exc:
+            certify(o)
+        assert exc.value.fact == "schedule_window"
+
+    @pytest.mark.parametrize("k", [16, 17])
+    def test_forbidden_pair_with_the_largest_code(self, k):
+        """The forbidden pair (k-1, k-1) has the largest pair code, k^2 - 1:
+        255 on 16 symbols, the most one byte holds, and 288 on 17."""
+        s = sft_from_matrix(k, [[int(i < k - 1 or j < k - 1) for j in range(k)]
+                                for i in range(k)])
+        o = synthesize_witness(s, GapClass.PERIODIC, None, 64, seed=1)
+        certify(o)
+        o.word[10:12] = k - 1
+        with pytest.raises(CertificateMismatch) as exc:
+            certify(o)
+        assert exc.value.fact == "admissibility"
+
     def test_swapped_schedules_fail_a_verdict(self, full2, phi_full2):
         a = synthesize_witness(full2, GapClass.R_FULL_SUPPORT, phi_full2, 1 << 16, seed=2)
         b = synthesize_witness(full2, GapClass.I_NOT_QW, phi_full2, 1 << 16, seed=2)
