@@ -8,15 +8,19 @@ integrals are linear, so every derived fact is closed-form.
 Typical words of a Markov measure come from one walk kernel: all segments
 of one measure are sampled together (sample_typical_words), and each
 segment's symbols are exactly those of sampling it alone
-(sample_typical_word), whatever else is sampled with it.
+(sample_typical_word), whatever else is sampled with it.  A memoryless
+chain, one whose rows of P all have the same thresholds (a Bernoulli
+measure such as the full 2-shift's Parry measure), skips the walk's prefix
+scan: every step map is constant, so each state is one table lookup.  A
+walk longer than one chunk makes its chunk buffers (random bits, step
+maps) once and reuses them for every chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -114,7 +118,9 @@ class Mixture:
     components: tuple["InvariantMeasure", ...]
 
 
-InvariantMeasure = Union[MarkovMeasure, PeriodicMeasure, Mixture]
+# A | union, not typing.Union: typing caches every Union it builds, so a
+# re-imported module would stay alive through its old classes.
+InvariantMeasure = MarkovMeasure | PeriodicMeasure | Mixture
 
 
 def markov_measure(s: ShiftSpace, p: Sequence[Sequence[float]],
@@ -336,8 +342,10 @@ def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequen
     a time.  Step t of a segment is a map f_t on the k states, and a
     segment's first step is the constant map to its start symbol, so a
     chunk is one composition f_t o ... o f_0, read off by one prefix scan
-    (_scan).  Each segment's symbols are exactly those of sampling it
-    alone, so a certificate stays recomputable segment by segment.
+    (_scan), or by one gather when every step map is constant.  Each
+    segment's symbols are exactly those of sampling it alone, so a
+    certificate stays recomputable segment by segment.  The chunk buffers
+    are allocated once per call, and none outlives it.
 
     With bits the raw splitmix64 output and u = (bits >> 11) / 2^53 its
     uniform, u >= c exactly when bits >= ceil(c 2^53) 2^11; so each step's
@@ -352,25 +360,37 @@ def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequen
         raise ValueError(f"start symbol {start} outside the alphabet")
     if k > np.iinfo(SYMBOL_DTYPE).max + 1:
         raise ValueError(f"{k} symbols do not fit in {np.dtype(SYMBOL_DTYPE)}")
-    edges, table = _step_maps(m.P)
-    pi_edges = _thresholds(m.pi)
+    rows = _thresholds(m.P + (m.pi,))  # each row of P, then pi
+    edges, table = _step_maps(rows[:-1])
+    pi_edges = _bits(rows[-1])
     offsets = np.zeros(n_seg + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
     seed_arr = np.array([int(x) % (1 << 64) for x in seeds], dtype=np.uint64)
     out = np.empty(int(offsets[-1]), dtype=SYMBOL_DTYPE)
+    # chunk buffers, made once per call and freed with it.  A walk of one
+    # chunk has nothing to reuse, and splitmix64_runs then makes two arrays,
+    # not three, and frees one before the scan: passing buffers there too
+    # made a witness-ambients benchmark round (walks of at most 2^16 steps)
+    # about 7% slower.
+    size = min(SAMPLE_CHUNK, len(out))
+    buffers = rng.run_buffers(size) if len(out) > SAMPLE_CHUNK else None
+    maps = np.empty(size, dtype=np.min_scalar_type(len(table) - 1))
+    reached = np.empty(size, dtype=bool)
     for a in range(0, len(out), SAMPLE_CHUNK):
         b = min(a + SAMPLE_CHUNK, len(out))
-        first = int(np.searchsorted(offsets, a, side="right")) - 1
-        last = int(np.searchsorted(offsets, b, side="left"))
+        first = int(offsets.searchsorted(a, side="right")) - 1
+        last = int(offsets.searchsorted(b, side="left"))
         starts = offsets[first:last]   # of the segments with steps in [a, b)
-        here = np.diff(np.clip(offsets[first:last + 1], a, b))
-        bits = rng.splitmix64_runs(seed_arr[first:last], np.maximum(a - starts, 0) + 1, here)
+        lo = np.maximum(starts, a)
+        u = rng.splitmix64_runs(seed_arr[first:last], lo - starts + 1,
+                                np.minimum(offsets[first + 1:last + 1], b) - lo, buffers)
         # map of each step: the number of thresholds its output reaches
-        g = np.zeros(b - a, dtype=np.min_scalar_type(len(table) - 1))
+        g = maps[:b - a]
+        g.fill(0)
         for edge in edges:
-            g += bits >= edge
+            g += np.greater_equal(u, edge, out=reached[:b - a])
         heads = starts[starts >= a] - a
-        symbol = start if start is not None else np.searchsorted(pi_edges, bits[heads],
+        symbol = start if start is not None else np.searchsorted(pi_edges, u[heads],
                                                                  side="right")
         g[heads] = len(edges) + 1 + symbol
         out[a:b] = _scan(table, g, int(out[a - 1]) if a else 0)
@@ -378,29 +398,37 @@ def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequen
 
 
 def _thresholds(probs) -> np.ndarray:
-    """Sorted uint64 thresholds of a probability vector: with c the running
-    maximum of its partial sums, left to right and the last one dropped,
-    the T_j = ceil(c_j 2^53) 2^11 below 2^64.  The number of T_j <= bits is
-    the first j with u < c_j, or len(probs) - 1 when there is none.
+    """The thresholds of each probability row (last axis) of probs,
+    scaled by 2^53: with c the running maximum of its partial sums,
+    left to right and the last one dropped, the exact integers
+    ceil(c_j 2^53) >= 0 as floats.  Those below 2^53 are the T_j / 2^11 of
+    _bits; the number of T_j <= bits is the first j with u < c_j, or
+    len - 1 when there is none.
     """
-    c = np.maximum.accumulate(np.array(list(accumulate(probs))[:-1]))
-    c = np.ceil(c * float(1 << 53)).clip(0.0)  # exact: scaling by a power of 2
-    return c[c < float(1 << 53)].astype(np.uint64) << np.uint64(11)
+    c = np.maximum.accumulate(np.cumsum(probs, axis=-1)[..., :-1], axis=-1)
+    c *= float(1 << 53)  # exact: scaling by a power of 2
+    return np.maximum(np.ceil(c, out=c), 0.0, out=c)
 
 
-def _step_maps(p) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct thresholds of all rows of P, and the table of
-    step maps: row b <= #thresholds is the map of a step whose output
-    reaches b of them, and row #thresholds + 1 + c the constant map to c."""
-    k = len(p)
-    rows = [_thresholds(row) for row in p]
-    edges = np.unique(np.concatenate(rows))
+def _bits(scaled: np.ndarray) -> np.ndarray:
+    """The uint64 thresholds T_j = ceil(c_j 2^53) 2^11 of the scaled ones
+    below 2^53, in order."""
+    return scaled[scaled < float(1 << 53)].astype(np.uint64) << np.uint64(11)
+
+
+def _step_maps(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From the _thresholds of the rows of P: the sorted distinct uint64
+    thresholds of all rows, and the table of step maps: row b <=
+    #thresholds is the map of a step whose output reaches b of them, and
+    row #thresholds + 1 + c the constant map to c."""
+    k = len(rows)
+    edges = np.unique(rows[rows < float(1 << 53)])
     table = np.empty((len(edges) + 1 + k, k), dtype=SYMBOL_DTYPE)
     table[0] = 0
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows):  # a row's entries past 2^53 lie above every edge
         table[1:len(edges) + 1, i] = np.searchsorted(row, edges, side="right")
     table[len(edges) + 1:] = np.arange(k)[:, None]
-    return edges, table
+    return _bits(edges), table
 
 
 def _scan(table: np.ndarray, g: np.ndarray, entry: int) -> np.ndarray:
@@ -408,12 +436,17 @@ def _scan(table: np.ndarray, g: np.ndarray, entry: int) -> np.ndarray:
     table[g[t], i]: a radix-R blocked prefix scan over function composition
     (Hillis & Steele 1986; Blelloch 1990), R = SCAN_RADIX.
 
-    R - 1 vectorised passes compose the maps of every block of R steps for
-    all entry states at once; the blocks' entry states come from the same
-    scan over the block maps, and one gather reads the walk off.  That is
-    about R log_R(len(g)) passes; a walk of at most R^2 steps, where the
-    passes would cost more, is stepped in Python.
+    When every map of the table is constant the walk forgets its state at
+    each step, so its states are read off the table's first column by one
+    gather (a memoryless chain, or block maps that each hold a constant
+    step).  Otherwise R - 1 vectorised passes compose the maps of every
+    block of R steps for all entry states at once; the blocks' entry states
+    come from the same scan over the block maps, and one gather reads the
+    walk off.  That is about R log_R(len(g)) passes; a walk of at most R^2
+    steps, where the passes would cost more, is stepped in Python.
     """
+    if (table == table[:, :1]).all():
+        return table[g, 0]  # indexing casts g in blocks; take would cast it whole
     n = len(g)
     if n <= SCAN_RADIX ** 2:
         maps = table.tolist()
@@ -435,5 +468,5 @@ def _scan(table: np.ndarray, g: np.ndarray, entry: int) -> np.ndarray:
         prefix[r] = prefix[r].take(idx)
     entries = np.empty(blocks, dtype=np.intp)
     entries[0] = entry
-    entries[1:] = _scan(prefix[-1], np.arange(blocks - 1), entry)
+    entries[1:] = _scan(prefix[-1, :-1], np.arange(blocks - 1), entry)
     return prefix[:, np.arange(blocks), entries].T.reshape(-1)[:n]

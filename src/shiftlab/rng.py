@@ -31,29 +31,53 @@ def splitmix64_stream(seed: int, n: int) -> np.ndarray:
     return splitmix64_runs(np.array([seed & _MASK], dtype=np.uint64), [1], [n])
 
 
-def splitmix64_runs(seeds: np.ndarray, firsts, counts) -> np.ndarray:
+def splitmix64_runs(seeds: np.ndarray, firsts, counts,
+                    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                    ) -> np.ndarray:
     """Outputs firsts[i] .. firsts[i] + counts[i] - 1 (counted from 1) of
     the stream seeded by seeds[i] (uint64), for every i, concatenated.
 
     Output t of the stream seeded by s is mix(s + t GAMMA), which is output
     p + 1 of the stream seeded by s + (t - p - 1) GAMMA; so the runs share
     one counter, vectorized in place (one scratch array for the shifts).
+    A caller drawing many batches passes run_buffers of at least
+    sum(counts) entries, and the outputs are then the leading part of its
+    first buffer.
     """
     counts = np.asarray(counts, dtype=np.int64)
     ends = np.cumsum(counts)
+    n = int(counts.sum())
     with np.errstate(over="ignore"):
         shift = np.asarray(firsts, dtype=np.int64) - (ends - counts) - 1
         base = seeds + shift.astype(np.uint64) * np.uint64(_GAMMA)
-        z = np.arange(1, int(counts.sum()) + 1, dtype=np.uint64)
-        tmp = np.empty_like(z)
-        z *= np.uint64(_GAMMA)
-        z += np.repeat(base, counts)
+        if buffers is None:
+            tmp = counter_ramp(n)  # then the scratch for the shifts
+            z = np.repeat(base, counts)
+            z += tmp
+        else:
+            z, tmp, ramp = (b[:n] for b in buffers)
+            # one run broadcasts its base; np.repeat has no out=
+            np.add(ramp, base if len(base) == 1 else np.repeat(base, counts), out=z)
         z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= np.uint64(_MIX1)
         z ^= np.right_shift(z, np.uint64(27), out=tmp)
         z *= np.uint64(_MIX2)
         z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
+
+
+def run_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers for splitmix64_runs of up to n outputs: the output, the
+    scratch for the shifts, and the counter ramp (counter_ramp)."""
+    return np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64), counter_ramp(n)
+
+
+def counter_ramp(n: int) -> np.ndarray:
+    """Entry t is (t + 1) GAMMA mod 2^64, the counter of output t + 1."""
+    ramp = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        ramp *= np.uint64(_GAMMA)
+    return ramp
 
 
 def derive_subseed(seed: int, index: int) -> int:

@@ -1,14 +1,20 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftlab
 from shiftlab import oracle, rng
 from shiftlab.errors import EmptyShift, NotAdmissible, NotPrimitive
-from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, Potential, entropy,
+from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, Potential, _bits, _step_maps,
+                               _thresholds, entropy,
                                equilibrium_measure, has_full_support,
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
@@ -286,7 +292,50 @@ def batch_cases(draw):
     return m, lengths, seeds, draw(st.none() | st.integers(0, k - 1))
 
 
+def _constant_step_maps(m):
+    """Whether each step map a walk of m can draw is constant: the maps of
+    reaching 1 .. #thresholds thresholds, and that of reaching none unless
+    some threshold is 0, which every output reaches."""
+    edges, table = _step_maps(_thresholds(m.P))
+    drawn = table[int(len(edges) > 0 and edges[0] == 0):len(edges) + 1]
+    return [bool((row == row[0]).all()) for row in drawn]
+
+
+#: chains whose step maps are all constant, none constant, or some of each;
+#: a Parry chain's kind (None, not asserted) hangs on the last bits of its
+#: Perron solve, so the asserted kinds come from rows given exactly or from
+#: a chain's graph (a state with one successor)
+WALK_CHAINS = {
+    "bernoulli_full2": ("all", lambda: markov_measure(full_shift(2), [[0.5, 0.5]] * 2)),
+    "bernoulli_full10": ("all", lambda: markov_measure(full_shift(10), [[0.1] * 10] * 10)),
+    "tilted_bernoulli": ("all", lambda: markov_measure(full_shift(3), [[0.2, 0.5, 0.3]] * 3)),
+    "cycle_with_chord": ("none", lambda: parry_measure(
+        sft_from_matrix(3, [[0, 1, 0], [0, 0, 1], [1, 1, 0]]))),
+    "sub_parry_full2": ("mixed", lambda: _sub_parry(full_shift(2))[0]),
+    "parry_full2": (None, lambda: parry_measure(full_shift(2))),
+    "parry_full3": (None, lambda: parry_measure(full_shift(3))),
+    "parry_full10": (None, lambda: parry_measure(full_shift(10))),
+}
+
+
 class TestSamplerMatchesScalarWalk:
+    @pytest.mark.parametrize("start", [None, 1])
+    @pytest.mark.parametrize("chain", sorted(WALK_CHAINS))
+    def test_words_at_the_chunk_edges(self, chain, start):
+        """Words one short of, at and one past SAMPLE_CHUNK, alone and as
+        one batch, on chains whose step maps are all, none or some constant."""
+        kind, make = WALK_CHAINS[chain]
+        m = make()
+        constant = _constant_step_maps(m)
+        assert {"all": all(constant), "none": not any(constant), None: True,
+                "mixed": any(constant) and not all(constant)}[kind]
+        lengths = [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1]
+        seeds = [3, (1 << 64) - 1, 20250809]
+        words = [scalar_typical_word(m, n, seed, start=start) for n, seed in zip(lengths, seeds)]
+        for n, seed, want in zip(lengths, seeds, words):
+            assert tuple(sample_typical_word(m, n, seed, start=start).tolist()) == want
+        assert tuple(sample_typical_words(m, lengths, seeds, start).tolist()) == sum(words, ())
+
     @given(sampling_cases())
     @settings(max_examples=80, deadline=None)
     def test_symbol_for_symbol(self, case):
@@ -423,3 +472,90 @@ class TestSplitmix:
         want = [rng._mix(seed + (i + 1) * rng._GAMMA) for i in range(n)]
         assert rng.splitmix64_stream(seed, n).tolist() == want
         assert oracle.uniform_stream(seed, n).tolist() == [(z >> 11) / (1 << 53) for z in want]
+
+    @pytest.mark.parametrize("buffers", [False, True])
+    @pytest.mark.parametrize("seeds, firsts, counts", [
+        ([5], [1000], [SAMPLE_CHUNK + 3]),
+        ([0, (1 << 64) - 1, 20250809], [1, 7, 1 << 40], [SAMPLE_CHUNK - 1, 3, 9]),
+        ([1, 2, 3, 4], [2, 1, 5, 1], [4, 0, SAMPLE_CHUNK, 2]),
+    ])
+    def test_runs_are_the_scalar_mix(self, seeds, firsts, counts, buffers):
+        """Several runs from nonzero offsets, past one chunk in all, into
+        fresh arrays or into the leading part of larger caller buffers."""
+        want = [rng._mix(s + t * rng._GAMMA)
+                for s, f, c in zip(seeds, firsts, counts) for t in range(f, f + c)]
+        seed_arr = np.array(seeds, dtype=np.uint64)
+        if buffers:
+            given = rng.run_buffers(sum(counts) + 5)
+            got = rng.splitmix64_runs(seed_arr, firsts, counts, given)
+            assert got.base is given[0]
+        else:
+            got = rng.splitmix64_runs(seed_arr, firsts, counts)
+        assert got.dtype == np.uint64 and got.tolist() == want
+
+
+def _per_row_thresholds(probs):
+    """Reference for one row: the running sum in Python, left to right."""
+    c = np.maximum.accumulate(np.array(list(itertools.accumulate(probs))[:-1], dtype=float))
+    c = np.ceil(c * float(1 << 53)).clip(0.0)
+    return c[c < float(1 << 53)].astype(np.uint64) << np.uint64(11)
+
+
+@st.composite
+def threshold_cases(draw):
+    """(P, pi) as a MarkovMeasure stores them: a real chain's, or rows of
+    random weights with zeros, and a start vector that may dip below 0."""
+    if draw(st.booleans()):
+        s = random_primitive_sft(draw(st.integers(2, 5)), draw(st.integers(0, 1 << 16)))
+        m = (parry_measure(s) if draw(st.booleans())
+             else _thinned_chain(s, draw(st.integers(0, 1 << 16))))
+        return m.P, m.pi
+    k = draw(st.integers(1, 6))
+    weight = st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    rows = []
+    for _ in range(k):
+        raw = draw(st.lists(weight, min_size=k, max_size=k))
+        total = sum(raw)
+        rows.append(tuple(x / total for x in raw) if total > 0 else (0.0,) * (k - 1) + (1.0,))
+    pi = draw(st.lists(st.floats(-1e-16, 1.0), min_size=k, max_size=k))
+    return tuple(rows), tuple(pi)
+
+
+class TestStepMaps:
+    @given(threshold_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_vectorised_thresholds_match_the_per_row_sums(self, case):
+        """One cumsum over every row gives the thresholds, the step-map table
+        and pi's thresholds bit for bit as a Python running sum per row."""
+        p, pi = case
+        k = len(p)
+        rows = [_per_row_thresholds(row) for row in p]
+        want_edges = np.unique(np.concatenate(rows))
+        want_table = np.empty((len(want_edges) + 1 + k, k), dtype=SYMBOL_DTYPE)
+        want_table[0] = 0
+        for i, row in enumerate(rows):
+            want_table[1:len(want_edges) + 1, i] = np.searchsorted(row, want_edges, side="right")
+        want_table[len(want_edges) + 1:] = np.arange(k)[:, None]
+        scaled = _thresholds(p + (pi,))
+        edges, table = _step_maps(scaled[:-1])
+        assert edges.dtype == np.uint64 and edges.tolist() == want_edges.tolist()
+        assert table.dtype == SYMBOL_DTYPE and np.array_equal(table, want_table)
+        assert _bits(scaled[-1]).tolist() == _per_row_thresholds(pi).tolist()
+
+
+class TestReimport:
+    def test_a_fresh_import_frees_the_old_copy(self):
+        """Importing the package afresh, as a harness that reloads it does,
+        leaves one copy of the measure classes alive, not one per import."""
+        script = ("import gc, importlib, sys\n"
+                  "for _ in range(3):\n"
+                  "    for name in [m for m in sys.modules if m.split('.')[0] == 'shiftlab']:\n"
+                  "        del sys.modules[name]\n"
+                  "    importlib.import_module('shiftlab.cli')\n"
+                  "gc.collect()\n"
+                  "print(sum(isinstance(o, type) and o.__name__ == 'MarkovMeasure'\n"
+                  "          for o in gc.get_objects()))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.split() == ["1"]
