@@ -31,7 +31,7 @@ from .errors import PeriodNotDetected, ValidityExceeded
 
 #: working precision (bits) for the remainder recurrence
 DIGIT_PRECISION_BITS = 256
-#: default number of digits computed before giving up on period/termination
+#: number of digits computed before giving up on period/termination
 DEFAULT_HORIZON = 512
 #: a beta within this distance of an integer is treated as that integer
 INTEGER_SNAP = mp.mpf("1e-30")
@@ -90,17 +90,18 @@ def _near_integer(b: mp.mpf) -> Optional[int]:
     return None
 
 
-def _expand_with_status(b: mp.mpf, horizon: int) -> tuple[list[int], str, int]:
-    """Greedy digits until termination, exact remainder repetition, or horizon.
+def _expand_with_status(b: mp.mpf) -> tuple[list[int], str, int]:
+    """Greedy digits until termination, exact remainder repetition, or
+    DEFAULT_HORIZON digits.
 
     Returns (digits, status, aux) where status is one of "terminated"
     (aux = index of last nonzero digit), "periodic" (aux = preperiod length;
-    digits holds preperiod + one full period), or "truncated" (aux = horizon).
+    digits holds preperiod + one full period), or "truncated" (aux = DEFAULT_HORIZON).
     """
     digits: list[int] = []
     seen: dict = {}
     r = b
-    for m in range(1, horizon + 1):
+    for m in range(1, DEFAULT_HORIZON + 1):
         if r in seen:
             return digits, "periodic", seen[r]
         seen[r] = m - 1
@@ -109,17 +110,16 @@ def _expand_with_status(b: mp.mpf, horizon: int) -> tuple[list[int], str, int]:
         r = b * (r - a)
         if abs(r) < DIGIT_SNAP_EPS:
             return digits, "terminated", m
-    return digits, "truncated", horizon
+    return digits, "truncated", DEFAULT_HORIZON
 
 
-def quasi_greedy_normalize(beta: BetaLike, horizon: int = DEFAULT_HORIZON,
-                           raw: bool = False) -> BetaShiftSpec:
+def quasi_greedy_normalize(beta: BetaLike, raw: bool = False) -> BetaShiftSpec:
     """Digit stream of the expansion of 1, normalized to be self-dominating.
 
     Terminating expansions a_1..a_m are rewritten to the periodic stream
     (a_1..a_{m-1}(a_m - 1)) repeated, unless raw=True, which keeps the
     literal a_1..a_m followed by zeros.  Streams with no detected period or
-    termination within the horizon come back as truncations whose
+    termination within DEFAULT_HORIZON digits come back as truncations whose
     validity_length bounds every later query.
     """
     with mp.workprec(DIGIT_PRECISION_BITS):
@@ -133,7 +133,7 @@ def quasi_greedy_normalize(beta: BetaLike, horizon: int = DEFAULT_HORIZON,
             return BetaShiftSpec(beta=float(snapped), alphabet=snapped,
                                  preperiod=(), period=(snapped - 1,),
                                  is_integer=True, validity_length=1 << 62, raw=raw)
-        digits, status, aux = _expand_with_status(b, horizon)
+        digits, status, aux = _expand_with_status(b)
         beta_f = float(b)
         alphabet = digits[0] + 1  # a_1 = floor(beta), symbols 0..floor(beta)
 
@@ -158,7 +158,7 @@ def quasi_greedy_normalize(beta: BetaLike, horizon: int = DEFAULT_HORIZON,
         # representation error of beta grows by a factor beta per step, so
         # digits are only trustworthy while beta^m * 2^-prec stays small
         drift_limit = int(0.75 * DIGIT_PRECISION_BITS * math.log(2) / math.log(beta_f))
-        validity = min(horizon, max(drift_limit, 1))
+        validity = min(DEFAULT_HORIZON, max(drift_limit, 1))
         spec = BetaShiftSpec(beta=beta_f, alphabet=alphabet,
                              preperiod=tuple(digits[:validity]), period=(),
                              is_integer=False, validity_length=validity, raw=raw)

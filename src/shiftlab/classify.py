@@ -110,11 +110,12 @@ def word_code(w: Sequence[int], k: int) -> int:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def density_checkpoints(n_max: int, count: int = DENSITY_CHECKPOINTS) -> np.ndarray:
-    """Geometric grid of `count` checkpoints spanning [n_max/2, n_max], read-only.
-    Cached: a periodic_density_exact check reads the grid of each self-visit
-    horizon again after the sweep."""
-    pts = np.unique(np.round(np.geomspace(max(1, n_max // 2), n_max, count)).astype(np.int64))
+def density_checkpoints(n_max: int) -> np.ndarray:
+    """Geometric grid of DENSITY_CHECKPOINTS checkpoints spanning
+    [n_max/2, n_max], read-only.  Cached: a periodic_density_exact check
+    reads the grid of each self-visit horizon again after the sweep."""
+    grid = np.geomspace(max(1, n_max // 2), n_max, DENSITY_CHECKPOINTS)
+    pts = np.unique(np.round(grid).astype(np.int64))
     pts.flags.writeable = False
     return pts
 
@@ -166,8 +167,8 @@ def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
     return [(int(n), float(sums[n - 1] / n)) for n in checkpoints]
 
 
-def default_trace_checkpoints(n_max: int, count: int = DEFAULT_TRACE_CHECKPOINTS) -> list[int]:
-    pts = np.unique(np.round(np.geomspace(16, n_max, count)).astype(np.int64))
+def default_trace_checkpoints(n_max: int) -> list[int]:
+    pts = np.unique(np.round(np.geomspace(16, n_max, DEFAULT_TRACE_CHECKPOINTS)).astype(np.int64))
     return [int(p) for p in pts if p >= 1]
 
 
@@ -177,9 +178,9 @@ def _tail(trace: list[tuple[int, float]], share: float) -> list[float]:
     return [v for n, v in trace if n >= lo_n]
 
 
-def trace_oscillation(trace: list[tuple[int, float]], window: float = 0.5) -> tuple[float, float]:
-    """(min, max) of the running average over checkpoints n >= window * N."""
-    tail = _tail(trace, window)
+def trace_oscillation(trace: list[tuple[int, float]]) -> tuple[float, float]:
+    """(min, max) of the running average over checkpoints n >= N/2."""
+    tail = _tail(trace, 0.5)
     return (min(tail), max(tail))
 
 

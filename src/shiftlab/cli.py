@@ -171,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("entropy", help="entropy of a shift space or beta-shift")
-    p.add_argument("--shift", help="shift definition JSON")
-    p.add_argument("--beta", help="beta as a decimal literal")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--shift", help="shift definition JSON")
+    source.add_argument("--beta", help="beta as a decimal literal")
     p.add_argument("--raw-digits", action="store_true",
                    help="keep the literal terminating digit stream (comparison mode)")
     p.add_argument("--method", choices=["spectral", "words", "periodic"])

@@ -386,8 +386,7 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
         end += seg.length
     if end != cert.horizon:
         raise SchemaError(f"schedule ends at {end}, not at the horizon {cert.horizon}")
-    return OrbitPrefix(word=word, schedule=Schedule(horizon=cert.horizon, segments=segments),
-                       certificate=cert, seed=cert.seed, shift=s)
+    return OrbitPrefix(word=word, schedule=Schedule(segments=segments), certificate=cert, shift=s)
 
 
 def write_orbit_dir(o: OrbitPrefix, out_dir: Union[str, Path]) -> list[str]:

@@ -305,18 +305,16 @@ def is_ergodic(m: InvariantMeasure) -> bool:
     return False
 
 
-def sample_typical_word(m: InvariantMeasure, n: int, seed: int,
-                        start: Optional[int] = None) -> np.ndarray:
+def sample_typical_word(m: InvariantMeasure, n: int, seed: int) -> np.ndarray:
     """Deterministic n-word typical for the measure, as a SYMBOL_DTYPE array.
 
-    Markov chains draw the start symbol from pi (unless fixed) and walk the
-    rows of P: step t moves from state i to the first j with u_t < c_i[j],
-    where c_i is row i of P accumulated left to right (its last entry
-    raised to just above 1) and u_t is output t of the documented
-    splitmix64 stream for `seed`.  Periodic measures repeat their cycle.
-    The same (m, n, seed, start) always gives the same word, and a longer
-    draw extends a shorter one.  A Markov word is sample_typical_words
-    with one segment.
+    Markov chains draw the start symbol from pi and walk the rows of P:
+    step t moves from state i to the first j with u_t < c_i[j], where c_i
+    is row i of P accumulated left to right (its last entry raised to just
+    above 1) and u_t is output t of the documented splitmix64 stream for
+    `seed`.  Periodic measures repeat their cycle.  The same (m, n, seed)
+    always gives the same word, and a longer draw extends a shorter one.
+    A Markov word is sample_typical_words with one segment.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -324,7 +322,7 @@ def sample_typical_word(m: InvariantMeasure, n: int, seed: int,
         return np.tile(np.array(m.cycle, dtype=SYMBOL_DTYPE), -(-n // len(m.cycle)))[:n]
     if isinstance(m, Mixture):
         raise ValueError("mixtures are realized by scheduling, not direct sampling")
-    return sample_typical_words(m, [n], [seed], start)
+    return sample_typical_words(m, [n], [seed])
 
 
 #: steps of the walk generated and scanned per pass of sample_typical_words
@@ -333,9 +331,9 @@ SAMPLE_CHUNK = 1 << 17
 SCAN_RADIX = 32
 
 
-def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequence[int],
-                         start: Optional[int] = None) -> np.ndarray:
-    """The words sample_typical_word(m, lengths[i], seeds[i], start) for
+def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int],
+                         seeds: Sequence[int]) -> np.ndarray:
+    """The words sample_typical_word(m, lengths[i], seeds[i]) for
     every i, concatenated into one SYMBOL_DTYPE array.
 
     All segments of the measure are walked together, SAMPLE_CHUNK steps at
@@ -356,8 +354,6 @@ def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequen
     if n_seg != len(seeds) or (lens < 1).any():
         raise ValueError("one seed and a length >= 1 per segment required")
     k = m.shift.k
-    if start is not None and not 0 <= start < k:
-        raise ValueError(f"start symbol {start} outside the alphabet")
     if k > np.iinfo(SYMBOL_DTYPE).max + 1:
         raise ValueError(f"{k} symbols do not fit in {np.dtype(SYMBOL_DTYPE)}")
     rows = _thresholds(m.P + (m.pi,))  # each row of P, then pi
@@ -390,9 +386,7 @@ def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequen
         for edge in edges:
             g += np.greater_equal(u, edge, out=reached[:b - a])
         heads = starts[starts >= a] - a
-        symbol = start if start is not None else np.searchsorted(pi_edges, u[heads],
-                                                                 side="right")
-        g[heads] = len(edges) + 1 + symbol
+        g[heads] = len(edges) + 1 + np.searchsorted(pi_edges, u[heads], side="right")
         out[a:b] = _scan(table, g, int(out[a - 1]) if a else 0)
     return out
 

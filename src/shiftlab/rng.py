@@ -26,11 +26,6 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def splitmix64_stream(seed: int, n: int) -> np.ndarray:
-    """First n outputs of splitmix64 as uint64."""
-    return splitmix64_runs(np.array([seed & _MASK], dtype=np.uint64), [1], [n])
-
-
 def splitmix64_runs(seeds: np.ndarray, firsts, counts,
                     buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                     ) -> np.ndarray:

@@ -319,18 +319,14 @@ def perron(b: np.ndarray) -> tuple[float | np.ndarray, Optional[np.ndarray]]:
     return (float(rho[0]), inv[0]) if b.ndim == 2 else (rho, inv)
 
 
-def spectral_radius(s: ShiftSpace) -> float:
-    """Perron root of A, also when A is reducible."""
-    return perron(s.matrix_array())[0]
-
-
 def topological_entropy(s: ShiftSpace) -> float:
-    """log of the spectral radius of A, the largest over its components.
+    """log of the spectral radius of A, the largest over its components
+    (perron's root, also when A is reducible).
 
     Constant row sums give the spectral radius exactly (covers full shifts).
     """
     row_sums = {sum(row) for row in s.matrix}
-    lam = row_sums.pop() if len(row_sums) == 1 else spectral_radius(s)
+    lam = row_sums.pop() if len(row_sums) == 1 else perron(s.matrix_array())[0]
     return float(np.log(lam)) if lam > 0 else 0.0
 
 

@@ -316,16 +316,12 @@ def _newton(pf: PressureFunction, grid: Sequence[float]) -> list[tuple[float, fl
     return out
 
 
-def spectrum_point(s: ShiftSpace, phi: Potential, a: float,
-                   pf: Optional[PressureFunction] = None,
-                   interval: Optional[LphiInterval] = None) -> tuple[float, float]:
+def spectrum_point(s: ShiftSpace, phi: Potential, a: float) -> tuple[float, float]:
     """(psi, q_star) at an interior average a, where P'(q_star) = a, by the
     Newton iteration of spectrum_curve run on the one point a."""
-    iv = interval if interval is not None else lphi_interval(s, phi)
+    iv = lphi_interval(s, phi)
     _check_interior(iv, a)
-    if pf is None:
-        pf = PressureFunction(edge_system(s, phi), iv)
-    return _newton(pf, [a])[0]
+    return _newton(PressureFunction(edge_system(s, phi), iv), [a])[0]
 
 
 @dataclass
@@ -358,19 +354,19 @@ def spectrum_curve(s: ShiftSpace, phi: Potential, npoints: int) -> SpectrumCurve
     return SpectrumCurve(points=pts, h_top=h_top, parry_average=a_star, interval=iv)
 
 
-def check_concavity(curve: SpectrumCurve, slack: float = 1e-9) -> bool:
-    """Midpoint test on consecutive triples, allowing `slack` below the chord."""
+def check_concavity(curve: SpectrumCurve) -> bool:
+    """Midpoint test on consecutive triples, allowing 1e-9 below the chord."""
     pts = curve.points
     for (a1, p1, _), (a2, p2, _), (a3, p3, _) in zip(pts, pts[1:], pts[2:]):
         if a3 - a1 <= 0:
             continue
         chord = p1 + (p3 - p1) * (a2 - a1) / (a3 - a1)
-        if p2 < chord - slack:
+        if p2 < chord - 1e-9:
             return False
     return True
 
 
-def sup_equals_htop(curve: SpectrumCurve, tol: float = 1e-4) -> bool:
-    """Whether the curve's max reaches the topological entropy."""
+def sup_equals_htop(curve: SpectrumCurve) -> bool:
+    """Whether the curve's max reaches the topological entropy, to 1e-4."""
     best = max(p for _, p, _ in curve.points)
-    return best >= curve.h_top - tol
+    return best >= curve.h_top - 1e-4

@@ -84,7 +84,6 @@ class Segment:
 
 @dataclass
 class Schedule:
-    horizon: int
     segments: list[Segment]
 
 
@@ -109,7 +108,6 @@ class OrbitPrefix:
     word: np.ndarray
     schedule: Schedule
     certificate: Certificate
-    seed: int
     shift: ShiftSpace
 
 
@@ -180,30 +178,25 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
             seg.word = connecting_word(s, int(words[i - 1][-1]), int(words[i + 1][0]))[:seg.length]
             words[i] = np.array(seg.word, dtype=SYMBOL_DTYPE)
     arr = np.concatenate(words[:len(schedule)]) if schedule else np.zeros(0, SYMBOL_DTYPE)
-    return arr, Schedule(horizon=horizon, segments=schedule)
-
-
-def regenerate_segment(seg: Segment, pool: list[InvariantMeasure]) -> np.ndarray:
-    """The symbols a schedule segment stands for, as a SYMBOL_DTYPE array: its own
-    word (literal, bridge), the Thue-Morse prefix of its length, or a word
-    typical for the pool measure it names (markov, periodic)."""
-    if seg.kind == "thue_morse":
-        return thue_morse_word(seg.length)
-    if seg.kind in ("literal", "bridge"):
-        return np.array(seg.word, dtype=SYMBOL_DTYPE)
-    return sample_typical_word(pool[seg.source], seg.length, seg.sub_seed)
+    return arr, Schedule(segments=schedule)
 
 
 def _regenerate(segments: list[Segment], pool: list[InvariantMeasure]) -> list[np.ndarray]:
-    """regenerate_segment of every segment, with all Markov segments of one
-    pool source sampled together by one sample_typical_words call."""
+    """The symbols each segment stands for, as SYMBOL_DTYPE arrays: its own
+    word (literal, bridge), the Thue-Morse prefix of its length, or a word
+    typical for the pool measure it names (periodic, markov).  All Markov
+    segments of one pool source are sampled by one sample_typical_words call."""
     words: list = [None] * len(segments)
     by_source: dict[int, list[int]] = {}
     for i, seg in enumerate(segments):
         if seg.kind == "markov":
             by_source.setdefault(seg.source, []).append(i)
+        elif seg.kind == "periodic":
+            words[i] = sample_typical_word(pool[seg.source], seg.length, seg.sub_seed)
+        elif seg.kind == "thue_morse":
+            words[i] = thue_morse_word(seg.length)
         else:
-            words[i] = regenerate_segment(seg, pool)
+            words[i] = np.array(seg.word, dtype=SYMBOL_DTYPE)
     for source, idx in by_source.items():
         lengths = [segments[i].length for i in idx]
         drawn = sample_typical_words(pool[source], lengths, [segments[i].sub_seed for i in idx])
@@ -341,6 +334,8 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
     """
     gap_class = GapClass(gap_class)
     kind = CLASSES[gap_class]
+    if n < 0:
+        raise ValueError(f"horizon is {n}, not an integer >= 0")
     if pinned_prefix is not None:
         pinned_prefix = tuple(int(c) for c in pinned_prefix)
         if not is_admissible(pinned_prefix, s):
@@ -367,7 +362,7 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
                        inf_entropy_over_K=_inf_over_k(facts, extremes, chain_links),
                        pinned_prefix=prefix or None, horizon=n, seed=seed, phi=phi,
                        ambient_entropy=topological_entropy(s))
-    return OrbitPrefix(word=word, schedule=schedule, certificate=cert, seed=seed, shift=s)
+    return OrbitPrefix(word=word, schedule=schedule, certificate=cert, shift=s)
 
 
 def _inf_over_k(facts: list[dict], extremes: list[int],
@@ -652,15 +647,13 @@ CLASSES: dict[GapClass, ClassKind] = {
 # certification
 
 
-def certify(o: OrbitPrefix) -> dict:
+def certify(o: OrbitPrefix) -> None:
     """Recompute every certificate fact and validate the class structure.
 
-    Raises CertificateMismatch at the first failing fact; returns a report
-    dict when everything holds.
+    Raises CertificateMismatch at the first failing fact.
     """
     cert = o.certificate
     s = o.shift
-    report = {"gap_class": cert.gap_class.value, "checked": []}
 
     fresh_facts = []
     for idx, (m, fact) in enumerate(zip(cert.pool, cert.exact_facts)):
@@ -675,7 +668,6 @@ def certify(o: OrbitPrefix) -> dict:
         for key in ("support_symbols", "support_edges", "full_support", "ergodic"):
             if fresh[key] != fact[key]:
                 raise CertificateMismatch(f"pool[{idx}].{key}", f"{fresh[key]} vs {fact[key]}")
-        report["checked"].append(f"pool[{idx}]")
 
     fresh_inf = _inf_over_k(fresh_facts, cert.extremes, cert.chain_links)
     if abs(fresh_inf - cert.inf_entropy_over_K) > 1e-10:
@@ -688,12 +680,10 @@ def certify(o: OrbitPrefix) -> dict:
     for fact, detail, holds in CLASSES[cert.gap_class].rules:
         if not holds(cert, fresh_facts):
             raise CertificateMismatch(f"{cert.gap_class.value}.{fact}", detail)
-    report["checked"].append("class_structure")
-    _check_word(o, report)
-    return report
+    _check_word(o)
 
 
-def _check_word(o: OrbitPrefix, report: dict) -> None:
+def _check_word(o: OrbitPrefix) -> None:
     """Admissibility, pin, and gluing exactness on the available stream.
 
     Length shortfall is deliberately not an error here: a truncated stream
@@ -719,4 +709,3 @@ def _check_word(o: OrbitPrefix, report: dict) -> None:
         seg = present[bisect_right([seg.start for seg in present], first) - 1]
         raise CertificateMismatch("schedule_window",
                                   f"segment at {seg.start} does not match its source")
-    report["checked"].append("word")

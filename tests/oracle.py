@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import rng
-from .beta import BetaShiftSpec
-from .errors import ShiftlabError, SymbolOutOfRange, ValidityExceeded
-from .measures import InvariantMeasure, Mixture, PeriodicMeasure, Potential
-from .shifts import SUBGRAPH_TIE_TOL, ShiftSpace, Word
+from shiftlab import rng
+from shiftlab.beta import BetaShiftSpec
+from shiftlab.errors import ShiftlabError, SymbolOutOfRange, ValidityExceeded
+from shiftlab.measures import InvariantMeasure, Mixture, PeriodicMeasure, Potential
+from shiftlab.shifts import SUBGRAPH_TIE_TOL, ShiftSpace, Word
 
 MAX_WORD_LEN = 24
 MAX_BETA_WORD_LEN = 14
@@ -79,12 +79,11 @@ def matrix_power_count_periodic(s: ShiftSpace, n: int) -> int:
 
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:
-    """n floats in [0, 1) from the top 53 bits of each splitmix64 output."""
-    bits = rng.splitmix64_stream(seed, n)
-    bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
-    u /= float(1 << 53)
-    return u
+    """n floats in [0, 1) from the top 53 bits of each splitmix64 output:
+    output t (counted from 1) is the scalar mix of seed + t GAMMA, one at a
+    time, independent of the vectorized splitmix64_runs."""
+    return np.array([(rng._mix(seed + t * rng._GAMMA) >> 11) / (1 << 53)
+                     for t in range(1, n + 1)], dtype=np.float64)
 
 
 def beta_admissible(w: Sequence[int], spec: BetaShiftSpec) -> bool:
@@ -440,12 +439,11 @@ def brute_self_visits(x, word: Sequence[int], n_max: int) -> list[int]:
     return [t for t in range(1, n_max + 1) if tuple(xs[t:t + len(w)]) == w]
 
 
-def scalar_typical_word(m: InvariantMeasure, n: int, seed: int,
-                        start: Optional[int] = None) -> Word:
+def scalar_typical_word(m: InvariantMeasure, n: int, seed: int) -> Word:
     """Symbol-by-symbol reference for measures.sample_typical_word.
 
-    Markov chains draw the start symbol from pi (unless fixed) and walk the
-    rows of P one uniform at a time; periodic measures repeat their cycle.
+    Markov chains draw the start symbol from pi and walk the rows of P one
+    uniform at a time; periodic measures repeat their cycle.
     All randomness comes from the documented splitmix64 stream for `seed`.
     """
     if isinstance(m, PeriodicMeasure):
@@ -467,17 +465,14 @@ def scalar_typical_word(m: InvariantMeasure, n: int, seed: int,
             row.append(acc)
         row[-1] = 1.0 + 1e-15
         cum_rows.append(row)
-    if start is None:
-        acc = 0.0
-        u = float(us[0])
-        state = k - 1
-        for i in range(k):
-            acc += m.pi[i]
-            if u < acc:
-                state = i
-                break
-    else:
-        state = start
+    acc = 0.0
+    u = float(us[0])
+    state = k - 1
+    for i in range(k):
+        acc += m.pi[i]
+        if u < acc:
+            state = i
+            break
     word = [state]
     for t in range(1, n):
         u = float(us[t])

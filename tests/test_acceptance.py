@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 
-from shiftlab import io, oracle
+from shiftlab import io
 from shiftlab.beta import beta_count_words, beta_entropy_estimate, quasi_greedy_normalize
 from shiftlab.classify import evaluate_certificate
 from shiftlab.measures import indicator_potential
@@ -24,6 +24,7 @@ from shiftlab.spectrum import (check_concavity, has_irregular, spectrum_curve,
 from shiftlab.synthesis import (THETA_I_NOT_QW, THETA_V_NOT_W, GapClass, certify,
                                 synthesize_witness)
 
+import oracle
 from conftest import ACCEPTANCE_SEED, FULL3_QUARTERS, constant_potential
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -91,8 +92,8 @@ def test_c4_variational_spectrum(golden, phi_golden):
         brute = oracle.brute_constrained_entropy(golden, phi_golden, a, 40)
         max_diff = max(max_diff, abs(psi - brute))
     curve = spectrum_curve(golden, phi_golden, 33)
-    concave = check_concavity(curve, slack=1e-9)
-    sup_ok = sup_equals_htop(curve, tol=1e-4)
+    concave = check_concavity(curve)
+    sup_ok = sup_equals_htop(curve)
     elapsed = time.time() - t0
     ok = max_diff <= 0.02 and concave and sup_ok and elapsed < 30.0
     report("C4 variational spectrum", ok,

@@ -6,9 +6,9 @@ import pytest
 
 from shiftlab.beta import beta_count_words, beta_entropy_estimate, quasi_greedy_normalize
 from shiftlab.errors import SymbolOutOfRange, ValidityExceeded
-from shiftlab.oracle import (beta_admissible, brute_beta_count_words,
-                             match_length_beta_count_words)
 from shiftlab.shifts import count_words, golden_mean_shift, perron
+
+from oracle import beta_admissible, brute_beta_count_words, match_length_beta_count_words
 
 GOLDEN = "1.61803398874989484820458683436563811772"
 TRIBONACCI = "1.8392867552141611325518525646532866004242"
@@ -113,7 +113,7 @@ class TestAdmissibility:
             beta_admissible((0, 2), spec)
 
     def test_validity_guard(self):
-        spec = quasi_greedy_normalize("1.8", horizon=40)
+        spec = quasi_greedy_normalize("1.8")
         with pytest.raises(ValidityExceeded):
             beta_count_words(spec, spec.validity_length + 1)
 

@@ -18,10 +18,10 @@ from shiftlab.errors import SchemaError, TooShort
 from shiftlab.io import report_to_doc
 from shiftlab.measures import (integrate, indicator_potential, parry_measure,
                                sample_typical_word, Potential)
-from shiftlab.oracle import brute_self_visits, full_compare_eventually_periodic
 from shiftlab.shifts import SYMBOL_DTYPE, full_shift, iter_words, sft_from_matrix
 from shiftlab.synthesis import GapClass, synthesize_witness, thue_morse_word
 
+from oracle import brute_self_visits, full_compare_eventually_periodic
 from conftest import ACCEPTANCE_SEED, EVERY_CHECK
 
 
@@ -182,7 +182,7 @@ class TestOscillation:
 
     def test_window_filters(self):
         trace = [(10, 0.0), (600, 0.4), (1000, 0.5)]
-        lo, hi = trace_oscillation(trace, window=0.5)
+        lo, hi = trace_oscillation(trace)
         assert (lo, hi) == (0.4, 0.5)
 
 

@@ -379,6 +379,16 @@ class TestEntropyCommand:
         assert rc == 2
         assert "Traceback" not in err and field in err
 
+    @pytest.mark.parametrize("args", [[], ["--beta", "2", "--shift", "golden.json"]],
+                             ids=["neither", "both"])
+    def test_shift_or_beta_exit2(self, files, args):
+        """Exactly one of --shift and --beta is required: neither one, or
+        both, is a usage error, not a traceback or a silent choice."""
+        rc, out, err = run_cli("entropy", *[str(files / a) if a.endswith(".json") else a
+                                            for a in args])
+        assert rc == 2 and out == ""
+        assert "usage: shiftlab entropy" in err and "Traceback" not in err
+
     def test_integer_beta_1e20(self):
         """An alphabet of 10^20 symbols counts as fast as two."""
         proc = subprocess.run([sys.executable, "-m", "shiftlab.cli", "entropy", "--beta", "1e20"],
@@ -615,6 +625,14 @@ class TestPipeline:
                      "--potential", str(files / "phi.json"), "--cycle", "0111",
                      "--horizon", "4096", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
         assert "only by PERIODIC" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_horizon_exit2(self, files, tmp_path, capsys):
+        """synthesize refuses a horizon its own verify would refuse, before
+        writing anything."""
+        assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", "PERIODIC",
+                     "--horizon", "-3", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+        assert "horizon is -3" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_too_short_orbit_exit2(self, files, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftlab
-from shiftlab import oracle, rng
+from shiftlab import rng
 from shiftlab.errors import EmptyShift, NotAdmissible, NotPrimitive
 from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, Potential, _bits, _step_maps,
                                _thresholds, entropy,
@@ -20,12 +20,13 @@ from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, Potential, _bits, _s
                                markov_measure, markov_word_probability, mixture,
                                parry_measure, periodic_measure, sample_typical_word,
                                sample_typical_words, support, support_pieces)
-from shiftlab.oracle import scalar_typical_word
 from shiftlab.shifts import (SYMBOL_DTYPE, ShiftSpace, full_shift, is_admissible, iter_words,
                              primitive_cycles, sft_from_matrix, topological_entropy)
 from shiftlab.spectrum import PressureFunction, edge_system
 from shiftlab.synthesis import _sub_parry
 
+import oracle
+from oracle import scalar_typical_word
 from conftest import constant_potential, random_primitive_sft
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -266,8 +267,7 @@ def sampling_cases(draw):
     b = draw(st.integers(1, 40))
     n = draw(st.sampled_from([1, 2, 3, b * b, b * b + 1, b * b + 2, 1 << 16])
              | st.integers(1, 5000))
-    start = draw(st.none() | st.integers(0, k - 1))
-    return m, n, draw(st.integers(0, (1 << 64) - 1)), start
+    return m, n, draw(st.integers(0, (1 << 64) - 1))
 
 
 @st.composite
@@ -289,7 +289,7 @@ def batch_cases(draw):
                             | st.integers(1, 3000), min_size=1, max_size=4))
     seeds = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=len(lengths),
                           max_size=len(lengths)))
-    return m, lengths, seeds, draw(st.none() | st.integers(0, k - 1))
+    return m, lengths, seeds
 
 
 def _constant_step_maps(m):
@@ -319,9 +319,8 @@ WALK_CHAINS = {
 
 
 class TestSamplerMatchesScalarWalk:
-    @pytest.mark.parametrize("start", [None, 1])
     @pytest.mark.parametrize("chain", sorted(WALK_CHAINS))
-    def test_words_at_the_chunk_edges(self, chain, start):
+    def test_words_at_the_chunk_edges(self, chain):
         """Words one short of, at and one past SAMPLE_CHUNK, alone and as
         one batch, on chains whose step maps are all, none or some constant."""
         kind, make = WALK_CHAINS[chain]
@@ -331,26 +330,26 @@ class TestSamplerMatchesScalarWalk:
                 "mixed": any(constant) and not all(constant)}[kind]
         lengths = [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1]
         seeds = [3, (1 << 64) - 1, 20250809]
-        words = [scalar_typical_word(m, n, seed, start=start) for n, seed in zip(lengths, seeds)]
+        words = [scalar_typical_word(m, n, seed) for n, seed in zip(lengths, seeds)]
         for n, seed, want in zip(lengths, seeds, words):
-            assert tuple(sample_typical_word(m, n, seed, start=start).tolist()) == want
-        assert tuple(sample_typical_words(m, lengths, seeds, start).tolist()) == sum(words, ())
+            assert tuple(sample_typical_word(m, n, seed).tolist()) == want
+        assert tuple(sample_typical_words(m, lengths, seeds).tolist()) == sum(words, ())
 
     @given(sampling_cases())
     @settings(max_examples=80, deadline=None)
     def test_symbol_for_symbol(self, case):
-        m, n, seed, start = case
-        w = sample_typical_word(m, n, seed, start=start)
+        m, n, seed = case
+        w = sample_typical_word(m, n, seed)
         assert w.dtype == SYMBOL_DTYPE
-        assert tuple(w.tolist()) == scalar_typical_word(m, n, seed, start=start)
+        assert tuple(w.tolist()) == scalar_typical_word(m, n, seed)
 
     @given(batch_cases())
     @settings(max_examples=30, deadline=None)
     def test_batch_is_the_concatenated_words(self, case):
-        m, lengths, seeds, start = case
-        w = sample_typical_words(m, lengths, seeds, start)
+        m, lengths, seeds = case
+        w = sample_typical_words(m, lengths, seeds)
         assert w.dtype == SYMBOL_DTYPE
-        assert tuple(w.tolist()) == sum((scalar_typical_word(m, n, seed, start=start)
+        assert tuple(w.tolist()) == sum((scalar_typical_word(m, n, seed)
                                          for n, seed in zip(lengths, seeds)), ())
 
     def test_batch_on_the_full_10_shift(self):
@@ -458,19 +457,15 @@ class TestPotentialValidation:
             integrate(parry_measure(golden), phi)
 
 
-class TestSamplingStart:
-    def test_fixed_start_symbol(self, golden):
-        m = parry_measure(golden)
-        w = sample_typical_word(m, 64, seed=9, start=1)
-        assert w[0] == 1 and is_admissible(w, golden)
-
-
 class TestSplitmix:
     @pytest.mark.parametrize("seed", [0, 1, 20250809, (1 << 64) - 1, -7, (1 << 70) + 3])
     @pytest.mark.parametrize("n", [0, 1, 2, 33, 1000])
     def test_stream_is_the_scalar_mix(self, seed, n):
+        """One run from output 1 of a seed taken mod 2^64 is the scalar mix,
+        and the oracle's uniforms are the top 53 bits of each output."""
         want = [rng._mix(seed + (i + 1) * rng._GAMMA) for i in range(n)]
-        assert rng.splitmix64_stream(seed, n).tolist() == want
+        run = rng.splitmix64_runs(np.array([seed % (1 << 64)], dtype=np.uint64), [1], [n])
+        assert run.tolist() == want
         assert oracle.uniform_stream(seed, n).tolist() == [(z >> 11) / (1 << 53) for z in want]
 
     @pytest.mark.parametrize("buffers", [False, True])

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import oracle
 from shiftlab.classify import windowed_density
 from shiftlab.errors import EmptyShift, NoProperSubshift
 from shiftlab.measures import Potential, indicator_potential
-from shiftlab.oracle import BoundExceeded, Infeasible
 from shiftlab.shifts import (count_periodic, count_words, full_shift, iter_words,
                              largest_proper_scc_subgraph, least_cycle, primitive_cycles,
                              sft_from_matrix)
 from shiftlab.spectrum import lphi_interval
 from shiftlab.synthesis import _disjoint_cycle
 
+import oracle
+from oracle import BoundExceeded, Infeasible
 from conftest import random_primitive_sft, small_binary_matrices
 
 

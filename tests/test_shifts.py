@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import oracle
 from shiftlab.errors import EmptyShift, NotPrimitive, SymbolOutOfRange
 from shiftlab.measures import parry_measure
 from shiftlab.shifts import (characteristic_polynomial, connecting_word, count_periodic,
@@ -21,6 +20,7 @@ from shiftlab.shifts import (characteristic_polynomial, connecting_word, count_p
                              perron, primitive_cycles, sft_from_matrix,
                              strongly_connected_components, topological_entropy)
 
+import oracle
 from conftest import ACCEPTANCE_SEED, random_primitive_sft, small_binary_matrices
 
 PHI = (1 + math.sqrt(5)) / 2

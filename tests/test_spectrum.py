@@ -144,7 +144,7 @@ class TestSpectrumPoint:
     def test_duality(self, golden, phi_golden):
         pf = PressureFunction(edge_system(golden, phi_golden))
         for a in (0.1, 0.25, 0.4):
-            psi, q = spectrum_point(golden, phi_golden, a, pf=pf)
+            psi, q = spectrum_point(golden, phi_golden, a)
             assert abs(psi + q * a - pf(q)) <= 1e-8
 
     def test_duality_along_curve(self, golden, phi_golden):
@@ -355,7 +355,7 @@ class TestLockstep:
         raised = []
         for i in range(9):
             try:
-                spectrum_point(golden, phi, iv.lo + (iv.hi - iv.lo) * (i + 1) / 10, interval=iv)
+                spectrum_point(golden, phi, iv.lo + (iv.hi - iv.lo) * (i + 1) / 10)
             except EndpointSaturation as err:
                 raised.append(str(err))
         assert len(raised) == 2

@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.classify import evaluate_certificate
+from shiftlab.classify import evaluate_certificate, evaluate_checks
 from shiftlab.errors import (CertificateMismatch, IrregularityUnavailable,
                              NoProperSubshift, NotAdmissible, NotPrimitive)
 from shiftlab.measures import (indicator_potential, markov_measure, mixture, parry_measure,
                                periodic_measure)
-from shiftlab.shifts import (golden_mean_shift, is_admissible, iter_words,
+from shiftlab.shifts import (full_shift, golden_mean_shift, is_admissible, iter_words,
                              largest_proper_scc_subgraph, sft_from_matrix,
                              strongly_connected_components)
-from shiftlab.synthesis import (CLASSES, GapClass, _inf_over_k, _measure_facts, _render,
-                                certify, regenerate_segment, synthesize_witness,
-                                thue_morse_word)
+from shiftlab.synthesis import (CLASSES, GapClass, _inf_over_k, _measure_facts, _regenerate,
+                                _render, certify, synthesize_witness, thue_morse_word)
 
 from conftest import constant_potential
 
@@ -86,7 +85,7 @@ class TestWitnesses:
     def test_default_witness_certifies(self, full2, phi_full2, gap_class):
         o = synthesize_witness(full2, gap_class, phi_full2, N_SMALL, seed=SEED)
         assert len(o.word) == N_SMALL
-        assert certify(o)["gap_class"] == gap_class.value
+        certify(o)
         pairs = np.array(full2.matrix)[o.word[:-1], o.word[1:]]
         assert np.all(pairs == 1)
 
@@ -101,7 +100,7 @@ class TestWitnesses:
         o = synthesize_witness(full2, GapClass.QW_NOT_V, phi_full2, N_SMALL, seed=3)
         mismatches = 0
         for seg in o.schedule.segments:
-            expected = regenerate_segment(seg, o.certificate.pool)
+            expected = _regenerate([seg], o.certificate.pool)[0]
             got = tuple(int(c) for c in o.word[seg.start:seg.start + seg.length])
             mismatches += got != tuple(expected)[:len(got)]
         assert mismatches == 0
@@ -370,3 +369,43 @@ class TestTinyHorizons:
             o = synthesize_witness(full2, gap_class, phi_full2, n, seed=3)
             assert len(o.word) == n
             certify(o)
+
+
+#: witnesses whose verdicts fail at 2^16 because a threshold or a schedule
+#: does not carry over from the full 2-shift: (class, ambient, phi's cylinder,
+#: seed, the check that fails).  The ambients are the 4-symbol matrix whose
+#: 2^16 schedule reaches too few cycles to visit every 3-word, the full
+#: 3-shift whose certified integrals lie too close for the fixed min_gap, and
+#: a sparse 6-symbol ambient whose pool measure puts under 1% on a 2-cylinder
+KNOWN_VERDICT_DEFECTS = {
+    f"{gap_class}-{name}-seed{seed}": (gap_class, matrix, cylinder, seed, check)
+    for gap_class, name, matrix, cylinder, seeds, check in [
+        ("QW_NOT_V", "k4", [[1, 0, 1, 1], [1, 1, 1, 0], [0, 1, 1, 0], [1, 1, 1, 1]], (0,),
+         (1, 7), "coverage_counts"),
+        ("I_NOT_QW", "full3", full_shift(3).matrix, (1,), (1, 2), "trace_oscillation"),
+        ("W_NOT_QR", "k6_sparse", [[0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 1], [1, 0, 0, 1, 1, 0],
+                                   [0, 0, 0, 1, 0, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 1, 0]],
+         (0,), (1,), "cylinder_lower_min"),
+    ]
+    for seed in seeds
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="fixed verdict thresholds and QW_NOT_V's cycle coverage are "
+                          "calibrated on the full 2-shift")
+@pytest.mark.parametrize("case", sorted(KNOWN_VERDICT_DEFECTS))
+def test_known_verdict_defect(case):
+    """Every verdict of these certified witnesses should pass at 2^16; today
+    exactly the named check fails.  A fix makes this test pass, and strict
+    xfail then fails it until the mark is removed."""
+    gap_class, matrix, cylinder, seed, check = KNOWN_VERDICT_DEFECTS[case]
+    s = sft_from_matrix(len(matrix), matrix)
+    phi = indicator_potential(s, cylinder)
+    o = synthesize_witness(s, gap_class, phi, 1 << 16, seed=seed)
+    certify(o)
+    failed = [v["check"] for v in evaluate_checks(o.word, s, o.certificate.expected_statistics,
+                                                   phi=phi) if not v["passed"]]
+    if set(failed) - {check}:
+        pytest.fail(f"{case}: {failed} fail, not only {check}")
+    assert not failed, f"{case}: {failed} fail at 2^16"
