@@ -58,7 +58,6 @@ class BetaShiftSpec:
     period: tuple[int, ...]
     is_integer: bool
     validity_length: int
-    raw: bool = False
 
     def digit(self, i: int) -> int:
         """1-indexed digit of the stream; raises beyond validity."""
@@ -132,7 +131,7 @@ def quasi_greedy_normalize(beta: BetaLike, raw: bool = False) -> BetaShiftSpec:
                 raise ValueError("integer beta must be >= 2")
             return BetaShiftSpec(beta=float(snapped), alphabet=snapped,
                                  preperiod=(), period=(snapped - 1,),
-                                 is_integer=True, validity_length=1 << 62, raw=raw)
+                                 is_integer=True, validity_length=1 << 62)
         digits, status, aux = _expand_with_status(b)
         beta_f = float(b)
         alphabet = digits[0] + 1  # a_1 = floor(beta), symbols 0..floor(beta)
@@ -142,7 +141,7 @@ def quasi_greedy_normalize(beta: BetaLike, raw: bool = False) -> BetaShiftSpec:
         if raw:
             return BetaShiftSpec(beta=beta_f, alphabet=alphabet,
                                  preperiod=tuple(body), period=(0,),
-                                 is_integer=False, validity_length=1 << 62, raw=True)
+                                 is_integer=False, validity_length=1 << 62)
         if len(body) == 1:
             # 1 = a_1/beta with a_1 = beta would make beta an integer
             raise PeriodNotDetected("terminating expansion of length 1")
@@ -153,7 +152,7 @@ def quasi_greedy_normalize(beta: BetaLike, raw: bool = False) -> BetaShiftSpec:
     elif status == "periodic":
         spec = BetaShiftSpec(beta=beta_f, alphabet=alphabet,
                              preperiod=tuple(digits[:aux]), period=tuple(digits[aux:]),
-                             is_integer=False, validity_length=1 << 62, raw=raw)
+                             is_integer=False, validity_length=1 << 62)
     else:
         # representation error of beta grows by a factor beta per step, so
         # digits are only trustworthy while beta^m * 2^-prec stays small
@@ -161,7 +160,7 @@ def quasi_greedy_normalize(beta: BetaLike, raw: bool = False) -> BetaShiftSpec:
         validity = min(DEFAULT_HORIZON, max(drift_limit, 1))
         spec = BetaShiftSpec(beta=beta_f, alphabet=alphabet,
                              preperiod=tuple(digits[:validity]), period=(),
-                             is_integer=False, validity_length=validity, raw=raw)
+                             is_integer=False, validity_length=validity)
 
     _check_self_maximal(spec)
     return spec

@@ -48,6 +48,10 @@ def _maybe_manifest(args, command: str, inputs: dict, outputs: list[str]) -> Non
 def cmd_entropy(args) -> int:
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n {args.n} is not a positive word length")
+    if args.beta is not None and args.method:
+        raise ValueError("--method goes with --shift, not --beta")
+    if args.shift is not None and args.raw_digits:
+        raise ValueError("--raw-digits goes with --beta, not --shift")
     print(LOG_BASE_NOTE)
     outputs: list[str] = []
     if args.beta is not None:

@@ -390,9 +390,10 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
 
 
 def write_orbit_dir(o: OrbitPrefix, out_dir: Union[str, Path]) -> list[str]:
+    text = stream_to_text(o.word)   # refuses an alphabet above 10 before any write
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "stream.txt", stream_to_text(o.word))
+    atomic_write_text(out / "stream.txt", text)
     write_json(out / "certificate.json", certificate_to_doc(o))
     return ["stream.txt", "certificate.json"]
 

@@ -133,10 +133,9 @@ def markov_measure(s: ShiftSpace, p: Sequence[Sequence[float]],
             or np.abs(arr.sum(axis=1) - 1.0).max() > VALIDATION_TOL):
         raise ValueError(f"P is not a {s.k}x{s.k} stochastic matrix on the shift's transitions")
     if pi is None:
-        inv = perron(arr)[1]
-        if inv is None:
+        pi = perron(arr)[1][-1, :-1]
+        if np.isnan(pi).all():
             raise ValueError("P has more than one stationary vector")
-        pi = inv[-1, :-1]
     stat = np.array(pi, dtype=float)
     if (stat.shape != (s.k,) or not np.isfinite(stat).all()
             or abs(stat.sum() - 1.0) > VALIDATION_TOL):

@@ -284,7 +284,7 @@ def strongly_connected_components(matrix: Sequence[Sequence[int]]) -> list[list[
     return list(classes.values())
 
 
-def perron(b: np.ndarray) -> tuple[float | np.ndarray, Optional[np.ndarray]]:
+def perron(b: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Perron root rho of a square B >= 0 and the inverse of the bordered
     matrix M = [[B - rho I, 1], [1^T, 0]].
 
@@ -293,12 +293,12 @@ def perron(b: np.ndarray) -> tuple[float | np.ndarray, Optional[np.ndarray]]:
     call.  When rho is a simple root (B irreducible, for one) M^-1 holds the
     right Perron vector r (last column) and the left one l (last row), both
     summing to 1, and in its leading k x k block a generalized inverse G of
-    B - rho I.  In place of M^-1 comes None when M is singular, which
-    happens exactly when rho is not a simple root.
+    B - rho I.  In place of M^-1 comes an all-NaN array when M is singular,
+    which happens exactly when rho is not a simple root.
 
     A stack B of shape (n, k, k) gives the n roots as an array and the n
     inverses in one (n, k+1, k+1) array, each from the same LAPACK calls a
-    single B makes; a singular member's inverse is all NaN.
+    single B makes.
     """
     stack = b if b.ndim == 3 else b[None]
     k = stack.shape[-1]
@@ -309,8 +309,6 @@ def perron(b: np.ndarray) -> tuple[float | np.ndarray, Optional[np.ndarray]]:
     try:
         inv = np.linalg.inv(border)
     except np.linalg.LinAlgError:
-        if b.ndim == 2:
-            return float(rho[0]), None
         # one singular member fails the whole batch: invert one at a time
         inv = np.full(border.shape, np.nan)
         for i, m in enumerate(border):

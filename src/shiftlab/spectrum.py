@@ -22,12 +22,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateInterval, EndpointSaturation, NotPrimitive,
-                     NotStronglyConnected, OutsideInterior, PressureOverflow)
+from .errors import (DegenerateInterval, EndpointSaturation, NotStronglyConnected,
+                     OutsideInterior, PressureOverflow)
 from .measures import Potential, integrate, parry_measure
 from .shifts import (ShiftSpace, Word, iter_words, least_cycle, perron,
                      strongly_connected_components, topological_entropy)
@@ -152,25 +152,23 @@ def _karp_extreme_cycle(system: EdgeSystem,
     return value, tuple(system.decode[v] for v in cycle), reduced
 
 
-def _extreme_cycles(system: EdgeSystem) -> LphiInterval:
-    lo, lo_cyc, lo_red = _karp_extreme_cycle(system, maximize=False)
-    hi, hi_cyc, hi_red = _karp_extreme_cycle(system, maximize=True)
-    return LphiInterval(lo=float(lo), hi=float(hi), lo_cycle=lo_cyc, hi_cycle=hi_cyc,
-                        lo_exact=lo, hi_exact=hi, lo_reduced=lo_red, hi_reduced=hi_red)
-
-
 def lphi_interval(s: ShiftSpace, phi: Potential) -> LphiInterval:
     """Exact attainable-average interval with extreme-cycle witnesses."""
     comps = strongly_connected_components(s.matrix)
     real = [c for c in comps if len(c) > 1 or s.matrix[c[0]][c[0]]]
     if len(real) != 1 or len(real[0]) != s.k:
         raise NotStronglyConnected("interval search needs a strongly connected graph")
-    return _extreme_cycles(edge_system(s, phi))
+    system = edge_system(s, phi)
+    lo, lo_cyc, lo_red = _karp_extreme_cycle(system, maximize=False)
+    hi, hi_cyc, hi_red = _karp_extreme_cycle(system, maximize=True)
+    return LphiInterval(lo=float(lo), hi=float(hi), lo_cycle=lo_cyc, hi_cycle=hi_cyc,
+                        lo_exact=lo, hi_exact=hi, lo_reduced=lo_red, hi_reduced=hi_red)
 
 
 @dataclass
 class PressureFunction:
-    """q -> P(q) on one edge system; cache maps q to (P(q), P'(q), P''(q)).
+    """q -> P(q) on one edge system and its interval (lphi_interval's);
+    cache maps q to (P(q), P'(q), P''(q)).
 
     With m = hi for q >= 0 (lo for q < 0) and that extreme's reduced
     weights R, B(q) = exp(q m) D exp(q R) D^-1 for a diagonal D; exp(q R)
@@ -178,18 +176,18 @@ class PressureFunction:
     rho lies in [1, k] and P = q m + log rho never overflows.  Its Perron
     data give the equilibrium state of q phi: P' = m + the integral of R
     (= the integral of phi; the coboundary integrates to 0), and P'' = the
-    asymptotic variance of R.  The interval defaults to a fresh Karp pass.
+    asymptotic variance of R.
 
     Called on a sequence of q's, it solves the uncached ones in one stacked
     Perron solve; each q's triple is bit-identical to solving it alone.
     """
 
     system: EdgeSystem
-    interval: Optional[LphiInterval] = None
+    interval: LphiInterval
     cache: dict[float, tuple[float, float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        iv = self.interval = self.interval or _extreme_cycles(self.system)
+        iv = self.interval
         edges = list(self.system.weights)
         self._edges = tuple(np.array(edges, dtype=np.intp).T)
         # row 0: the q < 0 side (lo), row 1: the q >= 0 side (hi)
@@ -197,10 +195,8 @@ class PressureFunction:
         self._reduced = np.array([[iv.lo_reduced[e] for e in edges],
                                   [iv.hi_reduced[e] for e in edges]])
 
-    def __call__(self, q: Union[float, Sequence[float]]) -> Union[float, list[float]]:
-        """P(q), or the list of P over a sequence of q's."""
-        single = not isinstance(q, Sequence)
-        qs = [q] if single else list(q)
+    def __call__(self, qs: Sequence[float]) -> list[float]:
+        """The list of P over a sequence of q's."""
         for x in qs:
             if abs(x) > Q_CAP:
                 raise PressureOverflow(f"|q| = {abs(x)} beyond documented cap {Q_CAP}")
@@ -209,8 +205,7 @@ class PressureFunction:
         for i in range(0, len(new), size):
             chunk = new[i:i + size]
             self.cache.update(zip(chunk, self._solve(np.array(chunk, dtype=float))))
-        values = [self.cache[x][0] for x in qs]
-        return values[0] if single else values
+        return [self.cache[x][0] for x in qs]
 
     def _solve(self, qs: np.ndarray) -> list[tuple[float, float, float]]:
         side = (qs >= 0).astype(np.intp)
@@ -252,24 +247,10 @@ def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def pressure(s: ShiftSpace, phi: Potential, q: float) -> float:
-    """log Perron eigenvalue of the q-weighted transition matrix."""
-    if not s.is_primitive:
-        raise NotPrimitive("pressure needs a primitive shift")
-    return PressureFunction(edge_system(s, phi))(q)
-
-
 def has_irregular(s: ShiftSpace, phi: Potential) -> bool:
     """Nonempty irregular set <=> cycle averages are not all equal."""
     iv = lphi_interval(s, phi)
     return iv.hi - iv.lo > IRREGULARITY_TOL
-
-
-def _check_interior(iv: LphiInterval, a: float) -> None:
-    if not iv.lo < a < iv.hi:
-        if iv.hi - iv.lo <= IRREGULARITY_TOL:
-            raise OutsideInterior(f"interval degenerate at {iv.lo}")
-        raise OutsideInterior(f"a={a} not inside ({iv.lo}, {iv.hi})")
 
 
 def _newton(pf: PressureFunction, grid: Sequence[float]) -> list[tuple[float, float]]:
@@ -316,14 +297,6 @@ def _newton(pf: PressureFunction, grid: Sequence[float]) -> list[tuple[float, fl
     return out
 
 
-def spectrum_point(s: ShiftSpace, phi: Potential, a: float) -> tuple[float, float]:
-    """(psi, q_star) at an interior average a, where P'(q_star) = a, by the
-    Newton iteration of spectrum_curve run on the one point a."""
-    iv = lphi_interval(s, phi)
-    _check_interior(iv, a)
-    return _newton(PressureFunction(edge_system(s, phi), iv), [a])[0]
-
-
 @dataclass
 class SpectrumCurve:
     """Grid of (a, psi, q_star) over the interior of the average interval."""
@@ -348,7 +321,8 @@ def spectrum_curve(s: ShiftSpace, phi: Potential, npoints: int) -> SpectrumCurve
         grid.append(a_star)
     grid.sort()
     for a in grid:
-        _check_interior(iv, a)
+        if not iv.lo < a < iv.hi:
+            raise OutsideInterior(f"a={a} not inside ({iv.lo}, {iv.hi})")
     pf = PressureFunction(edge_system(s, phi), iv)
     pts = [(a,) + point for a, point in zip(grid, _newton(pf, grid))]
     return SpectrumCurve(points=pts, h_top=h_top, parry_average=a_star, interval=iv)

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from shiftlab import rng
+from shiftlab import rng, spectrum
 from shiftlab.measures import Potential, indicator_potential
 from shiftlab.shifts import ShiftSpace, full_shift, golden_mean_shift, iter_words, sft_from_matrix
+from shiftlab.spectrum import PressureFunction, edge_system, lphi_interval
 from shiftlab.synthesis import GapClass, synthesize_witness
 
 import oracle
@@ -66,6 +67,17 @@ def random_primitive_sft(k: int, seed: int) -> ShiftSpace:
 
 def constant_potential(s: ShiftSpace, c: float, r: int = 1) -> Potential:
     return Potential(range=r, table={u: float(c) for u in iter_words(s, r)})
+
+
+def pressure_function(s: ShiftSpace, phi: Potential) -> PressureFunction:
+    """A fresh pressure function of phi on s, built as spectrum_curve builds it."""
+    return PressureFunction(edge_system(s, phi), lphi_interval(s, phi))
+
+
+def psi_at(s: ShiftSpace, phi: Potential, a: float) -> tuple[float, float]:
+    """(psi, q_star) at one interior average a: spectrum_curve's Newton
+    iteration run on the one-point grid [a]."""
+    return spectrum._newton(pressure_function(s, phi), [a])[0]
 
 
 @st.composite

@@ -19,13 +19,12 @@ from shiftlab.shifts import (count_periodic, count_words, format_word, full_shif
                              is_admissible, iter_words,
                              largest_proper_scc_subgraph, primitive_cycles,
                              sft_from_matrix, topological_entropy)
-from shiftlab.spectrum import (check_concavity, has_irregular, spectrum_curve,
-                               spectrum_point, sup_equals_htop)
+from shiftlab.spectrum import check_concavity, has_irregular, spectrum_curve, sup_equals_htop
 from shiftlab.synthesis import (THETA_I_NOT_QW, THETA_V_NOT_W, GapClass, certify,
                                 synthesize_witness)
 
 import oracle
-from conftest import ACCEPTANCE_SEED, FULL3_QUARTERS, constant_potential
+from conftest import ACCEPTANCE_SEED, FULL3_QUARTERS, constant_potential, psi_at
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN_BETA = "1.61803398874989484820458683436563811772"
@@ -88,7 +87,7 @@ def test_c4_variational_spectrum(golden, phi_golden):
     max_diff = 0.0
     for i in range(1, 10):
         a = 0.5 * i / 10
-        psi, _ = spectrum_point(golden, phi_golden, a)
+        psi, _ = psi_at(golden, phi_golden, a)
         brute = oracle.brute_constrained_entropy(golden, phi_golden, a, 40)
         max_diff = max(max_diff, abs(psi - brute))
     curve = spectrum_curve(golden, phi_golden, 33)

@@ -1,6 +1,8 @@
+import ast
 import json
 import shutil
 import subprocess
+import symtable
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -389,6 +391,18 @@ class TestEntropyCommand:
         assert rc == 2 and out == ""
         assert "usage: shiftlab entropy" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args,flag", [
+        (["--beta", "1.8", "--method", "periodic"], "--method"),
+        (["--shift", "full2.json", "--raw-digits", "--method", "spectral"], "--raw-digits"),
+    ], ids=["beta_method", "shift_raw_digits"])
+    def test_flag_of_the_other_source_exit2(self, files, args, flag):
+        """--method goes with --shift and --raw-digits with --beta: the
+        other source's flag is refused before anything prints, not ignored."""
+        rc, out, err = run_cli("entropy", *[str(files / a) if a.endswith(".json") else a
+                                            for a in args])
+        assert rc == 2 and out == ""
+        assert "Traceback" not in err and f"{flag} goes with" in err
+
     def test_integer_beta_1e20(self):
         """An alphabet of 10^20 symbols counts as fast as two."""
         proc = subprocess.run([sys.executable, "-m", "shiftlab.cli", "entropy", "--beta", "1e20"],
@@ -514,6 +528,19 @@ class TestPipeline:
         rc, _, err = run_cli(command, "--orbit", str(orbit), *args)
         assert rc == 2
         assert "Traceback" not in err and "not a digit below 2" in err
+
+    def test_alphabet_above_ten_writes_nothing(self, tmp_path, capsys):
+        """The stream format holds one digit per symbol: an 11-symbol orbit
+        is refused before its output directory is made."""
+        s = full_shift(11)
+        io.write_json(tmp_path / "shift.json", io.shift_to_doc(s))
+        io.write_json(tmp_path / "phi.json", io.potential_to_doc(indicator_potential(s, (1,))))
+        orbit = tmp_path / "orbit"
+        assert main(["synthesize", "--shift", str(tmp_path / "shift.json"),
+                     "--class", "R_FULL_SUPPORT", "--potential", str(tmp_path / "phi.json"),
+                     "--horizon", "4096", "--seed", "1", "--out", str(orbit)]) == 2
+        assert "alphabet <= 10" in capsys.readouterr().err
+        assert not orbit.exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
     def test_malformed_document_exit2(self, tmp_path, capsys, case):
@@ -699,6 +726,57 @@ class TestScripts:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert (tmp_path / "s" / "golden_mean.csv").read_text().startswith("a,psi,q_star")
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _reads(path: Path) -> tuple[set, set]:
+    """The names path's code reads, as (name, owner) pairs, owner being the
+    top-level def or class the read sits in (None at module level): first
+    every `from ... import` name and attribute, then every load of a module
+    global, resolved by symtable so that a local of the same name is not one."""
+    source = path.read_text()
+    named = set()
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom):
+                named.update((alias.name, owner) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                named.add((node.attr, owner))
+    top = symtable.symtable(source, str(path), "exec")
+    loads = {(sym.get_name(), None) for sym in top.get_symbols() if sym.is_referenced()}
+    for child in top.get_children():
+        tables = [child]
+        while tables:
+            table = tables.pop()
+            tables.extend(table.get_children())
+            loads.update((sym.get_name(), child.get_name()) for sym in table.get_symbols()
+                         if sym.is_global() and sym.is_referenced())
+    return named, loads
+
+
+class TestProgramCallers:
+    def test_every_public_function_has_a_program_caller(self):
+        """Every public module-level function of the package is read by the
+        program (src/, scripts/ or benchmark/) outside its own def: imported
+        by name, reached as an attribute, or loaded as a global of its own
+        module.  A function only tests reach is not part of the program."""
+        program = [path for part in ("src", "scripts", "benchmark")
+                   for path in sorted((REPO / part).rglob("*.py"))]
+        reads = {path: _reads(path) for path in program}
+        named = {(path, n, o) for path, (pairs, _) in reads.items() for n, o in pairs}
+        uncalled = []
+        for path in sorted((REPO / "src" / "shiftlab").glob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                if not isinstance(stmt, ast.FunctionDef) or stmt.name.startswith("_"):
+                    continue
+                f = stmt.name
+                if not (any(n == f and (p, o) != (path, f) for p, n, o in named)
+                        or any(n == f and o != f for n, o in reads[path][1])):
+                    uncalled.append(f"{path.stem}.{f}")
+        assert uncalled == []
 
 
 _json_scalars = (st.none() | st.booleans() | st.text(max_size=8)

@@ -22,12 +22,11 @@ from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, Potential, _bits, _s
                                sample_typical_words, support, support_pieces)
 from shiftlab.shifts import (SYMBOL_DTYPE, ShiftSpace, full_shift, is_admissible, iter_words,
                              primitive_cycles, sft_from_matrix, topological_entropy)
-from shiftlab.spectrum import PressureFunction, edge_system
 from shiftlab.synthesis import _sub_parry
 
 import oracle
 from oracle import scalar_typical_word
-from conftest import constant_potential, random_primitive_sft
+from conftest import constant_potential, pressure_function, random_primitive_sft
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -78,14 +77,14 @@ class TestEquilibrium:
             assert equilibrium_measure(s, s.matrix_array()) == parry_measure(s)
             for r in (1, 2):
                 phi = _seeded_potential(s, r, 100 * n + r)
-                pf = PressureFunction(edge_system(s, phi))
+                pf = pressure_function(s, phi)
                 for q in (-3.0, -0.5, 0.0, 1.0, 2.0):
                     b = np.zeros((s.k, s.k))
                     for i, j in s.edges():
                         b[i, j] = math.exp(q * phi.table[(i, j)[:r]])
                     m = equilibrium_measure(s, b)
                     a = integrate(m, phi)
-                    assert abs(entropy(m) + q * a - pf(q)) <= 1e-11
+                    assert abs(entropy(m) + q * a - pf([q])[0]) <= 1e-11
                     assert abs(a - pf.cache[q][1]) <= 1e-11
 
 
@@ -380,6 +379,12 @@ class TestValidation:
     def test_forbidden_edge(self, golden):
         with pytest.raises(ValueError):
             markov_measure(golden, [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_two_stationary_vectors(self):
+        # two disjoint loops: rho = 1 is a double root, so pi is not determined
+        s = sft_from_matrix(2, [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="more than one stationary vector"):
+            markov_measure(s, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_bad_cycle(self, golden):
         with pytest.raises(NotAdmissible):

@@ -16,7 +16,7 @@ from shiftlab.synthesis import _disjoint_cycle
 
 import oracle
 from oracle import BoundExceeded, Infeasible
-from conftest import random_primitive_sft, small_binary_matrices
+from conftest import psi_at, random_primitive_sft, small_binary_matrices
 
 
 class TestBruteCounts:
@@ -129,10 +129,9 @@ class TestDensity:
 
 class TestDominanceInvariant:
     def test_oracle_never_exceeds_variational_sup(self, golden, phi_golden):
-        from shiftlab.spectrum import spectrum_point
         for i in range(1, 10):
             a = 0.5 * i / 10
-            psi, _ = spectrum_point(golden, phi_golden, a)
+            psi, _ = psi_at(golden, phi_golden, a)
             val = oracle.brute_constrained_entropy(golden, phi_golden, a, 40)
             assert val <= psi + 1e-6
             assert abs(val - psi) <= 0.02
@@ -146,11 +145,10 @@ class TestDominanceInvariant:
 class TestThreeSymbolAgreement:
     def test_dominance_and_agreement(self):
         from shiftlab.shifts import sft_from_matrix
-        from shiftlab.spectrum import spectrum_point
         s3 = sft_from_matrix(3, [[1, 1, 1], [1, 1, 0], [1, 0, 1]])
         phi = indicator_potential(s3, (1,))
         for a in (0.3, 0.6):
-            psi, _ = spectrum_point(s3, phi, a)
+            psi, _ = psi_at(s3, phi, a)
             val = oracle.brute_constrained_entropy(s3, phi, a, 10)
             assert val <= psi + 1e-6
             assert abs(val - psi) <= 0.02

@@ -12,11 +12,10 @@ from shiftlab.errors import (DegenerateInterval, EndpointSaturation, NotStrongly
 from shiftlab.measures import (entropy, indicator_potential, integrate, markov_measure,
                                parry_measure, Potential)
 from shiftlab.shifts import iter_words, perron, sft_from_matrix, topological_entropy
-from shiftlab.spectrum import (PressureFunction, check_concavity, edge_system,
-                               has_irregular, lphi_interval, pressure, spectrum_curve,
-                               spectrum_point, sup_equals_htop)
+from shiftlab.spectrum import (PressureFunction, check_concavity, has_irregular, lphi_interval,
+                               spectrum_curve, sup_equals_htop)
 
-from conftest import FULL3_QUARTERS, constant_potential
+from conftest import FULL3_QUARTERS, constant_potential, pressure_function, psi_at
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -31,29 +30,29 @@ class TestPressure:
         c = constant_potential(golden, 2.5)
         h = topological_entropy(golden)
         for q in (-3.0, 0.0, 7.0):
-            assert pressure(golden, c, q) == pytest.approx(h + q * 2.5, abs=1e-9)
+            [value] = pressure_function(golden, c)([q])
+            assert value == pytest.approx(h + q * 2.5, abs=1e-9)
 
     def test_zero_is_entropy(self, golden, phi_golden):
-        assert pressure(golden, phi_golden, 0.0) == pytest.approx(
-            topological_entropy(golden), abs=1e-9)
+        [value] = pressure_function(golden, phi_golden)([0.0])
+        assert value == pytest.approx(topological_entropy(golden), abs=1e-9)
 
     def test_analytic_curve(self, golden, phi_golden):
         for q in (-20, -5, -1, 0, 0.5, 3, 25):
-            assert pressure(golden, phi_golden, float(q)) == pytest.approx(
-                golden_pressure_exact(q), abs=1e-10)
+            [value] = pressure_function(golden, phi_golden)([float(q)])
+            assert value == pytest.approx(golden_pressure_exact(q), abs=1e-10)
 
     def test_extreme_q_finite(self, golden, phi_golden):
-        assert math.isfinite(pressure(golden, phi_golden, 500.0))
-        assert math.isfinite(pressure(golden, phi_golden, -500.0))
+        assert all(map(math.isfinite, pressure_function(golden, phi_golden)([500.0, -500.0])))
 
     def test_overflow_guard(self, golden, phi_golden):
         with pytest.raises(PressureOverflow):
-            pressure(golden, phi_golden, 501.0)
+            pressure_function(golden, phi_golden)([501.0])
 
     def test_convexity_on_cache(self, golden, phi_golden):
-        pf = PressureFunction(edge_system(golden, phi_golden))
+        pf = pressure_function(golden, phi_golden)
         qs = [-8, -4, -2, -1, 0, 1, 2, 4, 8]
-        vals = {q: pf(float(q)) for q in qs}
+        vals = {q: pf([float(q)])[0] for q in qs}
         for q1, q2, q3 in zip(qs, qs[1:], qs[2:]):
             chord = vals[q1] + (vals[q3] - vals[q1]) * (q2 - q1) / (q3 - q1)
             assert vals[q2] <= chord + 1e-9
@@ -116,12 +115,12 @@ class TestIrregularity:
 class TestSpectrumPoint:
     def test_maximum_at_parry_average(self, golden, phi_golden):
         a_star = integrate(parry_measure(golden), phi_golden)
-        psi, q = spectrum_point(golden, phi_golden, a_star)
+        psi, q = psi_at(golden, phi_golden, a_star)
         assert psi == pytest.approx(math.log(PHI), abs=1e-8)
         assert abs(q) < 1e-6
 
     def test_full2_symmetric_max(self, full2, phi_full2):
-        psi, _ = spectrum_point(full2, phi_full2, 0.5)
+        psi, _ = psi_at(full2, phi_full2, 0.5)
         assert psi == pytest.approx(math.log(2), abs=1e-8)
 
     def test_memory1_analytic(self, golden, phi_golden):
@@ -129,35 +128,26 @@ class TestSpectrumPoint:
         for a in (0.1, 0.2, 0.35, 0.45):
             p = (1 - 2 * a) / (1 - a)
             h = -(p * math.log(p) + (1 - p) * math.log(1 - p)) / (2 - p)
-            psi, _ = spectrum_point(golden, phi_golden, a)
+            psi, _ = psi_at(golden, phi_golden, a)
             assert psi == pytest.approx(h, abs=1e-7)
 
-    def test_outside_interior(self, golden, phi_golden):
-        for a in (0.0, 0.5, -0.1, 0.8):
-            with pytest.raises(OutsideInterior):
-                spectrum_point(golden, phi_golden, a)
-
-    def test_constant_degenerate(self, golden):
-        with pytest.raises(OutsideInterior):
-            spectrum_point(golden, constant_potential(golden, 1.0), 1.0)
-
     def test_duality(self, golden, phi_golden):
-        pf = PressureFunction(edge_system(golden, phi_golden))
+        pf = pressure_function(golden, phi_golden)
         for a in (0.1, 0.25, 0.4):
-            psi, q = spectrum_point(golden, phi_golden, a)
-            assert abs(psi + q * a - pf(q)) <= 1e-8
+            psi, q = psi_at(golden, phi_golden, a)
+            assert abs(psi + q * a - pf([q])[0]) <= 1e-8
 
     def test_duality_along_curve(self, golden, phi_golden):
-        pf = PressureFunction(edge_system(golden, phi_golden))
+        pf = pressure_function(golden, phi_golden)
         curve = spectrum_curve(golden, phi_golden, 15)
         for a, psi, q in curve.points:
-            assert abs(psi + q * a - pf(q)) <= 1e-8
+            assert abs(psi + q * a - pf([q])[0]) <= 1e-8
 
     def test_dominates_constructed_measures(self, golden, phi_golden):
         for p0 in (0.3, 0.5, 0.7):
             m = markov_measure(golden, [[p0, 1 - p0], [1.0, 0.0]])
             a = integrate(m, phi_golden)
-            psi, _ = spectrum_point(golden, phi_golden, a)
+            psi, _ = psi_at(golden, phi_golden, a)
             assert entropy(m) <= psi + 1e-8
 
 
@@ -178,14 +168,25 @@ class TestCurve:
         with pytest.raises(DegenerateInterval):
             spectrum_curve(golden, constant_potential(golden, 1.0), 9)
 
+    def test_collapsed_grid_outside_interior(self, golden):
+        # phi(1) two ulps below phi(0) = 1e6: an interval about 1.2e-10 wide,
+        # above the degeneracy tolerance, whose grid rounds onto lo
+        below = np.nextafter(np.nextafter(1e6, 0.0), 0.0)
+        phi = Potential(range=1, table={(0,): 1e6, (1,): float(below)})
+        iv = lphi_interval(golden, phi)
+        assert 1e-10 < iv.hi - iv.lo < 2e-10
+        with pytest.raises(OutsideInterior, match="not inside"):
+            spectrum_curve(golden, phi, 33)
+
     def test_range3_block_recode(self, full2):
         # potential on 3-words: indicator of 101; pressure at 0 still log 2
         table = {w: (1.0 if w == (1, 0, 1) else 0.0) for w in iter_words(full2, 3)}
         phi = Potential(range=3, table=table)
-        assert pressure(full2, phi, 0.0) == pytest.approx(math.log(2), abs=1e-9)
+        [value] = pressure_function(full2, phi)([0.0])
+        assert value == pytest.approx(math.log(2), abs=1e-9)
         iv = lphi_interval(full2, phi)
         assert iv.lo == 0.0 and iv.hi == pytest.approx(0.5, abs=1e-12)
-        psi, _ = spectrum_point(full2, phi, 0.25)
+        psi, _ = psi_at(full2, phi, 0.25)
         assert 0 < psi <= math.log(2) + 1e-9
 
 
@@ -193,7 +194,7 @@ class TestNearEndpoints:
     def test_interior_points_close_to_endpoints(self, golden, phi_golden):
         h = topological_entropy(golden)
         for a in (0.001, 0.499):
-            psi, q = spectrum_point(golden, phi_golden, a)
+            psi, q = psi_at(golden, phi_golden, a)
             assert 0.0 < psi <= h + 1e-9
             assert abs(q) <= 500.0
 
@@ -205,10 +206,10 @@ def _mp_pressure(c: float):
 
 class TestDerivatives:
     def test_slope_and_curvature_closed_form(self, golden, phi_golden):
-        pf = PressureFunction(edge_system(golden, phi_golden))
+        pf = pressure_function(golden, phi_golden)
         exact = _mp_pressure(1.0)
         for q in (-20.0, -5.0, -1.0, 0.0, 0.5, 3.0, 25.0):
-            pf(q)
+            pf([q])
             _, slope, curvature = pf.cache[q]
             assert abs(slope - float(mpmath.diff(exact, q))) <= 1e-12
             assert abs(curvature - float(mpmath.diff(exact, q, 2))) <= 1e-12
@@ -218,18 +219,13 @@ class TestDerivatives:
         # edge 1 -> 2: the Perron root is nearly double for q << 0, where the
         # Perron data lose their digits; P' must still rise within [lo, hi]
         s = sft_from_matrix(3, [[1, 1, 1], [0, 1, 1], [1, 0, 1]])
-        pf = PressureFunction(edge_system(s, Potential(range=1, table={
-            (0,): 9.0, (1,): 3.0, (2,): 3.0})))
+        pf = pressure_function(s, Potential(range=1, table={(0,): 9.0, (1,): 3.0, (2,): 3.0}))
         slopes = []
         for q in [-60.0 + 0.25 * i for i in range(241)]:
-            pf(q)
+            pf([q])
             slopes.append(pf.cache[q][1])
         assert all(3.0 <= x <= 9.0 for x in slopes)
         assert all(x <= y + 1e-9 for x, y in zip(slopes, slopes[1:]))
-
-    def test_no_second_karp_pass(self, golden, phi_golden):
-        iv = lphi_interval(golden, phi_golden)
-        assert PressureFunction(edge_system(golden, phi_golden), iv).interval is iv
 
 
 class TestOverflowRegime:
@@ -239,21 +235,23 @@ class TestOverflowRegime:
     def test_coboundary_is_entropy(self, golden):
         # phi(01) = 2, phi(10) = -2 is a coboundary: P(q) = log of the golden ratio
         phi = Potential(range=2, table={(0, 0): 0.0, (0, 1): 2.0, (1, 0): -2.0})
+        pf = pressure_function(golden, phi)
         for q in (-500.0, -300.0, 300.0, 500.0):
-            assert abs(pressure(golden, phi, q) - math.log(PHI)) <= 1e-12
+            assert abs(pf([q])[0] - math.log(PHI)) <= 1e-12
 
     def test_scaled_indicator_closed_form(self, golden):
         phi = Potential(range=1, table={(0,): 0.0, (1,): 5.0})
         exact = _mp_pressure(5.0)
+        pf = pressure_function(golden, phi)
         for q in (-500.0, -300.0, 300.0, 500.0):
-            assert abs(pressure(golden, phi, q) - float(exact(q))) <= 1e-12
+            assert abs(pf([q])[0] - float(exact(q))) <= 1e-12
 
     def test_spectrum_point_near_endpoints(self, golden):
         # L_phi = [0, 5/2]; the exact root of P'(q) = a and psi = P(q) - q a
         phi = Potential(range=1, table={(0,): 0.0, (1,): 5.0})
         exact = _mp_pressure(5.0)
         for a in (1e-9, 2.5 - 1e-9):
-            psi, q = spectrum_point(golden, phi, a)
+            psi, q = psi_at(golden, phi, a)
             q_exact = mpmath.findroot(lambda t: mpmath.diff(exact, t) - a, q)
             assert abs(q - float(q_exact)) <= 1e-6
             assert abs(psi - float(exact(q_exact) - q_exact * a)) <= 1e-12
@@ -270,15 +268,13 @@ def lone_solve(pf: PressureFunction, q: float) -> tuple[float, float, float]:
     b = np.zeros((k, k))
     b[rows, cols] = np.exp(q * reduced)
     rho, inv = perron(b)
-    drift = variance = math.nan
-    if inv is not None:
-        with np.errstate(all="ignore"):
-            right, left, green = inv[:k, k], inv[k, :k], inv[:k, :k]
-            flow = left[rows] * b[rows, cols] / (rho * float(left @ right))
-            drift = float(flow @ (right[cols] * reduced))
-            centred = reduced - drift
-            x = -green @ np.bincount(rows, b[rows, cols] * right[cols] * centred, minlength=k)
-            variance = float(flow @ (centred * (right[cols] * centred + 2.0 * x[cols])))
+    with np.errstate(all="ignore"):
+        right, left, green = inv[:k, k], inv[k, :k], inv[:k, :k]
+        flow = left[rows] * b[rows, cols] / (rho * float(left @ right))
+        drift = float(flow @ (right[cols] * reduced))
+        centred = reduced - drift
+        x = -green @ np.bincount(rows, b[rows, cols] * right[cols] * centred, minlength=k)
+        variance = float(flow @ (centred * (right[cols] * centred + 2.0 * x[cols])))
     if not (reduced.min() <= drift <= reduced.max() and 0.0 <= variance < math.inf):
         return q * mean + math.log(rho), mean, 0.0
     return q * mean + math.log(rho), mean + drift, variance
@@ -298,18 +294,18 @@ class TestLockstep:
         qs = [i / 4 for i in range(-240, 241)] + [rng.uniform(-60.0, 60.0) for _ in range(40)]
         for s in (golden, full3, random4):
             phi = Potential(range=r, table={w: rng.randint(-8, 8) / 4 for w in iter_words(s, r)})
-            together = PressureFunction(edge_system(s, phi))
+            together = pressure_function(s, phi)
             values = together(qs)
             alone = PressureFunction(together.system, together.interval)
             for q in qs:
-                alone(q)
+                alone([q])
             assert together.cache == alone.cache == {q: lone_solve(alone, q) for q in qs}
             assert values == [alone.cache[q][0] for q in qs]
 
     def test_large_stacks_split(self, full3, monkeypatch):
         # 27 entries make three 3 x 3 matrices a stack: 10 q's take four solves
         qs = [i - 4.5 for i in range(10)]
-        one = PressureFunction(edge_system(full3, FULL3_QUARTERS))
+        one = pressure_function(full3, FULL3_QUARTERS)
         one(qs)
         monkeypatch.setattr(spectrum, "STACK_ENTRIES", 27)
         split = PressureFunction(one.system, one.interval)
@@ -323,7 +319,7 @@ class TestLockstep:
                  (full2, indicator_potential(full2, (1, 1, 1))))
         for s, phi in cases:
             curve = spectrum_curve(s, phi, 33)
-            assert curve.points == [(a,) + spectrum_point(s, phi, a) for a, _, _ in curve.points]
+            assert curve.points == [(a,) + psi_at(s, phi, a) for a, _, _ in curve.points]
 
     def test_curve_evaluation_count(self, golden, phi_golden, full2, full3, monkeypatch):
         made = []
@@ -355,7 +351,7 @@ class TestLockstep:
         raised = []
         for i in range(9):
             try:
-                spectrum_point(golden, phi, iv.lo + (iv.hi - iv.lo) * (i + 1) / 10)
+                psi_at(golden, phi, iv.lo + (iv.hi - iv.lo) * (i + 1) / 10)
             except EndpointSaturation as err:
                 raised.append(str(err))
         assert len(raised) == 2
