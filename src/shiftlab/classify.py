@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SchemaError, TooShort
 from .io import COUNT, INTEGER, NUMBER, Context, Param, list_of, tuple_of, validate
-from .measures import Potential
+from .measures import SAMPLE_CHUNK, Potential
 from .shifts import ShiftSpace, Word, iter_words
 
 DENSITY_CHECKPOINTS = 32
@@ -147,24 +147,46 @@ def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
     """Exact running averages (1/n) sum phi(window_i) at each checkpoint, for
     a stream and a potential over k symbols; a window whose word the table
     lacks adds 0.  Values are read from a table of all k**range codes while
-    that is no longer than the windows; past that, from the table's own
-    sorted word codes, so memory follows the stream and the table."""
+    that is no longer than the stream's windows; past that, from the table's
+    own sorted word codes, so memory follows the stream and the table.
+
+    The windows up to the last checkpoint are coded, looked up and summed
+    SAMPLE_CHUNK at a time in one buffer: the running total is added into a
+    chunk's first value before its cumsum, which makes the same float
+    additions, in the same order, as one cumsum over every window.
+    """
     arr = np.asarray(x)
-    need = max(checkpoints) + phi.range
-    if len(arr) < need:
-        raise TooShort(f"need length >= {need}, have {len(arr)}")
+    r = phi.range
+    cps = np.asarray(checkpoints, dtype=np.int64)
+    n = int(cps.max())
+    if len(arr) < n + r:
+        raise TooShort(f"need length >= {n + r}, have {len(arr)}")
     codes = np.fromiter((word_code(w, k) for w in phi.table), np.int64, len(phi.table))
     values = np.fromiter(phi.table.values(), float, len(phi.table))
-    if k ** phi.range <= len(arr) - phi.range + 1:   # a gather beats a binary search per window
-        table = np.zeros(k ** phi.range)
+    dense = k ** r <= len(arr) - r + 1   # a gather beats a binary search per window
+    if dense:
+        table = np.zeros(k ** r)
         table[codes] = values
-        sums = np.cumsum(table[window_codes(arr, phi.range, k)])
     else:
-        windows = window_codes(arr, phi.range, k)
         order = np.argsort(codes)
-        at = order[np.minimum(np.searchsorted(codes, windows, sorter=order), len(codes) - 1)]
-        sums = np.cumsum(np.where(codes[at] == windows, values[at], 0.0))
-    return [(int(n), float(sums[n - 1] / n)) for n in checkpoints]
+    averages = np.empty(len(cps))
+    sums = np.empty(min(SAMPLE_CHUNK, n))
+    total = 0.0
+    for a in range(0, n, SAMPLE_CHUNK):
+        b = min(a + SAMPLE_CHUNK, n)
+        part = sums[:b - a]
+        windows = window_codes(arr[a:b + r - 1], r, k)
+        if dense:
+            table.take(windows, out=part)
+        else:
+            at = order[np.minimum(np.searchsorted(codes, windows, sorter=order), len(codes) - 1)]
+            part[:] = np.where(codes[at] == windows, values[at], 0.0)
+        part[0] += total
+        np.cumsum(part, out=part)
+        total = part[-1]
+        here = (a < cps) & (cps <= b)
+        averages[here] = part[cps[here] - 1 - a] / cps[here]
+    return [(int(c), float(v)) for c, v in zip(cps, averages)]
 
 
 def default_trace_checkpoints(n_max: int) -> list[int]:

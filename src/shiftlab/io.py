@@ -8,6 +8,7 @@ emitted in construction order.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -63,11 +64,20 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
         fh.write(text)
 
 
+#: pieces of JSON text joined per write
+JSON_BATCH = 1024
+
+
 def write_json(path: Union[str, Path], doc: dict) -> None:
-    """The text of json.dumps(doc, indent=2) and a newline, written as it
-    is encoded, so no copy of the whole text is held."""
+    """The text of json.dumps(doc, indent=2) and a newline, written
+    JSON_BATCH of the encoder's pieces at a time.  A write per piece
+    (json.dump) costs more than encoding it, and holding every piece at
+    once (json.dumps) takes about seven times the text.  With indent set
+    all three use the same pure-Python encoder, so the bytes are the same."""
+    pieces = json.JSONEncoder(indent=2).iterencode(doc)
     with _atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2)
+        while batch := "".join(itertools.islice(pieces, JSON_BATCH)):
+            fh.write(batch)
         fh.write("\n")
 
 

@@ -13,14 +13,18 @@ chain, one whose rows of P all have the same thresholds (a Bernoulli
 measure such as the full 2-shift's Parry measure), skips the walk's prefix
 scan: every step map is constant, so each state is one table lookup.  A
 walk longer than one chunk makes its chunk buffers (random bits, step
-maps) once and reuses them for every chunk.
+maps) once and reuses them for every chunk.  A stream said to hold such
+words is checked step by step against the walk's maps, which does not
+replay the walk (walk_mismatch).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -324,8 +328,11 @@ def sample_typical_word(m: InvariantMeasure, n: int, seed: int) -> np.ndarray:
     return sample_typical_words(m, [n], [seed])
 
 
-#: steps of the walk generated and scanned per pass of sample_typical_words
-SAMPLE_CHUNK = 1 << 17
+#: steps of a walk drawn per pass.  A chunk takes about 26 bytes a step
+#: (outputs, their scratch, the counter ramp, step maps, comparisons), so
+#: 2^16 steps keep it within a 2 MB L2 cache; at 2^17 splitmix64 costs
+#: 6.1 ns an output, at 2^16 4.8 ns
+SAMPLE_CHUNK = 1 << 16
 #: maps composed per block at each level of the walk's prefix scan
 SCAN_RADIX = 32
 
@@ -336,14 +343,58 @@ def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int],
     every i, concatenated into one SYMBOL_DTYPE array.
 
     All segments of the measure are walked together, SAMPLE_CHUNK steps at
-    a time.  Step t of a segment is a map f_t on the k states, and a
-    segment's first step is the constant map to its start symbol, so a
-    chunk is one composition f_t o ... o f_0, read off by one prefix scan
-    (_scan), or by one gather when every step map is constant.  Each
-    segment's symbols are exactly those of sampling it alone, so a
-    certificate stays recomputable segment by segment.  The chunk buffers
-    are allocated once per call, and none outlives it.
+    a time (_walk_chunks).  Step t of a segment is a map f_t on the k
+    states, and a segment's first step is the constant map to its start
+    symbol, so a chunk is one composition f_t o ... o f_0, read off by one
+    prefix scan (_scan), or by one gather when every step map is constant.
+    Each segment's symbols are exactly those of sampling it alone, so a
+    certificate stays recomputable segment by segment.
+    """
+    out = np.empty(int(sum(lengths)), dtype=SYMBOL_DTYPE)
+    for a, b, g, table in _walk_chunks(m, lengths, seeds):
+        out[a:b] = _scan(table, g, int(out[a - 1]) if a else 0)
+    return out
 
+
+def walk_mismatch(m: MarkovMeasure, word: np.ndarray, starts: Sequence[int],
+                  lengths: Sequence[int], seeds: Sequence[int]) -> int:
+    """The first index of `word` where it differs from the walks of
+    sample_typical_words(m, lengths, seeds), or -1 when it holds them all:
+    segment i stands at word[starts[i]:starts[i] + lengths[i]], the starts
+    ascending.
+
+    The walk is not replayed.  Step t is right exactly when its map takes
+    the word's previous symbol to the word's symbol, table[g_t, x_{t-1}]
+    == x_t; a segment's first step is a constant map, so it reads no
+    previous symbol.  Every step before the first wrong one matches the
+    walk, so by induction the first wrong step is the first symbol where
+    the word and the walk differ.  Each chunk is one gather and one compare.
+    """
+    offsets = [0, *itertools.accumulate(lengths)]
+    k = m.shift.k
+    for a, b, g, table in _walk_chunks(m, lengths, seeds):
+        flat = table.reshape(-1)
+        codes = np.min_scalar_type(len(flat) - 1)   # the narrowest g k + x: cheaper to take
+        for j in range(bisect.bisect_right(offsets, a) - 1, bisect.bisect_left(offsets, b)):
+            lo, hi = max(offsets[j], a), min(offsets[j + 1], b)
+            at = starts[j] + lo - offsets[j]   # where step lo stands in word
+            x = word[at:at + hi - lo]
+            i = np.multiply(g[lo - a:hi - a], k, dtype=codes)
+            i[1:] += x[:-1]
+            i[0] += word[at - 1]   # at 0 a segment starts: any symbol will do
+            miss = flat.take(i) != x
+            if miss.any():
+                return at + int(miss.argmax())
+    return -1
+
+
+def _walk_chunks(m: MarkovMeasure, lengths: Sequence[int], seeds: Sequence[int]
+                 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The walk of sample_typical_words(m, lengths, seeds), one chunk at a
+    time: (a, b, g, table) for its steps a .. b - 1, where step t maps
+    state i to table[g[t - a], i].  g is a buffer the next chunk overwrites.
+
+    The chunk buffers are allocated once per walk, and none outlives it.
     With bits the raw splitmix64 output and u = (bits >> 11) / 2^53 its
     uniform, u >= c exactly when bits >= ceil(c 2^53) 2^11; so each step's
     map is picked by integer comparisons on the raw outputs.
@@ -361,18 +412,17 @@ def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int],
     offsets = np.zeros(n_seg + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
     seed_arr = np.array([int(x) % (1 << 64) for x in seeds], dtype=np.uint64)
-    out = np.empty(int(offsets[-1]), dtype=SYMBOL_DTYPE)
-    # chunk buffers, made once per call and freed with it.  A walk of one
-    # chunk has nothing to reuse, and splitmix64_runs then makes two arrays,
-    # not three, and frees one before the scan: passing buffers there too
-    # made a witness-ambients benchmark round (walks of at most 2^16 steps)
-    # about 7% slower.
-    size = min(SAMPLE_CHUNK, len(out))
-    buffers = rng.run_buffers(size) if len(out) > SAMPLE_CHUNK else None
+    total = int(offsets[-1])
+    # A walk of one chunk has nothing to reuse, and splitmix64_runs then
+    # makes two arrays, not three, and frees one before the scan: passing
+    # buffers there too made a witness-ambients benchmark round (walks of
+    # at most 2^16 steps) about 7% slower.
+    size = min(SAMPLE_CHUNK, total)
+    buffers = rng.run_buffers(size) if total > SAMPLE_CHUNK else None
     maps = np.empty(size, dtype=np.min_scalar_type(len(table) - 1))
     reached = np.empty(size, dtype=bool)
-    for a in range(0, len(out), SAMPLE_CHUNK):
-        b = min(a + SAMPLE_CHUNK, len(out))
+    for a in range(0, total, SAMPLE_CHUNK):
+        b = min(a + SAMPLE_CHUNK, total)
         first = int(offsets.searchsorted(a, side="right")) - 1
         last = int(offsets.searchsorted(b, side="left"))
         starts = offsets[first:last]   # of the segments with steps in [a, b)
@@ -386,8 +436,7 @@ def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int],
             g += np.greater_equal(u, edge, out=reached[:b - a])
         heads = starts[starts >= a] - a
         g[heads] = len(edges) + 1 + np.searchsorted(pi_edges, u[heads], side="right")
-        out[a:b] = _scan(table, g, int(out[a - 1]) if a else 0)
-    return out
+        yield a, b, g, table
 
 
 def _thresholds(probs) -> np.ndarray:

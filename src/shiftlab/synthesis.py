@@ -38,7 +38,8 @@ from .measures import (InvariantMeasure, MarkovMeasure, Mixture, PeriodicMeasure
                        Potential, entropy, equilibrium_measure, has_full_support,
                        integrate, is_ergodic, markov_measure, markov_word_probability,
                        mixture, parry_measure, periodic_measure, piece_is_single_orbit,
-                       sample_typical_word, sample_typical_words, support, support_pieces)
+                       sample_typical_word, sample_typical_words, support, support_pieces,
+                       walk_mismatch)
 from .shifts import (SYMBOL_DTYPE, ShiftSpace, Word, connecting_word, cycle_word_for,
                      is_admissible, iter_words, largest_proper_scc_subgraph, least_cycle,
                      primitive_cycles, subshift_from_edges, topological_entropy)
@@ -684,15 +685,23 @@ def certify(o: OrbitPrefix) -> None:
 
 
 def _check_word(o: OrbitPrefix) -> None:
-    """Admissibility, pin, and gluing exactness on the available stream.
+    """Length, admissibility, pin, and gluing exactness on the available stream.
 
-    Length shortfall is deliberately not an error here: a truncated stream
-    is a statistical matter (the full_horizon_present verdict), not a
-    certificate-arithmetic one.
+    A stream longer than the horizon is refused: no segment stands for its
+    last symbols.  A shortfall is deliberately not an error here: a
+    truncated stream is a statistical matter (the full_horizon_present
+    verdict), not a certificate-arithmetic one.  Each segment wholly in the
+    stream is checked in place, with no copy of the stream: a pool source's
+    Markov segments step by step against the stream's own symbols
+    (walk_mismatch), the other kinds against their regenerated symbols
+    (_regenerate).  The segment holding the first differing symbol is named.
     """
     cert = o.certificate
     s = o.shift
     word = o.word
+    if len(word) > cert.horizon:
+        raise CertificateMismatch("horizon", f"stream has {len(word)} symbols, "
+                                             f"past the horizon {cert.horizon}")
     allowed = (s.matrix_array() == 1).reshape(-1)
     pairs = word.astype(np.min_scalar_type(s.k * s.k - 1), copy=False)   # codes a k + b fit
     if not allowed.all() and not allowed[pairs[:-1] * s.k + pairs[1:]].all():
@@ -700,12 +709,28 @@ def _check_word(o: OrbitPrefix) -> None:
     if cert.pinned_prefix is not None and len(word) >= len(cert.pinned_prefix):
         if not np.array_equal(word[:len(cert.pinned_prefix)], cert.pinned_prefix):
             raise CertificateMismatch("pinned_prefix", "stream does not start with the pin")
-    # the schedule tiles the stream from 0, so its present segments regenerate word[:end]
+    # the schedule tiles the stream from 0, so its present segments cover word[:end]
     present = list(takewhile(lambda seg: seg.start + seg.length <= len(word),
                              o.schedule.segments))
-    expected = np.concatenate(_regenerate(present, cert.pool) or [word[:0]])
-    if not np.array_equal(word[:len(expected)], expected):
-        first = np.flatnonzero(word[:len(expected)] != expected)[0]
+    first = len(word)
+    by_source: dict[int, list[Segment]] = {}
+    others = []
+    for seg in present:
+        if seg.kind == "markov":
+            by_source.setdefault(seg.source, []).append(seg)
+        else:
+            others.append(seg)
+    for seg, expected in zip(others, _regenerate(others, cert.pool)):
+        miss = word[seg.start:seg.start + seg.length] != expected
+        if miss.any():
+            first = seg.start + int(miss.argmax())
+            break
+    for source, segs in by_source.items():
+        at = walk_mismatch(cert.pool[source], word, [seg.start for seg in segs],
+                           [seg.length for seg in segs], [seg.sub_seed for seg in segs])
+        if at >= 0:
+            first = min(first, at)
+    if first < len(word):
         seg = present[bisect_right([seg.start for seg in present], first) - 1]
         raise CertificateMismatch("schedule_window",
                                   f"segment at {seg.start} does not match its source")

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import time
 import tracemalloc
 
@@ -16,7 +18,7 @@ from shiftlab.classify import (CHECKS, DEFAULT_LADDER, _checked, _coverage, _Evi
                                window_codes, windowed_density, word_code)
 from shiftlab.errors import SchemaError, TooShort
 from shiftlab.io import report_to_doc
-from shiftlab.measures import (integrate, indicator_potential, parry_measure,
+from shiftlab.measures import (SAMPLE_CHUNK, integrate, indicator_potential, parry_measure,
                                sample_typical_word, Potential)
 from shiftlab.shifts import SYMBOL_DTYPE, full_shift, iter_words, sft_from_matrix
 from shiftlab.synthesis import GapClass, synthesize_witness, thue_morse_word
@@ -128,6 +130,42 @@ class TestBirkhoffTrace:
         assert peak < 4 << 20
         zero_runs = np.convolve(x, np.ones(22, dtype=np.int64), "valid") == 0
         assert trace == [(n, float(zero_runs[:n].sum() / n)) for n in (1000, 1150)]
+
+
+class TestChunkedTrace:
+    @pytest.mark.parametrize("lookup", ["dense", "searched"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_equals_one_cumsum(self, r, lookup):
+        """Summed a chunk at a time, the trace equals, float for float, one
+        cumsum over every window, at the checkpoints around the first chunk
+        edge and at the last window.  The potential has random values on
+        the words of symbols 0..2 but one; the searched lookup declares an
+        alphabet so large that a table of all its codes outgrows the windows."""
+        gen = np.random.default_rng(10 * r + len(lookup))
+        x = gen.integers(0, 3, SAMPLE_CHUNK + 50)
+        windows = len(x) - r + 1
+        k = 3 if lookup == "dense" else math.ceil(windows ** (1 / r)) + 1
+        assert (k ** r <= windows) == (lookup == "dense")
+        words = list(itertools.product(range(3), repeat=r))
+        table = {w: float(gen.normal()) for w in words[1:]}
+        phi = Potential(range=r, table=table)
+        xs = x.tolist()
+        sums = np.cumsum([table.get(tuple(xs[i:i + r]), 0.0) for i in range(windows)])
+        checkpoints = [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, len(x) - r]
+        assert birkhoff_trace(x, phi, checkpoints, k) == [
+            (n, float(sums[n - 1] / n)) for n in checkpoints]
+
+    def test_memory_is_one_chunk(self, full2, phi_full2):
+        """A trace of 2^20 symbols holds a chunk of codes and sums, not the
+        stream's (16 MB of them)."""
+        x = sample_typical_word(parry_measure(full2), 1 << 20, seed=1)
+        tracemalloc.start()
+        try:
+            birkhoff_trace(x, phi_full2, default_trace_checkpoints(len(x) - 1), k=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestEmpiricalMeasure:

@@ -579,6 +579,16 @@ class TestPipeline:
         assert main(["verify", "--orbit", str(orbit)]) == 4
         assert "schedule_window" in capsys.readouterr().err
 
+    def test_stream_past_the_horizon_exit4(self, v_not_w_orbit, tmp_path, capsys):
+        """100 rows of 1s appended: no segment stands for those symbols, and
+        the verdicts would read them."""
+        orbit = tmp_path / "orbit"
+        shutil.copytree(v_not_w_orbit, orbit)
+        with open(orbit / "stream.txt", "a") as fh:
+            fh.write(("1" * 120 + "\n") * 100)
+        assert main(["verify", "--orbit", str(orbit)]) == 4
+        assert "16096 symbols, past the horizon 4096" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["verify", "classify"])
     @pytest.mark.parametrize("layout", ["orbit_is_a_file", "certificate_is_a_directory",
                                         "stream_is_a_directory"])
@@ -958,9 +968,12 @@ class TestMutatedOrbits:
 
 @st.composite
 def stream_edits(draw, text: str) -> str:
-    """The stream text truncated at a drawn point, with a row dropped, or with
-    one character overwritten by a non-digit or a digit >= k (k = 2)."""
-    edit = draw(st.sampled_from(["truncate", "drop_row", "symbol"]))
+    """The stream text truncated at a drawn point, with a row dropped, with
+    one character overwritten by a non-digit or a digit >= k (k = 2), or
+    with rows of symbols appended."""
+    edit = draw(st.sampled_from(["truncate", "drop_row", "symbol", "append"]))
+    if edit == "append":
+        return text + draw(st.text("01", min_size=1, max_size=300)) + "\n"
     if edit == "truncate" or not text:
         return text[:draw(st.integers(0, len(text)))]
     rows = text.splitlines(keepends=True)
@@ -983,7 +996,10 @@ class TestMutatedStreams:
         for _ in range(data.draw(st.integers(1, 2), label="edits")):
             stream = data.draw(stream_edits(stream))
         doc = json.loads((base_orbit / "certificate.json").read_text())
-        _exits_documented_code(_edited_orbit(tmp_path_factory, doc, stream))
+        orbit = _edited_orbit(tmp_path_factory, doc, stream)
+        _exits_documented_code(orbit)
+        if len("".join(stream.split())) > doc["horizon"]:   # past the horizon: never verified
+            assert main(["verify", "--orbit", str(orbit)]) != 0
 
     @pytest.mark.parametrize("edit, message", [
         (lambda data: data[:5] + "\u00a0".encode() + data[7:], "is '\\xa0', not an ASCII digit"),

@@ -19,7 +19,7 @@ from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, Potential, _bits, _s
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
                                parry_measure, periodic_measure, sample_typical_word,
-                               sample_typical_words, support, support_pieces)
+                               sample_typical_words, support, support_pieces, walk_mismatch)
 from shiftlab.shifts import (SYMBOL_DTYPE, ShiftSpace, full_shift, is_admissible, iter_words,
                              primitive_cycles, sft_from_matrix, topological_entropy)
 from shiftlab.synthesis import _sub_parry
@@ -369,6 +369,39 @@ class TestSamplerMatchesScalarWalk:
     def test_thinned_chain_has_zero_allowed_transitions(self, full3):
         m = _thinned_chain(full3, 11)
         assert any(m.P[i][j] == 0 for i in range(3) for j in range(3))
+
+
+class TestWalkMismatch:
+    @pytest.mark.parametrize("chain", sorted(WALK_CHAINS))
+    def test_first_flipped_symbol(self, chain):
+        """Segments that straddle SAMPLE_CHUNK, standing apart in a stream
+        whose symbols between them no walk reads: the clean stream gives -1,
+        and one flipped symbol (at a segment's head, inside one, at either
+        side of a chunk edge, or last) gives the first index where the
+        stream and the walks differ.  The last segment spans 16 chunk
+        edges, where a step reads its previous symbol from the last chunk."""
+        m = WALK_CHAINS[chain][1]()
+        k = m.shift.k
+        lengths = [5, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 2, 7, 16 * SAMPLE_CHUNK + 1]
+        seeds = [3, (1 << 64) - 1, 20250809, 1, 2]
+        gaps = [0, 3, 1, 2, 1]   # symbols before each segment
+        starts = [sum(gaps[:i + 1]) + sum(lengths[:i]) for i in range(len(lengths))]
+        walk = sample_typical_words(m, lengths, seeds)
+        clean = np.full(starts[-1] + lengths[-1], k - 1, dtype=SYMBOL_DTYPE)
+        for at, seg in zip(starts, np.split(walk, np.cumsum(lengths)[:-1])):
+            clean[at:at + len(seg)] = seg
+        assert walk_mismatch(m, clean, starts, lengths, seeds) == -1
+
+        def stream_index(step):   # where step `step` of the walks stands
+            i = int(np.searchsorted(np.cumsum(lengths), step, side="right"))
+            return starts[i] + step - sum(lengths[:i])
+
+        flips = [starts[0], starts[2], starts[1] + 100, stream_index(SAMPLE_CHUNK - 1),
+                 stream_index(SAMPLE_CHUNK), stream_index(2 * SAMPLE_CHUNK), len(clean) - 1]
+        for at in flips:
+            word = clean.copy()
+            word[at] = (word[at] + 1) % k
+            assert walk_mismatch(m, word, starts, lengths, seeds) == np.flatnonzero(word != clean)[0]
 
 
 class TestValidation:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,14 @@ from hypothesis import strategies as st
 from shiftlab.classify import evaluate_certificate, evaluate_checks
 from shiftlab.errors import (CertificateMismatch, IrregularityUnavailable,
                              NoProperSubshift, NotAdmissible, NotPrimitive)
-from shiftlab.measures import (indicator_potential, markov_measure, mixture, parry_measure,
-                               periodic_measure)
+from shiftlab.measures import (SAMPLE_CHUNK, indicator_potential, markov_measure, mixture,
+                               parry_measure, periodic_measure)
 from shiftlab.shifts import (full_shift, golden_mean_shift, is_admissible, iter_words,
                              largest_proper_scc_subgraph, sft_from_matrix,
                              strongly_connected_components)
 from shiftlab.synthesis import (CLASSES, GapClass, _inf_over_k, _measure_facts, _regenerate,
-                                _render, certify, synthesize_witness, thue_morse_word)
+                                _render, _sub_parry, certify, synthesize_witness,
+                                thue_morse_word)
 
 from conftest import constant_potential
 
@@ -244,14 +247,66 @@ class TestCertify:
     @pytest.mark.parametrize("last", [False, True])
     def test_word_tamper_names_its_segment(self, full2, phi_full2, last):
         """The mismatch names the segment holding the first differing symbol,
-        whether that symbol opens or closes it."""
-        o = synthesize_witness(full2, GapClass.R_FULL_SUPPORT, phi_full2, N_SMALL, seed=21)
-        seg = o.schedule.segments[len(o.schedule.segments) // 2]
-        at = seg.start + (seg.length - 1 if last else 0)
+        whether that symbol opens or closes it, for each segment kind.  The
+        literal is I_NOT_QW's second: its first is the pin, checked before."""
+        for gap_class, kind in [(GapClass.R_FULL_SUPPORT, "markov"),
+                                (GapClass.R_FULL_SUPPORT, "bridge"),
+                                (GapClass.V_NOT_W, "periodic"), (GapClass.I_NOT_QW, "literal"),
+                                (GapClass.ALMOST_PERIODIC_NOT_PER, "thue_morse")]:
+            o = synthesize_witness(full2, gap_class, phi_full2, N_SMALL, seed=21)
+            segs = [seg for seg in o.schedule.segments if seg.kind == kind]
+            seg = segs[len(segs) // 2]
+            at = seg.start + (seg.length - 1 if last else 0)
+            o.word[at] = 1 - o.word[at]
+            with pytest.raises(CertificateMismatch, match=f"segment at {seg.start} does") as exc:
+                certify(o)
+            assert exc.value.fact == "schedule_window", kind
+
+    def test_first_of_two_tampers_named(self, full2, phi_full2):
+        """With symbols flipped in two segments, the earlier one is named,
+        whatever the two kinds: Markov segments of either source, periodic
+        segments and bridges."""
+        o = synthesize_witness(full2, GapClass.V_NOT_W, phi_full2, N_SMALL, seed=21)
+        kinds = {}
+        for seg in o.schedule.segments:
+            kinds.setdefault((seg.kind, seg.source), []).append(seg)
+        del kinds[("literal", None)]   # the pin, checked before the segments
+        clean = o.word.copy()
+        for first, second in itertools.permutations(kinds, 2):
+            a = kinds[first][1]
+            b = next(seg for seg in kinds[second] if seg.start > a.start)
+            o.word = clean.copy()
+            for seg in (a, b):
+                at = seg.start + seg.length // 2
+                o.word[at] = 1 - o.word[at]
+            with pytest.raises(CertificateMismatch, match=f"segment at {a.start} does"):
+                certify(o)
+
+    def test_word_tamper_past_the_first_chunk(self, full2, phi_full2):
+        """A flip past the first SAMPLE_CHUNK steps of V_NOT_W's sub-Parry
+        source, whose walk has step maps that are not constant."""
+        o = synthesize_witness(full2, GapClass.V_NOT_W, phi_full2, 1 << 17, seed=21)
+        sub = o.certificate.pool.index(_sub_parry(full2)[0])
+        segs = [seg for seg in o.schedule.segments if seg.kind == "markov" and seg.source == sub]
+        ends = np.cumsum([seg.length for seg in segs])
+        i = int(np.searchsorted(ends, SAMPLE_CHUNK + 100, side="right"))
+        assert i < len(segs)
+        seg = segs[i]
+        at = seg.start + SAMPLE_CHUNK + 100 - (int(ends[i - 1]) if i else 0)
+        certify(o)
         o.word[at] = 1 - o.word[at]
         with pytest.raises(CertificateMismatch, match=f"segment at {seg.start} does") as exc:
             certify(o)
         assert exc.value.fact == "schedule_window"
+
+    def test_stream_past_the_horizon_refused(self, full2, phi_full2):
+        """Symbols past the horizon stand for no segment."""
+        o = synthesize_witness(full2, GapClass.V_NOT_W, phi_full2, N_SMALL, seed=21)
+        o.word = np.concatenate([o.word, np.ones(12, dtype=o.word.dtype)])
+        with pytest.raises(CertificateMismatch, match=f"{N_SMALL + 12} symbols, past the "
+                                                      f"horizon {N_SMALL}") as exc:
+            certify(o)
+        assert exc.value.fact == "horizon"
 
     @pytest.mark.parametrize("k", [16, 17])
     def test_forbidden_pair_with_the_largest_code(self, k):
