@@ -5,10 +5,11 @@ memory-1 Markov measures (including the maximal-entropy one), periodic-orbit
 measures, and finite convex mixtures.  Entropy is affine over mixtures and
 integrals are linear, so every derived fact is closed-form.
 
-Typical words of a Markov measure come from one walk kernel: all segments
-of one measure are sampled together (sample_typical_words), and each
-segment's symbols are exactly those of sampling it alone
-(sample_typical_word), whatever else is sampled with it.  A memoryless
+Typical words of a Markov measure come from one walk kernel and one entry,
+sample_typical_words: all segments of one measure are sampled together,
+and each segment's symbols are exactly those of sampling it alone
+(sample_typical_words(m, [n], [seed])), whatever else is sampled with it.
+A periodic measure's typical word is its cycle repeated.  A memoryless
 chain, one whose rows of P all have the same thresholds (a Bernoulli
 measure such as the full 2-shift's Parry measure), skips the walk's prefix
 scan: every step map is constant, so each state is one table lookup.  A
@@ -308,26 +309,6 @@ def is_ergodic(m: InvariantMeasure) -> bool:
     return False
 
 
-def sample_typical_word(m: InvariantMeasure, n: int, seed: int) -> np.ndarray:
-    """Deterministic n-word typical for the measure, as a SYMBOL_DTYPE array.
-
-    Markov chains draw the start symbol from pi and walk the rows of P:
-    step t moves from state i to the first j with u_t < c_i[j], where c_i
-    is row i of P accumulated left to right (its last entry raised to just
-    above 1) and u_t is output t of the documented splitmix64 stream for
-    `seed`.  Periodic measures repeat their cycle.  The same (m, n, seed)
-    always gives the same word, and a longer draw extends a shorter one.
-    A Markov word is sample_typical_words with one segment.
-    """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if isinstance(m, PeriodicMeasure):
-        return np.tile(np.array(m.cycle, dtype=SYMBOL_DTYPE), -(-n // len(m.cycle)))[:n]
-    if isinstance(m, Mixture):
-        raise ValueError("mixtures are realized by scheduling, not direct sampling")
-    return sample_typical_words(m, [n], [seed])
-
-
 #: steps of a walk drawn per pass.  A chunk takes about 26 bytes a step
 #: (outputs, their scratch, the counter ramp, step maps, comparisons), so
 #: 2^16 steps keep it within a 2 MB L2 cache; at 2^17 splitmix64 costs
@@ -339,8 +320,15 @@ SCAN_RADIX = 32
 
 def sample_typical_words(m: MarkovMeasure, lengths: Sequence[int],
                          seeds: Sequence[int]) -> np.ndarray:
-    """The words sample_typical_word(m, lengths[i], seeds[i]) for
-    every i, concatenated into one SYMBOL_DTYPE array.
+    """Deterministic words typical for m, one per (lengths[i], seeds[i]),
+    concatenated into one SYMBOL_DTYPE array.
+
+    A segment of length n with seed s draws its start symbol from pi and
+    walks the rows of P: step t moves from state i to the first j with
+    u_t < c_i[j], where c_i is row i of P accumulated left to right (its
+    last entry raised to just above 1) and u_t is output t of the
+    documented splitmix64 stream for s.  The same (m, n, s) always gives
+    the same word, and a longer draw extends a shorter one.
 
     All segments of the measure are walked together, SAMPLE_CHUNK steps at
     a time (_walk_chunks).  Step t of a segment is a map f_t on the k

@@ -3,10 +3,10 @@
 The generator is splitmix64: state advances by a fixed odd constant
 (GAMMA) and each output is a finalizer mix of the state.  It is tiny,
 portable and fully specified here, so identical (seed, n) always yield
-identical streams on every platform.  Sub-seeds for parallel segments
-are derived by mixing (seed, index) through the same finalizer, and
-splitmix64_runs draws the outputs of many segments' streams in one
-vectorized pass, each run exactly the stream of its own seed.
+identical streams on every platform.  splitmix64_runs, its one
+implementation, draws the outputs of many streams in one vectorized pass,
+each run exactly the stream of its own seed; the sub-seeds of a witness's
+segments are outputs of its seed's own stream (Steele, Lea & Flood 2014).
 """
 
 from __future__ import annotations
@@ -16,14 +16,6 @@ import numpy as np
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_MASK = (1 << 64) - 1
-
-
-def _mix(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
 
 
 def splitmix64_runs(seeds: np.ndarray, firsts, counts,
@@ -74,7 +66,3 @@ def counter_ramp(n: int) -> np.ndarray:
         ramp *= np.uint64(_GAMMA)
     return ramp
 
-
-def derive_subseed(seed: int, index: int) -> int:
-    """Deterministic sub-seed for segment `index` of a run seeded by `seed`."""
-    return _mix((seed & _MASK) + (index + 1) * _GAMMA)

@@ -80,7 +80,8 @@ def edge_system(s: ShiftSpace, phi: Potential) -> EdgeSystem:
 class LphiInterval:
     """Attainable averages [lo, hi] with extreme cycles as witnesses, and
     each edge's reduced weight w - mean + p[u] - p[v] under Karp's exact
-    potentials p: >= 0 at lo, <= 0 at hi, 0 on the extreme cycles."""
+    potentials p: >= 0 at lo, <= 0 at hi, 0 on the extreme cycles.  system
+    is the edge system they are read on."""
 
     lo: float
     hi: float
@@ -90,6 +91,7 @@ class LphiInterval:
     hi_exact: Fraction
     lo_reduced: dict[tuple[int, int], float] = field(compare=False, repr=False)
     hi_reduced: dict[tuple[int, int], float] = field(compare=False, repr=False)
+    system: EdgeSystem = field(compare=False, repr=False)
 
 
 def _karp_extreme_cycle(system: EdgeSystem,
@@ -162,13 +164,14 @@ def lphi_interval(s: ShiftSpace, phi: Potential) -> LphiInterval:
     lo, lo_cyc, lo_red = _karp_extreme_cycle(system, maximize=False)
     hi, hi_cyc, hi_red = _karp_extreme_cycle(system, maximize=True)
     return LphiInterval(lo=float(lo), hi=float(hi), lo_cycle=lo_cyc, hi_cycle=hi_cyc,
-                        lo_exact=lo, hi_exact=hi, lo_reduced=lo_red, hi_reduced=hi_red)
+                        lo_exact=lo, hi_exact=hi, lo_reduced=lo_red, hi_reduced=hi_red,
+                        system=system)
 
 
 @dataclass
 class PressureFunction:
-    """q -> P(q) on one edge system and its interval (lphi_interval's);
-    cache maps q to (P(q), P'(q), P''(q)).
+    """q -> P(q) on an interval's edge system (lphi_interval's); cache
+    maps q to (P(q), P'(q), P''(q)).
 
     With m = hi for q >= 0 (lo for q < 0) and that extreme's reduced
     weights R, B(q) = exp(q m) D exp(q R) D^-1 for a diagonal D; exp(q R)
@@ -182,13 +185,12 @@ class PressureFunction:
     Perron solve; each q's triple is bit-identical to solving it alone.
     """
 
-    system: EdgeSystem
     interval: LphiInterval
     cache: dict[float, tuple[float, float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         iv = self.interval
-        edges = list(self.system.weights)
+        edges = list(iv.system.weights)
         self._edges = tuple(np.array(edges, dtype=np.intp).T)
         # row 0: the q < 0 side (lo), row 1: the q >= 0 side (hi)
         self._means = np.array([iv.lo, iv.hi])
@@ -201,7 +203,7 @@ class PressureFunction:
             if abs(x) > Q_CAP:
                 raise PressureOverflow(f"|q| = {abs(x)} beyond documented cap {Q_CAP}")
         new = [x for x in dict.fromkeys(qs) if x not in self.cache]
-        size = max(1, STACK_ENTRIES // self.system.k ** 2)
+        size = max(1, STACK_ENTRIES // self.interval.system.k ** 2)
         for i in range(0, len(new), size):
             chunk = new[i:i + size]
             self.cache.update(zip(chunk, self._solve(np.array(chunk, dtype=float))))
@@ -210,7 +212,7 @@ class PressureFunction:
     def _solve(self, qs: np.ndarray) -> list[tuple[float, float, float]]:
         side = (qs >= 0).astype(np.intp)
         mean, reduced = self._means[side], self._reduced[side]
-        n, k = len(qs), self.system.k
+        n, k = len(qs), self.interval.system.k
         rows, cols = self._edges
         weight = np.exp(qs[:, None] * reduced)
         b = np.zeros((n, k, k))
@@ -323,7 +325,7 @@ def spectrum_curve(s: ShiftSpace, phi: Potential, npoints: int) -> SpectrumCurve
     for a in grid:
         if not iv.lo < a < iv.hi:
             raise OutsideInterior(f"a={a} not inside ({iv.lo}, {iv.hi})")
-    pf = PressureFunction(edge_system(s, phi), iv)
+    pf = PressureFunction(iv)
     pts = [(a,) + point for a, point in zip(grid, _newton(pf, grid))]
     return SpectrumCurve(points=pts, h_top=h_top, parry_average=a_star, interval=iv)
 

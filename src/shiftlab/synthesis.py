@@ -38,8 +38,7 @@ from .measures import (InvariantMeasure, MarkovMeasure, Mixture, PeriodicMeasure
                        Potential, entropy, equilibrium_measure, has_full_support,
                        integrate, is_ergodic, markov_measure, markov_word_probability,
                        mixture, parry_measure, periodic_measure, piece_is_single_orbit,
-                       sample_typical_word, sample_typical_words, support, support_pieces,
-                       walk_mismatch)
+                       sample_typical_words, support, support_pieces, walk_mismatch)
 from .shifts import (SYMBOL_DTYPE, ShiftSpace, Word, connecting_word, cycle_word_for,
                      is_admissible, iter_words, largest_proper_scc_subgraph, least_cycle,
                      primitive_cycles, subshift_from_edges, topological_entropy)
@@ -140,9 +139,12 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
     A short plan is topped up by repeating its final request; an overlong
     one is truncated at the horizon.  A bridge has the M = primitive_gap
     symbols of connecting_word, so the segments are laid out before any
-    symbol is drawn.  Then each pool source's Markov segments are sampled in
-    one call (_regenerate), and each bridge joins the symbols either side;
-    a request cut off by a final bridge still draws that bridge's right end.
+    symbol is drawn.  The i-th segment laid out, bridges not counted, draws
+    output i + 1 of the stream of `seed` as its sub-seed, all in one call,
+    and a Markov segment keeps it.  Then each pool source's Markov segments
+    are sampled in one call (_regenerate), and each bridge joins the symbols
+    either side; a request cut off by a final bridge still draws that
+    bridge's right end.
     """
     layout: list[Segment] = []
     pos = drawn = 0
@@ -158,7 +160,7 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
         seg = Segment(kind=kind, start=pos, length=length,
                       source=payload if kind in ("markov", "periodic") else None,
                       word=tuple(map(int, payload)) if kind == "literal" else None,
-                      sub_seed=rng.derive_subseed(seed, drawn) if kind == "markov" else None)
+                      sub_seed=drawn if kind == "markov" else None)   # its draw index for now
         drawn += 1
         if pos:
             # a shift without a gap gets an empty bridge, which connecting_word refuses
@@ -173,27 +175,32 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
         layout.append(seg)
         pos += seg.length
     schedule = layout if pos == horizon else layout[:-1]
+    sub_seeds = rng.splitmix64_runs(np.array([seed % 2**64], dtype=np.uint64), [1], [drawn])
+    for seg in layout:
+        if seg.kind == "markov":
+            seg.sub_seed = int(sub_seeds[seg.sub_seed])
     words = _regenerate(layout, pool)
     for i, seg in enumerate(layout):
         if seg.kind == "bridge":
             seg.word = connecting_word(s, int(words[i - 1][-1]), int(words[i + 1][0]))[:seg.length]
             words[i] = np.array(seg.word, dtype=SYMBOL_DTYPE)
-    arr = np.concatenate(words[:len(schedule)]) if schedule else np.zeros(0, SYMBOL_DTYPE)
-    return arr, Schedule(segments=schedule)
+    return np.concatenate(words[:len(schedule)]), Schedule(segments=schedule)
 
 
 def _regenerate(segments: list[Segment], pool: list[InvariantMeasure]) -> list[np.ndarray]:
     """The symbols each segment stands for, as SYMBOL_DTYPE arrays: its own
     word (literal, bridge), the Thue-Morse prefix of its length, or a word
-    typical for the pool measure it names (periodic, markov).  All Markov
-    segments of one pool source are sampled by one sample_typical_words call."""
+    typical for the pool measure it names: its cycle repeated from the first
+    symbol (periodic), or a walk (markov).  All Markov segments of one pool
+    source are sampled by one sample_typical_words call."""
     words: list = [None] * len(segments)
     by_source: dict[int, list[int]] = {}
     for i, seg in enumerate(segments):
         if seg.kind == "markov":
             by_source.setdefault(seg.source, []).append(i)
         elif seg.kind == "periodic":
-            words[i] = sample_typical_word(pool[seg.source], seg.length, seg.sub_seed)
+            cycle = np.array(pool[seg.source].cycle, dtype=SYMBOL_DTYPE)
+            words[i] = np.tile(cycle, -(-seg.length // len(cycle)))[:seg.length]
         elif seg.kind == "thue_morse":
             words[i] = thue_morse_word(seg.length)
         else:
@@ -335,8 +342,8 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
     """
     gap_class = GapClass(gap_class)
     kind = CLASSES[gap_class]
-    if n < 0:
-        raise ValueError(f"horizon is {n}, not an integer >= 0")
+    if n < 1:
+        raise ValueError(f"horizon is {n}, not an integer >= 1")
     if pinned_prefix is not None:
         pinned_prefix = tuple(int(c) for c in pinned_prefix)
         if not is_admissible(pinned_prefix, s):
@@ -356,6 +363,7 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
         s, phi, n, pinned_prefix, *([] if cycle is None else [cycle]))
     if prefix:
         requests = [("literal", prefix, len(prefix))] + requests
+    stats = [{"check": "full_horizon_present", "horizon": n}] + stats
     word, schedule = _render(s, requests, pool, seed, n)
     facts = [_measure_facts(m, s, phi) for m in pool]
     cert = Certificate(gap_class=gap_class, pool=pool, extremes=extremes, chain_links=chain_links,
@@ -396,7 +404,6 @@ def _build_w_not_qr(s, phi, n, pinned_prefix):
         requests.extend(_mix_chunks(length, [("markov", 2, theta), ("markov", 3, 1 - theta)]))
     a1, a2 = integrate(omega1, phi), integrate(omega2, phi)
     stats = [
-        {"check": "full_horizon_present", "horizon": n},
         {"check": "trace_attains", "targets": [a1, a2], "tol": 0.05, "window": 0.5},
         {"check": "cylinder_lower_min", "lengths": [1, 2], "threshold": 0.01},
     ]
@@ -428,12 +435,10 @@ def _build_v_not_w(s, phi, n, pinned_prefix):
     requests += _dwell(1, n // 2 - exc_total - len(prefix), n // 2, n,
                        [("markov", 1, theta), ("markov", 2, w_full), ("periodic", 3, w_rho)])
 
-    stats = [{"check": "full_horizon_present", "horizon": n}]
-    if default_stats:
-        stats += [
-            {"check": "self_lower_max", "length": len(pin), "max": 0.01},
-            {"check": "self_upper_min", "length": len(pin), "min": 0.05},
-        ]
+    stats = [
+        {"check": "self_lower_max", "length": len(pin), "max": 0.01},
+        {"check": "self_upper_min", "length": len(pin), "min": 0.05},
+    ] if default_stats else []
     return requests, pool, [0, 1], [], stats, prefix
 
 
@@ -454,10 +459,7 @@ def _build_qw_not_v(s, phi, n, pinned_prefix):
         chain_links.append((theta_i, 0, cycle_ids[cyc]))
         requests.extend(_mix_chunks(length, [("markov", 0, theta_i),
                                              ("periodic", cycle_ids[cyc], 1 - theta_i)]))
-    stats = [
-        {"check": "full_horizon_present", "horizon": n},
-        {"check": "coverage_counts", "length": 3, "min_visits": 8},
-    ]
+    stats = [{"check": "coverage_counts", "length": 3, "min_visits": 8}]
     return requests, pool, list(range(len(pool))), chain_links, stats, pinned_prefix
 
 
@@ -495,8 +497,7 @@ def _build_i_not_qw(s, phi, n, pinned_prefix):
         0, switch - len(prefix) - len(echo) - 2 * s.primitive_gap, switch, n,
         [("markov", 0, theta), ("periodic", 2, 1 - theta)])
 
-    stats = [{"check": "full_horizon_present", "horizon": n},
-             {"check": "trace_oscillation", "min_gap": 0.2, "window": 0.5}]
+    stats = [{"check": "trace_oscillation", "min_gap": 0.2, "window": 0.5}]
     if default_stats:
         stats.append({"check": "self_upper_decreasing", "lengths": [4, 8, 12], "final_max": 0.02})
     return requests, pool, [0, 1], [], stats, prefix
@@ -514,11 +515,8 @@ def _build_qr_not_erg(s, phi, n, pinned_prefix):
     for length in lengths:
         requests.extend(_mix_chunks(length, [("markov", 1, theta), ("periodic", 2, 1 - theta)]))
     target = integrate(m, phi)
-    stats = [
-        {"check": "full_horizon_present", "horizon": n},
-        {"check": "trace_converges", "target": target, "tol": 0.01, "osc_tol": 0.01,
-         "window": 0.25},
-    ]
+    stats = [{"check": "trace_converges", "target": target, "tol": 0.01, "osc_tol": 0.01,
+              "window": 0.25}]
     return requests, pool, [0], [], stats, pinned_prefix
 
 
@@ -530,7 +528,6 @@ def _build_r_full_support(s, phi, n, pinned_prefix):
     target = integrate(full, phi)
     expected = [[list(w), markov_word_probability(full, w)] for w in iter_words(s, 3)]
     stats = [
-        {"check": "full_horizon_present", "horizon": n},
         {"check": "trace_converges", "target": target, "tol": 0.01, "osc_tol": 0.01,
          "window": 0.25},
         {"check": "coverage_fraction_of_expected", "length": 3, "fraction": 0.2,
@@ -548,8 +545,7 @@ def _build_almost_periodic(s, phi, n, pinned_prefix):
         if not is_admissible(w, s):
             raise NotAdmissible("aperiodic minimal witness needs the full 2-shift inside the ambient")
     requests: list = [("thue_morse", None, n)]
-    stats = [{"check": "full_horizon_present", "horizon": n},
-             {"check": "not_eventually_periodic", "max_period": 1024}]
+    stats = [{"check": "not_eventually_periodic", "max_period": 1024}]
     if pinned_prefix is None:
         stats.append({"check": "max_gap_bounded",
                       "bounds": [[ell, TM_GAP_BOUNDS[ell]] for ell in range(1, 9)]})
@@ -562,9 +558,8 @@ def _build_periodic(s, phi, n, pinned_prefix, cycle=None):
     m = periodic_measure(s, tuple(cycle))
     pool = [m]
     requests = [("periodic", 0, n)]
-    stats = [{"check": "full_horizon_present", "horizon": n}]
-    if pinned_prefix is None:
-        stats.append({"check": "periodic_density_exact", "period": len(m.cycle)})
+    stats = ([{"check": "periodic_density_exact", "period": len(m.cycle)}]
+             if pinned_prefix is None else [])
     return requests, pool, [0], [], stats, pinned_prefix
 
 
@@ -578,7 +573,8 @@ class ClassKind(NamedTuple):
     instead); potential: whether synthesis needs a potential, and irregular:
     one whose cycle averages vary.  build(s, phi, n, pinned_prefix): its
     recipe (requests, pool, extremes, chain_links, stats, prefix), which
-    synthesize_witness renders after the prefix; PERIODIC's also takes a
+    synthesize_witness renders after the prefix, its stats after the
+    full_horizon_present check every class has; PERIODIC's also takes a
     cycle.  rules: its structure rules (fact, detail, holds(cert, facts)),
     which certify checks in order on the facts it has recomputed."""
     structure: str

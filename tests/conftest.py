@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from shiftlab import rng, spectrum
+from shiftlab import spectrum
 from shiftlab.measures import Potential, indicator_potential
 from shiftlab.shifts import ShiftSpace, full_shift, golden_mean_shift, iter_words, sft_from_matrix
-from shiftlab.spectrum import PressureFunction, edge_system, lphi_interval
+from shiftlab.spectrum import PressureFunction, lphi_interval
 from shiftlab.synthesis import GapClass, synthesize_witness
 
 import oracle
@@ -54,7 +54,7 @@ def random_primitive_sft(k: int, seed: int) -> ShiftSpace:
     """Seeded random 0/1 matrix, redrawn until primitive with all k symbols."""
     attempt = 0
     while True:
-        us = oracle.uniform_stream(rng.derive_subseed(seed, attempt), k * k)
+        us = oracle.uniform_stream(oracle.splitmix64(seed + (attempt + 1) * oracle.GAMMA), k * k)
         mat = (us.reshape(k, k) < 0.6).astype(int).tolist()
         attempt += 1
         try:
@@ -71,7 +71,7 @@ def constant_potential(s: ShiftSpace, c: float, r: int = 1) -> Potential:
 
 def pressure_function(s: ShiftSpace, phi: Potential) -> PressureFunction:
     """A fresh pressure function of phi on s, built as spectrum_curve builds it."""
-    return PressureFunction(edge_system(s, phi), lphi_interval(s, phi))
+    return PressureFunction(lphi_interval(s, phi))
 
 
 def psi_at(s: ShiftSpace, phi: Potential, a: float) -> tuple[float, float]:

@@ -16,10 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from shiftlab import rng
 from shiftlab.beta import BetaShiftSpec
 from shiftlab.errors import ShiftlabError, SymbolOutOfRange, ValidityExceeded
-from shiftlab.measures import InvariantMeasure, Mixture, PeriodicMeasure, Potential
+from shiftlab.measures import InvariantMeasure, PeriodicMeasure, Potential
 from shiftlab.shifts import SUBGRAPH_TIE_TOL, ShiftSpace, Word
 
 MAX_WORD_LEN = 24
@@ -30,6 +29,13 @@ MAX_FREE_PARAMS = 4
 MAX_DENSITY_N = 1 << 22
 MAX_SUBGRAPH_EDGES = 14
 MAX_CYCLE_WORDS = 1 << 18
+
+#: splitmix64's counter increment and finalizer multipliers (Steele, Lea &
+#: Flood 2014), restated here so that the reference shares nothing with
+#: the vectorized shiftlab.rng
+GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
 
 
 class BoundExceeded(ShiftlabError):
@@ -78,11 +84,20 @@ def matrix_power_count_periodic(s: ShiftSpace, n: int) -> int:
     return int(np.linalg.matrix_power(np.array(s.matrix, dtype=object), n).trace())
 
 
+def splitmix64(z: int) -> int:
+    """The splitmix64 finalizer of z mod 2^64, one Python int at a time:
+    output t of the stream seeded by s is splitmix64(s + t GAMMA)."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
 def uniform_stream(seed: int, n: int) -> np.ndarray:
     """n floats in [0, 1) from the top 53 bits of each splitmix64 output:
-    output t (counted from 1) is the scalar mix of seed + t GAMMA, one at a
+    output t (counted from 1) is splitmix64(seed + t GAMMA), one at a
     time, independent of the vectorized splitmix64_runs."""
-    return np.array([(rng._mix(seed + t * rng._GAMMA) >> 11) / (1 << 53)
+    return np.array([(splitmix64(seed + t * GAMMA) >> 11) / (1 << 53)
                      for t in range(1, n + 1)], dtype=np.float64)
 
 
@@ -440,7 +455,9 @@ def brute_self_visits(x, word: Sequence[int], n_max: int) -> list[int]:
 
 
 def scalar_typical_word(m: InvariantMeasure, n: int, seed: int) -> Word:
-    """Symbol-by-symbol reference for measures.sample_typical_word.
+    """Symbol-by-symbol reference for a typical word: of a Markov measure,
+    measures.sample_typical_words(m, [n], [seed]); of a periodic one, the
+    symbols synthesis._regenerate gives its periodic segments.
 
     Markov chains draw the start symbol from pi and walk the rows of P one
     uniform at a time; periodic measures repeat their cycle.
@@ -450,8 +467,6 @@ def scalar_typical_word(m: InvariantMeasure, n: int, seed: int) -> Word:
         cyc = m.cycle
         reps = cyc * (n // len(cyc) + 1)
         return tuple(reps[:n])
-    if isinstance(m, Mixture):
-        raise ValueError("mixtures are realized by scheduling, not direct sampling")
     if n < 1:
         raise ValueError("n >= 1 required")
     us = uniform_stream(seed, n)

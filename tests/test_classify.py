@@ -19,7 +19,7 @@ from shiftlab.classify import (CHECKS, DEFAULT_LADDER, _checked, _coverage, _Evi
 from shiftlab.errors import SchemaError, TooShort
 from shiftlab.io import report_to_doc
 from shiftlab.measures import (SAMPLE_CHUNK, integrate, indicator_potential, parry_measure,
-                               sample_typical_word, Potential)
+                               sample_typical_words, Potential)
 from shiftlab.shifts import SYMBOL_DTYPE, full_shift, iter_words, sft_from_matrix
 from shiftlab.synthesis import GapClass, synthesize_witness, thue_morse_word
 
@@ -70,7 +70,7 @@ class TestVisitStatistics:
             _self_stats(np.zeros(8, dtype=np.int64), 8, 100)
 
     def test_bounds_always_ordered(self, full2):
-        x = np.array(sample_typical_word(parry_measure(full2), 4096, seed=3), dtype=np.int64)
+        x = np.array(sample_typical_words(parry_measure(full2), [4096], [3]), dtype=np.int64)
         for ell in (1, 2, 4, 8):
             st_ = _self_stats(x, ell, len(x) - ell)
             assert 0.0 <= st_.lower_density_est <= st_.upper_density_est <= 1.0
@@ -89,7 +89,7 @@ class TestBirkhoffTrace:
     def test_matches_empirical_integral(self, full2):
         # running average at n equals the phi-mass of the n-window empirical measure
         phi = Potential(range=2, table={w: float(w[0] * 2 - w[1]) for w in iter_words(full2, 2)})
-        x = np.array(sample_typical_word(parry_measure(full2), 2100, seed=8), dtype=np.int64)
+        x = np.array(sample_typical_words(parry_measure(full2), [2100], [8]), dtype=np.int64)
         n = 2000
         ((_, avg),) = birkhoff_trace(x, phi, [n], k=2)
         emp = _empirical(x[:n + 1], 2)
@@ -158,7 +158,7 @@ class TestChunkedTrace:
     def test_memory_is_one_chunk(self, full2, phi_full2):
         """A trace of 2^20 symbols holds a chunk of codes and sums, not the
         stream's (16 MB of them)."""
-        x = sample_typical_word(parry_measure(full2), 1 << 20, seed=1)
+        x = sample_typical_words(parry_measure(full2), [1 << 20], [1])
         tracemalloc.start()
         try:
             birkhoff_trace(x, phi_full2, default_trace_checkpoints(len(x) - 1), k=2)
@@ -175,18 +175,18 @@ class TestEmpiricalMeasure:
         assert em == {(0, 0, 0): 1.0}
 
     def test_sums_to_one(self, full2):
-        x = np.array(sample_typical_word(parry_measure(full2), 4096, seed=10), dtype=np.int64)
+        x = np.array(sample_typical_words(parry_measure(full2), [4096], [10]), dtype=np.int64)
         for ell in (1, 2, 3):
             assert sum(_empirical(x, ell).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_lln_against_integrate(self, golden, phi_golden):
         m = parry_measure(golden)
-        x = np.array(sample_typical_word(m, 1 << 16, seed=2024), dtype=np.int64)
+        x = np.array(sample_typical_words(m, [1 << 16], [2024]), dtype=np.int64)
         em = _empirical(x, 1)
         assert em.get((1,), 0.0) == pytest.approx(integrate(m, phi_golden), abs=0.01)
 
     def test_marginal_consistency(self, full2):
-        x = np.array(sample_typical_word(parry_measure(full2), 1 << 14, seed=5), dtype=np.int64)
+        x = np.array(sample_typical_words(parry_measure(full2), [1 << 14], [5]), dtype=np.int64)
         n = len(x)
         for ell in (2, 3):
             em_l = _empirical(x, ell)
@@ -198,7 +198,7 @@ class TestEmpiricalMeasure:
 
 class TestCoverage:
     def test_full_support_sample(self, full2):
-        x = np.array(sample_typical_word(parry_measure(full2), 1 << 14, seed=6), dtype=np.int64)
+        x = np.array(sample_typical_words(parry_measure(full2), [1 << 14], [6]), dtype=np.int64)
         r = evaluate_certificate(x, full2, [{"check": "coverage_counts", "length": 3,
                                              "min_visits": 8}])
         assert r.cylinder_coverage == {1: 1.0, 2: 1.0, 4: 1.0}
@@ -260,7 +260,7 @@ class TestVerifyVerdicts:
         it declares one, each kind gives the full report's verdict; a fact
         read but not declared raises KeyError, an undeclared trace IndexError."""
         chk = next(c for c in EVERY_CHECK if c["check"] == name)
-        x = np.array(sample_typical_word(parry_measure(full2), 4096, seed=19), dtype=np.int64)
+        x = np.array(sample_typical_words(parry_measure(full2), [4096], [19]), dtype=np.int64)
         kind, p = _checked(chk, len(x), 2, True)
         facts = _sweep_windows(x, 2, len(x) - max(DEFAULT_LADDER), kind.needs(p))
         trace = birkhoff_trace(x, phi_full2, default_trace_checkpoints(len(x) - phi_full2.range),

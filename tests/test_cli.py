@@ -665,12 +665,16 @@ class TestPipeline:
         assert not (tmp_path / "x").exists()
 
     def test_negative_horizon_exit2(self, files, tmp_path, capsys):
-        """synthesize refuses a horizon its own verify would refuse, before
-        writing anything."""
-        assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", "PERIODIC",
-                     "--horizon", "-3", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
-        assert "horizon is -3" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        """synthesize refuses a horizon its own verify would refuse, negative
+        or 0, for every class, before writing anything."""
+        for gap_class in GapClass:
+            for horizon in (-3, 0):
+                out = tmp_path / f"{gap_class.value}_{horizon}"
+                assert main(["synthesize", "--shift", str(files / "full2.json"),
+                             "--class", gap_class.value, "--potential", str(files / "phi.json"),
+                             "--horizon", str(horizon), "--seed", "1", "--out", str(out)]) == 2
+                assert f"horizon is {horizon}, not an integer >= 1" in capsys.readouterr().err
+                assert not out.exists()
 
     def test_too_short_orbit_exit2(self, files, tmp_path):
         """A stream with fewer than 16 evidence times past the longest ladder

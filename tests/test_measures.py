@@ -13,16 +13,16 @@ from hypothesis import strategies as st
 import shiftlab
 from shiftlab import rng
 from shiftlab.errors import EmptyShift, NotAdmissible, NotPrimitive
-from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, Potential, _bits, _step_maps,
-                               _thresholds, entropy,
+from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, PeriodicMeasure, Potential, _bits,
+                               _step_maps, _thresholds, entropy,
                                equilibrium_measure, has_full_support,
                                indicator_potential, integrate, is_ergodic,
                                markov_measure, markov_word_probability, mixture,
-                               parry_measure, periodic_measure, sample_typical_word,
-                               sample_typical_words, support, support_pieces, walk_mismatch)
+                               parry_measure, periodic_measure, sample_typical_words,
+                               support, support_pieces, walk_mismatch)
 from shiftlab.shifts import (SYMBOL_DTYPE, ShiftSpace, full_shift, is_admissible, iter_words,
                              primitive_cycles, sft_from_matrix, topological_entropy)
-from shiftlab.synthesis import _sub_parry
+from shiftlab.synthesis import Segment, _regenerate, _sub_parry
 
 import oracle
 from oracle import scalar_typical_word
@@ -190,16 +190,22 @@ class TestErgodicity:
 
 class TestSampling:
     def test_periodic_deterministic(self, full2):
-        w = sample_typical_word(periodic_measure(full2, (0, 1)), 5, 0)
-        assert tuple(w.tolist()) == (0, 1, 0, 1, 0)
+        """A periodic segment is its cycle repeated from the first symbol,
+        cut anywhere: inside the first period, inside a later one, and one
+        past two whole periods."""
+        m = periodic_measure(full2, (0, 1, 1))
+        for n in (1, 5, 7):
+            w = _regenerate([Segment(kind="periodic", start=0, length=n, source=0)], [m])[0]
+            assert w.dtype == SYMBOL_DTYPE
+            assert tuple(w.tolist()) == ((0, 1, 1) * 3)[:n] == scalar_typical_word(m, n, 0)
 
     def test_full2_frequency(self, full2, phi_full2):
-        w = sample_typical_word(parry_measure(full2), 1 << 16, seed=12345)
+        w = sample_typical_words(parry_measure(full2), [1 << 16], [12345])
         assert abs(w.mean() - 0.5) < 0.01
 
     def test_golden_frequency(self, golden, phi_golden):
         m = parry_measure(golden)
-        w = sample_typical_word(m, 1 << 16, seed=999)
+        w = sample_typical_words(m, [1 << 16], [999])
         target = integrate(m, phi_golden)
         assert abs(w.mean() - target) < 0.01
 
@@ -208,28 +214,23 @@ class TestSampling:
         uniform = (1 / 257,) * 257
         m = MarkovMeasure(ShiftSpace(257, ((1,) * 257,) * 257), (uniform,) * 257, uniform)
         with pytest.raises(ValueError, match="257 symbols do not fit in uint8"):
-            sample_typical_word(m, 4, seed=1)
+            sample_typical_words(m, [4], [1])
 
     def test_always_admissible(self, golden, random4):
         for s in (golden, random4):
-            w = sample_typical_word(parry_measure(s), 4096, seed=77)
+            w = sample_typical_words(parry_measure(s), [4096], [77])
             assert is_admissible(w, s)
 
     def test_same_seed_same_word(self, golden):
         m = parry_measure(golden)
-        a, b = sample_typical_word(m, 512, 31337), sample_typical_word(m, 512, 31337)
+        a, b = sample_typical_words(m, [512], [31337]), sample_typical_words(m, [512], [31337])
         assert tuple(a.tolist()) == tuple(b.tolist())
 
     def test_prefix_stability_under_longer_draw(self, golden):
         m = parry_measure(golden)
-        short = sample_typical_word(m, 100, 5)
-        long = sample_typical_word(m, 400, 5)
+        short = sample_typical_words(m, [100], [5])
+        long = sample_typical_words(m, [400], [5])
         assert tuple(long[:100].tolist()) == tuple(short.tolist())
-
-    def test_mixture_sampling_refused(self, full2):
-        mix = mixture((0.5, 0.5), (parry_measure(full2), periodic_measure(full2, (0,))))
-        with pytest.raises(ValueError):
-            sample_typical_word(mix, 8, 0)
 
 
 def _thinned_chain(s, seed):
@@ -331,14 +332,19 @@ class TestSamplerMatchesScalarWalk:
         seeds = [3, (1 << 64) - 1, 20250809]
         words = [scalar_typical_word(m, n, seed) for n, seed in zip(lengths, seeds)]
         for n, seed, want in zip(lengths, seeds, words):
-            assert tuple(sample_typical_word(m, n, seed).tolist()) == want
+            assert tuple(sample_typical_words(m, [n], [seed]).tolist()) == want
         assert tuple(sample_typical_words(m, lengths, seeds).tolist()) == sum(words, ())
 
     @given(sampling_cases())
     @settings(max_examples=80, deadline=None)
     def test_symbol_for_symbol(self, case):
+        """A Markov word is one segment of the sampler; a periodic one is a
+        periodic segment as synthesis renders it."""
         m, n, seed = case
-        w = sample_typical_word(m, n, seed)
+        if isinstance(m, PeriodicMeasure):
+            w = _regenerate([Segment(kind="periodic", start=0, length=n, source=0)], [m])[0]
+        else:
+            w = sample_typical_words(m, [n], [seed])
         assert w.dtype == SYMBOL_DTYPE
         assert tuple(w.tolist()) == scalar_typical_word(m, n, seed)
 
@@ -501,7 +507,7 @@ class TestSplitmix:
     def test_stream_is_the_scalar_mix(self, seed, n):
         """One run from output 1 of a seed taken mod 2^64 is the scalar mix,
         and the oracle's uniforms are the top 53 bits of each output."""
-        want = [rng._mix(seed + (i + 1) * rng._GAMMA) for i in range(n)]
+        want = [oracle.splitmix64(seed + (i + 1) * oracle.GAMMA) for i in range(n)]
         run = rng.splitmix64_runs(np.array([seed % (1 << 64)], dtype=np.uint64), [1], [n])
         assert run.tolist() == want
         assert oracle.uniform_stream(seed, n).tolist() == [(z >> 11) / (1 << 53) for z in want]
@@ -515,7 +521,7 @@ class TestSplitmix:
     def test_runs_are_the_scalar_mix(self, seeds, firsts, counts, buffers):
         """Several runs from nonzero offsets, past one chunk in all, into
         fresh arrays or into the leading part of larger caller buffers."""
-        want = [rng._mix(s + t * rng._GAMMA)
+        want = [oracle.splitmix64(s + t * oracle.GAMMA)
                 for s, f, c in zip(seeds, firsts, counts) for t in range(f, f + c)]
         seed_arr = np.array(seeds, dtype=np.uint64)
         if buffers:

@@ -260,8 +260,8 @@ class TestOverflowRegime:
 def lone_solve(pf: PressureFunction, q: float) -> tuple[float, float, float]:
     """pf's (P, P', P'') at q from one k x k Perron solve and 1-D numpy
     dots: the one-matrix formulation the stacked solve reproduces bit for bit."""
-    iv, k = pf.interval, pf.system.k
-    edges = list(pf.system.weights)
+    iv = pf.interval
+    k, edges = iv.system.k, list(iv.system.weights)
     rows, cols = np.array(edges).T
     mean, side = (iv.hi, iv.hi_reduced) if q >= 0 else (iv.lo, iv.lo_reduced)
     reduced = np.array([side[e] for e in edges])
@@ -296,7 +296,7 @@ class TestLockstep:
             phi = Potential(range=r, table={w: rng.randint(-8, 8) / 4 for w in iter_words(s, r)})
             together = pressure_function(s, phi)
             values = together(qs)
-            alone = PressureFunction(together.system, together.interval)
+            alone = PressureFunction(together.interval)
             for q in qs:
                 alone([q])
             assert together.cache == alone.cache == {q: lone_solve(alone, q) for q in qs}
@@ -308,7 +308,7 @@ class TestLockstep:
         one = pressure_function(full3, FULL3_QUARTERS)
         one(qs)
         monkeypatch.setattr(spectrum, "STACK_ENTRIES", 27)
-        split = PressureFunction(one.system, one.interval)
+        split = PressureFunction(one.interval)
         sizes, solve = [], split._solve
         split._solve = lambda stack: sizes.append(len(stack)) or solve(stack)
         assert split(qs) == one(qs) and split.cache == one.cache

@@ -17,6 +17,7 @@ from shiftlab.synthesis import (CLASSES, GapClass, _inf_over_k, _measure_facts, 
                                 _render, _sub_parry, certify, synthesize_witness,
                                 thue_morse_word)
 
+import oracle
 from conftest import constant_potential
 
 N_SMALL = 1 << 14
@@ -29,6 +30,23 @@ def _glue(s, words) -> tuple:
     horizon = sum(map(len, words)) + (s.primitive_gap or 1) * (len(words) - 1)
     stream, _ = _render(s, [("literal", tuple(w), len(w)) for w in words], [], 0, horizon)
     return tuple(stream.tolist())
+
+
+@pytest.mark.parametrize("seed", [-5, 0, (1 << 64) - 1, (1 << 64) + 3, 10 ** 23])
+def test_render_sub_seeds_are_the_seeds_stream(full2, seed):
+    """The i-th segment laid out, bridges not counted, draws output i + 1 of
+    the splitmix64 stream of the seed as its sub-seed, and only a Markov
+    segment keeps it: the sub-seeds the pinned digests fix at one seed."""
+    pool = [parry_measure(full2), periodic_measure(full2, (0, 1))]
+    requests = [("markov", 0, 9), ("periodic", 1, 5), ("literal", (1, 1), 2),
+                ("markov", 0, 4), ("thue_morse", None, 6), ("markov", 0, 3)]
+    _, schedule = _render(full2, requests, pool, seed, 60)
+    drawn = [seg for seg in schedule.segments if seg.kind != "bridge"]
+    # the plan is topped up by repeating its last request
+    assert [seg.kind for seg in drawn] == [kind for kind, _, _ in requests] + ["markov"]
+    for i, seg in enumerate(drawn):
+        want = oracle.splitmix64(seed + (i + 1) * oracle.GAMMA) if seg.kind == "markov" else None
+        assert seg.sub_seed == want
 
 
 class TestGlue:
