@@ -23,7 +23,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import mpmath as mp
 
@@ -31,16 +31,13 @@ from .errors import PeriodNotDetected, ValidityExceeded
 
 #: working precision (bits) for the remainder recurrence
 DIGIT_PRECISION_BITS = 256
-#: number of digits computed before giving up on period/termination
+#: number of digits computed before giving up on termination
 DEFAULT_HORIZON = 512
 #: a beta within this distance of an integer is treated as that integer
 INTEGER_SNAP = mp.mpf("1e-30")
 #: a remainder this close to an integer is read as that integer before
 #: flooring; decimal literals with >= 30 digits keep the drift far smaller
 DIGIT_SNAP_EPS = mp.mpf("1e-25")
-
-BetaLike = Union[str, float, int, "mp.mpf"]
-
 
 @dataclass(frozen=True)
 class BetaShiftSpec:
@@ -59,27 +56,13 @@ class BetaShiftSpec:
     is_integer: bool
     validity_length: int
 
-    def digit(self, i: int) -> int:
-        """1-indexed digit of the stream; raises beyond validity."""
-        if i < 1:
-            raise ValueError("digits are 1-indexed")
-        if i <= len(self.preperiod):
-            return self.preperiod[i - 1]
-        if self.period:
-            return self.period[(i - len(self.preperiod) - 1) % len(self.period)]
-        raise ValidityExceeded(f"digit {i} beyond validity length {self.validity_length}")
-
     def digits_prefix(self, n: int) -> tuple[int, ...]:
+        """The stream's first n digits; raises beyond validity."""
         if n > self.validity_length:
             raise ValidityExceeded(f"{n} > validity length {self.validity_length}")
-        return tuple(self.digit(i) for i in range(1, n + 1))
-
-
-def _to_mpf(beta: BetaLike) -> mp.mpf:
-    if isinstance(beta, float):
-        # decimal literals arriving as floats keep their shortest repr
-        return mp.mpf(repr(beta))
-    return mp.mpf(beta)
+        # a truncation's preperiod holds every valid digit, so its tail is empty
+        tail = range(n - len(self.preperiod))
+        return self.preperiod[:n] + tuple(self.period[i % len(self.period)] for i in tail)
 
 
 def _near_integer(b: mp.mpf) -> Optional[int]:
@@ -89,40 +72,31 @@ def _near_integer(b: mp.mpf) -> Optional[int]:
     return None
 
 
-def _expand_with_status(b: mp.mpf) -> tuple[list[int], str, int]:
-    """Greedy digits until termination, exact remainder repetition, or
-    DEFAULT_HORIZON digits.
-
-    Returns (digits, status, aux) where status is one of "terminated"
-    (aux = index of last nonzero digit), "periodic" (aux = preperiod length;
-    digits holds preperiod + one full period), or "truncated" (aux = DEFAULT_HORIZON).
-    """
+def _expand(b: mp.mpf) -> tuple[list[int], bool]:
+    """Greedy digits until termination or DEFAULT_HORIZON digits, and
+    whether the expansion terminated (in its last digit)."""
     digits: list[int] = []
-    seen: dict = {}
     r = b
-    for m in range(1, DEFAULT_HORIZON + 1):
-        if r in seen:
-            return digits, "periodic", seen[r]
-        seen[r] = m - 1
+    for _ in range(DEFAULT_HORIZON):
         a = int(mp.floor(r + DIGIT_SNAP_EPS))
         digits.append(a)
         r = b * (r - a)
         if abs(r) < DIGIT_SNAP_EPS:
-            return digits, "terminated", m
-    return digits, "truncated", DEFAULT_HORIZON
+            return digits, True
+    return digits, False
 
 
-def quasi_greedy_normalize(beta: BetaLike, raw: bool = False) -> BetaShiftSpec:
+def quasi_greedy_normalize(beta: str, raw: bool = False) -> BetaShiftSpec:
     """Digit stream of the expansion of 1, normalized to be self-dominating.
 
     Terminating expansions a_1..a_m are rewritten to the periodic stream
     (a_1..a_{m-1}(a_m - 1)) repeated, unless raw=True, which keeps the
-    literal a_1..a_m followed by zeros.  Streams with no detected period or
-    termination within DEFAULT_HORIZON digits come back as truncations whose
+    literal a_1..a_m followed by zeros.  Streams that do not terminate
+    within DEFAULT_HORIZON digits come back as truncations whose
     validity_length bounds every later query.
     """
     with mp.workprec(DIGIT_PRECISION_BITS):
-        b = _to_mpf(beta)
+        b = mp.mpf(beta)
         if not 1 < b <= sys.float_info.max:
             raise ValueError(f"beta = {beta} is not a number above 1 that fits a float")
         snapped = _near_integer(b)
@@ -132,26 +106,21 @@ def quasi_greedy_normalize(beta: BetaLike, raw: bool = False) -> BetaShiftSpec:
             return BetaShiftSpec(beta=float(snapped), alphabet=snapped,
                                  preperiod=(), period=(snapped - 1,),
                                  is_integer=True, validity_length=1 << 62)
-        digits, status, aux = _expand_with_status(b)
+        digits, terminated = _expand(b)
         beta_f = float(b)
         alphabet = digits[0] + 1  # a_1 = floor(beta), symbols 0..floor(beta)
 
-    if status == "terminated":
-        body = digits[:aux]
+    if terminated:
         if raw:
             return BetaShiftSpec(beta=beta_f, alphabet=alphabet,
-                                 preperiod=tuple(body), period=(0,),
+                                 preperiod=tuple(digits), period=(0,),
                                  is_integer=False, validity_length=1 << 62)
-        if len(body) == 1:
+        if len(digits) == 1:
             # 1 = a_1/beta with a_1 = beta would make beta an integer
             raise PeriodNotDetected("terminating expansion of length 1")
-        quasi = tuple(body[:-1]) + (body[-1] - 1,)
+        quasi = tuple(digits[:-1]) + (digits[-1] - 1,)
         spec = BetaShiftSpec(beta=beta_f, alphabet=alphabet,
                              preperiod=(), period=quasi,
-                             is_integer=False, validity_length=1 << 62)
-    elif status == "periodic":
-        spec = BetaShiftSpec(beta=beta_f, alphabet=alphabet,
-                             preperiod=tuple(digits[:aux]), period=tuple(digits[aux:]),
                              is_integer=False, validity_length=1 << 62)
     else:
         # representation error of beta grows by a factor beta per step, so

@@ -48,13 +48,6 @@ class Potential:
         if self.range < 1:
             raise ValueError("range >= 1 required")
 
-    def value(self, w: Sequence[int]) -> float:
-        key = tuple(w[:self.range])
-        try:
-            return self.table[key]
-        except KeyError:
-            raise RangeMismatch(f"word {key} missing from potential table")
-
 
 def validate_potential(s: ShiftSpace, phi: Potential) -> None:
     """Check the table covers exactly the admissible range-words of s.
@@ -230,7 +223,7 @@ def integrate(m: InvariantMeasure, phi: Potential) -> float:
         cyc = m.cycle
         p = len(cyc)
         ext = cyc * (phi.range // p + 2)
-        return sum(phi.value(ext[i:i + phi.range]) for i in range(p)) / p
+        return sum(phi.table[ext[i:i + phi.range]] for i in range(p)) / p
     return sum(w * integrate(c, phi) for w, c in zip(m.weights, m.components))
 
 

@@ -12,8 +12,8 @@ The Newton iterations of all points of a curve run in lockstep: each round
 solves the new q's of every running point in one stacked Perron solve,
 whose results are bit-identical to solving each q alone.
 
-Potentials of range r > 2 are recoded onto the (r-1)-block graph so a single
-edge-weighted kernel serves every range.
+A range-r potential is read on the graph of admissible blocks of
+max(r - 1, 1) symbols, so a single edge-weighted kernel serves every range.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ IRREGULARITY_TOL = 1e-12
 
 @dataclass
 class EdgeSystem:
-    """Edge-weighted graph on nodes 0..k-1: the ambient symbols, or its
-    (r-1)-blocks for a range-r potential.  The edges are the keys of weights.
+    """Edge-weighted graph on nodes 0..k-1 (its edges are the keys of
+    weights): the ambient's blocks of max(r - 1, 1) symbols for a range-r potential.
 
     decode maps each node of the working graph back to the original symbol
     it begins with, so cycle witnesses read off in ambient symbols.
@@ -57,22 +57,19 @@ class EdgeSystem:
 def edge_system(s: ShiftSpace, phi: Potential) -> EdgeSystem:
     """Reduce (shift, potential) to an edge-weighted graph.
 
-    range 1: weight(i,j) = phi(i).  range 2: weight(i,j) = phi(ij).
-    range r > 2: nodes are admissible (r-1)-words u; u -> v is allowed when
-    u and v overlap in r-2 symbols and the union r-word is admissible, with
-    weight phi(u . v[-1]).
+    For a range-r potential the nodes are the admissible blocks of
+    max(r - 1, 1) symbols, in lexicographic order (for r <= 2 the symbols
+    themselves).  Block u has an edge to u[1:] + (c,) for each symbol c
+    that may follow it, with weight phi((u + (c,))[:r]).
     """
-    if phi.range <= 2:
-        weights = {(i, j): phi.table[(i, j)[:phi.range]] for i, j in s.edges()}
-        return EdgeSystem(k=s.k, weights=weights, decode=tuple(range(s.k)))
     r = phi.range
-    blocks = list(iter_words(s, r - 1))
+    blocks = list(iter_words(s, max(r - 1, 1)))
     index = {w: i for i, w in enumerate(blocks)}
     weights = {}
     for u in blocks:
         for c in range(s.k):
             if s.matrix[u[-1]][c]:
-                weights[(index[u], index[u[1:] + (c,)])] = phi.table[u + (c,)]
+                weights[(index[u], index[u[1:] + (c,)])] = phi.table[(u + (c,))[:r]]
     return EdgeSystem(k=len(blocks), weights=weights, decode=tuple(w[0] for w in blocks))
 
 
@@ -118,19 +115,15 @@ def _karp_extreme_cycle(system: EdgeSystem,
     # recurrence and potentials below run in exact integer arithmetic
     den = math.lcm(*(x.denominator for x in w.values()))
     w = {e: int(x * den) for e, x in w.items()}
+    # strongly connected (lphi_interval checks), so d[m][v] is set for every v from m = 1
     d: list[list[Optional[int]]] = [[0] * k] + [[None] * k for _ in range(k)]
     for m in range(1, k + 1):
         prev, cur = d[m - 1], d[m]
         for (u, v), wt in w.items():
-            if prev[u] is not None:
-                cand = prev[u] + wt
-                if cur[v] is None or cand < cur[v]:
-                    cur[v] = cand
-    ends = [v for v in range(k) if d[k][v] is not None]
-    if not ends:
-        raise NotStronglyConnected("no cycle found")
-    mu_star = min(max(Fraction(d[k][v] - d[m][v], k - m) for m in range(k) if d[m][v] is not None)
-                  for v in ends)
+            cand = prev[u] + wt
+            if cur[v] is None or cand < cur[v]:
+                cur[v] = cand
+    mu_star = min(max(Fraction(d[k][v] - d[m][v], k - m) for m in range(k)) for v in range(k))
     # witness: zero-mean cycle in the reweighted graph, via exact potentials;
     # reduced weights times mu_star's denominator are integers too
     rw = {e: wt * mu_star.denominator - mu_star.numerator for e, wt in w.items()}

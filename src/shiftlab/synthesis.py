@@ -307,8 +307,6 @@ def _linear_round_lengths(total: int, unit: int) -> list[int]:
         acc += unit * i
         i += 1
     lengths[-1] -= acc - total
-    if lengths[-1] <= 0:
-        lengths.pop()
     return lengths
 
 
@@ -338,7 +336,9 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
     """Build the witness stream and certificate for one gap class.
 
     All randomness flows from `seed` through the documented generator, so
-    identical inputs reproduce identical streams byte for byte.
+    identical inputs reproduce identical streams byte for byte.  A certificate
+    that certify's structure rules would refuse raises CertificateMismatch
+    before any symbol is drawn.
     """
     gap_class = GapClass(gap_class)
     kind = CLASSES[gap_class]
@@ -364,13 +364,14 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
     if prefix:
         requests = [("literal", prefix, len(prefix))] + requests
     stats = [{"check": "full_horizon_present", "horizon": n}] + stats
-    word, schedule = _render(s, requests, pool, seed, n)
     facts = [_measure_facts(m, s, phi) for m in pool]
     cert = Certificate(gap_class=gap_class, pool=pool, extremes=extremes, chain_links=chain_links,
                        exact_facts=facts, expected_statistics=stats,
                        inf_entropy_over_K=_inf_over_k(facts, extremes, chain_links),
                        pinned_prefix=prefix or None, horizon=n, seed=seed, phi=phi,
                        ambient_entropy=topological_entropy(s))
+    _check_rules(cert, facts)
+    word, schedule = _render(s, requests, pool, seed, n)
     return OrbitPrefix(word=word, schedule=schedule, certificate=cert, shift=s)
 
 
@@ -426,12 +427,9 @@ def _build_v_not_w(s, phi, n, pinned_prefix):
     exc_lengths = _geometric_lengths(exc_total, 6, 1.0)
     for i, length in enumerate(exc_lengths):
         tau = _triangle(i + 1, 12)  # rises toward 1 then back: interior traversal
-        if tau <= 0:
-            requests.append(("markov", 1, length))
-        else:
-            parts = [("markov", 1, 1 - tau * (1 - theta)),
-                     ("markov", 2, tau * w_full), ("periodic", 3, tau * w_rho)]
-            requests.extend(_mix_chunks(length, parts))
+        parts = [("markov", 1, 1 - tau * (1 - theta)),
+                 ("markov", 2, tau * w_full), ("periodic", 3, tau * w_rho)]
+        requests.extend(_mix_chunks(length, parts))
     requests += _dwell(1, n // 2 - exc_total - len(prefix), n // 2, n,
                        [("markov", 1, theta), ("markov", 2, w_full), ("periodic", 3, w_rho)])
 
@@ -576,7 +574,7 @@ class ClassKind(NamedTuple):
     synthesize_witness renders after the prefix, its stats after the
     full_horizon_present check every class has; PERIODIC's also takes a
     cycle.  rules: its structure rules (fact, detail, holds(cert, facts)),
-    which certify checks in order on the facts it has recomputed."""
+    which synthesize_witness and certify check in order (_check_rules)."""
     structure: str
     extremes: Optional[int]
     potential: bool
@@ -674,10 +672,15 @@ def certify(o: OrbitPrefix) -> None:
     if abs(h_top - cert.ambient_entropy) > 1e-10:
         raise CertificateMismatch("ambient_entropy", f"{h_top} vs {cert.ambient_entropy}")
 
-    for fact, detail, holds in CLASSES[cert.gap_class].rules:
-        if not holds(cert, fresh_facts):
-            raise CertificateMismatch(f"{cert.gap_class.value}.{fact}", detail)
+    _check_rules(cert, fresh_facts)
     _check_word(o)
+
+
+def _check_rules(cert: Certificate, facts: list[dict]) -> None:
+    """The class's structure rules in order; CertificateMismatch names the first that fails."""
+    for fact, detail, holds in CLASSES[cert.gap_class].rules:
+        if not holds(cert, facts):
+            raise CertificateMismatch(f"{cert.gap_class.value}.{fact}", detail)
 
 
 def _check_word(o: OrbitPrefix) -> None:

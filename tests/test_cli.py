@@ -246,6 +246,25 @@ MALFORMED_CERTIFICATES = {
         0, str(d["chain_links"][0][0]))),
     "chain_link_theta_nan": _On("qw_not_v_orbit", lambda d: d["chain_links"][0].__setitem__(
         0, float("nan"))),
+    "markov_pi_sum_1_4": lambda d: d["pool"][1].update(pi=[0.7, 0.7]),
+    "markov_pi_not_stationary": lambda d: d["pool"][1].update(pi=[0.5, 0.5]),
+    "mixture_weight_negative": lambda d: d["pool"][0]["weights"].__setitem__(0, -0.25),
+    "mixture_weights_short": lambda d: d["pool"][0]["weights"].pop(),
+    "self_lower_max_unknown_parameter": lambda d: _check(d, "self_lower_max").update(bogus=1),
+    "periodic_trace_check": _On("periodic_orbit", lambda d: _add(d, check="trace_oscillation",
+                                                                 min_gap=0.2)),
+}
+
+#: the message of each case that is there to reach one particular check; the
+#: others are checked for "error:" only
+MALFORMED_CERTIFICATE_ERRORS = {
+    "markov_pi_sum_1_4": "pi must be 2 finite numbers summing to 1",
+    "markov_pi_not_stationary": "pi is not stationary for P",
+    "mixture_weight_negative": "weights must be positive",
+    "mixture_weights_short": "weights and components must align",
+    "self_lower_max_unknown_parameter": "self_lower_max check takes no 'bogus' parameter",
+    "periodic_trace_check": "trace_oscillation check reads a Birkhoff trace, but there is "
+                            "no potential",
 }
 
 
@@ -372,9 +391,12 @@ class TestEntropyCommand:
 
     @pytest.mark.parametrize("args,field", [
         (["--beta", "1e400"], "beta = 1e400"),
+        (["--beta", "1"], "beta = 1 is not a number above 1"),
+        (["--beta", "0.5"], "beta = 0.5 is not a number above 1"),
+        (["--beta", "1.00000000000000000000000000000001"], "integer beta must be >= 2"),
         (["--beta", "2", "--n", "0"], "--n"),
         (["--shift", "golden.json", "--n", "0"], "--n"),
-    ], ids=["beta_1e400", "beta_n_0", "shift_n_0"])
+    ], ids=["beta_1e400", "beta_1", "beta_0_5", "beta_snapped_to_1", "beta_n_0", "shift_n_0"])
     def test_bad_argument_exit2(self, files, args, field):
         rc, _, err = run_cli("entropy", *[str(files / a) if a.endswith(".json") else a
                                           for a in args])
@@ -564,14 +586,30 @@ class TestPipeline:
     def test_malformed_certificate_exit2(self, request, tmp_path, capsys, case):
         orbit = self._malformed_orbit(request, tmp_path, case)
         assert main(["verify", "--orbit", str(orbit)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and MALFORMED_CERTIFICATE_ERRORS.get(case, "") in err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate_classify_exit2(self, request, tmp_path, capsys, case):
         orbit = self._malformed_orbit(request, tmp_path, case)
         assert main(["classify", "--orbit", str(orbit), "--out", str(tmp_path / "r.json")]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and MALFORMED_CERTIFICATE_ERRORS.get(case, "") in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("fact,edit", [
+        ("pool[1].integral (presence differs)",
+         lambda d: d["exact_facts"][1].update(integral=None)),
+        ("pool[1].support_edges", lambda d: d["exact_facts"][1]["support_edges"].pop()),
+        ("pool[1].ergodic", lambda d: d["exact_facts"][1].update(ergodic=False)),
+    ], ids=["integral_null", "support_edges_short", "ergodic_flipped"])
+    def test_edited_exact_facts_exit4(self, v_not_w_orbit, tmp_path, capsys, fact, edit):
+        """A well-formed exact fact that differs from its recomputed value:
+        a missing integral although there is a potential, a dropped support
+        edge, a flipped ergodicity."""
+        orbit = _mutated_copy(v_not_w_orbit, tmp_path, edit)
+        assert main(["verify", "--orbit", str(orbit)]) == 4
+        assert f"certificate fact failed: {fact}" in capsys.readouterr().err
 
     def test_flipped_symbol_exit4(self, v_not_w_orbit, tmp_path, capsys):
         """The stream edit of markov_length_10_to_12_past_flipped_symbol, alone."""
@@ -663,6 +701,38 @@ class TestPipeline:
                      "--horizon", "4096", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
         assert "only by PERIODIC" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("gap_class,height", [("W_NOT_QR", 1e-6), ("I_NOT_QW", 1e-9)])
+    def test_narrow_potential_refused_writes_nothing(self, files, tmp_path, capsys,
+                                                     gap_class, height):
+        """A potential so narrow that the class's extreme measures' integrals
+        differ by less than its integrals rule allows is refused by
+        synthesize, which names the rule, rather than written for verify to
+        refuse."""
+        io.write_json(tmp_path / "phi.json", {"schema": "shiftlab/potential/1", "range": 1,
+                                              "entries": [[[0], 0.0], [[1], height]]})
+        out = tmp_path / "orbit"
+        assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", gap_class,
+                     "--potential", str(tmp_path / "phi.json"), "--horizon", str(1 << 16),
+                     "--seed", "1", "--out", str(out)]) == 2
+        assert (f"certificate fact failed: {gap_class}.integrals (extreme integrals must differ)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_potential_class_without_potential_exit2(self, files, tmp_path, capsys):
+        out = tmp_path / "orbit"
+        assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", "W_NOT_QR",
+                     "--horizon", "4096", "--seed", "1", "--out", str(out)]) == 2
+        assert "W_NOT_QR requires a potential" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectrum_two_points_exit2(self, files, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["spectrum", "--shift", str(files / "full2.json"),
+                     "--potential", str(files / "phi.json"), "--points", "2",
+                     "--out", str(out)]) == 2
+        assert "npoints >= 3 required" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_horizon_exit2(self, files, tmp_path, capsys):
         """synthesize refuses a horizon its own verify would refuse, negative

@@ -436,7 +436,8 @@ def _candidate_entropies(s) -> dict:
 
 
 class TestTinyHorizons:
-    @pytest.mark.parametrize("n", [16, 64, 257])
+    #: every horizon to 64, where V_NOT_W and I_NOT_QW plan requests of length 0
+    @pytest.mark.parametrize("n", [*range(1, 65), 257])
     def test_exact_length_and_certify(self, full2, phi_full2, n):
         for gap_class in GapClass:
             o = synthesize_witness(full2, gap_class, phi_full2, n, seed=3)
