@@ -33,11 +33,14 @@ from .errors import PeriodNotDetected, ValidityExceeded
 DIGIT_PRECISION_BITS = 256
 #: number of digits computed before giving up on termination
 DEFAULT_HORIZON = 512
-#: a beta within this distance of an integer is treated as that integer
-INTEGER_SNAP = mp.mpf("1e-30")
 #: a remainder this close to an integer is read as that integer before
 #: flooring; decimal literals with >= 30 digits keep the drift far smaller
 DIGIT_SNAP_EPS = mp.mpf("1e-25")
+#: a beta within this distance of an integer is treated as that integer.
+#: It is DIGIT_SNAP_EPS itself: beta = n + d with d >= DIGIT_SNAP_EPS has
+#: second remainder beta * d > DIGIT_SNAP_EPS, so no beta left unsnapped
+#: reads as the terminating expansion "n" of length 1.
+INTEGER_SNAP = DIGIT_SNAP_EPS
 
 @dataclass(frozen=True)
 class BetaShiftSpec:
@@ -116,7 +119,8 @@ def quasi_greedy_normalize(beta: str, raw: bool = False) -> BetaShiftSpec:
                                  preperiod=tuple(digits), period=(0,),
                                  is_integer=False, validity_length=1 << 62)
         if len(digits) == 1:
-            # 1 = a_1/beta with a_1 = beta would make beta an integer
+            # 1 = a_1/beta with a_1 = beta would make beta an integer, which
+            # INTEGER_SNAP has already taken
             raise PeriodNotDetected("terminating expansion of length 1")
         quasi = tuple(digits[:-1]) + (digits[-1] - 1,)
         spec = BetaShiftSpec(beta=beta_f, alphabet=alphabet,

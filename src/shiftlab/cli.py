@@ -10,6 +10,7 @@ mismatch, 5 statistical verdict failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from datetime import datetime, timezone
@@ -167,7 +168,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="shiftlab",
         description="Shift spaces, entropy, Birkhoff spectra, witness orbits. "
@@ -222,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotPrimitive as e:

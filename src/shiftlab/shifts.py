@@ -45,7 +45,8 @@ class ShiftSpace:
     matrix is not primitive.  bridge_table caches connecting_word: entry
     (i, j) holds the M interior symbols of the lexicographically smallest
     admissible path from i to j with exactly M + 1 edges (one exists because
-    A^(M+1) is positive too).
+    A^(M+1) is positive too).  reach_table caches, per target j, the reach
+    rows _reach(A, M, j) that every source's bridge to j walks.
     """
 
     k: int
@@ -53,6 +54,7 @@ class ShiftSpace:
     labels: Optional[tuple[str, ...]] = None
     primitive_gap: Optional[int] = None
     bridge_table: dict[tuple[int, int], Word] = field(default_factory=dict, compare=False)
+    reach_table: dict[int, list[int]] = field(default_factory=dict, compare=False)
 
     @property
     def is_primitive(self) -> bool:
@@ -131,20 +133,36 @@ def _primitive_gap(a: np.ndarray) -> Optional[int]:
     return m + 1
 
 
-def _connector(a: np.ndarray, gap: int, i: int, j: int) -> Word:
-    """Interior of the lexicographically least (gap+1)-edge path i -> j.
+def _masks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int: bit t is column t."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    The reach columns A^r[:, j] for r = 0..gap come backward, one k-vector
-    step each; then the walk from i takes, with r edges left after the next
-    one, its least successor t with A^r[t, j].
+
+def _reach(a: np.ndarray, gap: int, j: int) -> list[int]:
+    """Entry r - 1, for r = 1..gap, is the column A^r[:, j] as a bitmask.
+
+    The columns come backward, one k-vector step each, and serve every
+    source: the k^2 bridges of a k-symbol shift take k passes, not k^2.
     """
-    reach = np.zeros((gap + 1, len(a)), dtype=bool)
-    reach[0, j] = True
-    for r in range(1, gap + 1):
-        reach[r] = a @ reach[r - 1]
+    reach = np.empty((gap, len(a)), dtype=bool)
+    column = np.arange(len(a)) == j
+    for r in range(gap):
+        column = reach[r] = a @ column
+    return _masks(reach)
+
+
+def _connector(successors: list[int], reach: list[int], i: int) -> Word:
+    """Interior of the lexicographically least (gap+1)-edge path from i to
+    the target j of reach = _reach(A, gap, j).
+
+    With r edges left after the next one, the walk takes its least
+    successor t with A^r[t, j]: the lowest bit of successors[i] & reach[r - 1].
+    """
     word = []
-    for r in range(gap, 0, -1):
-        i = int((a[i] & reach[r]).argmax())
+    for row in reversed(reach):
+        options = successors[i] & row
+        i = (options & -options).bit_length() - 1
         word.append(i)
     return tuple(word)
 
@@ -339,7 +357,10 @@ def connecting_word(s: ShiftSpace, a: int, b: int) -> Word:
         raise NotPrimitive("bridging requires a primitive shift")
     check_symbols((a, b), s.k)
     if (a, b) not in s.bridge_table:
-        s.bridge_table[(a, b)] = _connector(np.array(s.matrix, dtype=bool), s.primitive_gap, a, b)
+        m = np.array(s.matrix, dtype=bool)
+        if b not in s.reach_table:
+            s.reach_table[b] = _reach(m, s.primitive_gap, b)
+        s.bridge_table[(a, b)] = _connector(_masks(m), s.reach_table[b], a)
     return s.bridge_table[(a, b)]
 
 
@@ -392,7 +413,7 @@ def least_cycle(adjacency: Sequence[Sequence[int]]) -> Optional[Word]:
     for length in range(1, len(a) + 1):
         if power.diagonal().any():
             start = int(power.diagonal().argmax())
-            return (start,) + _connector(a, length - 1, start, start)
+            return (start,) + _connector(_masks(a), _reach(a, length - 1, start), start)
         power = _bool_product(power, a)
     return None
 

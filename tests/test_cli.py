@@ -1,5 +1,7 @@
+import argparse
 import ast
 import json
+import math
 import shutil
 import subprocess
 import symtable
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from shiftlab import io
 from shiftlab.classify import CHECKS
-from shiftlab.cli import main
+from shiftlab.cli import build_parser, main
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import full_shift, golden_mean_shift, sft_from_matrix
 from shiftlab.synthesis import CLASSES, GapClass, synthesize_witness
@@ -433,6 +435,26 @@ class TestEntropyCommand:
         assert "log beta:                    46.051701859881" in proc.stdout
         assert "word-count estimate (n=22): 46.051701859881" in proc.stdout
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_beta_within_digit_snap_of_an_integer_is_that_integer(self, capsys, n):
+        """beta = n + 1e-27 is n: its second remainder is below the digit
+        snap, so left unsnapped it would read as the one-digit expansion n."""
+        beta = f"{n}.{'0' * 26}1"
+        assert main(["entropy", "--beta", beta]) == 0
+        out = capsys.readouterr().out
+        assert f"beta = {beta}  alphabet = {n}\n" in out
+        assert f"word-count estimate (n=22): {math.log(n):.12f}" in out
+
+    @pytest.mark.parametrize("n,estimate", [(2, "0.724653865167"), (3, "1.117042520854")])
+    def test_beta_past_digit_snap_of_an_integer_keeps_its_digits(self, capsys, n, estimate):
+        """beta = n + 1e-24 is not n: its expansion n 0 0 ... needs n + 1 symbols."""
+        beta = f"{n}.{'0' * 23}1"
+        assert main(["entropy", "--beta", beta]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"beta = {beta}  alphabet = {n + 1}",
+            f"word-count estimate (n=22): {estimate}",
+            f"log beta:                    {math.log(n):.12f}"]
+
     @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]], ids=["short", "long"])
     def test_label_count_mismatch_exit2(self, tmp_path, capsys, labels):
         io.write_json(tmp_path / "shift.json", {"schema": "shiftlab/shift/1", "k": 2,
@@ -726,6 +748,18 @@ class TestPipeline:
         assert "W_NOT_QR requires a potential" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_w_not_qr_range_3_potential_exit2(self, files, tmp_path, capsys):
+        """W_NOT_QR's tilted measure weighs edges, so a potential of range 3
+        is refused before anything is written."""
+        io.write_json(tmp_path / "phi3.json",
+                      io.potential_to_doc(indicator_potential(full_shift(2), (1, 1, 0))))
+        out = tmp_path / "orbit"
+        assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", "W_NOT_QR",
+                     "--potential", str(tmp_path / "phi3.json"), "--horizon", "4096",
+                     "--seed", "1", "--out", str(out)]) == 2
+        assert "tilted measure needs a range <= 2 potential" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_two_points_exit2(self, files, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         assert main(["spectrum", "--shift", str(files / "full2.json"),
@@ -758,6 +792,84 @@ class TestPipeline:
             rc, _, err = run_cli(*args, "--orbit", str(orbit))
             assert rc == 2
             assert "Traceback" not in err and "too short" in err
+
+
+def _call(argv: list[str], capsys) -> tuple[int, str, str]:
+    """main(argv) in this process: its exit code, argparse's SystemExit
+    code included, and what it printed."""
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = e.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def _fresh(argv: list[str], capsys) -> tuple[int, str, str]:
+    """The same call made on a newly built parser."""
+    build_parser.cache_clear()
+    return _call(argv, capsys)
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it: a call after
+    any sequence of others gives what it gives on a new parser."""
+
+    def test_spectrum_default_points_after_129(self, files, tmp_path, capsys):
+        def spectrum(out, *points):
+            return ["spectrum", "--shift", str(files / "golden.json"),
+                    "--potential", str(files / "phi.json"), *points, "--out", str(tmp_path / out)]
+
+        assert _call(spectrum("129.csv", "--points", "129"), capsys)[0] == 0
+        after = _call(spectrum("default.csv"), capsys)
+        fresh = _fresh(spectrum("33.csv", "--points", "33"), capsys)
+        assert after == fresh and after[0] == 0
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "33.csv").read_bytes()
+        assert (tmp_path / "default.csv").read_bytes() != (tmp_path / "129.csv").read_bytes()
+
+    def test_entropy_all_methods_after_one(self, files, capsys):
+        shift = ["entropy", "--shift", str(files / "golden.json")]
+        assert _call(shift + ["--method", "words", "--n", "5"], capsys)[0] == 0
+        after = _call(shift, capsys)
+        assert after == _fresh(shift, capsys)
+        assert after[0] == 0
+        assert [line.split(":")[0] for line in after[1].splitlines()[1:]] == [
+            "spectral", "words (n=24)", "periodic (n=24)"]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["synthesize", "--shift", "full2.json", "--class", "NOPE", "--seed", "1",
+          "--out", "x"], 2),
+        (["--help"], 0),
+    ], ids=["rejected_class", "help"])
+    def test_verify_after_argparse_exit(self, files, v_not_w_orbit, capsys, argv, code):
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        verify = ["verify", "--orbit", str(v_not_w_orbit)]
+        fresh_exit = _fresh(argv, capsys)
+        fresh_verify = _fresh(verify, capsys)
+        assert fresh_exit[0] == code and fresh_verify[0] == 0
+        assert _call(argv, capsys) == fresh_exit
+        assert _call(verify, capsys) == fresh_verify
+
+    def test_later_calls_build_no_parser(self, files, v_not_w_orbit, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        calls = [["verify", "--orbit", str(v_not_w_orbit)],
+                 ["entropy", "--beta", "1.8"],
+                 ["entropy", "--shift", str(files / "golden.json"), "--method", "spectral"],
+                 ["verify", "--orbit", str(v_not_w_orbit)]]
+        assert _call(calls[0], capsys)[0] == 0
+        first = len(built)
+        assert first == 6  # the top-level parser and one per command
+        for argv in calls[1:]:
+            assert _call(argv, capsys)[0] == 0
+        assert len(built) == first
 
 
 V1_ORBITS = Path(__file__).parent / "data" / "v1"
