@@ -7,7 +7,6 @@ emitted in construction order.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
@@ -17,7 +16,7 @@ import sys
 import tempfile
 from collections import namedtuple
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,13 +24,15 @@ from .errors import SchemaError, UnreadableInput
 from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
                        markov_measure, mixture, periodic_measure, validate_potential)
 from .shifts import SYMBOL_DTYPE, ShiftSpace, sft_from_matrix
-from .synthesis import CLASSES, Certificate, GapClass, OrbitPrefix, Schedule, Segment
+from .synthesis import (CLASSES, Certificate, GapClass, OrbitPrefix, Schedule, Segment,
+                        sub_seeds)
 
 SHIFT_SCHEMA = "shiftlab/shift/1"
 POTENTIAL_SCHEMA = "shiftlab/potential/1"
-CERTIFICATE_SCHEMA = "shiftlab/certificate/2"
-#: certificate schemas read; /1 also stored each periodic segment's symbols
-CERTIFICATE_SCHEMAS = ("shiftlab/certificate/1", CERTIFICATE_SCHEMA)
+CERTIFICATE_SCHEMA = "shiftlab/certificate/3"
+#: certificate schemas read: /2 stored one object per segment, with its start
+#: and sub-seed, and /1 also each periodic segment's symbols
+CERTIFICATE_SCHEMAS = ("shiftlab/certificate/1", "shiftlab/certificate/2", CERTIFICATE_SCHEMA)
 REPORT_SCHEMA = "shiftlab/report/1"
 MANIFEST_SCHEMA = "shiftlab/manifest/1"
 
@@ -43,15 +44,14 @@ POTENTIAL_BOUND = 1e6
 STREAM_LINE_WIDTH = 120
 
 
-@contextlib.contextmanager
-def _atomic_open(path: Union[str, Path]) -> Iterator[TextIO]:
-    """A text file that replaces `path` when the block ends, and is
-    removed, leaving `path` as it was, when the block raises."""
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
+    """Write text to a file that replaces `path` once it is whole; on an
+    error the file is removed and `path` left as it was."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
-            yield fh
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,26 +59,9 @@ def _atomic_open(path: Union[str, Path]) -> Iterator[TextIO]:
         raise
 
 
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(text)
-
-
-#: pieces of JSON text joined per write
-JSON_BATCH = 1024
-
-
 def write_json(path: Union[str, Path], doc: dict) -> None:
-    """The text of json.dumps(doc, indent=2) and a newline, written
-    JSON_BATCH of the encoder's pieces at a time.  A write per piece
-    (json.dump) costs more than encoding it, and holding every piece at
-    once (json.dumps) takes about seven times the text.  With indent set
-    all three use the same pure-Python encoder, so the bytes are the same."""
-    pieces = json.JSONEncoder(indent=2).iterencode(doc)
-    with _atomic_open(path) as fh:
-        while batch := "".join(itertools.islice(pieces, JSON_BATCH)):
-            fh.write(batch)
-        fh.write("\n")
+    """The text of json.dumps(doc) and a newline: one line, from the C encoder."""
+    atomic_write_text(path, json.dumps(doc) + "\n")
 
 
 def _read_text(path: Union[str, Path]) -> str:
@@ -186,27 +169,44 @@ FACT_FIELDS = {
     "entropy": REAL, "integral": nullable(REAL), "support_symbols": list_of(SYMBOL),
     "support_edges": list_of(tuple_of(SYMBOL, SYMBOL)), "full_support": BOOL, "ergodic": BOOL,
 }
+#: the letter of each segment kind in a schedule's kinds column
+KIND_LETTERS = {"markov": "m", "periodic": "p", "thue_morse": "t", "literal": "l", "bridge": "b"}
+KINDS = {letter: kind for kind, letter in KIND_LETTERS.items()}
+#: the kinds with a pool source, and the measure each names; literal and
+#: bridge segments carry a word instead, thue_morse ones neither
+SOURCED = {"m": pool_index("Markov measure", MarkovMeasure),
+           "p": pool_index("periodic measure", PeriodicMeasure)}
+WORDED = "lb"
+#: a schedule as columns: a kind letter and a length per segment, the pool
+#: index of each sourced segment and the word of each worded one, in order
+SCHEDULE_FIELDS = {
+    "kinds": Param(f"a string of kind letters ({', '.join(KINDS)})",
+                   lambda v, c: type(v) is str and set(v).issubset(KINDS)),
+    "lengths": list_of(COUNT, empty=True),
+    "sources": list_of(INTEGER, empty=True),
+    "words": list_of(list_of(SYMBOL), empty=True),
+}
 _SPAN = {"start": INTEGER, "length": COUNT}
-#: the fields of each segment kind: markov segments name (source, sub_seed),
-#: periodic ones a source, thue_morse ones only their span; literal and bridge
-#: segments carry their word.  A periodic word (schema /1 stored its source's
-#: tile there) is not read.
+#: a schema 1 or 2 schedule entry: one object per segment, with its span, a
+#: markov segment's sub_seed, a sourced one's source and a worded one's word;
+#: the columns they are read into check the sources and words.  A periodic
+#: word (schema 1 stored its source's tile there) is not read.
 SEGMENT_FIELDS = {
-    "markov": {**_SPAN, "source": pool_index("Markov measure", MarkovMeasure),
-               "sub_seed": INTEGER},
-    "periodic": {**_SPAN, "source": pool_index("periodic measure", PeriodicMeasure)},
+    "markov": {**_SPAN, "source": INTEGER, "sub_seed": INTEGER},
+    "periodic": {**_SPAN, "source": INTEGER},
     "thue_morse": _SPAN,
-    "literal": {**_SPAN, "word": list_of(SYMBOL)},
-    "bridge": {**_SPAN, "word": list_of(SYMBOL)},
+    "literal": {**_SPAN, "word": LIST},
+    "bridge": {**_SPAN, "word": LIST},
 }
 SEGMENT_KIND = {"kind": one_of(*SEGMENT_FIELDS)}
-#: the certificate's top level; its shift, potential, pool measures, exact
-#: facts and schedule entries have their own tables
+#: the certificate's top level (before schema 3 its schedule was a list of
+#: segment objects); its shift, potential, pool measures, exact facts and
+#: schedule have their own tables
 CERTIFICATE_FIELDS = {
     "schema": one_of(*CERTIFICATE_SCHEMAS),
     "gap_class": one_of(*(gc.value for gc in GapClass)),
     "structure": one_of(*dict.fromkeys(kind.structure for kind in CLASSES.values())),
-    "pool": LIST, "exact_facts": LIST, "expected_statistics": LIST, "schedule": LIST,
+    "pool": LIST, "exact_facts": LIST, "expected_statistics": LIST, "schedule": OBJECT,
     "extremes": list_of(pool_index(), empty=True),
     "chain_links": list_of(tuple_of(REAL, pool_index(), pool_index()), empty=True),
     "inf_entropy_over_K": REAL, "ambient_entropy": REAL,
@@ -309,22 +309,66 @@ def stream_from_text(text: str) -> np.ndarray:
 # --- certificates and orbit directories ------------------------------------
 
 
-def _segment_to_doc(seg: Segment) -> dict:
-    return {"kind": seg.kind, "start": seg.start, "length": seg.length,
-            "source": seg.source,
-            "word": list(seg.word) if seg.word is not None else None,
-            "sub_seed": seg.sub_seed}
+def _schedule_to_doc(segments: list[Segment]) -> dict:
+    return {"kinds": "".join(KIND_LETTERS[seg.kind] for seg in segments),
+            "lengths": [seg.length for seg in segments],
+            "sources": [seg.source for seg in segments if seg.source is not None],
+            "words": [list(seg.word) for seg in segments if seg.word is not None]}
 
 
-def _segment_from_doc(doc: dict, context: Context) -> Segment:
-    kind = validate(doc, SEGMENT_KIND, "schedule entry")["kind"]
-    validate(doc, SEGMENT_FIELDS[kind], f"{kind} segment", context)
-    seg = Segment(kind=kind, **{field: doc[field] for field in SEGMENT_FIELDS[kind]})
-    if seg.word is not None:
-        if len(seg.word) != seg.length:
-            raise SchemaError(f"{kind} segment word has {len(seg.word)} symbols, not {seg.length}")
-        seg.word = tuple(seg.word)
-    return seg
+def _columns(entries: list) -> tuple[dict, list[Optional[int]]]:
+    """The columns of a schema 1 or 2 schedule, whose entries are typed by
+    SEGMENT_FIELDS and each start where the last ends, and the sub_seed each
+    stored (None but for markov segments)."""
+    kinds, lengths, sources, words, stored = [], [], [], [], []
+    end = 0
+    for doc in entries:
+        kind = validate(doc, SEGMENT_KIND, "schedule entry")["kind"]
+        validate(doc, SEGMENT_FIELDS[kind], f"{kind} segment")
+        if doc["start"] != end:
+            raise SchemaError(f"segment at {doc['start']} does not start where the last ends, "
+                              f"{end}")
+        end += doc["length"]
+        kinds.append(KIND_LETTERS[kind])
+        lengths.append(doc["length"])
+        if kinds[-1] in SOURCED:
+            sources.append(doc["source"])
+        if kinds[-1] in WORDED:
+            words.append(doc["word"])
+        stored.append(doc["sub_seed"] if kind == "markov" else None)
+    return {"kinds": "".join(kinds), "lengths": lengths, "sources": sources, "words": words}, stored
+
+
+def _segments(columns: dict, context: Context, horizon: int) -> list[Segment]:
+    """The segments of a schedule's columns, sub-seeds not set.  Beyond each
+    column's type: kinds and lengths align, each sourced segment names a pool
+    measure of its kind, each worded one has a word of its length, and the
+    lengths sum to the horizon; the starts are their prefix sums."""
+    validate(columns, SCHEDULE_FIELDS, "schedule", context)
+    kinds, lengths, sources, words = (columns[field] for field in SCHEDULE_FIELDS)
+    if len(lengths) != len(kinds):
+        raise SchemaError(f"schedule has {len(kinds)} kinds and {len(lengths)} lengths")
+    sourced = [letter for letter in kinds if letter in SOURCED]
+    worded = [length for letter, length in zip(kinds, lengths) if letter in WORDED]
+    for field, wanted in (("sources", sourced), ("words", worded)):
+        if len(columns[field]) != len(wanted):
+            raise SchemaError(f"schedule has {len(columns[field])} {field} for "
+                              f"{len(wanted)} segments that take one")
+    for i, (letter, source) in enumerate(zip(sourced, sources)):
+        if not SOURCED[letter].test(source, context):
+            raise SchemaError(f"schedule sources[{i}] is {source}, not {SOURCED[letter].what}")
+    for i, (word, length) in enumerate(zip(words, worded)):
+        if len(word) != length:
+            raise SchemaError(f"schedule words[{i}] has {len(word)} symbols, "
+                              f"not its segment's {length}")
+    if sum(lengths) != horizon:
+        raise SchemaError(f"schedule lengths sum to {sum(lengths)}, not to the horizon {horizon}")
+    source, word = iter(sources), iter(words)
+    return [Segment(kind=KINDS[letter], start=start, length=length,
+                    source=next(source) if letter in SOURCED else None,
+                    word=tuple(next(word)) if letter in WORDED else None)
+            for letter, start, length in zip(kinds, itertools.accumulate(lengths, initial=0),
+                                             lengths)]
 
 
 def certificate_to_doc(o: OrbitPrefix) -> dict:
@@ -345,7 +389,7 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
         "seed": cert.seed,
         "potential": potential_to_doc(cert.phi) if cert.phi is not None else None,
         "ambient_entropy": cert.ambient_entropy,
-        "schedule": [_segment_to_doc(seg) for seg in o.schedule.segments],
+        "schedule": _schedule_to_doc(o.schedule.segments),
     }
 
 
@@ -353,11 +397,16 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     """The orbit of a certificate document and its stream.  Beyond each
     field's type: exact_facts has one entry per pool measure, the structure,
     extremes, chain_links and potential fit the gap class's CLASSES entry, the
-    stream holds digits below k, and the schedule tiles [0, horizon)."""
-    validate(cert_doc, {"schema": CERTIFICATE_FIELDS["schema"]}, "certificate")
+    stream holds digits below k, and the schedule's columns fit (_segments).
+    A schema 1 or 2 schedule is read into columns first (_columns) and keeps
+    its stored sub-seeds, which certify compares with the derived ones; a
+    schema 3 schedule gets the derived ones (synthesis.sub_seeds)."""
+    schema = validate(cert_doc, {"schema": CERTIFICATE_FIELDS["schema"]}, "certificate")["schema"]
     s = shift_from_doc(cert_doc.get("shift"))   # its alphabet types the other fields' symbols
-    validate(cert_doc, CERTIFICATE_FIELDS, "certificate",
-             Context(k=s.k, pool=cert_doc.get("pool")), optional=("pinned_prefix", "potential"))
+    fields = CERTIFICATE_FIELDS if schema == CERTIFICATE_SCHEMA else {**CERTIFICATE_FIELDS,
+                                                                     "schedule": LIST}
+    validate(cert_doc, fields, "certificate", Context(k=s.k, pool=cert_doc.get("pool")),
+             optional=("pinned_prefix", "potential"))
     pool = [measure_from_doc(d, s) for d in cert_doc["pool"]]
     phi = (potential_from_doc(cert_doc["potential"], s)
            if cert_doc.get("potential") is not None else None)
@@ -388,14 +437,13 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     if bad.size:
         char = chr((int(word[bad[0]]) + ord("0")) % 256)
         raise SchemaError(f"stream symbol {bad[0]} is {char!r}, not a digit below {min(s.k, 10)}")
-    segments = [_segment_from_doc(d, Context(k=s.k, pool=pool)) for d in cert_doc["schedule"]]
-    end = 0
-    for seg in segments:
-        if seg.start != end:
-            raise SchemaError(f"segment at {seg.start} does not start where the last ends, {end}")
-        end += seg.length
-    if end != cert.horizon:
-        raise SchemaError(f"schedule ends at {end}, not at the horizon {cert.horizon}")
+    if schema == CERTIFICATE_SCHEMA:
+        columns, stored = cert_doc["schedule"], None
+    else:
+        columns, stored = _columns(cert_doc["schedule"])
+    segments = _segments(columns, Context(k=s.k, pool=pool), cert.horizon)
+    for seg, sub_seed in zip(segments, stored or sub_seeds(segments, cert.seed)):
+        seg.sub_seed = sub_seed
     return OrbitPrefix(word=word, schedule=Schedule(segments=segments), certificate=cert, shift=s)
 
 

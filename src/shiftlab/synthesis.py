@@ -70,6 +70,9 @@ SWEEP_GROWTH = 1.3
 DWELL_ROUNDS = 8                # rounds of the dwell on the high-mix endpoint
 EXCURSION_FRACTION = 0.06       # share of the horizon in the V_NOT_W excursion
 PIN_LENGTH = 6                  # length of the default pinned prefix
+#: the largest horizon synthesized: 2^26 symbols take about 1.3 s and 360 MB
+#: for V_NOT_W on the full 2-shift, and 10^9 would run out of memory
+MAX_HORIZON = 1 << 26
 
 
 @dataclass
@@ -139,15 +142,13 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
     A short plan is topped up by repeating its final request; an overlong
     one is truncated at the horizon.  A bridge has the M = primitive_gap
     symbols of connecting_word, so the segments are laid out before any
-    symbol is drawn.  The i-th segment laid out, bridges not counted, draws
-    output i + 1 of the stream of `seed` as its sub-seed, all in one call,
-    and a Markov segment keeps it.  Then each pool source's Markov segments
-    are sampled in one call (_regenerate), and each bridge joins the symbols
-    either side; a request cut off by a final bridge still draws that
-    bridge's right end.
+    symbol is drawn and given their sub-seeds (sub_seeds).  Then each pool
+    source's Markov segments are sampled in one call (_regenerate), and each
+    bridge joins the symbols either side; a request cut off by a final
+    bridge still draws that bridge's right end.
     """
     layout: list[Segment] = []
-    pos = drawn = 0
+    pos = 0
     queue = list(requests)
     while pos < horizon:
         if not queue:
@@ -159,9 +160,7 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
             continue
         seg = Segment(kind=kind, start=pos, length=length,
                       source=payload if kind in ("markov", "periodic") else None,
-                      word=tuple(map(int, payload)) if kind == "literal" else None,
-                      sub_seed=drawn if kind == "markov" else None)   # its draw index for now
-        drawn += 1
+                      word=tuple(map(int, payload)) if kind == "literal" else None)
         if pos:
             # a shift without a gap gets an empty bridge, which connecting_word refuses
             cut = min(s.primitive_gap or 0, horizon - pos)
@@ -175,16 +174,28 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
         layout.append(seg)
         pos += seg.length
     schedule = layout if pos == horizon else layout[:-1]
-    sub_seeds = rng.splitmix64_runs(np.array([seed % 2**64], dtype=np.uint64), [1], [drawn])
-    for seg in layout:
-        if seg.kind == "markov":
-            seg.sub_seed = int(sub_seeds[seg.sub_seed])
+    for seg, sub_seed in zip(layout, sub_seeds(layout, seed)):
+        seg.sub_seed = sub_seed
     words = _regenerate(layout, pool)
     for i, seg in enumerate(layout):
         if seg.kind == "bridge":
             seg.word = connecting_word(s, int(words[i - 1][-1]), int(words[i + 1][0]))[:seg.length]
             words[i] = np.array(seg.word, dtype=SYMBOL_DTYPE)
     return np.concatenate(words[:len(schedule)]), Schedule(segments=schedule)
+
+
+def sub_seeds(segments: Sequence[Segment], seed: int) -> list[Optional[int]]:
+    """The sub-seed of each segment: the i-th segment that is not a bridge
+    draws output i + 1 of the splitmix64 stream of `seed`, and a Markov
+    segment keeps it; the others get None.  A schedule's sub-seeds are thus
+    its kinds and seed, and a certificate need not store them."""
+    drawn = [i for i, seg in enumerate(segments) if seg.kind != "bridge"]
+    outputs = rng.splitmix64_runs(np.array([seed % 2**64], dtype=np.uint64), [1], [len(drawn)])
+    seeds: list[Optional[int]] = [None] * len(segments)
+    for i, output in zip(drawn, outputs.tolist()):
+        if segments[i].kind == "markov":
+            seeds[i] = output
+    return seeds
 
 
 def _regenerate(segments: list[Segment], pool: list[InvariantMeasure]) -> list[np.ndarray]:
@@ -344,6 +355,8 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
     kind = CLASSES[gap_class]
     if n < 1:
         raise ValueError(f"horizon is {n}, not an integer >= 1")
+    if n > MAX_HORIZON:
+        raise ValueError(f"horizon is {n}, above the limit 2^26 = {MAX_HORIZON}")
     if pinned_prefix is not None:
         pinned_prefix = tuple(int(c) for c in pinned_prefix)
         if not is_admissible(pinned_prefix, s):
@@ -673,6 +686,11 @@ def certify(o: OrbitPrefix) -> None:
         raise CertificateMismatch("ambient_entropy", f"{h_top} vs {cert.ambient_entropy}")
 
     _check_rules(cert, fresh_facts)
+    # schemas 1 and 2 stored each sub-seed; schema 3 derives them on reading
+    for seg, sub_seed in zip(o.schedule.segments, sub_seeds(o.schedule.segments, cert.seed)):
+        if seg.sub_seed != sub_seed:
+            raise CertificateMismatch("sub_seed", f"segment at {seg.start} has sub_seed "
+                                                  f"{seg.sub_seed}, not {sub_seed}")
     _check_word(o)
 
 

@@ -228,21 +228,21 @@ def test_c9_cli_determinism(tmp_path, full2, phi_full2):
 #: full 2-shift: horizon 2^20, the acceptance seed, range-1 indicator of 1
 WITNESS_DIGESTS = {
     "W_NOT_QR": ("84219daab7c0a03a94cf8c6728be8d24be80217450438b4fb70bf20b80578cab",
-                 "4883aff0cee008878a437415df3da10d4f10c1edd860ad10cf03ec55cd96de2b"),
+                 "57d0f468951f57040c8ab077d9b1934f3cb3fec523b56d5b76b6e984019f36d3"),
     "V_NOT_W": ("35402fc142c6f5cdf10abba053e890c949ddaa5d6f3290a176a191c5da6937a3",
-                "a42c5bc2d9e2608d460032546b6f475d7357bbf03867b5e1d6f9581d4de75e12"),
+                "57e0161a073bbe8cee649cf89bb9e197315f2d1b262105c3edc9f6623fc0939d"),
     "QW_NOT_V": ("b97c5000ced580da3d968bd2da00e119b2ff017bfb324aa1c6938a94ed59b279",
-                 "de66995544b75be1ad5019aa0716fb8ef98ac2a1079a4e854d61b4d5fa4c7db8"),
+                 "afaa64eab367fcee9674aa7dea2d51155717ecce09d8bc5fd46af8633f3c972f"),
     "I_NOT_QW": ("13e97655dc92ab4608880c550c79d913843faa5a08dd75e87469acf598a7ee5a",
-                 "9215224f9a988b7ac3d1012e808c271906afb3205871dd7d43ea91cc87a04948"),
+                 "3c5400a443d173b31e400d409a1f071c6e61cfe17a2c24d8bcadb8f68e83b283"),
     "QR_NOT_ERG_NOT_A": ("64479e36436adc138a3a04131a2e57f7171b91053dd1339a14c184ba4f8f2718",
-                         "18bbc3c5f3579ec7b8d7d8748f80066fa2b84ceb4f627505ad76d4d9cf95b9bb"),
+                         "75e5097161589f6767ec15343b41b746d1f04c4821d71492a5d750faab654604"),
     "R_FULL_SUPPORT": ("bf1e93d2bed4705ff8cf8dfccb573effa221825e06071e20443337ca7fdf03d4",
-                       "a66469c4fbbd04fe53d98fff40f98dce18d5380d3295000ff4c64e3e362a3469"),
+                       "c176b120f7610553dcb3357f7d94b4ded5b045d23e9102a3eb73aad54ebd6e28"),
     "ALMOST_PERIODIC_NOT_PER": ("9fa42011d7843b28a2ce44fe94c0b52e0550ae65d348973c2a644444ff514c10",
-                                "5b917b63ea9a98dcda37ebf5aa21005b2abb84039e522313c96b4cd33d53a68c"),
+                                "368836796f85f4e23cf73142ec571e8717f66fd72321cf1ea47fa3200c1195ae"),
     "PERIODIC": ("1f1bd8a395b409683bf7bccd3f8aeff7bfe1d24942109a59b18af2a1d22988b2",
-                 "1738f58c5db2a751509781770cf06898e3fb6429e3499025f4069a1052ba806d"),
+                 "9f66850b3bdf5b9072ad7985ea80fd9b52a67fe2db5edabd19810c2b8582ce4d"),
 }
 
 
@@ -263,14 +263,14 @@ def test_witness_bytes_pinned(witnesses, tmp_path):
 #: sha256 of the classify report JSON of each default witness (as above),
 #: scored against its own certificate with the indicator of 1
 REPORT_DIGESTS = {
-    "W_NOT_QR": "6f2e3dbbd99849f87bc646edd1a0c7beadba280b6f1f473755c3a5fa88639242",
-    "V_NOT_W": "2d22dda10551743b311335d14248871fbe443e58abf47af822d3a048529fd9eb",
-    "QW_NOT_V": "8c4e0fbe674e354f4af7e6c1c149330a06884d697c646e3b8ce41899e7f54e59",
-    "I_NOT_QW": "ed3e5417054adcbb9167011ed1386532800c2bc7da6291f55cea1866d78cee32",
-    "QR_NOT_ERG_NOT_A": "697627248fdec262431aa9a5eb7e8cd2dfb699a33146877b46ecff11645e550d",
-    "R_FULL_SUPPORT": "efb28903c82a6e377c282976136e77c74e2ba6274cb491062ad502bfe2b8c016",
-    "ALMOST_PERIODIC_NOT_PER": "4db3b60639148764ec0610bd3a9e9028bbb100695e20b1e168995a07806b772d",
-    "PERIODIC": "cf972883ec5dace4cc29fa5029e0d2adfe1b1c9b9ea3d3ac3e69323f50d87295",
+    "W_NOT_QR": "7a27a2e0985ff1830423f64a25e57ce4bf17f0a6555abe45e787e0a66936ec4c",
+    "V_NOT_W": "effca4e0ac652b015653ec300e1a790700c705c2fe450af6151afcc8cae54f87",
+    "QW_NOT_V": "5b7e0f5a40add8ab481af21d667bfc5d0d85c6a27e2e6d2cacfe98f9b1e68e39",
+    "I_NOT_QW": "4eff97f1ffbba97b23c8d08f237b38192df851b402f0e2a001b0318dbc3a54e8",
+    "QR_NOT_ERG_NOT_A": "409e1dc2d85c861883560576c5e3ecd09db92a7e03e43b86ed746fb609d00a52",
+    "R_FULL_SUPPORT": "1dc55deb9e45082dbac61adfdedf8f2a21d67b3cefd04c00e149ed2c04f68989",
+    "ALMOST_PERIODIC_NOT_PER": "40823fbbfb993fdc30536370f41d2a9de89237f31d43e38134f82c98742d218b",
+    "PERIODIC": "ca7fdb69ede1c5412752b3b214ca48f0032ecc07ea9a04bdaffa1b0731f3a8d3",
 }
 
 
@@ -294,17 +294,17 @@ def test_report_bytes_pinned(witnesses, full2, phi_full2, tmp_path):
 #: range-1 indicator of 0.  The full 3-shift has tied subgraph entropies.
 AMBIENT_WITNESS_DIGESTS = {
     ("full3", "V_NOT_W"): ("9b26857518d01189c4dd42c09d3151ecf233a47ba80657d788d23df450aaed8e",
-                           "3f82bf834c4da450c53b088915b77bcf96fa5d63749f7e7b1e6ebc1b923d4e8b"),
+                           "15343ebac5ff0531b88c48cff8b038d2fe6a73fd1c7967ddb930ecd3e36d3553"),
     ("full3", "QW_NOT_V"): ("b28615713a9bcf7e068b203a46df1a4df2e6b47cfe1c64bc701919a82aba5ad4",
-                            "cd4519aa4710abb9803d70a6940e89dda109a8b8877a6807efd5822300650542"),
+                            "990180f48e1c8bc2515ba5c72ed032b170274156ec41ca53237e2759dede2fa1"),
     ("full3", "I_NOT_QW"): ("e54a3d6c6dcc3fd09db0307744402b3531790d00e47797d1c53a2b5444e2a6dd",
-                            "8d6cd6cd458717e580823e19bd1f9a747d92a0c8fcbc7447c28f2d568b19fa3d"),
+                            "4496c235e938009a22bb4dc4564ef0a00eb61fed1fe4b7f9d1ece47d3507ff7b"),
     ("three_symbol", "V_NOT_W"): ("f4012b6d795a36a453fed6df87fdf302173aec41a38ebe55f759f4e4a5def938",
-                                  "3027973744c80c5e696369b6cb09c90c335b29b0a5d96d0da5aa6a526fecab0f"),
+                                  "0e5fa8da184d4c16dead31580493f829b013544c4847f6772ce1f75b0a96887c"),
     ("three_symbol", "QW_NOT_V"): ("2f3e6e42860f593c9f26ac21222ed82040b817ee8768ce7c855afcbde574db43",
-                                   "dc916d625a18ad57f8d0eb12b26721c1db3bd6f81d37fe0f22c3cbc114740b0d"),
+                                   "03eab75d00615e72581d3825d44d638916f911361057512821a0504eaf335de4"),
     ("three_symbol", "I_NOT_QW"): ("96e0cc13fbecf4989203018c73a7cd99872a20001c37fcba0973d367ca9b01e3",
-                                   "790dd6b319e95bd398c00a71bf782e8b895d7b7aa1005dbd9c0ea9ba1cb0783c"),
+                                   "71aa987b046728af4d6952fc72dfc14e1bc9a801cde8522adf142b2abb8b6e62"),
 }
 
 
@@ -334,13 +334,13 @@ def test_ambient_witness_bytes_pinned(full3, tmp_path):
 #: golden-section values they replaced; a and psi are byte-identical)
 SPECTRUM_DIGESTS = {
     ("golden", (1,)): ("424d93c24ca83e0e4c8833271431dd3f08eb673b39a6296a8bf128dd15ea458e",
-                       "e51bce4794b5aa1577e3686e802f9f21b33ea60efe71f20e36ae8566b445c482"),
+                       "0432fa3796a45ef52c46bdde05d23e7e3d7eaf9f546061f856d3371f374f6968"),
     ("full2", (1,)): ("f2c0b02cdad6d4fc069a71691f8bd5c65c05f6d0fc1cce5a7a89549ebcc29dc4",
-                      "d40a6c972685cc22ce6942907684605c3c90b3e7461eea842735a10dd51ccf4d"),
+                      "e1d29ebb442fb20cf0bf63f7b22dfc2b9ce4f49cc0743a83a39851b146c9030c"),
     ("full2", (1, 1, 1, 1, 1)): ("09f915109c7bc4cf00c32b3ec93f4e3a919b2e033aa67ecddd3f5c201012b4be",
-                                 "c8c7a364938b773c2d46cd6cb6666e5f429cd1c49b7903ee5f68e7db1ee64eec"),
+                                 "a4c4d11906379d4a9d57c03966b1835fea04cc8bac2018e7f72b6c72abdf7b1f"),
     ("full3", "quarters"): ("eac4b25ba4c8471cd6eb1818d92cc6813127b3d93deb45a6db6e6b7bef6dd84d",
-                            "91a17f7eac26030643c352e491f915404e24f2121ceb9e246c9275690a0f6830"),
+                            "2c726729683a2d42717eff726a12cee427581579ed85e84ec15e6287429f76f1"),
 }
 
 #: named non-indicator potentials of SPECTRUM_DIGESTS

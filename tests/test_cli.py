@@ -1,11 +1,14 @@
 import argparse
 import ast
+import dataclasses
+import itertools
 import json
 import math
 import shutil
 import subprocess
 import symtable
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -19,7 +22,7 @@ from shiftlab.classify import CHECKS
 from shiftlab.cli import build_parser, main
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import full_shift, golden_mean_shift, sft_from_matrix
-from shiftlab.synthesis import CLASSES, GapClass, synthesize_witness
+from shiftlab.synthesis import CLASSES, Certificate, GapClass, synthesize_witness
 
 from conftest import EVERY_CHECK
 
@@ -85,8 +88,38 @@ def w_not_qr_orbit(tmp_path_factory):
     return out
 
 
+V1_ORBITS = Path(__file__).parent / "data" / "v1"
+V2_ORBITS = Path(__file__).parent / "data" / "v2"
+
+
+@pytest.fixture(scope="module")
+def v2_orbit():
+    """The V_NOT_W orbit of v_not_w_orbit's inputs as schema 2 wrote it: one
+    object per segment, with its start and sub_seed."""
+    return V2_ORBITS / "v_not_w"
+
+
 def _first(doc: dict, kind: str) -> dict:
+    """The first segment object of a kind in a schema 2 schedule."""
     return next(seg for seg in doc["schedule"] if seg["kind"] == kind)
+
+
+def _segments(doc: dict) -> list[dict]:
+    """The segments of a schema 3 schedule's columns, each with its kind
+    letter, start, length and source: a start is the sum of the lengths
+    before it."""
+    columns = doc["schedule"]
+    sources = iter(columns["sources"])
+    starts = itertools.accumulate(columns["lengths"], initial=0)
+    return [{"kind": kind, "start": start, "length": length,
+             "source": next(sources) if kind in "mp" else None}
+            for kind, start, length in zip(columns["kinds"], starts, columns["lengths"])]
+
+
+def _index(doc: dict, column: str, kind: str) -> int:
+    """The index in a schema 3 sources or words column of the first segment of a kind."""
+    takes = "mp" if column == "sources" else "lb"
+    return [k for k in doc["schedule"]["kinds"] if k in takes].index(kind)
 
 
 def _check(doc: dict, kind: str) -> dict:
@@ -110,6 +143,11 @@ class _On:
     """A mutation of the named orbit fixture instead of the V_NOT_W one."""
     orbit: str
     mutate: Callable
+
+
+def _v2(mutate: Callable) -> _On:
+    """A mutation of the schema 2 orbit's segment objects."""
+    return _On("v2_orbit", mutate)
 
 
 def _without_potential(doc: dict) -> None:
@@ -144,28 +182,40 @@ def _mutated_copy(orbit, tmp_path, mutate):
 MALFORMED_CERTIFICATES = {
     "no_schedule": lambda d: d.pop("schedule"),
     "no_pool": lambda d: d.pop("pool"),
-    "unknown_kind": lambda d: _first(d, "markov").update(kind="bogus"),
-    "markov_source_null": lambda d: _first(d, "markov").update(source=None),
-    "markov_source_text": lambda d: _first(d, "markov").update(source="0"),
-    "markov_source_outside_pool": lambda d: _first(d, "markov").update(source=99),
-    "markov_sub_seed_null": lambda d: _first(d, "markov").update(sub_seed=None),
-    "markov_sub_seed_float": lambda d: _first(d, "markov").update(sub_seed=2.5),
-    "literal_word_null": lambda d: _first(d, "literal").update(word=None),
-    "bridge_word_null": lambda d: _first(d, "bridge").update(word=None),
-    "periodic_source_null": lambda d: _first(d, "periodic").update(source=None),
-    "periodic_source_outside_pool": lambda d: _first(d, "periodic").update(source=4),
-    "periodic_source_markov": lambda d: _first(d, "periodic").update(source=1),
-    "markov_source_periodic": lambda d: _first(d, "markov").update(source=3),
-    "literal_word_short": lambda d: _first(d, "literal").update(word=[0]),
-    "bridge_word_symbol_outside_alphabet": lambda d: _first(d, "bridge").update(word=[2]),
-    "markov_length_10_to_12_past_flipped_symbol": lambda d: _Files(
-        (_first(d, "markov").update(length=10 ** 12), d)[1], flip=3000),
-    "segment_length_0": lambda d: _first(d, "markov").update(length=0),
-    "segment_start_text": lambda d: _first(d, "periodic").update(start="0"),
-    "segment_overlaps_previous": lambda d: _first(d, "periodic").update(
-        start=_first(d, "periodic")["start"] - 1),
-    "schedule_short_of_horizon": lambda d: d["schedule"].pop(),
-    "schedule_entry_not_object": lambda d: d["schedule"].__setitem__(1, 5),
+    "unknown_kind": _v2(lambda d: _first(d, "markov").update(kind="bogus")),
+    "markov_source_null": _v2(lambda d: _first(d, "markov").update(source=None)),
+    "markov_source_text": _v2(lambda d: _first(d, "markov").update(source="0")),
+    "markov_source_outside_pool": _v2(lambda d: _first(d, "markov").update(source=99)),
+    "markov_sub_seed_null": _v2(lambda d: _first(d, "markov").update(sub_seed=None)),
+    "markov_sub_seed_float": _v2(lambda d: _first(d, "markov").update(sub_seed=2.5)),
+    "literal_word_null": _v2(lambda d: _first(d, "literal").update(word=None)),
+    "bridge_word_null": _v2(lambda d: _first(d, "bridge").update(word=None)),
+    "periodic_source_null": _v2(lambda d: _first(d, "periodic").update(source=None)),
+    "periodic_source_outside_pool": _v2(lambda d: _first(d, "periodic").update(source=4)),
+    "periodic_source_markov": _v2(lambda d: _first(d, "periodic").update(source=1)),
+    "markov_source_periodic": _v2(lambda d: _first(d, "markov").update(source=3)),
+    "literal_word_short": _v2(lambda d: _first(d, "literal").update(word=[0])),
+    "bridge_word_symbol_outside_alphabet": _v2(lambda d: _first(d, "bridge").update(word=[2])),
+    "markov_length_10_to_12_past_flipped_symbol": _v2(lambda d: _Files(
+        (_first(d, "markov").update(length=10 ** 12), d)[1], flip=3000)),
+    "segment_length_0": _v2(lambda d: _first(d, "markov").update(length=0)),
+    "segment_start_text": _v2(lambda d: _first(d, "periodic").update(start="0")),
+    "segment_overlaps_previous": _v2(lambda d: _first(d, "periodic").update(
+        start=_first(d, "periodic")["start"] - 1)),
+    "schedule_short_of_horizon": _v2(lambda d: d["schedule"].pop()),
+    "schedule_entry_not_object": _v2(lambda d: d["schedule"].__setitem__(1, 5)),
+    "columns_kinds_longer_than_lengths": lambda d: d["schedule"]["lengths"].pop(),
+    "kinds_letter_unknown": lambda d: d["schedule"].update(kinds="x" + d["schedule"]["kinds"][1:]),
+    "sources_markov_names_periodic":
+        lambda d: d["schedule"]["sources"].__setitem__(_index(d, "sources", "m"), 3),
+    "words_too_few": lambda d: d["schedule"]["words"].pop(),
+    "words_too_many": lambda d: d["schedule"]["words"].append([0]),
+    "words_bridge_too_long":
+        lambda d: d["schedule"]["words"].__setitem__(_index(d, "words", "b"), [0, 0]),
+    "lengths_0": lambda d: d["schedule"]["lengths"].__setitem__(2, 0),
+    "lengths_short_of_horizon": lambda d: d["schedule"]["lengths"].__setitem__(
+        -1, d["schedule"]["lengths"][-1] - 1),
+    "schedule_list_in_schema_3": lambda d: d.update(schedule=_segments(d)),
     "certificate_not_object": lambda d: _Files([d]),
     "exact_facts_short": lambda d: d["exact_facts"].pop(),
     "extremes_outside_pool": lambda d: d.update(extremes=[0, 99]),
@@ -267,6 +317,15 @@ MALFORMED_CERTIFICATE_ERRORS = {
     "self_lower_max_unknown_parameter": "self_lower_max check takes no 'bogus' parameter",
     "periodic_trace_check": "trace_oscillation check reads a Birkhoff trace, but there is "
                             "no potential",
+    "columns_kinds_longer_than_lengths": "schedule has 87 kinds and 86 lengths",
+    "kinds_letter_unknown": "schedule kinds is 'xbmbm",
+    "sources_markov_names_periodic": "schedule sources[0] is 3, not the index of a Markov measure",
+    "words_too_few": "schedule has 43 words for 44 segments that take one",
+    "words_too_many": "schedule has 45 words for 44 segments that take one",
+    "words_bridge_too_long": "schedule words[1] has 2 symbols, not its segment's 1",
+    "lengths_0": "schedule lengths is [6, 1, 0, 1",
+    "lengths_short_of_horizon": "schedule lengths sum to 4095, not to the horizon 4096",
+    "schedule_list_in_schema_3": "certificate schedule is [{",
 }
 
 
@@ -669,10 +728,9 @@ class TestPipeline:
         """Two corrupted Markov segments of one source: verify names the earlier."""
         orbit = tmp_path / "orbit"
         shutil.copytree(v_not_w_orbit, orbit)
-        doc = json.loads((orbit / "certificate.json").read_text())
-        source = _first(doc, "markov")["source"]
-        same = [seg for seg in doc["schedule"]
-                if seg["kind"] == "markov" and seg["source"] == source]
+        segments = _segments(json.loads((orbit / "certificate.json").read_text()))
+        source = next(seg["source"] for seg in segments if seg["kind"] == "m")
+        same = [seg for seg in segments if seg["kind"] == "m" and seg["source"] == source]
         earlier, later = same[1], same[-1]
         for seg in (later, earlier):
             _flip(orbit, seg["start"] + seg["length"] // 2)
@@ -687,16 +745,16 @@ class TestPipeline:
         earlier segment is."""
         orbit = tmp_path / "orbit"
         shutil.copytree(v_not_w_orbit, orbit)
-        doc = json.loads((orbit / "certificate.json").read_text())
-        cut_seg = max((seg for seg in doc["schedule"] if seg["kind"] == "markov"),
-                      key=lambda seg: seg["length"])
+        segments = _segments(json.loads((orbit / "certificate.json").read_text()))
+        markov = [seg for seg in segments if seg["kind"] == "m"]
+        cut_seg = max(markov, key=lambda seg: seg["length"])
         cut = cut_seg["start"] + cut_seg["length"] // 2
         _flip(orbit, cut - 1)
         chars = "".join((orbit / "stream.txt").read_text().split())[:cut]
         (orbit / "stream.txt").write_text(
             "\n".join(chars[i:i + 120] for i in range(0, len(chars), 120)) + "\n")
         assert main(["verify", "--orbit", str(orbit)]) == 5
-        earlier = _first(doc, "markov")
+        earlier = markov[0]
         _flip(orbit, earlier["start"])
         assert main(["verify", "--orbit", str(orbit)]) == 4
         assert f"segment at {earlier['start']} does not match" in capsys.readouterr().err
@@ -779,6 +837,18 @@ class TestPipeline:
                              "--horizon", str(horizon), "--seed", "1", "--out", str(out)]) == 2
                 assert f"horizon is {horizon}, not an integer >= 1" in capsys.readouterr().err
                 assert not out.exists()
+
+    def test_horizon_past_the_limit_exit2(self, files, tmp_path, capsys):
+        """A horizon above 2^26 is refused at once, naming the limit, before
+        anything is written (10^9 used to end in a MemoryError)."""
+        out = tmp_path / "orbit"
+        start = time.perf_counter()
+        assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", "V_NOT_W",
+                     "--potential", str(files / "phi.json"), "--horizon", str((1 << 26) + 1),
+                     "--seed", "1", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 5
+        assert "horizon is 67108865, above the limit 2^26 = 67108864" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_short_orbit_exit2(self, files, tmp_path):
         """A stream with fewer than 16 evidence times past the longest ladder
@@ -872,9 +942,6 @@ class TestParserReuse:
         assert len(built) == first
 
 
-V1_ORBITS = Path(__file__).parent / "data" / "v1"
-
-
 class TestSchemaV1:
     """Orbit directories written with shiftlab/certificate/1 still verify."""
 
@@ -891,6 +958,43 @@ class TestSchemaV1:
                                seed=1)
         assert (again.word == o.word).all()
         assert io.certificate_to_doc(again) == io.certificate_to_doc(o)
+
+
+class TestSchemaV2:
+    """Orbit directories written with shiftlab/certificate/2, one object per
+    segment with its start and sub_seed, read as the orbit the same inputs
+    give now."""
+
+    @pytest.mark.parametrize("name", ["v_not_w", "almost_periodic_not_per"])
+    def test_v2_orbit_verifies(self, capsys, name):
+        assert main(["verify", "--orbit", str(V2_ORBITS / name)]) == 0
+        assert capsys.readouterr().out.endswith("verified\n")
+
+    @pytest.mark.parametrize("name", ["v_not_w", "almost_periodic_not_per"])
+    def test_v2_reads_as_the_fresh_orbit(self, full2, tmp_path, name):
+        """Same stream bytes, every Segment field (the starts and sub-seeds
+        the v2 file stored, derived now) and every Certificate field."""
+        again = io.read_orbit_dir(V2_ORBITS / name)
+        o = synthesize_witness(full2, GapClass(name.upper()), indicator_potential(full2, (1,)),
+                               4096, seed=1)
+        io.write_orbit_dir(o, tmp_path)
+        stream = (V2_ORBITS / name / "stream.txt").read_bytes()
+        assert (tmp_path / "stream.txt").read_bytes() == stream
+        assert [dataclasses.astuple(seg) for seg in again.schedule.segments] == \
+            [dataclasses.astuple(seg) for seg in o.schedule.segments]
+        for field in dataclasses.fields(Certificate):
+            read, fresh = (getattr(x.certificate, field.name) for x in (again, o))
+            if field.name == "pool":   # a Markov measure holds arrays, so compare documents
+                read, fresh = ([io.measure_to_doc(m) for m in pool] for pool in (read, fresh))
+            assert read == fresh, field.name
+
+    def test_sub_seed_not_derived_exit4(self, v2_orbit, tmp_path, capsys):
+        """A stored Markov sub_seed that is not the one the seed's stream
+        gives is refused, though it is well formed."""
+        orbit = _mutated_copy(v2_orbit, tmp_path, lambda d: _first(d, "markov").update(
+            sub_seed=_first(d, "markov")["sub_seed"] ^ 1))
+        assert main(["verify", "--orbit", str(orbit)]) == 4
+        assert "certificate fact failed: sub_seed (segment at 7 " in capsys.readouterr().err
 
 
 class TestRawDigitsFlag:
@@ -990,15 +1094,15 @@ _json_docs = st.recursive(
 class TestJsonWriter:
     @given(doc=_json_docs)
     @settings(max_examples=300, deadline=None)
-    def test_same_text_as_indented_dumps(self, tmp_path_factory, doc):
+    def test_same_text_as_dumps(self, tmp_path_factory, doc):
         path = tmp_path_factory.getbasetemp() / "hypothesis_doc.json"
         io.write_json(path, doc)
-        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("ascii")
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode("ascii")
 
     def test_write_json_file(self, tmp_path):
         doc = {"a": [1, 2.5, None], 3: {"b": ()}, None: [[], {}], "c": [{"d": [True]}]}
         io.write_json(tmp_path / "doc.json", doc)
-        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+        assert (tmp_path / "doc.json").read_text() == json.dumps(doc) + "\n"
 
     def test_unsupported_key_raises_like_dumps(self, tmp_path):
         with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
@@ -1135,7 +1239,8 @@ def _exits_documented_code(orbit) -> None:
 class TestMutatedOrbits:
     """Any edit to a certificate document ends in a documented exit code."""
 
-    @pytest.mark.parametrize("base", ["v_not_w_orbit", "thue_morse_orbit", "qw_not_v_orbit"])
+    @pytest.mark.parametrize("base", ["v_not_w_orbit", "thue_morse_orbit", "qw_not_v_orbit",
+                                      "v2_orbit"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_edited_orbit_exits_documented_code(self, request, tmp_path_factory, base, data):
