@@ -13,7 +13,6 @@ import argparse
 import functools
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import io
@@ -33,17 +32,10 @@ EXIT_VERDICT = 5
 LOG_BASE_NOTE = "# log base: natural (nats)"
 
 
-def _timestamps(args) -> dict | None:
-    if getattr(args, "timestamps", False):
-        now = datetime.now(timezone.utc).isoformat()
-        return {"completed": now}
-    return None
-
-
 def _maybe_manifest(args, command: str, inputs: dict, outputs: list[str]) -> None:
     path = getattr(args, "manifest", None)
     if path:
-        io.write_json(path, io.manifest_doc(command, inputs, outputs, _timestamps(args)))
+        io.write_json(path, io.manifest_doc(command, inputs, outputs))
 
 
 def cmd_entropy(args) -> int:
@@ -114,6 +106,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_synthesize(args) -> int:
     s = io.shift_from_doc(io.read_json(args.shift))
+    if s.k > io.STREAM_ALPHABET:
+        raise ValueError(f"the stream format holds one digit per symbol (alphabet <= "
+                         f"{io.STREAM_ALPHABET}); this shift has {s.k} symbols")
     phi = None
     if args.potential:
         phi = io.potential_from_doc(io.read_json(args.potential), s)
@@ -126,8 +121,7 @@ def cmd_synthesize(args) -> int:
         "synthesize",
         {"shift": args.shift, "potential": args.potential, "class": args.gap_class,
          "horizon": args.horizon, "seed": args.seed, "prefix": args.prefix,
-         "cycle": args.cycle},
-        outputs, _timestamps(args))
+         "cycle": args.cycle}, outputs)
     io.write_json(Path(args.out) / "manifest.json", manifest)
     print(f"wrote {args.out}: {', '.join(outputs + ['manifest.json'])}")
     print(f"class = {o.certificate.gap_class.value}  "
@@ -153,8 +147,8 @@ def _print_verdicts(verdicts: list[dict]) -> None:
 
 
 def cmd_verify(args) -> int:
-    o = io.read_orbit_dir(args.orbit)
     try:
+        o = io.read_orbit_dir(args.orbit)   # a schema 1 or 2 sub_seed is checked on reading
         certify(o)
     except CertificateMismatch as e:
         print(f"certificate mismatch: {e}", file=sys.stderr)
@@ -186,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["spectral", "words", "periodic"])
     p.add_argument("--n", type=int, help="word length for counting estimates")
     p.add_argument("--manifest")
-    p.add_argument("--timestamps", action="store_true")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("spectrum", help="constrained-entropy curve over Birkhoff averages")
@@ -195,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=33)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--manifest")
-    p.add_argument("--timestamps", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("synthesize", help="build a witness orbit for a gap class")
@@ -208,14 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", help="pinned prefix as a digit string")
     p.add_argument("--cycle", help="cycle digits (PERIODIC class only)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--timestamps", action="store_true")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("classify", help="recurrence/regularity evidence for an orbit dir")
     p.add_argument("--orbit", required=True)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--manifest")
-    p.add_argument("--timestamps", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="certificate arithmetic + statistical verdicts")

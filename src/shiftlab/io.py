@@ -1,8 +1,8 @@
 """Versioned JSON schemas and file formats.
 
 Every document carries a "schema" field.  Writes are atomic (temp file +
-rename) and deterministic: no timestamps unless explicitly requested, keys
-emitted in construction order.
+rename) and deterministic: no timestamps, keys emitted in construction
+order.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import sys
 import tempfile
 from collections import namedtuple
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import SchemaError, UnreadableInput
+from .errors import CertificateMismatch, SchemaError, UnreadableInput
 from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
                        markov_measure, mixture, periodic_measure, validate_potential)
 from .shifts import SYMBOL_DTYPE, ShiftSpace, sft_from_matrix
@@ -42,6 +42,8 @@ MANIFEST_SCHEMA = "shiftlab/manifest/1"
 POTENTIAL_BOUND = 1e6
 
 STREAM_LINE_WIDTH = 120
+#: the stream format holds one ASCII digit per symbol
+STREAM_ALPHABET = 10
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
@@ -281,8 +283,9 @@ def stream_to_text(word) -> str:
     line ending in a newline; the empty stream is a single newline."""
     symbols = np.asarray(word)
     n = symbols.size
-    if n and (symbols.min() < 0 or symbols.max() > 9):
-        raise ValueError("stream format holds one ASCII digit per symbol (alphabet <= 10)")
+    if n and (symbols.min() < 0 or symbols.max() >= STREAM_ALPHABET):
+        raise ValueError(f"stream format holds one ASCII digit per symbol "
+                         f"(alphabet <= {STREAM_ALPHABET})")
     width = STREAM_LINE_WIDTH
     rows = max(1, -(-n // width))
     grid = np.full((rows, width + 1), ord("\n"), dtype=np.uint8)
@@ -316,11 +319,12 @@ def _schedule_to_doc(segments: list[Segment]) -> dict:
             "words": [list(seg.word) for seg in segments if seg.word is not None]}
 
 
-def _columns(entries: list) -> tuple[dict, list[Optional[int]]]:
+def _columns(entries: list, seed: int) -> dict:
     """The columns of a schema 1 or 2 schedule, whose entries are typed by
-    SEGMENT_FIELDS and each start where the last ends, and the sub_seed each
-    stored (None but for markov segments)."""
-    kinds, lengths, sources, words, stored = [], [], [], [], []
+    SEGMENT_FIELDS, each start where the last ends, and each markov segment
+    stored the sub_seed synthesis.sub_seeds derives from the kinds and
+    `seed` (CertificateMismatch if not)."""
+    kinds, lengths, sources, words = [], [], [], []
     end = 0
     for doc in entries:
         kind = validate(doc, SEGMENT_KIND, "schedule entry")["kind"]
@@ -335,15 +339,18 @@ def _columns(entries: list) -> tuple[dict, list[Optional[int]]]:
             sources.append(doc["source"])
         if kinds[-1] in WORDED:
             words.append(doc["word"])
-        stored.append(doc["sub_seed"] if kind == "markov" else None)
-    return {"kinds": "".join(kinds), "lengths": lengths, "sources": sources, "words": words}, stored
+    for doc, sub_seed in zip(entries, sub_seeds([KINDS[letter] for letter in kinds], seed)):
+        if sub_seed is not None and doc["sub_seed"] != sub_seed:
+            raise CertificateMismatch("sub_seed", f"segment at {doc['start']} has sub_seed "
+                                                  f"{doc['sub_seed']}, not {sub_seed}")
+    return {"kinds": "".join(kinds), "lengths": lengths, "sources": sources, "words": words}
 
 
 def _segments(columns: dict, context: Context, horizon: int) -> list[Segment]:
-    """The segments of a schedule's columns, sub-seeds not set.  Beyond each
-    column's type: kinds and lengths align, each sourced segment names a pool
-    measure of its kind, each worded one has a word of its length, and the
-    lengths sum to the horizon; the starts are their prefix sums."""
+    """The segments of a schedule's columns.  Beyond each column's type:
+    kinds and lengths align, each sourced segment names a pool measure of its
+    kind, each worded one has a word of its length, and the lengths sum to
+    the horizon; the starts are their prefix sums."""
     validate(columns, SCHEDULE_FIELDS, "schedule", context)
     kinds, lengths, sources, words = (columns[field] for field in SCHEDULE_FIELDS)
     if len(lengths) != len(kinds):
@@ -398,9 +405,8 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
     field's type: exact_facts has one entry per pool measure, the structure,
     extremes, chain_links and potential fit the gap class's CLASSES entry, the
     stream holds digits below k, and the schedule's columns fit (_segments).
-    A schema 1 or 2 schedule is read into columns first (_columns) and keeps
-    its stored sub-seeds, which certify compares with the derived ones; a
-    schema 3 schedule gets the derived ones (synthesis.sub_seeds)."""
+    A schema 1 or 2 schedule is read into columns first (_columns), which
+    compares its stored sub-seeds with the derived ones."""
     schema = validate(cert_doc, {"schema": CERTIFICATE_FIELDS["schema"]}, "certificate")["schema"]
     s = shift_from_doc(cert_doc.get("shift"))   # its alphabet types the other fields' symbols
     fields = CERTIFICATE_FIELDS if schema == CERTIFICATE_SCHEMA else {**CERTIFICATE_FIELDS,
@@ -433,17 +439,14 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
         horizon=cert_doc["horizon"], seed=cert_doc["seed"], phi=phi,
         ambient_entropy=float(cert_doc["ambient_entropy"]))
     word = stream_from_text(stream_text)
-    bad = np.flatnonzero(word >= min(s.k, 10))   # a character below '0' wraps past 10
+    digits = min(s.k, STREAM_ALPHABET)
+    bad = np.flatnonzero(word >= digits)   # a character below '0' wraps past 10
     if bad.size:
         char = chr((int(word[bad[0]]) + ord("0")) % 256)
-        raise SchemaError(f"stream symbol {bad[0]} is {char!r}, not a digit below {min(s.k, 10)}")
-    if schema == CERTIFICATE_SCHEMA:
-        columns, stored = cert_doc["schedule"], None
-    else:
-        columns, stored = _columns(cert_doc["schedule"])
+        raise SchemaError(f"stream symbol {bad[0]} is {char!r}, not a digit below {digits}")
+    columns = (cert_doc["schedule"] if schema == CERTIFICATE_SCHEMA
+               else _columns(cert_doc["schedule"], cert.seed))
     segments = _segments(columns, Context(k=s.k, pool=pool), cert.horizon)
-    for seg, sub_seed in zip(segments, stored or sub_seeds(segments, cert.seed)):
-        seg.sub_seed = sub_seed
     return OrbitPrefix(word=word, schedule=Schedule(segments=segments), certificate=cert, shift=s)
 
 
@@ -485,8 +488,7 @@ def report_to_doc(report) -> dict:
     }
 
 
-def manifest_doc(command: str, inputs: dict, outputs: Sequence[str],
-                 timestamps: Optional[dict] = None) -> dict:
+def manifest_doc(command: str, inputs: dict, outputs: Sequence[str]) -> dict:
     from . import __version__
 
     return {
@@ -496,5 +498,5 @@ def manifest_doc(command: str, inputs: dict, outputs: Sequence[str],
         "library_version": __version__,
         "log_base": "natural (nats)",
         "outputs": list(outputs),
-        "timestamps": timestamps,
+        "timestamps": None,
     }

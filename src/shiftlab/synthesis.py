@@ -82,7 +82,6 @@ class Segment:
     length: int
     source: Optional[int] = None  # index into the certificate's measure pool
     word: Optional[Word] = None   # literal/bridge content
-    sub_seed: Optional[int] = None
 
 
 @dataclass
@@ -142,10 +141,10 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
     A short plan is topped up by repeating its final request; an overlong
     one is truncated at the horizon.  A bridge has the M = primitive_gap
     symbols of connecting_word, so the segments are laid out before any
-    symbol is drawn and given their sub-seeds (sub_seeds).  Then each pool
-    source's Markov segments are sampled in one call (_regenerate), and each
-    bridge joins the symbols either side; a request cut off by a final
-    bridge still draws that bridge's right end.
+    symbol is drawn.  Then each pool source's Markov segments are sampled in
+    one call (_regenerate, with the layout's sub_seeds), and each bridge
+    joins the symbols either side; a request cut off by a final bridge
+    still draws that bridge's right end.
     """
     layout: list[Segment] = []
     pos = 0
@@ -155,12 +154,8 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
             kind, payload, _ = requests[-1]
             queue.append((kind, payload, horizon - pos))
         kind, payload, length = queue.pop(0)
-        length = min(length, horizon - pos)
         if length <= 0:
             continue
-        seg = Segment(kind=kind, start=pos, length=length,
-                      source=payload if kind in ("markov", "periodic") else None,
-                      word=tuple(map(int, payload)) if kind == "literal" else None)
         if pos:
             # a shift without a gap gets an empty bridge, which connecting_word refuses
             cut = min(s.primitive_gap or 0, horizon - pos)
@@ -168,15 +163,13 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
             pos += cut
         # a request the final bridge cuts off keeps the one symbol that bridge
         # ends in; it is drawn but left out of the schedule
-        seg.start, seg.length = pos, max(1, min(length, horizon - pos))
-        if seg.word is not None:
-            seg.word = seg.word[:seg.length]
-        layout.append(seg)
-        pos += seg.length
+        length = max(1, min(length, horizon - pos))
+        literal = tuple(map(int, payload[:length])) if kind == "literal" else None
+        layout.append(Segment(kind=kind, start=pos, length=length, word=literal,
+                              source=payload if kind in ("markov", "periodic") else None))
+        pos += length
     schedule = layout if pos == horizon else layout[:-1]
-    for seg, sub_seed in zip(layout, sub_seeds(layout, seed)):
-        seg.sub_seed = sub_seed
-    words = _regenerate(layout, pool)
+    words = _regenerate(layout, pool, sub_seeds([seg.kind for seg in layout], seed))
     for i, seg in enumerate(layout):
         if seg.kind == "bridge":
             seg.word = connecting_word(s, int(words[i - 1][-1]), int(words[i + 1][0]))[:seg.length]
@@ -184,26 +177,29 @@ def _render(s: ShiftSpace, requests: list[tuple[str, object, int]], pool: list[I
     return np.concatenate(words[:len(schedule)]), Schedule(segments=schedule)
 
 
-def sub_seeds(segments: Sequence[Segment], seed: int) -> list[Optional[int]]:
-    """The sub-seed of each segment: the i-th segment that is not a bridge
-    draws output i + 1 of the splitmix64 stream of `seed`, and a Markov
-    segment keeps it; the others get None.  A schedule's sub-seeds are thus
-    its kinds and seed, and a certificate need not store them."""
-    drawn = [i for i, seg in enumerate(segments) if seg.kind != "bridge"]
+def sub_seeds(kinds: Sequence[str], seed: int) -> list[Optional[int]]:
+    """The sub-seed of each segment of a schedule with these kinds: the i-th
+    segment that is not a bridge draws output i + 1 of the splitmix64 stream
+    of `seed`, and a Markov segment keeps it; the others get None.  A
+    schedule's sub-seeds are thus its kinds and seed, and neither a
+    certificate nor a Segment stores them."""
+    drawn = [i for i, kind in enumerate(kinds) if kind != "bridge"]
     outputs = rng.splitmix64_runs(np.array([seed % 2**64], dtype=np.uint64), [1], [len(drawn)])
-    seeds: list[Optional[int]] = [None] * len(segments)
+    seeds: list[Optional[int]] = [None] * len(kinds)
     for i, output in zip(drawn, outputs.tolist()):
-        if segments[i].kind == "markov":
+        if kinds[i] == "markov":
             seeds[i] = output
     return seeds
 
 
-def _regenerate(segments: list[Segment], pool: list[InvariantMeasure]) -> list[np.ndarray]:
+def _regenerate(segments: list[Segment], pool: list[InvariantMeasure],
+                seeds: Sequence[Optional[int]]) -> list[np.ndarray]:
     """The symbols each segment stands for, as SYMBOL_DTYPE arrays: its own
     word (literal, bridge), the Thue-Morse prefix of its length, or a word
     typical for the pool measure it names: its cycle repeated from the first
-    symbol (periodic), or a walk (markov).  All Markov segments of one pool
-    source are sampled by one sample_typical_words call."""
+    symbol (periodic), or a walk (markov) from its sub-seed in `seeds`.  All
+    Markov segments of one pool source are sampled by one
+    sample_typical_words call."""
     words: list = [None] * len(segments)
     by_source: dict[int, list[int]] = {}
     for i, seg in enumerate(segments):
@@ -218,7 +214,7 @@ def _regenerate(segments: list[Segment], pool: list[InvariantMeasure]) -> list[n
             words[i] = np.array(seg.word, dtype=SYMBOL_DTYPE)
     for source, idx in by_source.items():
         lengths = [segments[i].length for i in idx]
-        drawn = sample_typical_words(pool[source], lengths, [segments[i].sub_seed for i in idx])
+        drawn = sample_typical_words(pool[source], lengths, [seeds[i] for i in idx])
         for i, word in zip(idx, np.split(drawn, np.cumsum(lengths)[:-1])):
             words[i] = word
     return words
@@ -686,11 +682,6 @@ def certify(o: OrbitPrefix) -> None:
         raise CertificateMismatch("ambient_entropy", f"{h_top} vs {cert.ambient_entropy}")
 
     _check_rules(cert, fresh_facts)
-    # schemas 1 and 2 stored each sub-seed; schema 3 derives them on reading
-    for seg, sub_seed in zip(o.schedule.segments, sub_seeds(o.schedule.segments, cert.seed)):
-        if seg.sub_seed != sub_seed:
-            raise CertificateMismatch("sub_seed", f"segment at {seg.start} has sub_seed "
-                                                  f"{seg.sub_seed}, not {sub_seed}")
     _check_word(o)
 
 
@@ -710,8 +701,9 @@ def _check_word(o: OrbitPrefix) -> None:
     verdict), not a certificate-arithmetic one.  Each segment wholly in the
     stream is checked in place, with no copy of the stream: a pool source's
     Markov segments step by step against the stream's own symbols
-    (walk_mismatch), the other kinds against their regenerated symbols
-    (_regenerate).  The segment holding the first differing symbol is named.
+    (walk_mismatch, from their sub_seeds), the other kinds against their
+    regenerated symbols (_regenerate).  The segment holding the first
+    differing symbol is named.
     """
     cert = o.certificate
     s = o.shift
@@ -730,21 +722,21 @@ def _check_word(o: OrbitPrefix) -> None:
     present = list(takewhile(lambda seg: seg.start + seg.length <= len(word),
                              o.schedule.segments))
     first = len(word)
-    by_source: dict[int, list[Segment]] = {}
+    by_source: dict[int, list[tuple[int, int, int]]] = {}
     others = []
-    for seg in present:
+    for seg, sub_seed in zip(present, sub_seeds([seg.kind for seg in present], cert.seed)):
         if seg.kind == "markov":
-            by_source.setdefault(seg.source, []).append(seg)
+            by_source.setdefault(seg.source, []).append((seg.start, seg.length, sub_seed))
         else:
             others.append(seg)
-    for seg, expected in zip(others, _regenerate(others, cert.pool)):
+    # none of the others is Markov, so none reads a sub-seed
+    for seg, expected in zip(others, _regenerate(others, cert.pool, [None] * len(others))):
         miss = word[seg.start:seg.start + seg.length] != expected
         if miss.any():
             first = seg.start + int(miss.argmax())
             break
-    for source, segs in by_source.items():
-        at = walk_mismatch(cert.pool[source], word, [seg.start for seg in segs],
-                           [seg.length for seg in segs], [seg.sub_seed for seg in segs])
+    for source, spans in by_source.items():
+        at = walk_mismatch(cert.pool[source], word, *zip(*spans))   # starts, lengths, sub-seeds
         if at >= 0:
             first = min(first, at)
     if first < len(word):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import io
+from shiftlab import cli, io, shifts, synthesis
 from shiftlab.classify import CHECKS
 from shiftlab.cli import build_parser, main
 from shiftlab.measures import indicator_potential
@@ -632,18 +632,24 @@ class TestPipeline:
         assert rc == 2
         assert "Traceback" not in err and "not a digit below 2" in err
 
-    def test_alphabet_above_ten_writes_nothing(self, tmp_path, capsys):
-        """The stream format holds one digit per symbol: an 11-symbol orbit
-        is refused before its output directory is made."""
+    def test_alphabet_above_ten_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """The stream format holds one digit per symbol: an 11-symbol shift
+        is refused as soon as it is read, before the potential's check builds
+        chi_A, before any synthesis and before the output directory is made."""
         s = full_shift(11)
         io.write_json(tmp_path / "shift.json", io.shift_to_doc(s))
         io.write_json(tmp_path / "phi.json", io.potential_to_doc(indicator_potential(s, (1,))))
         orbit = tmp_path / "orbit"
+        called = []
+        monkeypatch.setattr(cli, "synthesize_witness", lambda *a, **kw: called.append("synthesis"))
+        monkeypatch.setattr(shifts, "characteristic_polynomial",
+                            lambda *a, **kw: called.append("chi_A"))
         assert main(["synthesize", "--shift", str(tmp_path / "shift.json"),
                      "--class", "R_FULL_SUPPORT", "--potential", str(tmp_path / "phi.json"),
                      "--horizon", "4096", "--seed", "1", "--out", str(orbit)]) == 2
         assert "alphabet <= 10" in capsys.readouterr().err
         assert not orbit.exists()
+        assert called == []
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
     def test_malformed_document_exit2(self, tmp_path, capsys, case):
@@ -881,6 +887,21 @@ def _fresh(argv: list[str], capsys) -> tuple[int, str, str]:
     return _call(argv, capsys)
 
 
+@pytest.mark.parametrize("command", ["entropy", "spectrum", "synthesize", "classify"])
+def test_timestamps_option_gone(files, v_not_w_orbit, tmp_path, capsys, command):
+    """No option stamps a manifest (its "timestamps" field stays null):
+    --timestamps is an unknown argument, refused before anything is written."""
+    argv = {"entropy": ["--beta", "1.8"],
+            "spectrum": ["--shift", str(files / "golden.json"), "--potential",
+                         str(files / "phi.json"), "--out", str(tmp_path / "curve.csv")],
+            "synthesize": ["--shift", str(files / "full2.json"), "--class", "PERIODIC",
+                           "--seed", "1", "--out", str(tmp_path / "orbit")],
+            "classify": ["--orbit", str(v_not_w_orbit), "--out", str(tmp_path / "report.json")]}
+    rc, _, err = _call([command, *argv[command], "--timestamps"], capsys)
+    assert rc == 2 and "unrecognized arguments: --timestamps" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestParserReuse:
     """main builds its parser on the first call and reuses it: a call after
     any sequence of others gives what it gives on a new parser."""
@@ -995,6 +1016,32 @@ class TestSchemaV2:
             sub_seed=_first(d, "markov")["sub_seed"] ^ 1))
         assert main(["verify", "--orbit", str(orbit)]) == 4
         assert "certificate fact failed: sub_seed (segment at 7 " in capsys.readouterr().err
+
+    def test_sub_seed_not_derived_classify_exit2(self, v2_orbit, tmp_path, capsys):
+        """The reader refuses that sub_seed, so classify, which never
+        certifies, refuses the orbit too."""
+        orbit = _mutated_copy(v2_orbit, tmp_path, lambda d: _first(d, "markov").update(
+            sub_seed=_first(d, "markov")["sub_seed"] ^ 1))
+        report = tmp_path / "report.json"
+        assert main(["classify", "--orbit", str(orbit), "--out", str(report)]) == 2
+        assert "certificate fact failed: sub_seed (segment at 7 " in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_verify_derives_sub_seeds_once(self, v_not_w_orbit, capsys, monkeypatch):
+        """A schema 3 orbit stores no sub-seed, and verify derives them once,
+        for the schedule check."""
+        calls = []
+        derive = synthesis.sub_seeds
+
+        def counting(*args):
+            calls.append(args)
+            return derive(*args)
+
+        for module in (synthesis, io):
+            monkeypatch.setattr(module, "sub_seeds", counting)
+        assert main(["verify", "--orbit", str(v_not_w_orbit)]) == 0
+        assert capsys.readouterr().out.endswith("verified\n")
+        assert len(calls) == 1
 
 
 class TestRawDigitsFlag:

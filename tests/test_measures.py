@@ -22,7 +22,7 @@ from shiftlab.measures import (SAMPLE_CHUNK, MarkovMeasure, PeriodicMeasure, Pot
                                support, support_pieces, walk_mismatch)
 from shiftlab.shifts import (SYMBOL_DTYPE, ShiftSpace, full_shift, is_admissible, iter_words,
                              primitive_cycles, sft_from_matrix, topological_entropy)
-from shiftlab.synthesis import Segment, _regenerate, _sub_parry
+from shiftlab.synthesis import Segment, _regenerate, _sub_parry, sub_seeds
 
 import oracle
 from oracle import scalar_typical_word
@@ -195,7 +195,8 @@ class TestSampling:
         past two whole periods."""
         m = periodic_measure(full2, (0, 1, 1))
         for n in (1, 5, 7):
-            w = _regenerate([Segment(kind="periodic", start=0, length=n, source=0)], [m])[0]
+            w = _regenerate([Segment(kind="periodic", start=0, length=n, source=0)], [m],
+                            sub_seeds(["periodic"], 0))[0]
             assert w.dtype == SYMBOL_DTYPE
             assert tuple(w.tolist()) == ((0, 1, 1) * 3)[:n] == scalar_typical_word(m, n, 0)
 
@@ -342,7 +343,8 @@ class TestSamplerMatchesScalarWalk:
         periodic segment as synthesis renders it."""
         m, n, seed = case
         if isinstance(m, PeriodicMeasure):
-            w = _regenerate([Segment(kind="periodic", start=0, length=n, source=0)], [m])[0]
+            w = _regenerate([Segment(kind="periodic", start=0, length=n, source=0)], [m],
+                            sub_seeds(["periodic"], seed))[0]
         else:
             w = sample_typical_words(m, [n], [seed])
         assert w.dtype == SYMBOL_DTYPE

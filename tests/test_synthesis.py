@@ -14,7 +14,7 @@ from shiftlab.shifts import (full_shift, golden_mean_shift, is_admissible, iter_
                              largest_proper_scc_subgraph, sft_from_matrix,
                              strongly_connected_components)
 from shiftlab.synthesis import (CLASSES, GapClass, _inf_over_k, _measure_facts, _regenerate,
-                                _render, _sub_parry, certify, synthesize_witness,
+                                _render, _sub_parry, certify, sub_seeds, synthesize_witness,
                                 thue_morse_word)
 
 import oracle
@@ -41,12 +41,14 @@ def test_render_sub_seeds_are_the_seeds_stream(full2, seed):
     requests = [("markov", 0, 9), ("periodic", 1, 5), ("literal", (1, 1), 2),
                 ("markov", 0, 4), ("thue_morse", None, 6), ("markov", 0, 3)]
     _, schedule = _render(full2, requests, pool, seed, 60)
-    drawn = [seg for seg in schedule.segments if seg.kind != "bridge"]
+    kinds = [seg.kind for seg in schedule.segments]
+    drawn = [(kind, sub_seed) for kind, sub_seed in zip(kinds, sub_seeds(kinds, seed))
+             if kind != "bridge"]
     # the plan is topped up by repeating its last request
-    assert [seg.kind for seg in drawn] == [kind for kind, _, _ in requests] + ["markov"]
-    for i, seg in enumerate(drawn):
-        want = oracle.splitmix64(seed + (i + 1) * oracle.GAMMA) if seg.kind == "markov" else None
-        assert seg.sub_seed == want
+    assert [kind for kind, _ in drawn] == [kind for kind, _, _ in requests] + ["markov"]
+    for i, (kind, sub_seed) in enumerate(drawn):
+        want = oracle.splitmix64(seed + (i + 1) * oracle.GAMMA) if kind == "markov" else None
+        assert sub_seed == want
 
 
 class TestGlue:
@@ -120,8 +122,10 @@ class TestWitnesses:
     def test_scheduled_windows_verbatim(self, full2, phi_full2):
         o = synthesize_witness(full2, GapClass.QW_NOT_V, phi_full2, N_SMALL, seed=3)
         mismatches = 0
-        for seg in o.schedule.segments:
-            expected = _regenerate([seg], o.certificate.pool)[0]
+        segments = o.schedule.segments
+        seeds = sub_seeds([seg.kind for seg in segments], o.certificate.seed)
+        for seg, sub_seed in zip(segments, seeds):
+            expected = _regenerate([seg], o.certificate.pool, [sub_seed])[0]
             got = tuple(int(c) for c in o.word[seg.start:seg.start + seg.length])
             mismatches += got != tuple(expected)[:len(got)]
         assert mismatches == 0
