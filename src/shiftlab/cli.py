@@ -18,7 +18,7 @@ from pathlib import Path
 from . import io
 from .beta import beta_entropy_estimate, quasi_greedy_normalize
 from .classify import evaluate_certificate, evaluate_checks
-from .errors import (CertificateMismatch, NotPrimitive, SchemaError, ShiftlabError)
+from .errors import CertificateMismatch, NotPrimitive, ShiftlabError
 from .shifts import count_periodic, count_words, parse_word, topological_entropy
 from .spectrum import check_concavity, spectrum_curve, sup_equals_htop
 from .synthesis import GapClass, certify, synthesize_witness
@@ -90,7 +90,7 @@ def cmd_spectrum(args) -> int:
     lines = ["a,psi,q_star"]
     for a, psi, q in curve.points:
         lines.append(f"{a:.12g},{psi:.12g},{q:.12g}")
-    io.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    io.atomic_write(args.out, ("\n".join(lines) + "\n").encode("ascii"))
     print(LOG_BASE_NOTE)
     print(f"h_top = {curve.h_top:.12f}  L_phi = [{iv.lo:.12g}, {iv.hi:.12g}]")
     print(f"points = {len(curve.points)} concave = {check_concavity(curve)} "
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except NotPrimitive as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_PRIMITIVE
-    except (SchemaError, FileNotFoundError, ValueError, ShiftlabError) as e:
+    except (OSError, ValueError, ShiftlabError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -46,14 +46,17 @@ STREAM_LINE_WIDTH = 120
 STREAM_ALPHABET = 10
 
 
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    """Write text to a file that replaces `path` once it is whole; on an
-    error the file is removed and `path` left as it was."""
+def atomic_write(path: Union[str, Path], data) -> None:
+    """Write bytes to a file, with the mode open() gives, that replaces `path`
+    once it is whole; on an error it is removed and `path` left as it was."""
     path = Path(path)
+    umask = os.umask(0)   # read, and set back at once
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)   # mkstemp made it 0o600
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,20 +66,20 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
 
 def write_json(path: Union[str, Path], doc: dict) -> None:
     """The text of json.dumps(doc) and a newline: one line, from the C encoder."""
-    atomic_write_text(path, json.dumps(doc) + "\n")
+    atomic_write(path, (json.dumps(doc) + "\n").encode("ascii"))
 
 
-def _read_text(path: Union[str, Path]) -> str:
-    """The text of an input file; an OSError reading it is UnreadableInput."""
+def _read(path: Union[str, Path]) -> bytes:
+    """The bytes of an input file; an OSError reading it is UnreadableInput."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        return Path(path).read_bytes()
     except OSError as e:
         raise UnreadableInput(f"cannot read {path}: {e.strerror or e}") from e
 
 
 def read_json(path: Union[str, Path]) -> dict:
-    return json.loads(_read_text(path))
+    """A UTF-8 JSON document; json.loads of the bytes would take a BOM or UTF-16."""
+    return json.loads(_read(path).decode("utf-8"))
 
 
 # --- typed fields ------------------------------------------------------------
@@ -278,8 +281,9 @@ def measure_from_doc(doc: dict, s: ShiftSpace) -> InvariantMeasure:
 # --- symbol streams --------------------------------------------------------
 
 
-def stream_to_text(word) -> str:
-    """One ASCII digit per symbol, STREAM_LINE_WIDTH digits per line, each
+def stream_to_text(word) -> np.ndarray:
+    """The bytes of a stream file, as a uint8 view of the line grid they
+    fill: one ASCII digit per symbol, STREAM_LINE_WIDTH digits per line, each
     line ending in a newline; the empty stream is a single newline."""
     symbols = np.asarray(word)
     n = symbols.size
@@ -288,24 +292,20 @@ def stream_to_text(word) -> str:
                          f"(alphabet <= {STREAM_ALPHABET})")
     width = STREAM_LINE_WIDTH
     rows = max(1, -(-n // width))
+    full, tail = divmod(n, width)
     grid = np.full((rows, width + 1), ord("\n"), dtype=np.uint8)
-    digits = np.zeros(rows * width, dtype=np.uint8)
-    np.add(symbols, ord("0"), out=digits[:n], casting="unsafe")
-    grid[:, :width] = digits.reshape(rows, width)
-    grid[-1, n - (rows - 1) * width] = ord("\n")
-    return grid.tobytes()[:n + rows].decode("ascii")
+    np.add(symbols[:full * width].reshape(full, width), ord("0"), out=grid[:full, :width],
+           casting="unsafe")
+    np.add(symbols[full * width:], ord("0"), out=grid[-1, :tail], casting="unsafe")
+    return grid.reshape(-1)[:n + rows]
 
 
-def stream_from_text(text: str) -> np.ndarray:
-    """The symbols of a stream's text as a SYMBOL_DTYPE array: each character
-    less '0' in one byte, so one that is not a digit reads as a symbol >= 10,
-    and ASCII whitespace (space, \\t, \\n, \\r, \\v, \\f) dropped.  A non-ASCII
-    character is a SchemaError."""
-    try:
-        raw = text.encode("ascii").translate(None, b" \t\n\r\v\f")
-    except UnicodeEncodeError as e:
-        raise SchemaError(f"stream character {e.start} is {text[e.start]!r}, "
-                          f"not an ASCII digit or whitespace") from None
+def stream_from_text(data: bytes) -> np.ndarray:
+    """The symbols of a stream file's bytes as a SYMBOL_DTYPE array: ASCII
+    whitespace (space, \\t, \\n, \\r, \\v, \\f) dropped and each other byte
+    less '0' in one byte, so one that is not a digit, a non-ASCII one too,
+    reads as a symbol >= 10."""
+    raw = data.translate(None, b" \t\n\r\v\f")
     return (np.frombuffer(raw, dtype=np.uint8) - ord("0")).astype(SYMBOL_DTYPE, copy=False)
 
 
@@ -400,8 +400,8 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
     }
 
 
-def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
-    """The orbit of a certificate document and its stream.  Beyond each
+def orbit_from_docs(cert_doc: dict, stream: bytes) -> OrbitPrefix:
+    """The orbit of a certificate document and its stream file's bytes.  Beyond each
     field's type: exact_facts has one entry per pool measure, the structure,
     extremes, chain_links and potential fit the gap class's CLASSES entry, the
     stream holds digits below k, and the schedule's columns fit (_segments).
@@ -438,11 +438,11 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
         pinned_prefix=tuple(cert_doc["pinned_prefix"]) if cert_doc.get("pinned_prefix") else None,
         horizon=cert_doc["horizon"], seed=cert_doc["seed"], phi=phi,
         ambient_entropy=float(cert_doc["ambient_entropy"]))
-    word = stream_from_text(stream_text)
+    word = stream_from_text(stream)
     digits = min(s.k, STREAM_ALPHABET)
-    bad = np.flatnonzero(word >= digits)   # a character below '0' wraps past 10
+    bad = np.flatnonzero(word >= digits)   # a byte below '0' wraps past 10
     if bad.size:
-        char = chr((int(word[bad[0]]) + ord("0")) % 256)
+        char = chr((int(word[bad[0]]) + ord("0")) % 256)   # the byte read as Latin-1
         raise SchemaError(f"stream symbol {bad[0]} is {char!r}, not a digit below {digits}")
     columns = (cert_doc["schedule"] if schema == CERTIFICATE_SCHEMA
                else _columns(cert_doc["schedule"], cert.seed))
@@ -451,17 +451,17 @@ def orbit_from_docs(cert_doc: dict, stream_text: str) -> OrbitPrefix:
 
 
 def write_orbit_dir(o: OrbitPrefix, out_dir: Union[str, Path]) -> list[str]:
-    text = stream_to_text(o.word)   # refuses an alphabet above 10 before any write
+    stream = stream_to_text(o.word)   # refuses an alphabet above 10 before any write
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "stream.txt", text)
+    atomic_write(out / "stream.txt", stream)
     write_json(out / "certificate.json", certificate_to_doc(o))
     return ["stream.txt", "certificate.json"]
 
 
 def read_orbit_dir(orbit_dir: Union[str, Path]) -> OrbitPrefix:
     path = Path(orbit_dir)
-    return orbit_from_docs(read_json(path / "certificate.json"), _read_text(path / "stream.txt"))
+    return orbit_from_docs(read_json(path / "certificate.json"), _read(path / "stream.txt"))
 
 
 # --- reports and manifests --------------------------------------------------

@@ -4,15 +4,18 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
 import symtable
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,7 @@ from shiftlab import cli, io, shifts, synthesis
 from shiftlab.classify import CHECKS
 from shiftlab.cli import build_parser, main
 from shiftlab.measures import indicator_potential
-from shiftlab.shifts import full_shift, golden_mean_shift, sft_from_matrix
+from shiftlab.shifts import SYMBOL_DTYPE, full_shift, golden_mean_shift, sft_from_matrix
 from shiftlab.synthesis import CLASSES, Certificate, GapClass, synthesize_witness
 
 from conftest import EVERY_CHECK
@@ -404,10 +407,33 @@ class TestRoundTrips:
 
     def test_stream_format(self, full2, phi_full2):
         o = synthesize_witness(full2, GapClass.PERIODIC, None, 300, seed=0)
-        text = io.stream_to_text(o.word)
-        lines = text.strip().split("\n")
+        data = io.stream_to_text(o.word).tobytes()
+        lines = data.strip().split(b"\n")
         assert all(len(line) <= 120 for line in lines)
-        assert (io.stream_from_text(text) == o.word).all()
+        assert (io.stream_from_text(data) == o.word).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 119, 120, 121, 240])
+    def test_stream_rows(self, n):
+        """The full rows and the partial last one: the grid's bytes are the
+        digits joined, a newline after every 120th and after the last."""
+        symbols = [i * 7 % 10 for i in range(n)]
+        digits = "".join(map(str, symbols))
+        lines = [digits[i:i + 120] for i in range(0, n, 120)] or [""]
+        stream = io.stream_to_text(np.array(symbols, dtype=SYMBOL_DTYPE))
+        assert stream.tobytes() == "".join(line + "\n" for line in lines).encode("ascii")
+
+    def test_write_orbit_dir_memory(self, tmp_path, full2):
+        """Writing a 2^20-symbol orbit holds one copy of its stream, the line
+        grid, besides what was live: no text or bytes copy of it."""
+        o = synthesize_witness(full2, GapClass.PERIODIC, None, 1 << 20, seed=1)
+        tracemalloc.start()
+        try:
+            io.write_orbit_dir(o, tmp_path / "orbit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (1 << 20)
+        assert (io.read_orbit_dir(tmp_path / "orbit").word == o.word).all()
 
 
 class TestEntropyCommand:
@@ -1157,6 +1183,55 @@ class TestJsonWriter:
         assert not list(tmp_path.iterdir())
 
 
+class TestOutputFiles:
+    def test_mode_of_open(self, files, tmp_path):
+        """Each output gets the mode open() gives a new file, 0o666 less the
+        umask, not the 0o600 of the temporary file it was written to."""
+        orbit, out = tmp_path / "orbit", tmp_path / "out"
+        out.mkdir()
+        umask = os.umask(0o022)
+        try:
+            assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", "PERIODIC",
+                         "--horizon", "4096", "--seed", "1", "--out", str(orbit)]) == 0
+            assert main(["spectrum", "--shift", str(files / "golden.json"),
+                         "--potential", str(files / "phi.json"), "--points", "5",
+                         "--out", str(out / "curve.csv"), "--manifest", str(out / "s.json")]) == 0
+            assert main(["classify", "--orbit", str(orbit), "--out", str(out / "report.json"),
+                         "--manifest", str(out / "c.json")]) == 0
+            for d in (orbit, out):
+                open(d / "by_open", "w").close()
+        finally:
+            os.umask(umask)
+        written = sorted(p for d in (orbit, out) for p in d.iterdir() if p.name != "by_open")
+        assert [p.name for p in written] == ["certificate.json", "manifest.json", "stream.txt",
+                                             "c.json", "curve.csv", "report.json", "s.json"]
+        assert {p.name: oct(p.stat().st_mode) for p in written} == {
+            p.name: oct((p.parent / "by_open").stat().st_mode) for p in written}
+
+    @pytest.mark.parametrize("case", ["spectrum_out_dir", "entropy_manifest_dir",
+                                      "synthesize_out_file", "classify_out_dir"])
+    def test_unusable_output_path_exit2(self, files, v_not_w_orbit, tmp_path, case):
+        """An output file that is a directory, or an output directory that is
+        a file: exit 2 with a message, no traceback, and no temporary file left."""
+        target = tmp_path / "target"
+        if case == "synthesize_out_file":
+            target.write_text("a file\n")
+        else:
+            target.mkdir()
+        args = {
+            "spectrum_out_dir": ["spectrum", "--shift", str(files / "golden.json"),
+                                 "--potential", str(files / "phi.json"), "--points", "5", "--out"],
+            "entropy_manifest_dir": ["entropy", "--beta", "2", "--manifest"],
+            "synthesize_out_file": ["synthesize", "--shift", str(files / "full2.json"), "--class",
+                                    "PERIODIC", "--horizon", "4096", "--seed", "1", "--out"],
+            "classify_out_dir": ["classify", "--orbit", str(v_not_w_orbit), "--out"],
+        }[case]
+        rc, _, err = run_cli(*args, str(target))
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
 def _paths(value, path=()):
     """Every path into a check entry, through its lists too."""
     if path:
@@ -1340,14 +1415,15 @@ class TestMutatedStreams:
             assert main(["verify", "--orbit", str(orbit)]) != 0
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda data: data[:5] + "\u00a0".encode() + data[7:], "is '\\xa0', not an ASCII digit"),
+        (lambda data: data[:5] + "\u00a0".encode() + data[7:], "is 'Â', not a digit below 2"),
         (lambda data: data[:5] + b"/" + data[6:], "is '/', not a digit below 2"),
         (lambda data: data[:5] + b"\xff" + data[6:], "error:"),
     ], ids=["no_break_space_for_two_digits", "slash", "byte_ff"])
     def test_stream_character_not_a_digit_exit2(self, periodic_orbit, tmp_path, capsys,
                                                 edit, message):
         """Only ASCII whitespace is skipped: U+00A0 is refused, not read as
-        a gap; '/' wraps to 255 in one byte and is still named as '/'."""
+        a gap, and named by its first byte; '/' wraps to 255 in one byte and
+        is still named as '/'."""
         orbit = tmp_path / "orbit"
         shutil.copytree(periodic_orbit, orbit)
         (orbit / "stream.txt").write_bytes(edit((orbit / "stream.txt").read_bytes()))
@@ -1360,4 +1436,4 @@ class TestMutatedStreams:
         data = (orbit / "stream.txt").read_bytes()
         (orbit / "stream.txt").write_bytes(b"\t" + data.replace(b"\n", b"\r\n\t"))
         assert main(["verify", "--orbit", str(orbit)]) == 0
-        assert io.stream_from_text("0\t1\r\n1 \x0b0\x0c\r").tolist() == [0, 1, 1, 0]
+        assert io.stream_from_text(b"0\t1\r\n1 \x0b0\x0c\r").tolist() == [0, 1, 1, 0]
