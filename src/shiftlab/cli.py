@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-Subcommands: entropy, spectrum, synthesize, classify, verify.  All
-randomness flows from --seed, outputs are written atomically, and repeated
-runs with identical inputs produce byte-identical files.  Exit codes:
-0 success, 2 invalid input, 3 mixing required but absent, 4 certificate
-mismatch, 5 statistical verdict failure.
+Subcommands: entropy, spectrum, synthesize, verify.  All randomness flows
+from --seed, outputs are written atomically and before anything is printed,
+and repeated runs with identical inputs produce byte-identical files.
+Exit codes: 0 success, 2 invalid input, 3 mixing required but absent,
+4 certificate mismatch, 5 statistical verdict failure.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ LOG_BASE_NOTE = "# log base: natural (nats)"
 
 
 def _maybe_manifest(args, command: str, inputs: dict, outputs: list[str]) -> None:
-    path = getattr(args, "manifest", None)
-    if path:
-        io.write_json(path, io.manifest_doc(command, inputs, outputs))
+    if args.manifest:
+        io.write_json(args.manifest, io.manifest_doc(command, inputs, outputs))
 
 
 def cmd_entropy(args) -> int:
@@ -45,15 +44,14 @@ def cmd_entropy(args) -> int:
         raise ValueError("--method goes with --shift, not --beta")
     if args.shift is not None and args.raw_digits:
         raise ValueError("--raw-digits goes with --beta, not --shift")
-    print(LOG_BASE_NOTE)
-    outputs: list[str] = []
+    lines = [LOG_BASE_NOTE]
     if args.beta is not None:
         spec = quasi_greedy_normalize(args.beta, raw=args.raw_digits)
         n = args.n or 22
         est = beta_entropy_estimate(spec, n)
-        print(f"beta = {args.beta}  alphabet = {spec.alphabet}")
-        print(f"word-count estimate (n={n}): {est:.12f}")
-        print(f"log beta:                    {math.log(spec.beta):.12f}")
+        lines += [f"beta = {args.beta}  alphabet = {spec.alphabet}",
+                  f"word-count estimate (n={n}): {est:.12f}",
+                  f"log beta:                    {math.log(spec.beta):.12f}"]
         inputs = {
             "beta": str(args.beta),
             "raw_digits": bool(args.raw_digits),
@@ -62,23 +60,22 @@ def cmd_entropy(args) -> int:
                              "validity_length": min(spec.validity_length, 1 << 30),
                              "is_integer": spec.is_integer},
         }
-        _maybe_manifest(args, "entropy", inputs, outputs)
-        return EXIT_OK
-
-    s = io.shift_from_doc(io.read_json(args.shift))
-    methods = [args.method] if args.method else ["spectral", "words", "periodic"]
-    n = args.n or 24
-    for method in methods:
-        if method == "spectral":
-            print(f"spectral: {topological_entropy(s):.12f}")
-        elif method == "words":
-            est = math.log(count_words(s, n)) / n
-            print(f"words (n={n}): {est:.12f}")
-        elif method == "periodic":
-            cnt = count_periodic(s, n)
-            est = math.log(cnt) / n if cnt > 0 else float("-inf")
-            print(f"periodic (n={n}): {est:.12f}")
-    _maybe_manifest(args, "entropy", {"shift": args.shift, "methods": methods, "n": n}, outputs)
+    else:
+        s = io.shift_from_doc(io.read_json(args.shift))
+        methods = [args.method] if args.method else ["spectral", "words", "periodic"]
+        n = args.n or 24
+        for method in methods:
+            if method == "spectral":
+                lines.append(f"spectral: {topological_entropy(s):.12f}")
+            elif method == "words":
+                lines.append(f"words (n={n}): {math.log(count_words(s, n)) / n:.12f}")
+            elif method == "periodic":
+                cnt = count_periodic(s, n)
+                est = math.log(cnt) / n if cnt > 0 else float("-inf")
+                lines.append(f"periodic (n={n}): {est:.12f}")
+        inputs = {"shift": args.shift, "methods": methods, "n": n}
+    _maybe_manifest(args, "entropy", inputs, [])
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -91,16 +88,16 @@ def cmd_spectrum(args) -> int:
     for a, psi, q in curve.points:
         lines.append(f"{a:.12g},{psi:.12g},{q:.12g}")
     io.atomic_write(args.out, ("\n".join(lines) + "\n").encode("ascii"))
-    print(LOG_BASE_NOTE)
-    print(f"h_top = {curve.h_top:.12f}  L_phi = [{iv.lo:.12g}, {iv.hi:.12g}]")
-    print(f"points = {len(curve.points)} concave = {check_concavity(curve)} "
-          f"sup_reaches_htop = {sup_equals_htop(curve)}")
     _maybe_manifest(args, "spectrum",
                     {"shift": args.shift, "potential": args.potential,
                      "points": args.points, "h_top": curve.h_top,
                      "L_phi": [iv.lo, iv.hi],
                      "lo_cycle": list(iv.lo_cycle), "hi_cycle": list(iv.hi_cycle)},
                     [args.out])
+    print(LOG_BASE_NOTE)
+    print(f"h_top = {curve.h_top:.12f}  L_phi = [{iv.lo:.12g}, {iv.hi:.12g}]")
+    print(f"points = {len(curve.points)} concave = {check_concavity(curve)} "
+          f"sup_reaches_htop = {sup_equals_htop(curve)}")
     return EXIT_OK
 
 
@@ -129,16 +126,6 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    o = io.read_orbit_dir(args.orbit)
-    report = evaluate_certificate(o.word, o.shift, o.certificate.expected_statistics,
-                                  phi=o.certificate.phi)
-    io.write_json(args.out, io.report_to_doc(report))
-    _print_verdicts(report.verdicts)
-    _maybe_manifest(args, "classify", {"orbit": args.orbit}, [args.out])
-    return EXIT_OK
-
-
 def _print_verdicts(verdicts: list[dict]) -> None:
     width = max((len(v["check"]) for v in verdicts), default=10)
     print(f"{'verdict':<{width}}  result")
@@ -153,8 +140,14 @@ def cmd_verify(args) -> int:
     except CertificateMismatch as e:
         print(f"certificate mismatch: {e}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    verdicts = evaluate_checks(o.word, o.shift, o.certificate.expected_statistics,
-                               phi=o.certificate.phi)
+    checks, phi = o.certificate.expected_statistics, o.certificate.phi
+    if args.report:
+        report = evaluate_certificate(o.word, o.shift, checks, phi=phi)
+        io.write_json(args.report, io.report_to_doc(report))
+        verdicts = report.verdicts
+    else:
+        verdicts = evaluate_checks(o.word, o.shift, checks, phi=phi)
+    _maybe_manifest(args, "verify", {"orbit": args.orbit}, [args.report] if args.report else [])
     _print_verdicts(verdicts)
     if not all(v["passed"] for v in verdicts):
         return EXIT_VERDICT
@@ -202,14 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("classify", help="recurrence/regularity evidence for an orbit dir")
-    p.add_argument("--orbit", required=True)
-    p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_classify)
-
     p = sub.add_parser("verify", help="certificate arithmetic + statistical verdicts")
     p.add_argument("--orbit", required=True)
+    p.add_argument("--report", help="recurrence/regularity report JSON path, "
+                                    "written once the certificate holds")
+    p.add_argument("--manifest")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -48,20 +48,24 @@ STREAM_ALPHABET = 10
 
 def atomic_write(path: Union[str, Path], data) -> None:
     """Write bytes to a file, with the mode open() gives, that replaces `path`
-    once it is whole; on an error it is removed and `path` left as it was."""
+    once it is whole; on an error it is removed and `path` left as it was.
+    An OSError names `path`, not the temporary file."""
     path = Path(path)
     umask = os.umask(0)   # read, and set back at once
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)   # mkstemp made it 0o600
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)   # mkstemp made it 0o600
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from e
 
 
 def write_json(path: Union[str, Path], doc: dict) -> None:

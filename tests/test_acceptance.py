@@ -289,6 +289,34 @@ def test_report_bytes_pinned(witnesses, full2, phi_full2, tmp_path):
            f"changed: {changed}" if changed else f"{len(orbits)} reports byte-identical")
 
 
+#: sha256 of the report file the command writes for each default witness.  It
+#: scores against the certificate's own potential: the six classes with one
+#: equal REPORT_DIGESTS, and the two without one write a report with no trace
+CLI_REPORT_DIGESTS = {
+    **{gc: REPORT_DIGESTS[gc] for gc in ("W_NOT_QR", "V_NOT_W", "QW_NOT_V", "I_NOT_QW",
+                                         "QR_NOT_ERG_NOT_A", "R_FULL_SUPPORT")},
+    "ALMOST_PERIODIC_NOT_PER": "db613ac22fd47b1e29faff1022e211f09b6428e95eb32dfb9a4703f0cf65a455",
+    "PERIODIC": "775d4c4046224c0c67f9ebed4a17e00752460ff826db155d8dbce4d1a8063519",
+}
+
+
+def test_cli_report_bytes_pinned(witnesses, tmp_path):
+    """The report files the command writes stay byte-identical."""
+    from shiftlab.cli import main
+
+    orbits, _ = witnesses
+    changed = []
+    for gc, o in orbits.items():
+        io.write_orbit_dir(o, tmp_path / gc.value)
+        out = tmp_path / f"{gc.value}.json"
+        rc = main(["verify", "--orbit", str(tmp_path / gc.value), "--report", str(out)])
+        got = hashlib.sha256(out.read_bytes()).hexdigest() if rc == 0 else f"exit {rc}"
+        if got != CLI_REPORT_DIGESTS[gc.value]:
+            changed.append(gc.value)
+    report("CLI report digests", not changed and len(orbits) == len(CLI_REPORT_DIGESTS),
+           f"changed: {changed}" if changed else f"{len(orbits)} reports byte-identical")
+
+
 #: sha256 of (stream.txt, certificate.json) for the classes built on a proper
 #: subshift, on two 3-symbol ambients: horizon 2^12, the acceptance seed,
 #: range-1 indicator of 0.  The full 3-shift has tied subgraph entropies.

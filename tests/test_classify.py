@@ -251,8 +251,8 @@ def _same(a, b) -> bool:
 
 
 class TestVerifyVerdicts:
-    """evaluate_checks, verify's verdict pass, computes only the facts the
-    checks declare, and its verdicts are the classify report's."""
+    """evaluate_checks, a plain verify's verdict pass, computes only the facts
+    the checks declare, and its verdicts are those of verify --report."""
 
     @pytest.mark.parametrize("name", sorted(CHECKS))
     def test_verdict_reads_only_declared_facts(self, full2, phi_full2, name):

@@ -574,14 +574,14 @@ class TestPipeline:
         rc, out, _ = run_cli("verify", "--orbit", str(orbit))
         assert rc == 0
 
-    def test_classify_writes_report(self, files, tmp_path):
+    def test_verify_writes_report(self, files, tmp_path):
         orbit = tmp_path / "orbit"
         run_cli("synthesize", "--shift", str(files / "full2.json"),
                 "--class", "PERIODIC", "--horizon", "4096", "--seed", "1",
                 "--out", str(orbit))
         report = tmp_path / "report.json"
-        rc, out, _ = run_cli("classify", "--orbit", str(orbit), "--out", str(report))
-        assert rc == 0
+        rc, out, _ = run_cli("verify", "--orbit", str(orbit), "--report", str(report))
+        assert rc == 0 and out.endswith("verified\n")
         doc = json.loads(report.read_text())
         assert doc["schema"] == "shiftlab/report/1"
         assert doc["all_pass"] is True
@@ -611,13 +611,13 @@ class TestPipeline:
                      "--seed", "1", "--out", str(orbit)]) == 0
         assert main(["verify", "--orbit", str(orbit)]) == 0
 
-    def test_classify_full_support_report(self, files, tmp_path):
+    def test_verify_full_support_report(self, files, tmp_path):
         """coverage_fraction_of_expected verdicts are JSON booleans."""
         orbit, report = tmp_path / "orbit", tmp_path / "report.json"
         assert main(["synthesize", "--shift", str(files / "full2.json"),
                      "--class", "R_FULL_SUPPORT", "--potential", str(files / "phi.json"),
                      "--horizon", str(1 << 14), "--seed", "4", "--out", str(orbit)]) == 0
-        assert main(["classify", "--orbit", str(orbit), "--out", str(report)]) == 0
+        assert main(["verify", "--orbit", str(orbit), "--report", str(report)]) == 0
         verdicts = json.loads(report.read_text())["verdicts"]
         assert [v["passed"] for v in verdicts if v["check"] ==
                 "coverage_fraction_of_expected"] == [True]
@@ -643,20 +643,27 @@ class TestPipeline:
         (orbit / "certificate.json").write_text(json.dumps(doc))
         rc, _, _ = run_cli("verify", "--orbit", str(orbit))
         assert rc == 4
+        report, manifest = tmp_path / "report.json", tmp_path / "manifest.json"
+        rc, out, err = run_cli("verify", "--orbit", str(orbit), "--report", str(report),
+                               "--manifest", str(manifest))
+        assert rc == 4 and out == ""
+        assert "certificate fact failed: inf_entropy_over_K" in err
+        assert not report.exists() and not manifest.exists()
 
-    @pytest.mark.parametrize("command", ["verify", "classify"])
+    @pytest.mark.parametrize("report", [False, True], ids=["verify", "verify_report"])
     @pytest.mark.parametrize("bad", ["7", "x"])
-    def test_stream_symbol_outside_alphabet_exit2(self, files, tmp_path, command, bad):
+    def test_stream_symbol_outside_alphabet_exit2(self, files, tmp_path, report, bad):
         orbit = tmp_path / "orbit"
         run_cli("synthesize", "--shift", str(files / "full2.json"),
                 "--class", "PERIODIC", "--horizon", "4096", "--seed", "1",
                 "--out", str(orbit))
         text = (orbit / "stream.txt").read_text()
         (orbit / "stream.txt").write_text(bad + text[1:])
-        args = ["--out", str(tmp_path / "report.json")] if command == "classify" else []
-        rc, _, err = run_cli(command, "--orbit", str(orbit), *args)
+        args = ["--report", str(tmp_path / "report.json")] if report else []
+        rc, _, err = run_cli("verify", "--orbit", str(orbit), *args)
         assert rc == 2
         assert "Traceback" not in err and "not a digit below 2" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_alphabet_above_ten_writes_nothing(self, tmp_path, capsys, monkeypatch):
         """The stream format holds one digit per symbol: an 11-symbol shift
@@ -704,8 +711,10 @@ class TestPipeline:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate_classify_exit2(self, request, tmp_path, capsys, case):
+        """verify --report, whose report classify.evaluate_certificate builds,
+        refuses the same certificates, naming the field, and writes no report."""
         orbit = self._malformed_orbit(request, tmp_path, case)
-        assert main(["classify", "--orbit", str(orbit), "--out", str(tmp_path / "r.json")]) == 2
+        assert main(["verify", "--orbit", str(orbit), "--report", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and MALFORMED_CERTIFICATE_ERRORS.get(case, "") in err
         assert not (tmp_path / "r.json").exists()
@@ -740,10 +749,10 @@ class TestPipeline:
         assert main(["verify", "--orbit", str(orbit)]) == 4
         assert "16096 symbols, past the horizon 4096" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["verify", "classify"])
+    @pytest.mark.parametrize("report", [False, True], ids=["verify", "verify_report"])
     @pytest.mark.parametrize("layout", ["orbit_is_a_file", "certificate_is_a_directory",
                                         "stream_is_a_directory"])
-    def test_unreadable_input_exit2(self, v_not_w_orbit, tmp_path, capsys, command, layout):
+    def test_unreadable_input_exit2(self, v_not_w_orbit, tmp_path, capsys, report, layout):
         orbit = tmp_path / "orbit"
         if layout == "orbit_is_a_file":
             orbit.write_text("not an orbit directory\n")
@@ -752,9 +761,10 @@ class TestPipeline:
             name = "certificate.json" if layout == "certificate_is_a_directory" else "stream.txt"
             (orbit / name).unlink()
             (orbit / name).mkdir()
-        args = ["--out", str(tmp_path / "r.json")] if command == "classify" else []
-        assert main([command, "--orbit", str(orbit), *args]) == 2
+        args = ["--report", str(tmp_path / "r.json")] if report else []
+        assert main(["verify", "--orbit", str(orbit), *args]) == 2
         assert "cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_first_mismatch_reported(self, v_not_w_orbit, tmp_path, capsys):
         """Two corrupted Markov segments of one source: verify names the earlier."""
@@ -884,16 +894,17 @@ class TestPipeline:
 
     def test_too_short_orbit_exit2(self, files, tmp_path):
         """A stream with fewer than 16 evidence times past the longest ladder
-        length is refused by both scoring commands, before any sweep."""
+        length is refused, with or without a report, before any sweep."""
         orbit = tmp_path / "orbit"
         rc, _, _ = run_cli("synthesize", "--shift", str(files / "full2.json"),
                            "--class", "W_NOT_QR", "--potential", str(files / "phi.json"),
                            "--horizon", "20", "--seed", "1", "--out", str(orbit))
         assert rc == 0
-        for args in (["verify"], ["classify", "--out", str(tmp_path / "report.json")]):
-            rc, _, err = run_cli(*args, "--orbit", str(orbit))
+        for args in ([], ["--report", str(tmp_path / "report.json")]):
+            rc, _, err = run_cli("verify", "--orbit", str(orbit), *args)
             assert rc == 2
             assert "Traceback" not in err and "too short" in err
+        assert not (tmp_path / "report.json").exists()
 
 
 def _call(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -913,7 +924,7 @@ def _fresh(argv: list[str], capsys) -> tuple[int, str, str]:
     return _call(argv, capsys)
 
 
-@pytest.mark.parametrize("command", ["entropy", "spectrum", "synthesize", "classify"])
+@pytest.mark.parametrize("command", ["entropy", "spectrum", "synthesize", "verify"])
 def test_timestamps_option_gone(files, v_not_w_orbit, tmp_path, capsys, command):
     """No option stamps a manifest (its "timestamps" field stays null):
     --timestamps is an unknown argument, refused before anything is written."""
@@ -922,7 +933,7 @@ def test_timestamps_option_gone(files, v_not_w_orbit, tmp_path, capsys, command)
                          str(files / "phi.json"), "--out", str(tmp_path / "curve.csv")],
             "synthesize": ["--shift", str(files / "full2.json"), "--class", "PERIODIC",
                            "--seed", "1", "--out", str(tmp_path / "orbit")],
-            "classify": ["--orbit", str(v_not_w_orbit), "--out", str(tmp_path / "report.json")]}
+            "verify": ["--orbit", str(v_not_w_orbit), "--report", str(tmp_path / "report.json")]}
     rc, _, err = _call([command, *argv[command], "--timestamps"], capsys)
     assert rc == 2 and "unrecognized arguments: --timestamps" in err
     assert list(tmp_path.iterdir()) == []
@@ -983,7 +994,7 @@ class TestParserReuse:
                  ["verify", "--orbit", str(v_not_w_orbit)]]
         assert _call(calls[0], capsys)[0] == 0
         first = len(built)
-        assert first == 6  # the top-level parser and one per command
+        assert first == 5  # the top-level parser and one per command
         for argv in calls[1:]:
             assert _call(argv, capsys)[0] == 0
         assert len(built) == first
@@ -1043,13 +1054,12 @@ class TestSchemaV2:
         assert main(["verify", "--orbit", str(orbit)]) == 4
         assert "certificate fact failed: sub_seed (segment at 7 " in capsys.readouterr().err
 
-    def test_sub_seed_not_derived_classify_exit2(self, v2_orbit, tmp_path, capsys):
-        """The reader refuses that sub_seed, so classify, which never
-        certifies, refuses the orbit too."""
+    def test_sub_seed_not_derived_report_exit4(self, v2_orbit, tmp_path, capsys):
+        """The reader refuses that sub_seed, so no report is written."""
         orbit = _mutated_copy(v2_orbit, tmp_path, lambda d: _first(d, "markov").update(
             sub_seed=_first(d, "markov")["sub_seed"] ^ 1))
         report = tmp_path / "report.json"
-        assert main(["classify", "--orbit", str(orbit), "--out", str(report)]) == 2
+        assert main(["verify", "--orbit", str(orbit), "--report", str(report)]) == 4
         assert "certificate fact failed: sub_seed (segment at 7 " in capsys.readouterr().err
         assert not report.exists()
 
@@ -1196,23 +1206,25 @@ class TestOutputFiles:
             assert main(["spectrum", "--shift", str(files / "golden.json"),
                          "--potential", str(files / "phi.json"), "--points", "5",
                          "--out", str(out / "curve.csv"), "--manifest", str(out / "s.json")]) == 0
-            assert main(["classify", "--orbit", str(orbit), "--out", str(out / "report.json"),
-                         "--manifest", str(out / "c.json")]) == 0
+            assert main(["verify", "--orbit", str(orbit), "--report", str(out / "report.json"),
+                         "--manifest", str(out / "v.json")]) == 0
             for d in (orbit, out):
                 open(d / "by_open", "w").close()
         finally:
             os.umask(umask)
         written = sorted(p for d in (orbit, out) for p in d.iterdir() if p.name != "by_open")
         assert [p.name for p in written] == ["certificate.json", "manifest.json", "stream.txt",
-                                             "c.json", "curve.csv", "report.json", "s.json"]
+                                             "curve.csv", "report.json", "s.json", "v.json"]
         assert {p.name: oct(p.stat().st_mode) for p in written} == {
             p.name: oct((p.parent / "by_open").stat().st_mode) for p in written}
 
-    @pytest.mark.parametrize("case", ["spectrum_out_dir", "entropy_manifest_dir",
-                                      "synthesize_out_file", "classify_out_dir"])
+    @pytest.mark.parametrize("case", ["spectrum_out_dir", "spectrum_manifest_dir",
+                                      "entropy_manifest_dir", "synthesize_out_file",
+                                      "verify_report_dir"])
     def test_unusable_output_path_exit2(self, files, v_not_w_orbit, tmp_path, case):
         """An output file that is a directory, or an output directory that is
-        a file: exit 2 with a message, no traceback, and no temporary file left."""
+        a file: exit 2 with a message that names the path, no traceback,
+        nothing printed, and no temporary file left."""
         target = tmp_path / "target"
         if case == "synthesize_out_file":
             target.write_text("a file\n")
@@ -1221,15 +1233,19 @@ class TestOutputFiles:
         args = {
             "spectrum_out_dir": ["spectrum", "--shift", str(files / "golden.json"),
                                  "--potential", str(files / "phi.json"), "--points", "5", "--out"],
+            "spectrum_manifest_dir": ["spectrum", "--shift", str(files / "golden.json"),
+                                      "--potential", str(files / "phi.json"), "--points", "5",
+                                      "--out", str(tmp_path / "curve.csv"), "--manifest"],
             "entropy_manifest_dir": ["entropy", "--beta", "2", "--manifest"],
             "synthesize_out_file": ["synthesize", "--shift", str(files / "full2.json"), "--class",
                                     "PERIODIC", "--horizon", "4096", "--seed", "1", "--out"],
-            "classify_out_dir": ["classify", "--orbit", str(v_not_w_orbit), "--out"],
+            "verify_report_dir": ["verify", "--orbit", str(v_not_w_orbit), "--report"],
         }[case]
-        rc, _, err = run_cli(*args, str(target))
-        assert rc == 2
+        rc, out, err = run_cli(*args, str(target))
+        assert rc == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
-        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+        assert f"'{target}'" in err and "target." not in err
+        assert [p.name for p in tmp_path.iterdir() if p.name != "curve.csv"] == ["target"]
 
 
 def _paths(value, path=()):
@@ -1300,7 +1316,8 @@ class TestMutatedChecks:
     def test_every_kind_scores(self, every_check_orbit, tmp_path):
         assert {chk["check"] for chk in EVERY_CHECK} == set(CHECKS)
         report = tmp_path / "report.json"
-        assert main(["classify", "--orbit", str(every_check_orbit), "--out", str(report)]) == 0
+        assert main(["verify", "--orbit", str(every_check_orbit),
+                     "--report", str(report)]) == 5   # some verdicts fail; the report is written
         verdicts = json.loads(report.read_text())["verdicts"]
         assert [v["check"] for v in verdicts] == [chk["check"] for chk in EVERY_CHECK]
 
@@ -1314,8 +1331,7 @@ class TestMutatedChecks:
         orbit.mkdir(exist_ok=True)
         shutil.copy(every_check_orbit / "stream.txt", orbit / "stream.txt")
         (orbit / "certificate.json").write_text(json.dumps(doc))
-        assert main(["verify", "--orbit", str(orbit)]) in (0, 2, 4, 5)
-        assert main(["classify", "--orbit", str(orbit), "--out", str(orbit / "r.json")]) in (0, 2)
+        _exits_documented_code(orbit)
 
 
 #: certificate fields whose entries get edits of their own
@@ -1354,8 +1370,13 @@ def _edited_orbit(tmp_path_factory, doc: dict, stream: str):
 
 
 def _exits_documented_code(orbit) -> None:
-    assert main(["verify", "--orbit", str(orbit)]) in (0, 2, 4, 5)
-    assert main(["classify", "--orbit", str(orbit), "--out", str(orbit / "r.json")]) in (0, 2)
+    """verify --report ends in a documented exit code, and writes its report
+    exactly when the orbit certifies (exit 0, or 5 for a failing verdict)."""
+    report = orbit / "r.json"
+    report.unlink(missing_ok=True)
+    rc = main(["verify", "--orbit", str(orbit), "--report", str(report)])
+    assert rc in (0, 2, 4, 5)
+    assert report.exists() == (rc in (0, 5))
 
 
 class TestMutatedOrbits:

@@ -167,6 +167,27 @@ class TestWitnesses:
             assert tuple(o.word.tolist())[:3] == (0, 1, 1)
             certify(o)
 
+    @pytest.mark.parametrize("gap_class,prefix,kinds", [
+        ("W_NOT_QR", (0, 1, 1), ["trace_attains", "cylinder_lower_min"]),
+        ("V_NOT_W", (0, 1, 1), []),
+        ("V_NOT_W", (0, 0, 0, 0, 1, 1), ["self_lower_max", "self_upper_min"]),
+        ("QW_NOT_V", (0, 1, 1), ["coverage_counts"]),
+        ("I_NOT_QW", (0, 1, 1), ["trace_oscillation"]),
+        ("I_NOT_QW", (0, 0, 0, 0, 1, 1), ["trace_oscillation", "self_upper_decreasing"]),
+        ("QR_NOT_ERG_NOT_A", (0, 1, 1), ["trace_converges"]),
+        ("R_FULL_SUPPORT", (0, 1, 1), ["trace_converges", "coverage_fraction_of_expected"]),
+        ("ALMOST_PERIODIC_NOT_PER", (0, 1, 1), ["not_eventually_periodic"]),
+        ("PERIODIC", (0, 1, 1), []),
+    ])
+    def test_check_kinds_under_a_user_prefix(self, full2, phi_full2, gap_class, prefix, kinds):
+        """The checks a certificate keeps under a pinned prefix: those whose
+        thresholds hold only for the default stream start are dropped, unless
+        the prefix is the default pin 000011 (README, Gap classes)."""
+        o = synthesize_witness(full2, GapClass(gap_class), phi_full2, N_SMALL, seed=11,
+                               pinned_prefix=prefix)
+        assert [chk["check"] for chk in o.certificate.expected_statistics] == \
+            ["full_horizon_present", *kinds]
+
     def test_inadmissible_prefix_rejected(self, golden, phi_golden):
         with pytest.raises(NotAdmissible):
             synthesize_witness(golden, GapClass.W_NOT_QR, phi_golden, N_SMALL,
