@@ -13,9 +13,10 @@ liminf/limsup visit frequencies.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +32,12 @@ DEFAULT_TRACE_CHECKPOINTS = 128
 
 @dataclass
 class VisitStatistics:
-    """Visits of a self-cylinder x_0..x_{ell-1} at times 1..horizon."""
+    """Visits of a self-cylinder x_0..x_{ell-1} at times 1..horizon; max_gap
+    is None unless the sweep was asked for it."""
     visits: int
     lower_density_est: float
     upper_density_est: float
-    max_gap: int
+    max_gap: Optional[int]
     horizon: int
 
 
@@ -55,51 +57,20 @@ class RecurrenceReport:
         return all(v["passed"] for v in self.verdicts)
 
 
-def _check_code_range(ell: int, k: int) -> None:
+def window_codes(x: np.ndarray, ell: int, k: int) -> np.ndarray:
+    """Integer code of every length-ell window, big-endian in the symbols, in
+    the narrowest unsigned dtype that holds k**ell codes.  ValueError when
+    k**ell > 2**63, past the codes of int64."""
     if k ** ell > 1 << 63:
         raise ValueError(f"codes of {ell}-windows over {k} symbols do not fit in int64")
-
-
-def window_codes(x: np.ndarray, ell: int, k: int) -> np.ndarray:
-    """Integer code of every length-ell window, big-endian in the symbols.
-
-    Raises ValueError when k**ell > 2**63, where the codes would wrap in int64.
-    """
-    _check_code_range(ell, k)
     n = len(x) - ell + 1
     if n <= 0:
         raise TooShort(f"stream of length {len(x)} has no {ell}-windows")
-    codes = np.zeros(n, dtype=np.int64)
-    for j in range(ell):
+    codes = x[:n].astype(np.min_scalar_type(k ** ell - 1))
+    for j in range(1, ell):
         codes *= k
-        codes += x[j:j + n]
+        np.add(codes, x[j:j + n], out=codes, dtype=codes.dtype, casting="unsafe")
     return codes
-
-
-def _window_code_sweep(x: np.ndarray, lengths: Iterable[int],
-                       k: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(ell, window codes) for each of `lengths` in ascending order, from one array.
-
-    The codes at ell extend those at ell - 1 in place as codes[:n-1] * k + x[ell-1:],
-    so the sweep costs max(lengths) passes over x.  Each yielded array is
-    overwritten by the next step.
-    """
-    wanted = sorted(set(lengths))
-    if not wanted:
-        return
-    _check_code_range(wanted[-1], k)
-    ell = wanted[0]
-    codes = window_codes(x, ell, k)
-    for target in wanted:
-        while ell < target:
-            ell += 1
-            n = len(x) - ell + 1
-            if n <= 0:
-                raise TooShort(f"stream of length {len(x)} has no {ell}-windows")
-            codes = codes[:n]
-            codes *= k
-            codes += x[ell - 1:]
-        yield ell, codes
 
 
 def word_code(w: Sequence[int], k: int) -> int:
@@ -118,28 +89,6 @@ def density_checkpoints(n_max: int) -> np.ndarray:
     pts = np.unique(np.round(grid).astype(np.int64))
     pts.flags.writeable = False
     return pts
-
-
-def windowed_density(visits: np.ndarray, n_max: int) -> tuple[float, float]:
-    """(lower, upper) cumulative-ratio estimates over the checkpoint grid."""
-    pts = density_checkpoints(n_max)
-    ratios = np.searchsorted(visits, pts, side="left") / pts
-    return float(ratios.min()), float(ratios.max())
-
-
-def _statistics_from_visits(visits: np.ndarray, n_max: int) -> VisitStatistics:
-    """Facts of a self-cylinder from its visit times in 1..n_max.  max_gap is
-    the largest gap between consecutive visits, time 0 included; a single
-    visit counts its gap to the horizon too, and none gives the horizon."""
-    lower, upper = windowed_density(visits, n_max)
-    if len(visits) >= 2:
-        max_gap = max(int(np.diff(visits).max()), int(visits[0]))
-    elif len(visits) == 1:
-        max_gap = int(max(visits[0], n_max - visits[0]))
-    else:
-        max_gap = n_max
-    return VisitStatistics(visits=len(visits), lower_density_est=lower,
-                           upper_density_est=upper, max_gap=max_gap, horizon=n_max)
 
 
 def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
@@ -161,7 +110,8 @@ def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
     n = int(cps.max())
     if len(arr) < n + r:
         raise TooShort(f"need length >= {n + r}, have {len(arr)}")
-    codes = np.fromiter((word_code(w, k) for w in phi.table), np.int64, len(phi.table))
+    # unsigned, as the window codes are: int64 and uint64 would compare as floats
+    codes = np.fromiter((word_code(w, k) for w in phi.table), np.uint64, len(phi.table))
     values = np.fromiter(phi.table.values(), float, len(phi.table))
     dense = k ** r <= len(arr) - r + 1   # a gather beats a binary search per window
     if dense:
@@ -177,7 +127,7 @@ def birkhoff_trace(x, phi: Potential, checkpoints: Sequence[int],
         part = sums[:b - a]
         windows = window_codes(arr[a:b + r - 1], r, k)
         if dense:
-            table.take(windows, out=part)
+            table.take(windows, out=part, mode="clip")   # "raise" would write a copy of part
         else:
             at = order[np.minimum(np.searchsorted(codes, windows, sorter=order), len(codes) - 1)]
             part[:] = np.where(codes[at] == windows, values[at], 0.0)
@@ -225,64 +175,106 @@ def _coverage(counts: np.ndarray, s: ShiftSpace, ell: int) -> tuple[float, dict[
 # verdict evaluation against certificate expected_statistics
 
 
-@dataclass
-class _WindowFacts:
-    """What one ascending window-code sweep of a stream yields, by length.
+#: what one sweep of a stream yields, by length: self_stats, the visits of the
+#: self-cylinder x_0..x_{ell-1} up to the horizon (its max_gap only for a "gap");
+#: counts, each code's windows in the stream; lower, each code's lower density estimate
+_WindowFacts = NamedTuple("_WindowFacts", [("self_stats", dict), ("counts", dict),
+                                           ("lower", dict)])
 
-    self_stats: visits of the self-cylinder x_0..x_{ell-1} up to the horizon;
-    counts: occurrences of each code among all windows of the stream;
-    lower: lower density estimate of each code up to the horizon.
-    """
-    self_stats: dict[int, VisitStatistics]
-    counts: dict[int, np.ndarray]
-    lower: dict[int, np.ndarray]
+
+class _Visits:
+    """The visits of a self-cylinder at times 1..h, taken a chunk at a time:
+    their count (count_nonzero), how many fall below each density checkpoint,
+    and with `gaps` the largest gap between them, time 0 included; only a
+    chunk holding a checkpoint, or a gap, finds its visit times."""
+
+    def __init__(self, h: int, gaps: bool):
+        self.h, self.gaps, self.pts = h, gaps, density_checkpoints(h)
+        self.count = -1   # time 0, where the stream's own window stands, is no visit
+        self.below: list[int] = []
+        self.gap = self.last = 0
+
+    def add(self, a: int, recurs: np.ndarray) -> None:
+        """Take recurs[i]: whether the self-cylinder recurs at time a + i."""
+        pts = self.pts[slice(*np.searchsorted(self.pts, (a, a + len(recurs)), side="right"))] - a
+        if not (len(pts) or self.gaps):
+            self.count += np.count_nonzero(recurs)
+            return
+        at = np.flatnonzero(recurs)
+        self.below += (self.count + np.searchsorted(at, pts)).tolist()
+        self.count += len(at)
+        if self.gaps and len(at):
+            self.gap = max(self.gap, int(np.diff(at, prepend=self.last - a).max()))
+            self.last = a + int(at[-1])
+
+    def stats(self) -> VisitStatistics:
+        """One visit also counts its gap to the horizon, and none gives the horizon."""
+        ratios = np.array(self.below) / self.pts
+        gap = max(self.gap, self.h - self.last) if self.count <= 1 else self.gap
+        return VisitStatistics(visits=self.count, lower_density_est=float(ratios.min()),
+                               upper_density_est=float(ratios.max()),
+                               max_gap=gap if self.gaps else None, horizon=self.h)
+
+
+class _Counts:
+    """The windows of each code among the starts 0, 1, ..., taken a chunk at
+    a time by one bincount per stretch between the checkpoints of `h`, and
+    each code's lower density estimate: the least, over checkpoints c, of its
+    windows among the starts 1..c-1 over c."""
+
+    def __init__(self, size: int, h: Optional[int]):
+        self.pts = density_checkpoints(h).tolist() if h else []
+        self.counts = np.zeros(size, dtype=np.intp)
+        self.lower = np.inf
+
+    def add(self, a: int, codes: np.ndarray) -> None:
+        """Take codes[i], the code of the window at start a + i."""
+        if not a:
+            self.first = codes[0]   # the stream's own window is no visit
+        lo = 0
+        for c in self.pts[bisect.bisect_right(self.pts, a):
+                          bisect.bisect_right(self.pts, a + len(codes))]:
+            self.counts += np.bincount(codes[lo:c - a], minlength=len(self.counts))
+            lo = c - a
+            ratio = self.counts / c
+            ratio[self.first] = (self.counts[self.first] - 1) / c
+            self.lower = np.minimum(self.lower, ratio)
+        self.counts += np.bincount(codes[lo:], minlength=len(self.counts))
 
 
 def _sweep_windows(arr: np.ndarray, k: int, n_max: int,
                    needs: set[tuple[str, int]]) -> _WindowFacts:
-    """Every needed fact from two ascending sweeps, one array of each live.
-
-    Counts and lower densities come off one window-code sweep.  Self-cylinder
-    visits need no codes, so no length limit: x_0..x_{ell-1} recurs at n when
-    x_0..x_{ell-2} does and x_{n+ell-1} == x_{ell-1}, one boolean pass per
-    length, with no Python work that grows with ell.  Visit facts at ell run
-    up to min(n_max, len - ell): the evaluation horizon, cut back for lengths
-    past the ladder so their windows stay in the stream.
-    """
+    """Every needed fact from one pass over the stream, SAMPLE_CHUNK window
+    starts at a time (_Counts, _Visits), with no array that grows with it.
+    A chunk's window codes read ell - 1 symbols into the next chunk.
+    Self-cylinder visits need no codes, so no length limit: x_0..x_{ell-1}
+    recurs at t when x_0..x_{ell-2} does and x_{t+ell-1} == x_{ell-1}, one
+    boolean pass per length and chunk.  Visit facts at ell run up to
+    min(n_max, len - ell): the evaluation horizon, cut back for lengths past
+    the ladder so their windows stay in the stream."""
     def horizon(ell: int) -> int:
         h = min(n_max, len(arr) - ell)
         if h < 1:
             raise TooShort(f"need length >= {ell + 1}, have {len(arr)}")
         return h
 
-    facts = _WindowFacts({}, {}, {})
-    for ell, codes in _window_code_sweep(arr, {ell for fact, ell in needs if fact != "self"}, k):
-        if ("counts", ell) in needs:
-            facts.counts[ell] = np.bincount(codes, minlength=k ** ell)
-        if ("lower", ell) in needs:
-            facts.lower[ell] = _lower_densities(codes, k ** ell, horizon(ell))
-    self_lengths = {ell for fact, ell in needs if fact == "self"}
-    recurs = np.ones(n_max, dtype=bool)   # entry n-1 for time n
-    for ell in range(1, max(self_lengths, default=0) + 1):
-        h = horizon(ell)
-        recurs = recurs[:h]
-        recurs &= arr[ell:ell + h] == arr[ell - 1]
-        if ell in self_lengths:
-            facts.self_stats[ell] = _statistics_from_visits(np.flatnonzero(recurs) + 1, h)
-    return facts
-
-
-def _lower_densities(codes: np.ndarray, size: int, n_max: int) -> np.ndarray:
-    """windowed_density's lower estimate for every code at once: visits are the
-    window starts 1..n_max, counted below each checkpoint by one bincount per
-    stretch between checkpoints."""
-    pts = density_checkpoints(n_max)
-    counts = np.bincount(codes[1:pts[0]], minlength=size)
-    lower = counts / pts[0]
-    for a, b in zip(pts, pts[1:]):
-        counts += np.bincount(codes[a:b], minlength=size)
-        np.minimum(lower, counts / b, out=lower)
-    return lower
+    coded = {ell: _Counts(k ** ell, horizon(ell) if ("lower", ell) in needs else None)
+             for fact, ell in needs if fact in ("counts", "lower")}
+    selves = {ell: _Visits(horizon(ell), ("gap", ell) in needs)
+              for fact, ell in needs if fact in ("self", "gap")}
+    for a in range(0, len(arr), SAMPLE_CHUNK):
+        for ell, tally in coded.items():
+            if a <= len(arr) - ell:
+                tally.add(a, window_codes(arr[a:a + SAMPLE_CHUNK + ell - 1], ell, k))
+        recurs = np.ones(SAMPLE_CHUNK, dtype=bool)
+        for ell in range(1, max(selves, default=0) + 1):
+            recurs = recurs[:max(0, min(n_max, len(arr) - ell) + 1 - a)]   # times up to the horizon
+            recurs &= arr[a + ell - 1:a + ell - 1 + len(recurs)] == arr[ell - 1]
+            if ell in selves:
+                selves[ell].add(a, recurs)
+    return _WindowFacts({ell: visits.stats() for ell, visits in selves.items()},
+                        {ell: coded[ell].counts for fact, ell in needs if fact == "counts"},
+                        {ell: coded[ell].lower for fact, ell in needs if fact == "lower"})
 
 
 def _agreeing_rotations(cycle: np.ndarray) -> Iterator[np.ndarray]:
@@ -447,7 +439,7 @@ CHECKS: dict[str, CheckKind] = {
         lambda p: {("counts", p["length"])}),
     "max_gap_bounded": CheckKind(
         {"bounds": list_of(tuple_of(LENGTH, NUMBER))}, _gaps_within,
-        lambda p: {("self", ell) for ell, _ in p["bounds"]}),
+        lambda p: {("gap", ell) for ell, _ in p["bounds"]}),
     "coverage_fraction_of_expected": CheckKind(
         {"length": CODE_LENGTH, "expected": list_of(tuple_of(list_of(INTEGER), NUMBER)),
          "fraction": NUMBER}, _expected_share, lambda p: {("counts", p["length"])}),
@@ -524,7 +516,7 @@ def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
     """
     arr = np.asarray(x)
     coverage_lengths = [ell for ell in DEFAULT_LADDER if ell <= 4]
-    needs = {("self", ell) for ell in DEFAULT_LADDER} | {("counts", ell) for ell in coverage_lengths}
+    needs = {("gap", ell) for ell in DEFAULT_LADDER} | {("counts", ell) for ell in coverage_lengths}
     ev, verdicts = _score(arr, s, expected_statistics, phi, needs, phi is not None)
     max_ell = max(DEFAULT_LADDER)
     return RecurrenceReport(

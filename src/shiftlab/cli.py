@@ -71,8 +71,9 @@ def cmd_entropy(args) -> int:
                 lines.append(f"words (n={n}): {math.log(count_words(s, n)) / n:.12f}")
             elif method == "periodic":
                 cnt = count_periodic(s, n)
-                est = math.log(cnt) / n if cnt > 0 else float("-inf")
-                lines.append(f"periodic (n={n}): {est:.12f}")
+                if not cnt:
+                    raise ValueError(f"no point has a period dividing n={n}: no periodic estimate")
+                lines.append(f"periodic (n={n}): {math.log(cnt) / n:.12f}")
         inputs = {"shift": args.shift, "methods": methods, "n": n}
     _maybe_manifest(args, "entropy", inputs, [])
     print("\n".join(lines))

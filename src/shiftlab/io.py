@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import CertificateMismatch, SchemaError, UnreadableInput
-from .measures import (InvariantMeasure, MarkovMeasure, PeriodicMeasure, Potential,
-                       markov_measure, mixture, periodic_measure, validate_potential)
+from .measures import (SAMPLE_CHUNK, InvariantMeasure, MarkovMeasure, PeriodicMeasure,
+                       Potential, markov_measure, mixture, periodic_measure, validate_potential)
 from .shifts import SYMBOL_DTYPE, ShiftSpace, sft_from_matrix
 from .synthesis import (CLASSES, Certificate, GapClass, OrbitPrefix, Schedule, Segment,
                         sub_seeds)
@@ -73,17 +73,17 @@ def write_json(path: Union[str, Path], doc: dict) -> None:
     atomic_write(path, (json.dumps(doc) + "\n").encode("ascii"))
 
 
-def _read(path: Union[str, Path]) -> bytes:
-    """The bytes of an input file; an OSError reading it is UnreadableInput."""
+def _read(path: Union[str, Path]) -> np.ndarray:
+    """The bytes of an input file, as uint8; an OSError reading it is UnreadableInput."""
     try:
-        return Path(path).read_bytes()
+        return np.fromfile(path, dtype=np.uint8)
     except OSError as e:
         raise UnreadableInput(f"cannot read {path}: {e.strerror or e}") from e
 
 
 def read_json(path: Union[str, Path]) -> dict:
     """A UTF-8 JSON document; json.loads of the bytes would take a BOM or UTF-16."""
-    return json.loads(_read(path).decode("utf-8"))
+    return json.loads(_read(path).tobytes().decode("utf-8"))
 
 
 # --- typed fields ------------------------------------------------------------
@@ -304,13 +304,23 @@ def stream_to_text(word) -> np.ndarray:
     return grid.reshape(-1)[:n + rows]
 
 
-def stream_from_text(data: bytes) -> np.ndarray:
-    """The symbols of a stream file's bytes as a SYMBOL_DTYPE array: ASCII
-    whitespace (space, \\t, \\n, \\r, \\v, \\f) dropped and each other byte
-    less '0' in one byte, so one that is not a digit, a non-ASCII one too,
-    reads as a symbol >= 10."""
-    raw = data.translate(None, b" \t\n\r\v\f")
-    return (np.frombuffer(raw, dtype=np.uint8) - ord("0")).astype(SYMBOL_DTYPE, copy=False)
+def _read_stream(path: Path, digits: int) -> np.ndarray:
+    """The symbols of a stream file as a SYMBOL_DTYPE array, decoded in the
+    array of the file's bytes SAMPLE_CHUNK bytes at a time: ASCII whitespace
+    (space, \\t, \\n, \\r, \\v, \\f) dropped and each other byte less '0'
+    in one byte, so one that is not a digit, a non-ASCII one too, reads as a
+    symbol >= 10.  SchemaError names the first symbol not below `digits`."""
+    word = _read(path)
+    n = 0   # symbols decoded, never past the chunk being read
+    for a in range(0, len(word), SAMPLE_CHUNK):
+        data = word[a:a + SAMPLE_CHUNK].tobytes().translate(None, b" \t\n\r\v\f")
+        part = np.subtract(np.frombuffer(data, dtype=np.uint8), ord("0"), out=word[n:n + len(data)])
+        bad = np.flatnonzero(part >= digits)   # a byte below '0' wraps past 10
+        if bad.size:
+            char = chr((int(part[bad[0]]) + ord("0")) % 256)   # the byte read as Latin-1
+            raise SchemaError(f"stream symbol {n + bad[0]} is {char!r}, not a digit below {digits}")
+        n += len(data)
+    return word[:n]
 
 
 # --- certificates and orbit directories ------------------------------------
@@ -404,13 +414,15 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
     }
 
 
-def orbit_from_docs(cert_doc: dict, stream: bytes) -> OrbitPrefix:
-    """The orbit of a certificate document and its stream file's bytes.  Beyond each
+def read_orbit_dir(orbit_dir: Union[str, Path]) -> OrbitPrefix:
+    """The orbit of a directory's certificate.json and stream.txt.  Beyond each
     field's type: exact_facts has one entry per pool measure, the structure,
     extremes, chain_links and potential fit the gap class's CLASSES entry, the
-    stream holds digits below k, and the schedule's columns fit (_segments).
-    A schema 1 or 2 schedule is read into columns first (_columns), which
-    compares its stored sub-seeds with the derived ones."""
+    stream holds digits below k (_read_stream), and the schedule's columns
+    fit (_segments).  A schema 1 or 2 schedule is read into columns first
+    (_columns), which compares its stored sub-seeds with the derived ones."""
+    path = Path(orbit_dir)
+    cert_doc = read_json(path / "certificate.json")
     schema = validate(cert_doc, {"schema": CERTIFICATE_FIELDS["schema"]}, "certificate")["schema"]
     s = shift_from_doc(cert_doc.get("shift"))   # its alphabet types the other fields' symbols
     fields = CERTIFICATE_FIELDS if schema == CERTIFICATE_SCHEMA else {**CERTIFICATE_FIELDS,
@@ -442,12 +454,7 @@ def orbit_from_docs(cert_doc: dict, stream: bytes) -> OrbitPrefix:
         pinned_prefix=tuple(cert_doc["pinned_prefix"]) if cert_doc.get("pinned_prefix") else None,
         horizon=cert_doc["horizon"], seed=cert_doc["seed"], phi=phi,
         ambient_entropy=float(cert_doc["ambient_entropy"]))
-    word = stream_from_text(stream)
-    digits = min(s.k, STREAM_ALPHABET)
-    bad = np.flatnonzero(word >= digits)   # a byte below '0' wraps past 10
-    if bad.size:
-        char = chr((int(word[bad[0]]) + ord("0")) % 256)   # the byte read as Latin-1
-        raise SchemaError(f"stream symbol {bad[0]} is {char!r}, not a digit below {digits}")
+    word = _read_stream(path / "stream.txt", min(s.k, STREAM_ALPHABET))
     columns = (cert_doc["schedule"] if schema == CERTIFICATE_SCHEMA
                else _columns(cert_doc["schedule"], cert.seed))
     segments = _segments(columns, Context(k=s.k, pool=pool), cert.horizon)
@@ -461,11 +468,6 @@ def write_orbit_dir(o: OrbitPrefix, out_dir: Union[str, Path]) -> list[str]:
     atomic_write(out / "stream.txt", stream)
     write_json(out / "certificate.json", certificate_to_doc(o))
     return ["stream.txt", "certificate.json"]
-
-
-def read_orbit_dir(orbit_dir: Union[str, Path]) -> OrbitPrefix:
-    path = Path(orbit_dir)
-    return orbit_from_docs(read_json(path / "certificate.json"), _read(path / "stream.txt"))
 
 
 # --- reports and manifests --------------------------------------------------

@@ -349,23 +349,28 @@ def walk_mismatch(m: MarkovMeasure, word: np.ndarray, starts: Sequence[int],
     == x_t; a segment's first step is a constant map, so it reads no
     previous symbol.  Every step before the first wrong one matches the
     walk, so by induction the first wrong step is the first symbol where
-    the word and the walk differ.  Each chunk is one gather and one compare.
+    the word and the walk differ.  Each chunk joins its segments' slices
+    once, for one gather and one compare; a memoryless walk (every map
+    constant) gathers the table's first column, reading no previous symbol.
     """
     offsets = [0, *itertools.accumulate(lengths)]
     k = m.shift.k
     for a, b, g, table in _walk_chunks(m, lengths, seeds):
-        flat = table.reshape(-1)
-        codes = np.min_scalar_type(len(flat) - 1)   # the narrowest g k + x: cheaper to take
-        for j in range(bisect.bisect_right(offsets, a) - 1, bisect.bisect_left(offsets, b)):
-            lo, hi = max(offsets[j], a), min(offsets[j + 1], b)
-            at = starts[j] + lo - offsets[j]   # where step lo stands in word
-            x = word[at:at + hi - lo]
-            i = np.multiply(g[lo - a:hi - a], k, dtype=codes)
+        spans = range(bisect.bisect_right(offsets, a) - 1, bisect.bisect_left(offsets, b))
+        x = np.concatenate([word[starts[j] + max(offsets[j], a) - offsets[j]:
+                                 starts[j] + min(offsets[j + 1], b) - offsets[j]] for j in spans])
+        if (table == table[:, :1]).all():
+            miss = table[:, 0].take(g) != x
+        else:
+            flat = table.reshape(-1)
+            i = np.multiply(g, k, dtype=np.min_scalar_type(len(flat) - 1))   # narrowest g k + x
             i[1:] += x[:-1]
-            i[0] += word[at - 1]   # at 0 a segment starts: any symbol will do
+            i[0] += word[starts[spans[0]] + a - offsets[spans[0]] - 1]   # any symbol at a start
             miss = flat.take(i) != x
-            if miss.any():
-                return at + int(miss.argmax())
+        if miss.any():
+            t = a + int(miss.argmax())
+            j = bisect.bisect_right(offsets, t) - 1
+            return starts[j] + t - offsets[j]
     return -1
 
 
@@ -469,7 +474,7 @@ def _scan(table: np.ndarray, g: np.ndarray, entry: int) -> np.ndarray:
     steps, where the passes would cost more, is stepped in Python.
     """
     if (table == table[:, :1]).all():
-        return table[g, 0]  # indexing casts g in blocks; take would cast it whole
+        return table[:, 0].take(g)
     n = len(g)
     if n <= SCAN_RADIX ** 2:
         maps = table.tolist()

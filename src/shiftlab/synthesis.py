@@ -34,7 +34,7 @@ import numpy as np
 from . import rng
 from .errors import (CertificateMismatch, IrregularityUnavailable, NoProperSubshift,
                      NotAdmissible, NotPrimitive)
-from .measures import (InvariantMeasure, MarkovMeasure, Mixture, PeriodicMeasure,
+from .measures import (SAMPLE_CHUNK, InvariantMeasure, MarkovMeasure, Mixture, PeriodicMeasure,
                        Potential, entropy, equilibrium_measure, has_full_support,
                        integrate, is_ergodic, markov_measure, markov_word_probability,
                        mixture, parry_measure, periodic_measure, piece_is_single_orbit,
@@ -205,19 +205,29 @@ def _regenerate(segments: list[Segment], pool: list[InvariantMeasure],
     for i, seg in enumerate(segments):
         if seg.kind == "markov":
             by_source.setdefault(seg.source, []).append(i)
-        elif seg.kind == "periodic":
-            cycle = np.array(pool[seg.source].cycle, dtype=SYMBOL_DTYPE)
-            words[i] = np.tile(cycle, -(-seg.length // len(cycle)))[:seg.length]
-        elif seg.kind == "thue_morse":
-            words[i] = thue_morse_word(seg.length)
         else:
-            words[i] = np.array(seg.word, dtype=SYMBOL_DTYPE)
+            words[i] = _symbols(seg, pool, 0, seg.length)
     for source, idx in by_source.items():
         lengths = [segments[i].length for i in idx]
         drawn = sample_typical_words(pool[source], lengths, [seeds[i] for i in idx])
         for i, word in zip(idx, np.split(drawn, np.cumsum(lengths)[:-1])):
             words[i] = word
     return words
+
+
+def _symbols(seg: Segment, pool: list[InvariantMeasure], lo: int, hi: int) -> np.ndarray:
+    """Symbols lo..hi-1 of a segment that is not Markov, as a SYMBOL_DTYPE
+    array.  A Thue-Morse piece starts at 0 or at a multiple of a power of two
+    at least hi - lo: symbol lo + i is then symbol lo xor symbol i."""
+    if seg.kind == "periodic":
+        cycle = np.array(pool[seg.source].cycle, dtype=SYMBOL_DTYPE)
+        r = lo % len(cycle)
+        return np.tile(cycle, (r + hi - lo) // len(cycle) + 1)[r:r + hi - lo]
+    if seg.kind == "thue_morse":
+        word = thue_morse_word(hi - lo)
+        word ^= lo.bit_count() & 1
+        return word
+    return np.array(seg.word[lo:hi], dtype=SYMBOL_DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +712,8 @@ def _check_word(o: OrbitPrefix) -> None:
     stream is checked in place, with no copy of the stream: a pool source's
     Markov segments step by step against the stream's own symbols
     (walk_mismatch, from their sub_seeds), the other kinds against their
-    regenerated symbols (_regenerate).  The segment holding the first
-    differing symbol is named.
+    symbols (_symbols), each pass SAMPLE_CHUNK symbols at a time.  The
+    segment holding the first differing symbol is named.
     """
     cert = o.certificate
     s = o.shift
@@ -712,9 +722,11 @@ def _check_word(o: OrbitPrefix) -> None:
         raise CertificateMismatch("horizon", f"stream has {len(word)} symbols, "
                                              f"past the horizon {cert.horizon}")
     allowed = (s.matrix_array() == 1).reshape(-1)
-    pairs = word.astype(np.min_scalar_type(s.k * s.k - 1), copy=False)   # codes a k + b fit
-    if not allowed.all() and not allowed[pairs[:-1] * s.k + pairs[1:]].all():
-        raise CertificateMismatch("admissibility", "stream violates the transition matrix")
+    if not allowed.all():
+        for a in range(0, len(word) - 1, SAMPLE_CHUNK):
+            pair = word[a:a + SAMPLE_CHUNK + 1]   # the code of a step a -> b is a k + b
+            if not allowed.take(np.multiply(pair[:-1], s.k, dtype=np.intp) + pair[1:]).all():
+                raise CertificateMismatch("admissibility", "stream violates the transition matrix")
     if cert.pinned_prefix is not None and len(word) >= len(cert.pinned_prefix):
         if not np.array_equal(word[:len(cert.pinned_prefix)], cert.pinned_prefix):
             raise CertificateMismatch("pinned_prefix", "stream does not start with the pin")
@@ -723,17 +735,17 @@ def _check_word(o: OrbitPrefix) -> None:
                              o.schedule.segments))
     first = len(word)
     by_source: dict[int, list[tuple[int, int, int]]] = {}
-    others = []
+    pieces = []   # (segment, offset) of the other kinds, SAMPLE_CHUNK symbols at a time
     for seg, sub_seed in zip(present, sub_seeds([seg.kind for seg in present], cert.seed)):
         if seg.kind == "markov":
             by_source.setdefault(seg.source, []).append((seg.start, seg.length, sub_seed))
         else:
-            others.append(seg)
-    # none of the others is Markov, so none reads a sub-seed
-    for seg, expected in zip(others, _regenerate(others, cert.pool, [None] * len(others))):
-        miss = word[seg.start:seg.start + seg.length] != expected
+            pieces += [(seg, lo) for lo in range(0, seg.length, SAMPLE_CHUNK)]
+    for seg, lo in pieces:
+        hi = min(lo + SAMPLE_CHUNK, seg.length)
+        miss = word[seg.start + lo:seg.start + hi] != _symbols(seg, cert.pool, lo, hi)
         if miss.any():
-            first = seg.start + int(miss.argmax())
+            first = seg.start + lo + int(miss.argmax())
             break
     for source, spans in by_source.items():
         at = walk_mismatch(cert.pool[source], word, *zip(*spans))   # starts, lengths, sub-seeds

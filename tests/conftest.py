@@ -5,13 +5,28 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+import numpy as np
+
 from shiftlab import spectrum
+from shiftlab.classify import _Visits
 from shiftlab.measures import Potential, indicator_potential
 from shiftlab.shifts import ShiftSpace, full_shift, golden_mean_shift, iter_words, sft_from_matrix
 from shiftlab.spectrum import PressureFunction, lphi_interval
 from shiftlab.synthesis import GapClass, synthesize_witness
 
 import oracle
+
+def density_estimates(visits, n_max: int) -> tuple[float, float]:
+    """The classifier's (lower, upper) density estimates over its checkpoints
+    of n_max, for visits at the given times in 1..n_max."""
+    recurs = np.zeros(n_max + 1, dtype=bool)
+    recurs[0] = True   # time 0, where the stream's own window stands
+    recurs[visits] = True
+    tally = _Visits(n_max, gaps=False)
+    tally.add(0, recurs)
+    stats = tally.stats()
+    return stats.lower_density_est, stats.upper_density_est
+
 
 ACCEPTANCE_SEED = 20250809
 #: horizon of the default witnesses

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 from shiftlab import classify
 from shiftlab.classify import (CHECKS, DEFAULT_LADDER, _checked, _coverage, _Evidence,
                                _eventually_periodic, _frequencies, _agreeing_rotations,
-                               _sweep_windows, _window_code_sweep, birkhoff_trace,
+                               _sweep_windows, birkhoff_trace,
                                default_trace_checkpoints, density_checkpoints,
                                evaluate_certificate, evaluate_checks, trace_oscillation,
-                               window_codes, windowed_density, word_code)
+                               window_codes, word_code)
 from shiftlab.errors import SchemaError, TooShort
 from shiftlab.io import report_to_doc
 from shiftlab.measures import (SAMPLE_CHUNK, integrate, indicator_potential, parry_measure,
@@ -24,7 +25,7 @@ from shiftlab.shifts import SYMBOL_DTYPE, full_shift, iter_words, sft_from_matri
 from shiftlab.synthesis import GapClass, synthesize_witness, thue_morse_word
 
 from oracle import brute_self_visits, full_compare_eventually_periodic
-from conftest import ACCEPTANCE_SEED, EVERY_CHECK
+from conftest import ACCEPTANCE_SEED, EVERY_CHECK, density_estimates
 
 
 def alternating(n):
@@ -32,8 +33,8 @@ def alternating(n):
 
 
 def _self_stats(x, ell, n_max, k=2):
-    """The sweep's visit facts of the length-ell self-cylinder."""
-    return _sweep_windows(x, k, n_max, {("self", ell)}).self_stats[ell]
+    """The sweep's visit facts of the length-ell self-cylinder, its gap included."""
+    return _sweep_windows(x, k, n_max, {("self", ell), ("gap", ell)}).self_stats[ell]
 
 
 def _empirical(x, ell, k=2):
@@ -352,7 +353,7 @@ class TestDensityProperties:
     @settings(max_examples=30, deadline=None)
     def test_lower_below_upper(self, vs):
         visits, n_max = vs
-        lo, hi = windowed_density(visits, n_max)
+        lo, hi = density_estimates(visits, n_max)
         assert 0.0 <= lo <= hi <= 1.0
 
     def test_checkpoints_cover_window(self):
@@ -397,18 +398,28 @@ class TestWindowCodes:
             window_codes(x, 64, 2)
         with pytest.raises(ValueError, match="int64"):
             window_codes(x, 70, 2)
-        with pytest.raises(ValueError, match="int64"):
-            list(_window_code_sweep(x, [1, 64], 2))
+
+    def test_narrowest_unsigned_dtype(self):
+        x = _stream(3, 100, 4)
+        for ell, dtype in ((1, np.uint8), (5, np.uint8), (6, np.uint16), (11, np.uint32),
+                           (21, np.uint64)):
+            assert window_codes(x, ell, 3).dtype == dtype
+            assert window_codes(x.astype(SYMBOL_DTYPE), ell, 3).dtype == dtype
 
     @given(k=st.integers(2, 4), n=st.integers(30, 400), seed=st.integers(0, 2 ** 32),
-           lengths=st.sets(st.integers(1, 12), min_size=1, max_size=5))
+           lengths=st.sets(st.integers(1, 6), min_size=1, max_size=5),
+           chunk=st.sampled_from([7, 64, SAMPLE_CHUNK]))
     @settings(max_examples=60, deadline=None)
-    def test_sweep_matches_fresh_codes(self, k, n, seed, lengths):
+    def test_sweep_matches_fresh_codes(self, k, n, seed, lengths, chunk):
+        """Counted a chunk at a time, each length's counts are those of the
+        codes of the whole stream."""
         x = _stream(k, n, seed)
-        swept = [(ell, codes.copy()) for ell, codes in _window_code_sweep(x, lengths, k)]
-        assert [ell for ell, _ in swept] == sorted(lengths)
-        for ell, codes in swept:
-            assert np.array_equal(codes, window_codes(x, ell, k))
+        with mock.patch.object(classify, "SAMPLE_CHUNK", chunk):
+            counts = _sweep_windows(x, k, n - 12, {("counts", ell) for ell in lengths}).counts
+        assert sorted(counts) == sorted(lengths)
+        for ell in lengths:
+            assert np.array_equal(counts[ell], np.bincount(window_codes(x, ell, k),
+                                                           minlength=k ** ell))
 
 
 def _brute_facts(x, word, h):
@@ -425,19 +436,37 @@ def _brute_facts(x, word, h):
 
 
 class TestSweepFacts:
-    """Facts from the one sweep equal a brute tuple scan exactly."""
+    """Facts from the one sweep equal a brute tuple scan exactly, whether the
+    stream is one chunk or many (classify's chunk size patched to 64)."""
 
     @given(k=st.integers(2, 3), seed=st.integers(0, 2 ** 32), n=st.integers(200, 3000),
            period=st.sampled_from([None, 1, 2, 3, 5]))
     @settings(max_examples=40, deadline=None)
     def test_facts_equal_per_target_scans(self, k, seed, n, period):
+        self._facts_equal_scans(k, seed, n, period)
+
+    @given(k=st.integers(2, 3), seed=st.integers(0, 2 ** 32), n=st.integers(200, 3000),
+           period=st.sampled_from([None, 1, 2, 3, 5]))
+    @settings(max_examples=40, deadline=None)
+    def test_facts_across_chunk_seams(self, k, seed, n, period):
+        with mock.patch.object(classify, "SAMPLE_CHUNK", 64):
+            self._facts_equal_scans(k, seed, n, period)
+
+    def test_gap_only_where_declared(self):
+        x = _stream(2, 500, 1)
+        facts = _sweep_windows(x, 2, 488, {("self", 1), ("gap", 2)})
+        assert facts.self_stats[1].max_gap is None
+        assert facts.self_stats[2].max_gap == _brute_facts(x, x[:2], 488)[3]
+
+    @staticmethod
+    def _facts_equal_scans(k, seed, n, period):
         x = _stream(k, n, seed)
         if period is not None:
             x = np.tile(x[:period], n // period + 1)[:n]
         s = full_shift(k)
         n_max = n - 8
-        needs = {(fact, ell) for fact in ("self", "counts", "lower") for ell in (1, 2, 3)}
-        needs |= {("self", 8), ("self", 10)}
+        needs = {(fact, ell) for fact in ("gap", "counts", "lower") for ell in (1, 2, 3)}
+        needs |= {("gap", 8), ("gap", 10)}
         facts = _sweep_windows(x, k, n_max, needs)
         for ell in (1, 2, 3, 8, 10):
             got = facts.self_stats[ell]
@@ -450,6 +479,11 @@ class TestSweepFacts:
                 assert facts.lower[ell][word_code(w, k)] == lower
                 assert facts.counts[ell][word_code(w, k)] == \
                     len(brute_self_visits(x, w, n - ell)) + (tuple(x[:ell].tolist()) == w)
+        phi = Potential(range=2, table={w: float(i) for i, w in enumerate(iter_words(s, 2))})
+        sums = np.cumsum([phi.table[tuple(x[i:i + 2].tolist())] for i in range(n - 2)])
+        checkpoints = default_trace_checkpoints(n - 2)
+        assert birkhoff_trace(x, phi, checkpoints, k) == [
+            (c, float(sums[c - 1] / c)) for c in checkpoints]
 
 
 class TestPeriodicDensity:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from shiftlab import cli, io, shifts, synthesis
 from shiftlab.classify import CHECKS
 from shiftlab.cli import build_parser, main
+from shiftlab.errors import SchemaError
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import SYMBOL_DTYPE, full_shift, golden_mean_shift, sft_from_matrix
 from shiftlab.synthesis import CLASSES, Certificate, GapClass, synthesize_witness
@@ -405,12 +406,13 @@ class TestRoundTrips:
         assert again.certificate.inf_entropy_over_K == o.certificate.inf_entropy_over_K
         assert io.certificate_to_doc(again) == io.certificate_to_doc(o)
 
-    def test_stream_format(self, full2, phi_full2):
+    def test_stream_format(self, tmp_path, full2, phi_full2):
         o = synthesize_witness(full2, GapClass.PERIODIC, None, 300, seed=0)
         data = io.stream_to_text(o.word).tobytes()
         lines = data.strip().split(b"\n")
         assert all(len(line) <= 120 for line in lines)
-        assert (io.stream_from_text(data) == o.word).all()
+        (tmp_path / "stream.txt").write_bytes(data)
+        assert (io._read_stream(tmp_path / "stream.txt", 2) == o.word).all()
 
     @pytest.mark.parametrize("n", [0, 1, 119, 120, 121, 240])
     def test_stream_rows(self, n):
@@ -449,12 +451,20 @@ class TestEntropyCommand:
         assert rc == 0
         assert "0.481211825" in out
 
-    def test_periodic_without_points_is_minus_infinity(self, tmp_path):
-        io.write_json(tmp_path / "swap.json", io.shift_to_doc(sft_from_matrix(2, [[0, 1], [1, 0]])))
-        rc, out, _ = run_cli("entropy", "--shift", str(tmp_path / "swap.json"),
-                             "--method", "periodic", "--n", "3")
-        assert rc == 0
-        assert out.strip().splitlines()[-1] == "periodic (n=3): -inf"
+    def test_periodic_without_points_exits_2(self, tmp_path):
+        """With no point of period dividing n the periodic estimate does not
+        exist: exit 2 naming n, with nothing on stdout, not a printed -inf.
+        The 60-node cycle with a chord closing a 23-cycle has closed walks of
+        lengths 60a + 23b only, so none of length 24."""
+        cycle = [[int(j == (i + 1) % 60 or (i, j) == (0, 38)) for j in range(60)]
+                 for i in range(60)]
+        for name, matrix, n, method in (("chord", cycle, 24, []),
+                                        ("swap", [[0, 1], [1, 0]], 3, ["--method", "periodic"])):
+            path = tmp_path / f"{name}.json"
+            io.write_json(path, io.shift_to_doc(sft_from_matrix(len(matrix), matrix)))
+            rc, out, err = run_cli("entropy", "--shift", str(path), "--n", str(n), *method)
+            assert (rc, out) == (2, "")
+            assert f"n={n}" in err and "Traceback" not in err
 
     def test_golden_words_close_to_spectral(self, files):
         rc, out, _ = run_cli("entropy", "--shift", str(files / "golden.json"),
@@ -1457,4 +1467,45 @@ class TestMutatedStreams:
         data = (orbit / "stream.txt").read_bytes()
         (orbit / "stream.txt").write_bytes(b"\t" + data.replace(b"\n", b"\r\n\t"))
         assert main(["verify", "--orbit", str(orbit)]) == 0
-        assert io.stream_from_text(b"0\t1\r\n1 \x0b0\x0c\r").tolist() == [0, 1, 1, 0]
+        (tmp_path / "ws.txt").write_bytes(b"0\t1\r\n1 \x0b0\x0c\r")
+        assert io._read_stream(tmp_path / "ws.txt", 10).tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64, 1 << 16])
+    def test_whitespace_across_decode_chunks(self, tmp_path, monkeypatch, chunk):
+        """Read a few bytes at a time, whitespace runs (CRLF, spaces, tabs)
+        that straddle the chunk edges are dropped as in one read, and a bad
+        byte just past an edge is named by its symbol index."""
+        digits = [i * 7 % 10 for i in range(300)]
+        gaps = [b"", b"\r\n", b" ", b"  \t", b"\r", b"\n\x0b\x0c"]
+        data = b"".join(str(d).encode() + gaps[i % len(gaps)] for i, d in enumerate(digits))
+        (tmp_path / "stream.txt").write_bytes(data)
+        monkeypatch.setattr(io, "SAMPLE_CHUNK", chunk)
+        assert io._read_stream(tmp_path / "stream.txt", 10).tolist() == digits
+        for at in sorted({min(chunk, len(data) - 1), 2 * chunk % len(data), len(data) - 1}):
+            bad = data[:at] + b"x" + data[at + 1:]
+            index = len(data[:at].translate(None, b" \t\n\r\v\f"))
+            (tmp_path / "stream.txt").write_bytes(bad)
+            with pytest.raises(SchemaError, match=f"stream symbol {index} is 'x'"):
+                io._read_stream(tmp_path / "stream.txt", 10)
+
+
+class TestVerifyMemory:
+    """verify keeps one array the size of the stream file, one byte a symbol;
+    everything else it holds is a chunk (SAMPLE_CHUNK symbols) or a
+    certificate.  Before the chunked pass, its window codes, visit times,
+    decoded copies and regenerated segments took 10 to 18 bytes a symbol on
+    W_NOT_QR, QW_NOT_V, R_FULL_SUPPORT, ALMOST_PERIODIC_NOT_PER and PERIODIC."""
+
+    @pytest.mark.parametrize("gap_class", list(GapClass))
+    def test_peak_per_symbol(self, witnesses, tmp_path, capsys, gap_class):
+        o = witnesses[0][gap_class]
+        io.write_orbit_dir(o, tmp_path / "orbit")
+        n = len(o.word)
+        tracemalloc.start()
+        try:
+            rc = main(["verify", "--orbit", str(tmp_path / "orbit")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 2 * n + (4 << 20), f"{peak / n:.2f} bytes a symbol"

