@@ -21,7 +21,6 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import SchemaError, TooShort
-from .io import COUNT, INTEGER, NUMBER, Context, Param, list_of, tuple_of, validate
 from .measures import SAMPLE_CHUNK, Potential
 from .shifts import ShiftSpace, Word, iter_words
 
@@ -311,29 +310,22 @@ def _eventually_periodic(x: np.ndarray, max_period: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the check table: every kind of expected_statistics entry, declared once
+# the check table: every kind of expected_statistics entry, declared once;
+# synthesis.CLASSES states which entries, with which parameters, each class has
 
 
 #: what a verdict reads; the trace is empty unless a check or the report reads it
 _Evidence = NamedTuple("_Evidence", [("x", np.ndarray), ("s", ShiftSpace),
                                      ("trace", list), ("facts", _WindowFacts)])
-# check parameter types beyond io's, for a stream of n symbols over k
-#: a self-cylinder length or period: some visit time must follow it in the stream
-LENGTH = Param("an integer ell with 1 <= ell < n", lambda v, c: type(v) is int and 1 <= v < c.n)
-#: a length whose k**ell word codes get counted: no more codes than symbols
-CODE_LENGTH = Param("an integer ell with 1 <= ell < n and k**ell <= n",
-                    lambda v, c: LENGTH.test(v, c) and c.k ** min(v, c.n.bit_length()) <= c.n)
-SHARE = Param("a number in (0, 1]", lambda v, c: NUMBER.test(v, c) and 0 < v <= 1)
 
 
 class CheckKind(NamedTuple):
-    """One kind of expected_statistics entry.  params: its parameters and their
-    types; those in `defaults` may be left out.  verdict(p, ev): the verdict
+    """One kind of expected_statistics entry.  verdict(p, ev): the verdict
     fields "measured" and "passed", in report order.  needs(p): the (fact,
-    length) pairs it reads off the sweep, facts as in _WindowFacts.  trace:
+    length) pairs it reads off the sweep, facts as in _WindowFacts.
+    defaults: the parameters that may be left out, and their values.  trace:
     whether it reads the Birkhoff trace, so needs a potential.  p is the
     entry with its defaults filled in."""
-    params: dict[str, Param]
     verdict: Callable[[dict, _Evidence], dict]
     needs: Callable[[dict], set[tuple[str, int]]] = lambda p: set()
     defaults: dict = {}
@@ -403,69 +395,48 @@ def _cycle_densities(p: dict, ev: _Evidence) -> dict:
 
 
 CHECKS: dict[str, CheckKind] = {
-    "full_horizon_present": CheckKind(
-        {"horizon": COUNT}, lambda p, ev: _at_least(len(ev.x), p["horizon"])),
-    "trace_attains": CheckKind(
-        {"targets": list_of(NUMBER), "tol": NUMBER, "window": SHARE}, _trace_distances,
-        defaults={"window": 0.5}, trace=True),
-    "trace_converges": CheckKind(
-        {"target": NUMBER, "tol": NUMBER, "osc_tol": NUMBER, "window": SHARE}, _trace_settles,
-        defaults={"window": 0.25}, trace=True),
+    "full_horizon_present": CheckKind(lambda p, ev: _at_least(len(ev.x), p["horizon"])),
+    "trace_attains": CheckKind(_trace_distances, defaults={"window": 0.5}, trace=True),
+    "trace_converges": CheckKind(_trace_settles, defaults={"window": 0.25}, trace=True),
     "trace_oscillation": CheckKind(
-        {"min_gap": NUMBER, "window": SHARE},
         lambda p, ev: _at_least(_spread(_tail(ev.trace, p["window"])), p["min_gap"]),
         defaults={"window": 0.5}, trace=True),
     "cylinder_lower_min": CheckKind(
-        {"lengths": list_of(CODE_LENGTH), "threshold": NUMBER},
         lambda p, ev: _at_least(min(float(ev.facts.lower[ell][word_code(w, ev.s.k)])
                                     for ell in p["lengths"] for w in iter_words(ev.s, ell)),
                                 p["threshold"]),
         lambda p: {("lower", ell) for ell in p["lengths"]}),
     "self_lower_max": CheckKind(
-        {"length": LENGTH, "max": NUMBER},
         lambda p, ev: _at_most(ev.facts.self_stats[p["length"]].lower_density_est, p["max"]),
         lambda p: {("self", p["length"])}),
     "self_upper_min": CheckKind(
-        {"length": LENGTH, "min": NUMBER},
         lambda p, ev: _at_least(ev.facts.self_stats[p["length"]].upper_density_est, p["min"]),
         lambda p: {("self", p["length"])}),
     "self_upper_decreasing": CheckKind(
-        {"lengths": list_of(LENGTH), "final_max": NUMBER}, _uppers_decrease,
-        lambda p: {("self", ell) for ell in p["lengths"]}),
+        _uppers_decrease, lambda p: {("self", ell) for ell in p["lengths"]}),
     "coverage_counts": CheckKind(
-        {"length": CODE_LENGTH, "min_visits": NUMBER},
         lambda p, ev: _at_least(min(_coverage(ev.facts.counts[p["length"]], ev.s,
                                               p["length"])[1].values()), p["min_visits"]),
         lambda p: {("counts", p["length"])}),
-    "max_gap_bounded": CheckKind(
-        {"bounds": list_of(tuple_of(LENGTH, NUMBER))}, _gaps_within,
-        lambda p: {("gap", ell) for ell, _ in p["bounds"]}),
+    "max_gap_bounded": CheckKind(_gaps_within, lambda p: {("gap", ell) for ell, _ in p["bounds"]}),
     "coverage_fraction_of_expected": CheckKind(
-        {"length": CODE_LENGTH, "expected": list_of(tuple_of(list_of(INTEGER), NUMBER)),
-         "fraction": NUMBER}, _expected_share, lambda p: {("counts", p["length"])}),
+        _expected_share, lambda p: {("counts", p["length"])}),
     "not_eventually_periodic": CheckKind(   # its reports list passed first
-        {"max_period": COUNT}, lambda p, ev: dict.fromkeys(
+        lambda p, ev: dict.fromkeys(
             ("passed", "measured"), not _eventually_periodic(ev.x, p["max_period"])),
         defaults={"max_period": 1024}),
     "periodic_density_exact": CheckKind(
-        {"period": LENGTH}, _cycle_densities,
-        lambda p: {("self", ell) for ell in range(1, p["period"] + 1)}),
+        _cycle_densities, lambda p: {("self", ell) for ell in range(1, p["period"] + 1)}),
 }
 
 
-def _checked(chk, n: int, k: int, has_phi: bool) -> tuple[CheckKind, dict]:
+def _checked(chk) -> tuple[CheckKind, dict]:
     """The table entry of an expected_statistics entry and the entry with its
-    defaults filled in, for a stream of n symbols over k; SchemaError if malformed."""
+    defaults filled in; SchemaError for an unknown kind."""
     name = chk.get("check") if type(chk) is dict else None
     kind = CHECKS.get(name) if type(name) is str else None
     if kind is None:
         raise SchemaError(f"unknown check kind {name!r}")
-    validate(chk, kind.params, f"{name} check", Context(n=n, k=k), optional=kind.defaults)
-    for param in chk:
-        if param != "check" and param not in kind.params:
-            raise SchemaError(f"{name} check takes no {param!r} parameter")
-    if kind.trace and not has_phi:
-        raise SchemaError(f"{name} check reads a Birkhoff trace, but there is no potential")
     return kind, {**kind.defaults, **chk}
 
 
@@ -476,13 +447,13 @@ def _score(arr: np.ndarray, s: ShiftSpace, expected_statistics: list[dict],
     they were read from: one sweep for the facts the checks declare and
     `needs`, and the Birkhoff trace when a check reads it or `with_trace` asks.
 
-    A stream too short for any evidence raises TooShort, and a malformed
-    check SchemaError, both before any sweep.
+    A stream too short for any evidence raises TooShort, and an unknown
+    check kind SchemaError, both before any sweep.
     """
     n_max = len(arr) - max(DEFAULT_LADDER)
     if n_max < 16:
         raise TooShort("stream too short for any evidence")
-    checks = [_checked(chk, len(arr), s.k, phi is not None) for chk in expected_statistics]
+    checks = [_checked(chk) for chk in expected_statistics]
     for kind, p in checks:
         needs = needs | kind.needs(p)
     facts = _sweep_windows(arr, s.k, n_max, needs)
@@ -509,10 +480,10 @@ def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
     full report: the ladder's self-cylinder facts, the coverage of lengths
     1, 2 and 4, and the trace of the potential when there is one.
 
-    Failures are verdicts, never exceptions: the report is pure data.  A
-    malformed check is refused with SchemaError before any sweep: an unknown
-    kind, a missing, unknown or mistyped parameter, a value outside the range
-    CHECKS declares for it, or a trace check without a potential.
+    Failures are verdicts, never exceptions: the report is pure data.  An
+    unknown check kind is refused with SchemaError before any sweep.  The
+    parameters are not typed here: verify scores only a certificate whose
+    list certify found equal to the one its class states.
     """
     arr = np.asarray(x)
     coverage_lengths = [ell for ell in DEFAULT_LADDER if ell <= 4]

@@ -24,8 +24,8 @@ from .errors import CertificateMismatch, SchemaError, UnreadableInput
 from .measures import (SAMPLE_CHUNK, InvariantMeasure, MarkovMeasure, PeriodicMeasure,
                        Potential, markov_measure, mixture, periodic_measure, validate_potential)
 from .shifts import SYMBOL_DTYPE, ShiftSpace, sft_from_matrix
-from .synthesis import (CLASSES, Certificate, GapClass, OrbitPrefix, Schedule, Segment,
-                        sub_seeds)
+from .synthesis import (CLASSES, MAX_HORIZON, Certificate, GapClass, OrbitPrefix, Schedule,
+                        Segment, sub_seeds)
 
 SHIFT_SCHEMA = "shiftlab/shift/1"
 POTENTIAL_SCHEMA = "shiftlab/potential/1"
@@ -88,11 +88,11 @@ def read_json(path: Union[str, Path]) -> dict:
 
 # --- typed fields ------------------------------------------------------------
 # Each document is read through its table of typed, ranged fields (the *_FIELDS
-# below; classify.CHECKS types check parameters alike) by one validator loop.
+# below) by one validator loop.
 
-#: what a field's test reads besides the value: a check's stream of n symbols
-#: over k, or a certificate's alphabet k and measure pool
-Context = namedtuple("Context", ["n", "k", "pool"], defaults=(0, 0, ()))
+#: what a field's test reads besides the value: a certificate's alphabet k
+#: and measure pool
+Context = namedtuple("Context", ["k", "pool"], defaults=(0, ()))
 #: a field type: test(value, context) decides it, and `what` states it in errors
 Param = NamedTuple("Param", [("what", str), ("test", Callable[[object, Context], bool])])
 
@@ -220,7 +220,8 @@ CERTIFICATE_FIELDS = {
     "chain_links": list_of(tuple_of(REAL, pool_index(), pool_index()), empty=True),
     "inf_entropy_over_K": REAL, "ambient_entropy": REAL,
     "pinned_prefix": nullable(list_of(SYMBOL)), "potential": nullable(OBJECT), "seed": INTEGER,
-    "horizon": Param("an integer >= 0", lambda v, c: type(v) is int and v >= 0),
+    "horizon": Param(f"an integer from 0 to {MAX_HORIZON}",   # a chain has a link per round
+                     lambda v, c: type(v) is int and 0 <= v <= MAX_HORIZON),
 }
 
 
@@ -416,11 +417,12 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
 
 def read_orbit_dir(orbit_dir: Union[str, Path]) -> OrbitPrefix:
     """The orbit of a directory's certificate.json and stream.txt.  Beyond each
-    field's type: exact_facts has one entry per pool measure, the structure,
-    extremes, chain_links and potential fit the gap class's CLASSES entry, the
-    stream holds digits below k (_read_stream), and the schedule's columns
-    fit (_segments).  A schema 1 or 2 schedule is read into columns first
-    (_columns), which compares its stored sub-seeds with the derived ones."""
+    field's type: exact_facts has one entry per pool measure, the structure
+    and potential fit the gap class's CLASSES entry, the stream holds digits
+    below k (_read_stream), and the schedule's columns fit (_segments).  A
+    schema 1 or 2 schedule is read into columns first (_columns), which
+    compares its stored sub-seeds with the derived ones.  certify compares
+    K's extremes and chain links, and the checks, with those the class states."""
     path = Path(orbit_dir)
     cert_doc = read_json(path / "certificate.json")
     schema = validate(cert_doc, {"schema": CERTIFICATE_FIELDS["schema"]}, "certificate")["schema"]
@@ -438,16 +440,13 @@ def read_orbit_dir(orbit_dir: Union[str, Path]) -> OrbitPrefix:
         raise SchemaError(f"{len(facts)} exact facts for a pool of {len(pool)} measures")
     gap_class = GapClass(cert_doc["gap_class"])
     kind = CLASSES[gap_class]
-    extremes, links = cert_doc["extremes"], cert_doc["chain_links"]
-    if ((cert_doc["structure"], None if links else len(extremes)) != kind[:2]
-            or (phi is None and kind.potential)):
-        raise SchemaError(f"a {gap_class.value} certificate has structure {kind.structure!r}, "
-                          f"extremes {kind.extremes} and potential {kind.potential}; this one has "
-                          f"structure {cert_doc['structure']!r}, {len(extremes)} extremes, "
-                          f"{len(links)} chain_links and {'a' if phi else 'no'} potential")
+    if cert_doc["structure"] != kind.structure or (phi is None and kind.potential):
+        raise SchemaError(f"a {gap_class.value} certificate has structure {kind.structure!r} and "
+                          f"potential {kind.potential}; this one has structure "
+                          f"{cert_doc['structure']!r} and {'a' if phi else 'no'} potential")
     cert = Certificate(
-        gap_class=gap_class, pool=pool, extremes=extremes,
-        chain_links=[(float(th), a, b) for th, a, b in links],
+        gap_class=gap_class, pool=pool, extremes=cert_doc["extremes"],
+        chain_links=[(float(th), a, b) for th, a, b in cert_doc["chain_links"]],
         exact_facts=[{**f, "support_edges": [tuple(e) for e in f["support_edges"]]} for f in facts],
         inf_entropy_over_K=float(cert_doc["inf_entropy_over_K"]),
         expected_statistics=cert_doc["expected_statistics"],

@@ -22,7 +22,9 @@ leave them free).  Two layouts are used:
 
 from __future__ import annotations
 
+import json
 import math
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -262,17 +264,15 @@ def _sub_parry(s: ShiftSpace) -> tuple[MarkovMeasure, frozenset]:
     return markov_measure(s, p, pi), edges
 
 
-def _pin(s: ShiftSpace, sub_edges: frozenset,
-         pinned_prefix: Optional[Word]) -> tuple[Word, Word, bool]:
-    """The default pin, the lexicographically smallest admissible
-    PIN_LENGTH-word that leaves the subgraph language (one exists since the
-    subgraph is proper); the prefix the stream starts with, the pinned one
-    or else the default pin; and whether the default pin's statistics apply."""
+def _default_pin(s: ShiftSpace, sub_edges) -> Word:
+    """The lexicographically smallest admissible PIN_LENGTH-word that leaves
+    the language of the subgraph with these edges (one exists since the
+    subgraph is proper)."""
     pin = next((w for w in iter_words(s, PIN_LENGTH)
                 if any((a, b) not in sub_edges for a, b in zip(w, w[1:]))), None)
     if pin is None:
         raise NoProperSubshift(f"every {PIN_LENGTH}-word stays inside the subgraph")
-    return pin, pinned_prefix or pin, pinned_prefix is None or pinned_prefix == pin
+    return pin
 
 
 def _disjoint_cycle(s: ShiftSpace, sub_edges: frozenset) -> Word:
@@ -316,14 +316,12 @@ def _geometric_lengths(total: int, rounds: int, growth: float) -> list[int]:
 
 
 def _linear_round_lengths(total: int, unit: int) -> list[int]:
-    lengths = []
-    i = 1
-    acc = 0
+    lengths, acc = [], 0
     while acc < total:
-        lengths.append(unit * i)
-        acc += unit * i
-        i += 1
-    lengths[-1] -= acc - total
+        lengths.append(unit * (len(lengths) + 1))
+        acc += lengths[-1]
+    if acc > total:
+        lengths[-1] -= acc - total
     return lengths
 
 
@@ -369,6 +367,8 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
             raise NotAdmissible("pinned prefix must be admissible")
     if cycle is not None and gap_class is not GapClass.PERIODIC:
         raise ValueError(f"a cycle is read only by PERIODIC synthesis, not by {gap_class.value}")
+    if cycle is not None and len(cycle) >= n:
+        raise ValueError(f"a cycle of {len(cycle)} symbols needs a horizon above it, not {n}")
 
     if kind.potential:   # the classes built on a primitive ambient
         if not s.is_primitive:
@@ -378,18 +378,19 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
         if kind.irregular and not has_irregular(s, phi):
             raise IrregularityUnavailable("potential has constant cycle averages")
     phi = phi if kind.potential else None
-    requests, pool, extremes, chain_links, stats, prefix = kind.build(
-        s, phi, n, pinned_prefix, *([] if cycle is None else [cycle]))
+    requests, pool, prefix = kind.build(s, phi, n, pinned_prefix,
+                                        *([] if cycle is None else [cycle]))
     if prefix:
         requests = [("literal", prefix, len(prefix))] + requests
-    stats = [{"check": "full_horizon_present", "horizon": n}] + stats
+    extremes, chain_links = _shape(kind, n, len(pool))
     facts = [_measure_facts(m, s, phi) for m in pool]
     cert = Certificate(gap_class=gap_class, pool=pool, extremes=extremes, chain_links=chain_links,
-                       exact_facts=facts, expected_statistics=stats,
+                       exact_facts=facts, expected_statistics=[],
                        inf_entropy_over_K=_inf_over_k(facts, extremes, chain_links),
                        pinned_prefix=prefix or None, horizon=n, seed=seed, phi=phi,
                        ambient_entropy=topological_entropy(s))
     _check_rules(cert, facts)
+    cert.expected_statistics = _checks(cert, s)
     word, schedule = _render(s, requests, pool, seed, n)
     return OrbitPrefix(word=word, schedule=schedule, certificate=cert, shift=s)
 
@@ -422,18 +423,14 @@ def _build_w_not_qr(s, phi, n, pinned_prefix):
         tau = _triangle(i, 8)
         theta = tau * th1 + (1 - tau) * th2
         requests.extend(_mix_chunks(length, [("markov", 2, theta), ("markov", 3, 1 - theta)]))
-    a1, a2 = integrate(omega1, phi), integrate(omega2, phi)
-    stats = [
-        {"check": "trace_attains", "targets": [a1, a2], "tol": 0.05, "window": 0.5},
-        {"check": "cylinder_lower_min", "lengths": [1, 2], "threshold": 0.01},
-    ]
-    return requests, pool, [0, 1], [], stats, pinned_prefix
+    return requests, pool, pinned_prefix
 
 
 def _build_v_not_w(s, phi, n, pinned_prefix):
     mu, sub_edges = _sub_parry(s)
     full = parry_measure(s)
-    pin, prefix, default_stats = _pin(s, sub_edges, pinned_prefix)
+    pin = _default_pin(s, sub_edges)
+    prefix = pinned_prefix or pin
     rho = periodic_measure(s, cycle_word_for(s, pin))
     theta = THETA_V_NOT_W
     w_full = WEIGHT_V_FULL
@@ -452,32 +449,24 @@ def _build_v_not_w(s, phi, n, pinned_prefix):
     requests += _dwell(1, n // 2 - exc_total - len(prefix), n // 2, n,
                        [("markov", 1, theta), ("markov", 2, w_full), ("periodic", 3, w_rho)])
 
-    stats = [
-        {"check": "self_lower_max", "length": len(pin), "max": 0.01},
-        {"check": "self_upper_min", "length": len(pin), "min": 0.05},
-    ] if default_stats else []
-    return requests, pool, [0, 1], [], stats, prefix
+    return requests, pool, prefix
+
+
+def _default_start(c: Certificate, s: ShiftSpace, mu: int) -> bool:
+    """Whether the pin, null as in synthesis or not, is the default pin of the
+    subgraph that pool measure mu spans: the stream-start checks hold only there."""
+    return c.pinned_prefix in (None, _default_pin(s, frozenset(c.exact_facts[mu]["support_edges"])))
 
 
 def _build_qw_not_v(s, phi, n, pinned_prefix):
-    mu, sub_edges = _sub_parry(s)
+    mu, _ = _sub_parry(s)
     lengths = _linear_round_lengths(n, BLOCK_UNIT)
     cycles = list(islice(primitive_cycles(s, 8), len(lengths)))
-    pool: list[InvariantMeasure] = [mu]
-    cycle_ids = {}
-    chain_links = []
     requests = []
-    for i, length in enumerate(lengths, start=1):
-        cyc = cycles[(i - 1) % len(cycles)]
-        if cyc not in cycle_ids:
-            pool.append(periodic_measure(s, cyc))
-            cycle_ids[cyc] = len(pool) - 1
-        theta_i = 1.0 - 1.0 / (i + 1)
-        chain_links.append((theta_i, 0, cycle_ids[cyc]))
-        requests.extend(_mix_chunks(length, [("markov", 0, theta_i),
-                                             ("periodic", cycle_ids[cyc], 1 - theta_i)]))
-    stats = [{"check": "coverage_counts", "length": 3, "min_visits": 8}]
-    return requests, pool, list(range(len(pool))), chain_links, stats, pinned_prefix
+    links = _shape(CLASSES[GapClass.QW_NOT_V], n, 1 + len(cycles))[1]
+    for length, (theta, _, cyc) in zip(lengths, links):
+        requests.extend(_mix_chunks(length, [("markov", 0, theta), ("periodic", cyc, 1 - theta)]))
+    return requests, [mu] + [periodic_measure(s, cyc) for cyc in cycles], pinned_prefix
 
 
 def _build_i_not_qw(s, phi, n, pinned_prefix):
@@ -486,7 +475,7 @@ def _build_i_not_qw(s, phi, n, pinned_prefix):
     theta = THETA_I_NOT_QW
     omega = mixture((theta, 1 - theta), (mu, kappa))
     pool = [mu, omega, kappa]
-    _, prefix, default_stats = _pin(s, sub_edges, pinned_prefix)
+    prefix = pinned_prefix or _default_pin(s, sub_edges)
 
     cw = connecting_word(s, prefix[-1], prefix[0])
     echo = (prefix + cw + prefix)[:8]
@@ -514,10 +503,7 @@ def _build_i_not_qw(s, phi, n, pinned_prefix):
         0, switch - len(prefix) - len(echo) - 2 * s.primitive_gap, switch, n,
         [("markov", 0, theta), ("periodic", 2, 1 - theta)])
 
-    stats = [{"check": "trace_oscillation", "min_gap": 0.2, "window": 0.5}]
-    if default_stats:
-        stats.append({"check": "self_upper_decreasing", "lengths": [4, 8, 12], "final_max": 0.02})
-    return requests, pool, [0, 1], [], stats, prefix
+    return requests, pool, prefix
 
 
 def _build_qr_not_erg(s, phi, n, pinned_prefix):
@@ -531,26 +517,18 @@ def _build_qr_not_erg(s, phi, n, pinned_prefix):
     requests = []
     for length in lengths:
         requests.extend(_mix_chunks(length, [("markov", 1, theta), ("periodic", 2, 1 - theta)]))
-    target = integrate(m, phi)
-    stats = [{"check": "trace_converges", "target": target, "tol": 0.01, "osc_tol": 0.01,
-              "window": 0.25}]
-    return requests, pool, [0], [], stats, pinned_prefix
+    return requests, pool, pinned_prefix
+
+
+def _settles(c: Certificate) -> dict:
+    """The trace settles at the integral of the singleton K."""
+    return {"check": "trace_converges", "target": c.exact_facts[0]["integral"], "tol": 0.01,
+            "osc_tol": 0.01, "window": 0.25}
 
 
 def _build_r_full_support(s, phi, n, pinned_prefix):
-    full = parry_measure(s)
-    pool = [full]
-    lengths = _linear_round_lengths(n, BLOCK_UNIT)
-    requests = [("markov", 0, length) for length in lengths]
-    target = integrate(full, phi)
-    expected = [[list(w), markov_word_probability(full, w)] for w in iter_words(s, 3)]
-    stats = [
-        {"check": "trace_converges", "target": target, "tol": 0.01, "osc_tol": 0.01,
-         "window": 0.25},
-        {"check": "coverage_fraction_of_expected", "length": 3, "fraction": 0.2,
-         "expected": expected},
-    ]
-    return requests, pool, [0], [], stats, pinned_prefix
+    return ([("markov", 0, length) for length in _linear_round_lengths(n, BLOCK_UNIT)],
+            [parry_measure(s)], pinned_prefix)
 
 
 #: Thue-Morse repetition gaps per factor length, measured once at horizon 2^20
@@ -561,23 +539,13 @@ def _build_almost_periodic(s, phi, n, pinned_prefix):
     for w in ((0, 0), (0, 1), (1, 0), (1, 1)):
         if not is_admissible(w, s):
             raise NotAdmissible("aperiodic minimal witness needs the full 2-shift inside the ambient")
-    requests: list = [("thue_morse", None, n)]
-    stats = [{"check": "not_eventually_periodic", "max_period": 1024}]
-    if pinned_prefix is None:
-        stats.append({"check": "max_gap_bounded",
-                      "bounds": [[ell, TM_GAP_BOUNDS[ell]] for ell in range(1, 9)]})
-    return requests, [], [], [], stats, pinned_prefix
+    return [("thue_morse", None, n)], [], pinned_prefix
 
 
 def _build_periodic(s, phi, n, pinned_prefix, cycle=None):
     if cycle is None:
         cycle = least_cycle(s.matrix)
-    m = periodic_measure(s, tuple(cycle))
-    pool = [m]
-    requests = [("periodic", 0, n)]
-    stats = ([{"check": "periodic_density_exact", "period": len(m.cycle)}]
-             if pinned_prefix is None else [])
-    return requests, pool, [0], [], stats, pinned_prefix
+    return [("periodic", 0, n)], [periodic_measure(s, tuple(cycle))], pinned_prefix
 
 
 # ---------------------------------------------------------------------------
@@ -586,24 +554,21 @@ def _build_periodic(s, phi, n, pinned_prefix, cycle=None):
 
 class ClassKind(NamedTuple):
     """One gap class.  structure and extremes: the shape of the measure set K
-    it certifies (extremes is None for a chain, which names its links
-    instead); potential: whether synthesis needs a potential, and irregular:
-    one whose cycle averages vary.  build(s, phi, n, pinned_prefix): its
-    recipe (requests, pool, extremes, chain_links, stats, prefix), which
-    synthesize_witness renders after the prefix, its stats after the
-    full_horizon_present check every class has; PERIODIC's also takes a
-    cycle.  rules: its structure rules (fact, detail, holds(cert, facts)),
-    which synthesize_witness and certify check in order (_check_rules)."""
+    it certifies, whose extreme elements are the first `extremes` pool
+    measures (_shape; None for a chain: all of them, and its links);
+    potential: whether synthesis needs a potential, and irregular: one whose
+    cycle averages vary.  build(s, phi, n, pinned_prefix): its recipe
+    (requests, pool, prefix); PERIODIC's also takes a cycle.  stats(cert, s):
+    its checks after full_horizon_present (_checks), from the certificate's
+    facts, horizon, pin and pool.  rules: its structure rules (fact, detail,
+    holds(cert, facts)), checked in order (_check_rules)."""
     structure: str
     extremes: Optional[int]
     potential: bool
     irregular: bool
     build: Callable[..., tuple]
+    stats: Callable[[Certificate, ShiftSpace], list[dict]]
     rules: tuple[tuple[str, str, Callable[[Certificate, list[dict]], bool]], ...]
-
-
-def _extreme(cert: Certificate, facts: list[dict], i: int) -> dict:
-    return facts[cert.extremes[i]]
 
 
 def _non_minimal(m: InvariantMeasure) -> bool:
@@ -612,48 +577,68 @@ def _non_minimal(m: InvariantMeasure) -> bool:
     return len(pieces) > 1 or not all(map(piece_is_single_orbit, pieces))
 
 
-_INTEGRALS_DIFFER = ("integrals", "extreme integrals must differ", lambda c, f: abs(
-    _extreme(c, f, 0)["integral"] - _extreme(c, f, 1)["integral"]) >= 1e-9)
+_INTEGRALS_DIFFER = ("integrals", "extreme integrals must differ",
+                     lambda c, f: abs(f[0]["integral"] - f[1]["integral"]) >= 1e-9)
 
 CLASSES: dict[GapClass, ClassKind] = {
-    GapClass.W_NOT_QR: ClassKind("segment", 2, True, True, _build_w_not_qr, (
+    # the trace attains both endpoints' integrals, and every 1- and 2-word keeps a share
+    GapClass.W_NOT_QR: ClassKind("segment", 2, True, True, _build_w_not_qr, lambda c, s: [
+        {"check": "trace_attains", "targets": [c.exact_facts[i]["integral"] for i in (0, 1)],
+         "tol": 0.05, "window": 0.5},
+        {"check": "cylinder_lower_min", "lengths": [1, 2], "threshold": 0.01}], (
         ("supports", "both endpoints must have full support",
          lambda c, f: all(f[i]["full_support"] for i in c.extremes)),
         _INTEGRALS_DIFFER)),
-    GapClass.V_NOT_W: ClassKind("segment", 2, True, True, _build_v_not_w, (
-        ("omega_support", "omega must have full support",
-         lambda c, f: _extreme(c, f, 0)["full_support"]),
-        ("mu_support", "mu support must be proper",
-         lambda c, f: not _extreme(c, f, 1)["full_support"]),
-        ("mu_entropy", "mu must carry entropy",
-         lambda c, f: _extreme(c, f, 1)["entropy"] > 1e-12))),
-    GapClass.QW_NOT_V: ClassKind("chain", None, True, False, _build_qw_not_v, (
+    # the pin's self-cylinder is rare in the first half and frequent in the dwell
+    GapClass.V_NOT_W: ClassKind("segment", 2, True, True, _build_v_not_w, lambda c, s: [
+        {"check": "self_lower_max", "length": PIN_LENGTH, "max": 0.01},
+        {"check": "self_upper_min", "length": PIN_LENGTH, "min": 0.05}
+        ] if _default_start(c, s, 1) else [], (
+        ("omega_support", "omega must have full support", lambda c, f: f[0]["full_support"]),
+        ("mu_support", "mu support must be proper", lambda c, f: not f[1]["full_support"]),
+        ("mu_entropy", "mu must carry entropy", lambda c, f: f[1]["entropy"] > 1e-12))),
+    GapClass.QW_NOT_V: ClassKind("chain", None, True, False, _build_qw_not_v, lambda c, s: [
+        {"check": "coverage_counts", "length": 3, "min_visits": 8}], (
         ("supports", "no pool measure may have full support",
-         lambda c, f: not any(x["full_support"] for x in f)),
-        ("theta", "every chain link's theta must lie in (0, 1)",
-         lambda c, f: all(0 < th < 1 for th, _, _ in c.chain_links)))),
-    GapClass.I_NOT_QW: ClassKind("segment", 2, True, True, _build_i_not_qw, (
-        ("omega", "omega must be a mixture",
-         lambda c, f: isinstance(c.pool[c.extremes[1]], Mixture)),
-        ("disjoint", "attached orbit must avoid mu's edges",
-         lambda c, f: support(c.pool[c.extremes[1]].components[-1]).edges.isdisjoint(
-             _extreme(c, f, 0)["support_edges"])),
+         lambda c, f: not any(x["full_support"] for x in f)),)),
+    # the trace swings between the endpoints' integrals, and the ladder's upper
+    # densities fall with length
+    GapClass.I_NOT_QW: ClassKind("segment", 2, True, True, _build_i_not_qw, lambda c, s: [
+        {"check": "trace_oscillation", "min_gap": 0.2, "window": 0.5}] + ([
+            {"check": "self_upper_decreasing", "lengths": [4, 8, 12], "final_max": 0.02}]
+            if _default_start(c, s, 0) else []), (
+        ("omega", "omega must be a mixture", lambda c, f: isinstance(c.pool[1], Mixture)),
+        ("disjoint", "attached orbit must avoid mu's edges", lambda c, f: support(
+            c.pool[1].components[-1]).edges.isdisjoint(f[0]["support_edges"])),
         _INTEGRALS_DIFFER)),
-    GapClass.QR_NOT_ERG_NOT_A: ClassKind("singleton", 1, True, False, _build_qr_not_erg, (
-        ("ergodic", "measure must be non-ergodic", lambda c, f: not _extreme(c, f, 0)["ergodic"]),
-        ("minimal", "support must be non-minimal",
-         lambda c, f: _non_minimal(c.pool[c.extremes[0]])))),
-    GapClass.R_FULL_SUPPORT: ClassKind("singleton", 1, True, False, _build_r_full_support, (
-        ("measure", "need ergodic full support",
-         lambda c, f: _extreme(c, f, 0)["ergodic"] and _extreme(c, f, 0)["full_support"]),
+    GapClass.QR_NOT_ERG_NOT_A: ClassKind("singleton", 1, True, False, _build_qr_not_erg,
+                                         lambda c, s: [_settles(c)], (
+        ("ergodic", "measure must be non-ergodic", lambda c, f: not f[0]["ergodic"]),
+        ("minimal", "support must be non-minimal", lambda c, f: _non_minimal(c.pool[0])))),
+    # the trace settles, and each 3-word keeps a fifth of its Parry mass
+    GapClass.R_FULL_SUPPORT: ClassKind("singleton", 1, True, False, _build_r_full_support,
+                                       lambda c, s: [_settles(c), {
+        "check": "coverage_fraction_of_expected", "length": 3, "fraction": 0.2, "expected": [
+            [list(w), markov_word_probability(c.pool[0], w)] for w in iter_words(s, 3)]}], (
+        ("measure", "need an ergodic Markov measure of full support", lambda c, f: isinstance(
+            c.pool[0], MarkovMeasure) and f[0]["ergodic"] and f[0]["full_support"]),
         # certify has checked ambient_entropy against the recomputed value
         ("entropy", "must be maximal entropy",
-         lambda c, f: abs(_extreme(c, f, 0)["entropy"] - c.ambient_entropy) <= 1e-9))),
-    GapClass.ALMOST_PERIODIC_NOT_PER: ClassKind("none", 0, False, False, _build_almost_periodic, (
+         lambda c, f: abs(f[0]["entropy"] - c.ambient_entropy) <= 1e-9))),
+    # no period locks in; without a pin, the Thue-Morse word's own gap bounds hold
+    GapClass.ALMOST_PERIODIC_NOT_PER: ClassKind("none", 0, False, False, _build_almost_periodic,
+                                                lambda c, s: [
+        {"check": "not_eventually_periodic", "max_period": 1024}] + ([
+            {"check": "max_gap_bounded", "bounds": [list(b) for b in TM_GAP_BOUNDS.items()]}]
+            if c.pinned_prefix is None else []), (
         ("pool", "no measure pool expected", lambda c, f: not c.pool),)),
-    GapClass.PERIODIC: ClassKind("singleton", 1, False, False, _build_periodic, (
+    # without a pin the stream tiles the cycle from its first symbol, which
+    # fixes every self-cylinder density
+    GapClass.PERIODIC: ClassKind("singleton", 1, False, False, _build_periodic, lambda c, s: [
+        {"check": "periodic_density_exact", "period": len(c.pool[0].cycle)}]
+        if c.pinned_prefix is None else [], (
         ("measure", "singleton periodic measure expected",
-         lambda c, f: isinstance(c.pool[c.extremes[0]], PeriodicMeasure)),)),
+         lambda c, f: isinstance(c.pool[0], PeriodicMeasure)),)),
 }
 
 
@@ -662,7 +647,8 @@ CLASSES: dict[GapClass, ClassKind] = {
 
 
 def certify(o: OrbitPrefix) -> None:
-    """Recompute every certificate fact and validate the class structure.
+    """Recompute every certificate fact, compare K's shape and the checks
+    with those the class states, and validate the class structure.
 
     Raises CertificateMismatch at the first failing fact.
     """
@@ -683,6 +669,9 @@ def certify(o: OrbitPrefix) -> None:
             if fresh[key] != fact[key]:
                 raise CertificateMismatch(f"pool[{idx}].{key}", f"{fresh[key]} vs {fact[key]}")
 
+    extremes, chain_links = _shape(CLASSES[cert.gap_class], cert.horizon, len(cert.pool))
+    _check_derived("extremes", cert.extremes, extremes)
+    _check_derived("chain_links", cert.chain_links, chain_links)
     fresh_inf = _inf_over_k(fresh_facts, cert.extremes, cert.chain_links)
     if abs(fresh_inf - cert.inf_entropy_over_K) > 1e-10:
         raise CertificateMismatch("inf_entropy_over_K",
@@ -692,6 +681,7 @@ def certify(o: OrbitPrefix) -> None:
         raise CertificateMismatch("ambient_entropy", f"{h_top} vs {cert.ambient_entropy}")
 
     _check_rules(cert, fresh_facts)
+    _check_derived("expected_statistics", cert.expected_statistics, _checks(cert, s))
     _check_word(o)
 
 
@@ -702,18 +692,56 @@ def _check_rules(cert: Certificate, facts: list[dict]) -> None:
             raise CertificateMismatch(f"{cert.gap_class.value}.{fact}", detail)
 
 
+def _shape(kind: ClassKind, horizon: int, pool_size: int) -> tuple[list[int], list]:
+    """K's extremes and chain links: the first kind.extremes pool indices;
+    for QW_NOT_V's chain, all of them, and a link per round i = 1, 2, ... of
+    the linear round layout, which mixes pool measure 0, the Markov one, at
+    weight 1 - 1/(i + 1) with cycle measure 1 + (i - 1) mod (pool_size - 1)."""
+    if kind.extremes is not None:
+        return list(range(kind.extremes)), []
+    cycles, rounds = max(1, pool_size - 1), len(_linear_round_lengths(horizon, BLOCK_UNIT))
+    return list(range(pool_size)), [(1.0 - 1.0 / (i + 1), 0, 1 + (i - 1) % cycles)
+                                    for i in range(1, rounds + 1)]
+
+
+def _checks(cert: Certificate, s: ShiftSpace) -> list[dict]:
+    """The expected_statistics a certificate of its class states."""
+    return ([{"check": "full_horizon_present", "horizon": cert.horizon}]
+            + CLASSES[cert.gap_class].stats(cert, s))
+
+
+def _check_derived(field: str, stored: list, derived: list) -> None:
+    """CertificateMismatch at the first entry i of a stored list that differs
+    from the derived one's as JSON, where true is not 1 and 1 is not 1.0:
+    named field[i].param at the first parameter that differs between two
+    objects, else field[i]; a dropped or appended entry at the shorter end."""
+    same = lambda a, b: json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    for i, (a, b) in enumerate(zip(stored, derived)):
+        if not same(a, b):
+            where = f"{field}[{i}]"
+            if type(a) is dict and type(b) is dict:
+                key = next(k for k in {**b, **a}
+                           if k not in a or k not in b or not same(a[k], b[k]))
+                where, a, b = f"{where}.{key}", a.get(key, "absent"), b.get(key, "absent")
+            raise CertificateMismatch(where, f"stored {reprlib.repr(a)}, derived {reprlib.repr(b)}")
+    if len(stored) != len(derived):
+        raise CertificateMismatch(f"{field}[{min(len(stored), len(derived))}]",
+                                  f"{len(stored)} entries stored, {len(derived)} derived")
+
+
 def _check_word(o: OrbitPrefix) -> None:
     """Length, admissibility, pin, and gluing exactness on the available stream.
 
-    A stream longer than the horizon is refused: no segment stands for its
-    last symbols.  A shortfall is deliberately not an error here: a
-    truncated stream is a statistical matter (the full_horizon_present
-    verdict), not a certificate-arithmetic one.  Each segment wholly in the
-    stream is checked in place, with no copy of the stream: a pool source's
-    Markov segments step by step against the stream's own symbols
-    (walk_mismatch, from their sub_seeds), the other kinds against their
-    symbols (_symbols), each pass SAMPLE_CHUNK symbols at a time.  The
-    segment holding the first differing symbol is named.
+    A stream longer than the horizon is refused: no segment stands for its last
+    symbols.  A shortfall is deliberately not an error here: a truncated stream
+    is a statistical matter (the full_horizon_present verdict), not a
+    certificate-arithmetic one.  A pin, cut at the horizon, is the word of the
+    schedule's leading literal segment.  Each segment wholly in the stream is
+    checked in place, with no copy of the stream: a pool source's Markov
+    segments step by step against the stream's own symbols (walk_mismatch, from
+    their sub_seeds), the other kinds against their symbols (_symbols), each
+    pass SAMPLE_CHUNK symbols at a time.  The segment holding the first
+    differing symbol is named.
     """
     cert = o.certificate
     s = o.shift
@@ -727,9 +755,10 @@ def _check_word(o: OrbitPrefix) -> None:
             pair = word[a:a + SAMPLE_CHUNK + 1]   # the code of a step a -> b is a k + b
             if not allowed.take(np.multiply(pair[:-1], s.k, dtype=np.intp) + pair[1:]).all():
                 raise CertificateMismatch("admissibility", "stream violates the transition matrix")
-    if cert.pinned_prefix is not None and len(word) >= len(cert.pinned_prefix):
-        if not np.array_equal(word[:len(cert.pinned_prefix)], cert.pinned_prefix):
-            raise CertificateMismatch("pinned_prefix", "stream does not start with the pin")
+    lead = [(seg.kind, seg.word) for seg in o.schedule.segments[:1]]
+    if cert.pinned_prefix is not None and lead != [("literal", cert.pinned_prefix[:cert.horizon])]:
+        raise CertificateMismatch("pinned_prefix", f"pin {reprlib.repr(cert.pinned_prefix)} "
+                                                   "is not the schedule's leading literal")
     # the schedule tiles the stream from 0, so its present segments cover word[:end]
     present = list(takewhile(lambda seg: seg.start + seg.length <= len(word),
                              o.schedule.segments))

@@ -262,7 +262,7 @@ class TestVerifyVerdicts:
         read but not declared raises KeyError, an undeclared trace IndexError."""
         chk = next(c for c in EVERY_CHECK if c["check"] == name)
         x = np.array(sample_typical_words(parry_measure(full2), [4096], [19]), dtype=np.int64)
-        kind, p = _checked(chk, len(x), 2, True)
+        kind, p = _checked(chk)
         facts = _sweep_windows(x, 2, len(x) - max(DEFAULT_LADDER), kind.needs(p))
         trace = birkhoff_trace(x, phi_full2, default_trace_checkpoints(len(x) - phi_full2.range),
                                k=2) if kind.trace else []

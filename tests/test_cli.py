@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import cli, io, shifts, synthesis
-from shiftlab.classify import CHECKS
+from shiftlab.classify import CHECKS, evaluate_certificate
 from shiftlab.cli import build_parser, main
 from shiftlab.errors import SchemaError
 from shiftlab.measures import indicator_potential
@@ -309,6 +309,58 @@ MALFORMED_CERTIFICATES = {
     "self_lower_max_unknown_parameter": lambda d: _check(d, "self_lower_max").update(bogus=1),
     "periodic_trace_check": _On("periodic_orbit", lambda d: _add(d, check="trace_oscillation",
                                                                  min_gap=0.2)),
+    "self_lower_max_length_6_0": lambda d: _check(d, "self_lower_max").update(length=6.0),
+    "self_lower_max_max_true": lambda d: _check(d, "self_lower_max").update(max=True),
+    "qw_not_v_min_visits_8_0": _On("qw_not_v_orbit", lambda d: _check(d, "coverage_counts").update(
+        min_visits=8.0)),
+    "v_not_w_checks_cut_and_pin_null": lambda d: d.update(
+        pinned_prefix=None, expected_statistics=d["expected_statistics"][:1]),
+    "v_not_w_checks_cut_and_pin_0": lambda d: d.update(
+        pinned_prefix=[0], expected_statistics=d["expected_statistics"][:1]),
+    "qw_not_v_chain_link_theta_0_6": _On("qw_not_v_orbit", lambda d: d["chain_links"][1]
+                                         .__setitem__(0, 0.6)),
+    "qw_not_v_extremes_short": _On("qw_not_v_orbit", lambda d: d["extremes"].pop()),
+}
+
+#: the cases that edit a well-formed certificate's expected_statistics, the
+#: pin they are derived from or a chain's shape, and the fact that verify
+#: names: certify compares each with what the class states and exits 4,
+#: before any statistic is computed and before any report is written
+FORGED_CHECKS = {
+    "self_lower_max_no_length": "expected_statistics[1].length",
+    "self_lower_max_length_null": "expected_statistics[1].length",
+    "self_lower_max_max_text": "expected_statistics[1].max",
+    "self_lower_max_max_null": "expected_statistics[1].max",
+    "full_horizon_present_horizon_null": "expected_statistics[0].horizon",
+    "cylinder_lower_min_lengths_int": "expected_statistics[3] (4 entries stored, 3 derived)",
+    "self_lower_max_length_0": "expected_statistics[1].length",
+    "self_lower_max_length_negative": "expected_statistics[1].length",
+    "max_gap_bounded_length_0": "expected_statistics[3]",
+    "coverage_counts_length_negative": "expected_statistics[3]",
+    "self_upper_decreasing_no_lengths": "expected_statistics[3]",
+    "coverage_counts_length_0": "expected_statistics[3]",
+    "cylinder_lower_min_length_0": "expected_statistics[3]",
+    "periodic_density_exact_period_0": "expected_statistics[3]",
+    "not_eventually_periodic_max_period_negative": "expected_statistics[3]",
+    "check_kind_unknown": "expected_statistics[1].check",
+    "cylinder_lower_min_no_lengths": "expected_statistics[3]",
+    "trace_oscillation_window_2": "expected_statistics[3]",
+    "cylinder_lower_min_2_to_the_40_codes": "expected_statistics[3]",
+    "coverage_counts_2_to_the_40_codes": "expected_statistics[3]",
+    "self_lower_max_unknown_parameter": "expected_statistics[1].bogus (stored 1, derived 'absent')",
+    "periodic_trace_check": "expected_statistics[2] (3 entries stored, 2 derived)",
+    "self_lower_max_length_6_0": "expected_statistics[1].length (stored 6.0, derived 6)",
+    "self_lower_max_max_true": "expected_statistics[1].max (stored True, derived 0.01)",
+    "qw_not_v_min_visits_8_0": "expected_statistics[1].min_visits (stored 8.0, derived 8)",
+    # a null pin counts as the default pin, whose checks the cut list lacks
+    "v_not_w_checks_cut_and_pin_null": "expected_statistics[1] (1 entries stored, 3 derived)",
+    # the cut list is right for the pin [0], which the schedule does not begin with
+    "v_not_w_checks_cut_and_pin_0": "pinned_prefix (pin (0,) is not the schedule's leading literal)",
+    "qw_not_v_chain_link_theta_0_6": "chain_links[1] (stored (0.6, 0, 2), derived "
+                                     "(0.6666666666666667, 0, 2))",
+    "qw_not_v_extremes_short": "extremes[11] (11 entries stored, 12 derived)",
+    "periodic_extremes_empty": "extremes[0] (0 entries stored, 1 derived)",
+    "qw_not_v_chain_links_empty": "chain_links[0] (0 entries stored, 11 derived)",
 }
 
 #: the message of each case that is there to reach one particular check; the
@@ -318,9 +370,6 @@ MALFORMED_CERTIFICATE_ERRORS = {
     "markov_pi_not_stationary": "pi is not stationary for P",
     "mixture_weight_negative": "weights must be positive",
     "mixture_weights_short": "weights and components must align",
-    "self_lower_max_unknown_parameter": "self_lower_max check takes no 'bogus' parameter",
-    "periodic_trace_check": "trace_oscillation check reads a Birkhoff trace, but there is "
-                            "no potential",
     "columns_kinds_longer_than_lengths": "schedule has 87 kinds and 86 lengths",
     "kinds_letter_unknown": "schedule kinds is 'xbmbm",
     "sources_markov_names_periodic": "schedule sources[0] is 3, not the index of a Markov measure",
@@ -712,21 +761,32 @@ class TestPipeline:
             base, mutate = mutate.orbit, mutate.mutate
         return _mutated_copy(request.getfixturevalue(base), tmp_path, mutate)
 
+    @staticmethod
+    def _refused(rc: int, err: str, case: str) -> None:
+        """Exit 2 naming the field, or for a FORGED_CHECKS case exit 4 naming
+        the fact that FORGED_CHECKS gives."""
+        if case in FORGED_CHECKS:
+            assert rc == 4 and f"certificate fact failed: {FORGED_CHECKS[case]}" in err
+        else:
+            assert rc == 2 and "error:" in err and MALFORMED_CERTIFICATE_ERRORS.get(case, "") in err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate_exit2(self, request, tmp_path, capsys, case):
+        """Refused with exit 2, or with exit 4 for a FORGED_CHECKS case."""
         orbit = self._malformed_orbit(request, tmp_path, case)
-        assert main(["verify", "--orbit", str(orbit)]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and MALFORMED_CERTIFICATE_ERRORS.get(case, "") in err
+        rc = main(["verify", "--orbit", str(orbit)])
+        captured = capsys.readouterr()
+        self._refused(rc, captured.err, case)
+        assert captured.out == ""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate_classify_exit2(self, request, tmp_path, capsys, case):
         """verify --report, whose report classify.evaluate_certificate builds,
-        refuses the same certificates, naming the field, and writes no report."""
+        refuses the same certificates with the same exit code, naming the
+        same field, and writes no report."""
         orbit = self._malformed_orbit(request, tmp_path, case)
-        assert main(["verify", "--orbit", str(orbit), "--report", str(tmp_path / "r.json")]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and MALFORMED_CERTIFICATE_ERRORS.get(case, "") in err
+        rc = main(["verify", "--orbit", str(orbit), "--report", str(tmp_path / "r.json")])
+        self._refused(rc, capsys.readouterr().err, case)
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("fact,edit", [
@@ -833,6 +893,37 @@ class TestPipeline:
                      "--horizon", "4096", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
         assert "only by PERIODIC" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("horizon", [64, 100])
+    def test_cycle_not_shorter_than_horizon_exit2(self, files, tmp_path, capsys, horizon):
+        """A 100-symbol cycle needs a horizon above 100: synthesize refuses a
+        shorter one, naming both lengths, and writes nothing."""
+        out = tmp_path / "orbit"
+        assert main(["synthesize", "--shift", str(files / "full2.json"), "--class", "PERIODIC",
+                     "--cycle", "0" * 99 + "1", "--horizon", str(horizon), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"a cycle of 100 symbols needs a horizon above it, not {horizon}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gap_class,horizon", [
+        ("QW_NOT_V", 28), ("QW_NOT_V", 999), ("R_FULL_SUPPORT", 28), ("R_FULL_SUPPORT", 999),
+        ("W_NOT_QR", 28), ("W_NOT_QR", 64)])
+    def test_short_ten_symbol_witness_fails_a_verdict(self, tmp_path, capsys, gap_class,
+                                                      horizon):
+        """On the full 10-shift, horizons too short for a stream to hold every
+        word its checks count (3-words below 1000 symbols, 2-words below 100):
+        synthesize writes the witness, and verify scores it, with a failing
+        verdict (exit 5)."""
+        s = full_shift(10)
+        io.write_json(tmp_path / "full10.json", io.shift_to_doc(s))
+        io.write_json(tmp_path / "phi.json", io.potential_to_doc(indicator_potential(s, (1,))))
+        out = tmp_path / "orbit"
+        assert main(["synthesize", "--shift", str(tmp_path / "full10.json"), "--class", gap_class,
+                     "--potential", str(tmp_path / "phi.json"), "--horizon", str(horizon),
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert main(["verify", "--orbit", str(out)]) == 5
+        assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("gap_class,height", [("W_NOT_QR", 1e-6), ("I_NOT_QW", 1e-9)])
     def test_narrow_potential_refused_writes_nothing(self, files, tmp_path, capsys,
@@ -1323,13 +1414,14 @@ class TestMutatedChecks:
         return _mutated_copy(v_not_w_orbit, tmp_path_factory.mktemp("checks"),
                              lambda d: d.update(expected_statistics=EVERY_CHECK))
 
-    def test_every_kind_scores(self, every_check_orbit, tmp_path):
+    def test_every_kind_scores(self, every_check_orbit):
+        """Every kind scores in-process; verify refuses this list (exit 4),
+        since no class states it."""
         assert {chk["check"] for chk in EVERY_CHECK} == set(CHECKS)
-        report = tmp_path / "report.json"
-        assert main(["verify", "--orbit", str(every_check_orbit),
-                     "--report", str(report)]) == 5   # some verdicts fail; the report is written
-        verdicts = json.loads(report.read_text())["verdicts"]
-        assert [v["check"] for v in verdicts] == [chk["check"] for chk in EVERY_CHECK]
+        o = io.read_orbit_dir(every_check_orbit)
+        report = evaluate_certificate(o.word, o.shift, EVERY_CHECK, phi=o.certificate.phi)
+        assert [v["check"] for v in report.verdicts] == [chk["check"] for chk in EVERY_CHECK]
+        assert not report.all_pass   # the EVERY_CHECK thresholds fail some verdicts
 
     @given(edits=st.lists(check_edits(), min_size=1, max_size=3, unique_by=lambda e: e[0]))
     @settings(max_examples=60, deadline=None)
@@ -1342,6 +1434,75 @@ class TestMutatedChecks:
         shutil.copy(every_check_orbit / "stream.txt", orbit / "stream.txt")
         (orbit / "certificate.json").write_text(json.dumps(doc))
         _exits_documented_code(orbit)
+
+
+#: the single-value edits of a gallery certificate that verify accepts, and
+#: why: PERIODIC and ALMOST_PERIODIC_NOT_PER draw no Markov segment, so
+#: nothing reads their seed
+AUDIT_ALLOWED = {("PERIODIC", ("seed",)), ("ALMOST_PERIODIC_NOT_PER", ("seed",))}
+
+
+def _numbers(value, path=()):
+    """(path, number) of each integer and float in a JSON value, booleans
+    left out; a list longer than six is sampled at its first two and last items."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = [(i, value[i]) for i in (range(len(value)) if len(value) <= 6
+                                         else (0, 1, len(value) - 1))]
+    else:
+        items = []
+        if type(value) in (int, float):
+            yield path, value
+    for key, item in items:
+        yield from _numbers(item, path + (key,))
+
+
+def _single_edits(text: str):
+    """(label, edited document) for each single-value edit of a certificate's
+    text: each number moved by ±1 if an integer and by ±0.001·max(1, |x|) if
+    a float (labelled by its path), and each expected_statistics entry
+    dropped or appended a second time."""
+    doc = json.loads(text)
+    for path, x in _numbers(doc):
+        for sign in (1, -1):
+            edited = json.loads(text)
+            _at(edited, path[:-1])[path[-1]] = (x + sign if type(x) is int
+                                                else x + sign * 0.001 * max(1.0, abs(x)))
+            yield path, edited
+    for i, entry in enumerate(doc["expected_statistics"]):
+        for edit in ("dropped", "appended"):
+            edited = json.loads(text)
+            if edit == "dropped":
+                del edited["expected_statistics"][i]
+            else:
+                edited["expected_statistics"].append(entry)
+            yield ("expected_statistics", i, edit), edited
+
+
+class TestCertificateAudit:
+    """A certificate cannot set its own bar: every single-value edit of a
+    gallery certificate at 2^14 (scripts/witness_gallery.py's ambient,
+    potential and seed) ends verify in exit 2 or 4, but those AUDIT_ALLOWED
+    names, which verify."""
+
+    @pytest.mark.parametrize("gap_class", list(GapClass))
+    def test_single_value_edits_refused(self, tmp_path, gap_class):
+        s = full_shift(2)
+        o = synthesize_witness(s, gap_class, indicator_potential(s, (1,)), 1 << 14,
+                               seed=20250809)
+        orbit = tmp_path / "orbit"
+        io.write_orbit_dir(o, orbit)
+        accepted, edits = [], 0
+        for path, doc in _single_edits((orbit / "certificate.json").read_text()):
+            (orbit / "certificate.json").write_text(json.dumps(doc))
+            rc = main(["verify", "--orbit", str(orbit)])
+            edits += 1
+            if (gap_class.value, path) in AUDIT_ALLOWED:
+                assert rc == 0, path
+            elif rc not in (2, 4):
+                accepted.append((path, rc))
+        assert accepted == [] and edits > 20
 
 
 #: certificate fields whose entries get edits of their own

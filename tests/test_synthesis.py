@@ -1,11 +1,14 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab import io
 from shiftlab.classify import evaluate_certificate, evaluate_checks
+from shiftlab.cli import main
 from shiftlab.errors import (CertificateMismatch, IrregularityUnavailable,
                              NoProperSubshift, NotAdmissible, NotPrimitive)
 from shiftlab.measures import (SAMPLE_CHUNK, indicator_potential, markov_measure, mixture,
@@ -205,10 +208,6 @@ def _constant_phi(cert, s):
     cert.phi = constant_potential(s, 0.5)
 
 
-def _theta_one(cert, s):
-    cert.chain_links[0] = (1.0,) + cert.chain_links[0][1:]
-
-
 def _periodic_01(s, pool):
     return periodic_measure(s, (0, 1))
 
@@ -226,7 +225,6 @@ STRUCTURE_FORGERIES = {
     "V_NOT_W.mu_support": _put(1, _parry),
     "V_NOT_W.mu_entropy": _put(1, _periodic_01),
     "QW_NOT_V.supports": _put(0, _parry),
-    "QW_NOT_V.theta": _theta_one,
     "I_NOT_QW.omega": _put(1, _parry),
     "I_NOT_QW.disjoint": _put(1, lambda s, pool: mixture((0.3, 0.7),
                                                          (pool[0], _periodic_01(s, pool)))),
@@ -508,3 +506,25 @@ def test_known_verdict_defect(case):
     if set(failed) - {check}:
         pytest.fail(f"{case}: {failed} fail, not only {check}")
     assert not failed, f"{case}: {failed} fail at 2^16"
+
+
+def test_forged_defect_threshold_exit4(tmp_path, capsys):
+    """The W_NOT_QR defect's cylinder_lower_min threshold edited from 0.01
+    to 0.005, which its stream would pass: verify --report exits 4 naming
+    the parameter, before any verdict, and writes no report."""
+    gap_class, matrix, cylinder, seed, check = KNOWN_VERDICT_DEFECTS["W_NOT_QR-k6_sparse-seed1"]
+    s = sft_from_matrix(len(matrix), matrix)
+    phi = indicator_potential(s, cylinder)
+    o = synthesize_witness(s, gap_class, phi, 1 << 16, seed=seed)
+    orbit, report = tmp_path / "orbit", tmp_path / "report.json"
+    io.write_orbit_dir(o, orbit)
+    doc = json.loads((orbit / "certificate.json").read_text())
+    i, entry = next((i, c) for i, c in enumerate(doc["expected_statistics"]) if c["check"] == check)
+    assert entry["threshold"] == 0.01
+    entry["threshold"] = 0.005
+    assert all(v["passed"] for v in evaluate_checks(o.word, s, doc["expected_statistics"], phi=phi))
+    (orbit / "certificate.json").write_text(json.dumps(doc))
+    assert main(["verify", "--orbit", str(orbit), "--report", str(report)]) == 4
+    assert (f"certificate fact failed: expected_statistics[{i}].threshold (stored 0.005, "
+            f"derived 0.01)") in capsys.readouterr().err
+    assert not report.exists()
