@@ -37,12 +37,12 @@ def main() -> int:
         t0 = time.time()
         orbit = synthesize_witness(s, gc, phi, args.horizon, seed=args.seed)
         certify(orbit)
-        report = evaluate_certificate(orbit.word, s, orbit.certificate.expected_statistics,
+        result = evaluate_certificate(orbit.word, s, orbit.certificate.expected_statistics,
                                       phi=phi)
         io.write_orbit_dir(orbit, out_root / gc.value.lower())
         rows.append((gc.value, orbit.certificate.inf_entropy_over_K,
-                     report.all_pass, time.time() - t0,
-                     [v["check"] for v in report.verdicts if not v["passed"]]))
+                     result["all_pass"], time.time() - t0,
+                     [v["check"] for v in result["verdicts"] if not v["passed"]]))
 
     print(f"\nambient: full 2-shift, h_top = {h_top:.6f}, horizon = {args.horizon}, "
           f"seed = {args.seed}")

@@ -27,6 +27,7 @@ from .shifts import ShiftSpace, Word, iter_words
 DENSITY_CHECKPOINTS = 32
 DEFAULT_LADDER = (1, 2, 4, 8, 12)
 DEFAULT_TRACE_CHECKPOINTS = 128
+REPORT_SCHEMA = "shiftlab/report/1"
 
 
 @dataclass
@@ -38,22 +39,6 @@ class VisitStatistics:
     upper_density_est: float
     max_gap: Optional[int]
     horizon: int
-
-
-@dataclass
-class RecurrenceReport:
-    horizon: int
-    #: the stream's first max(DEFAULT_LADDER) symbols: each ladder target is a prefix
-    prefix: list[int]
-    ladder_stats: dict[int, VisitStatistics]
-    trace: list[tuple[int, float]]
-    oscillation: tuple[float, float]
-    cylinder_coverage: dict[int, float]
-    verdicts: list[dict]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v["passed"] for v in self.verdicts)
 
 
 def window_codes(x: np.ndarray, ell: int, k: int) -> np.ndarray:
@@ -318,18 +303,18 @@ def _eventually_periodic(x: np.ndarray, max_period: int) -> bool:
 _Evidence = NamedTuple("_Evidence", [("x", np.ndarray), ("s", ShiftSpace),
                                      ("trace", list), ("facts", _WindowFacts)])
 
+#: the need of a check that reads the Birkhoff trace, and so needs a potential;
+#: the sweep takes no window fact for it
+TRACE = ("trace", 0)
+
 
 class CheckKind(NamedTuple):
     """One kind of expected_statistics entry.  verdict(p, ev): the verdict
     fields "measured" and "passed", in report order.  needs(p): the (fact,
-    length) pairs it reads off the sweep, facts as in _WindowFacts.
-    defaults: the parameters that may be left out, and their values.  trace:
-    whether it reads the Birkhoff trace, so needs a potential.  p is the
-    entry with its defaults filled in."""
+    length) pairs it reads off the sweep, facts as in _WindowFacts, and TRACE
+    when it reads the trace.  p is the entry, which states every parameter."""
     verdict: Callable[[dict, _Evidence], dict]
     needs: Callable[[dict], set[tuple[str, int]]] = lambda p: set()
-    defaults: dict = {}
-    trace: bool = False
 
 
 def _at_least(measured, bound) -> dict:
@@ -396,11 +381,11 @@ def _cycle_densities(p: dict, ev: _Evidence) -> dict:
 
 CHECKS: dict[str, CheckKind] = {
     "full_horizon_present": CheckKind(lambda p, ev: _at_least(len(ev.x), p["horizon"])),
-    "trace_attains": CheckKind(_trace_distances, defaults={"window": 0.5}, trace=True),
-    "trace_converges": CheckKind(_trace_settles, defaults={"window": 0.25}, trace=True),
+    "trace_attains": CheckKind(_trace_distances, lambda p: {TRACE}),
+    "trace_converges": CheckKind(_trace_settles, lambda p: {TRACE}),
     "trace_oscillation": CheckKind(
         lambda p, ev: _at_least(_spread(_tail(ev.trace, p["window"])), p["min_gap"]),
-        defaults={"window": 0.5}, trace=True),
+        lambda p: {TRACE}),
     "cylinder_lower_min": CheckKind(
         lambda p, ev: _at_least(min(float(ev.facts.lower[ell][word_code(w, ev.s.k)])
                                     for ell in p["lengths"] for w in iter_words(ev.s, ell)),
@@ -423,77 +408,65 @@ CHECKS: dict[str, CheckKind] = {
         _expected_share, lambda p: {("counts", p["length"])}),
     "not_eventually_periodic": CheckKind(   # its reports list passed first
         lambda p, ev: dict.fromkeys(
-            ("passed", "measured"), not _eventually_periodic(ev.x, p["max_period"])),
-        defaults={"max_period": 1024}),
+            ("passed", "measured"), not _eventually_periodic(ev.x, p["max_period"]))),
     "periodic_density_exact": CheckKind(
         _cycle_densities, lambda p: {("self", ell) for ell in range(1, p["period"] + 1)}),
 }
 
 
-def _checked(chk) -> tuple[CheckKind, dict]:
-    """The table entry of an expected_statistics entry and the entry with its
-    defaults filled in; SchemaError for an unknown kind."""
+def _checked(chk) -> CheckKind:
+    """The table entry of an expected_statistics entry; SchemaError for an unknown kind."""
     name = chk.get("check") if type(chk) is dict else None
     kind = CHECKS.get(name) if type(name) is str else None
     if kind is None:
         raise SchemaError(f"unknown check kind {name!r}")
-    return kind, {**kind.defaults, **chk}
-
-
-def _score(arr: np.ndarray, s: ShiftSpace, expected_statistics: list[dict],
-           phi: Optional[Potential], needs: set[tuple[str, int]],
-           with_trace: bool) -> tuple[_Evidence, list[dict]]:
-    """The verdicts of a certificate's checks on a stream, and the evidence
-    they were read from: one sweep for the facts the checks declare and
-    `needs`, and the Birkhoff trace when a check reads it or `with_trace` asks.
-
-    A stream too short for any evidence raises TooShort, and an unknown
-    check kind SchemaError, both before any sweep.
-    """
-    n_max = len(arr) - max(DEFAULT_LADDER)
-    if n_max < 16:
-        raise TooShort("stream too short for any evidence")
-    checks = [_checked(chk) for chk in expected_statistics]
-    for kind, p in checks:
-        needs = needs | kind.needs(p)
-    facts = _sweep_windows(arr, s.k, n_max, needs)
-    if with_trace or any(kind.trace for kind, _ in checks):
-        trace = birkhoff_trace(arr, phi, default_trace_checkpoints(len(arr) - phi.range), k=s.k)
-    else:
-        trace = []
-    ev = _Evidence(arr, s, trace, facts)
-    return ev, [{"check": chk["check"], "params": {k: v for k, v in chk.items() if k != "check"},
-                 **kind.verdict(p, ev)} for chk, (kind, p) in zip(expected_statistics, checks)]
-
-
-def evaluate_checks(x, s: ShiftSpace, expected_statistics: list[dict],
-                    phi: Optional[Potential] = None) -> list[dict]:
-    """The verdicts of evaluate_certificate's report, from only the facts the
-    checks read: what each kind's `needs` declares, and the trace only when
-    a check reads it.  Refuses what evaluate_certificate refuses."""
-    return _score(np.asarray(x), s, expected_statistics, phi, set(), False)[1]
+    return kind
 
 
 def evaluate_certificate(x, s: ShiftSpace, expected_statistics: list[dict],
-                         phi: Optional[Potential] = None) -> RecurrenceReport:
-    """Score a stream against its certificate's expected statistics, with the
-    full report: the ladder's self-cylinder facts, the coverage of lengths
-    1, 2 and 4, and the trace of the potential when there is one.
+                         phi: Optional[Potential] = None, report: bool = False) -> dict:
+    """Score a stream against its certificate's expected statistics: one
+    sweep for the facts the checks declare, and the Birkhoff trace only when
+    a check reads it.  The dict ends in "verdicts" and "all_pass".  With
+    `report`, the same sweep also takes the ladder's self-cylinder facts, the
+    coverage of lengths 1, 2 and 4, and the trace of the potential when there
+    is one, and the dict is the report document.
 
-    Failures are verdicts, never exceptions: the report is pure data.  An
-    unknown check kind is refused with SchemaError before any sweep.  The
-    parameters are not typed here: verify scores only a certificate whose
-    list certify found equal to the one its class states.
+    Failures are verdicts, never exceptions: the result is pure data.  A
+    stream too short for any evidence raises TooShort, and an unknown check
+    kind SchemaError, both before any sweep.  The parameters are not typed
+    here: verify scores only a certificate whose list certify found equal to
+    the one its class states.
     """
     arr = np.asarray(x)
+    n_max = len(arr) - max(DEFAULT_LADDER)
+    if n_max < 16:
+        raise TooShort("stream too short for any evidence")
+    kinds = [_checked(chk) for chk in expected_statistics]
+    needs = set().union(*(kind.needs(chk) for kind, chk in zip(kinds, expected_statistics)))
     coverage_lengths = [ell for ell in DEFAULT_LADDER if ell <= 4]
-    needs = {("gap", ell) for ell in DEFAULT_LADDER} | {("counts", ell) for ell in coverage_lengths}
-    ev, verdicts = _score(arr, s, expected_statistics, phi, needs, phi is not None)
-    max_ell = max(DEFAULT_LADDER)
-    return RecurrenceReport(
-        horizon=len(arr) - max_ell, prefix=arr[:max_ell].tolist(),
-        ladder_stats={ell: ev.facts.self_stats[ell] for ell in DEFAULT_LADDER}, trace=ev.trace,
-        oscillation=trace_oscillation(ev.trace) if ev.trace else (0.0, 0.0),
-        cylinder_coverage={ell: _coverage(ev.facts.counts[ell], s, ell)[0]
-                           for ell in coverage_lengths},
-        verdicts=verdicts)
+    if report:
+        needs |= {("gap", ell) for ell in DEFAULT_LADDER}
+        needs |= {("counts", ell) for ell in coverage_lengths} | ({TRACE} if phi is not None else set())
+    facts = _sweep_windows(arr, s.k, n_max, needs)
+    trace = (birkhoff_trace(arr, phi, default_trace_checkpoints(len(arr) - phi.range), k=s.k)
+             if TRACE in needs else [])
+    ev = _Evidence(arr, s, trace, facts)
+    verdicts = [{"check": chk["check"], "params": {k: v for k, v in chk.items() if k != "check"},
+                 **kind.verdict(chk, ev)} for chk, kind in zip(expected_statistics, kinds)]
+    doc = {}
+    if report:
+        ladder = {ell: facts.self_stats[ell] for ell in DEFAULT_LADDER}
+        doc = {
+            "schema": REPORT_SCHEMA,
+            "horizon": n_max,
+            "ladder": {str(ell): {"target": arr[:ell].tolist(), "visits": st.visits,
+                                  "lower_density_est": st.lower_density_est,
+                                  "upper_density_est": st.upper_density_est,
+                                  "max_gap": st.max_gap} for ell, st in ladder.items()},
+            "trace": [[n, v] for n, v in trace],
+            "oscillation": list(trace_oscillation(trace)) if trace else [0.0, 0.0],
+            "cylinder_coverage": {str(ell): _coverage(facts.counts[ell], s, ell)[0]
+                                  for ell in coverage_lengths},
+        }
+    return {**doc, "verdicts": verdicts, "all_pass": all(v["passed"] for v in verdicts)}

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import io
 from .beta import beta_entropy_estimate, quasi_greedy_normalize
-from .classify import evaluate_certificate, evaluate_checks
+from .classify import evaluate_certificate
 from .errors import CertificateMismatch, NotPrimitive, ShiftlabError
 from .shifts import count_periodic, count_words, parse_word, topological_entropy
 from .spectrum import check_concavity, spectrum_curve, sup_equals_htop
@@ -139,18 +139,15 @@ def cmd_verify(args) -> int:
         o = io.read_orbit_dir(args.orbit)   # a schema 1 or 2 sub_seed is checked on reading
         certify(o)
     except CertificateMismatch as e:
-        print(f"certificate mismatch: {e}", file=sys.stderr)
+        print(e, file=sys.stderr)
         return EXIT_CERTIFICATE
-    checks, phi = o.certificate.expected_statistics, o.certificate.phi
+    result = evaluate_certificate(o.word, o.shift, o.certificate.expected_statistics,
+                                  phi=o.certificate.phi, report=bool(args.report))
     if args.report:
-        report = evaluate_certificate(o.word, o.shift, checks, phi=phi)
-        io.write_json(args.report, io.report_to_doc(report))
-        verdicts = report.verdicts
-    else:
-        verdicts = evaluate_checks(o.word, o.shift, checks, phi=phi)
+        io.write_json(args.report, result)
     _maybe_manifest(args, "verify", {"orbit": args.orbit}, [args.report] if args.report else [])
-    _print_verdicts(verdicts)
-    if not all(v["passed"] for v in verdicts):
+    _print_verdicts(result["verdicts"])
+    if not result["all_pass"]:
         return EXIT_VERDICT
     print("verified")
     return EXIT_OK

@@ -33,7 +33,6 @@ CERTIFICATE_SCHEMA = "shiftlab/certificate/3"
 #: certificate schemas read: /2 stored one object per segment, with its start
 #: and sub-seed, and /1 also each periodic segment's symbols
 CERTIFICATE_SCHEMAS = ("shiftlab/certificate/1", "shiftlab/certificate/2", CERTIFICATE_SCHEMA)
-REPORT_SCHEMA = "shiftlab/report/1"
 MANIFEST_SCHEMA = "shiftlab/manifest/1"
 
 #: largest |value| a potential document may give.  psi is a difference of
@@ -469,28 +468,7 @@ def write_orbit_dir(o: OrbitPrefix, out_dir: Union[str, Path]) -> list[str]:
     return ["stream.txt", "certificate.json"]
 
 
-# --- reports and manifests --------------------------------------------------
-
-
-def report_to_doc(report) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "horizon": report.horizon,
-        "ladder": {
-            str(ell): {
-                "target": report.prefix[:ell],
-                "visits": st.visits,
-                "lower_density_est": st.lower_density_est,
-                "upper_density_est": st.upper_density_est,
-                "max_gap": st.max_gap,
-            } for ell, st in report.ladder_stats.items()
-        },
-        "trace": [[n, v] for n, v in report.trace],
-        "oscillation": list(report.oscillation),
-        "cylinder_coverage": {str(k): v for k, v in report.cylinder_coverage.items()},
-        "verdicts": report.verdicts,
-        "all_pass": report.all_pass,
-    }
+# --- manifests ---------------------------------------------------------------
 
 
 def manifest_doc(command: str, inputs: dict, outputs: Sequence[str]) -> dict:

@@ -158,7 +158,7 @@ def test_c7_witness_evidence_suite(witnesses, full2, phi_full2):
     for gc, o in orbits.items():
         rep = evaluate_certificate(o.word, full2, o.certificate.expected_statistics,
                                    phi=phi_full2)
-        failed = [v["check"] for v in rep.verdicts if not v["passed"]]
+        failed = [v["check"] for v in rep["verdicts"] if not v["passed"]]
         ok = ok and not failed
         details.append(f"{gc.value}:{'ok' if not failed else failed}")
     # negative control: cross-scored schedules must fail at least one verdict
@@ -167,7 +167,7 @@ def test_c7_witness_evidence_suite(witnesses, full2, phi_full2):
                                   phi=phi_full2)
     cross2 = evaluate_certificate(b.word, full2, a.certificate.expected_statistics,
                                   phi=phi_full2)
-    negative_ok = (not cross1.all_pass) and (not cross2.all_pass)
+    negative_ok = (not cross1["all_pass"]) and (not cross2["all_pass"])
     ok = ok and negative_ok
     elapsed = synth_time + (time.time() - t0)
     ok = ok and elapsed < 180.0
@@ -280,8 +280,8 @@ def test_report_bytes_pinned(witnesses, full2, phi_full2, tmp_path):
     changed = []
     for gc, o in orbits.items():
         rep = evaluate_certificate(o.word, full2, o.certificate.expected_statistics,
-                                   phi=phi_full2)
-        io.write_json(tmp_path / f"{gc.value}.json", io.report_to_doc(rep))
+                                   phi=phi_full2, report=True)
+        io.write_json(tmp_path / f"{gc.value}.json", rep)
         got = hashlib.sha256((tmp_path / f"{gc.value}.json").read_bytes()).hexdigest()
         if got != REPORT_DIGESTS[gc.value]:
             changed.append(gc.value)

@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import classify
-from shiftlab.classify import (CHECKS, DEFAULT_LADDER, _checked, _coverage, _Evidence,
+from shiftlab.classify import (CHECKS, DEFAULT_LADDER, TRACE, _checked, _coverage, _Evidence,
                                _eventually_periodic, _frequencies, _agreeing_rotations,
                                _sweep_windows, birkhoff_trace,
                                default_trace_checkpoints, density_checkpoints,
-                               evaluate_certificate, evaluate_checks, trace_oscillation,
+                               evaluate_certificate, trace_oscillation,
                                window_codes, word_code)
 from shiftlab.errors import SchemaError, TooShort
-from shiftlab.io import report_to_doc
 from shiftlab.measures import (SAMPLE_CHUNK, integrate, indicator_potential, parry_measure,
                                sample_typical_words, Potential)
 from shiftlab.shifts import SYMBOL_DTYPE, full_shift, iter_words, sft_from_matrix
@@ -201,9 +200,9 @@ class TestCoverage:
     def test_full_support_sample(self, full2):
         x = np.array(sample_typical_words(parry_measure(full2), [1 << 14], [6]), dtype=np.int64)
         r = evaluate_certificate(x, full2, [{"check": "coverage_counts", "length": 3,
-                                             "min_visits": 8}])
-        assert r.cylinder_coverage == {1: 1.0, 2: 1.0, 4: 1.0}
-        assert r.all_pass and r.verdicts[0]["measured"] >= 8
+                                             "min_visits": 8}], report=True)
+        assert r["cylinder_coverage"] == {"1": 1.0, "2": 1.0, "4": 1.0}
+        assert r["all_pass"] and r["verdicts"][0]["measured"] >= 8
 
     def test_starved_word(self, full2):
         x = np.zeros(4096, dtype=np.int64)
@@ -229,21 +228,21 @@ class TestEvaluate:
     def test_periodic_densities(self, full2):
         x = alternating(1 << 14)
         stats = [{"check": "periodic_density_exact", "period": 2}]
-        r = evaluate_certificate(x, full2, stats)
-        assert r.all_pass
+        assert evaluate_certificate(x, full2, stats)["all_pass"]
 
     def test_unknown_check_fails_closed(self, full2):
         x = alternating(1 << 14)
-        for evaluate in (evaluate_certificate, evaluate_checks):
+        for report in (False, True):
             with pytest.raises(SchemaError, match="unknown check kind 'definitely_not_a_check'"):
-                evaluate(x, full2, [{"check": "definitely_not_a_check"}])
+                evaluate_certificate(x, full2, [{"check": "definitely_not_a_check"}],
+                                     report=report)
 
     def test_report_is_pure_data(self, full2, phi_full2):
         x = alternating(1 << 14)
-        stats = [{"check": "trace_oscillation", "min_gap": 0.5}]
-        r = evaluate_certificate(x, full2, stats, phi=phi_full2)
-        assert not r.all_pass  # alternation converges; no exception raised
-        assert r.oscillation[0] <= r.oscillation[1]
+        stats = [{"check": "trace_oscillation", "min_gap": 0.5, "window": 0.5}]
+        r = evaluate_certificate(x, full2, stats, phi=phi_full2, report=True)
+        assert not r["all_pass"]  # alternation converges; no exception raised
+        assert r["oscillation"][0] <= r["oscillation"][1]
 
 
 def _same(a, b) -> bool:
@@ -252,8 +251,8 @@ def _same(a, b) -> bool:
 
 
 class TestVerifyVerdicts:
-    """evaluate_checks, a plain verify's verdict pass, computes only the facts
-    the checks declare, and its verdicts are those of verify --report."""
+    """evaluate_certificate, for a plain verify, computes only the facts the
+    checks declare, and its verdicts are those of verify --report."""
 
     @pytest.mark.parametrize("name", sorted(CHECKS))
     def test_verdict_reads_only_declared_facts(self, full2, phi_full2, name):
@@ -262,12 +261,12 @@ class TestVerifyVerdicts:
         read but not declared raises KeyError, an undeclared trace IndexError."""
         chk = next(c for c in EVERY_CHECK if c["check"] == name)
         x = np.array(sample_typical_words(parry_measure(full2), [4096], [19]), dtype=np.int64)
-        kind, p = _checked(chk)
-        facts = _sweep_windows(x, 2, len(x) - max(DEFAULT_LADDER), kind.needs(p))
+        kind = _checked(chk)
+        facts = _sweep_windows(x, 2, len(x) - max(DEFAULT_LADDER), kind.needs(chk))
         trace = birkhoff_trace(x, phi_full2, default_trace_checkpoints(len(x) - phi_full2.range),
-                               k=2) if kind.trace else []
-        declared = kind.verdict(p, _Evidence(x, full2, trace, facts))
-        (full,) = evaluate_certificate(x, full2, [chk], phi=phi_full2).verdicts
+                               k=2) if TRACE in kind.needs(chk) else []
+        declared = kind.verdict(chk, _Evidence(x, full2, trace, facts))
+        (full,) = evaluate_certificate(x, full2, [chk], phi=phi_full2, report=True)["verdicts"]
         assert {k: v for k, v in full.items() if k not in ("check", "params")} == declared
 
     def test_default_witnesses(self, witnesses, full2, phi_full2):
@@ -280,9 +279,9 @@ class TestVerifyVerdicts:
                   (b.word, a.certificate.expected_statistics)]
         passes = []
         for word, checks in cases:
-            verdicts = evaluate_checks(word, full2, checks, phi=phi_full2)
-            assert _same(verdicts, evaluate_certificate(word, full2, checks,
-                                                        phi=phi_full2).verdicts)
+            verdicts = evaluate_certificate(word, full2, checks, phi=phi_full2)["verdicts"]
+            assert _same(verdicts, evaluate_certificate(word, full2, checks, phi=phi_full2,
+                                                        report=True)["verdicts"])
             passes.append(all(v["passed"] for v in verdicts))
         assert passes == [True] * len(orbits) + [False, False]
 
@@ -291,8 +290,9 @@ class TestVerifyVerdicts:
         and from an int64 copy."""
         for o in witnesses[0].values():
             assert o.word.dtype == SYMBOL_DTYPE
-            docs = [json.dumps(report_to_doc(evaluate_certificate(
-                word, full2, o.certificate.expected_statistics, phi=phi_full2)), indent=2)
+            docs = [json.dumps(evaluate_certificate(
+                word, full2, o.certificate.expected_statistics, phi=phi_full2, report=True),
+                indent=2)
                 for word in (o.word, o.word.astype(np.int64))]
             assert docs[0] == docs[1]
 
@@ -305,9 +305,10 @@ class TestVerifyVerdicts:
                     continue
                 o = synthesize_witness(s, gc, phi, 1 << 14, seed=ACCEPTANCE_SEED)
                 checks = o.certificate.expected_statistics
-                report = evaluate_certificate(o.word, s, checks, phi=phi)
-                assert report.all_pass, (gc, report.verdicts)
-                assert _same(evaluate_checks(o.word, s, checks, phi=phi), report.verdicts)
+                report = evaluate_certificate(o.word, s, checks, phi=phi, report=True)
+                assert report["all_pass"], (gc, report["verdicts"])
+                assert _same(evaluate_certificate(o.word, s, checks, phi=phi)["verdicts"],
+                             report["verdicts"])
 
     def test_only_read_facts_computed(self, witnesses, full2, phi_full2, monkeypatch):
         """Classes whose checks read no window codes and no trace compute
@@ -331,11 +332,12 @@ class TestVerifyVerdicts:
             o = orbits[gc]
             for name in calls:
                 calls[name] = 0
-            evaluate_checks(o.word, full2, o.certificate.expected_statistics, phi=phi_full2)
+            evaluate_certificate(o.word, full2, o.certificate.expected_statistics, phi=phi_full2)
             assert calls["birkhoff_trace"] == traces, gc
             if not traces:
                 assert calls["window_codes"] == 0, gc
-            evaluate_certificate(o.word, full2, o.certificate.expected_statistics, phi=phi_full2)
+            evaluate_certificate(o.word, full2, o.certificate.expected_statistics, phi=phi_full2,
+                                 report=True)
             assert calls["birkhoff_trace"] == traces + 1 and calls["window_codes"] > 0, gc
 
 
@@ -368,15 +370,16 @@ class TestHierarchyConsistency:
         # density: the estimators satisfy lower <= upper pointwise
         from shiftlab.synthesis import GapClass, synthesize_witness
         o = synthesize_witness(full2, GapClass.W_NOT_QR, phi_full2, 1 << 15, seed=12)
-        r = evaluate_certificate(o.word, full2, [])
-        for st_ in r.ladder_stats.values():
-            if st_.lower_density_est > 0:
-                assert st_.upper_density_est > 0
-            assert st_.lower_density_est <= st_.upper_density_est
+        r = evaluate_certificate(o.word, full2, [], report=True)
+        for st_ in r["ladder"].values():
+            if st_["lower_density_est"] > 0:
+                assert st_["upper_density_est"] > 0
+            assert st_["lower_density_est"] <= st_["upper_density_est"]
 
     def test_thue_morse_gap_is_horizon_free(self):
-        g16, g18 = (evaluate_certificate(thue_morse_word(n), full_shift(2), []).ladder_stats[4]
-                    .max_gap for n in (1 << 16, 1 << 18))
+        g16, g18 = (evaluate_certificate(thue_morse_word(n), full_shift(2), [],
+                                         report=True)["ladder"]["4"]["max_gap"]
+                    for n in (1 << 16, 1 << 18))
         assert g16 == g18 == 8
 
 
@@ -495,19 +498,19 @@ class TestPeriodicDensity:
         c = np.array([int(ch) for ch in cycle], dtype=np.int64)
         x = np.tile(c, (1 << 14) // len(c) + 1)[:1 << 14]
         stats = [{"check": "periodic_density_exact", "period": len(c)}]
-        assert evaluate_certificate(x, full2, stats).all_pass
+        assert evaluate_certificate(x, full2, stats)["all_pass"]
 
     @pytest.mark.parametrize("cycle,period", [("001", 2), ("01", 3), ("0011", 3)])
     def test_wrong_period_fails(self, full2, cycle, period):
         c = np.array([int(ch) for ch in cycle], dtype=np.int64)
         x = np.tile(c, (1 << 14) // len(c) + 1)[:1 << 14]
         stats = [{"check": "periodic_density_exact", "period": period}]
-        assert not evaluate_certificate(x, full2, stats).all_pass
+        assert not evaluate_certificate(x, full2, stats)["all_pass"]
 
     def test_aperiodic_stream_fails(self, full2):
         x = _stream(2, 1 << 14, 8)
         stats = [{"check": "periodic_density_exact", "period": 3}]
-        assert not evaluate_certificate(x, full2, stats).all_pass
+        assert not evaluate_certificate(x, full2, stats)["all_pass"]
 
     def test_rotation_agreements(self):
         def agreeing(cycle):
@@ -524,17 +527,17 @@ class TestPeriodicDensity:
         x = np.tile(c, (1 << 16) // len(c) + 1)[:1 << 16]
         start = time.perf_counter()
         assert evaluate_certificate(x, full2, [{"check": "periodic_density_exact",
-                                                "period": 16000}]).all_pass
+                                                "period": 16000}])["all_pass"]
         assert time.perf_counter() - start < 5.0
         stats = [{"check": "periodic_density_exact", "period": 15999}]
-        assert not evaluate_certificate(x, full2, stats).all_pass
+        assert not evaluate_certificate(x, full2, stats)["all_pass"]
 
 
 def test_coverage_fraction_verdict_is_a_python_bool(full2):
     stats = [{"check": "coverage_fraction_of_expected", "length": 2, "fraction": 0.5,
               "expected": [[list(w), 0.25] for w in iter_words(full2, 2)]}]
     r = evaluate_certificate(_stream(2, 1 << 12, 3), full2, stats)
-    assert type(r.verdicts[0]["passed"]) is bool and r.all_pass
+    assert type(r["verdicts"][0]["passed"]) is bool and r["all_pass"]
 
 
 def _eventually_periodic_arrays():

@@ -885,6 +885,20 @@ class TestPipeline:
         assert main(["verify", "--orbit", str(orbit)]) == 4
         assert "certificate fact failed: ambient_entropy" in capsys.readouterr().err
 
+    def test_edited_threshold_message_once(self, w_not_qr_orbit, tmp_path, capsys):
+        """The cylinder_lower_min threshold edited from 0.01 to 0.005: verify
+        exits 4, and stderr is the mismatch once, on one line."""
+        def halve(doc):
+            check = doc["expected_statistics"][2]
+            assert check["check"] == "cylinder_lower_min" and check["threshold"] == 0.01
+            check["threshold"] = 0.005
+        orbit = _mutated_copy(w_not_qr_orbit, tmp_path, halve)
+        assert main(["verify", "--orbit", str(orbit)]) == 4
+        err = capsys.readouterr().err
+        assert err == ("certificate fact failed: expected_statistics[2].threshold "
+                       "(stored 0.005, derived 0.01)\n")
+        assert err.count("certificate fact failed") == 1
+
     def test_cycle_outside_periodic_exit2(self, files, tmp_path, capsys):
         """Only PERIODIC reads --cycle; another class refuses it rather than
         record an input it dropped."""
@@ -1419,9 +1433,9 @@ class TestMutatedChecks:
         since no class states it."""
         assert {chk["check"] for chk in EVERY_CHECK} == set(CHECKS)
         o = io.read_orbit_dir(every_check_orbit)
-        report = evaluate_certificate(o.word, o.shift, EVERY_CHECK, phi=o.certificate.phi)
-        assert [v["check"] for v in report.verdicts] == [chk["check"] for chk in EVERY_CHECK]
-        assert not report.all_pass   # the EVERY_CHECK thresholds fail some verdicts
+        result = evaluate_certificate(o.word, o.shift, EVERY_CHECK, phi=o.certificate.phi)
+        assert [v["check"] for v in result["verdicts"]] == [chk["check"] for chk in EVERY_CHECK]
+        assert not result["all_pass"]   # the EVERY_CHECK thresholds fail some verdicts
 
     @given(edits=st.lists(check_edits(), min_size=1, max_size=3, unique_by=lambda e: e[0]))
     @settings(max_examples=60, deadline=None)
