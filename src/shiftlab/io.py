@@ -24,8 +24,8 @@ from .errors import CertificateMismatch, SchemaError, UnreadableInput
 from .measures import (SAMPLE_CHUNK, InvariantMeasure, MarkovMeasure, PeriodicMeasure,
                        Potential, markov_measure, mixture, periodic_measure, validate_potential)
 from .shifts import SYMBOL_DTYPE, ShiftSpace, sft_from_matrix
-from .synthesis import (CLASSES, MAX_HORIZON, Certificate, GapClass, OrbitPrefix, Schedule,
-                        Segment, sub_seeds)
+from .synthesis import (CLASSES, DERIVED, MAX_HORIZON, Certificate, GapClass, OrbitPrefix,
+                        Schedule, Segment, sub_seeds)
 
 SHIFT_SCHEMA = "shiftlab/shift/1"
 POTENTIAL_SCHEMA = "shiftlab/potential/1"
@@ -102,7 +102,6 @@ NUMBER = Param("a number", lambda v, c: isinstance(v, float)
 REAL = Param("a finite number", lambda v, c: NUMBER.test(v, c) and math.isfinite(v))
 INTEGER = Param("an integer", lambda v, c: type(v) is int)
 COUNT = Param("an integer >= 1", lambda v, c: type(v) is int and v >= 1)
-BOOL = Param("true or false", lambda v, c: type(v) is bool)
 TEXT = Param("a string", lambda v, c: type(v) is str)
 LIST = Param("a list", lambda v, c: type(v) is list)
 OBJECT = Param("an object", lambda v, c: type(v) is dict)
@@ -135,7 +134,7 @@ def square(entry: Param) -> Param:
                                                       for row in v))
 
 
-def pool_index(measure: str = "measure", of: type = object) -> Param:
+def pool_index(measure: str, of: type) -> Param:
     return Param(f"the index of a {measure} in the pool", lambda v, c: type(v) is int
                  and 0 <= v < len(c.pool) and isinstance(c.pool[v], of))
 
@@ -172,11 +171,6 @@ MEASURE_FIELDS = {
     "mixture": {"weights": list_of(REAL), "components": list_of(OBJECT)},
 }
 MEASURE_TYPE = {"type": one_of(*MEASURE_FIELDS)}
-#: a pool measure's exact facts; the integral is null without a potential
-FACT_FIELDS = {
-    "entropy": REAL, "integral": nullable(REAL), "support_symbols": list_of(SYMBOL),
-    "support_edges": list_of(tuple_of(SYMBOL, SYMBOL)), "full_support": BOOL, "ergodic": BOOL,
-}
 #: the letter of each segment kind in a schedule's kinds column
 KIND_LETTERS = {"markov": "m", "periodic": "p", "thue_morse": "t", "literal": "l", "bridge": "b"}
 KINDS = {letter: kind for kind, letter in KIND_LETTERS.items()}
@@ -207,17 +201,14 @@ SEGMENT_FIELDS = {
     "bridge": {**_SPAN, "word": LIST},
 }
 SEGMENT_KIND = {"kind": one_of(*SEGMENT_FIELDS)}
-#: the certificate's top level (before schema 3 its schedule was a list of
-#: segment objects); its shift, potential, pool measures, exact facts and
-#: schedule have their own tables
+#: the certificate's recorded inputs (before schema 3 its schedule was a list
+#: of segment objects); its shift, potential, pool measures and schedule have
+#: their own tables.  Its derived fields (synthesis.DERIVED) are read as
+#: stored, for certify to compare.
 CERTIFICATE_FIELDS = {
     "schema": one_of(*CERTIFICATE_SCHEMAS),
     "gap_class": one_of(*(gc.value for gc in GapClass)),
-    "structure": one_of(*dict.fromkeys(kind.structure for kind in CLASSES.values())),
-    "pool": LIST, "exact_facts": LIST, "expected_statistics": LIST, "schedule": OBJECT,
-    "extremes": list_of(pool_index(), empty=True),
-    "chain_links": list_of(tuple_of(REAL, pool_index(), pool_index()), empty=True),
-    "inf_entropy_over_K": REAL, "ambient_entropy": REAL,
+    "pool": LIST, "schedule": OBJECT,
     "pinned_prefix": nullable(list_of(SYMBOL)), "potential": nullable(OBJECT), "seed": INTEGER,
     "horizon": Param(f"an integer from 0 to {MAX_HORIZON}",   # a chain has a link per round
                      lambda v, c: type(v) is int and 0 <= v <= MAX_HORIZON),
@@ -397,11 +388,11 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
     return {
         "schema": CERTIFICATE_SCHEMA,
         "gap_class": cert.gap_class.value,
-        "structure": CLASSES[cert.gap_class].structure,
+        "structure": cert.structure,
         "shift": shift_to_doc(o.shift),
         "pool": [measure_to_doc(m) for m in cert.pool],
-        "extremes": list(cert.extremes),
-        "chain_links": [[th, a, b] for th, a, b in cert.chain_links],
+        "extremes": cert.extremes,
+        "chain_links": cert.chain_links,
         "exact_facts": cert.exact_facts,
         "inf_entropy_over_K": cert.inf_entropy_over_K,
         "expected_statistics": cert.expected_statistics,
@@ -416,42 +407,30 @@ def certificate_to_doc(o: OrbitPrefix) -> dict:
 
 def read_orbit_dir(orbit_dir: Union[str, Path]) -> OrbitPrefix:
     """The orbit of a directory's certificate.json and stream.txt.  Beyond each
-    field's type: exact_facts has one entry per pool measure, the structure
-    and potential fit the gap class's CLASSES entry, the stream holds digits
-    below k (_read_stream), and the schedule's columns fit (_segments).  A
-    schema 1 or 2 schedule is read into columns first (_columns), which
-    compares its stored sub-seeds with the derived ones.  certify compares
-    K's extremes and chain links, and the checks, with those the class states."""
+    recorded input's type: a class that needs a potential has one, the stream
+    holds digits below k (_read_stream), and the schedule's columns fit
+    (_segments).  A schema 1 or 2 schedule is read into columns first
+    (_columns), which compares its stored sub-seeds with the derived ones.
+    The derived fields (synthesis.DERIVED) are kept as stored, null if
+    absent; certify compares each with the value the inputs give."""
     path = Path(orbit_dir)
     cert_doc = read_json(path / "certificate.json")
     schema = validate(cert_doc, {"schema": CERTIFICATE_FIELDS["schema"]}, "certificate")["schema"]
     s = shift_from_doc(cert_doc.get("shift"))   # its alphabet types the other fields' symbols
     fields = CERTIFICATE_FIELDS if schema == CERTIFICATE_SCHEMA else {**CERTIFICATE_FIELDS,
                                                                      "schedule": LIST}
-    validate(cert_doc, fields, "certificate", Context(k=s.k, pool=cert_doc.get("pool")),
+    validate(cert_doc, fields, "certificate", Context(k=s.k),
              optional=("pinned_prefix", "potential"))
     pool = [measure_from_doc(d, s) for d in cert_doc["pool"]]
     phi = (potential_from_doc(cert_doc["potential"], s)
            if cert_doc.get("potential") is not None else None)
-    facts = [validate(f, FACT_FIELDS, f"exact_facts[{i}]", Context(k=s.k))
-             for i, f in enumerate(cert_doc["exact_facts"])]
-    if len(facts) != len(pool):
-        raise SchemaError(f"{len(facts)} exact facts for a pool of {len(pool)} measures")
     gap_class = GapClass(cert_doc["gap_class"])
-    kind = CLASSES[gap_class]
-    if cert_doc["structure"] != kind.structure or (phi is None and kind.potential):
-        raise SchemaError(f"a {gap_class.value} certificate has structure {kind.structure!r} and "
-                          f"potential {kind.potential}; this one has structure "
-                          f"{cert_doc['structure']!r} and {'a' if phi else 'no'} potential")
+    if phi is None and CLASSES[gap_class].potential:
+        raise SchemaError(f"a {gap_class.value} certificate needs a potential; this one has none")
     cert = Certificate(
-        gap_class=gap_class, pool=pool, extremes=cert_doc["extremes"],
-        chain_links=[(float(th), a, b) for th, a, b in cert_doc["chain_links"]],
-        exact_facts=[{**f, "support_edges": [tuple(e) for e in f["support_edges"]]} for f in facts],
-        inf_entropy_over_K=float(cert_doc["inf_entropy_over_K"]),
-        expected_statistics=cert_doc["expected_statistics"],
+        gap_class=gap_class, pool=pool, **{field: cert_doc.get(field) for field in DERIVED},
         pinned_prefix=tuple(cert_doc["pinned_prefix"]) if cert_doc.get("pinned_prefix") else None,
-        horizon=cert_doc["horizon"], seed=cert_doc["seed"], phi=phi,
-        ambient_entropy=float(cert_doc["ambient_entropy"]))
+        horizon=cert_doc["horizon"], seed=cert_doc["seed"], phi=phi)
     word = _read_stream(path / "stream.txt", min(s.k, STREAM_ALPHABET))
     columns = (cert_doc["schedule"] if schema == CERTIFICATE_SCHEMA
                else _columns(cert_doc["schedule"], cert.seed))

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import rng
 from .errors import NotAdmissible, NotPrimitive, RangeMismatch
-from .shifts import (SYMBOL_DTYPE, ShiftSpace, Word, count_words, is_admissible,
-                     is_cyclically_admissible, iter_words, perron, strongly_connected_components)
+from .shifts import (SYMBOL_DTYPE, ShiftSpace, Word, is_admissible, is_cyclically_admissible,
+                     iter_words, perron, strongly_connected_components)
 
 VALIDATION_TOL = 1e-12
 
@@ -53,16 +53,17 @@ def validate_potential(s: ShiftSpace, phi: Potential) -> None:
     """Check the table covers exactly the admissible range-words of s.
 
     Every key must be an admissible range-word; keys are distinct, so then
-    the table has them all exactly when it has count_words(s, range) keys.
-    The keys are checked first, and an empty table is refused uncounted,
-    so no count runs for a range the table does not back.
+    the table has them all exactly when s has no more range-words.  The keys
+    are checked first, an empty table is refused uncounted, and iter_words
+    counts at most one word past the table's size, so χ_A is never built.
     """
     r = phi.range
     for w in phi.table:
         if len(w) != r or not all(0 <= c < s.k for c in w) or not is_admissible(w, s):
             raise RangeMismatch(f"potential word {list(w)} is not an admissible {r}-word "
                                 f"of the shift")
-    if not phi.table or len(phi.table) != count_words(s, r):
+    words = itertools.islice(iter_words(s, r), len(phi.table) + 1)   # drawn only if counted
+    if not phi.table or len(phi.table) != sum(1 for _ in words):
         raise RangeMismatch(f"potential table lists {len(phi.table)} words, not every "
                             f"admissible {r}-word of the shift")
 

@@ -38,6 +38,9 @@ Q_CAP = 500.0
 STACK_ENTRIES = 1 << 18
 NEWTON_TOL = 1e-12
 IRREGULARITY_TOL = 1e-12
+#: the most grid points a curve takes: 200,000 took 6.1 s on the full
+#: 2-shift, and 10^8 ran out of memory
+MAX_POINTS = 100_000
 
 
 @dataclass
@@ -306,6 +309,8 @@ def spectrum_curve(s: ShiftSpace, phi: Potential, npoints: int) -> SpectrumCurve
     """Uniform interior grid, augmented with the maximal-entropy average."""
     if npoints < 3:
         raise ValueError("npoints >= 3 required")
+    if npoints > MAX_POINTS:
+        raise ValueError(f"npoints is {npoints}, above the limit MAX_POINTS = {MAX_POINTS}")
     iv = lphi_interval(s, phi)
     if iv.hi - iv.lo <= IRREGULARITY_TOL:
         raise DegenerateInterval("constant cycle averages; no spectrum to plot")

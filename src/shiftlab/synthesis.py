@@ -22,7 +22,6 @@ leave them free).  Two layouts are used:
 
 from __future__ import annotations
 
-import json
 import math
 import reprlib
 from bisect import bisect_right
@@ -93,10 +92,13 @@ class Schedule:
 
 @dataclass
 class Certificate:
+    """Recorded inputs (gap_class, pool, pinned_prefix, horizon, seed, phi) and
+    the fields derived from them (DERIVED) as JSON values: a read one holds them as stored."""
     gap_class: GapClass                # K's shape: CLASSES[gap_class]
+    structure: str
     pool: list[InvariantMeasure]
     extremes: list[int]                # pool indices of K's extreme elements
-    chain_links: list[tuple[float, int, int]]  # (theta, idx_main, idx_attached) per chain link
+    chain_links: list[list]            # [theta, idx_main, idx_attached] per chain link
     exact_facts: list[dict]
     inf_entropy_over_K: float
     expected_statistics: list[dict]
@@ -290,7 +292,7 @@ def _measure_facts(m: InvariantMeasure, s: ShiftSpace, phi: Optional[Potential])
         "entropy": entropy(m),
         "integral": integrate(m, phi) if phi is not None else None,
         "support_symbols": sorted(g.symbols),
-        "support_edges": sorted(g.edges),
+        "support_edges": [list(e) for e in sorted(g.edges)],
         "full_support": has_full_support(m, s),
         "ergodic": is_ergodic(m),
     }
@@ -382,21 +384,29 @@ def synthesize_witness(s: ShiftSpace, gap_class: GapClass, phi: Optional[Potenti
                                         *([] if cycle is None else [cycle]))
     if prefix:
         requests = [("literal", prefix, len(prefix))] + requests
-    extremes, chain_links = _shape(kind, n, len(pool))
-    facts = [_measure_facts(m, s, phi) for m in pool]
-    cert = Certificate(gap_class=gap_class, pool=pool, extremes=extremes, chain_links=chain_links,
-                       exact_facts=facts, expected_statistics=[],
-                       inf_entropy_over_K=_inf_over_k(facts, extremes, chain_links),
-                       pinned_prefix=prefix or None, horizon=n, seed=seed, phi=phi,
-                       ambient_entropy=topological_entropy(s))
-    _check_rules(cert, facts)
+    cert = Certificate(gap_class=gap_class, pool=pool, **_derived(s, gap_class, pool, phi, n),
+                       expected_statistics=[], pinned_prefix=prefix or None, horizon=n, seed=seed,
+                       phi=phi)
+    _check_rules(cert, cert.exact_facts)
     cert.expected_statistics = _checks(cert, s)
     word, schedule = _render(s, requests, pool, seed, n)
     return OrbitPrefix(word=word, schedule=schedule, certificate=cert, shift=s)
 
 
-def _inf_over_k(facts: list[dict], extremes: list[int],
-                chain_links: list[tuple[float, int, int]]) -> float:
+def _derived(s: ShiftSpace, gap_class: GapClass, pool: list[InvariantMeasure],
+             phi: Optional[Potential], horizon: int) -> dict:
+    """A certificate's derived fields but its checks, as JSON values: K's
+    structure, extremes and chain links (_shape), each pool measure's exact
+    facts, the entropy infimum over K and the ambient's entropy."""
+    kind = CLASSES[gap_class]
+    extremes, chain_links = _shape(kind, horizon, len(pool))
+    facts = [_measure_facts(m, s, phi) for m in pool]
+    return {"structure": kind.structure, "extremes": extremes, "chain_links": chain_links,
+            "exact_facts": facts, "inf_entropy_over_K": _inf_over_k(facts, extremes, chain_links),
+            "ambient_entropy": topological_entropy(s)}
+
+
+def _inf_over_k(facts: list[dict], extremes: list[int], chain_links: list[list]) -> float:
     """Entropy infimum over K.  Affinity puts it at the extreme elements:
     segment/singleton endpoints directly; for a chain, the only structure with
     links, at its mixtures theta*h_main + (1-theta)*h_attached and the limit."""
@@ -455,7 +465,8 @@ def _build_v_not_w(s, phi, n, pinned_prefix):
 def _default_start(c: Certificate, s: ShiftSpace, mu: int) -> bool:
     """Whether the pin, null as in synthesis or not, is the default pin of the
     subgraph that pool measure mu spans: the stream-start checks hold only there."""
-    return c.pinned_prefix in (None, _default_pin(s, frozenset(c.exact_facts[mu]["support_edges"])))
+    edges = frozenset(map(tuple, c.exact_facts[mu]["support_edges"]))
+    return c.pinned_prefix in (None, _default_pin(s, edges))
 
 
 def _build_qw_not_v(s, phi, n, pinned_prefix):
@@ -609,7 +620,7 @@ CLASSES: dict[GapClass, ClassKind] = {
             if _default_start(c, s, 0) else []), (
         ("omega", "omega must be a mixture", lambda c, f: isinstance(c.pool[1], Mixture)),
         ("disjoint", "attached orbit must avoid mu's edges", lambda c, f: support(
-            c.pool[1].components[-1]).edges.isdisjoint(f[0]["support_edges"])),
+            c.pool[1].components[-1]).edges.isdisjoint(map(tuple, f[0]["support_edges"]))),
         _INTEGRALS_DIFFER)),
     GapClass.QR_NOT_ERG_NOT_A: ClassKind("singleton", 1, True, False, _build_qr_not_erg,
                                          lambda c, s: [_settles(c)], (
@@ -646,53 +657,40 @@ CLASSES: dict[GapClass, ClassKind] = {
 # certification
 
 
+#: the derived certificate fields and certify's tolerance on their floats:
+#: the exact facts and both entropies come from floating-point solves
+DERIVED = {"structure": 0.0, "extremes": 0.0, "chain_links": 0.0, "exact_facts": 1e-10,
+           "inf_entropy_over_K": 1e-10, "ambient_entropy": 1e-10, "expected_statistics": 0.0}
+
+
 def certify(o: OrbitPrefix) -> None:
-    """Recompute every certificate fact, compare K's shape and the checks
-    with those the class states, and validate the class structure.
+    """Compare each derived field with what the recorded inputs give
+    (_derived), then validate the class structure on the derived facts,
+    compare the checks with those the class states from the stored facts,
+    and check the stream.
 
     Raises CertificateMismatch at the first failing fact.
     """
-    cert = o.certificate
-    s = o.shift
-
-    fresh_facts = []
-    for idx, (m, fact) in enumerate(zip(cert.pool, cert.exact_facts)):
-        fresh = _measure_facts(m, s, cert.phi)
-        fresh_facts.append(fresh)
-        for key in ("entropy", "integral"):
-            a, b = fresh[key], fact[key]
-            if (a is None) != (b is None):
-                raise CertificateMismatch(f"pool[{idx}].{key}", "presence differs")
-            if a is not None and abs(a - b) > 1e-10:
-                raise CertificateMismatch(f"pool[{idx}].{key}", f"{a} vs {b}")
-        for key in ("support_symbols", "support_edges", "full_support", "ergodic"):
-            if fresh[key] != fact[key]:
-                raise CertificateMismatch(f"pool[{idx}].{key}", f"{fresh[key]} vs {fact[key]}")
-
-    extremes, chain_links = _shape(CLASSES[cert.gap_class], cert.horizon, len(cert.pool))
-    _check_derived("extremes", cert.extremes, extremes)
-    _check_derived("chain_links", cert.chain_links, chain_links)
-    fresh_inf = _inf_over_k(fresh_facts, cert.extremes, cert.chain_links)
-    if abs(fresh_inf - cert.inf_entropy_over_K) > 1e-10:
-        raise CertificateMismatch("inf_entropy_over_K",
-                                  f"{fresh_inf} vs {cert.inf_entropy_over_K}")
-    h_top = topological_entropy(s)
-    if abs(h_top - cert.ambient_entropy) > 1e-10:
-        raise CertificateMismatch("ambient_entropy", f"{h_top} vs {cert.ambient_entropy}")
-
-    _check_rules(cert, fresh_facts)
-    _check_derived("expected_statistics", cert.expected_statistics, _checks(cert, s))
+    cert, s = o.certificate, o.shift
+    derived = _derived(s, cert.gap_class, cert.pool, cert.phi, cert.horizon)
+    for field, value in derived.items():
+        _check_derived(field, getattr(cert, field), value, DERIVED[field])
+    _check_rules(cert, derived["exact_facts"])
+    _check_derived("expected_statistics", cert.expected_statistics, _checks(cert, s),
+                   DERIVED["expected_statistics"])
     _check_word(o)
 
 
 def _check_rules(cert: Certificate, facts: list[dict]) -> None:
-    """The class's structure rules in order; CertificateMismatch names the first that fails."""
+    """The class's structure rules in order, on the derived facts, so a stored
+    fact within tolerance cannot move a threshold; CertificateMismatch names
+    the first that fails."""
     for fact, detail, holds in CLASSES[cert.gap_class].rules:
         if not holds(cert, facts):
             raise CertificateMismatch(f"{cert.gap_class.value}.{fact}", detail)
 
 
-def _shape(kind: ClassKind, horizon: int, pool_size: int) -> tuple[list[int], list]:
+def _shape(kind: ClassKind, horizon: int, pool_size: int) -> tuple[list[int], list[list]]:
     """K's extremes and chain links: the first kind.extremes pool indices;
     for QW_NOT_V's chain, all of them, and a link per round i = 1, 2, ... of
     the linear round layout, which mixes pool measure 0, the Markov one, at
@@ -700,7 +698,7 @@ def _shape(kind: ClassKind, horizon: int, pool_size: int) -> tuple[list[int], li
     if kind.extremes is not None:
         return list(range(kind.extremes)), []
     cycles, rounds = max(1, pool_size - 1), len(_linear_round_lengths(horizon, BLOCK_UNIT))
-    return list(range(pool_size)), [(1.0 - 1.0 / (i + 1), 0, 1 + (i - 1) % cycles)
+    return list(range(pool_size)), [[1.0 - 1.0 / (i + 1), 0, 1 + (i - 1) % cycles]
                                     for i in range(1, rounds + 1)]
 
 
@@ -710,23 +708,39 @@ def _checks(cert: Certificate, s: ShiftSpace) -> list[dict]:
             + CLASSES[cert.gap_class].stats(cert, s))
 
 
-def _check_derived(field: str, stored: list, derived: list) -> None:
-    """CertificateMismatch at the first entry i of a stored list that differs
-    from the derived one's as JSON, where true is not 1 and 1 is not 1.0:
-    named field[i].param at the first parameter that differs between two
-    objects, else field[i]; a dropped or appended entry at the shorter end."""
-    same = lambda a, b: json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    for i, (a, b) in enumerate(zip(stored, derived)):
-        if not same(a, b):
-            where = f"{field}[{i}]"
-            if type(a) is dict and type(b) is dict:
-                key = next(k for k in {**b, **a}
-                           if k not in a or k not in b or not same(a[k], b[k]))
-                where, a, b = f"{where}.{key}", a.get(key, "absent"), b.get(key, "absent")
-            raise CertificateMismatch(where, f"stored {reprlib.repr(a)}, derived {reprlib.repr(b)}")
-    if len(stored) != len(derived):
-        raise CertificateMismatch(f"{field}[{min(len(stored), len(derived))}]",
-                                  f"{len(stored)} entries stored, {len(derived)} derived")
+def _same(a, b, tol: float) -> bool:
+    """Whether two JSON values are equal type for type, where true is not 1
+    and 1 is not 1.0: floats within tol, or for tol 0 written alike."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(_same(x, y, tol) for x, y in zip(a, b))
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k], tol) for k in a)
+    if type(a) is float:
+        return abs(a - b) <= tol if tol else repr(a) == repr(b)
+    return a == b
+
+
+def _check_derived(field: str, stored, derived, tol: float) -> None:
+    """CertificateMismatch unless a stored field is the derived value
+    (_same): named field[i] at the first entry of a list that differs,
+    field[i].key at the first key that differs between two objects, and a
+    dropped or appended entry at the shorter end."""
+    if _same(stored, derived, tol):
+        return
+    where, a, b = field, stored, derived
+    if type(a) is list and type(b) is list:
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if not _same(x, y, tol)), None)
+        if i is None:
+            raise CertificateMismatch(f"{field}[{min(len(a), len(b))}]",
+                                      f"{len(a)} entries stored, {len(b)} derived")
+        where, a, b = f"{field}[{i}]", a[i], b[i]
+        if type(a) is dict and type(b) is dict:
+            key = next(k for k in {**b, **a}
+                       if k not in a or k not in b or not _same(a[k], b[k], tol))
+            where, a, b = f"{where}.{key}", a.get(key, "absent"), b.get(key, "absent")
+    raise CertificateMismatch(where, f"stored {reprlib.repr(a)}, derived {reprlib.repr(b)}")
 
 
 def _check_word(o: OrbitPrefix) -> None:

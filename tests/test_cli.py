@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from shiftlab import cli, io, shifts, synthesis
 from shiftlab.classify import CHECKS, evaluate_certificate
 from shiftlab.cli import build_parser, main
-from shiftlab.errors import SchemaError
+from shiftlab.errors import RangeMismatch, SchemaError
 from shiftlab.measures import indicator_potential
 from shiftlab.shifts import SYMBOL_DTYPE, full_shift, golden_mean_shift, sft_from_matrix
 from shiftlab.synthesis import CLASSES, Certificate, GapClass, synthesize_witness
@@ -320,12 +320,19 @@ MALFORMED_CERTIFICATES = {
     "qw_not_v_chain_link_theta_0_6": _On("qw_not_v_orbit", lambda d: d["chain_links"][1]
                                          .__setitem__(0, 0.6)),
     "qw_not_v_extremes_short": _On("qw_not_v_orbit", lambda d: d["extremes"].pop()),
+    "exact_facts_unknown_key": lambda d: d["exact_facts"][0].update(bogus=1),
+    "qw_not_v_chain_link_theta_1e_12_up": _On("qw_not_v_orbit", lambda d: d["chain_links"][1]
+                                              .__setitem__(0, d["chain_links"][1][0] + 1e-12)),
+    "w_not_qr_threshold_1e_12_up": _On("w_not_qr_orbit", lambda d: _check(
+        d, "cylinder_lower_min").update(threshold=_check(d, "cylinder_lower_min")["threshold"]
+                                        + 1e-12)),
 }
 
-#: the cases that edit a well-formed certificate's expected_statistics, the
-#: pin they are derived from or a chain's shape, and the fact that verify
-#: names: certify compares each with what the class states and exits 4,
-#: before any statistic is computed and before any report is written
+#: the cases that edit a derived field (synthesis.DERIVED: K's structure and
+#: shape, the exact facts, both entropies and expected_statistics) or the pin
+#: the checks are derived from, and the fact that verify names: certify
+#: compares each with what the recorded inputs give and exits 4, before any
+#: statistic is computed and before any report is written
 FORGED_CHECKS = {
     "self_lower_max_no_length": "expected_statistics[1].length",
     "self_lower_max_length_null": "expected_statistics[1].length",
@@ -356,11 +363,32 @@ FORGED_CHECKS = {
     "v_not_w_checks_cut_and_pin_null": "expected_statistics[1] (1 entries stored, 3 derived)",
     # the cut list is right for the pin [0], which the schedule does not begin with
     "v_not_w_checks_cut_and_pin_0": "pinned_prefix (pin (0,) is not the schedule's leading literal)",
-    "qw_not_v_chain_link_theta_0_6": "chain_links[1] (stored (0.6, 0, 2), derived "
-                                     "(0.6666666666666667, 0, 2))",
+    "qw_not_v_chain_link_theta_0_6": "chain_links[1] (stored [0.6, 0, 2], derived "
+                                     "[0.6666666666666667, 0, 2])",
     "qw_not_v_extremes_short": "extremes[11] (11 entries stored, 12 derived)",
     "periodic_extremes_empty": "extremes[0] (0 entries stored, 1 derived)",
     "qw_not_v_chain_links_empty": "chain_links[0] (0 entries stored, 11 derived)",
+    "exact_facts_short": "exact_facts[3] (3 entries stored, 4 derived)",
+    "extremes_outside_pool": "extremes[1] (stored 99, derived 1)",
+    "chain_link_outside_pool": "chain_links[0] (1 entries stored, 0 derived)",
+    "periodic_structure_chain": "structure (stored 'chain', derived 'singleton')",
+    "exact_facts_no_entropy": "exact_facts[0].entropy (stored 'absent', derived 0.1896",
+    "exact_facts_entropy_text": "exact_facts[0].entropy (stored 'x', derived 0.1896",
+    "exact_facts_no_ergodic": "exact_facts[0].ergodic (stored 'absent', derived False)",
+    "inf_entropy_over_K_nan": "inf_entropy_over_K (stored nan, derived 0.1896",
+    "ambient_entropy_nan": "ambient_entropy (stored nan, derived 0.6931",
+    "exact_facts_support_symbols_text":
+        "exact_facts[0].support_symbols (stored ['0', '1'], derived [0, 1])",
+    "exact_facts_support_edges_text":
+        "exact_facts[0].support_edges (stored ['00', '01', '10', '11'], derived [[0, 0]",
+    "chain_link_theta_text": "chain_links[0] (stored ['0.5', 0, 1], derived [0.5, 0, 1])",
+    "chain_link_theta_nan": "chain_links[0] (stored [nan, 0, 1], derived [0.5, 0, 1])",
+    # a fact with a key no fact has, not ignored
+    "exact_facts_unknown_key": "exact_facts[0].bogus (stored 1, derived 'absent')",
+    # only the exact facts and both entropies compare within 1e-10
+    "qw_not_v_chain_link_theta_1e_12_up": "chain_links[1] (stored ",
+    "w_not_qr_threshold_1e_12_up": "expected_statistics[2].threshold (stored 0.010000000001, "
+                                   "derived 0.01)",
 }
 
 #: the message of each case that is there to reach one particular check; the
@@ -428,6 +456,25 @@ class TestRoundTrips:
         doc = io.read_json(files / "phi.json")
         phi = io.potential_from_doc(doc, full2)
         assert io.potential_to_doc(phi) == doc
+
+    def test_potential_read_builds_no_characteristic_polynomial(self, monkeypatch):
+        """A range-1 potential on a 150-node cycle with a loop at 0 is read
+        without chi_A, which takes seconds at that size: the potential check
+        counts the table's words by enumerating them."""
+        k = 150
+        s = sft_from_matrix(k, [[int(j == (i + 1) % k or i == j == 0) for j in range(k)]
+                                for i in range(k)])
+
+        def refuse(matrix):
+            raise AssertionError("characteristic polynomial built")
+
+        monkeypatch.setattr(shifts, "characteristic_polynomial", refuse)
+        doc = {"schema": io.POTENTIAL_SCHEMA, "range": 1,
+               "entries": [[[i], float(i == 0)] for i in range(k)]}
+        phi = io.potential_from_doc(doc, s)
+        assert io.potential_to_doc(phi) == doc
+        with pytest.raises(RangeMismatch, match="lists 149 words"):
+            io.potential_from_doc({**doc, "entries": doc["entries"][1:]}, s)
 
     def test_labels_roundtrip(self, tmp_path):
         from shiftlab.shifts import sft_from_matrix
@@ -790,10 +837,10 @@ class TestPipeline:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("fact,edit", [
-        ("pool[1].integral (presence differs)",
+        ("exact_facts[1].integral (stored None, derived 0.2763",
          lambda d: d["exact_facts"][1].update(integral=None)),
-        ("pool[1].support_edges", lambda d: d["exact_facts"][1]["support_edges"].pop()),
-        ("pool[1].ergodic", lambda d: d["exact_facts"][1].update(ergodic=False)),
+        ("exact_facts[1].support_edges", lambda d: d["exact_facts"][1]["support_edges"].pop()),
+        ("exact_facts[1].ergodic", lambda d: d["exact_facts"][1].update(ergodic=False)),
     ], ids=["integral_null", "support_edges_short", "ergodic_flipped"])
     def test_edited_exact_facts_exit4(self, v_not_w_orbit, tmp_path, capsys, fact, edit):
         """A well-formed exact fact that differs from its recomputed value:
@@ -981,6 +1028,20 @@ class TestPipeline:
                      "--potential", str(files / "phi.json"), "--points", "2",
                      "--out", str(out)]) == 2
         assert "npoints >= 3 required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectrum_points_past_the_limit_exit2(self, files, tmp_path, capsys):
+        """One point past spectrum.MAX_POINTS is refused at once, naming the
+        bound, with nothing printed and no CSV written."""
+        out = tmp_path / "curve.csv"
+        start = time.perf_counter()
+        assert main(["spectrum", "--shift", str(files / "full2.json"),
+                     "--potential", str(files / "phi.json"), "--points", "100001",
+                     "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "above the limit MAX_POINTS = 100000" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_negative_horizon_exit2(self, files, tmp_path, capsys):

@@ -259,6 +259,20 @@ class TestCertify:
             certify(o)
         assert exc.value.fact == rule
 
+    def test_rules_read_the_derived_facts(self, full2, phi_full2):
+        """A stored entropy within the facts' 1e-10 of the derived 0 passes the
+        compare, but the rule mu_entropy (> 1e-12) judges the derived value."""
+        o = synthesize_witness(full2, GapClass.V_NOT_W, phi_full2, N_SMALL, seed=21)
+        cert = o.certificate
+        cert.pool[1] = markov_measure(full2, [[0.0, 1.0], [1.0, 0.0]])
+        cert.exact_facts = [_measure_facts(m, full2, cert.phi) for m in cert.pool]
+        cert.inf_entropy_over_K = _inf_over_k(cert.exact_facts, cert.extremes, cert.chain_links)
+        assert cert.exact_facts[1]["entropy"] == 0.0 and not cert.exact_facts[1]["full_support"]
+        cert.exact_facts[1]["entropy"] = 5e-11
+        with pytest.raises(CertificateMismatch) as exc:
+            certify(o)
+        assert exc.value.fact == "V_NOT_W.mu_entropy"
+
     @pytest.mark.parametrize("gap_class", list(GapClass))
     def test_tampered_ambient_entropy_detected(self, full2, phi_full2, gap_class):
         o = synthesize_witness(full2, gap_class, phi_full2, N_SMALL, seed=21)
